@@ -18,7 +18,6 @@ from .algebra import (
     ParameterError,
     check_jacobi_symbolic,
     check_jacobi_window,
-    integrality_flags,
     validate_parameters,
 )
 from .dsl import Diagnostic, ParseResult, parse, parse_polynomial, render
@@ -47,8 +46,8 @@ from .engine import (
     verify_cocycle,
 )
 from .poly import IndexPolynomial
-from .presets import BoundAlgebra, load_algebra, preset
-from .rational import Rational, format_rational, is_integer, parse_rational, rational
+from .presets import load_algebra
+from .rational import format_rational, parse_rational, rational
 from .sparse import (
     SparseMatrix,
     VectorBasis,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraSpec",
     "BasisElement",
-    "BoundAlgebra",
     "BracketRule",
     "CocycleAssignment",
     "Diagnostic",
@@ -78,7 +76,6 @@ __all__ = [
     "ParameterError",
     "ParseResult",
     "REGISTRY",
-    "Rational",
     "SparseMatrix",
     "VectorBasis",
     "VerifyReport",
@@ -95,9 +92,7 @@ __all__ = [
     "format_rational",
     "h2",
     "in_span",
-    "integrality_flags",
     "is_coboundary",
-    "is_integer",
     "load_algebra",
     "match_known",
     "nonzero_degree_triviality",
@@ -105,7 +100,6 @@ __all__ = [
     "parse",
     "parse_polynomial",
     "parse_rational",
-    "preset",
     "project_dimension",
     "rank",
     "rational",

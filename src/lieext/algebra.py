@@ -210,10 +210,6 @@ class AlgebraSpec:
     def element_key(self, element: BasisElement) -> tuple:
         return (self.family_position(element.family), element.index)
 
-    def weight_offset(self, family: str) -> IndexPolynomial:
-        self.family_position(family)
-        return self.weight_offsets[family]
-
     def weight(self, element: BasisElement, params: ParamMap) -> Fraction:
         return element.index + self.weight_offsets[element.family].evaluate(params)
 
@@ -278,10 +274,13 @@ def _zero_rule(fam_a: str, fam_b: str, parameters: tuple) -> BracketRule:
 def validate_parameters(spec: AlgebraSpec, values: Mapping) -> dict:
     """Coerce and complete a parameter binding.
 
-    Values may be ints, Fractions, or "p/q" strings.  For the svir family
-    mu = 0 is rejected: that degeneration collapses the weight grading this
-    engine relies on and has a different extension theory.
+    Values may be ints, Fractions, or "p/q" strings.  For the bundled svir
+    algebra mu = 0 is rejected: that degeneration collapses the weight
+    grading this engine relies on and has a different extension theory.
+    The rule follows the bracket table, not the name, so a user algebra
+    that only borrows the name "svir" is not affected.
     """
+    from .presets import load_algebra  # presets imports this module
     bound = {}
     for key, value in values.items():
         if key not in spec.parameters:
@@ -296,18 +295,12 @@ def validate_parameters(spec: AlgebraSpec, values: Mapping) -> dict:
     missing = [p for p in spec.parameters if p not in bound]
     if missing:
         raise ParameterError(f"missing parameter {missing[0]!r} for algebra {spec.name!r}")
-    if spec.name == "svir" and bound.get("mu") == 0:
+    if bound.get("mu") == 0 and spec == load_algebra("svir"):
         raise ParameterError(
             "mu = 0 is out of scope for svir: the Y/M weight grading degenerates "
             "and the classification computed here does not apply"
         )
     return bound
-
-
-def integrality_flags(value: Fraction, multiples=(1, 2, 3, 4)) -> dict:
-    """Which small multiples of a rational are integers; the case splits of
-    the degree-zero cocycle analysis are all of this shape."""
-    return {k: (k * Fraction(value)).denominator == 1 for k in multiples}
 
 
 @dataclass

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from .algebra import ParameterError, check_jacobi_symbolic, check_jacobi_window, validate_parameters
 from .engine import (
@@ -102,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--degree", default="0", metavar="Q")
     p_scan.add_argument("--steps", type=int, default=3, metavar="S")
     p_scan.add_argument("--jobs", type=int, default=0, metavar="J",
-                        help="worker processes (default: cpu count)")
+                        help="worker processes (default: cpu count); never more "
+                        "than the grid points or the cpu count")
     p_scan.add_argument("--format", choices=("csv", "md"), default="csv")
     p_scan.set_defaults(func=cmd_scan)
 
@@ -142,9 +142,10 @@ def cmd_jacobi(args) -> int:
 
 
 def _prediction(spec, params, degree):
-    if spec.name == "svir" and degree == 0:
-        predicted = theorem_predicted_dim(params["lambda"], params["mu"])
-        return predicted
+    """The closed-form table's dimension; it describes the bundled svir
+    bracket table, so a user algebra that only shares the name gets none."""
+    if degree == 0 and spec == load_algebra("svir"):
+        return theorem_predicted_dim(params["lambda"], params["mu"])
     return None
 
 
@@ -235,6 +236,13 @@ def _scan_point(payload) -> dict:
     }
 
 
+def _scan_workers(jobs: int, points: int, cpus: int | None) -> int:
+    """Worker processes for a scan: the requested count (0 or less means
+    the CPU count), capped by the grid size and the CPU count."""
+    cpus = cpus or 1
+    return max(1, min(jobs if jobs > 0 else cpus, points, cpus))
+
+
 def cmd_scan(args) -> int:
     spec = load_algebra(args.algebra)
     if set(spec.parameters) != {"lambda", "mu"}:
@@ -252,9 +260,9 @@ def cmd_scan(args) -> int:
     # fail fast on bad bindings (e.g. mu = 0) before spawning workers
     for lam, mu in grid:
         validate_parameters(spec, {"lambda": lam, "mu": mu})
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _scan_workers(args.jobs, len(payloads), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_point, payloads))
     else:
         rows = [_scan_point(p) for p in payloads]

@@ -25,10 +25,9 @@ and parse(render(spec)) reproduces spec exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .algebra import AlgebraSpec, BracketRule, IDENT_RE, same_family_rule_is_antisymmetric
+from .algebra import AlgebraSpec, BracketRule, same_family_rule_is_antisymmetric
 from .poly import IndexPolynomial
 
 KEYWORDS = frozenset({"algebra", "family", "weight", "bracket"})

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import (
     AlgebraSpec,
@@ -72,15 +72,19 @@ class Window:
         return self.n - self.margin
 
     def core_contains(self, index: int) -> bool:
-        return abs(index) <= self.n - self.margin
+        return abs(index) <= self.core_bound()
 
     def grown(self, extra: int) -> "Window":
         return Window(self.n + extra, self.margin)
 
 
-def _check_graded(spec: AlgebraSpec, params: ParamMap):
-    """The weight decomposition only makes sense if weights are additive
-    under the bracket, i.e. off(A) + off(B) == off(out) for every rule."""
+def _bind(spec: AlgebraSpec, params: Mapping) -> tuple:
+    """(validated params, {family: weight offset}) for one binding.
+
+    The weight decomposition only makes sense if weights are additive under
+    the bracket, i.e. off(A) + off(B) == off(out) for every rule.
+    """
+    params = validate_parameters(spec, params)
     offs = {fam: spec.weight_offsets[fam].evaluate(params) for fam in spec.families}
     for (fam_a, fam_b), rule in spec.rules.items():
         if rule.out_family is None:
@@ -90,6 +94,7 @@ def _check_graded(spec: AlgebraSpec, params: ParamMap):
                 f"algebra is not graded by its weights: [{fam_a}, {fam_b}] -> "
                 f"{rule.out_family} breaks weight additivity at these parameters"
             )
+    return params, offs
 
 
 class PairBasis:
@@ -120,11 +125,6 @@ class PairBasis:
     def pair_at(self, col: int) -> tuple:
         return self.pairs[col]
 
-    def has_pair(self, x: BasisElement, y: BasisElement) -> bool:
-        if self.spec.element_key(x) > self.spec.element_key(y):
-            x, y = y, x
-        return (x, y) in self._columns
-
     def column_of(self, x: BasisElement, y: BasisElement) -> tuple:
         """(column, sign) for the pair {x, y}; sign is -1 when (x, y) is the
         reversed orientation of the stored pair."""
@@ -148,10 +148,8 @@ class PairBasis:
 def enumerate_pairs(spec: AlgebraSpec, params: Mapping, window: Window, degree) -> PairBasis:
     """All pairs {x, y} of window elements with weight(x) + weight(y) ==
     degree, canonically ordered and sorted."""
-    params = validate_parameters(spec, params)
-    _check_graded(spec, params)
+    params, offs = _bind(spec, params)
     degree = Fraction(degree)
-    offs = {fam: spec.weight_offsets[fam].evaluate(params) for fam in spec.families}
     pairs = []
     for a_pos, fam_a in enumerate(spec.families):
         for fam_b in spec.families[a_pos:]:
@@ -170,10 +168,9 @@ def enumerate_pairs(spec: AlgebraSpec, params: Mapping, window: Window, degree) 
     return PairBasis(spec, params, window, degree, pairs)
 
 
-def _iter_degree_triples(spec, params, window, degree):
+def _iter_degree_triples(spec, offs, window, degree):
     """Canonically ordered triples x < y < z of window elements whose
-    weights sum to the degree."""
-    offs = {fam: spec.weight_offsets[fam].evaluate(params) for fam in spec.families}
+    weights sum to the degree; offs maps each family to its weight offset."""
     key = spec.element_key
     for fam_a, fam_b, fam_c in combinations_with_replacement(spec.families, 3):
         total = Fraction(degree) - offs[fam_a] - offs[fam_b] - offs[fam_c]
@@ -229,12 +226,11 @@ def assemble_constraints(
     spec: AlgebraSpec, params: Mapping, window: Window, degree, pairs: PairBasis | None = None
 ) -> SparseMatrix:
     """Constraint matrix with one row per admissible nonvacuous triple."""
-    params = validate_parameters(spec, params)
-    _check_graded(spec, params)
+    params, offs = _bind(spec, params)
     if pairs is None:
         pairs = enumerate_pairs(spec, params, window, degree)
     rows = []
-    for x, y, z in _iter_degree_triples(spec, params, window, degree):
+    for x, y, z in _iter_degree_triples(spec, offs, window, degree):
         row = constraint_row(spec, params, window, x, y, z, pairs)
         if row:
             rows.append(row)
@@ -251,8 +247,7 @@ def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = Non
     """Span of the functional generators: for each window element z of
     weight == degree, the form (x, y) -> f([x, y]) with f dual to z.  At a
     fixed degree each family contributes at most one such z."""
-    params = validate_parameters(spec, params)
-    _check_graded(spec, params)
+    params, offs = _bind(spec, params)
     degree = Fraction(degree)
     if pairs is None:
         pairs = enumerate_pairs(spec, params, window, degree)
@@ -262,7 +257,7 @@ def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = Non
             brackets.append((col, coeff, e))
     generators = []
     for fam in spec.families:
-        target = degree - spec.weight_offsets[fam].evaluate(params)
+        target = degree - offs[fam]
         if target.denominator != 1 or not window.contains(int(target)):
             continue
         z = BasisElement(fam, int(target))
@@ -470,31 +465,6 @@ class CocycleLine:
             raise ValueError("support line misses integer indices")
         return int(total)
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "family_a": self.family_a,
-            "family_b": self.family_b,
-            "coeff": self.coeff.to_text(("m", "mu")),
-            "mu_multiple": self.mu_multiple,
-            "index_shift": self.index_shift,
-        }
-        if not self.denom.is_constant() or self.denom.constant_value() != 1:
-            out["denom"] = self.denom.to_text(("m", "mu"))
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "CocycleLine":
-        from .dsl import parse_polynomial
-
-        return cls(
-            family_a=str(data["family_a"]),
-            family_b=str(data["family_b"]),
-            coeff=parse_polynomial(str(data["coeff"]), ("m", "mu")),
-            mu_multiple=int(data.get("mu_multiple", 0)),
-            index_shift=int(data.get("index_shift", 0)),
-            denom=parse_polynomial(str(data.get("denom", "1")), ("m", "mu")),
-        )
-
 
 def _has_integer_root(poly: IndexPolynomial) -> bool:
     """Whether a nonzero univariate rational polynomial in m vanishes at any
@@ -628,21 +598,6 @@ class KnownCocycle:
                 values[(a, b)] = value
         return CocycleAssignment(spec, window, values)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lines": [line.to_json_dict() for line in self.lines],
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "KnownCocycle":
-        if "lines" in data:
-            lines = tuple(CocycleLine.from_json_dict(entry) for entry in data["lines"])
-        else:
-            lines = (CocycleLine.from_json_dict(data),)
-        return cls(name=str(data["name"]), lines=lines, note=str(data.get("note", "")))
-
 
 def _poly(text: str) -> IndexPolynomial:
     from .dsl import parse_polynomial
@@ -746,8 +701,7 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
     Accepts a KnownCocycle (instantiated here; inapplicable parameter
     values raise with the violated condition) or a CocycleAssignment.
     """
-    params = validate_parameters(spec, params)
-    _check_graded(spec, params)
+    params, offs = _bind(spec, params)
     if isinstance(cocycle, KnownCocycle):
         psi = cocycle.instantiate(spec, params, window)
     elif isinstance(cocycle, CocycleAssignment):
@@ -756,7 +710,7 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
         raise TypeError("expected a KnownCocycle or CocycleAssignment")
     checked = 0
     for degree in sorted(psi.degrees(params)):
-        for x, y, z in _iter_degree_triples(spec, params, window, degree):
+        for x, y, z in _iter_degree_triples(spec, offs, window, degree):
             terms = _row_terms(spec, params, window, x, y, z)
             if terms is None:
                 continue
@@ -932,8 +886,7 @@ def h2(
     """
     if stabilization_steps < 1:
         raise ValueError("need at least one stabilization step")
-    params = validate_parameters(spec, params)
-    _check_graded(spec, params)
+    params, _ = _bind(spec, params)
     degree = Fraction(degree)
     pairs, cocycles, bounds, core_h2 = _core_dims(spec, params, window, degree)
     history = [(window.n, core_h2)]

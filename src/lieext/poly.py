@@ -12,7 +12,7 @@ what the symbolic Jacobi check and the parser round-trip lean on.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
 Scalar = Union[Fraction, int]
@@ -245,10 +245,3 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return IndexPolynomial.constant(value)
     return NotImplemented
-
-
-def poly_sum(polys: Iterable[IndexPolynomial]) -> IndexPolynomial:
-    total = IndexPolynomial()
-    for p in polys:
-        total = total + p
-    return total

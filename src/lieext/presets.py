@@ -9,13 +9,10 @@ then the reference taken as a literal file path.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
-from typing import Mapping
 
 from . import dsl
-from .algebra import AlgebraSpec, validate_parameters
+from .algebra import AlgebraSpec
 
 PRESET_FILES = {
     "svir": "svir.lie",
@@ -65,22 +62,3 @@ def load_algebra(ref: str) -> AlgebraSpec:
         f"cannot resolve algebra {ref!r}: not a preset name, not on "
         f"{PRESET_PATH_ENV}, and not a file"
     )
-
-
-@dataclass(frozen=True)
-class BoundAlgebra:
-    spec: AlgebraSpec
-    params: Mapping[str, Fraction] = field(default_factory=dict)
-
-
-def preset(name: str, params: Mapping | None = None, **kw) -> BoundAlgebra:
-    """A bundled algebra with a validated parameter binding.
-
-    Raises ParameterError for incomplete or out-of-scope bindings, in
-    particular svir with mu = 0.
-    """
-    spec = load_algebra(name)
-    values = dict(params or {})
-    values.update(kw)
-    renamed = {("lambda" if k == "lambda_" else k): v for k, v in values.items()}
-    return BoundAlgebra(spec, validate_parameters(spec, renamed))

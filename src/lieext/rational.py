@@ -12,8 +12,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -38,7 +36,3 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Canonical text form, the exact inverse of parse_rational."""
     return str(Fraction(value))
-
-
-def is_integer(value: Fraction) -> bool:
-    return Fraction(value).denominator == 1

@@ -15,8 +15,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .rational import format_rational
-
 
 class SparseMatrix:
     """Immutable COO-style sparse matrix over Fraction."""
@@ -74,11 +72,6 @@ class SparseMatrix:
             out[row][col] = value
         return out
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.n_cols, self.n_rows, [(c, r, v) for r, c, v in self.entries]
-        )
-
     def multiply_vector(self, vector: Sequence[Fraction]) -> list:
         if len(vector) != self.n_cols:
             raise ValueError("vector length does not match column count")
@@ -86,13 +79,6 @@ class SparseMatrix:
         for row, col, value in self.entries:
             out[row] += value * vector[col]
         return out
-
-    def to_coord_text(self) -> str:
-        """Header "rows cols nnz" then one "row col value" line per entry."""
-        lines = [f"{self.n_rows} {self.n_cols} {len(self.entries)}"]
-        for row, col, value in self.entries:
-            lines.append(f"{row} {col} {format_rational(value)}")
-        return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):

@@ -8,7 +8,6 @@ from lieext.algebra import (
     ParameterError,
     check_jacobi_symbolic,
     check_jacobi_window,
-    integrality_flags,
     validate_parameters,
 )
 from lieext.dsl import parse
@@ -108,13 +107,6 @@ def test_validate_parameters_coercion():
     params = validate_parameters(SVIR, {"lambda": "-1/3", "mu": 2})
     assert params == {"lambda": Fraction(-1, 3), "mu": Fraction(2)}
     assert all(isinstance(v, Fraction) for v in params.values())
-
-
-def test_integrality_flags():
-    assert integrality_flags(Fraction(1, 3)) == {1: False, 2: False, 3: True, 4: False}
-    assert integrality_flags(Fraction(1, 2)) == {1: False, 2: True, 3: False, 4: True}
-    assert integrality_flags(Fraction(2)) == {1: True, 2: True, 3: True, 4: True}
-    assert integrality_flags(Fraction(1, 5)) == {1: False, 2: False, 3: False, 4: False}
 
 
 def test_jacobi_window_svir():

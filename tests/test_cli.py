@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+from lieext.cli import _scan_workers
+
 CLI = [sys.executable, "-m", "lieext"]
 
 CORRUPT_SOURCE = """
@@ -19,6 +21,21 @@ algebra bad(lambda, mu) {
   bracket [L n, M m] = (m - lambda*n + 2*mu) M(n + m);
   bracket [Y n, M m] = 0;
   bracket [M n, M m] = 0;
+}
+"""
+
+# Named svir, with other L-Y and L-M brackets than the bundled preset.
+IMPOSTOR_SVIR_SOURCE = """
+algebra svir(lambda, mu) {
+    family L weight 0;
+    family Y weight mu;
+    family M weight 2*mu;
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, Y m] = (m - lambda*n) Y(n + m);
+    bracket [L n, M m] = (m - 2*lambda*n) M(n + m);
+    bracket [Y n, Y m] = (m - n) M(n + m);
+    bracket [Y n, M m] = 0;
+    bracket [M n, M m] = 0;
 }
 """
 
@@ -157,6 +174,27 @@ def test_mu_zero_is_a_usage_error():
                    "--window", "8")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: mu = 0 is out of scope")
+
+
+def test_user_algebra_named_svir_gets_no_svir_rules(tmp_path):
+    path = tmp_path / "impostor.lie"
+    path.write_text(IMPOSTOR_SVIR_SOURCE)
+    for mu in ("1", "0"):
+        proc = run_cli("h2", "--algebra", str(path), "--lambda=-1", "--mu", mu,
+                       "--window", "6", "--steps", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert "algebra: svir" in proc.stdout.splitlines()
+        assert "predicted_dim: n/a" in proc.stdout.splitlines()
+
+
+def test_scan_workers_clamped_without_starting_processes():
+    assert _scan_workers(10**6, 80, 2) == 2
+    assert _scan_workers(10**6, 3, 64) == 3
+    assert _scan_workers(0, 80, 4) == 4
+    assert _scan_workers(-1, 80, 4) == 4
+    assert _scan_workers(0, 80, None) == 1
+    assert _scan_workers(1, 80, 8) == 1
+    assert _scan_workers(8, 1, 8) == 1
 
 
 def test_window_too_small_is_a_usage_error():

@@ -322,29 +322,6 @@ def test_empty_lines_rejected():
         KnownCocycle("empty", ())
 
 
-def test_known_cocycle_json_round_trip():
-    for entry in REGISTRY.values():
-        data = entry.to_json_dict()
-        assert sorted(data) == ["lines", "name", "note"]
-        assert KnownCocycle.from_json_dict(data) == entry
-
-
-def test_known_cocycle_legacy_flat_json():
-    legacy = {
-        "name": "old",
-        "family_a": "L",
-        "family_b": "L",
-        "coeff": "m",
-        "mu_multiple": 0,
-        "index_shift": 0,
-    }
-    old = KnownCocycle.from_json_dict(legacy)
-    assert old.name == "old"
-    assert len(old.lines) == 1
-    assert old.lines[0].family_b == "L"
-    assert old.lines[0].coeff == _poly("m")
-
-
 def test_support_line_missing_integers():
     line = CocycleLine("L", "Y", _poly("1"), mu_multiple=1)
     with pytest.raises(ValueError, match="misses integer indices"):

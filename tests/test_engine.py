@@ -102,8 +102,9 @@ def test_pair_basis_canonical_order_and_orientation():
     assert sign == 1
     col2, sign2 = pairs.column_of(Y(0), L(-1))
     assert (col2, sign2) == (col, -1)
-    assert pairs.has_pair(L(0), Y(-1))
-    assert not pairs.has_pair(L(0), Y(5))
+    assert pairs.pair_at(pairs.column_of(L(0), Y(-1))[0]) == (L(0), Y(-1))
+    with pytest.raises(ValueError):
+        pairs.column_of(L(0), Y(5))
 
 
 def test_constraint_row_witt_golden():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieext.poly import IndexPolynomial, poly_sum
+from lieext.poly import IndexPolynomial
 
 V = IndexPolynomial.variable
 C = IndexPolynomial.constant
@@ -138,16 +138,6 @@ def test_to_text_reparses():
         p = _random_poly(rng)
         text = p.to_text(("m", "n", "lambda", "mu"))
         assert parse_polynomial(text, ("m", "n", "lambda", "mu")) == p
-
-
-def test_poly_sum():
-    rng = random.Random(31)
-    polys = [_random_poly(rng) for _ in range(6)]
-    total = IndexPolynomial()
-    for p in polys:
-        total = total + p
-    assert poly_sum(polys) == total
-    assert poly_sum([]).is_zero()
 
 
 def test_hash_consistent_with_eq():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieext.rational import format_rational, is_integer, parse_rational, rational
+from lieext.rational import format_rational, parse_rational, rational
 
 
 def test_canonical_form_examples():
@@ -54,10 +54,3 @@ def test_random_round_trip_and_ring_ops():
         if b != 0:
             q = a / b
             assert rational(q.numerator, q.denominator) == q
-
-
-def test_is_integer():
-    assert is_integer(Fraction(4, 2))
-    assert is_integer(Fraction(0))
-    assert not is_integer(Fraction(1, 3))
-    assert not is_integer(Fraction(-5, 2))

@@ -83,13 +83,6 @@ def test_project_dimension_examples():
         project_dimension(b, [5])
 
 
-def test_rank_transpose_random():
-    rng = random.Random(7)
-    for _ in range(100):
-        mat = SparseMatrix.from_dense(_random_dense(rng))
-        assert rank(mat) == rank(mat.transpose())
-
-
 def test_against_dense_oracle():
     rng = random.Random(424242)
     for _ in range(60):
@@ -123,15 +116,6 @@ def test_sparse_matrix_validation():
         SparseMatrix(2, 2, [(0, 0, 0)])  # explicit zero
     with pytest.raises(AttributeError):
         SparseMatrix(1, 1, []).n_rows = 5
-
-
-def test_coord_text_format():
-    mat = SparseMatrix(2, 3, [(0, 1, Fraction(1, 2)), (1, 0, -2)])
-    text = mat.to_coord_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "2 3 2"
-    assert lines[1] == "0 1 1/2"
-    assert lines[2] == "1 0 -2"
 
 
 def test_vector_basis_rejects_dependent():
