@@ -32,11 +32,9 @@ from .engine import (
     VerifyReport,
     Window,
     assemble_constraints,
-    coboundary_assignment,
     coboundary_space,
     cocycle_space,
     constraint_row,
-    degree_reduce,
     enumerate_pairs,
     h2,
     is_coboundary,
@@ -83,11 +81,9 @@ __all__ = [
     "assemble_constraints",
     "check_jacobi_symbolic",
     "check_jacobi_window",
-    "coboundary_assignment",
     "coboundary_space",
     "cocycle_space",
     "constraint_row",
-    "degree_reduce",
     "enumerate_pairs",
     "format_rational",
     "h2",

@@ -53,9 +53,12 @@ def _gather_params(args) -> dict:
         values["mu"] = args.mu
     for item in args.param:
         name, sep, value = item.partition("=")
-        if not sep or not name.strip():
+        name = name.strip()
+        if not sep or not name:
             raise ParameterError(f"bad --param {item!r} (expected NAME=VALUE)")
-        values[name.strip()] = value.strip()
+        if name in values:
+            raise ParameterError(f"parameter {name!r} given twice")
+        values[name] = value.strip()
     return values
 
 

@@ -334,25 +334,6 @@ class CocycleAssignment:
             raise ValueError("assignment mixes degrees")
         return degrees.pop()
 
-    def scaled(self, factor) -> "CocycleAssignment":
-        factor = Fraction(factor)
-        return CocycleAssignment(
-            self.spec, self.window, {p: v * factor for p, v in self.values.items()}
-        )
-
-    def __sub__(self, other: "CocycleAssignment") -> "CocycleAssignment":
-        if self.spec is not other.spec and self.spec != other.spec:
-            raise ValueError("assignments on different algebras")
-        if self.window != other.window:
-            raise ValueError("assignments on different windows")
-        merged = dict(self.values)
-        for pair, value in other.values.items():
-            merged[pair] = merged.get(pair, Fraction(0)) - value
-        return CocycleAssignment(self.spec, self.window, merged)
-
-    def __add__(self, other: "CocycleAssignment") -> "CocycleAssignment":
-        return self - other.scaled(-1)
-
     def __eq__(self, other):
         if not isinstance(other, CocycleAssignment):
             return NotImplemented
@@ -389,8 +370,10 @@ class CocycleAssignment:
     @classmethod
     def from_json_dict(cls, spec: AlgebraSpec, window: Window, data: Mapping) -> "CocycleAssignment":
         # a pair key always contains ":", so a "values" key marks a wrapper
-        if "values" in data:
+        if isinstance(data, Mapping) and "values" in data:
             data = data["values"]
+        if not isinstance(data, Mapping):
+            raise ValueError("cocycle assignment must be a JSON object of 'FAM:i,FAM:j' keys")
         values = {}
         for key, text in data.items():
             values[_parse_pair_key(key)] = parse_rational(str(text))
@@ -413,30 +396,13 @@ def _parse_pair_key(key: str) -> tuple:
     return elements[0], elements[1]
 
 
-def coboundary_assignment(spec, params, window, functional: Mapping) -> CocycleAssignment:
-    """The coboundary of a functional given by its values on basis elements:
-    psi_f(x, y) = f([x, y]), over all window pairs of every degree."""
-    params = validate_parameters(spec, params)
-    elements = [BasisElement(fam, i) for fam in spec.families for i in window.indices()]
-    elements.sort(key=spec.element_key)
-    values = {}
-    for a, x in enumerate(elements):
-        for y in elements[a + 1 :]:
-            total = Fraction(0)
-            for coeff, e in spec.bracket(x, y, params):
-                total += coeff * Fraction(functional.get(e, 0))
-            if total:
-                values[(x, y)] = total
-    return CocycleAssignment(spec, window, values)
-
-
 # known cocycle registry
 
 
 @dataclass(frozen=True)
 class CocycleLine:
     """One supported line of a closed-form cocycle: c(A_n, B_m) =
-    coeff(m, mu) / denom(m, mu) on n + m = index_shift - mu_multiple * mu,
+    coeff(m, mu) / denom(m, mu) on n + m = -mu_multiple * mu,
     all other pairs zero.
 
     The coefficient and denominator polynomials use the variable m for the
@@ -449,7 +415,6 @@ class CocycleLine:
     family_b: str
     coeff: IndexPolynomial
     mu_multiple: int = 0
-    index_shift: int = 0
     denom: IndexPolynomial = field(default_factory=lambda: IndexPolynomial.constant(1))
 
     def __post_init__(self):
@@ -458,7 +423,7 @@ class CocycleLine:
 
     def offset(self, params: ParamMap) -> int:
         """The integer t with support n + m == t."""
-        total = Fraction(self.index_shift)
+        total = Fraction(0)
         if self.mu_multiple:
             total -= self.mu_multiple * Fraction(params["mu"])
         if total.denominator != 1:
@@ -513,11 +478,10 @@ class KnownCocycle:
         object.__setattr__(self, "lines", tuple(self.lines))
 
     @classmethod
-    def single(cls, name, family_a, family_b, coeff, mu_multiple=0, index_shift=0,
-               denom=None, note=""):
+    def single(cls, name, family_a, family_b, coeff, mu_multiple=0, denom=None, note=""):
         if denom is None:
             denom = IndexPolynomial.constant(1)
-        line = CocycleLine(family_a, family_b, coeff, mu_multiple, index_shift, denom)
+        line = CocycleLine(family_a, family_b, coeff, mu_multiple, denom)
         return cls(name, (line,), note)
 
     def applicability(self, spec: AlgebraSpec, params: ParamMap) -> str | None:
@@ -684,7 +648,7 @@ def _registry() -> dict:
 REGISTRY = _registry()
 
 
-# verification and reduction
+# verification
 
 
 @dataclass
@@ -731,7 +695,7 @@ def _projected_membership(vector, basis: VectorBasis, columns) -> bool:
 def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     """Whether psi, restricted to core pairs, lies in the core projection of
     the coboundary space.  Empty assignments are coboundaries; mixed-degree
-    input is an error (reduce by degree first)."""
+    input is an error (split it by degree first)."""
     params = validate_parameters(spec, params)
     degree = psi.degree(params)
     if degree is None:
@@ -742,75 +706,20 @@ def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     return _projected_membership(vector, bound, pairs.core_columns())
 
 
-def _diagonal_element(spec: AlgebraSpec, params: ParamMap) -> BasisElement:
-    """The weight-zero element acting diagonally: [z0, G_m] = weight(G_m) G_m
-    for every family G.  Checked symbolically in m."""
-    var = IndexPolynomial.variable("_m")
-    zero = IndexPolynomial.constant(0)
-    for fam in spec.families:
-        if spec.weight_offsets[fam].evaluate(params) != 0:
-            continue
-        ok = True
-        for other in spec.families:
-            out_family, coeff = spec.bracket_symbolic(fam, zero, other, var)
-            expected = var + spec.weight_offsets[other]
-            got = coeff.substitute({p: params[p] for p in spec.parameters})
-            want = expected.substitute({p: params[p] for p in spec.parameters})
-            if out_family is None:
-                if not want.is_zero():
-                    ok = False
-                    break
-            elif out_family != other or got != want:
-                ok = False
-                break
-        if ok:
-            return BasisElement(fam, 0)
-    raise ValueError("algebra has no diagonal weight-zero element")
-
-
-def degree_reduce(spec, params, window, psi: CocycleAssignment) -> CocycleAssignment:
-    """Subtract the canonical coboundary so that the result vanishes on every
-    nonzero-degree pair whose index sum stays inside the window.
-
-    Pairing the diagonal element z0 with the cocycle identity on (z0, x, y)
-    gives d * psi(x, y) = psi(z0, [x, y]) at degree d != 0, so the functional
-    f(z) = psi(z0, z) / weight(z) peels off the nonzero-degree part.  Input
-    must satisfy the window cocycle constraints.
-    """
-    params = validate_parameters(spec, params)
-    report = verify_cocycle(spec, params, window, psi)
-    if not report.passed:
-        x, y, z, residual = report.witness
-        raise ValueError(
-            f"input is not a window cocycle: residual {residual} on ({x}, {y}, {z})"
-        )
-    z0 = _diagonal_element(spec, params)
-    functional: dict = {}
-    for fam in spec.families:
-        for i in window.indices():
-            element = BasisElement(fam, i)
-            weight = spec.weight(element, params)
-            if weight == 0:
-                continue
-            value = psi.value(z0, element)
-            if value:
-                functional[element] = value / weight
-    return psi - coboundary_assignment(spec, params, window, functional)
-
-
 def nonzero_degree_triviality(spec, params, window, degree) -> bool:
     """Whether cocycles and coboundaries have the same core dimension at a
-    nonzero degree.  Degree zero is refused: that sector genuinely carries
-    cohomology and needs the full h2 treatment."""
+    nonzero degree d.
+
+    This is the windowed check of why nonzero degrees carry no cohomology:
+    pairing the diagonal weight-zero element z0 ([z0, g] = weight(g) g for
+    every basis element g) with the cocycle identity on (z0, x, y) gives
+    d * psi(x, y) = psi(z0, [x, y]), so psi is the coboundary of the
+    functional f(z) = psi(z0, z) / d.  Degree zero is refused: that sector
+    genuinely carries cohomology and needs the full h2 treatment."""
     degree = Fraction(degree)
     if degree == 0:
         raise ValueError("degree must be nonzero (use h2 for the degree-zero sector)")
-    params = validate_parameters(spec, params)
-    pairs = enumerate_pairs(spec, params, window, degree)
-    cocycles = cocycle_space(spec, params, window, degree, pairs)
-    bounds = coboundary_space(spec, params, window, degree, pairs)
-    core = pairs.core_columns()
-    return project_dimension(cocycles, core) == project_dimension(bounds, core)
+    return _core_dims(spec, params, window, degree)[3] == 0
 
 
 # H^2 reports
@@ -838,15 +747,14 @@ class H2Report:
 
 
 def match_known(
-    spec, params, window, degree, pairs, cocycles: VectorBasis, bounds: VectorBasis, registry=None
+    spec, params, window, degree, pairs, cocycles: VectorBasis, bounds: VectorBasis
 ) -> list:
     """Which registry cocycles lie in the computed cocycle space and are not
     coboundaries (core-projected).  Inapplicable entries are omitted."""
-    registry = REGISTRY if registry is None else registry
     degree = Fraction(degree)
     core = pairs.core_columns()
     results = []
-    for known in registry.values():
+    for known in REGISTRY.values():
         if known.applicability(spec, params) is not None:
             continue
         psi = known.instantiate(spec, params, window)
@@ -876,7 +784,6 @@ def h2(
     window: Window,
     degree=0,
     stabilization_steps: int = 3,
-    registry=None,
 ) -> H2Report:
     """Windowed H^2 at one degree with stabilization across grown windows.
 
@@ -893,7 +800,7 @@ def h2(
     for step in range(1, stabilization_steps):
         grown = window.grown(2 * step)
         history.append((grown.n, _core_dims(spec, params, grown, degree)[3]))
-    matched = match_known(spec, params, window, degree, pairs, cocycles, bounds, registry)
+    matched = match_known(spec, params, window, degree, pairs, cocycles, bounds)
     return H2Report(
         algebra=spec.name,
         params=dict(params),

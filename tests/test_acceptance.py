@@ -8,7 +8,11 @@ yy-reciprocal at lambda = -3 with 2*mu odd), so that criterion reports the
 discrepancy and fails; the other criteria pass.
 """
 
+import csv
+import io
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -121,6 +125,38 @@ def test_criterion_1_dimension_table_reproduction():
             f" stabilized across N=12,14,16, {elapsed:.0f}s"
         )
     assert _report(1, ok, detail), detail
+
+
+# The README's list of grid points where the engine finds more classes than
+# the closed-form table: lambda in {-3, 1} at each of these mu values.
+DOCUMENTED_SURPLUS = {
+    (lam, mu)
+    for lam in ("-3", "1")
+    for mu in ("-2", "-1", "1/2", "1", "2")
+}
+
+
+def test_grid_disagreements_are_exactly_the_documented_ones():
+    # criterion 1 is red by design; this pins the shape of that red so a new
+    # regression on the grid fails here instead of hiding behind it
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "lieext", "scan",
+            "--lambda-values=" + ",".join(format_rational(Fraction(v)) for v in GRID_LAMBDAS),
+            "--mu-values=" + ",".join(format_rational(Fraction(v)) for v in GRID_MUS),
+            "--jobs", "2", "--format", "csv",
+        ],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "did not stabilize" not in proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert len(rows) == len(GRID_LAMBDAS) * len(GRID_MUS)
+    disagreeing = {(row["lambda"], row["mu"]) for row in rows if row["agree"] == "false"}
+    assert disagreeing == DOCUMENTED_SURPLUS
+    for row in rows:
+        matched = [name for name in row["matched"].split(";") if name]
+        assert int(row["core_h2_dim"]) == len(matched), row
 
 
 def test_criterion_2_virasoro_cocycle():

@@ -176,6 +176,17 @@ def test_mu_zero_is_a_usage_error():
     assert proc.stderr.startswith("error: mu = 0 is out of scope")
 
 
+def test_parameter_given_twice_is_a_usage_error():
+    for argv in (("--lambda=-1", "--param", "lambda=0", "--mu", "1"),
+                 ("--lambda=-1", "--param", "mu=1", "--param", "mu=2")):
+        proc = run_cli("h2", "--algebra", "svir", *argv, "--window", "6",
+                       "--steps", "1")
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: parameter ")
+        assert "given twice" in proc.stderr
+
+
 def test_user_algebra_named_svir_gets_no_svir_rules(tmp_path):
     path = tmp_path / "impostor.lie"
     path.write_text(IMPOSTOR_SVIR_SOURCE)
@@ -279,6 +290,17 @@ def test_verify_failing_assignment_file(tmp_path):
     assert proc.stdout.strip() == (
         "verify: FAIL at (L(-8), L(3), L(5)): residual -13"
     )
+
+
+def test_verify_non_object_assignment_file_is_usage_error(tmp_path):
+    for name, payload in (("list.json", [1, 2]), ("wrapped.json", {"values": [1]})):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        proc = run_cli("verify", "--algebra", "witt", "--cocycle", str(path),
+                       "--window", "8")
+        assert proc.returncode == 2, name
+        assert proc.stderr.startswith("error: cocycle assignment must be a JSON object")
+        assert "Traceback" not in proc.stderr
 
 
 def test_verify_assignment_file_round_trip(tmp_path):

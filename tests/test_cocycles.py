@@ -72,7 +72,10 @@ def test_virasoro_cubic_variant_is_cohomologous():
     assert report.passed
     assert not is_coboundary(WITT, {}, window, report.assignment)
     vir = REGISTRY["virasoro"].instantiate(WITT, {}, window)
-    assert is_coboundary(WITT, {}, window, vir + report.assignment)
+    total = dict(vir.values)
+    for pair, value in report.assignment.values.items():
+        total[pair] = total.get(pair, 0) + value
+    assert is_coboundary(WITT, {}, window, CocycleAssignment(WITT, window, total))
 
 
 def test_absolute_value_corruption_fails():
@@ -303,7 +306,7 @@ def test_degree_mixing_rejected():
         "bad-mix",
         (
             CocycleLine("L", "L", _poly("m")),
-            CocycleLine("L", "L", _poly("m"), index_shift=2),
+            CocycleLine("L", "Y", _poly("1")),
         ),
     )
     with pytest.raises(ValueError, match="mixes degrees"):

@@ -8,7 +8,6 @@ from lieext.engine import (
     CocycleAssignment,
     Window,
     assemble_constraints,
-    coboundary_assignment,
     coboundary_space,
     cocycle_space,
     constraint_row,
@@ -17,7 +16,6 @@ from lieext.engine import (
     is_coboundary,
     match_known,
     nonzero_degree_triviality,
-    degree_reduce,
     theorem_predicted_dim,
     verify_cocycle,
 )
@@ -275,62 +273,6 @@ def test_match_known_monotone_in_window():
     assert matched_small <= matched_large
 
 
-def test_degree_reduce_kills_coboundary_of_nonzero_weights():
-    rng = random.Random(314)
-    params = {"lambda": -1, "mu": 1}
-    window = Window(8, 3)
-    functional = {}
-    for fam in ("L", "Y", "M"):
-        for _ in range(3):
-            el = BasisElement(fam, rng.randint(-4, 4))
-            if SVIR.weight(el, {"lambda": Fraction(-1), "mu": Fraction(1)}) != 0:
-                functional[el] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-    psi = coboundary_assignment(SVIR, params, window, functional)
-    reduced = degree_reduce(SVIR, params, window, psi)
-    pfull = {"lambda": Fraction(-1), "mu": Fraction(1)}
-    assert not psi.is_zero()
-    for x, y in reduced.support():
-        # psi had no degree-zero part, so only pairs whose bracket index
-        # escapes the window may survive the reduction
-        total = SVIR.weight(x, pfull) + SVIR.weight(y, pfull)
-        assert total != 0, (x, y)
-        assert abs(x.index + y.index) > window.n, (x, y)
-
-
-def test_degree_reduce_identity_on_degree_zero():
-    params = {"lambda": 0, "mu": 1}
-    window = Window(8, 3)
-    virasoro = CocycleAssignment(
-        SVIR, window, {(L(-n), L(n)): Fraction(n**3 - n, 12) for n in range(1, 9)}
-    )
-    assert degree_reduce(SVIR, params, window, virasoro) == virasoro
-
-
-def test_degree_reduce_mixture():
-    params = {"lambda": 0, "mu": 1}
-    window = Window(8, 3)
-    virasoro = CocycleAssignment(
-        SVIR, window, {(L(-n), L(n)): Fraction(n**3 - n, 12) for n in range(1, 9)}
-    )
-    mix = virasoro + coboundary_assignment(
-        SVIR, params, window, {L(3): Fraction(1, 2), Y(1): Fraction(2)}
-    )
-    reduced = degree_reduce(SVIR, params, window, mix)
-    departure = reduced - virasoro
-    degs = departure.degrees({"lambda": Fraction(0), "mu": Fraction(1)})
-    # leftover is pure degree zero (a degree-0 coboundary), and trivial
-    assert degs <= {Fraction(0)}
-    assert is_coboundary(SVIR, params, window, departure)
-
-
-def test_degree_reduce_rejects_non_cocycle():
-    params = {"lambda": 0, "mu": 1}
-    window = Window(8, 3)
-    junk = CocycleAssignment(SVIR, window, {(L(-1), L(1)): Fraction(1), (L(-2), L(2)): Fraction(7)})
-    with pytest.raises(ValueError, match="not a window cocycle"):
-        degree_reduce(SVIR, params, window, junk)
-
-
 def test_nonzero_degree_triviality():
     assert nonzero_degree_triviality(SVIR, {"lambda": -1, "mu": 1}, Window(10, 3), 1)
     assert nonzero_degree_triviality(SVIR, {"lambda": 1, "mu": 2}, Window(10, 3), -2)
@@ -385,17 +327,17 @@ def test_coboundary_assignment_is_coboundary():
         Y(-1): Fraction(rng.randint(1, 9)),
         M(-2): Fraction(rng.randint(1, 9)),
     }
-    psi = coboundary_assignment(SVIR, params, window, functional)
-    pfull = {"lambda": Fraction(-1), "mu": Fraction(1)}
-    degree_zero = CocycleAssignment(
-        SVIR,
-        window,
-        {
-            (x, y): psi.value(x, y)
-            for x, y in psi.support()
-            if SVIR.weight(x, pfull) + SVIR.weight(y, pfull) == 0
-        },
-    )
+    pfull = validate_parameters(SVIR, params)
+    # psi_f(x, y) = f([x, y]) on the degree-zero pairs
+    values = {
+        (x, y): sum(
+            (coeff * functional.get(e, 0) for coeff, e in SVIR.bracket(x, y, pfull)),
+            Fraction(0),
+        )
+        for x, y in enumerate_pairs(SVIR, params, window, 0)
+    }
+    degree_zero = CocycleAssignment(SVIR, window, values)
+    assert not degree_zero.is_zero()
     assert is_coboundary(SVIR, params, window, degree_zero)
 
 
