@@ -18,6 +18,7 @@ identity once per family triple with fully symbolic indices and parameters.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Mapping, Sequence
 
 from .poly import IndexPolynomial
-from .rational import parse_rational
+from .rational import as_rational
 
 IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -222,22 +223,14 @@ class AlgebraSpec:
 
     def bracket(self, x: BasisElement, y: BasisElement, params: ParamMap) -> list:
         """[x, y] as a list of (coefficient, element) with nonzero
-        coefficients; at most one term for this class of algebras."""
-        if x == y:
+        coefficients; at most one term for this class of algebras.  A
+        one-call convenience: code that brackets many elements binds a
+        BoundAlgebra once instead."""
+        alg = BoundAlgebra(self, params)
+        term = alg.int_bracket(self.element_key(x), self.element_key(y))
+        if term is None:
             return []
-        rule, flipped = self._oriented_rule(x.family, y.family)
-        if rule.is_zero():
-            return []
-        left, right = (y, x) if flipped else (x, y)
-        assignment = dict(params)
-        assignment[rule.var_left] = left.index
-        assignment[rule.var_right] = right.index
-        value = rule.coeff.evaluate(assignment)
-        if flipped:
-            value = -value
-        if not value:
-            return []
-        return [(value, BasisElement(rule.out_family, x.index + y.index))]
+        return [(Fraction(term[0], alg.denominator), alg.element(term[1]))]
 
     def bracket_symbolic(
         self, fam_a: str, idx_a: IndexPolynomial, fam_b: str, idx_b: IndexPolynomial
@@ -285,13 +278,10 @@ def validate_parameters(spec: AlgebraSpec, values: Mapping) -> dict:
     for key, value in values.items():
         if key not in spec.parameters:
             raise ParameterError(f"unknown parameter {key!r} for algebra {spec.name!r}")
-        if isinstance(value, str):
-            value = parse_rational(value)
-        elif isinstance(value, (int, Fraction)):
-            value = Fraction(value)
-        else:
-            raise ParameterError(f"parameter {key!r} must be rational, got {type(value).__name__}")
-        bound[key] = value
+        try:
+            bound[key] = as_rational(value, f"parameter {key!r}")
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from None
     missing = [p for p in spec.parameters if p not in bound]
     if missing:
         raise ParameterError(f"missing parameter {missing[0]!r} for algebra {spec.name!r}")
@@ -303,6 +293,72 @@ def validate_parameters(spec: AlgebraSpec, values: Mapping) -> dict:
     return bound
 
 
+class BoundAlgebra:
+    """One algebra at one parameter point, with its bracket rules compiled
+    to integer form.
+
+    Binding validates the parameters and evaluates every family's weight
+    offset once (offsets[p] for the family at position p).  Elements are
+    addressed by key, (family position, index).  For each ordered family
+    pair the bracket [F_n, G_m] = c(n, m) H_{n+m}, with the parameters
+    substituted, is held as integer terms (k, a, b) meaning
+    c(n, m) = sum k * n**a * m**b / denominator, with one denominator shared
+    by every rule.  A sum of brackets, such as one cocycle row, is therefore
+    accumulated in ints and divided by the denominator once.
+    """
+
+    __slots__ = ("spec", "params", "families", "offsets", "denominator", "_rules")
+
+    def __init__(self, spec: AlgebraSpec, params: Mapping):
+        self.spec = spec
+        self.params = validate_parameters(spec, params)
+        self.families = spec.families
+        self.offsets = tuple(spec.weight_offsets[fam].evaluate(self.params) for fam in self.families)
+        compiled = {}
+        for (fam_a, fam_b), rule in spec.rules.items():
+            terms: dict = {}  # (exponent of n, exponent of m) -> coefficient
+            for mono, value in rule.coeff.term_items():
+                exps = {rule.var_left: 0, rule.var_right: 0}
+                for var, exp in mono:
+                    if var in exps:
+                        exps[var] = exp
+                    else:
+                        value *= self.params[var] ** exp
+                shape = (exps[rule.var_left], exps[rule.var_right])
+                terms[shape] = terms.get(shape, 0) + value
+            terms = {shape: value for shape, value in terms.items() if value}
+            if terms:
+                positions = (spec.family_position(fam_a), spec.family_position(fam_b))
+                compiled[positions] = (spec.family_position(rule.out_family), terms)
+        self.denominator = math.lcm(
+            1, *(value.denominator for _, terms in compiled.values() for value in terms.values())
+        )
+        count = len(self.families)
+        self._rules = [[None] * count for _ in range(count)]
+        for (p, q), (out, terms) in compiled.items():
+            scaled = [(int(value * self.denominator), a, b) for (a, b), value in terms.items()]
+            self._rules[p][q] = (out, tuple(scaled))
+            # [G_m, F_n] = -c(n, m) H_{n+m}: the reversed pair swaps exponents
+            self._rules[q][p] = (out, tuple((-k, b, a) for k, a, b in scaled))
+
+    def element(self, key: tuple) -> BasisElement:
+        return BasisElement(self.families[key[0]], key[1])
+
+    def int_bracket(self, x: tuple, y: tuple):
+        """[x, y] for element keys as (k, output key), meaning
+        k / denominator times the output element; None when it vanishes."""
+        rule = self._rules[x[0]][y[0]]
+        if rule is None:
+            return None
+        n, m = x[1], y[1]
+        value = 0
+        for k, a, b in rule[1]:
+            value += k * n**a * m**b
+        if not value:
+            return None
+        return value, (rule[0], n + m)
+
+
 @dataclass
 class WindowJacobiReport:
     passed: bool
@@ -310,16 +366,23 @@ class WindowJacobiReport:
     witness: tuple | None  # (x, y, z, {element: residual coefficient})
 
 
-def _jacobi_residual(spec: AlgebraSpec, params: ParamMap, x, y, z) -> dict:
+def _jacobi_residual(alg: BoundAlgebra, x, y, z) -> dict:
+    """{element key: numerator over alg.denominator ** 2} of the nonzero
+    residual coefficients of one triple of element keys."""
     residual: dict = {}
     for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-        for c1, e1 in spec.bracket(u, v, params):
-            for c2, e2 in spec.bracket(e1, w, params):
-                value = residual.get(e2, Fraction(0)) + c1 * c2
-                if value:
-                    residual[e2] = value
-                else:
-                    residual.pop(e2, None)
+        first = alg.int_bracket(u, v)
+        if first is None:
+            continue
+        second = alg.int_bracket(first[1], w)
+        if second is None:
+            continue
+        e2 = second[1]
+        value = residual.get(e2, 0) + first[0] * second[0]
+        if value:
+            residual[e2] = value
+        else:
+            residual.pop(e2, None)
     return residual
 
 
@@ -329,16 +392,17 @@ def check_jacobi_window(spec: AlgebraSpec, params: ParamMap, n: int) -> WindowJa
     vanish identically because the bracket table is skew by construction."""
     if n < 0:
         raise ValueError("window bound must be nonnegative")
-    params = validate_parameters(spec, params)
-    elements = [
-        BasisElement(fam, i) for fam in spec.families for i in range(-n, n + 1)
-    ]
+    alg = BoundAlgebra(spec, params)
+    keys = [(pos, i) for pos in range(len(spec.families)) for i in range(-n, n + 1)]
     checked = 0
-    for x, y, z in combinations(elements, 3):
+    for triple in combinations(keys, 3):
         checked += 1
-        residual = _jacobi_residual(spec, params, x, y, z)
+        residual = _jacobi_residual(alg, *triple)
         if residual:
-            return WindowJacobiReport(False, checked, (x, y, z, residual))
+            scale = alg.denominator**2
+            x, y, z = map(alg.element, triple)
+            witness = {alg.element(e): Fraction(v, scale) for e, v in residual.items()}
+            return WindowJacobiReport(False, checked, (x, y, z, witness))
     return WindowJacobiReport(True, checked, None)
 
 

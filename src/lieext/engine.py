@@ -20,7 +20,12 @@ are projected onto core pairs (all indices within N - margin) and the
 computation is repeated on grown windows; a stable core dimension is the
 windowed estimate of the true H^2 dimension.
 
-Degrees, coefficients, and dimensions are exact rationals end to end.
+Degrees, coefficients, and dimensions are exact rationals end to end.  Each
+public call binds its parameters once (a BoundAlgebra), and every bracket
+expansion here, from constraint rows to verification and coboundaries, goes
+through that binding's integer kernel: a row is summed in integers over the
+algebra's one common bracket denominator, and each nonzero entry becomes a
+Fraction once, at the end of the row.
 """
 
 from __future__ import annotations
@@ -34,11 +39,12 @@ from typing import Mapping, Sequence
 from .algebra import (
     AlgebraSpec,
     BasisElement,
+    BoundAlgebra,
     ParamMap,
     validate_parameters,
 )
 from .poly import IndexPolynomial
-from .rational import format_rational, parse_rational
+from .rational import as_rational, format_rational, parse_rational
 from .sparse import (
     SparseMatrix,
     VectorBasis,
@@ -78,14 +84,14 @@ class Window:
         return Window(self.n + extra, self.margin)
 
 
-def _bind(spec: AlgebraSpec, params: Mapping) -> tuple:
-    """(validated params, {family: weight offset}) for one binding.
+def _bind(spec: AlgebraSpec, params: Mapping) -> BoundAlgebra:
+    """The one binding of a public call.
 
     The weight decomposition only makes sense if weights are additive under
     the bracket, i.e. off(A) + off(B) == off(out) for every rule.
     """
-    params = validate_parameters(spec, params)
-    offs = {fam: spec.weight_offsets[fam].evaluate(params) for fam in spec.families}
+    alg = BoundAlgebra(spec, params)
+    offs = dict(zip(spec.families, alg.offsets))
     for (fam_a, fam_b), rule in spec.rules.items():
         if rule.out_family is None:
             continue
@@ -94,16 +100,20 @@ def _bind(spec: AlgebraSpec, params: Mapping) -> tuple:
                 f"algebra is not graded by its weights: [{fam_a}, {fam_b}] -> "
                 f"{rule.out_family} breaks weight additivity at these parameters"
             )
-    return params, offs
+    return alg
+
+
+def _degree(degree) -> Fraction:
+    return as_rational(degree, "degree")
 
 
 class PairBasis:
     """Canonically ordered element pairs of one degree inside a window.
 
-    Column order is lexicographic in (family position, index) of both
-    elements, which fixes the coordinatization used by every matrix in this
-    module.  column_of resolves either orientation of a pair and reports the
-    skew sign, so psi(x, y) = sign * value[column].
+    Column order is lexicographic in the element keys (family position,
+    index) of both elements, which fixes the coordinatization used by every
+    matrix in this module.  column_of resolves either orientation of a pair
+    and reports the skew sign, so psi(x, y) = sign * value[column].
     """
 
     __slots__ = ("spec", "params", "window", "degree", "pairs", "_columns")
@@ -114,7 +124,8 @@ class PairBasis:
         self.window = window
         self.degree = degree
         self.pairs = pairs
-        self._columns = {pair: col for col, pair in enumerate(pairs)}
+        key = spec.element_key
+        self._columns = {(key(x), key(y)): col for col, (x, y) in enumerate(pairs)}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -128,13 +139,17 @@ class PairBasis:
     def column_of(self, x: BasisElement, y: BasisElement) -> tuple:
         """(column, sign) for the pair {x, y}; sign is -1 when (x, y) is the
         reversed orientation of the stored pair."""
+        return self._column(self.spec.element_key(x), self.spec.element_key(y))
+
+    def _column(self, x: tuple, y: tuple) -> tuple:
+        """column_of for element keys."""
         sign = 1
-        if self.spec.element_key(x) > self.spec.element_key(y):
-            x, y = y, x
-            sign = -1
+        if x > y:
+            x, y, sign = y, x, -1
         try:
             return self._columns[(x, y)], sign
         except KeyError:
+            x, y = (BasisElement(self.spec.families[p], i) for p, i in (x, y))
             raise ValueError(f"pair ({x}, {y}) is not in this basis") from None
 
     def core_columns(self) -> list:
@@ -148,73 +163,75 @@ class PairBasis:
 def enumerate_pairs(spec: AlgebraSpec, params: Mapping, window: Window, degree) -> PairBasis:
     """All pairs {x, y} of window elements with weight(x) + weight(y) ==
     degree, canonically ordered and sorted."""
-    params, offs = _bind(spec, params)
-    degree = Fraction(degree)
-    pairs = []
-    for a_pos, fam_a in enumerate(spec.families):
-        for fam_b in spec.families[a_pos:]:
-            total = degree - offs[fam_a] - offs[fam_b]
+    return _enumerate_pairs(_bind(spec, params), window, _degree(degree))
+
+
+def _enumerate_pairs(alg: BoundAlgebra, window: Window, degree: Fraction) -> PairBasis:
+    offs = alg.offsets
+    keys = []
+    for a in range(len(offs)):
+        for b in range(a, len(offs)):
+            total = degree - offs[a] - offs[b]
             if total.denominator != 1:
                 continue
             total = int(total)
             for i in window.indices():
                 j = total - i
-                if not window.contains(j):
-                    continue
-                if fam_a == fam_b and i >= j:
-                    continue
-                pairs.append((BasisElement(fam_a, i), BasisElement(fam_b, j)))
-    pairs.sort(key=lambda p: (spec.element_key(p[0]), spec.element_key(p[1])))
-    return PairBasis(spec, params, window, degree, pairs)
+                if window.contains(j) and (a != b or i < j):
+                    keys.append(((a, i), (b, j)))
+    keys.sort()
+    pairs = [(alg.element(x), alg.element(y)) for x, y in keys]
+    return PairBasis(alg.spec, alg.params, window, degree, pairs)
 
 
-def _iter_degree_triples(spec, offs, window, degree):
-    """Canonically ordered triples x < y < z of window elements whose
-    weights sum to the degree; offs maps each family to its weight offset."""
-    key = spec.element_key
-    for fam_a, fam_b, fam_c in combinations_with_replacement(spec.families, 3):
-        total = Fraction(degree) - offs[fam_a] - offs[fam_b] - offs[fam_c]
+def _iter_degree_triples(alg: BoundAlgebra, window: Window, degree: Fraction):
+    """Element keys of the canonically ordered triples x < y < z of window
+    elements whose weights sum to the degree, in (x, y) lexicographic order."""
+    n = window.n
+    offs = alg.offsets
+    for a, b, c in combinations_with_replacement(range(len(offs)), 3):
+        total = degree - offs[a] - offs[b] - offs[c]
         if total.denominator != 1:
             continue
         total = int(total)
-        for i in window.indices():
-            for j in window.indices():
-                k = total - i - j
-                if not window.contains(k):
-                    continue
-                x = BasisElement(fam_a, i)
-                y = BasisElement(fam_b, j)
-                z = BasisElement(fam_c, k)
-                if key(x) < key(y) < key(z):
-                    yield x, y, z
+        for i in range(-n, n + 1):
+            # j ranges so that k = total - i - j lies in the window, with
+            # i < j within one family and j < k within one family
+            low = max(-n, total - i - n, i + 1 if a == b else -n)
+            high = min(n, total - i + n, (total - i - 1) // 2 if b == c else n)
+            for j in range(low, high + 1):
+                yield (a, i), (b, j), (c, total - i - j)
 
 
-def _row_terms(spec, params, window, x, y, z):
-    """The expansion of the cocycle identity on a triple as (coeff, e, w)
-    summands meaning coeff * psi(e, w); None if some nonzero bracket output
-    leaves the window (the constraint would involve unknowns outside the
-    truncation and is dropped)."""
+def _row_terms(alg: BoundAlgebra, window: Window, x, y, z):
+    """The expansion of the cocycle identity on a triple of element keys as
+    (k, e, w) summands meaning k / alg.denominator * psi(e, w); None if some
+    nonzero bracket output leaves the window (the constraint would involve
+    unknowns outside the truncation and is dropped)."""
     terms = []
     for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-        for coeff, e in spec.bracket(u, v, params):
-            if e == w:
-                continue
-            if not window.contains(e.index):
-                return None
-            terms.append((coeff, e, w))
+        term = alg.int_bracket(u, v)
+        if term is None:
+            continue
+        k, e = term
+        if e == w:
+            continue
+        if not window.contains(e[1]):
+            return None
+        terms.append((k, e, w))
     return terms
 
 
-def constraint_row(spec, params, window, x, y, z, pairs: PairBasis):
-    """One cocycle constraint as a sparse row over the pair basis, or None
-    for an inadmissible triple.  A vacuous identity gives an empty dict."""
-    terms = _row_terms(spec, params, window, x, y, z)
+def _int_row(alg: BoundAlgebra, window: Window, pairs: PairBasis, x, y, z):
+    """One constraint row as {column: numerator over alg.denominator}, or
+    None for an inadmissible triple."""
+    terms = _row_terms(alg, window, x, y, z)
     if terms is None:
         return None
     row: dict = {}
-    for coeff, e, w in terms:
-        col, sign = pairs.column_of(e, w)
-        value = row.get(col, Fraction(0)) + sign * coeff
+    for k, e, w in terms:
+        col, sign = pairs._column(e, w)
+        value = row.get(col, 0) + sign * k
         if value:
             row[col] = value
         else:
@@ -222,50 +239,61 @@ def constraint_row(spec, params, window, x, y, z, pairs: PairBasis):
     return row
 
 
+def constraint_row(spec, params, window, x, y, z, pairs: PairBasis):
+    """One cocycle constraint as a sparse row over the pair basis, or None
+    for an inadmissible triple.  A vacuous identity gives an empty dict."""
+    alg = BoundAlgebra(spec, params)
+    key = spec.element_key
+    row = _int_row(alg, window, pairs, key(x), key(y), key(z))
+    if row is None:
+        return None
+    return {col: Fraction(value, alg.denominator) for col, value in row.items()}
+
+
 def assemble_constraints(
     spec: AlgebraSpec, params: Mapping, window: Window, degree, pairs: PairBasis | None = None
 ) -> SparseMatrix:
     """Constraint matrix with one row per admissible nonvacuous triple."""
-    params, offs = _bind(spec, params)
+    return _assemble(_bind(spec, params), window, _degree(degree), pairs)
+
+
+def _assemble(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None):
     if pairs is None:
-        pairs = enumerate_pairs(spec, params, window, degree)
+        pairs = _enumerate_pairs(alg, window, degree)
+    denominator = alg.denominator
     rows = []
-    for x, y, z in _iter_degree_triples(spec, offs, window, degree):
-        row = constraint_row(spec, params, window, x, y, z, pairs)
+    for x, y, z in _iter_degree_triples(alg, window, degree):
+        row = _int_row(alg, window, pairs, x, y, z)
         if row:
-            rows.append(row)
+            rows.append({col: Fraction(value, denominator) for col, value in row.items()})
     return SparseMatrix.from_rows(rows, len(pairs))
 
 
 def cocycle_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
-    if pairs is None:
-        pairs = enumerate_pairs(spec, params, window, degree)
-    return nullspace(assemble_constraints(spec, params, window, degree, pairs))
+    return nullspace(_assemble(_bind(spec, params), window, _degree(degree), pairs))
 
 
 def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
     """Span of the functional generators: for each window element z of
     weight == degree, the form (x, y) -> f([x, y]) with f dual to z.  At a
     fixed degree each family contributes at most one such z."""
-    params, offs = _bind(spec, params)
-    degree = Fraction(degree)
+    return _coboundaries(_bind(spec, params), window, _degree(degree), pairs)
+
+
+def _coboundaries(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None):
     if pairs is None:
-        pairs = enumerate_pairs(spec, params, window, degree)
-    brackets = []
-    for col, (x, y) in enumerate(pairs.pairs):
-        for coeff, e in spec.bracket(x, y, params):
-            brackets.append((col, coeff, e))
-    generators = []
-    for fam in spec.families:
-        target = degree - offs[fam]
-        if target.denominator != 1 or not window.contains(int(target)):
-            continue
-        z = BasisElement(fam, int(target))
-        vector = [Fraction(0)] * len(pairs)
-        for col, coeff, e in brackets:
-            if e == z:
-                vector[col] += coeff
-        generators.append(vector)
+        pairs = _enumerate_pairs(alg, window, degree)
+    slots = {}  # element key of each z -> its generator
+    for pos, off in enumerate(alg.offsets):
+        target = degree - off
+        if target.denominator == 1 and window.contains(int(target)):
+            slots[(pos, int(target))] = len(slots)
+    numerators = [[0] * len(pairs) for _ in slots]
+    for col, (x, y) in enumerate(pairs._columns):
+        term = alg.int_bracket(x, y)
+        if term is not None and term[1] in slots:
+            numerators[slots[term[1]]][col] += term[0]
+    generators = [[Fraction(v, alg.denominator) for v in vector] for vector in numerators]
     return span_basis(len(pairs), generators)
 
 
@@ -345,12 +373,12 @@ class CocycleAssignment:
 
     def to_vector(self, pairs: PairBasis) -> list:
         vector = [Fraction(0)] * len(pairs)
-        for pair, value in self.values.items():
-            if pair not in pairs._columns:
-                raise ValueError(
-                    f"assignment has support on {pair[0]}, {pair[1]} outside the pair basis"
-                )
-            vector[pairs._columns[pair]] = value
+        key = self.spec.element_key
+        for (x, y), value in self.values.items():
+            col = pairs._columns.get((key(x), key(y)))
+            if col is None:
+                raise ValueError(f"assignment has support on {x}, {y} outside the pair basis")
+            vector[col] = value
         return vector
 
     @classmethod
@@ -665,25 +693,33 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
     Accepts a KnownCocycle (instantiated here; inapplicable parameter
     values raise with the violated condition) or a CocycleAssignment.
     """
-    params, offs = _bind(spec, params)
+    alg = _bind(spec, params)
     if isinstance(cocycle, KnownCocycle):
-        psi = cocycle.instantiate(spec, params, window)
+        psi = cocycle.instantiate(spec, alg.params, window)
     elif isinstance(cocycle, CocycleAssignment):
         psi = cocycle
     else:
         raise TypeError("expected a KnownCocycle or CocycleAssignment")
+    key = spec.element_key
+    values = {(key(x), key(y)): value for (x, y), value in psi.values.items()}
     checked = 0
-    for degree in sorted(psi.degrees(params)):
-        for x, y, z in _iter_degree_triples(spec, offs, window, degree):
-            terms = _row_terms(spec, params, window, x, y, z)
+    for degree in sorted(psi.degrees(alg.params)):
+        for x, y, z in _iter_degree_triples(alg, window, degree):
+            terms = _row_terms(alg, window, x, y, z)
             if terms is None:
                 continue
             checked += 1
-            residual = Fraction(0)
-            for coeff, e, w in terms:
-                residual += coeff * psi.value(e, w)
-            if residual:
-                return VerifyReport(False, checked, (x, y, z, residual), psi)
+            total = 0
+            for k, e, w in terms:
+                if e > w:
+                    e, w, k = w, e, -k
+                value = values.get((e, w))
+                if value:
+                    total += k * value
+            if total:
+                residual = total / alg.denominator
+                witness = (alg.element(x), alg.element(y), alg.element(z), residual)
+                return VerifyReport(False, checked, witness, psi)
     return VerifyReport(True, checked, None, psi)
 
 
@@ -696,14 +732,14 @@ def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     """Whether psi, restricted to core pairs, lies in the core projection of
     the coboundary space.  Empty assignments are coboundaries; mixed-degree
     input is an error (split it by degree first)."""
-    params = validate_parameters(spec, params)
-    degree = psi.degree(params)
+    alg = _bind(spec, params)
+    degree = psi.degree(alg.params)
     if degree is None:
         return True
-    pairs = enumerate_pairs(spec, params, window, degree)
+    pairs = _enumerate_pairs(alg, window, degree)
     vector = psi.to_vector(pairs)
-    bound = coboundary_space(spec, params, window, degree, pairs)
-    return _projected_membership(vector, bound, pairs.core_columns())
+    bounds = _coboundaries(alg, window, degree, pairs)
+    return _projected_membership(vector, bounds, pairs.core_columns())
 
 
 def nonzero_degree_triviality(spec, params, window, degree) -> bool:
@@ -716,10 +752,10 @@ def nonzero_degree_triviality(spec, params, window, degree) -> bool:
     d * psi(x, y) = psi(z0, [x, y]), so psi is the coboundary of the
     functional f(z) = psi(z0, z) / d.  Degree zero is refused: that sector
     genuinely carries cohomology and needs the full h2 treatment."""
-    degree = Fraction(degree)
+    degree = _degree(degree)
     if degree == 0:
         raise ValueError("degree must be nonzero (use h2 for the degree-zero sector)")
-    return _core_dims(spec, params, window, degree)[3] == 0
+    return _core_dims(_bind(spec, params), window, degree)[3] == 0
 
 
 # H^2 reports
@@ -751,7 +787,7 @@ def match_known(
 ) -> list:
     """Which registry cocycles lie in the computed cocycle space and are not
     coboundaries (core-projected).  Inapplicable entries are omitted."""
-    degree = Fraction(degree)
+    degree = _degree(degree)
     core = pairs.core_columns()
     results = []
     for known in REGISTRY.values():
@@ -769,10 +805,10 @@ def match_known(
     return results
 
 
-def _core_dims(spec, params, window, degree) -> tuple:
-    pairs = enumerate_pairs(spec, params, window, degree)
-    cocycles = cocycle_space(spec, params, window, degree, pairs)
-    bounds = coboundary_space(spec, params, window, degree, pairs)
+def _core_dims(alg: BoundAlgebra, window: Window, degree: Fraction) -> tuple:
+    pairs = _enumerate_pairs(alg, window, degree)
+    cocycles = nullspace(_assemble(alg, window, degree, pairs))
+    bounds = _coboundaries(alg, window, degree, pairs)
     core = pairs.core_columns()
     core_h2 = project_dimension(cocycles, core) - project_dimension(bounds, core)
     return pairs, cocycles, bounds, core_h2
@@ -793,17 +829,17 @@ def h2(
     """
     if stabilization_steps < 1:
         raise ValueError("need at least one stabilization step")
-    params, _ = _bind(spec, params)
-    degree = Fraction(degree)
-    pairs, cocycles, bounds, core_h2 = _core_dims(spec, params, window, degree)
+    alg = _bind(spec, params)
+    degree = _degree(degree)
+    pairs, cocycles, bounds, core_h2 = _core_dims(alg, window, degree)
     history = [(window.n, core_h2)]
     for step in range(1, stabilization_steps):
         grown = window.grown(2 * step)
-        history.append((grown.n, _core_dims(spec, params, grown, degree)[3]))
-    matched = match_known(spec, params, window, degree, pairs, cocycles, bounds)
+        history.append((grown.n, _core_dims(alg, grown, degree)[3]))
+    matched = match_known(spec, alg.params, window, degree, pairs, cocycles, bounds)
     return H2Report(
         algebra=spec.name,
-        params=dict(params),
+        params=dict(alg.params),
         window=window,
         degree=degree,
         cocycle_dim=len(cocycles),

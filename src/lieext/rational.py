@@ -33,6 +33,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
+def as_rational(value, what: str) -> Fraction:
+    """An int, a Fraction or a "p/q" string as a Fraction.  Anything else,
+    floats above all, raises ValueError naming `what`."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise ValueError(f"{what} must be rational, got {type(value).__name__}")
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical text form, the exact inverse of parse_rational."""
     return str(Fraction(value))

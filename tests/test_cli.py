@@ -292,6 +292,14 @@ def test_verify_failing_assignment_file(tmp_path):
     )
 
 
+def test_verify_fractional_witness():
+    # (lambda + 1)/2 = 3/4 here, so the brackets share the denominator 4
+    proc = run_cli("verify", "--algebra", "svir", "--lambda=1/2", "--mu", "1",
+                   "--cocycle", "c1", "--window", "12")
+    assert proc.returncode == 1
+    assert proc.stdout == "verify: FAIL at (L(-12), L(1), Y(10)): residual 117/2\n"
+
+
 def test_verify_non_object_assignment_file_is_usage_error(tmp_path):
     for name, payload in (("list.json", [1, 2]), ("wrapped.json", {"values": [1]})):
         path = tmp_path / name

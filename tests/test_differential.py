@@ -1,21 +1,34 @@
-"""The windowed engine against the dense oracle, end to end.
+"""The windowed engine against independent references, end to end.
 
 At small windows the whole degree-zero cocycle system is rebuilt here from
-nothing but AlgebraSpec.bracket and AlgebraSpec.weight: the unknowns are the
-values on window pairs of total weight zero, and every window triple of
-total weight zero gives the cyclic cocycle identity, dropped when a nonzero
-bracket output leaves the window.  The dense oracle then supplies the
-nullity, the coboundary rank and the core-projected dimensions, which must
-equal what cocycle_space, coboundary_space and h2 report.
+nothing but the bracket rules' coefficient polynomials, evaluated directly
+over Fraction, and AlgebraSpec.weight: the unknowns are the values on window
+pairs of total weight zero, and every window triple of total weight zero
+gives the cyclic cocycle identity, dropped when a nonzero bracket output
+leaves the window.  The assembled constraint rows must equal these reference
+rows exactly, and the dense oracle then supplies the nullity, the coboundary
+rank and the core-projected dimensions, which must equal what cocycle_space,
+coboundary_space and h2 report.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from lieext.algebra import BasisElement, validate_parameters
-from lieext.engine import Window, coboundary_space, cocycle_space, h2
+from lieext.dsl import parse
+from lieext.engine import (
+    REGISTRY,
+    Window,
+    assemble_constraints,
+    coboundary_space,
+    cocycle_space,
+    enumerate_pairs,
+    h2,
+    verify_cocycle,
+)
 from lieext.presets import load_algebra
 
 from oracle_dense import dense_nullspace, dense_rank
@@ -28,9 +41,55 @@ POINTS = [
     pytest.param("witt", {}, id="witt"),
 ]
 
+ROW_POINTS = [
+    pytest.param("svir", {"lambda": -3, "mu": 1}, id="svir(-3,1)"),
+    pytest.param("svir", {"lambda": -3, "mu": "1/2"}, id="svir(-3,1/2)"),
+    pytest.param("svir", {"lambda": -1, "mu": "1/3"}, id="svir(-1,1/3)"),
+    pytest.param("svir", {"lambda": 0, "mu": "1/5"}, id="svir(0,1/5)"),
+    pytest.param("svir", {"lambda": "1/2", "mu": -2}, id="svir(1/2,-2)"),
+    pytest.param("svir", {"lambda": 1, "mu": "2/3"}, id="svir(1,2/3)"),
+    pytest.param("witt", {}, id="witt"),
+]
+
+# svir's families and weights with an L-Y coefficient that is nonlinear in
+# lambda and has thirds and halves, so the brackets share no denominator
+# below 12 at lambda = 1/2, mu = 1.  It need not satisfy the Jacobi identity.
+STRESS_SOURCE = """
+algebra stress(lambda, mu) {
+    family L weight 0;
+    family Y weight mu;
+    family M weight 2*mu;
+
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, Y m] = (m - (lambda*lambda + 1)/3*n + mu/2) Y(n + m);
+    bracket [L n, M m] = (m - lambda*n + 2*mu) M(n + m);
+    bracket [Y n, Y m] = (m - n) M(n + m);
+}
+"""
+STRESS_PARAMS = {"lambda": "1/2", "mu": 1}
+
+
+def _reference_bracket(spec, params, x, y):
+    """[x, y] as [(coefficient, element)], straight from the stored rule's
+    coefficient polynomial."""
+    if x == y:
+        return []
+    if spec.family_position(x.family) <= spec.family_position(y.family):
+        left, right, sign = x, y, 1
+    else:
+        left, right, sign = y, x, -1
+    rule = spec.rules[(left.family, right.family)]
+    if rule.is_zero():
+        return []
+    value = sign * rule.coeff.evaluate(
+        {**params, rule.var_left: left.index, rule.var_right: right.index}
+    )
+    return [(value, BasisElement(rule.out_family, x.index + y.index))] if value else []
+
 
 def _dense_system(spec, params, window):
-    """(pair count, constraint rows, coboundary generators, core columns)."""
+    """(pairs, constraint rows, coboundary generators, core columns), with
+    dense rows and generators over the list of pairs."""
     elements = [BasisElement(fam, i) for fam in spec.families for i in window.indices()]
     weight = {e: spec.weight(e, params) for e in elements}
     pairs = [(x, y) for x, y in combinations(elements, 2) if weight[x] + weight[y] == 0]
@@ -49,7 +108,7 @@ def _dense_system(spec, params, window):
         row = [Fraction(0)] * len(pairs)
         admissible = True
         for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-            for coeff, e in spec.bracket(u, v, params):
+            for coeff, e in _reference_bracket(spec, params, u, v):
                 if e == w:
                     continue
                 if not window.contains(e.index):
@@ -65,18 +124,33 @@ def _dense_system(spec, params, window):
             continue
         vector = [Fraction(0)] * len(pairs)
         for x, y in pairs:
-            for coeff, e in spec.bracket(x, y, params):
+            for coeff, e in _reference_bracket(spec, params, x, y):
                 if e == z:
                     add(vector, x, y, coeff)
         generators.append(vector)
 
     bound = window.n - window.margin
     core = [col for col, (x, y) in enumerate(pairs) if abs(x.index) <= bound and abs(y.index) <= bound]
-    return len(pairs), rows, generators, core
+    return pairs, rows, generators, core
 
 
 def _projected_rank(vectors, core):
     return dense_rank([[vec[c] for c in core] for vec in vectors], len(core))
+
+
+def _row_multiset(rows, pair_at):
+    return Counter(frozenset((pair_at(col), value) for col, value in row.items()) for row in rows)
+
+
+def _assert_rows_match_reference(spec, params, window):
+    pairs, rows, _, _ = _dense_system(spec, params, window)
+    engine_pairs = enumerate_pairs(spec, params, window, 0)
+    matrix = assemble_constraints(spec, params, window, 0, engine_pairs)
+    assert list(engine_pairs) == pairs
+    dense_rows = [{col: value for col, value in enumerate(row) if value} for row in rows]
+    assert _row_multiset(matrix.rows(), engine_pairs.pair_at) == _row_multiset(
+        dense_rows, pairs.__getitem__
+    )
 
 
 @pytest.mark.parametrize("name, values", POINTS)
@@ -86,9 +160,41 @@ def test_engine_matches_dense_oracle(name, values):
     history = []
     for n in (6, 8):
         window = Window(n)
-        n_cols, rows, generators, core = _dense_system(spec, params, window)
-        cocycles = dense_nullspace(rows, n_cols)
+        pairs, rows, generators, core = _dense_system(spec, params, window)
+        cocycles = dense_nullspace(rows, len(pairs))
         assert len(cocycle_space(spec, params, window, 0)) == len(cocycles)
-        assert len(coboundary_space(spec, params, window, 0)) == dense_rank(generators, n_cols)
+        assert len(coboundary_space(spec, params, window, 0)) == dense_rank(generators, len(pairs))
         history.append((n, _projected_rank(cocycles, core) - _projected_rank(generators, core)))
     assert h2(spec, params, Window(6), stabilization_steps=2).core_history == history
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+@pytest.mark.parametrize("name, values", ROW_POINTS)
+def test_assembled_rows_equal_reference_rows(name, values, n):
+    spec = load_algebra(name)
+    _assert_rows_match_reference(spec, validate_parameters(spec, values), Window(n))
+
+
+def test_common_denominator_rows_and_witnesses_equal_reference():
+    spec = parse(STRESS_SOURCE).spec
+    params = validate_parameters(spec, STRESS_PARAMS)
+    window = Window(8)
+    _assert_rows_match_reference(spec, params, window)
+    failing = 0
+    for name, known in REGISTRY.items():
+        if known.applicability(spec, params) is not None:
+            continue
+        report = verify_cocycle(spec, params, window, known)
+        if report.passed:
+            continue
+        failing += 1
+        x, y, z, residual = report.witness
+        psi = report.assignment
+        expected = Fraction(0)
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            for coeff, e in _reference_bracket(spec, params, u, v):
+                if e != w:
+                    assert window.contains(e.index), name
+                    expected += coeff * psi.value(e, w)
+        assert residual == expected != 0, name
+    assert failing >= 5

@@ -281,6 +281,21 @@ def test_nonzero_degree_triviality():
         nonzero_degree_triviality(WITT, {}, Window(10, 3), 0)
 
 
+@pytest.mark.parametrize("degree", [0.1, 1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda degree: h2(SVIR, {"lambda": -3, "mu": 1}, Window(6), degree=degree),
+        lambda degree: enumerate_pairs(SVIR, {"lambda": -3, "mu": 1}, Window(6), degree),
+        lambda degree: nonzero_degree_triviality(WITT, {}, Window(6), degree),
+    ],
+    ids=["h2", "enumerate_pairs", "nonzero_degree_triviality"],
+)
+def test_float_degree_rejected(call, degree):
+    with pytest.raises(ValueError, match="degree must be rational, got float"):
+        call(degree)
+
+
 def test_degree_shift_consistency_no_pairs():
     # no weight-d pairs in window means both spaces are zero-dimensional
     pairs = enumerate_pairs(WITT, {}, Window(6, 3), "1/2")
