@@ -20,6 +20,21 @@ are projected onto core pairs (all indices within N - margin) and the
 computation is repeated on grown windows; a stable core dimension is the
 windowed estimate of the true H^2 dimension.
 
+The cocycles are found by a certified subset solve.  Only the rows of
+triples with an element of |index| <= 1 are eliminated, in integers; the
+primitive integer null vectors of that subset are then checked against
+every admissible row by exact integer dot products.  A violated row is added
+to the echelon as it is found, and the check runs again until one full round
+finds every row satisfied.  A row that passes lies in the span of the rows
+eliminated so far, so after a round that added rows every row lies in the
+echelon's span and the next round is clean: there are at most two.
+
+The result is the one full elimination gives.  The subset nullspace always
+contains the full one, and a clean check shows the subset null vectors,
+which span it, lie in the full one, so the two are equal.  Equal nullspaces
+have equal row spaces, hence the same pivot columns, so the reduced basis
+(one vector per free column) is the same vector for vector.
+
 Degrees, coefficients, and dimensions are exact rationals end to end.  Each
 public call binds its parameters once (a BoundAlgebra), and every bracket
 expansion here, from constraint rows to verification and coboundaries, goes
@@ -48,8 +63,11 @@ from .rational import as_rational, format_rational, parse_rational
 from .sparse import (
     SparseMatrix,
     VectorBasis,
+    _Echelon,
+    _fraction_basis,
+    _normalize_int_row,
+    _null_vectors,
     in_span,
-    nullspace,
     project_dimension,
     span_basis,
 )
@@ -254,10 +272,8 @@ def assemble_constraints(
     spec: AlgebraSpec, params: Mapping, window: Window, degree, pairs: PairBasis | None = None
 ) -> SparseMatrix:
     """Constraint matrix with one row per admissible nonvacuous triple."""
-    return _assemble(_bind(spec, params), window, _degree(degree), pairs)
-
-
-def _assemble(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None):
+    alg = _bind(spec, params)
+    degree = _degree(degree)
     if pairs is None:
         pairs = _enumerate_pairs(alg, window, degree)
     denominator = alg.denominator
@@ -270,7 +286,58 @@ def _assemble(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBa
 
 
 def cocycle_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
-    return nullspace(_assemble(_bind(spec, params), window, _degree(degree), pairs))
+    """nullspace(assemble_constraints(...)), by the certified subset solve."""
+    alg = _bind(spec, params)
+    degree = _degree(degree)
+    if pairs is None:
+        pairs = _enumerate_pairs(alg, window, degree)
+    return _cocycles(alg, window, degree, pairs)
+
+
+def _in_subset(x, y, z) -> bool:
+    """Whether a triple's row is eliminated up front: some element has
+    |index| <= 1.  Any rule gives exact results; this one reaches full rank
+    at every svir grid point and window measured, so the check adds no row
+    there."""
+    return abs(x[1]) <= 1 or abs(y[1]) <= 1 or abs(z[1]) <= 1
+
+
+def _cocycles(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis) -> VectorBasis:
+    """The certified subset solve of the module docstring: the vectors
+    returned have passed one full check round with every row satisfied."""
+    n_cols = len(pairs)
+    ech = _Echelon()
+    for x, y, z in _iter_degree_triples(alg, window, degree):
+        if _in_subset(x, y, z):
+            row = _int_row(alg, window, pairs, x, y, z)
+            if row:
+                ech.add(_normalize_int_row(row))
+    while True:
+        vectors = _null_vectors(ech.pivots, n_cols)
+        if not _add_violated(alg, window, degree, pairs, vectors, ech):
+            return _fraction_basis(n_cols, vectors)
+
+
+def _add_violated(alg, window, degree, pairs, vectors, ech: _Echelon) -> int:
+    """Add to the echelon each admissible row that some null vector fails,
+    by an exact integer dot product; returns how many rows failed."""
+    by_col: dict = {}  # column -> [(vector position, entry)]
+    for i, vec in enumerate(vectors):
+        for col, value in vec.items():
+            by_col.setdefault(col, []).append((i, value))
+    violated = 0
+    for x, y, z in _iter_degree_triples(alg, window, degree):
+        row = _int_row(alg, window, pairs, x, y, z)
+        if not row:
+            continue
+        dots: dict = {}
+        for col, value in row.items():
+            for i, entry in by_col.get(col, ()):
+                dots[i] = dots.get(i, 0) + value * entry
+        if any(dots.values()):
+            violated += 1
+            ech.add(_normalize_int_row(row))
+    return violated
 
 
 def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
@@ -807,7 +874,7 @@ def match_known(
 
 def _core_dims(alg: BoundAlgebra, window: Window, degree: Fraction) -> tuple:
     pairs = _enumerate_pairs(alg, window, degree)
-    cocycles = nullspace(_assemble(alg, window, degree, pairs))
+    cocycles = _cocycles(alg, window, degree, pairs)
     bounds = _coboundaries(alg, window, degree, pairs)
     core = pairs.core_columns()
     core_h2 = project_dimension(cocycles, core) - project_dimension(bounds, core)

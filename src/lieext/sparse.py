@@ -6,11 +6,15 @@ echelon is all that is needed.  Rows are scaled to integers (denominators
 cleared, gcd divided out) and eliminated against pivot rows keyed by leading
 column; pivots are chosen deterministically as the leftmost column of each
 incoming row in input order, i.e. (row, col) lexicographic tie-breaking.
-All results are exact: no floats appear anywhere in this module.
+Null vectors come from one integer back-substitution (_null_vectors), shared
+by nullspace and the engine's certified subset solve, and become Fractions
+only in the returned VectorBasis.  All results are exact: no floats appear
+anywhere in this module.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -229,22 +233,55 @@ def nullspace(matrix: SparseMatrix) -> VectorBasis:
     ech = _Echelon()
     for row in matrix.rows():
         ech.add(_scale_row(row))
-    pivot_cols = sorted(ech.pivots)
-    free_cols = [c for c in range(matrix.n_cols) if c not in ech.pivots]
+    return _fraction_basis(matrix.n_cols, _null_vectors(ech.pivots, matrix.n_cols))
+
+
+def _null_vectors(pivots: dict, n_cols: int) -> list:
+    """Integer back-substitution: the null vectors of the echelon rows, one
+    per free column in ascending order, as primitive {column: int} rows
+    whose first nonzero entry is positive.
+
+    The vector of free column f is 1 at f, 0 at the other free columns, and
+    solves each pivot row for its leading column, last pivot first.  Only
+    pivots left of f can be nonzero, since a pivot row involves no column
+    left of its own.  To stay in integers, the partial vector is scaled by
+    the part of the pivot's leading entry that does not divide the sum.
+    """
+    pivot_cols = sorted(pivots)
     vectors = []
-    for free in free_cols:
-        vec = [Fraction(0)] * matrix.n_cols
-        vec[free] = Fraction(1)
-        for col in reversed(pivot_cols):
-            pivot = ech.pivots[col]
-            acc = Fraction(0)
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        vec = {free: 1}
+        for col in reversed(pivot_cols[: bisect.bisect(pivot_cols, free)]):
+            pivot = pivots[col]
+            acc = 0
             for c, v in pivot.items():
-                if c != col:
+                if c in vec:
                     acc += v * vec[c]
-            vec[col] = -acc / pivot[col]
-        first = next(v for v in vec if v)
-        vectors.append([v / first for v in vec])
-    return VectorBasis(matrix.n_cols, vectors)
+            if not acc:
+                continue
+            lead = pivot[col]
+            g = math.gcd(acc, lead)
+            scale = lead // g
+            if scale != 1:
+                vec = {c: scale * v for c, v in vec.items()}
+            vec[col] = -acc // g
+        vectors.append(_normalize_int_row(vec))
+    return vectors
+
+
+def _fraction_basis(n_cols: int, vectors: Sequence[dict]) -> VectorBasis:
+    """The VectorBasis of integer vectors, each divided by its first nonzero
+    entry."""
+    dense = []
+    for vec in vectors:
+        first = vec[min(vec)]
+        row = [Fraction(0)] * n_cols
+        for c, v in vec.items():
+            row[c] = Fraction(v, first)
+        dense.append(row)
+    return VectorBasis(n_cols, dense)
 
 
 def in_span(vector: Sequence[Fraction], basis: VectorBasis) -> bool:

@@ -30,6 +30,7 @@ from lieext.engine import (
     verify_cocycle,
 )
 from lieext.presets import load_algebra
+from lieext.sparse import nullspace
 
 from oracle_dense import dense_nullspace, dense_rank
 
@@ -67,6 +68,8 @@ algebra stress(lambda, mu) {
 }
 """
 STRESS_PARAMS = {"lambda": "1/2", "mu": 1}
+
+SOLVE_POINTS = ROW_POINTS + [pytest.param(None, STRESS_PARAMS, id="stress(1/2,1)")]
 
 
 def _reference_bracket(spec, params, x, y):
@@ -198,3 +201,16 @@ def test_common_denominator_rows_and_witnesses_equal_reference():
                     expected += coeff * psi.value(e, w)
         assert residual == expected != 0, name
     assert failing >= 5
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+@pytest.mark.parametrize("name, values", SOLVE_POINTS)
+def test_subset_solve_equals_full_elimination(name, values, n):
+    """cocycle_space eliminates only some rows and certifies the rest; its
+    reduced basis must be the one full elimination gives, vector for vector."""
+    spec = parse(STRESS_SOURCE).spec if name is None else load_algebra(name)
+    params = validate_parameters(spec, values)
+    window = Window(n)
+    pairs = enumerate_pairs(spec, params, window, 0)
+    full = nullspace(assemble_constraints(spec, params, window, 0, pairs))
+    assert cocycle_space(spec, params, window, 0, pairs).vectors == full.vectors

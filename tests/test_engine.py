@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import lieext.engine as engine
 from lieext.algebra import BasisElement, validate_parameters
 from lieext.engine import (
     CocycleAssignment,
@@ -164,6 +165,36 @@ def test_cocycle_space_dims():
     assert len(cocycle_space(SVIR, params, Window(12, 3), 0)) == 2
     # no weight-1/2 pairs exist for witt: empty system
     assert len(cocycle_space(WITT, {}, Window(12, 3), "1/2")) == 0
+
+
+@pytest.mark.parametrize(
+    "spec, params, history, cocycle_dim, matched",
+    [
+        (SVIR, {"lambda": -3, "mu": 1}, [(6, 3), (8, 3), (10, 3)], 5, ["virasoro", "ly-linear", "ly-constant"]),
+        (SVIR, {"lambda": -1, "mu": "1/3"}, [(6, 2), (8, 2), (10, 2)], 3, ["virasoro", "c2"]),
+        (WITT, {}, [(6, 1), (8, 1), (10, 1)], 2, ["virasoro"]),
+    ],
+    ids=["svir(-3,1)", "svir(-1,1/3)", "witt"],
+)
+def test_subset_too_small_generates_rows_and_keeps_results(
+    monkeypatch, spec, params, history, cocycle_dim, matched
+):
+    # |index| <= 0 leaves rows out of the subset span at these points, so
+    # the check must find them violated and add them to the echelon
+    monkeypatch.setattr(engine, "_in_subset", lambda x, y, z: 0 in (x[1], y[1], z[1]))
+    violated = []
+    add_violated = engine._add_violated
+
+    def spy(*args):
+        violated.append(add_violated(*args))
+        return violated[-1]
+
+    monkeypatch.setattr(engine, "_add_violated", spy)
+    report = h2(spec, params, Window(6))
+    assert any(violated)
+    assert report.core_history == history
+    assert report.cocycle_dim == cocycle_dim
+    assert [m.name for m in report.matched_known if m.matched] == matched
 
 
 def test_coboundary_space_dims():
