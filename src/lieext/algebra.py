@@ -304,7 +304,9 @@ class BoundAlgebra:
     substituted, is held as integer terms (k, a, b) meaning
     c(n, m) = sum k * n**a * m**b / denominator, with one denominator shared
     by every rule.  A sum of brackets, such as one cocycle row, is therefore
-    accumulated in ints and divided by the denominator once.
+    accumulated in ints and divided by the denominator once.  _rules[p][q]
+    is (output family position, terms), or None when the pair brackets to
+    zero; the engine compiles its cocycle identities from it.
     """
 
     __slots__ = ("spec", "params", "families", "offsets", "denominator", "_rules")
@@ -350,13 +352,19 @@ class BoundAlgebra:
         rule = self._rules[x[0]][y[0]]
         if rule is None:
             return None
-        n, m = x[1], y[1]
-        value = 0
-        for k, a, b in rule[1]:
-            value += k * n**a * m**b
+        value = _evaluate(rule[1], x[1], y[1])
         if not value:
             return None
-        return value, (rule[0], n + m)
+        return value, (rule[0], x[1] + y[1])
+
+
+def _evaluate(terms: tuple, n: int, m: int) -> int:
+    """The numerator sum k * n**a * m**b of one compiled coefficient, held
+    as the integer terms (k, a, b) of BoundAlgebra."""
+    value = 0
+    for k, a, b in terms:
+        value += k * n**a * m**b
+    return value
 
 
 @dataclass

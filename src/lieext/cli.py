@@ -104,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--degree", default="0", metavar="Q")
     p_scan.add_argument("--steps", type=int, default=3, metavar="S")
     p_scan.add_argument("--jobs", type=int, default=0, metavar="J",
-                        help="worker processes (default: cpu count); never more "
-                        "than the grid points or the cpu count")
+                        help="worker processes (default: usable CPUs); never more "
+                        "than the grid points or the usable CPUs")
     p_scan.add_argument("--format", choices=("csv", "md"), default="csv")
     p_scan.set_defaults(func=cmd_scan)
 
@@ -241,7 +241,7 @@ def _scan_point(payload) -> dict:
 
 def _scan_workers(jobs: int, points: int, cpus: int | None) -> int:
     """Worker processes for a scan: the requested count (0 or less means
-    the CPU count), capped by the grid size and the CPU count."""
+    the usable CPUs), capped by the grid size and the usable CPUs."""
     cpus = cpus or 1
     return max(1, min(jobs if jobs > 0 else cpus, points, cpus))
 
@@ -263,7 +263,11 @@ def cmd_scan(args) -> int:
     # fail fast on bad bindings (e.g. mu = 0) before spawning workers
     for lam, mu in grid:
         validate_parameters(spec, {"lambda": lam, "mu": mu})
-    workers = _scan_workers(args.jobs, len(payloads), os.cpu_count())
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    workers = _scan_workers(args.jobs, len(payloads), cpus)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_point, payloads))

@@ -23,7 +23,8 @@ windowed estimate of the true H^2 dimension.
 The cocycles are found by a certified subset solve.  Only the rows of
 triples with an element of |index| <= 1 are eliminated, in integers; the
 primitive integer null vectors of that subset are then checked against
-every admissible row by exact integer dot products.  A violated row is added
+every other admissible row by exact integer dot products (the subset's rows
+are in the echelon, so they hold by construction).  A violated row is added
 to the echelon as it is found, and the check runs again until one full round
 finds every row satisfied.  A row that passes lies in the span of the rows
 eliminated so far, so after a round that added rows every row lies in the
@@ -35,12 +36,27 @@ which span it, lie in the full one, so the two are equal.  Equal nullspaces
 have equal row spaces, hence the same pivot columns, so the reduced basis
 (one vector per free column) is the same vector for vector.
 
+Every row is expanded from one compiled form of the identity.  The indices
+of the triples (F_i, G_j, H_k) of one family triple at one degree sum to a
+fixed t, so the term [F_i, G_j] psi(., H_k) has output index t - k and its
+column and skew sign depend on k alone, as the other two terms' depend on i
+and on j alone.  Each family triple's identity is therefore compiled once
+per window into three per-index tables whose entries are a (column, sign),
+"the output is the paired element" (no contribution), or "the output leaves
+the window" (the triple is dropped if the coefficient there is nonzero).
+Assembly, the subset solve, the check and verify_cocycle all read these
+tables.  The check and verify_cocycle turn them into per-index tuples of
+vector entries: a term whose entries are all zero is skipped without
+evaluating its coefficient, while a term whose output leaves the window is
+always evaluated, so admissibility is still decided exactly.
+
 Degrees, coefficients, and dimensions are exact rationals end to end.  Each
 public call binds its parameters once (a BoundAlgebra), and every bracket
-expansion here, from constraint rows to verification and coboundaries, goes
-through that binding's integer kernel: a row is summed in integers over the
-algebra's one common bracket denominator, and each nonzero entry becomes a
-Fraction once, at the end of the row.
+expansion here goes through that binding's integer kernel: a row is summed
+in integers over the algebra's one common bracket denominator, and each
+nonzero entry becomes a Fraction once, at the end of the row.
+verify_cocycle holds psi's values as integers over one common denominator
+too, so each residual is summed in integers.
 """
 
 from __future__ import annotations
@@ -56,6 +72,7 @@ from .algebra import (
     BasisElement,
     BoundAlgebra,
     ParamMap,
+    _evaluate,
     validate_parameters,
 )
 from .poly import IndexPolynomial
@@ -202,67 +219,161 @@ def _enumerate_pairs(alg: BoundAlgebra, window: Window, degree: Fraction) -> Pai
     return PairBasis(alg.spec, alg.params, window, degree, pairs)
 
 
-def _iter_degree_triples(alg: BoundAlgebra, window: Window, degree: Fraction):
-    """Element keys of the canonically ordered triples x < y < z of window
-    elements whose weights sum to the degree, in (x, y) lexicographic order."""
-    n = window.n
-    offs = alg.offsets
-    for a, b, c in combinations_with_replacement(range(len(offs)), 3):
-        total = degree - offs[a] - offs[b] - offs[c]
-        if total.denominator != 1:
-            continue
-        total = int(total)
+# An entry of an identity's index table: the term's bracket output is the
+# element it is paired with (psi(e, e) = 0, no contribution), or the output
+# leaves the window (a nonzero coefficient there drops the triple).
+_EQUAL = "equal"
+_OUT = "out"
+
+
+class _Identity:
+    """The cocycle identity of one family triple at one index total,
+    compiled against one pair basis.
+
+    For the triples (F_i, G_j, H_k) with i + j + k = total, the term
+    [F_i, G_j] psi(., H_k) has output index total - k, so its column and
+    skew sign depend on k alone; [G_j, H_k] psi(., F_i) depends on i alone
+    and [H_k, F_i] psi(., G_j) on j alone.  Each term whose family pair
+    brackets to something is held as (coefficient terms, table, w, u, v):
+    table[idx[w] + n] is (column, sign), _EQUAL or _OUT for the index at
+    position w of idx = (i, j, k), and the bracket coefficient is evaluated
+    at idx[u], idx[v].  Every row expansion in this module reads these
+    tables.
+    """
+
+    __slots__ = ("families", "total", "n", "terms")
+
+    def __init__(self, alg: BoundAlgebra, window: Window, pairs: PairBasis, families, total: int):
+        self.families = families
+        self.total = total
+        self.n = window.n
+        a, b, c = families
+        self.terms = []
+        cyclic = (((a, b, c), (2, 0, 1)), ((b, c, a), (0, 1, 2)), ((c, a, b), (1, 2, 0)))
+        for (p, q, r), (w, u, v) in cyclic:
+            rule = alg._rules[p][q]
+            if rule is None:
+                continue
+            out, coefficient = rule
+            table = []
+            for index in window.indices():
+                output = (out, total - index)
+                if output == (r, index):
+                    table.append(_EQUAL)
+                elif not window.contains(output[1]):
+                    table.append(_OUT)
+                else:
+                    table.append(pairs._column(output, (r, index)))
+            self.terms.append((coefficient, table, w, u, v))
+
+    def indices(self, subset: bool | None = None):
+        """idx = (i, j, k) of the canonically ordered window triples of
+        these families (a <= b <= c), in (i, j) lexicographic order; only
+        those whose _in_subset is `subset`, unless it is None."""
+        n, total = self.n, self.total
+        a, b, c = self.families
         for i in range(-n, n + 1):
             # j ranges so that k = total - i - j lies in the window, with
             # i < j within one family and j < k within one family
             low = max(-n, total - i - n, i + 1 if a == b else -n)
             high = min(n, total - i + n, (total - i - 1) // 2 if b == c else n)
             for j in range(low, high + 1):
-                yield (a, i), (b, j), (c, total - i - j)
+                k = total - i - j
+                if subset is None or bool(_in_subset((a, i), (b, j), (c, k))) is subset:
+                    yield i, j, k
+
+    def row(self, idx):
+        """The constraint row of one triple as {column: numerator over
+        alg.denominator}, or None when a nonzero bracket output leaves the
+        window (the constraint would involve unknowns outside the
+        truncation and is dropped)."""
+        n = self.n
+        row: dict = {}
+        for coefficient, table, w, u, v in self.terms:
+            entry = table[idx[w] + n]
+            if entry is _EQUAL:
+                continue
+            value = _evaluate(coefficient, idx[u], idx[v])
+            if not value:
+                continue
+            if entry is _OUT:
+                return None
+            col, sign = entry
+            value = row.get(col, 0) + sign * value
+            if value:
+                row[col] = value
+            else:
+                row.pop(col, None)
+        return row
+
+    def weighted(self, vectors: Sequence[dict]) -> list:
+        """self.terms with each (column, sign) entry replaced by the tuple of
+        sign * vector[column] over the {column: int} vectors, and by None
+        where those are all zero or the entry is _EQUAL."""
+        terms = []
+        for coefficient, table, w, u, v in self.terms:
+            values = []
+            for entry in table:
+                if entry is _EQUAL:
+                    values.append(None)
+                elif entry is _OUT:
+                    values.append(_OUT)
+                else:
+                    col, sign = entry
+                    at = tuple(sign * vec.get(col, 0) for vec in vectors)
+                    values.append(at if any(at) else None)
+            terms.append((coefficient, values, w, u, v))
+        return terms
 
 
-def _row_terms(alg: BoundAlgebra, window: Window, x, y, z):
-    """The expansion of the cocycle identity on a triple of element keys as
-    (k, e, w) summands meaning k / alg.denominator * psi(e, w); None if some
-    nonzero bracket output leaves the window (the constraint would involve
-    unknowns outside the truncation and is dropped)."""
-    terms = []
-    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-        term = alg.int_bracket(u, v)
-        if term is None:
+def _dots(terms: list, idx: tuple, n: int):
+    """The integer dot products (over alg.denominator) of one triple's row
+    with the vectors `terms` was weighted by, as a list, or () when no term
+    reaches a nonzero entry; None for an inadmissible triple.  A coefficient
+    is evaluated only where an entry is nonzero or the output leaves the
+    window."""
+    dots = ()
+    for coefficient, values, w, u, v in terms:
+        at = values[idx[w] + n]
+        if at is None:
             continue
-        k, e = term
-        if e == w:
+        value = _evaluate(coefficient, idx[u], idx[v])
+        if not value:
             continue
-        if not window.contains(e[1]):
+        if at is _OUT:
             return None
-        terms.append((k, e, w))
-    return terms
-
-
-def _int_row(alg: BoundAlgebra, window: Window, pairs: PairBasis, x, y, z):
-    """One constraint row as {column: numerator over alg.denominator}, or
-    None for an inadmissible triple."""
-    terms = _row_terms(alg, window, x, y, z)
-    if terms is None:
-        return None
-    row: dict = {}
-    for k, e, w in terms:
-        col, sign = pairs._column(e, w)
-        value = row.get(col, 0) + sign * k
-        if value:
-            row[col] = value
+        if dots:
+            dots = [d + value * e for d, e in zip(dots, at)]
         else:
-            row.pop(col, None)
-    return row
+            dots = [value * e for e in at]
+    return dots
+
+
+def _identities(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis) -> list:
+    """The compiled identity of every family triple a <= b <= c whose index
+    total is an integer at this degree, in lexicographic order; with their
+    indices() in turn they run through all of the degree's window triples."""
+    offs = alg.offsets
+    identities = []
+    for families in combinations_with_replacement(range(len(offs)), 3):
+        total = degree - sum(offs[p] for p in families)
+        if total.denominator == 1:
+            identities.append(_Identity(alg, window, pairs, families, int(total)))
+    return identities
 
 
 def constraint_row(spec, params, window, x, y, z, pairs: PairBasis):
     """One cocycle constraint as a sparse row over the pair basis, or None
-    for an inadmissible triple.  A vacuous identity gives an empty dict."""
+    for an inadmissible triple.  A vacuous identity gives an empty dict.
+    The weights of x, y and z must sum to the basis degree."""
     alg = BoundAlgebra(spec, params)
-    key = spec.element_key
-    row = _int_row(alg, window, pairs, key(x), key(y), key(z))
+    keys = [spec.element_key(e) for e in (x, y, z)]
+    for e in (x, y, z):
+        if not window.contains(e.index):
+            raise ValueError(f"element {e} is outside the window")
+    idx = tuple(i for _, i in keys)
+    identity = _Identity(alg, window, pairs, tuple(p for p, _ in keys), sum(idx))
+    row = identity.row(idx)
     if row is None:
         return None
     return {col: Fraction(value, alg.denominator) for col, value in row.items()}
@@ -278,10 +389,11 @@ def assemble_constraints(
         pairs = _enumerate_pairs(alg, window, degree)
     denominator = alg.denominator
     rows = []
-    for x, y, z in _iter_degree_triples(alg, window, degree):
-        row = _int_row(alg, window, pairs, x, y, z)
-        if row:
-            rows.append({col: Fraction(value, denominator) for col, value in row.items()})
+    for identity in _identities(alg, window, degree, pairs):
+        for idx in identity.indices():
+            row = identity.row(idx)
+            if row:
+                rows.append({col: Fraction(value, denominator) for col, value in row.items()})
     return SparseMatrix.from_rows(rows, len(pairs))
 
 
@@ -306,37 +418,32 @@ def _cocycles(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBa
     """The certified subset solve of the module docstring: the vectors
     returned have passed one full check round with every row satisfied."""
     n_cols = len(pairs)
+    identities = _identities(alg, window, degree, pairs)
     ech = _Echelon()
-    for x, y, z in _iter_degree_triples(alg, window, degree):
-        if _in_subset(x, y, z):
-            row = _int_row(alg, window, pairs, x, y, z)
+    for identity in identities:
+        for idx in identity.indices(subset=True):
+            row = identity.row(idx)
             if row:
                 ech.add(_normalize_int_row(row))
     while True:
         vectors = _null_vectors(ech.pivots, n_cols)
-        if not _add_violated(alg, window, degree, pairs, vectors, ech):
+        if not _add_violated(identities, vectors, ech):
             return _fraction_basis(n_cols, vectors)
 
 
-def _add_violated(alg, window, degree, pairs, vectors, ech: _Echelon) -> int:
+def _add_violated(identities: list, vectors: list, ech: _Echelon) -> int:
     """Add to the echelon each admissible row that some null vector fails,
-    by an exact integer dot product; returns how many rows failed."""
-    by_col: dict = {}  # column -> [(vector position, entry)]
-    for i, vec in enumerate(vectors):
-        for col, value in vec.items():
-            by_col.setdefault(col, []).append((i, value))
+    by exact integer dot products; returns how many rows failed.  Rows of
+    _in_subset triples are skipped: they are in the echelon, so every null
+    vector satisfies them."""
     violated = 0
-    for x, y, z in _iter_degree_triples(alg, window, degree):
-        row = _int_row(alg, window, pairs, x, y, z)
-        if not row:
-            continue
-        dots: dict = {}
-        for col, value in row.items():
-            for i, entry in by_col.get(col, ()):
-                dots[i] = dots.get(i, 0) + value * entry
-        if any(dots.values()):
-            violated += 1
-            ech.add(_normalize_int_row(row))
+    for identity in identities:
+        terms = identity.weighted(vectors)
+        for idx in identity.indices(subset=False):
+            dots = _dots(terms, idx, identity.n)
+            if dots and any(dots):
+                violated += 1
+                ech.add(_normalize_int_row(identity.row(idx)))
     return violated
 
 
@@ -380,7 +487,7 @@ class CocycleAssignment:
     def __init__(self, spec: AlgebraSpec, window: Window, values: Mapping):
         canonical: dict = {}
         for (x, y), value in values.items():
-            value = Fraction(value)
+            value = as_rational(value, "cocycle value")
             spec.element_key(x)
             spec.element_key(y)
             if not (window.contains(x.index) and window.contains(y.index)):
@@ -452,7 +559,11 @@ class CocycleAssignment:
     def from_vector(cls, pairs: PairBasis, vector: Sequence) -> "CocycleAssignment":
         if len(vector) != len(pairs):
             raise ValueError("vector length does not match pair basis")
-        values = {pairs.pair_at(col): Fraction(v) for col, v in enumerate(vector) if v}
+        values = {
+            pairs.pair_at(col): as_rational(v, "cocycle value")
+            for col, v in enumerate(vector)
+            if v
+        }
         return cls(pairs.spec, pairs.window, values)
 
     def to_json_dict(self) -> dict:
@@ -768,25 +879,27 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
     else:
         raise TypeError("expected a KnownCocycle or CocycleAssignment")
     key = spec.element_key
-    values = {(key(x), key(y)): value for (x, y), value in psi.values.items()}
+    # psi as integers over one common denominator
+    scale = math.lcm(1, *(value.denominator for value in psi.values.values()))
     checked = 0
     for degree in sorted(psi.degrees(alg.params)):
-        for x, y, z in _iter_degree_triples(alg, window, degree):
-            terms = _row_terms(alg, window, x, y, z)
-            if terms is None:
-                continue
-            checked += 1
-            total = 0
-            for k, e, w in terms:
-                if e > w:
-                    e, w, k = w, e, -k
-                value = values.get((e, w))
-                if value:
-                    total += k * value
-            if total:
-                residual = total / alg.denominator
-                witness = (alg.element(x), alg.element(y), alg.element(z), residual)
-                return VerifyReport(False, checked, witness, psi)
+        pairs = _enumerate_pairs(alg, window, degree)
+        vector = {}
+        for (x, y), value in psi.values.items():
+            col = pairs._columns.get((key(x), key(y)))
+            if col is not None:
+                vector[col] = int(value * scale)
+        for identity in _identities(alg, window, degree, pairs):
+            terms = identity.weighted([vector])
+            for idx in identity.indices():
+                dots = _dots(terms, idx, identity.n)
+                if dots is None:
+                    continue
+                checked += 1
+                if dots and dots[0]:
+                    residual = Fraction(dots[0], alg.denominator * scale)
+                    x, y, z = (alg.element(k) for k in zip(identity.families, idx))
+                    return VerifyReport(False, checked, (x, y, z, residual), psi)
     return VerifyReport(True, checked, None, psi)
 
 

@@ -6,6 +6,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from lieext import cli
 from lieext.cli import _scan_workers
 
 CLI = [sys.executable, "-m", "lieext"]
@@ -206,6 +209,27 @@ def test_scan_workers_clamped_without_starting_processes():
     assert _scan_workers(0, 80, None) == 1
     assert _scan_workers(1, 80, 8) == 1
     assert _scan_workers(8, 1, 8) == 1
+
+
+@pytest.mark.parametrize("affinity", [{0}, None], ids=["affinity", "no-affinity"])
+def test_scan_caps_workers_at_usable_cpus(monkeypatch, capsys, affinity):
+    # a one-point scan runs in this process: one worker, no pool
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    calls = []
+
+    def spy(jobs, points, cpus):
+        calls.append((jobs, points, cpus))
+        return _scan_workers(jobs, points, cpus)
+
+    monkeypatch.setattr(cli, "_scan_workers", spy)
+    code = cli.main(["scan", "--lambda-values", "0", "--mu-values", "1",
+                     "--window", "6", "--steps", "1"])
+    assert code == 0, capsys.readouterr().err
+    assert calls == [(0, 1, 1 if affinity else 3)]
 
 
 def test_window_too_small_is_a_usage_error():

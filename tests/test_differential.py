@@ -9,18 +9,25 @@ leaves the window.  The assembled constraint rows must equal these reference
 rows exactly, and the dense oracle then supplies the nullity, the coboundary
 rank and the core-projected dimensions, which must equal what cocycle_space,
 coboundary_space and h2 report.
+
+The engine expands each family triple's identity from compiled per-index
+tables; the same reference identities, rebuilt triple by triple, must give
+verify_cocycle's report and the rows the certificate check flags exactly.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import lieext.engine as engine
 from lieext.algebra import BasisElement, validate_parameters
 from lieext.dsl import parse
 from lieext.engine import (
     REGISTRY,
+    CocycleAssignment,
     Window,
     assemble_constraints,
     coboundary_space,
@@ -214,3 +221,145 @@ def test_subset_solve_equals_full_elimination(name, values, n):
     pairs = enumerate_pairs(spec, params, window, 0)
     full = nullspace(assemble_constraints(spec, params, window, 0, pairs))
     assert cocycle_space(spec, params, window, 0, pairs).vectors == full.vectors
+
+
+def _reference_identities(spec, params, window, degree):
+    """[(x, y, z, terms)] for the window triples x < y < z (element-key
+    order) of total weight `degree`, ordered by family triple and then by
+    the indices of x and y, with terms the identity's summands
+    [(coefficient, e, w)] meaning coefficient * psi(e, w), or None when a
+    nonzero bracket output leaves the window.  Also counts the triples that
+    stay admissible only because an out-of-window output has coefficient 0,
+    and the nonzero terms whose output equals the element it is paired with."""
+    key = spec.element_key
+    elements = sorted(
+        (BasisElement(fam, i) for fam in spec.families for i in window.indices()), key=key
+    )
+    weight = {e: spec.weight(e, params) for e in elements}
+    offsets = {fam: spec.weight_offsets[fam].evaluate(params) for fam in spec.families}
+    triples = []
+    for x, y in combinations(elements, 2):
+        for fam in spec.families:
+            index = degree - weight[x] - weight[y] - offsets[fam]
+            if index.denominator == 1 and window.contains(int(index)):
+                z = BasisElement(fam, int(index))
+                if key(z) > key(y):
+                    triples.append((x, y, z))
+    triples.sort(key=lambda t: (tuple(key(e)[0] for e in t), t[0].index, t[1].index))
+
+    out, saved, equal = [], 0, 0
+    for x, y, z in triples:
+        terms, escaped_at_zero = [], False
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            bracket = _reference_bracket(spec, params, u, v)
+            if not bracket:
+                pair = tuple(sorted((u.family, v.family), key=spec.family_position))
+                if not spec.rules[pair].is_zero() and not window.contains(u.index + v.index):
+                    escaped_at_zero = True
+                continue
+            (coeff, e), = bracket
+            if e == w:
+                equal += 1
+                continue
+            if not window.contains(e.index):
+                terms = None
+                break
+            terms.append((coeff, e, w))
+        saved += terms is not None and escaped_at_zero
+        out.append((x, y, z, terms))
+    return out, saved, equal
+
+
+def _reference_verify(identities, psi):
+    checked = 0
+    for x, y, z, terms in identities:
+        if terms is None:
+            continue
+        checked += 1
+        residual = sum((coeff * psi.value(e, w) for coeff, e, w in terms), Fraction(0))
+        if residual:
+            return False, checked, (x, y, z, residual)
+    return True, checked, None
+
+
+def _scaled(row):
+    """A row divided by its entry at the smallest column."""
+    lead = row[min(row)]
+    return {col: Fraction(value) / lead for col, value in row.items()}
+
+
+class _RecordingEchelon:
+    def __init__(self):
+        self.rows = []
+
+    def add(self, row):
+        self.rows.append(row)
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+@pytest.mark.parametrize("name, values", SOLVE_POINTS)
+def test_compiled_identity_matches_reference(monkeypatch, name, values, n):
+    spec = parse(STRESS_SOURCE).spec if name is None else load_algebra(name)
+    params = validate_parameters(spec, values)
+    window = Window(n)
+    identities, _, _ = _reference_identities(spec, params, window, Fraction(0))
+
+    def report(cocycle):
+        got = verify_cocycle(spec, params, window, cocycle)
+        return got.passed, got.triples_checked, got.witness
+
+    virasoro = REGISTRY["virasoro"].instantiate(spec, params, window)
+    perturbed = dict(virasoro.values)
+    perturbed[(BasisElement("L", -2), BasisElement("L", 2))] += 1
+    perturbed = CocycleAssignment(spec, window, perturbed)
+    expected = _reference_verify(identities, perturbed)
+    assert not expected[0]
+    assert report(perturbed) == expected
+    for known in REGISTRY.values():
+        if known.applicability(spec, params) is None:
+            psi = known.instantiate(spec, params, window)
+            assert report(known) == _reference_verify(identities, psi), known.name
+
+    # two sparse wrong null vectors; every row is checked, none eliminated
+    pairs = enumerate_pairs(spec, params, window, 0)
+    rng = random.Random(n)
+    vectors = [
+        {col: rng.choice((-2, -1, 1, 3)) for col in range(len(pairs)) if rng.random() < 0.3}
+        for _ in range(2)
+    ]
+    flagged = []
+    for x, y, z, terms in identities:
+        if terms is None:
+            continue
+        row = {}
+        for coeff, e, w in terms:
+            col, sign = pairs.column_of(e, w)
+            row[col] = row.get(col, 0) + sign * coeff
+        row = {col: value for col, value in row.items() if value}
+        if any(sum(value * vec.get(col, 0) for col, value in row.items()) for vec in vectors):
+            flagged.append(_scaled(row))
+    monkeypatch.setattr(engine, "_in_subset", lambda x, y, z: False)
+    alg = engine._bind(spec, params)
+    recorder = _RecordingEchelon()
+    compiled = engine._identities(alg, window, Fraction(0), pairs)
+    assert engine._add_violated(compiled, vectors, recorder) == len(flagged)
+    assert [_scaled(row) for row in recorder.rows] == flagged
+
+
+@pytest.mark.parametrize(
+    "name, values, n",
+    [("svir", {"lambda": "1/2", "mu": -2}, 6), ("witt", {}, 6)],
+    ids=["svir(1/2,-2)", "witt"],
+)
+def test_reference_identities_reach_the_special_cases(name, values, n):
+    """The compiled tables special-case two kinds of term, and the points
+    above contain both: an output that leaves the window with coefficient 0
+    keeps the triple admissible (svir [L_n, M_m] vanishes at
+    m = lambda*n - 2*mu), and an output equal to its paired element adds
+    nothing (witt [L_-j, L_j] = 2j L_0 beside L_0)."""
+    spec = load_algebra(name)
+    params = validate_parameters(spec, values)
+    _, saved, equal = _reference_identities(spec, params, Window(n), Fraction(0))
+    assert equal > 0
+    if name == "svir":
+        assert saved > 0

@@ -148,6 +148,13 @@ def test_vacuous_triples_emit_no_row():
     assert row == {}
 
 
+def test_constraint_row_rejects_elements_outside_the_window():
+    window = Window(6, 3)
+    pairs = enumerate_pairs(WITT, {}, window, 0)
+    with pytest.raises(ValueError, match="L\\(-9\\) is outside the window"):
+        constraint_row(WITT, {}, window, L(-9), L(2), L(7), pairs)
+
+
 def test_assemble_constraints_shape_and_solution():
     window = Window(8, 3)
     pairs = enumerate_pairs(WITT, {}, window, 0)
@@ -344,6 +351,19 @@ def test_cocycle_assignment_vector_round_trip():
     psi = CocycleAssignment.from_vector(pairs, vector)
     assert psi.to_vector(pairs) == vector
     assert psi.value(Y(0), L(-1)) == -psi.value(L(-1), Y(0))
+
+
+def test_float_cocycle_values_rejected():
+    window = Window(6)
+    with pytest.raises(ValueError, match="cocycle value must be rational, got float"):
+        CocycleAssignment(WITT, window, {(L(-1), L(1)): 0.1})
+    pairs = enumerate_pairs(WITT, {}, window, 0)
+    vector = [Fraction(0)] * len(pairs)
+    vector[0] = 0.5
+    with pytest.raises(ValueError, match="cocycle value must be rational, got float"):
+        CocycleAssignment.from_vector(pairs, vector)
+    exact = CocycleAssignment(WITT, window, {(L(-1), L(1)): "1/10", (L(-2), L(2)): 3})
+    assert exact.values == {(L(-1), L(1)): Fraction(1, 10), (L(-2), L(2)): Fraction(3)}
 
 
 def test_cocycle_assignment_json_round_trip():
