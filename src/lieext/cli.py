@@ -260,9 +260,14 @@ def cmd_scan(args) -> int:
          args.window, args.margin, args.degree, args.steps)
         for lam, mu in grid
     ]
-    # fail fast on bad bindings (e.g. mu = 0) before spawning workers
+    # fail fast on bad bindings (e.g. mu = 0) and options before spawning
+    # workers, in the order _scan_point meets them
     for lam, mu in grid:
         validate_parameters(spec, {"lambda": lam, "mu": mu})
+    parse_rational(args.degree)
+    Window(args.window, args.margin)
+    if args.steps < 1:
+        raise ValueError("need at least one stabilization step")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:

@@ -57,6 +57,17 @@ in integers over the algebra's one common bracket denominator, and each
 nonzero entry becomes a Fraction once, at the end of the row.
 verify_cocycle holds psi's values as integers over one common denominator
 too, so each residual is summed in integers.
+
+After the solve every vector stays a {column: int} row: the primitive null
+vectors, the kept coboundary generators as numerators over the algebra's
+denominator, and a registry class as its values over their common
+denominator.  A core dimension is the rank of such rows restricted to the
+core columns, which keep their indices (echelon order is column order, so
+nothing is renumbered).  Each window's core-coboundary echelon is built once
+and serves core_h2 and the coboundary test of every registry class; one
+echelon of the null vectors serves their cocycle test.  Fractions appear only
+at the public boundary: cocycle_space and coboundary_space return a
+VectorBasis, and match_known takes them.
 """
 
 from __future__ import annotations
@@ -82,11 +93,9 @@ from .sparse import (
     VectorBasis,
     _Echelon,
     _fraction_basis,
+    _int_row_from_dense,
     _normalize_int_row,
     _null_vectors,
-    in_span,
-    project_dimension,
-    span_basis,
 )
 
 
@@ -403,7 +412,7 @@ def cocycle_space(spec, params, window, degree, pairs: PairBasis | None = None) 
     degree = _degree(degree)
     if pairs is None:
         pairs = _enumerate_pairs(alg, window, degree)
-    return _cocycles(alg, window, degree, pairs)
+    return _fraction_basis(len(pairs), _cocycles(alg, window, degree, pairs))
 
 
 def _in_subset(x, y, z) -> bool:
@@ -414,9 +423,10 @@ def _in_subset(x, y, z) -> bool:
     return abs(x[1]) <= 1 or abs(y[1]) <= 1 or abs(z[1]) <= 1
 
 
-def _cocycles(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis) -> VectorBasis:
-    """The certified subset solve of the module docstring: the vectors
-    returned have passed one full check round with every row satisfied."""
+def _cocycles(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis) -> list:
+    """The certified subset solve of the module docstring: the primitive
+    {column: int} null vectors, which have passed one full check round with
+    every row satisfied."""
     n_cols = len(pairs)
     identities = _identities(alg, window, degree, pairs)
     ech = _Echelon()
@@ -428,7 +438,7 @@ def _cocycles(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBa
     while True:
         vectors = _null_vectors(ech.pivots, n_cols)
         if not _add_violated(identities, vectors, ech):
-            return _fraction_basis(n_cols, vectors)
+            return vectors
 
 
 def _add_violated(identities: list, vectors: list, ech: _Echelon) -> int:
@@ -450,25 +460,29 @@ def _add_violated(identities: list, vectors: list, ech: _Echelon) -> int:
 def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
     """Span of the functional generators: for each window element z of
     weight == degree, the form (x, y) -> f([x, y]) with f dual to z.  At a
-    fixed degree each family contributes at most one such z."""
-    return _coboundaries(_bind(spec, params), window, _degree(degree), pairs)
-
-
-def _coboundaries(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None):
+    fixed degree each family contributes at most one such z.  A generator
+    is kept when it adds a new direction to the ones before it."""
+    alg = _bind(spec, params)
+    degree = _degree(degree)
     if pairs is None:
         pairs = _enumerate_pairs(alg, window, degree)
+    return _fraction_basis(len(pairs), _coboundaries(alg, window, degree, pairs), alg.denominator)
+
+
+def _coboundaries(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis) -> list:
+    """The kept generators of coboundary_space as {column: numerator over
+    alg.denominator}, in the order of their z."""
     slots = {}  # element key of each z -> its generator
     for pos, off in enumerate(alg.offsets):
         target = degree - off
         if target.denominator == 1 and window.contains(int(target)):
-            slots[(pos, int(target))] = len(slots)
-    numerators = [[0] * len(pairs) for _ in slots]
+            slots[(pos, int(target))] = {}
     for col, (x, y) in enumerate(pairs._columns):
         term = alg.int_bracket(x, y)
         if term is not None and term[1] in slots:
-            numerators[slots[term[1]]][col] += term[0]
-    generators = [[Fraction(v, alg.denominator) for v in vector] for vector in numerators]
-    return span_basis(len(pairs), generators)
+            slots[term[1]][col] = term[0]
+    ech = _Echelon()
+    return [generator for generator in slots.values() if ech.add(generator)]
 
 
 # cocycle values as data
@@ -903,23 +917,43 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
     return VerifyReport(True, checked, None, psi)
 
 
-def _projected_membership(vector, basis: VectorBasis, columns) -> bool:
-    restricted = span_basis(len(columns), [[vec[c] for c in columns] for vec in basis])
-    return in_span([vector[c] for c in columns], restricted)
+def _int_vector(psi: CocycleAssignment, pairs: PairBasis) -> dict:
+    """psi as {column: int} over the common denominator of its values."""
+    scale = math.lcm(1, *(value.denominator for value in psi.values.values()))
+    key = psi.spec.element_key
+    vector = {}
+    for (x, y), value in psi.values.items():
+        col = pairs._columns.get((key(x), key(y)))
+        if col is None:
+            raise ValueError(f"assignment has support on {x}, {y} outside the pair basis")
+        vector[col] = value.numerator * (scale // value.denominator)
+    return vector
+
+
+def _restrict(vector: dict, columns: set) -> dict:
+    return {col: value for col, value in vector.items() if col in columns}
+
+
+def _core_echelon(vectors, core: set) -> _Echelon:
+    """The echelon of the {column: int} vectors restricted to the core
+    columns, which keep their indices."""
+    return _Echelon(_restrict(vec, core) for vec in vectors)
 
 
 def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     """Whether psi, restricted to core pairs, lies in the core projection of
-    the coboundary space.  Empty assignments are coboundaries; mixed-degree
-    input is an error (split it by degree first)."""
+    the coboundary space.  Empty assignments are coboundaries, and so is one
+    with no core support; mixed-degree input is an error (split it by degree
+    first)."""
     alg = _bind(spec, params)
     degree = psi.degree(alg.params)
     if degree is None:
         return True
     pairs = _enumerate_pairs(alg, window, degree)
-    vector = psi.to_vector(pairs)
-    bounds = _coboundaries(alg, window, degree, pairs)
-    return _projected_membership(vector, bounds, pairs.core_columns())
+    vector = _int_vector(psi, pairs)
+    core = set(pairs.core_columns())
+    bounds = _core_echelon(_coboundaries(alg, window, degree, pairs), core)
+    return bounds.contains(_restrict(vector, core))
 
 
 def nonzero_degree_triviality(spec, params, window, degree) -> bool:
@@ -935,7 +969,7 @@ def nonzero_degree_triviality(spec, params, window, degree) -> bool:
     degree = _degree(degree)
     if degree == 0:
         raise ValueError("degree must be nonzero (use h2 for the degree-zero sector)")
-    return _core_dims(_bind(spec, params), window, degree)[3] == 0
+    return _core_dims(_bind(spec, params), window, degree)[4] == 0
 
 
 # H^2 reports
@@ -967,31 +1001,48 @@ def match_known(
 ) -> list:
     """Which registry cocycles lie in the computed cocycle space and are not
     coboundaries (core-projected).  Inapplicable entries are omitted."""
-    degree = _degree(degree)
-    core = pairs.core_columns()
+    if cocycles.dimension != len(pairs) or bounds.dimension != len(pairs):
+        raise ValueError("basis dimension does not match the pair basis")
+    core = set(pairs.core_columns())
+    return _match(
+        spec,
+        validate_parameters(spec, params),
+        window,
+        _degree(degree),
+        pairs,
+        _Echelon(_int_row_from_dense(vec) for vec in cocycles),
+        _core_echelon((_int_row_from_dense(vec) for vec in bounds), core),
+    )
+
+
+def _match(spec, params, window, degree, pairs, cocycles: _Echelon, core_bounds: _Echelon) -> list:
+    """match_known against the echelon of the cocycles and the core echelon
+    of the coboundaries; params are validated."""
+    core = set(pairs.core_columns())
     results = []
     for known in REGISTRY.values():
         if known.applicability(spec, params) is not None:
             continue
         psi = known.instantiate(spec, params, window)
-        if psi.is_zero() or psi.degree(params) != degree:
+        if psi.is_zero() or known.degree(spec, params) != degree:
             results.append(MatchResult(known.name, False))
             continue
-        vector = psi.to_vector(pairs)
-        matched = in_span(vector, cocycles) and not _projected_membership(
-            vector, bounds, core
-        )
+        vector = _int_vector(psi, pairs)
+        matched = cocycles.contains(vector) and not core_bounds.contains(_restrict(vector, core))
         results.append(MatchResult(known.name, matched))
     return results
 
 
 def _core_dims(alg: BoundAlgebra, window: Window, degree: Fraction) -> tuple:
+    """(pairs, null vectors, kept coboundary generators, core echelon of the
+    coboundaries, core H^2 dimension) of one window."""
     pairs = _enumerate_pairs(alg, window, degree)
     cocycles = _cocycles(alg, window, degree, pairs)
     bounds = _coboundaries(alg, window, degree, pairs)
-    core = pairs.core_columns()
-    core_h2 = project_dimension(cocycles, core) - project_dimension(bounds, core)
-    return pairs, cocycles, bounds, core_h2
+    core = set(pairs.core_columns())
+    core_bounds = _core_echelon(bounds, core)
+    core_h2 = _core_echelon(cocycles, core).rank - core_bounds.rank
+    return pairs, cocycles, bounds, core_bounds, core_h2
 
 
 def h2(
@@ -1011,12 +1062,12 @@ def h2(
         raise ValueError("need at least one stabilization step")
     alg = _bind(spec, params)
     degree = _degree(degree)
-    pairs, cocycles, bounds, core_h2 = _core_dims(alg, window, degree)
+    pairs, cocycles, bounds, core_bounds, core_h2 = _core_dims(alg, window, degree)
     history = [(window.n, core_h2)]
     for step in range(1, stabilization_steps):
         grown = window.grown(2 * step)
-        history.append((grown.n, _core_dims(alg, grown, degree)[3]))
-    matched = match_known(spec, alg.params, window, degree, pairs, cocycles, bounds)
+        history.append((grown.n, _core_dims(alg, grown, degree)[4]))
+    matched = _match(spec, alg.params, window, degree, pairs, _Echelon(cocycles), core_bounds)
     return H2Report(
         algebra=spec.name,
         params=dict(alg.params),

@@ -7,9 +7,12 @@ cleared, gcd divided out) and eliminated against pivot rows keyed by leading
 column; pivots are chosen deterministically as the leftmost column of each
 incoming row in input order, i.e. (row, col) lexicographic tie-breaking.
 Null vectors come from one integer back-substitution (_null_vectors), shared
-by nullspace and the engine's certified subset solve, and become Fractions
-only in the returned VectorBasis.  All results are exact: no floats appear
-anywhere in this module.
+by nullspace and the engine's certified subset solve, as primitive
+{column: int} rows.  The engine keeps them, and every other vector after
+the solve, in that form and builds each echelon it needs from them once;
+Fractions appear only at the public boundary of this module (SparseMatrix,
+VectorBasis and the functions that take or return them).  All results are
+exact: no floats appear anywhere in this module.
 """
 
 from __future__ import annotations
@@ -117,9 +120,7 @@ class VectorBasis:
             frozen.append(vec)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "vectors", tuple(frozen))
-        if len(self.vectors) != _rank_of_int_rows(
-            _int_row_from_dense(v) for v in self.vectors
-        ):
+        if len(self.vectors) != _Echelon(_int_row_from_dense(v) for v in self.vectors).rank:
             raise ValueError("basis vectors are linearly dependent")
 
     def __setattr__(self, name, value):
@@ -143,23 +144,12 @@ def _int_row_from_dense(vector: Sequence[Fraction]) -> dict:
 
 
 def _scale_row(row: Mapping[int, Fraction]) -> dict:
-    """Clear denominators and divide by the content; leading entry positive."""
-    if not row:
-        return {}
-    denom_lcm = 1
-    for value in row.values():
-        value = Fraction(value)
-        denom_lcm = denom_lcm * value.denominator // math.gcd(denom_lcm, value.denominator)
-    ints = {col: int(Fraction(v) * denom_lcm) for col, v in row.items() if v}
-    if not ints:
-        return {}
-    g = 0
-    for value in ints.values():
-        g = math.gcd(g, value)
-    lead = min(ints)
-    sign = -1 if ints[lead] < 0 else 1
-    g *= sign
-    return {col: v // g for col, v in ints.items()}
+    """Clear denominators and divide by the content; leading entry positive.
+    Entries are Fractions or ints."""
+    lcm = math.lcm(*(value.denominator for value in row.values()))
+    return _normalize_int_row(
+        {col: v.numerator * (lcm // v.denominator) for col, v in row.items() if v}
+    )
 
 
 def _eliminate(row: dict, pivots: dict) -> dict:
@@ -195,10 +185,13 @@ def _normalize_int_row(row: dict) -> dict:
 
 
 class _Echelon:
-    """Incremental echelon form keyed by leading column."""
+    """Incremental echelon form keyed by leading column, over {column: int}
+    rows; a row need not be primitive."""
 
-    def __init__(self):
+    def __init__(self, int_rows: Iterable[dict] = ()):
         self.pivots: dict = {}
+        for row in int_rows:
+            self.add(row)
 
     def add(self, int_row: dict) -> bool:
         """Insert a row; returns True if it added a new pivot."""
@@ -216,23 +209,14 @@ class _Echelon:
         return len(self.pivots)
 
 
-def _rank_of_int_rows(int_rows: Iterable[dict]) -> int:
-    ech = _Echelon()
-    for row in int_rows:
-        ech.add(row)
-    return ech.rank
-
-
 def rank(matrix: SparseMatrix) -> int:
-    return _rank_of_int_rows(_scale_row(row) for row in matrix.rows())
+    return _Echelon(_scale_row(row) for row in matrix.rows()).rank
 
 
 def nullspace(matrix: SparseMatrix) -> VectorBasis:
     """Right nullspace, one vector per free column in ascending column order,
     each normalized so its first nonzero coordinate is 1."""
-    ech = _Echelon()
-    for row in matrix.rows():
-        ech.add(_scale_row(row))
+    ech = _Echelon(_scale_row(row) for row in matrix.rows())
     return _fraction_basis(matrix.n_cols, _null_vectors(ech.pivots, matrix.n_cols))
 
 
@@ -271,15 +255,17 @@ def _null_vectors(pivots: dict, n_cols: int) -> list:
     return vectors
 
 
-def _fraction_basis(n_cols: int, vectors: Sequence[dict]) -> VectorBasis:
-    """The VectorBasis of integer vectors, each divided by its first nonzero
-    entry."""
+def _fraction_basis(
+    n_cols: int, vectors: Sequence[dict], denominator: int | None = None
+) -> VectorBasis:
+    """The VectorBasis of {column: int} vectors, each divided by
+    `denominator`, or by its first nonzero entry when that is None."""
     dense = []
     for vec in vectors:
-        first = vec[min(vec)]
+        scale = vec[min(vec)] if denominator is None else denominator
         row = [Fraction(0)] * n_cols
         for c, v in vec.items():
-            row[c] = Fraction(v, first)
+            row[c] = Fraction(v, scale)
         dense.append(row)
     return VectorBasis(n_cols, dense)
 
@@ -287,9 +273,7 @@ def _fraction_basis(n_cols: int, vectors: Sequence[dict]) -> VectorBasis:
 def in_span(vector: Sequence[Fraction], basis: VectorBasis) -> bool:
     if len(vector) != basis.dimension:
         raise ValueError("vector length does not match basis dimension")
-    ech = _Echelon()
-    for vec in basis:
-        ech.add(_int_row_from_dense(vec))
+    ech = _Echelon(_int_row_from_dense(vec) for vec in basis)
     return ech.contains(_int_row_from_dense(vector))
 
 
@@ -300,12 +284,7 @@ def project_dimension(basis: VectorBasis, coords: Iterable[int]) -> int:
     for col in cols:
         if not (0 <= col < basis.dimension):
             raise ValueError(f"coordinate {col} out of range")
-    position = {col: i for i, col in enumerate(cols)}
-    ech = _Echelon()
-    for vec in basis:
-        row = {position[c]: vec[c] for c in cols if vec[c]}
-        ech.add(_scale_row(row))
-    return ech.rank
+    return _Echelon(_scale_row({c: vec[c] for c in cols if vec[c]}) for vec in basis).rank
 
 
 def span_basis(dimension: int, vectors: Iterable[Sequence[Fraction]]) -> VectorBasis:

@@ -232,6 +232,28 @@ def test_scan_caps_workers_at_usable_cpus(monkeypatch, capsys, affinity):
     assert calls == [(0, 1, 1 if affinity else 3)]
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--window", "4"], "window too small"),
+        (["--steps", "0"], "need at least one stabilization step"),
+        (["--degree", "x/y"], "not a rational literal: 'x/y'"),
+    ],
+    ids=["window", "steps", "degree"],
+)
+def test_scan_bad_option_exits_before_any_pool(monkeypatch, capsys, option, message):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            pytest.fail("scan built a process pool for a bad option")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    # two usable CPUs and two grid points: a good scan would build a pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code = cli.main(["scan", "--lambda-values=1", "--mu-values=1,2", "--jobs", "2", *option])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_window_too_small_is_a_usage_error():
     proc = run_cli("h2", "--algebra", "svir", "--lambda", "0", "--mu", "1",
                    "--window", "3", "--margin", "3")

@@ -8,7 +8,9 @@ gives the cyclic cocycle identity, dropped when a nonzero bracket output
 leaves the window.  The assembled constraint rows must equal these reference
 rows exactly, and the dense oracle then supplies the nullity, the coboundary
 rank and the core-projected dimensions, which must equal what cocycle_space,
-coboundary_space and h2 report.
+coboundary_space and h2 report.  The same dense system decides which registry
+classes h2 and match_known must report as matched, and what is_coboundary
+must answer for each class.
 
 The engine expands each family triple's identity from compiled per-index
 tables; the same reference identities, rebuilt triple by triple, must give
@@ -34,12 +36,14 @@ from lieext.engine import (
     cocycle_space,
     enumerate_pairs,
     h2,
+    is_coboundary,
+    match_known,
     verify_cocycle,
 )
 from lieext.presets import load_algebra
 from lieext.sparse import nullspace
 
-from oracle_dense import dense_nullspace, dense_rank
+from oracle_dense import dense_in_span, dense_nullspace, dense_rank
 
 POINTS = [
     pytest.param("svir", {"lambda": -3, "mu": "1/2"}, id="svir(-3,1/2)"),
@@ -163,6 +167,24 @@ def _assert_rows_match_reference(spec, params, window):
     )
 
 
+def _dense_classify(pairs, cocycles, generators, core, psi):
+    """(matched, trivial) of an assignment by the dense system: trivial iff
+    its core restriction is in the span of the core-restricted generators,
+    matched iff it is a nonzero vector of the dense nullspace and not
+    trivial."""
+    column = {pair: col for col, pair in enumerate(pairs)}
+    vector = [psi.value(x, y) for x, y in pairs]
+    core_generators = [[vec[c] for c in core] for vec in generators]
+    trivial = dense_in_span([vector[c] for c in core], core_generators, len(core))
+    matched = (
+        bool(psi.values)
+        and all(pair in column for pair in psi.values)
+        and dense_in_span(vector, cocycles, len(pairs))
+        and not trivial
+    )
+    return matched, trivial
+
+
 @pytest.mark.parametrize("name, values", POINTS)
 def test_engine_matches_dense_oracle(name, values):
     spec = load_algebra(name)
@@ -172,9 +194,45 @@ def test_engine_matches_dense_oracle(name, values):
         window = Window(n)
         pairs, rows, generators, core = _dense_system(spec, params, window)
         cocycles = dense_nullspace(rows, len(pairs))
-        assert len(cocycle_space(spec, params, window, 0)) == len(cocycles)
-        assert len(coboundary_space(spec, params, window, 0)) == dense_rank(generators, len(pairs))
+        engine_pairs = enumerate_pairs(spec, params, window, 0)
+        engine_cocycles = cocycle_space(spec, params, window, 0)
+        engine_bounds = coboundary_space(spec, params, window, 0)
+        assert len(engine_cocycles) == len(cocycles)
+        assert len(engine_bounds) == dense_rank(generators, len(pairs))
         history.append((n, _projected_rank(cocycles, core) - _projected_rank(generators, core)))
+
+        def classify(psi):
+            return _dense_classify(pairs, cocycles, generators, core, psi)
+
+        applicable = {
+            known.name: known.instantiate(spec, params, window)
+            for known in REGISTRY.values()
+            if known.applicability(spec, params) is None
+        }
+        matched = h2(spec, params, window, stabilization_steps=1).matched_known
+        assert [(m.name, m.matched) for m in matched] == [
+            (known, classify(psi)[0]) for known, psi in applicable.items()
+        ]
+        assert match_known(
+            spec, params, window, 0, engine_pairs, engine_cocycles, engine_bounds
+        ) == matched
+
+        # every generator summed is a coboundary with core support; adding
+        # virasoro makes it nontrivial; support only on non-core pairs has
+        # the empty core projection, which is in the span
+        total = [sum(column) for column in zip(*generators)]
+        bound = CocycleAssignment.from_vector(engine_pairs, total)
+        virasoro = applicable["virasoro"]
+        shifted = CocycleAssignment.from_vector(
+            engine_pairs, [a + virasoro.value(x, y) for a, (x, y) in zip(total, pairs)]
+        )
+        edge = CocycleAssignment(spec, window, {(BasisElement("L", -n), BasisElement("L", n)): 1})
+        extra = {"generators": bound, "generators+virasoro": shifted, "edge": edge}
+        for label, psi in [*applicable.items(), *extra.items()]:
+            assert is_coboundary(spec, params, window, psi) == classify(psi)[1], label
+        assert bound.values and is_coboundary(spec, params, window, bound)
+        assert not is_coboundary(spec, params, window, shifted)
+        assert is_coboundary(spec, params, window, edge)
     assert h2(spec, params, Window(6), stabilization_steps=2).core_history == history
 
 
