@@ -303,7 +303,8 @@ class BoundAlgebra:
     pair the bracket [F_n, G_m] = c(n, m) H_{n+m}, with the parameters
     substituted, is held as integer terms (k, a, b) meaning
     c(n, m) = sum k * n**a * m**b / denominator, with one denominator shared
-    by every rule.  A sum of brackets, such as one cocycle row, is therefore
+    by every rule (_compile, which also compiles the registry's cocycle
+    lines).  A sum of brackets, such as one cocycle row, is therefore
     accumulated in ints and divided by the denominator once.  _rules[p][q]
     is (output family position, terms), or None when the pair brackets to
     zero; the engine compiles its cocycle identities from it.
@@ -316,32 +317,17 @@ class BoundAlgebra:
         self.params = validate_parameters(spec, params)
         self.families = spec.families
         self.offsets = tuple(spec.weight_offsets[fam].evaluate(self.params) for fam in self.families)
-        compiled = {}
-        for (fam_a, fam_b), rule in spec.rules.items():
-            terms: dict = {}  # (exponent of n, exponent of m) -> coefficient
-            for mono, value in rule.coeff.term_items():
-                exps = {rule.var_left: 0, rule.var_right: 0}
-                for var, exp in mono:
-                    if var in exps:
-                        exps[var] = exp
-                    else:
-                        value *= self.params[var] ** exp
-                shape = (exps[rule.var_left], exps[rule.var_right])
-                terms[shape] = terms.get(shape, 0) + value
-            terms = {shape: value for shape, value in terms.items() if value}
-            if terms:
-                positions = (spec.family_position(fam_a), spec.family_position(fam_b))
-                compiled[positions] = (spec.family_position(rule.out_family), terms)
-        self.denominator = math.lcm(
-            1, *(value.denominator for _, terms in compiled.values() for value in terms.values())
-        )
+        polys = [(rule.coeff, rule.var_left, rule.var_right) for rule in spec.rules.values()]
+        self.denominator, compiled = _compile(polys, self.params)
         count = len(self.families)
         self._rules = [[None] * count for _ in range(count)]
-        for (p, q), (out, terms) in compiled.items():
-            scaled = [(int(value * self.denominator), a, b) for (a, b), value in terms.items()]
-            self._rules[p][q] = (out, tuple(scaled))
-            # [G_m, F_n] = -c(n, m) H_{n+m}: the reversed pair swaps exponents
-            self._rules[q][p] = (out, tuple((-k, b, a) for k, a, b in scaled))
+        for ((fam_a, fam_b), rule), terms in zip(spec.rules.items(), compiled):
+            if terms:
+                p, q = spec.family_position(fam_a), spec.family_position(fam_b)
+                out = spec.family_position(rule.out_family)
+                self._rules[p][q] = (out, terms)
+                # [G_m, F_n] = -c(n, m) H_{n+m}: the reversed pair swaps exponents
+                self._rules[q][p] = (out, tuple((-k, b, a) for k, a, b in terms))
 
     def element(self, key: tuple) -> BasisElement:
         return BasisElement(self.families[key[0]], key[1])
@@ -356,6 +342,33 @@ class BoundAlgebra:
         if not value:
             return None
         return value, (rule[0], x[1] + y[1])
+
+
+def _compile(polys: list, params: ParamMap) -> tuple:
+    """(denominator, terms): each (polynomial, n, m) of polys with the
+    parameters substituted, as integer terms (k, a, b) meaning the sum of
+    k * n**a * m**b / denominator, over one common denominator.  n None
+    means a polynomial in m alone; any other variable raises ValueError."""
+    compiled = []
+    for poly, n, m in polys:
+        terms: dict = {}  # (exponent of n, exponent of m) -> coefficient
+        for mono, value in poly.term_items():
+            exps = {n: 0, m: 0}
+            for var, exp in mono:
+                if var in exps:
+                    exps[var] = exp
+                elif var in params:
+                    value *= Fraction(params[var]) ** exp
+                else:
+                    raise ValueError(f"unbound variable {var!r}")
+            shape = (exps[n], exps[m])
+            terms[shape] = terms.get(shape, 0) + value
+        compiled.append({shape: value for shape, value in terms.items() if value})
+    scale = math.lcm(1, *(value.denominator for terms in compiled for value in terms.values()))
+    return scale, [
+        tuple((v.numerator * (scale // v.denominator), a, b) for (a, b), v in terms.items())
+        for terms in compiled
+    ]
 
 
 def _evaluate(terms: tuple, n: int, m: int) -> int:

@@ -33,6 +33,7 @@ from .poly import IndexPolynomial
 KEYWORDS = frozenset({"algebra", "family", "weight", "bracket"})
 _PUNCT = frozenset("(){}[],;=+-*/")
 _MAX_EXPR_DEPTH = 64
+_DIGITS = frozenset("0123456789")
 _MAX_ERRORS = 100
 
 
@@ -90,9 +91,9 @@ def _tokenize(source: str, diagnostics: list) -> list:
         elif ch == "#":
             while i < n and source[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:  # str.isdigit() also admits digits int() rejects or reads
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i] in _DIGITS:
                 i += 1
             tokens.append(_Token("int", source[start:i], line, col))
             col += i - start
@@ -179,10 +180,13 @@ class _Parser:
 
     # expressions
 
-    def parse_expr(self, allowed: frozenset, depth: int = 0) -> IndexPolynomial:
+    def check_depth(self, depth: int):
         if depth > _MAX_EXPR_DEPTH:
             self.error("nesting", "expression nesting too deep")
             raise _Abort()
+
+    def parse_expr(self, allowed: frozenset, depth: int = 0) -> IndexPolynomial:
+        self.check_depth(depth)
         value = self.parse_term(allowed, depth)
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
@@ -230,6 +234,7 @@ class _Parser:
             self.expect(")", "')'")
             return value
         if tok.kind in ("+", "-"):
+            self.check_depth(depth)
             self.advance()
             value = self.parse_factor(allowed, depth + 1)
             return value if tok.kind == "+" else -value

@@ -55,8 +55,13 @@ public call binds its parameters once (a BoundAlgebra), and every bracket
 expansion here goes through that binding's integer kernel: a row is summed
 in integers over the algebra's one common bracket denominator, and each
 nonzero entry becomes a Fraction once, at the end of the row.
-verify_cocycle holds psi's values as integers over one common denominator
-too, so each residual is summed in integers.
+verify_cocycle holds psi's values of each degree as integers over one
+common denominator too, so each residual is summed in integers.
+
+A registry class goes through the same kernel.  Its applicability is
+decided once per class and call, by the step that compiles each line at the
+bound parameters: coefficient and denominator become integer terms in m
+over one shared scale, so each value is one quotient of two integers.
 
 After the solve every vector stays a {column: int} row: the primitive null
 vectors, the kept coboundary generators as numerators over the algebra's
@@ -83,6 +88,7 @@ from .algebra import (
     BasisElement,
     BoundAlgebra,
     ParamMap,
+    _compile,
     _evaluate,
     validate_parameters,
 )
@@ -160,13 +166,11 @@ class PairBasis:
     and reports the skew sign, so psi(x, y) = sign * value[column].
     """
 
-    __slots__ = ("spec", "params", "window", "degree", "pairs", "_columns")
+    __slots__ = ("spec", "window", "pairs", "_columns")
 
-    def __init__(self, spec, params, window, degree, pairs):
+    def __init__(self, spec, window, pairs):
         self.spec = spec
-        self.params = params
         self.window = window
-        self.degree = degree
         self.pairs = pairs
         key = spec.element_key
         self._columns = {(key(x), key(y)): col for col, (x, y) in enumerate(pairs)}
@@ -225,7 +229,7 @@ def _enumerate_pairs(alg: BoundAlgebra, window: Window, degree: Fraction) -> Pai
                     keys.append(((a, i), (b, j)))
     keys.sort()
     pairs = [(alg.element(x), alg.element(y)) for x, y in keys]
-    return PairBasis(alg.spec, alg.params, window, degree, pairs)
+    return PairBasis(alg.spec, window, pairs)
 
 
 # An entry of an identity's index table: the term's bracket output is the
@@ -520,9 +524,6 @@ class CocycleAssignment:
         self.window = window
         self.values = canonical
 
-    def is_zero(self) -> bool:
-        return not self.values
-
     def support(self) -> list:
         return sorted(self.values, key=lambda p: (self.spec.element_key(p[0]), self.spec.element_key(p[1])))
 
@@ -536,10 +537,8 @@ class CocycleAssignment:
 
     def degrees(self, params: Mapping) -> set:
         params = validate_parameters(self.spec, params)
-        return {
-            self.spec.weight(x, params) + self.spec.weight(y, params)
-            for x, y in self.values
-        }
+        offsets = {fam: off.evaluate(params) for fam, off in self.spec.weight_offsets.items()}
+        return set(_by_degree(self.values, offsets))
 
     def degree(self, params: Mapping) -> Fraction | None:
         """The single support degree; None when empty, error when mixed."""
@@ -560,14 +559,8 @@ class CocycleAssignment:
         )
 
     def to_vector(self, pairs: PairBasis) -> list:
-        vector = [Fraction(0)] * len(pairs)
-        key = self.spec.element_key
-        for (x, y), value in self.values.items():
-            col = pairs._columns.get((key(x), key(y)))
-            if col is None:
-                raise ValueError(f"assignment has support on {x}, {y} outside the pair basis")
-            vector[col] = value
-        return vector
+        vector, scale = _int_vector(self.values, pairs)
+        return [Fraction(vector.get(col, 0), scale) for col in range(len(pairs))]
 
     @classmethod
     def from_vector(cls, pairs: PairBasis, vector: Sequence) -> "CocycleAssignment":
@@ -598,6 +591,30 @@ class CocycleAssignment:
         for key, text in data.items():
             values[_parse_pair_key(key)] = parse_rational(str(text))
         return cls(spec, window, values)
+
+
+def _by_degree(values: Mapping, offsets: Mapping) -> dict:
+    """{degree: {(x, y): value}} of canonical cocycle values, with each
+    family's weight offset looked up by name in `offsets`."""
+    groups: dict = {}
+    for (x, y), value in values.items():
+        degree = x.index + offsets[x.family] + y.index + offsets[y.family]
+        groups.setdefault(degree, {})[(x, y)] = value
+    return groups
+
+
+def _int_vector(values: Mapping, pairs: PairBasis) -> tuple:
+    """(vector, scale): canonical cocycle values as {column: int} over
+    their common denominator scale.  Every pair must be in the basis."""
+    scale = math.lcm(1, *(value.denominator for value in values.values()))
+    key = pairs.spec.element_key
+    vector = {}
+    for (x, y), value in values.items():
+        col = pairs._columns.get((key(x), key(y)))
+        if col is None:
+            raise ValueError(f"assignment has support on {x}, {y} outside the pair basis")
+        vector[col] = value.numerator * (scale // value.denominator)
+    return vector, scale
 
 
 def _parse_pair_key(key: str) -> tuple:
@@ -651,28 +668,22 @@ class CocycleLine:
         return int(total)
 
 
-def _has_integer_root(poly: IndexPolynomial) -> bool:
-    """Whether a nonzero univariate rational polynomial in m vanishes at any
-    integer.  Clears denominators and tests the divisors of the constant
-    term (the only candidate integer roots); a zero constant term means
-    m = 0 is already a root."""
-    extra = poly.variables() - {"m"}
-    if extra:
-        raise ValueError(f"denominator still depends on {sorted(extra)}")
-    if poly.is_constant():
-        return poly.constant_value() == 0
-    at_zero = poly.evaluate({"m": 0})
-    if at_zero == 0:
-        return True
-    scale = 1
-    for _, coeff in poly.sorted_terms(("m",)):
-        scale = scale * coeff.denominator // math.gcd(scale, coeff.denominator)
-    constant = abs(int(at_zero * scale))
-    for low in range(1, math.isqrt(constant) + 1):
+def _has_integer_root(terms: tuple) -> bool:
+    """Whether a nonzero polynomial in m, held as integer terms (k, 0, b),
+    vanishes at any integer.  a*m + b does exactly when a divides b; at
+    higher degree the candidates are the divisors of the constant term, and
+    a zero constant term means m = 0 is already a root."""
+    constant = _evaluate(terms, 0, 0)
+    degree = max(b for _, _, b in terms)
+    if not constant or not degree:
+        return not constant
+    if degree == 1:
+        return constant % sum(k for k, _, b in terms if b) == 0
+    for low in range(1, math.isqrt(abs(constant)) + 1):
         if constant % low:
             continue
         for cand in (low, -low, constant // low, -(constant // low)):
-            if poly.evaluate({"m": cand}) == 0:
+            if not _evaluate(terms, 0, cand):
                 return True
     return False
 
@@ -707,36 +718,31 @@ class KnownCocycle:
     def applicability(self, spec: AlgebraSpec, params: ParamMap) -> str | None:
         """None when this cocycle makes sense on the algebra, else the
         violated condition, e.g. "requires 3*mu integer"."""
+        return self._check(spec, params)[0]
+
+    def _check(self, spec: AlgebraSpec, params: ParamMap) -> tuple:
+        """(reason, lines): applicability's answer, and when that is None
+        each line at these parameters as (line, support offset, coefficient
+        terms, denominator terms), both integer terms (k, 0, b) in m over
+        one scale shared by the line."""
+        compiled = []
         for line in self.lines:
             for fam in (line.family_a, line.family_b):
                 if fam not in spec.families:
-                    return f"algebra has no family {fam}"
-            needs_mu = (
-                line.mu_multiple != 0
-                or "mu" in line.coeff.variables()
-                or "mu" in line.denom.variables()
-            )
-            if needs_mu:
+                    return f"algebra has no family {fam}", None
+            if line.mu_multiple or "mu" in line.coeff.variables() | line.denom.variables():
                 if "mu" not in spec.parameters:
-                    return "algebra has no parameter mu"
-                mu = Fraction(params["mu"])
-                if (line.mu_multiple * mu).denominator != 1:
+                    return "algebra has no parameter mu", None
+                if (line.mu_multiple * Fraction(params["mu"])).denominator != 1:
                     prefix = "mu" if line.mu_multiple == 1 else f"{line.mu_multiple}*mu"
-                    return f"requires {prefix} integer"
-            bound = line.denom.substitute(
-                {p: Fraction(params[p]) for p in spec.parameters}
-            )
-            if bound.is_zero():
-                return (
-                    f"denominator {line.denom.to_text(('m', 'mu'))} vanishes"
-                    " identically"
-                )
-            if _has_integer_root(bound):
-                return (
-                    f"denominator {line.denom.to_text(('m', 'mu'))} vanishes"
-                    " at an integer index"
-                )
-        return None
+                    return f"requires {prefix} integer", None
+            bound = {p: params[p] for p in spec.parameters}
+            _, (coeff, denom) = _compile([(line.coeff, None, "m"), (line.denom, None, "m")], bound)
+            if not denom or _has_integer_root(denom):
+                where = "at an integer index" if denom else "identically"
+                return f"denominator {line.denom.to_text(('m', 'mu'))} vanishes {where}", None
+            compiled.append((line, line.offset(params), coeff, denom))
+        return None, compiled
 
     def degree(self, spec: AlgebraSpec, params: ParamMap) -> Fraction:
         offs = spec.weight_offsets
@@ -752,35 +758,33 @@ class KnownCocycle:
 
     def instantiate(self, spec: AlgebraSpec, params: Mapping, window: Window) -> CocycleAssignment:
         params = validate_parameters(spec, params)
-        reason = self.applicability(spec, params)
+        reason, lines = self._check(spec, params)
         if reason is not None:
             raise ValueError(f"cocycle {self.name!r} not applicable: {reason}")
         self.degree(spec, params)
-        key = spec.element_key
+        return CocycleAssignment(spec, window, self._values(spec, window, lines))
+
+    def _values(self, spec: AlgebraSpec, window: Window, lines: list) -> dict:
+        """The canonical {(x, y): value} of _check's lines on the window,
+        each value coeff(m) / denom(m) from two integer evaluations."""
         values: dict = {}
-        assignment = dict(params)
-        for line in self.lines:
-            total = line.offset(params)
+        for line, total, coeff, denom in lines:
+            pos_a, pos_b = map(spec.family_position, (line.family_a, line.family_b))
             for m in window.indices():
                 n = total - m
-                if not window.contains(n):
+                if not window.contains(n) or (pos_a, n) == (pos_b, m):
                     continue
-                a = BasisElement(line.family_a, n)
-                b = BasisElement(line.family_b, m)
-                if a == b:
-                    continue
-                assignment["m"] = m
-                value = line.coeff.evaluate(assignment) / line.denom.evaluate(assignment)
+                value = _evaluate(coeff, 0, m)
                 if not value:
                     continue
-                if key(a) > key(b):
+                value = Fraction(value, _evaluate(denom, 0, m))
+                a = BasisElement(line.family_a, n)
+                b = BasisElement(line.family_b, m)
+                if (pos_a, n) > (pos_b, m):
                     a, b, value = b, a, -value
-                if (a, b) in values:
-                    if values[(a, b)] != value:
-                        raise ValueError(f"cocycle {self.name!r} table is not skew-consistent")
-                    continue
-                values[(a, b)] = value
-        return CocycleAssignment(spec, window, values)
+                if values.setdefault((a, b), value) != value:
+                    raise ValueError(f"cocycle {self.name!r} table is not skew-consistent")
+        return values
 
 
 def _poly(text: str) -> IndexPolynomial:
@@ -892,17 +896,13 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
         psi = cocycle
     else:
         raise TypeError("expected a KnownCocycle or CocycleAssignment")
-    key = spec.element_key
-    # psi as integers over one common denominator
-    scale = math.lcm(1, *(value.denominator for value in psi.values.values()))
     checked = 0
-    for degree in sorted(psi.degrees(alg.params)):
+    groups = _by_degree(psi.values, dict(zip(alg.families, alg.offsets)))
+    for degree, values in sorted(groups.items()):
         pairs = _enumerate_pairs(alg, window, degree)
-        vector = {}
-        for (x, y), value in psi.values.items():
-            col = pairs._columns.get((key(x), key(y)))
-            if col is not None:
-                vector[col] = int(value * scale)
+        # a pair outside the window is in no admissible triple's row
+        inside = {p: v for p, v in values.items() if all(window.contains(e.index) for e in p)}
+        vector, scale = _int_vector(inside, pairs)
         for identity in _identities(alg, window, degree, pairs):
             terms = identity.weighted([vector])
             for idx in identity.indices():
@@ -915,19 +915,6 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
                     x, y, z = (alg.element(k) for k in zip(identity.families, idx))
                     return VerifyReport(False, checked, (x, y, z, residual), psi)
     return VerifyReport(True, checked, None, psi)
-
-
-def _int_vector(psi: CocycleAssignment, pairs: PairBasis) -> dict:
-    """psi as {column: int} over the common denominator of its values."""
-    scale = math.lcm(1, *(value.denominator for value in psi.values.values()))
-    key = psi.spec.element_key
-    vector = {}
-    for (x, y), value in psi.values.items():
-        col = pairs._columns.get((key(x), key(y)))
-        if col is None:
-            raise ValueError(f"assignment has support on {x}, {y} outside the pair basis")
-        vector[col] = value.numerator * (scale // value.denominator)
-    return vector
 
 
 def _restrict(vector: dict, columns: set) -> dict:
@@ -950,7 +937,7 @@ def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     if degree is None:
         return True
     pairs = _enumerate_pairs(alg, window, degree)
-    vector = _int_vector(psi, pairs)
+    vector, _ = _int_vector(psi.values, pairs)
     core = set(pairs.core_columns())
     bounds = _core_echelon(_coboundaries(alg, window, degree, pairs), core)
     return bounds.contains(_restrict(vector, core))
@@ -1021,13 +1008,14 @@ def _match(spec, params, window, degree, pairs, cocycles: _Echelon, core_bounds:
     core = set(pairs.core_columns())
     results = []
     for known in REGISTRY.values():
-        if known.applicability(spec, params) is not None:
+        reason, lines = known._check(spec, params)
+        if reason is not None:
             continue
-        psi = known.instantiate(spec, params, window)
-        if psi.is_zero() or known.degree(spec, params) != degree:
+        values = known._values(spec, window, lines)
+        if not values or known.degree(spec, params) != degree:
             results.append(MatchResult(known.name, False))
             continue
-        vector = _int_vector(psi, pairs)
+        vector, _ = _int_vector(values, pairs)
         matched = cocycles.contains(vector) and not core_bounds.contains(_restrict(vector, core))
         results.append(MatchResult(known.name, matched))
     return results

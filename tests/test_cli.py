@@ -87,6 +87,14 @@ def test_jacobi_symbolic_fail_names_families(tmp_path):
     assert "FAIL on families ('L', 'Y', 'Y') -> M" in proc.stdout
 
 
+def test_deep_unary_signs_are_a_parse_error(tmp_path):
+    deep = tmp_path / "deep.lie"
+    deep.write_text("algebra deep() {\n  family L weight " + "-" * 5000 + "1;\n}\n")
+    proc = run_cli("jacobi", "--algebra", str(deep), "--symbolic")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot parse algebra")
+
+
 def test_h2_json_schema_and_agreement():
     proc = run_cli("h2", "--algebra", "svir", "--lambda=-1", "--mu", "1/3",
                    "--window", "10", "--steps", "2", "--format", "json")

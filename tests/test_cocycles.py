@@ -1,6 +1,7 @@
 """Closed-form cocycle registry: verification against the windowed identity,
 nontriviality, symbolic closure proofs, applicability, and serialization."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -346,3 +347,66 @@ def test_matched_known_sets():
         matched = {m.name for m in report.matched_known if m.matched}
         assert matched == names, params
         assert len(matched) == report.core_h2_dim
+
+
+def test_linear_denominator_decided_by_divisibility():
+    # m + mu has an integer root exactly when mu is an integer; trial
+    # division up to sqrt(2*mu) would run for hours at these values
+    rec = REGISTRY["yy-reciprocal"]
+    start = time.perf_counter()
+    odd = {"lambda": Fraction(-3), "mu": Fraction(10**41 + 1, 2)}
+    assert rec.applicability(SVIR, odd) is None
+    assert (
+        rec.applicability(SVIR, {"lambda": Fraction(-3), "mu": Fraction(10**40)})
+        == "denominator m + mu vanishes at an integer index"
+    )
+    assert time.perf_counter() - start < 2
+
+
+def _reference_values(known, spec, params, window):
+    """A class's canonical values rebuilt with IndexPolynomial.evaluate over
+    Fraction at every index, independently of the compiled path."""
+    key = spec.element_key
+    values = {}
+    for line in known.lines:
+        total = -line.mu_multiple * params.get("mu", 0)
+        assert total.denominator == 1
+        for m in window.indices():
+            a, b = BasisElement(line.family_a, int(total) - m), BasisElement(line.family_b, m)
+            if not window.contains(a.index) or a == b:
+                continue
+            point = {**params, "m": m}
+            value = line.coeff.evaluate(point) / line.denom.evaluate(point)
+            if not value:
+                continue
+            if key(a) > key(b):
+                a, b, value = b, a, -value
+            assert values.setdefault((a, b), value) == value, "not skew-consistent"
+    return values
+
+
+# a rational constant, a power of mu and a rational denominator, so the
+# scale a line's coefficient and denominator share is not 1
+SCALED = KnownCocycle.single(
+    "scaled", "L", "M", _poly("2/3 + mu*mu*m/5 - m*m*m"), denom=_poly("m/7 + 1/3")
+)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_instantiate_matches_fraction_reference(n):
+    window = Window(n, 3)
+    points = [params for _, params in HOME_POINTS + OFF_POINTS] + [
+        {"lambda": -3, "mu": "1/2"},
+        {"lambda": -3, "mu": "3/2"},
+        {"lambda": 1, "mu": "1/2"},
+    ]
+    checked = 0
+    for params in points:
+        params = validate_parameters(SVIR, params)
+        for known in [*REGISTRY.values(), SCALED]:
+            if known.applicability(SVIR, params) is not None:
+                continue
+            psi = known.instantiate(SVIR, params, window)
+            assert psi.values == _reference_values(known, SVIR, params, window), (known.name, params)
+            checked += 1
+    assert checked > 2 * len(points)

@@ -255,6 +255,25 @@ def test_deep_nesting_rejected():
     assert any(d.code == "nesting" for d in result.errors())
 
 
+def test_long_unary_sign_run_rejected():
+    # every unary sign is one level of nesting, like a parenthesis
+    signs = "-" * 5000
+    result = parse("algebra deep() {\n  family L weight " + signs + "1;\n}")
+    assert not result.ok
+    assert any(d.code == "nesting" for d in result.errors())
+    with pytest.raises(ValueError, match="nesting"):
+        parse_polynomial(signs + "m", ("m",))
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+def test_non_ascii_digit_rejected(digit):
+    result = parse("algebra a() {\n  family L weight " + digit + ";\n}")
+    assert not result.ok
+    assert any(d.code == "bad-character" for d in result.errors())
+    with pytest.raises(ValueError, match="bad-character"):
+        parse_polynomial("m + " + digit, ("m",))
+
+
 def test_parse_polynomial_helper():
     p = parse_polynomial("(m + mu)*(m + mu + 1)/2", ("m", "mu"))
     assert p.evaluate({"m": 1, "mu": 1}) == 3
