@@ -34,7 +34,23 @@ The result is the one full elimination gives.  The subset nullspace always
 contains the full one, and a clean check shows the subset null vectors,
 which span it, lie in the full one, so the two are equal.  Equal nullspaces
 have equal row spaces, hence the same pivot columns, so the reduced basis
-(one vector per free column) is the same vector for vector.
+(one vector per free column) is the same vector for vector.  The check
+skips an identity when no null vector is nonzero on any of its columns, and
+family triples whose pairs bracket to nothing give no row and are left out.
+
+h2 solves its first window this way and grows each later window from the
+certified echelon of the one before.  Both windows' columns sort the same
+pair keys, so mapping each smaller-window column to the column of the same
+pair is increasing, and the renumbered pivot rows are still an echelon with
+the same leading columns.  A triple of the grown window is new when one of
+its indices, or the output index total - idx[w] of one of its terms, lies in
+the strip between the two windows; there are O(n) of them per family triple,
+and they are enumerated directly.  Every other admissible triple has its
+indices and its nonzero outputs inside the smaller window, so its row is a
+row of that window with the same entries, and after that window's clean
+check it lies in the span of the echelon.  So only the new subset rows are
+added and only the other new rows are checked, and the nullspace, its pivot
+columns and its reduced basis are exactly those of a fresh solve.
 
 Every row is expanded from one compiled form of the identity.  The indices
 of the triples (F_i, G_j, H_k) of one family triple at one degree sum to a
@@ -279,21 +295,35 @@ class _Identity:
                     table.append(pairs._column(output, (r, index)))
             self.terms.append((coefficient, table, w, u, v))
 
-    def indices(self, subset: bool | None = None):
+    def indices(self, meeting=None, avoiding=frozenset()):
         """idx = (i, j, k) of the canonically ordered window triples of
-        these families (a <= b <= c), in (i, j) lexicographic order; only
-        those whose _in_subset is `subset`, unless it is None."""
+        these families (a <= b <= c) with no index in `avoiding` and, unless
+        `meeting` is None, some index in `meeting`, in (i, j) lexicographic
+        order.  For an i outside `meeting` only the j that put j or k in it
+        are visited, so a small `meeting` costs O(n) triples, not O(n^2)."""
         n, total = self.n, self.total
         a, b, c = self.families
         for i in range(-n, n + 1):
+            if i in avoiding:
+                continue
             # j ranges so that k = total - i - j lies in the window, with
             # i < j within one family and j < k within one family
             low = max(-n, total - i - n, i + 1 if a == b else -n)
             high = min(n, total - i + n, (total - i - 1) // 2 if b == c else n)
-            for j in range(low, high + 1):
-                k = total - i - j
-                if subset is None or bool(_in_subset((a, i), (b, j), (c, k))) is subset:
-                    yield i, j, k
+            if meeting is None or i in meeting:
+                js = range(low, high + 1)
+            else:
+                js = sorted({y for x in meeting for y in (x, total - i - x) if low <= y <= high})
+            if avoiding:
+                skip = {y for x in avoiding for y in (x, total - i - x)}
+                js = [j for j in js if j not in skip]
+            for j in js:
+                yield i, j, total - i - j
+
+    def touching(self, strip) -> set:
+        """The indices whose triples meet the strip: those with an index in
+        it, or with a term whose output index total - idx[w] is in it."""
+        return {x for s in strip for x in (s, self.total - s)}
 
     def row(self, idx):
         """The constraint row of one triple as {column: numerator over
@@ -416,44 +446,77 @@ def cocycle_space(spec, params, window, degree, pairs: PairBasis | None = None) 
     degree = _degree(degree)
     if pairs is None:
         pairs = _enumerate_pairs(alg, window, degree)
-    return _fraction_basis(len(pairs), _cocycles(alg, window, degree, pairs))
+    return _fraction_basis(len(pairs), _cocycles(alg, window, degree, pairs)[0])
 
 
-def _in_subset(x, y, z) -> bool:
-    """Whether a triple's row is eliminated up front: some element has
-    |index| <= 1.  Any rule gives exact results; this one reaches full rank
-    at every svir grid point and window measured, so the check adds no row
-    there."""
-    return abs(x[1]) <= 1 or abs(y[1]) <= 1 or abs(z[1]) <= 1
+# The subset rule of the certified solve: the rows of triples with an index
+# in this set are eliminated up front, and every other row is checked.  Any
+# set gives exact results; |index| <= 1 reaches full rank at every svir grid
+# point and window measured, so the check adds no row there.
+_SUBSET = frozenset((-1, 0, 1))
 
 
-def _cocycles(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis) -> list:
+def _cocycles(
+    alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis, seed: tuple | None = None
+) -> tuple:
     """The certified subset solve of the module docstring: the primitive
     {column: int} null vectors, which have passed one full check round with
-    every row satisfied."""
-    n_cols = len(pairs)
-    identities = _identities(alg, window, degree, pairs)
-    ech = _Echelon()
+    every row satisfied, and the echelon they solve.
+
+    seed, when given, is the (pairs, echelon) of a smaller window's solve at
+    this degree.  That echelon is renumbered to this window's columns and
+    taken over, and only the triples that meet the strip of indices between
+    the two windows (see _Identity.touching) have their rows added or
+    checked: every other admissible row is one of the smaller window's, in
+    the span of its echelon."""
+    identities = [identity for identity in _identities(alg, window, degree, pairs) if identity.terms]
+    strip = None
+    if seed is None:
+        ech = _Echelon()
+    else:
+        seed_pairs, ech = seed
+        # both column orders sort the pair keys, so the map is increasing
+        # and each pivot row keeps its leading column; each row is released
+        # as soon as it is renumbered
+        column = [pairs._columns[key] for key in seed_pairs._columns]
+        pivots, ech.pivots = ech.pivots, {}
+        while pivots:
+            lead, row = pivots.popitem()
+            ech.pivots[column[lead]] = {column[col]: value for col, value in row.items()}
+        strip = set(window.indices()).difference(seed_pairs.window.indices())
     for identity in identities:
-        for idx in identity.indices(subset=True):
-            row = identity.row(idx)
-            if row:
-                ech.add(_normalize_int_row(row))
+        meeting = _SUBSET if strip is None else identity.touching(strip)
+        for idx in identity.indices(meeting):
+            if not _SUBSET.isdisjoint(idx):
+                row = identity.row(idx)
+                if row:
+                    ech.add(_normalize_int_row(row))
     while True:
-        vectors = _null_vectors(ech.pivots, n_cols)
-        if not _add_violated(identities, vectors, ech):
-            return vectors
+        vectors = _null_vectors(ech.pivots, len(pairs))
+        if not _add_violated(identities, vectors, ech, strip):
+            return vectors, ech
 
 
-def _add_violated(identities: list, vectors: list, ech: _Echelon) -> int:
+def _add_violated(identities: list, vectors: list, ech: _Echelon, strip=None) -> int:
     """Add to the echelon each admissible row that some null vector fails,
-    by exact integer dot products; returns how many rows failed.  Rows of
-    _in_subset triples are skipped: they are in the echelon, so every null
-    vector satisfies them."""
+    by exact integer dot products; returns how many rows failed.  Only the
+    triples that meet the strip are checked, all of them when it is None.
+    Triples with an index in _SUBSET are skipped: their rows are in the
+    echelon, so every null vector satisfies them.  So is an identity with no
+    table column where a null vector is nonzero: its dot products are 0."""
+    support = set().union(*vectors)
     violated = 0
     for identity in identities:
+        if not any(
+            entry[0] in support
+            for _, table, _, _, _ in identity.terms
+            for entry in table
+            if entry is not _EQUAL and entry is not _OUT
+        ):
+            continue
         terms = identity.weighted(vectors)
-        for idx in identity.indices(subset=False):
+        meeting = None if strip is None else identity.touching(strip)
+        for idx in identity.indices(meeting, _SUBSET):
             dots = _dots(terms, idx, identity.n)
             if dots and any(dots):
                 violated += 1
@@ -956,7 +1019,7 @@ def nonzero_degree_triviality(spec, params, window, degree) -> bool:
     degree = _degree(degree)
     if degree == 0:
         raise ValueError("degree must be nonzero (use h2 for the degree-zero sector)")
-    return _core_dims(_bind(spec, params), window, degree)[4] == 0
+    return _core_dims(_bind(spec, params), window, degree)[5] == 0
 
 
 # H^2 reports
@@ -1021,16 +1084,17 @@ def _match(spec, params, window, degree, pairs, cocycles: _Echelon, core_bounds:
     return results
 
 
-def _core_dims(alg: BoundAlgebra, window: Window, degree: Fraction) -> tuple:
-    """(pairs, null vectors, kept coboundary generators, core echelon of the
-    coboundaries, core H^2 dimension) of one window."""
+def _core_dims(alg: BoundAlgebra, window: Window, degree: Fraction, seed: tuple | None = None) -> tuple:
+    """(pairs, null vectors, their echelon, kept coboundary generators, core
+    echelon of the coboundaries, core H^2 dimension) of one window; seed is
+    _cocycles'."""
     pairs = _enumerate_pairs(alg, window, degree)
-    cocycles = _cocycles(alg, window, degree, pairs)
+    cocycles, ech = _cocycles(alg, window, degree, pairs, seed)
     bounds = _coboundaries(alg, window, degree, pairs)
     core = set(pairs.core_columns())
     core_bounds = _core_echelon(bounds, core)
     core_h2 = _core_echelon(cocycles, core).rank - core_bounds.rank
-    return pairs, cocycles, bounds, core_bounds, core_h2
+    return pairs, cocycles, ech, bounds, core_bounds, core_h2
 
 
 def h2(
@@ -1045,26 +1109,31 @@ def h2(
     The report's h2_dim is the raw windowed quotient dimension (it can carry
     edge junk); core_h2_dim is the trustworthy number, and stabilized says
     whether it agreed across stabilization_steps windows n, n+2, n+4, ...
+    Each grown window's solve is seeded with the one before it.
     """
     if stabilization_steps < 1:
         raise ValueError("need at least one stabilization step")
     alg = _bind(spec, params)
     degree = _degree(degree)
-    pairs, cocycles, bounds, core_bounds, core_h2 = _core_dims(alg, window, degree)
-    history = [(window.n, core_h2)]
-    for step in range(1, stabilization_steps):
+    history = []
+    seed = None
+    for step in range(stabilization_steps):
         grown = window.grown(2 * step)
-        history.append((grown.n, _core_dims(alg, grown, degree)[4]))
-    matched = _match(spec, alg.params, window, degree, pairs, _Echelon(cocycles), core_bounds)
+        pairs, cocycles, ech, bounds, core_bounds, dim = _core_dims(alg, grown, degree, seed)
+        if not step:
+            matched = _match(spec, alg.params, window, degree, pairs, _Echelon(cocycles), core_bounds)
+            cocycle_dim, coboundary_dim = len(cocycles), len(bounds)
+        seed = pairs, ech
+        history.append((grown.n, dim))
     return H2Report(
         algebra=spec.name,
         params=dict(alg.params),
         window=window,
         degree=degree,
-        cocycle_dim=len(cocycles),
-        coboundary_dim=len(bounds),
-        h2_dim=len(cocycles) - len(bounds),
-        core_h2_dim=core_h2,
+        cocycle_dim=cocycle_dim,
+        coboundary_dim=coboundary_dim,
+        h2_dim=cocycle_dim - coboundary_dim,
+        core_h2_dim=history[0][1],
         stabilized=len({dim for _, dim in history}) == 1,
         core_history=history,
         matched_known=matched,

@@ -39,7 +39,8 @@ class SparseMatrix:
             if (row, col) in seen:
                 raise ValueError(f"duplicate entry at ({row}, {col})")
             seen.add((row, col))
-            value = Fraction(value)
+            if type(value) is not Fraction:
+                value = Fraction(value)
             if value == 0:
                 raise ValueError(f"explicit zero entry at ({row}, {col})")
             cleaned.append((row, col, value))

@@ -15,6 +15,9 @@ must answer for each class.
 The engine expands each family triple's identity from compiled per-index
 tables; the same reference identities, rebuilt triple by triple, must give
 verify_cocycle's report and the rows the certificate check flags exactly.
+
+h2 seeds each grown window's solve with the echelon of the window before it;
+at every window of its history the null vectors must equal a fresh solve's.
 """
 
 import random
@@ -44,6 +47,7 @@ from lieext.presets import load_algebra
 from lieext.sparse import nullspace
 
 from oracle_dense import dense_in_span, dense_nullspace, dense_rank
+from test_acceptance import GRID_LAMBDAS, GRID_MUS
 
 POINTS = [
     pytest.param("svir", {"lambda": -3, "mu": "1/2"}, id="svir(-3,1/2)"),
@@ -396,7 +400,7 @@ def test_compiled_identity_matches_reference(monkeypatch, name, values, n):
         row = {col: value for col, value in row.items() if value}
         if any(sum(value * vec.get(col, 0) for col, value in row.items()) for vec in vectors):
             flagged.append(_scaled(row))
-    monkeypatch.setattr(engine, "_in_subset", lambda x, y, z: False)
+    monkeypatch.setattr(engine, "_SUBSET", frozenset())
     alg = engine._bind(spec, params)
     recorder = _RecordingEchelon()
     compiled = engine._identities(alg, window, Fraction(0), pairs)
@@ -421,3 +425,88 @@ def test_reference_identities_reach_the_special_cases(name, values, n):
     assert equal > 0
     if name == "svir":
         assert saved > 0
+
+
+# the engine's own functions, before any test wraps them
+_SOLVE, _ADD_VIOLATED = engine._cocycles, engine._add_violated
+
+
+def _assert_strip_meets_new_rows(alg, degree, seed_pairs, pairs):
+    """Every nonempty admissible row of the grown window that the seeded
+    solve does not visit (its triple does not meet the strip) must be a row
+    of the seed's window, with the same entries once its columns are mapped
+    by pair key."""
+    seed_window, window = seed_pairs.window, pairs.window
+    strip = set(window.indices()).difference(seed_window.indices())
+    column = [pairs._columns[key] for key in seed_pairs._columns]
+    seed_identities = {
+        identity.families: identity
+        for identity in engine._identities(alg, seed_window, degree, seed_pairs)
+    }
+    for identity in engine._identities(alg, window, degree, pairs):
+        met = set(identity.indices(identity.touching(strip)))
+        for idx in identity.indices():
+            row = identity.row(idx)
+            if not row or idx in met:
+                continue
+            assert all(seed_window.contains(i) for i in idx), idx
+            seed_row = seed_identities[identity.families].row(idx)
+            assert seed_row is not None, (identity.families, idx)
+            assert {column[col]: value for col, value in seed_row.items()} == row
+
+
+def _seeded_windows(monkeypatch, spec, params, window, steps=3):
+    """Run h2 with each window's solve checked against a fresh solve of the
+    same window, and each seeded window's unvisited rows against the seed's;
+    returns [(n, seeded, rows the check added)] per window."""
+    added, windows = [], []
+
+    def counting(*args):
+        added.append(_ADD_VIOLATED(*args))
+        return added[-1]
+
+    def checked(alg, window, degree, pairs, seed=None):
+        if seed is not None:
+            _assert_strip_meets_new_rows(alg, degree, seed[0], pairs)
+        start = len(added)
+        vectors, ech = _SOLVE(alg, window, degree, pairs, seed)
+        windows.append((window.n, seed is not None, sum(added[start:])))
+        assert vectors == _SOLVE(alg, window, degree, pairs)[0], window.n
+        return vectors, ech
+
+    monkeypatch.setattr(engine, "_add_violated", counting)
+    monkeypatch.setattr(engine, "_cocycles", checked)
+    h2(spec, params, window, stabilization_steps=steps)
+    expected = [(window.n + 2 * step, step > 0) for step in range(steps)]
+    assert [(n, seeded) for n, seeded, _ in windows] == expected
+    return windows
+
+
+@pytest.mark.parametrize("lam", GRID_LAMBDAS, ids=str)
+def test_seeded_windows_equal_fresh_solves_on_grid(monkeypatch, lam):
+    spec = load_algebra("svir")
+    for mu in GRID_MUS:
+        _seeded_windows(monkeypatch, spec, {"lambda": lam, "mu": mu}, Window(12))
+
+
+@pytest.mark.parametrize(
+    "name, values, n, steps",
+    [
+        ("svir", {"lambda": -3, "mu": 1}, 40, 3),
+        ("svir", {"lambda": 1, "mu": "1/2"}, 40, 3),
+        ("witt", {}, 12, 4),
+        ("svir", {"lambda": -3, "mu": 1}, 12, 1),
+    ],
+    ids=["wide(-3,1)", "wide(1,1/2)", "witt", "one-step"],
+)
+def test_seeded_windows_equal_fresh_solves(monkeypatch, name, values, n, steps):
+    _seeded_windows(monkeypatch, load_algebra(name), values, Window(n), steps)
+
+
+@pytest.mark.parametrize("name, values", POINTS)
+def test_seeded_check_adds_rows_under_a_narrow_subset(monkeypatch, name, values):
+    # with |index| <= 0 the subset rows miss some of the strip's rows on
+    # every grown window, so the seeded check must find and add them
+    monkeypatch.setattr(engine, "_SUBSET", frozenset({0}))
+    windows = _seeded_windows(monkeypatch, load_algebra(name), values, Window(8))
+    assert all(added for _, seeded, added in windows if seeded)
