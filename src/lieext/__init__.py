@@ -102,5 +102,6 @@ __all__ = [
     "render",
     "span_basis",
     "theorem_predicted_dim",
+    "validate_parameters",
     "verify_cocycle",
 ]

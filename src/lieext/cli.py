@@ -18,13 +18,14 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import ParameterError, check_jacobi_symbolic, check_jacobi_window, validate_parameters
 from .engine import (
     REGISTRY,
     CocycleAssignment,
     Window,
+    _bind,
+    _grading_failure,
     h2,
     is_coboundary,
     theorem_predicted_dim,
@@ -152,8 +153,15 @@ def _prediction(spec, params, degree):
     return None
 
 
+def _grading_warning(spec, params) -> str:
+    """The stderr warning for an h2 report with grading_inner False."""
+    return (f"warning: the grading is not inner ({_grading_failure(_bind(spec, params))}): "
+            "no family's index-0 element acts by the weights, so other degrees "
+            "than this one may carry H^2 too")
+
+
 def _h2_json(report, params, predicted, agree) -> dict:
-    return {
+    out = {
         "algebra": report.algebra,
         "lambda": format_rational(params["lambda"]) if "lambda" in params else None,
         "mu": format_rational(params["mu"]) if "mu" in params else None,
@@ -171,6 +179,9 @@ def _h2_json(report, params, predicted, agree) -> dict:
         "predicted_dim": predicted,
         "agree": agree,
     }
+    if not report.grading_inner:
+        out["grading_inner"] = False
+    return out
 
 
 def cmd_h2(args) -> int:
@@ -180,6 +191,8 @@ def cmd_h2(args) -> int:
     report = h2(spec, params, window, degree=degree, stabilization_steps=args.steps)
     predicted = _prediction(spec, params, degree)
     agree = None if predicted is None else report.core_h2_dim == predicted
+    if not report.grading_inner:
+        print(_grading_warning(spec, params), file=sys.stderr)
     if args.format == "json":
         print(json.dumps(_h2_json(report, params, predicted, agree), indent=2))
     else:
@@ -236,6 +249,7 @@ def _scan_point(payload) -> dict:
         "agree": None if predicted is None else report.core_h2_dim == predicted,
         "matched": matched,
         "stabilized": report.stabilized,
+        "grading": None if report.grading_inner else _grading_warning(spec, params),
     }
 
 
@@ -274,6 +288,9 @@ def cmd_scan(args) -> int:
         cpus = os.cpu_count()
     workers = _scan_workers(args.jobs, len(payloads), cpus)
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which no other run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_point, payloads))
     else:
@@ -291,6 +308,8 @@ def cmd_scan(args) -> int:
         for row in rows:
             print("| " + " | ".join(_cell(row[c]) for c in columns) + " |")
     for row in rows:
+        if row["grading"]:
+            print(f"lambda={row['lambda']} mu={row['mu']}: {row['grading']}", file=sys.stderr)
         if not row["stabilized"]:
             print(f"warning: lambda={row['lambda']} mu={row['mu']} did not stabilize",
                   file=sys.stderr)

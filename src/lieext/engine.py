@@ -7,8 +7,10 @@ A 2-cocycle on a Lie algebra is a skew bilinear form psi with
 and psi is a coboundary when psi(x,y) = f([x,y]) for a linear functional f.
 The quotient cocycles/coboundaries classifies central extensions.  For the
 algebras here everything decomposes by weight: a degree-d form is supported
-on pairs whose weights sum to d, and for nonzero d every cocycle is a
-coboundary, so degree 0 carries the whole story.
+on pairs whose weights sum to d.  When some element acts on every basis
+element by its weight, for nonzero d every cocycle is a coboundary, so
+degree 0 carries the whole story; h2 records when no family's index-0
+element does (_grading_failure).
 
 The infinite index range is handled by truncation to a window [-N, N].
 Unknowns are the values on canonically ordered pairs of window elements at
@@ -21,14 +23,17 @@ computation is repeated on grown windows; a stable core dimension is the
 windowed estimate of the true H^2 dimension.
 
 The cocycles are found by a certified subset solve.  Only the rows of
-triples with an element of |index| <= 1 are eliminated, in integers; the
+triples with an element of index -1 or 0 are eliminated, in integers; the
 primitive integer null vectors of that subset are then checked against
 every other admissible row by exact integer dot products (the subset's rows
-are in the echelon, so they hold by construction).  A violated row is added
-to the echelon as it is found, and the check runs again until one full round
-finds every row satisfied.  A row that passes lies in the span of the rows
-eliminated so far, so after a round that added rows every row lies in the
-echelon's span and the next round is clean: there are at most two.
+are in the echelon, so they hold by construction).  A checked row costs a
+few multiplications and an eliminated one several reduction steps, so the
+subset is kept as small as still reaches full rank on the svir grid (see
+_SUBSET).  A violated row is added to the echelon as it is found, and the
+check runs again until one full round finds every row satisfied.  A row
+that passes lies in the span of the rows eliminated so far, so after a
+round that added rows every row lies in the echelon's span and the next
+round is clean: there are at most two.
 
 The result is the one full elimination gives.  The subset nullspace always
 contains the full one, and a clean check shows the subset null vectors,
@@ -61,8 +66,14 @@ per window into three per-index tables whose entries are a (column, sign),
 "the output is the paired element" (no contribution), or "the output leaves
 the window" (the triple is dropped if the coefficient there is nonzero).
 Assembly, the subset solve, the check and verify_cocycle all read these
-tables.  The check and verify_cocycle turn them into per-index tuples of
-vector entries: a term whose entries are all zero is skipped without
+tables.  The check and verify_cocycle replace each table's columns by
+vector entries and walk the triples in one loop (_Identity.walk).
+verify_cocycle uses psi's values.  The check packs the entries of all d
+null vectors at a column into one integer, in slots of w bits, and sums
+one packed dot product per triple.  w is set by a bound on the bracket
+coefficients over the window, so that no slot's dot product can reach the
+next slot: the packed sum is zero exactly when all d dot products are
+(_packed has the proof).  A term whose entry is zero is skipped without
 evaluating its coefficient, while a term whose output leaves the window is
 always evaluated, so admissibility is still decided exactly.
 
@@ -266,18 +277,21 @@ class _Identity:
     brackets to something is held as (coefficient terms, table, w, u, v):
     table[idx[w] + n] is (column, sign), _EQUAL or _OUT for the index at
     position w of idx = (i, j, k), and the bracket coefficient is evaluated
-    at idx[u], idx[v].  Every row expansion in this module reads these
-    tables.
+    at idx[u], idx[v].  bound is at least the sum of |coefficient| over the
+    terms at any triple of window indices.  Every row expansion in this
+    module reads these tables.
     """
 
-    __slots__ = ("families", "total", "n", "terms")
+    __slots__ = ("families", "total", "n", "terms", "bound")
 
     def __init__(self, alg: BoundAlgebra, window: Window, pairs: PairBasis, families, total: int):
         self.families = families
         self.total = total
-        self.n = window.n
+        self.n = n = window.n
         a, b, c = families
         self.terms = []
+        # |k * i**e * j**f| <= |k| * n**(e + f) for indices i, j in [-n, n]
+        self.bound = 0
         cyclic = (((a, b, c), (2, 0, 1)), ((b, c, a), (0, 1, 2)), ((c, a, b), (1, 2, 0)))
         for (p, q, r), (w, u, v) in cyclic:
             rule = alg._rules[p][q]
@@ -294,6 +308,25 @@ class _Identity:
                 else:
                     table.append(pairs._column(output, (r, index)))
             self.terms.append((coefficient, table, w, u, v))
+            self.bound += sum(abs(k) * n ** (e + f) for k, e, f in coefficient)
+
+    def _js(self, i: int, meeting, avoiding):
+        """The j of the triples (i, j, total - i - j) that indices() visits
+        at one i not in `avoiding`, in increasing order."""
+        n, total = self.n, self.total
+        a, b, c = self.families
+        # j ranges so that k = total - i - j lies in the window, with
+        # i < j within one family and j < k within one family
+        low = max(-n, total - i - n, i + 1 if a == b else -n)
+        high = min(n, total - i + n, (total - i - 1) // 2 if b == c else n)
+        if meeting is None or i in meeting:
+            js = range(low, high + 1)
+        else:
+            js = sorted({y for x in meeting for y in (x, total - i - x) if low <= y <= high})
+        if avoiding:
+            skip = {y for x in avoiding for y in (x, total - i - x)}
+            js = [j for j in js if j not in skip]
+        return js
 
     def indices(self, meeting=None, avoiding=frozenset()):
         """idx = (i, j, k) of the canonically ordered window triples of
@@ -301,24 +334,10 @@ class _Identity:
         `meeting` is None, some index in `meeting`, in (i, j) lexicographic
         order.  For an i outside `meeting` only the j that put j or k in it
         are visited, so a small `meeting` costs O(n) triples, not O(n^2)."""
-        n, total = self.n, self.total
-        a, b, c = self.families
-        for i in range(-n, n + 1):
-            if i in avoiding:
-                continue
-            # j ranges so that k = total - i - j lies in the window, with
-            # i < j within one family and j < k within one family
-            low = max(-n, total - i - n, i + 1 if a == b else -n)
-            high = min(n, total - i + n, (total - i - 1) // 2 if b == c else n)
-            if meeting is None or i in meeting:
-                js = range(low, high + 1)
-            else:
-                js = sorted({y for x in meeting for y in (x, total - i - x) if low <= y <= high})
-            if avoiding:
-                skip = {y for x in avoiding for y in (x, total - i - x)}
-                js = [j for j in js if j not in skip]
-            for j in js:
-                yield i, j, total - i - j
+        for i in range(-self.n, self.n + 1):
+            if i not in avoiding:
+                for j in self._js(i, meeting, avoiding):
+                    yield i, j, self.total - i - j
 
     def touching(self, strip) -> set:
         """The indices whose triples meet the strip: those with an index in
@@ -349,11 +368,12 @@ class _Identity:
                 row.pop(col, None)
         return row
 
-    def weighted(self, vectors: Sequence[dict]) -> list:
-        """self.terms with each (column, sign) entry replaced by the tuple of
-        sign * vector[column] over the {column: int} vectors, and by None
-        where those are all zero or the entry is _EQUAL."""
-        terms = []
+    def valued(self, entries: Mapping) -> tuple:
+        """(terms, reached): self.terms with each (column, sign) entry
+        replaced by sign * entries[column], by None where that is 0 or the
+        entry is _EQUAL, and _OUT kept; reached says whether any entry is
+        nonzero."""
+        terms, reached = [], False
         for coefficient, table, w, u, v in self.terms:
             values = []
             for entry in table:
@@ -363,33 +383,52 @@ class _Identity:
                     values.append(_OUT)
                 else:
                     col, sign = entry
-                    at = tuple(sign * vec.get(col, 0) for vec in vectors)
-                    values.append(at if any(at) else None)
+                    value = entries.get(col)
+                    if value:
+                        values.append(sign * value)
+                        reached = True
+                    else:
+                        values.append(None)
             terms.append((coefficient, values, w, u, v))
-        return terms
+        return terms, reached
 
-
-def _dots(terms: list, idx: tuple, n: int):
-    """The integer dot products (over alg.denominator) of one triple's row
-    with the vectors `terms` was weighted by, as a list, or () when no term
-    reaches a nonzero entry; None for an inadmissible triple.  A coefficient
-    is evaluated only where an entry is nonzero or the output leaves the
-    window."""
-    dots = ()
-    for coefficient, values, w, u, v in terms:
-        at = values[idx[w] + n]
-        if at is None:
-            continue
-        value = _evaluate(coefficient, idx[u], idx[v])
-        if not value:
-            continue
-        if at is _OUT:
-            return None
-        if dots:
-            dots = [d + value * e for d, e in zip(dots, at)]
-        else:
-            dots = [value * e for e in at]
-    return dots
+    def walk(self, terms: list, meeting=None, avoiding=frozenset(), first=False) -> tuple:
+        """(checked, failed): the dot products of the triples of
+        indices(meeting, avoiding) with the entries `terms` was valued by,
+        in that order.  checked counts the admissible triples and failed
+        lists (idx, dot) of those with a nonzero dot; with first, the walk
+        stops at the first of them.  A coefficient is evaluated only where
+        an entry is nonzero or _OUT, and an _OUT entry with a nonzero
+        coefficient makes the triple inadmissible: exactly as row() decides
+        it, since _EQUAL entries and zero entries add nothing to the dot."""
+        n, total = self.n, self.total
+        checked, failed = 0, []
+        for i in range(-n, n + 1):
+            if i in avoiding:
+                continue
+            for j in self._js(i, meeting, avoiding):
+                idx = (i, j, total - i - j)
+                dot = 0
+                for coefficient, values, w, u, v in terms:
+                    at = values[idx[w] + n]
+                    if at is None:
+                        continue
+                    x, y = idx[u], idx[v]
+                    value = 0
+                    for k, e, f in coefficient:  # _evaluate, inlined
+                        value += k * x**e * y**f
+                    if not value:
+                        continue
+                    if at is _OUT:
+                        break
+                    dot += value * at
+                else:
+                    checked += 1
+                    if dot:
+                        failed.append((idx, dot))
+                        if first:
+                            return checked, failed
+        return checked, failed
 
 
 def _identities(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis) -> list:
@@ -451,9 +490,11 @@ def cocycle_space(spec, params, window, degree, pairs: PairBasis | None = None) 
 
 # The subset rule of the certified solve: the rows of triples with an index
 # in this set are eliminated up front, and every other row is checked.  Any
-# set gives exact results; |index| <= 1 reaches full rank at every svir grid
-# point and window measured, so the check adds no row there.
-_SUBSET = frozenset((-1, 0, 1))
+# set gives exact results, and a smaller subset eliminates fewer rows.  Rows
+# the check added over the 80 svir grid points at N = 12 (3 windows each):
+# 0 with {-1, 0}, {0, 1} or {-1, 0, 1}; 823 with {1}, 785 with {-1}; 0 with
+# {-1, 0} at both N = 40 points of the benchmark.
+_SUBSET = frozenset((-1, 0))
 
 
 def _cocycles(
@@ -497,30 +538,48 @@ def _cocycles(
             return vectors, ech
 
 
+def _packed(vectors: list, identities: list) -> tuple:
+    """(packed, w): each column's entries e_s of the d {column: int} vectors
+    packed into one integer P = sum_s e_s * 2**(w*s), in slots of w bits,
+    for checking the identities' triples against all d vectors at once.
+
+    The sum of coefficient * sign * P over one triple's terms is
+    sum_s D_s * 2**(w*s), with D_s the triple's dot product with vector s.
+    With M the largest |e_s| and B the largest _Identity.bound,
+    |D_s| <= B * M < 2**(w - 2) for w = bit_length(B * M) + 2.  If some D_s
+    is nonzero, take the smallest such s: every later slot is a multiple of
+    2**(w*(s+1)), so the sum is congruent to D_s * 2**(w*s) modulo
+    2**(w*(s+1)), and it is zero there only if 2**w divides D_s, which
+    |D_s| < 2**w forbids.  So the packed sum is zero exactly when every dot
+    product is, and likewise P is zero exactly when every e_s is (B >= 1)."""
+    top = max((abs(value) for vec in vectors for value in vec.values()), default=0)
+    width = (max((identity.bound for identity in identities), default=1) * top).bit_length() + 2
+    packed: dict = {}
+    for slot, vec in enumerate(vectors):
+        shift = width * slot
+        for col, value in vec.items():
+            packed[col] = packed.get(col, 0) + (value << shift)
+    return packed, width
+
+
 def _add_violated(identities: list, vectors: list, ech: _Echelon, strip=None) -> int:
     """Add to the echelon each admissible row that some null vector fails,
-    by exact integer dot products; returns how many rows failed.  Only the
-    triples that meet the strip are checked, all of them when it is None.
-    Triples with an index in _SUBSET are skipped: their rows are in the
-    echelon, so every null vector satisfies them.  So is an identity with no
-    table column where a null vector is nonzero: its dot products are 0."""
-    support = set().union(*vectors)
+    by exact integer dot products against all of them at once (_packed);
+    returns how many rows failed.  Only the triples that meet the strip are
+    checked, all of them when it is None.  Triples with an index in _SUBSET
+    are skipped: their rows are in the echelon, so every null vector
+    satisfies them.  So is an identity with no table column where a null
+    vector is nonzero: its dot products are 0."""
+    packed = _packed(vectors, identities)[0]
     violated = 0
     for identity in identities:
-        if not any(
-            entry[0] in support
-            for _, table, _, _, _ in identity.terms
-            for entry in table
-            if entry is not _EQUAL and entry is not _OUT
-        ):
+        terms, reached = identity.valued(packed)
+        if not reached:
             continue
-        terms = identity.weighted(vectors)
         meeting = None if strip is None else identity.touching(strip)
-        for idx in identity.indices(meeting, _SUBSET):
-            dots = _dots(terms, idx, identity.n)
-            if dots and any(dots):
-                violated += 1
-                ech.add(_normalize_int_row(identity.row(idx)))
+        for idx, _ in identity.walk(terms, meeting, _SUBSET)[1]:
+            violated += 1
+            ech.add(_normalize_int_row(identity.row(idx)))
     return violated
 
 
@@ -967,16 +1026,13 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
         inside = {p: v for p, v in values.items() if all(window.contains(e.index) for e in p)}
         vector, scale = _int_vector(inside, pairs)
         for identity in _identities(alg, window, degree, pairs):
-            terms = identity.weighted([vector])
-            for idx in identity.indices():
-                dots = _dots(terms, idx, identity.n)
-                if dots is None:
-                    continue
-                checked += 1
-                if dots and dots[0]:
-                    residual = Fraction(dots[0], alg.denominator * scale)
-                    x, y, z = (alg.element(k) for k in zip(identity.families, idx))
-                    return VerifyReport(False, checked, (x, y, z, residual), psi)
+            count, failed = identity.walk(identity.valued(vector)[0], first=True)
+            checked += count
+            if failed:
+                idx, dot = failed[0]
+                residual = Fraction(dot, alg.denominator * scale)
+                x, y, z = (alg.element(k) for k in zip(identity.families, idx))
+                return VerifyReport(False, checked, (x, y, z, residual), psi)
     return VerifyReport(True, checked, None, psi)
 
 
@@ -1006,6 +1062,42 @@ def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     return bounds.contains(_restrict(vector, core))
 
 
+def _grading_failure(alg: BoundAlgebra) -> str | None:
+    """None when the grading is inner: some family F of weight offset 0 has
+    [F_0, G_m] = c * (m + offset_G) G_m for every family G, with one
+    constant c != 0, so F_0 / c acts on every basis element by its weight.
+    Otherwise the first bracket that fails for each weight-zero family, or
+    that no family has weight 0.  Decided on the compiled rules: at n = 0
+    only their terms k * m**b (exponent of n zero) remain."""
+    failures = []
+    for p, offset in enumerate(alg.offsets):
+        if offset:
+            continue
+        scale = None
+        for q, other_offset in enumerate(alg.offsets):
+            rule = alg._rules[p][q]
+            at_zero = {b: k for k, a, b in rule[1] if not a} if rule else {}
+            if scale is None:
+                scale = at_zero.get(1)
+            if not (
+                rule
+                and rule[0] == q
+                and scale
+                and at_zero.keys() <= {0, 1}
+                and at_zero.get(1) == scale
+                and at_zero.get(0, 0) == scale * other_offset
+            ):
+                text = "0"
+                if rule:
+                    terms = {((("m", b),) if b else ()): Fraction(k, alg.denominator) for b, k in at_zero.items()}
+                    text = f"({IndexPolynomial(terms).to_text()}) {alg.families[rule[0]]}(m)"
+                failures.append(f"[{alg.families[p]}(0), {alg.families[q]}(m)] = {text}")
+                break
+        else:
+            return None
+    return "; ".join(failures) or "no family has weight 0"
+
+
 def nonzero_degree_triviality(spec, params, window, degree) -> bool:
     """Whether cocycles and coboundaries have the same core dimension at a
     nonzero degree d.
@@ -1015,11 +1107,20 @@ def nonzero_degree_triviality(spec, params, window, degree) -> bool:
     every basis element g) with the cocycle identity on (z0, x, y) gives
     d * psi(x, y) = psi(z0, [x, y]), so psi is the coboundary of the
     functional f(z) = psi(z0, z) / d.  Degree zero is refused: that sector
-    genuinely carries cohomology and needs the full h2 treatment."""
+    genuinely carries cohomology and needs the full h2 treatment.  So is an
+    algebra with no such z0 among its basis elements (see _grading_failure):
+    there the argument does not apply."""
     degree = _degree(degree)
     if degree == 0:
         raise ValueError("degree must be nonzero (use h2 for the degree-zero sector)")
-    return _core_dims(_bind(spec, params), window, degree)[5] == 0
+    alg = _bind(spec, params)
+    failure = _grading_failure(alg)
+    if failure is not None:
+        raise ValueError(
+            f"the grading is not inner ({failure}): the argument that nonzero "
+            "degrees carry no cohomology does not apply"
+        )
+    return _core_dims(alg, window, degree)[5] == 0
 
 
 # H^2 reports
@@ -1044,6 +1145,7 @@ class H2Report:
     stabilized: bool
     core_history: list = field(default_factory=list)  # [(n, core dim)]
     matched_known: list = field(default_factory=list)  # [MatchResult]
+    grading_inner: bool = True  # see _grading_failure
 
 
 def match_known(
@@ -1110,6 +1212,9 @@ def h2(
     edge junk); core_h2_dim is the trustworthy number, and stabilized says
     whether it agreed across stabilization_steps windows n, n+2, n+4, ...
     Each grown window's solve is seeded with the one before it.
+    grading_inner is False when no family's index-0 element acts by the
+    weights (see _grading_failure); degree 0 then need not carry the whole
+    H^2.
     """
     if stabilization_steps < 1:
         raise ValueError("need at least one stabilization step")
@@ -1137,6 +1242,7 @@ def h2(
         stabilized=len({dim for _, dim in history}) == 1,
         core_history=history,
         matched_known=matched,
+        grading_inner=_grading_failure(alg) is None,
     )
 
 

@@ -18,6 +18,7 @@ exact: no floats appear anywhere in this module.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -154,23 +155,41 @@ def _scale_row(row: Mapping[int, Fraction]) -> dict:
 
 
 def _eliminate(row: dict, pivots: dict) -> dict:
-    """Reduce an integer row against the pivot rows; result is normalized."""
+    """Reduce an integer row against the pivot rows; result is normalized.
+    The argument is not modified.
+
+    Each step clears the row's leading column with the pivot row there:
+    row * (a / g) - pivot * (b / g) for leading entries a of the pivot and b
+    of the row, g = gcd(a, b).  The row is copied once and updated in place,
+    and a heap of its columns yields each next leading column; a column
+    that has cancelled stays in the heap and is skipped when it comes up."""
+    row = dict(row)
+    heap = list(row)
+    heapq.heapify(heap)
     while row:
-        lead = min(row)
+        lead = heapq.heappop(heap)
+        b = row.get(lead)
+        if b is None:
+            continue
         pivot = pivots.get(lead)
         if pivot is None:
             return _normalize_int_row(row)
-        a, b = pivot[lead], row[lead]
+        a = pivot[lead]
         g = math.gcd(a, b)
         ra, pb = a // g, b // g
-        merged = {col: ra * val for col, val in row.items()}
+        if ra != 1:
+            for col in row:
+                row[col] *= ra
         for col, val in pivot.items():
-            new = merged.get(col, 0) - pb * val
-            if new:
-                merged[col] = new
+            if col in row:
+                new = row[col] - pb * val
+                if new:
+                    row[col] = new
+                else:
+                    del row[col]
             else:
-                merged.pop(col, None)
-        row = merged
+                row[col] = -pb * val
+                heapq.heappush(heap, col)
     return {}
 
 

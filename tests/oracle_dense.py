@@ -3,7 +3,13 @@
 Independent reference for the sparse solver: no code shared with
 lieext.sparse beyond the Fraction type.  Everything here is O(n^3)
 row reduction on dense lists of lists, kept deliberately boring.
+
+reference_pivots is the one sparse exception: the fraction-free integer
+elimination of lieext.sparse._Echelon, step for step, written as plainly as
+possible (each step rebuilds the row as a new dict), so the solver's pivot
+rows can be compared exactly, not only up to span.
 """
+import math
 from fractions import Fraction
 
 
@@ -62,3 +68,36 @@ def dense_in_span(vector, vectors, n_cols):
 
 def dense_matvec(rows, vec):
     return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in rows]
+
+
+def _primitive(row):
+    """The row divided by the gcd of its entries, leading entry positive."""
+    g = 0
+    for value in row.values():
+        g = math.gcd(g, value)
+    if row[min(row)] < 0:
+        g = -g
+    return {col: value // g for col, value in row.items()}
+
+
+def reference_pivots(int_rows):
+    """{leading column: pivot row} of the {column: int} rows, inserted in
+    order: each row is reduced at its leading column by
+    row * (a / g) - pivot * (b / g), with a and b the pivot's and the row's
+    leading entries and g = gcd(a, b), until it vanishes or leads at a new
+    column, where it is kept as a primitive row."""
+    pivots = {}
+    for row in int_rows:
+        row = {col: value for col, value in row.items() if value}
+        while row and min(row) in pivots:
+            lead = min(row)
+            pivot = pivots[lead]
+            g = math.gcd(pivot[lead], row[lead])
+            ra, pb = pivot[lead] // g, row[lead] // g
+            merged = {col: ra * value for col, value in row.items()}
+            for col, value in pivot.items():
+                merged[col] = merged.get(col, 0) - pb * value
+            row = {col: value for col, value in merged.items() if value}
+        if row:
+            pivots[min(row)] = _primitive(row)
+    return pivots

@@ -1,6 +1,7 @@
 """End-to-end command line tests driving the installed entry point through
 subprocesses: output formats, exit codes, and file/preset resolution."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -254,12 +255,57 @@ def test_scan_bad_option_exits_before_any_pool(monkeypatch, capsys, option, mess
         def __init__(self, *args, **kwargs):
             pytest.fail("scan built a process pool for a bad option")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    # cmd_scan imports the pool class from here when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     # two usable CPUs and two grid points: a good scan would build a pool
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code = cli.main(["scan", "--lambda-values=1", "--mu-values=1,2", "--jobs", "2", *option])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only a parallel scan needs concurrent.futures (and multiprocessing)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lieext.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# The Witt algebra acting on the module W(lambda, mu), all of weight 0: at
+# lambda = 1, [L(0), W(m)] = (m + 1) W(m) and the grading is not inner.
+WAB_SOURCE = """
+algebra wab(lambda, mu) {
+    family L weight 0;
+    family W weight 0;
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, W m] = (lambda + m + mu*n) W(n + m);
+}
+"""
+GRADING_WARNING = "warning: the grading is not inner ([L(0), W(m)] = (m + 1) W(m);"
+
+
+def test_non_inner_grading_warns_and_keeps_the_exit_code(tmp_path):
+    path = tmp_path / "wab.lie"
+    path.write_text(WAB_SOURCE)
+    for lam, warned in (("1", True), ("0", False)):
+        proc = run_cli("h2", "--algebra", str(path), f"--lambda={lam}", "--mu=0",
+                       "--window", "8", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        if warned:
+            assert proc.stderr.startswith(GRADING_WARNING)
+            assert out["grading_inner"] is False
+        else:
+            assert proc.stderr == ""
+            assert "grading_inner" not in out
+    proc = run_cli("scan", "--algebra", str(path), "--lambda-values=0,1", "--mu-values=0",
+                   "--window", "8", "--jobs", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lambda=1 mu=0: " + GRADING_WARNING)
 
 
 def test_window_too_small_is_a_usage_error():

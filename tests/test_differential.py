@@ -382,30 +382,47 @@ def test_compiled_identity_matches_reference(monkeypatch, name, values, n):
             psi = known.instantiate(spec, params, window)
             assert report(known) == _reference_verify(identities, psi), known.name
 
-    # two sparse wrong null vectors; every row is checked, none eliminated
+    # wrong null vectors; every row is checked, none eliminated.  First two
+    # sparse small ones, then four with entries near +-2**61 of both signs,
+    # whose dot products must not spill into a neighbouring packed slot
     pairs = enumerate_pairs(spec, params, window, 0)
     rng = random.Random(n)
-    vectors = [
+    small = [
         {col: rng.choice((-2, -1, 1, 3)) for col in range(len(pairs)) if rng.random() < 0.3}
         for _ in range(2)
     ]
-    flagged = []
-    for x, y, z, terms in identities:
-        if terms is None:
-            continue
-        row = {}
-        for coeff, e, w in terms:
-            col, sign = pairs.column_of(e, w)
-            row[col] = row.get(col, 0) + sign * coeff
-        row = {col: value for col, value in row.items() if value}
-        if any(sum(value * vec.get(col, 0) for col, value in row.items()) for vec in vectors):
-            flagged.append(_scaled(row))
+    large = [
+        {
+            col: rng.choice((-1, 1)) * (2**61 - rng.randrange(2**20))
+            for col in range(len(pairs))
+            if rng.random() < 0.3
+        }
+        for _ in range(4)
+    ]
     monkeypatch.setattr(engine, "_SUBSET", frozenset())
     alg = engine._bind(spec, params)
-    recorder = _RecordingEchelon()
     compiled = engine._identities(alg, window, Fraction(0), pairs)
-    assert engine._add_violated(compiled, vectors, recorder) == len(flagged)
-    assert [_scaled(row) for row in recorder.rows] == flagged
+    for vectors in (small, large):
+        flagged, top = [], 0
+        for x, y, z, terms in identities:
+            if terms is None:
+                continue
+            row = {}
+            for coeff, e, w in terms:
+                col, sign = pairs.column_of(e, w)
+                row[col] = row.get(col, 0) + sign * coeff
+            row = {col: value for col, value in row.items() if value}
+            dots = [sum(value * vec.get(col, 0) for col, value in row.items()) for vec in vectors]
+            top = max(top, *map(abs, dots))
+            if any(dots):
+                flagged.append(_scaled(row))
+        # the reference rows are over Fraction; a packed dot product is an
+        # integer over the bracket denominator
+        width = engine._packed(vectors, compiled)[1]
+        assert top * alg.denominator < 2 ** (width - 1)
+        recorder = _RecordingEchelon()
+        assert engine._add_violated(compiled, vectors, recorder) == len(flagged)
+        assert [_scaled(row) for row in recorder.rows] == flagged
 
 
 @pytest.mark.parametrize(
@@ -484,9 +501,12 @@ def _seeded_windows(monkeypatch, spec, params, window, steps=3):
 
 @pytest.mark.parametrize("lam", GRID_LAMBDAS, ids=str)
 def test_seeded_windows_equal_fresh_solves_on_grid(monkeypatch, lam):
+    # the subset rule reaches full rank on the whole grid: the check of
+    # every window, first and seeded, adds no row
     spec = load_algebra("svir")
     for mu in GRID_MUS:
-        _seeded_windows(monkeypatch, spec, {"lambda": lam, "mu": mu}, Window(12))
+        windows = _seeded_windows(monkeypatch, spec, {"lambda": lam, "mu": mu}, Window(12))
+        assert [added for _, _, added in windows] == [0, 0, 0], mu
 
 
 @pytest.mark.parametrize(
@@ -500,7 +520,8 @@ def test_seeded_windows_equal_fresh_solves_on_grid(monkeypatch, lam):
     ids=["wide(-3,1)", "wide(1,1/2)", "witt", "one-step"],
 )
 def test_seeded_windows_equal_fresh_solves(monkeypatch, name, values, n, steps):
-    _seeded_windows(monkeypatch, load_algebra(name), values, Window(n), steps)
+    windows = _seeded_windows(monkeypatch, load_algebra(name), values, Window(n), steps)
+    assert not any(added for _, _, added in windows)
 
 
 @pytest.mark.parametrize("name, values", POINTS)

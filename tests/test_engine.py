@@ -1,8 +1,12 @@
+import ast
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lieext
 import lieext.engine as engine
 from lieext.algebra import BasisElement, validate_parameters
 from lieext.engine import (
@@ -420,3 +424,46 @@ algebra skew(mu) {
     bad = parse(src).spec
     with pytest.raises(ValueError, match="weight"):
         h2(bad, {"mu": 1}, Window(8, 3))
+
+
+# The Witt algebra acting on the module W(a, b), all of weight 0.  At a = 0,
+# L(0) acts on every element by its weight; at a = 1, [L(0), W(m)] =
+# (m + 1) W(m) and no family's index-0 element does.
+WAB_SOURCE = """
+algebra wab(a, b) {
+    family L weight 0;
+    family W weight 0;
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, W m] = (a + m + b*n) W(n + m);
+}
+"""
+
+
+def test_non_inner_grading_is_recorded():
+    spec = parse(WAB_SOURCE).spec
+    inner, shifted = {"a": 0, "b": 0}, {"a": 1, "b": 0}
+    assert h2(spec, inner, Window(8)).grading_inner
+    assert not h2(spec, shifted, Window(8)).grading_inner
+    assert h2(SVIR, {"lambda": -3, "mu": 1}, Window(6)).grading_inner
+    assert h2(WITT, {}, Window(6)).grading_inner
+    # the flag is needed: degree -1 carries a class at a = 1, none at a = 0
+    report = h2(spec, shifted, Window(8), degree=-1)
+    assert report.stabilized and report.core_h2_dim == 1
+    assert h2(spec, inner, Window(8), degree=-1).core_h2_dim == 0
+    assert nonzero_degree_triviality(spec, inner, Window(8), -1)
+    with pytest.raises(ValueError, match=r"\[L\(0\), W\(m\)\] = \(m \+ 1\) W\(m\).*does not apply"):
+        nonzero_degree_triviality(spec, shifted, Window(8), -1)
+
+
+def test_readme_library_names_are_exported():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    code = "\n".join(re.findall(r"```python\n(.*?)```", section, re.S))
+    names = {
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "lieext"
+        for alias in node.names
+    }
+    assert "validate_parameters" in names
+    assert names <= set(lieext.__all__)

@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import lieext.engine as engine
+from lieext.presets import load_algebra
 from lieext.sparse import (
     SparseMatrix,
     VectorBasis,
+    _Echelon,
+    _normalize_int_row,
     in_span,
     nullspace,
     project_dimension,
@@ -13,7 +17,7 @@ from lieext.sparse import (
     span_basis,
 )
 
-from oracle_dense import dense_in_span, dense_matvec, dense_nullspace, dense_rank
+from oracle_dense import dense_in_span, dense_matvec, dense_nullspace, dense_rank, reference_pivots
 
 
 def _random_dense(rng, max_dim=12, max_num=50):
@@ -140,3 +144,68 @@ def test_determinism():
     first = [list(v) for v in nullspace(mat)]
     second = [list(v) for v in nullspace(SparseMatrix.from_dense(dense))]
     assert first == second
+
+
+def _random_int_rows(rng):
+    """Integer rows with no zero entries; about half are integer
+    combinations of a few base rows, so many reduce to zero."""
+    n_cols = rng.randint(1, 14)
+    base = [
+        {c: rng.randint(-40, 40) for c in range(n_cols) if rng.random() < 0.4}
+        for _ in range(rng.randint(1, 5))
+    ]
+    rows = []
+    for _ in range(rng.randint(1, 18)):
+        if rng.random() < 0.5:
+            row = base[rng.randrange(len(base))].copy()
+        else:
+            row = {}
+            for other in base:
+                factor = rng.randint(-3, 3)
+                for c, v in other.items():
+                    row[c] = row.get(c, 0) + factor * v
+        rows.append({c: v for c, v in row.items() if v})
+    return [row for row in rows if row]
+
+
+def _subset_rows(name, values, n):
+    """The normalized subset rows of the engine's certified solve at one
+    point, in the order it eliminates them."""
+    spec = load_algebra(name)
+    alg = engine._bind(spec, values)
+    window = engine.Window(n)
+    pairs = engine._enumerate_pairs(alg, window, Fraction(0))
+    rows = []
+    for identity in engine._identities(alg, window, Fraction(0), pairs):
+        for idx in identity.indices(engine._SUBSET):
+            row = identity.row(idx)
+            if row:
+                rows.append(_normalize_int_row(row))
+    return rows
+
+
+def test_echelon_pivots_equal_reference_elimination():
+    rng = random.Random(1361)
+    cases = [_random_int_rows(rng) for _ in range(300)]
+    cases.append(_subset_rows("svir", {"lambda": -3, "mu": 1}, 12))
+    assert len(cases[-1]) > 100
+    for rows in cases:
+        snapshot = [dict(row) for row in rows]
+        ech = _Echelon(rows)
+        assert ech.pivots == reference_pivots(snapshot)
+        assert rows == snapshot
+        for row in rows:
+            assert ech.contains(row)
+        assert rows == snapshot
+
+
+def test_echelon_contains_leaves_its_argument_alone():
+    rng = random.Random(4)
+    for _ in range(100):
+        rows = _random_int_rows(rng)
+        ech = _Echelon(rows[: len(rows) // 2])
+        for row in rows:
+            snapshot = dict(row)
+            expected = reference_pivots([*ech.pivots.values(), row]).keys() == ech.pivots.keys()
+            assert ech.contains(row) == expected
+            assert row == snapshot
