@@ -15,6 +15,7 @@ from .algebra import (
     AlgebraSpec,
     BasisElement,
     BracketRule,
+    CocycleLine,
     ParameterError,
     check_jacobi_symbolic,
     check_jacobi_window,
@@ -25,7 +26,6 @@ from .engine import (
     REGISTRY,
     CocycleAssignment,
     H2Report,
-    CocycleLine,
     KnownCocycle,
     MatchResult,
     PairBasis,

@@ -22,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Mapping, Sequence
 
@@ -29,6 +30,7 @@ from .poly import IndexPolynomial
 from .rational import as_rational
 
 IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+CLASS_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*(-[A-Za-z][A-Za-z0-9_]*)*$")
 
 ParamMap = Mapping[str, Fraction]
 
@@ -63,6 +65,36 @@ class BracketRule:
 
     def is_zero(self) -> bool:
         return self.out_family is None
+
+
+@dataclass(frozen=True)
+class CocycleLine:
+    """One line of a declared cocycle class: psi(family_a var_a, family_b
+    var_b) = coeff / denom on var_a + var_b = offset, 0 on the sector's other
+    pairs.  coeff and denom are polynomials in var_b and the parameters,
+    offset one in the parameters; denom is at most linear in var_b."""
+
+    family_a: str
+    family_b: str
+    coeff: IndexPolynomial
+    offset: IndexPolynomial = IndexPolynomial()
+    denom: IndexPolynomial = IndexPolynomial.constant(1)
+    var_a: str = "n"
+    var_b: str = "m"
+
+    def __post_init__(self):
+        if self.denom.is_zero():
+            raise ValueError("line denominator is identically zero")
+        if self.denom != 1 and self.denom.is_constant():  # one form for c / k, as parsed
+            object.__setattr__(self, "coeff", self.coeff / self.denom)
+            object.__setattr__(self, "denom", IndexPolynomial.constant(1))
+        if any(var == self.var_b and e > 1 for mono, _ in self.denom.term_items() for var, e in mono):
+            raise ValueError(f"line denominator {self.denom.to_text()} has degree 2 or more in {self.var_b}")
+
+    @cached_property
+    def parameters(self) -> frozenset:
+        """The parameters the line uses: every variable but var_b."""
+        return (self.coeff.variables() | self.denom.variables()) - {self.var_b} | self.offset.variables()
 
 
 def same_family_rule_is_antisymmetric(rule: BracketRule) -> bool:
@@ -100,10 +132,11 @@ class AlgebraSpec:
     entry (missing ones become zero rules), and a rule whose coefficient is
     the zero polynomial is stored as a zero rule with canonical index
     variable names.  Structural equality of two specs therefore coincides
-    with them defining the same bracket table.
+    with the same name, bracket table (_table) and declared cocycle classes
+    in order; cocycles maps each class name to its tuple of CocycleLines.
     """
 
-    __slots__ = ("name", "parameters", "families", "weight_offsets", "rules", "_positions")
+    __slots__ = ("name", "parameters", "families", "weight_offsets", "rules", "cocycles", "_positions")
 
     def __init__(
         self,
@@ -112,6 +145,7 @@ class AlgebraSpec:
         families: Sequence[str],
         weight_offsets: Mapping[str, IndexPolynomial],
         rules: Mapping[tuple, BracketRule],
+        cocycles: Mapping[str, Sequence[CocycleLine]] | None = None,
     ):
         if not IDENT_RE.match(name):
             raise ValueError(f"bad algebra name {name!r}")
@@ -178,6 +212,15 @@ class AlgebraSpec:
         object.__setattr__(self, "families", families)
         object.__setattr__(self, "weight_offsets", offsets)
         object.__setattr__(self, "rules", ordered)
+        classes = {name: tuple(lines) for name, lines in (cocycles or {}).items()}
+        for name, lines in classes.items():
+            if not CLASS_NAME_RE.match(name) or not lines:
+                raise ValueError(f"bad cocycle class name {name!r} or no lines")
+            for line in lines:
+                unknown = {line.family_a, line.family_b} - positions.keys(), line.parameters - {*parameters}
+                if any(unknown) or {line.var_a, line.var_b} & {*parameters}:
+                    raise ValueError(f"cocycle {name!r} uses an undeclared family or parameter")
+        object.__setattr__(self, "cocycles", classes)
         object.__setattr__(self, "_positions", positions)
 
     def __setattr__(self, name, value):
@@ -244,15 +287,17 @@ class AlgebraSpec:
         coeff = rule.coeff.substitute({rule.var_left: left, rule.var_right: right})
         return rule.out_family, (-coeff if flipped else coeff)
 
+    def _table(self) -> tuple:
+        """The bracket table: all but the name and the declared classes."""
+        return self.parameters, self.families, self.weight_offsets, self.rules
+
     def __eq__(self, other):
         if not isinstance(other, AlgebraSpec):
             return NotImplemented
         return (
             self.name == other.name
-            and self.parameters == other.parameters
-            and self.families == other.families
-            and self.weight_offsets == other.weight_offsets
-            and self.rules == other.rules
+            and self._table() == other._table()
+            and list(self.cocycles.items()) == list(other.cocycles.items())
         )
 
     def __repr__(self):
@@ -270,10 +315,10 @@ def validate_parameters(spec: AlgebraSpec, values: Mapping) -> dict:
     Values may be ints, Fractions, or "p/q" strings.  For the bundled svir
     algebra mu = 0 is rejected: that degeneration collapses the weight
     grading this engine relies on and has a different extension theory.
-    The rule follows the bracket table, not the name, so a user algebra
-    that only borrows the name "svir" is not affected.
+    The rule follows the bracket table, not the name (presets.is_svir): it
+    spares an algebra that only borrows the name and holds for a renamed copy.
     """
-    from .presets import load_algebra  # presets imports this module
+    from .presets import is_svir  # presets imports this module
     bound = {}
     for key, value in values.items():
         if key not in spec.parameters:
@@ -285,7 +330,7 @@ def validate_parameters(spec: AlgebraSpec, values: Mapping) -> dict:
     missing = [p for p in spec.parameters if p not in bound]
     if missing:
         raise ParameterError(f"missing parameter {missing[0]!r} for algebra {spec.name!r}")
-    if bound.get("mu") == 0 and spec == load_algebra("svir"):
+    if bound.get("mu") == 0 and is_svir(spec):
         raise ParameterError(
             "mu = 0 is out of scope for svir: the Y/M weight grading degenerates "
             "and the classification computed here does not apply"
@@ -303,8 +348,8 @@ class BoundAlgebra:
     pair the bracket [F_n, G_m] = c(n, m) H_{n+m}, with the parameters
     substituted, is held as integer terms (k, a, b) meaning
     c(n, m) = sum k * n**a * m**b / denominator, with one denominator shared
-    by every rule (_compile, which also compiles the registry's cocycle
-    lines).  A sum of brackets, such as one cocycle row, is therefore
+    by every rule (_compile, which also compiles the lines of cocycle
+    classes).  A sum of brackets, such as one cocycle row, is therefore
     accumulated in ints and divided by the denominator once.  _rules[p][q]
     is (output family position, terms), or None when the pair brackets to
     zero; the engine compiles its cocycle identities from it.
@@ -348,7 +393,8 @@ def _compile(polys: list, params: ParamMap) -> tuple:
     """(denominator, terms): each (polynomial, n, m) of polys with the
     parameters substituted, as integer terms (k, a, b) meaning the sum of
     k * n**a * m**b / denominator, over one common denominator.  n None
-    means a polynomial in m alone; any other variable raises ValueError."""
+    means a polynomial in m alone, and m None too one in the parameters
+    alone; any other variable raises ValueError."""
     compiled = []
     for poly, n, m in polys:
         terms: dict = {}  # (exponent of n, exponent of m) -> coefficient

@@ -21,8 +21,8 @@ import sys
 
 from .algebra import ParameterError, check_jacobi_symbolic, check_jacobi_window, validate_parameters
 from .engine import (
-    REGISTRY,
     CocycleAssignment,
+    KnownCocycle,
     Window,
     _bind,
     _grading_failure,
@@ -31,7 +31,7 @@ from .engine import (
     theorem_predicted_dim,
     verify_cocycle,
 )
-from .presets import load_algebra
+from .presets import is_svir, load_algebra
 from .rational import format_rational, parse_rational
 
 
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a cocycle against the identity")
     _add_algebra_options(p_verify)
     p_verify.add_argument("--cocycle", required=True, metavar="NAME_OR_FILE",
-                          help=f"one of {', '.join(REGISTRY)} or a JSON assignment file")
+                          help="a cocycle class the algebra declares, or a JSON assignment file")
     p_verify.add_argument("--window", type=int, default=12, metavar="N")
     p_verify.add_argument("--margin", type=int, default=3, metavar="M")
     p_verify.set_defaults(func=cmd_verify)
@@ -146,9 +146,10 @@ def cmd_jacobi(args) -> int:
 
 
 def _prediction(spec, params, degree):
-    """The closed-form table's dimension; it describes the bundled svir
-    bracket table, so a user algebra that only shares the name gets none."""
-    if degree == 0 and spec == load_algebra("svir"):
+    """The closed-form table's dimension, for the bundled svir bracket
+    table under any name (is_svir); an algebra that only shares the name
+    gets none."""
+    if degree == 0 and is_svir(spec):
         return theorem_predicted_dim(params["lambda"], params["mu"])
     return None
 
@@ -331,16 +332,16 @@ def _cell(value) -> str:
 def cmd_verify(args) -> int:
     spec, params = _bound_algebra(args)
     window = Window(args.window, args.margin)
-    if args.cocycle in REGISTRY:
-        cocycle = REGISTRY[args.cocycle]
+    if args.cocycle in spec.cocycles:
+        cocycle = KnownCocycle(args.cocycle, spec.cocycles[args.cocycle])
     elif os.path.isfile(args.cocycle):
         with open(args.cocycle) as handle:
             data = json.load(handle)
         cocycle = CocycleAssignment.from_json_dict(spec, window, data)
     else:
         raise ParameterError(
-            f"unknown cocycle {args.cocycle!r}: not a registry name "
-            f"({', '.join(REGISTRY)}) and not a file"
+            f"unknown cocycle {args.cocycle!r}: not a class {spec.name} declares "
+            f"({', '.join(spec.cocycles) or 'none'}) and not a file"
         )
     report = verify_cocycle(spec, params, window, cocycle)
     if not report.passed:

@@ -4,17 +4,28 @@ Grammar (comments run from "#" to end of line):
 
     file    := "algebra" IDENT "(" [ IDENT { "," IDENT } ] ")" "{" item* "}"
     item    := "family" IDENT "weight" expr ";"
-             | "bracket" "[" IDENT IDENT "," IDENT IDENT "]" "=" rhs ";"
+             | "bracket" head "=" rhs ";"
+             | "cocycle" name "{" line+ "}"
+    head    := "[" IDENT IDENT "," IDENT IDENT "]"
     rhs     := expr [ IDENT "(" expr ")" ]
+    name    := IDENT { "-" IDENT }
+    line    := head "=" expr [ "/" factor ] "on" expr "=" expr ";"
     expr    := term { ("+" | "-") term }
     term    := factor { ("*" | "/") factor }
     factor  := INT | IDENT | "(" expr ")" | ("+" | "-") factor
 
-In a bracket item the two identifiers after each family name the index
-variables; the trailing IDENT "(" expr ")" of a rhs is the output family and
-its index, which must be exactly the sum of the two index variables.  A rhs
-that is just the zero polynomial declares a vanishing bracket.  Division is
-legal only by a nonzero constant, so every coefficient stays polynomial.
+In a head the identifier after each family names its index variable.  In a
+bracket item the trailing IDENT "(" expr ")" of a rhs is the output family
+and its index, which must be exactly the sum of the two index variables.  A
+rhs that is just the zero polynomial declares a vanishing bracket.  Division
+is legal only by a nonzero constant, so every coefficient stays polynomial.
+
+A cocycle item declares a named closed-form class, one line per pair sector
+(algebra.CocycleLine): [A n, B m] = c / d on n + m = t is psi(A_n, B_m) =
+c(m) / d(m) where n + m = t, and 0 on the sector's other pairs.  c and d
+are in the second index variable and the parameters, t in the parameters.
+The denominator, of degree at most 1 in m, is the one division by a
+non-constant allowed, as the last operation of the coefficient.
 
 parse() never raises: it returns a ParseResult whose spec is None when any
 error-severity diagnostic was produced.  Family pairs without a rule are
@@ -27,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import AlgebraSpec, BracketRule, same_family_rule_is_antisymmetric
+from .algebra import AlgebraSpec, BracketRule, CocycleLine, same_family_rule_is_antisymmetric
 from .poly import IndexPolynomial
 
-KEYWORDS = frozenset({"algebra", "family", "weight", "bracket"})
+KEYWORDS = frozenset({"algebra", "family", "weight", "bracket", "cocycle", "on"})
 _PUNCT = frozenset("(){}[],;=+-*/")
 _MAX_EXPR_DEPTH = 64
 _DIGITS = frozenset("0123456789")
@@ -185,33 +196,38 @@ class _Parser:
             self.error("nesting", "expression nesting too deep")
             raise _Abort()
 
-    def parse_expr(self, allowed: frozenset, depth: int = 0) -> IndexPolynomial:
+    def parse_expr(self, allowed: frozenset, depth: int = 0, quotient: list | None = None) -> IndexPolynomial:
+        """quotient, when given, receives a cocycle line's denominator: a
+        division by a non-constant that ends the expression's first term
+        just before "on", so that it divides the whole coefficient."""
         self.check_depth(depth)
-        value = self.parse_term(allowed, depth)
+        value = self.parse_term(allowed, depth, quotient)
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
             rhs = self.parse_term(allowed, depth)
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def parse_term(self, allowed: frozenset, depth: int) -> IndexPolynomial:
+    def parse_term(self, allowed: frozenset, depth: int, quotient: list | None = None) -> IndexPolynomial:
         value = self.parse_factor(allowed, depth)
         while self.peek().kind in ("*", "/"):
             op_tok = self.advance()
             rhs = self.parse_factor(allowed, depth)
             if op_tok.kind == "*":
                 value = value * rhs
-            else:
-                if not rhs.is_constant():
+            elif not rhs.is_constant():
+                if quotient is not None and (self.peek().kind, self.peek().text) == ("ident", "on"):
+                    quotient.append(rhs)
+                else:
                     self.error(
                         "non-polynomial-coefficient",
                         "division is only allowed by a nonzero constant",
                         op_tok,
                     )
-                elif rhs.constant_value() == 0:
-                    self.error("division-by-zero", "division by zero", op_tok)
-                else:
-                    value = value / rhs.constant_value()
+            elif rhs.constant_value() == 0:
+                self.error("division-by-zero", "division by zero", op_tok)
+            else:
+                value = value / rhs.constant_value()
         return value
 
     def parse_factor(self, allowed: frozenset, depth: int) -> IndexPolynomial:
@@ -250,6 +266,8 @@ class _Parser:
         family_toks: dict = {}
         offsets: dict = {}
         brackets: list = []
+        classes: dict = {}  # name -> [CocycleLine]
+        refs: list = []  # the family tokens of the cocycle lines
         try:
             self.expect_keyword("algebra")
             name_tok = self.ident("an algebra name")
@@ -266,23 +284,20 @@ class _Parser:
                     self.advance()
             self.expect(")", "')'")
             self.expect("{", "'{'")
+            items = {
+                "family": lambda: self.parse_family(params, families, family_toks, offsets),
+                "bracket": lambda: brackets.append(self.parse_bracket(params)),
+                "cocycle": lambda: self.parse_cocycle(params, classes, refs),
+            }
             while self.peek().kind not in ("}", "eof"):
                 tok = self.peek()
-                if tok.kind == "ident" and tok.text == "family":
-                    try:
-                        self.parse_family(params, families, family_toks, offsets)
-                    except _Abort:
-                        self.sync_to_semicolon()
-                elif tok.kind == "ident" and tok.text == "bracket":
-                    try:
-                        item = self.parse_bracket(params)
-                        if item is not None:
-                            brackets.append(item)
-                    except _Abort:
-                        self.sync_to_semicolon()
-                else:
-                    self.error("syntax", f"expected 'family' or 'bracket', found {tok.text!r}")
+                if tok.kind != "ident" or tok.text not in items:
+                    self.error("syntax", f"expected 'family', 'bracket' or 'cocycle', found {tok.text!r}")
                     raise _Abort()
+                try:
+                    items[tok.text]()
+                except _Abort:
+                    self.sync_to_semicolon()
             self.expect("}", "'}'")
             if self.peek().kind != "eof":
                 self.error("syntax", f"unexpected trailing input {self.peek().text!r}")
@@ -291,7 +306,7 @@ class _Parser:
 
         if any(d.severity == "error" for d in self.diagnostics):
             return None
-        return self.assemble(name_tok, params, families, family_toks, offsets, brackets)
+        return self.assemble(name_tok, params, families, family_toks, offsets, brackets, classes, refs)
 
     def parse_family(self, params, families, family_toks, offsets):
         self.expect_keyword("family")
@@ -308,8 +323,8 @@ class _Parser:
         offsets[name] = self.parse_expr(frozenset(params))
         self.expect(";", "';'")
 
-    def parse_bracket(self, params) -> _RawBracket | None:
-        self.expect_keyword("bracket")
+    def parse_head(self, params) -> tuple:
+        """(left token, right token, left variable, right variable) of a head and its "=" """
         self.expect("[", "'['")
         left_tok = self.ident("a family name")
         var_left_tok = self.ident("an index variable")
@@ -318,28 +333,29 @@ class _Parser:
         var_right_tok = self.ident("an index variable")
         self.expect("]", "']'")
         self.expect("=", "'='")
-        var_left, var_right = var_left_tok.text, var_right_tok.text
-        if var_left == var_right:
-            self.error("duplicate-index-variable", f"index variable {var_right!r} is repeated", var_right_tok)
+        if var_left_tok.text == var_right_tok.text:
+            self.error("duplicate-index-variable", f"index variable {var_right_tok.text!r} is repeated", var_right_tok)
         for vtok in (var_left_tok, var_right_tok):
             if vtok.text in params:
                 self.error("index-shadows-parameter", f"index variable {vtok.text!r} collides with a parameter", vtok)
-        index_vars = frozenset({var_left, var_right})
-        allowed = index_vars | frozenset(params)
-        coeff = self.parse_expr(allowed)
+        return left_tok, right_tok, var_left_tok.text, var_right_tok.text
+
+    def index_sum(self, var_left: str, var_right: str, code: str, what: str, tok: _Token):
+        """Parse an index expression that must be var_left + var_right."""
+        index_poly = self.parse_expr(frozenset({var_left, var_right}))
+        if index_poly != IndexPolynomial.variable(var_left) + IndexPolynomial.variable(var_right):
+            self.error(code, f"{what} must be {var_left} + {var_right}", tok)
+
+    def parse_bracket(self, params) -> _RawBracket:
+        self.expect_keyword("bracket")
+        left_tok, right_tok, var_left, var_right = self.parse_head(params)
+        coeff = self.parse_expr(frozenset({var_left, var_right, *params}))
         out_tok = None
         if self.peek().kind == "ident":
             out_tok = self.ident("an output family")
             paren = self.expect("(", "'('")
-            index_poly = self.parse_expr(index_vars)
+            self.index_sum(var_left, var_right, "non-additive-output-index", "output index", paren)
             self.expect(")", "')'")
-            expected = IndexPolynomial.variable(var_left) + IndexPolynomial.variable(var_right)
-            if index_poly != expected:
-                self.error(
-                    "non-additive-output-index",
-                    f"output index must be {var_left} + {var_right}",
-                    paren,
-                )
         elif not coeff.is_zero():
             self.error(
                 "missing-output-family",
@@ -349,7 +365,47 @@ class _Parser:
         self.expect(";", "';'")
         return _RawBracket(left_tok, right_tok, var_left, var_right, coeff, out_tok)
 
-    def assemble(self, name_tok, params, families, family_toks, offsets, brackets) -> AlgebraSpec | None:
+    def parse_cocycle(self, params, classes: dict, refs: list):
+        """A cocycle block into classes; a broken line is skipped to its
+        ";" and the block goes on."""
+        self.expect_keyword("cocycle")
+        name_tok = self.ident("a cocycle class name")
+        name = name_tok.text
+        while self.peek().kind == "-":
+            self.advance()
+            name += "-" + self.expect("ident", "a class name part").text
+        self.expect("{", "'{'")
+        lines = []
+        while self.peek().kind not in ("}", "eof"):
+            try:
+                lines.append(self.parse_cocycle_line(params, refs))
+            except _Abort:
+                self.sync_to_semicolon()
+        self.expect("}", "'}'")
+        if name in classes:
+            self.error("duplicate-cocycle", f"duplicate cocycle class {name!r}", name_tok)
+        elif not lines:
+            self.error("empty-cocycle", f"cocycle class {name!r} has no lines", name_tok)
+        classes[name] = lines
+
+    def parse_cocycle_line(self, params, refs: list) -> CocycleLine | None:
+        left_tok, right_tok, var_a, var_b = self.parse_head(params)
+        refs += (left_tok, right_tok)
+        quotient: list = []
+        coeff = self.parse_expr(frozenset({var_b, *params}), quotient=quotient)
+        on_tok = self.expect_keyword("on")
+        self.index_sum(var_a, var_b, "non-additive-support", "a support line", on_tok)
+        self.expect("=", "'='")
+        offset = self.parse_expr(frozenset(params))
+        self.expect(";", "';'")
+        denom = quotient[0] if quotient else IndexPolynomial.constant(1)
+        try:
+            return CocycleLine(left_tok.text, right_tok.text, coeff, offset, denom, var_a, var_b)
+        except ValueError as exc:  # a denominator of degree 2 or more
+            self.error("bad-denominator", str(exc), on_tok)
+            return None
+
+    def assemble(self, name_tok, params, families, family_toks, offsets, brackets, classes, refs) -> AlgebraSpec | None:
         positions = {fam: i for i, fam in enumerate(families)}
         rules: dict = {}
         for raw in brackets:
@@ -385,6 +441,9 @@ class _Parser:
                 )
                 continue
             rules[key] = rule
+        for tok in refs:
+            if tok.text not in positions:
+                self.error("undeclared-family", f"undeclared family {tok.text!r}", tok)
         for i, fam_a in enumerate(families):
             for fam_b in families[i:]:
                 if (fam_a, fam_b) not in rules:
@@ -396,7 +455,7 @@ class _Parser:
         if any(d.severity == "error" for d in self.diagnostics):
             return None
         try:
-            return AlgebraSpec(name_tok.text, params, families, offsets, rules)
+            return AlgebraSpec(name_tok.text, params, families, offsets, rules, classes)
         except ValueError as exc:  # pre-checked above; keep the no-raise contract
             self.error("invalid-spec", str(exc), name_tok)
             return None
@@ -454,5 +513,17 @@ def render(spec: AlgebraSpec) -> str:
             order = (rule.var_left, rule.var_right) + spec.parameters
             coeff = _coeff_text(rule.coeff, order)
             lines.append(f"{head} = {coeff} {rule.out_family}({rule.var_left} + {rule.var_right});")
+    for name, cocycle in spec.cocycles.items():
+        lines.append(f"    cocycle {name} {{")
+        for line in cocycle:
+            order = (line.var_b,) + spec.parameters
+            rhs = _coeff_text(line.coeff, order)
+            if line.denom != 1:
+                rhs += f" / ({line.denom.to_text(order)})"
+            lines.append(
+                f"        [{line.family_a} {line.var_a}, {line.family_b} {line.var_b}] = {rhs} "
+                f"on {line.var_a} + {line.var_b} = {line.offset.to_text(spec.parameters)};"
+            )
+        lines.append("    }")
     lines.append("}")
     return "\n".join(lines) + "\n"

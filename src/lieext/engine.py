@@ -85,18 +85,20 @@ nonzero entry becomes a Fraction once, at the end of the row.
 verify_cocycle holds psi's values of each degree as integers over one
 common denominator too, so each residual is summed in integers.
 
-A registry class goes through the same kernel.  Its applicability is
-decided once per class and call, by the step that compiles each line at the
-bound parameters: coefficient and denominator become integer terms in m
-over one shared scale, so each value is one quotient of two integers.
+A cocycle class, which an algebra's .lie file declares (AlgebraSpec.cocycles)
+and which is matched against that algebra only, goes through the same
+kernel.  Its applicability is decided once per class and call, by the step
+that compiles each line at the bound parameters: coefficient, denominator
+and support offset become integer terms over one shared scale, so each
+value is one quotient of two integers.
 
 After the solve every vector stays a {column: int} row: the primitive null
 vectors, the kept coboundary generators as numerators over the algebra's
-denominator, and a registry class as its values over their common
+denominator, and a cocycle class as its values over their common
 denominator.  A core dimension is the rank of such rows restricted to the
 core columns, which keep their indices (echelon order is column order, so
 nothing is renumbered).  Each window's core-coboundary echelon is built once
-and serves core_h2 and the coboundary test of every registry class; one
+and serves core_h2 and the coboundary test of every cocycle class; one
 echelon of the null vectors serves their cocycle test.  Fractions appear only
 at the public boundary: cocycle_space and coboundary_space return a
 VectorBasis, and match_known takes them.
@@ -120,6 +122,7 @@ from .algebra import (
     validate_parameters,
 )
 from .poly import IndexPolynomial
+from .presets import load_algebra
 from .rational import as_rational, format_rational, parse_rational
 from .sparse import (
     SparseMatrix,
@@ -324,8 +327,7 @@ class _Identity:
         else:
             js = sorted({y for x in meeting for y in (x, total - i - x) if low <= y <= high})
         if avoiding:
-            skip = {y for x in avoiding for y in (x, total - i - x)}
-            js = [j for j in js if j not in skip]
+            js = [j for j in js if j not in avoiding and total - i - j not in avoiding]
         return js
 
     def indices(self, meeting=None, avoiding=frozenset()):
@@ -755,87 +757,28 @@ def _parse_pair_key(key: str) -> tuple:
     return elements[0], elements[1]
 
 
-# known cocycle registry
-
-
-@dataclass(frozen=True)
-class CocycleLine:
-    """One supported line of a closed-form cocycle: c(A_n, B_m) =
-    coeff(m, mu) / denom(m, mu) on n + m = -mu_multiple * mu,
-    all other pairs zero.
-
-    The coefficient and denominator polynomials use the variable m for the
-    family_b index and may use mu.  A line with a non-constant denominator
-    only defines a cocycle at parameters where the denominator has no
-    integer root in m; applicability() enforces that.
-    """
-
-    family_a: str
-    family_b: str
-    coeff: IndexPolynomial
-    mu_multiple: int = 0
-    denom: IndexPolynomial = field(default_factory=lambda: IndexPolynomial.constant(1))
-
-    def __post_init__(self):
-        if self.denom.is_zero():
-            raise ValueError("line denominator is identically zero")
-
-    def offset(self, params: ParamMap) -> int:
-        """The integer t with support n + m == t."""
-        total = Fraction(0)
-        if self.mu_multiple:
-            total -= self.mu_multiple * Fraction(params["mu"])
-        if total.denominator != 1:
-            raise ValueError("support line misses integer indices")
-        return int(total)
-
-
-def _has_integer_root(terms: tuple) -> bool:
-    """Whether a nonzero polynomial in m, held as integer terms (k, 0, b),
-    vanishes at any integer.  a*m + b does exactly when a divides b; at
-    higher degree the candidates are the divisors of the constant term, and
-    a zero constant term means m = 0 is already a root."""
-    constant = _evaluate(terms, 0, 0)
-    degree = max(b for _, _, b in terms)
-    if not constant or not degree:
-        return not constant
-    if degree == 1:
-        return constant % sum(k for k, _, b in terms if b) == 0
-    for low in range(1, math.isqrt(abs(constant)) + 1):
-        if constant % low:
-            continue
-        for cand in (low, -low, constant // low, -(constant // low)):
-            if not _evaluate(terms, 0, cand):
-                return True
-    return False
+# declared cocycle classes
 
 
 @dataclass(frozen=True)
 class KnownCocycle:
-    """A closed-form cocycle given by one or more supported lines.
+    """A closed-form cocycle class given by one or more CocycleLines, as a
+    .lie file's cocycle block declares it.
 
-    Most registry entries live on a single line; classes whose defining
-    relations couple several pair sectors (the lambda = 1 mixed class
-    couples L-M to Y-Y) carry one line per sector.  Applicability requires
-    every line's mu_multiple * mu to be an integer so the support hits
-    integer indices.
+    Most classes live on a single line; classes whose defining relations
+    couple several pair sectors (svir's lm-yy-cubic couples L-M to Y-Y)
+    carry one line per sector.  Applicability requires every line's offset
+    to be an integer, so the support hits integer indices, and every
+    denominator to have no integer root.
     """
 
     name: str
     lines: tuple
-    note: str = ""
 
     def __post_init__(self):
         if not self.lines:
             raise ValueError("a known cocycle needs at least one line")
         object.__setattr__(self, "lines", tuple(self.lines))
-
-    @classmethod
-    def single(cls, name, family_a, family_b, coeff, mu_multiple=0, denom=None, note=""):
-        if denom is None:
-            denom = IndexPolynomial.constant(1)
-        line = CocycleLine(family_a, family_b, coeff, mu_multiple, denom)
-        return cls(name, (line,), note)
 
     def applicability(self, spec: AlgebraSpec, params: ParamMap) -> str | None:
         """None when this cocycle makes sense on the algebra, else the
@@ -846,24 +789,33 @@ class KnownCocycle:
         """(reason, lines): applicability's answer, and when that is None
         each line at these parameters as (line, support offset, coefficient
         terms, denominator terms), both integer terms (k, 0, b) in m over
-        one scale shared by the line."""
+        one scale; the offset is compiled alone and first, to fail fast."""
         compiled = []
         for line in self.lines:
             for fam in (line.family_a, line.family_b):
                 if fam not in spec.families:
                     return f"algebra has no family {fam}", None
-            if line.mu_multiple or "mu" in line.coeff.variables() | line.denom.variables():
-                if "mu" not in spec.parameters:
-                    return "algebra has no parameter mu", None
-                if (line.mu_multiple * Fraction(params["mu"])).denominator != 1:
-                    prefix = "mu" if line.mu_multiple == 1 else f"{line.mu_multiple}*mu"
-                    return f"requires {prefix} integer", None
+            extra = sorted(line.parameters - set(spec.parameters))
+            if extra:
+                return f"algebra has no parameter {extra[0]}", None
             bound = {p: params[p] for p in spec.parameters}
-            _, (coeff, denom) = _compile([(line.coeff, None, "m"), (line.denom, None, "m")], bound)
-            if not denom or _has_integer_root(denom):
+            scale, (offset,) = _compile([(line.offset, None, None)], bound)
+            total = Fraction(_evaluate(offset, 0, 0), scale)
+            if total.denominator != 1:
+                # t is an integer exactly when -t is: name the one that
+                # leads with a positive term
+                lead = line.offset.sorted_terms(spec.parameters)[0][1]
+                text = (line.offset if lead > 0 else -line.offset).to_text(spec.parameters)
+                return f"requires {text} integer", None
+            _, (coeff, denom) = _compile([(line.coeff, None, line.var_b), (line.denom, None, line.var_b)], bound)
+            # a*m + b (CocycleLine keeps it at most linear) vanishes at an
+            # integer m exactly when a divides b
+            slope = sum(k for k, _, e in denom if e)
+            if not denom or (slope and _evaluate(denom, 0, 0) % slope == 0):
                 where = "at an integer index" if denom else "identically"
-                return f"denominator {line.denom.to_text(('m', 'mu'))} vanishes {where}", None
-            compiled.append((line, line.offset(params), coeff, denom))
+                text = line.denom.to_text((line.var_b,) + spec.parameters)
+                return f"denominator {text} vanishes {where}", None
+            compiled.append((line, int(total), coeff, denom))
         return None, compiled
 
     def degree(self, spec: AlgebraSpec, params: ParamMap) -> Fraction:
@@ -871,7 +823,7 @@ class KnownCocycle:
         degrees = {
             offs[line.family_a].evaluate(params)
             + offs[line.family_b].evaluate(params)
-            + line.offset(params)
+            + line.offset.evaluate(params)
             for line in self.lines
         }
         if len(degrees) != 1:
@@ -909,89 +861,10 @@ class KnownCocycle:
         return values
 
 
-def _poly(text: str) -> IndexPolynomial:
-    from .dsl import parse_polynomial
-
-    return parse_polynomial(text, ("m", "mu"))
-
-
-def _registry() -> dict:
-    entries = [
-        KnownCocycle.single(
-            "virasoro",
-            "L",
-            "L",
-            _poly("(m - m*m*m)/12"),
-            note="central charge on the L sector",
-        ),
-        KnownCocycle.single(
-            "c1",
-            "L",
-            "Y",
-            _poly("(m + mu)*(m + mu + 1)/2"),
-            mu_multiple=1,
-            note="L-Y quadratic class, present at lambda = -1",
-        ),
-        KnownCocycle.single(
-            "c2",
-            "M",
-            "Y",
-            _poly("1"),
-            mu_multiple=3,
-            note="Y-M pairing along n + m = -3*mu",
-        ),
-        KnownCocycle.single(
-            "ly-linear",
-            "L",
-            "Y",
-            _poly("(m + mu + 1)/2"),
-            mu_multiple=1,
-            note="L-Y linear class, present at lambda = -3",
-        ),
-        KnownCocycle.single(
-            "ly-cubic",
-            "L",
-            "Y",
-            _poly("(m + mu - 1)*(m + mu)*(m + mu + 1)"),
-            mu_multiple=1,
-            note="L-Y cubic class, present at lambda = 1",
-        ),
-        KnownCocycle.single(
-            "ly-constant",
-            "L",
-            "Y",
-            _poly("1"),
-            mu_multiple=1,
-            note="L-Y constant class, present at lambda = -3; every L-Y "
-            "coboundary coefficient vanishes there, so it is nontrivial",
-        ),
-        KnownCocycle(
-            "lm-yy-cubic",
-            (
-                CocycleLine("L", "M", _poly("(m + 2*mu - 1)*(m + 2*mu)*(m + 2*mu + 1)"), mu_multiple=2),
-                CocycleLine("Y", "Y", _poly("(m + mu - 1)*(m + mu)*(m + mu + 1)"), mu_multiple=2),
-            ),
-            note="coupled L-M and Y-Y cubic class, present at lambda = 1 "
-            "whenever 2*mu is an integer; neither line is a cocycle alone",
-        ),
-        KnownCocycle.single(
-            "yy-reciprocal",
-            "Y",
-            "Y",
-            _poly("1"),
-            mu_multiple=2,
-            denom=_poly("m + mu"),
-            note="Y-Y reciprocal class 1/(m + mu), present at lambda = -3 "
-            "when 2*mu is an odd integer; at integer mu the (L, Y, Y) row "
-            "whose Y-Y pair degenerates to a repeated element forces the "
-            "sector into the gauge direction, and the formula itself "
-            "divides by zero there",
-        ),
-    ]
-    return {entry.name: entry for entry in entries}
-
-
-REGISTRY = _registry()
+# The classes the bundled presets declare, by name: svir declares all of
+# them (witt's virasoro is the same class).  load_algebra caches the parsed
+# preset, so svir is parsed once per process.
+REGISTRY = {name: KnownCocycle(name, lines) for name, lines in load_algebra("svir").cocycles.items()}
 
 
 # verification
@@ -1151,8 +1024,9 @@ class H2Report:
 def match_known(
     spec, params, window, degree, pairs, cocycles: VectorBasis, bounds: VectorBasis
 ) -> list:
-    """Which registry cocycles lie in the computed cocycle space and are not
-    coboundaries (core-projected).  Inapplicable entries are omitted."""
+    """Which of the algebra's declared cocycle classes lie in the computed
+    cocycle space and are not coboundaries (core-projected).  Inapplicable
+    classes are omitted."""
     if cocycles.dimension != len(pairs) or bounds.dimension != len(pairs):
         raise ValueError("basis dimension does not match the pair basis")
     core = set(pairs.core_columns())
@@ -1172,7 +1046,8 @@ def _match(spec, params, window, degree, pairs, cocycles: _Echelon, core_bounds:
     of the coboundaries; params are validated."""
     core = set(pairs.core_columns())
     results = []
-    for known in REGISTRY.values():
+    for name, lines in spec.cocycles.items():
+        known = KnownCocycle(name, lines)
         reason, lines = known._check(spec, params)
         if reason is not None:
             continue

@@ -19,8 +19,8 @@ Scalar = Union[Fraction, int]
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
+    if isinstance(value, (Fraction, int)):  # a Fraction is immutable: no copy
+        return value if type(value) is Fraction else Fraction(value)
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 

@@ -43,6 +43,12 @@ def _parse_or_fail(source: str, origin: str) -> AlgebraSpec:
     return result.spec
 
 
+def is_svir(spec: AlgebraSpec) -> bool:
+    """Whether spec has the bundled svir's bracket table, whatever its name
+    and declared classes: the mu = 0 refusal and the prediction follow it."""
+    return spec._table() == load_algebra("svir")._table()
+
+
 def load_algebra(ref: str) -> AlgebraSpec:
     """Resolve a preset name or a .lie file path to a parsed spec."""
     if ref in PRESET_FILES:

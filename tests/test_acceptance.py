@@ -369,6 +369,8 @@ def test_criterion_8_parser_round_trip_and_fuzz():
         if not second.ok or second.spec != first.spec:
             problems.append(f"preset {name} does not round-trip")
     rng = random.Random(808)
+    # sources with cocycle blocks, to be fuzzed by mutation below
+    seeds = [preset_source("svir")]
     for _ in range(20):
         source = _random_spec_source(rng)
         first = parse(source)
@@ -378,11 +380,21 @@ def test_criterion_8_parser_round_trip_and_fuzz():
         second = parse(render(first.spec))
         if not second.ok or second.spec != first.spec:
             problems.append("random spec does not round-trip")
+        if first.spec.cocycles:
+            seeds.append(source)
+    if len(seeds) < 5:
+        problems.append("too few random specs with cocycle blocks")
     crashes = 0
     fuzzed = 0
-    for _ in range(10_000):
-        raw = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120)))
-        text = raw.decode("utf-8", errors="replace")
+    for count in range(11_000):
+        if count < 10_000:
+            raw = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120)))
+            text = raw.decode("utf-8", errors="replace")
+        else:
+            chars = list(rng.choice(seeds))
+            for _ in range(rng.randint(1, 6)):
+                chars[rng.randrange(len(chars))] = chr(rng.randrange(1, 256))
+            text = "".join(chars)
         try:
             result = parse(text)
         except Exception:
@@ -396,8 +408,9 @@ def test_criterion_8_parser_round_trip_and_fuzz():
         problems.append(f"{crashes} fuzz inputs raised")
     ok = not problems
     detail = (
-        f"presets and 20 random specs round-trip; {fuzzed} fuzz inputs produced"
-        " a spec or diagnostics without crashing"
+        f"presets and 20 random specs ({len(seeds) - 1} with cocycle blocks) round-trip;"
+        f" {fuzzed} fuzz inputs, 1000 of them mutated sources with cocycle blocks,"
+        " produced a spec or diagnostics without crashing"
         if ok
         else "; ".join(problems[:3])
     )

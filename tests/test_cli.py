@@ -43,6 +43,33 @@ algebra svir(lambda, mu) {
 }
 """
 
+# The twisted Heisenberg-Virasoro algebra and W(2,2), each declaring the
+# classes that span its degree-zero H^2.
+HV_SOURCE = """
+algebra hv() {
+    family L weight 0;
+    family I weight 0;
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, I m] = m I(n + m);
+    bracket [I n, I m] = 0;
+    cocycle virasoro { [L n, L m] = (m - m*m*m)/12 on n + m = 0; }
+    cocycle ii { [I n, I m] = m on n + m = 0; }
+    cocycle li-square { [L n, I m] = m*m on n + m = 0; }
+}
+"""
+
+W22_SOURCE = """
+algebra w22() {
+    family L weight 0;
+    family W weight 0;
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, W m] = (m - n) W(n + m);
+    bracket [W n, W m] = 0;
+    cocycle virasoro { [L n, L m] = (m - m*m*m)/12 on n + m = 0; }
+    cocycle lw-cubic { [L n, W m] = m*m*m - m on n + m = 0; }
+}
+"""
+
 ABELIAN_SOURCE = """
 algebra abel() {
     family A weight 0;
@@ -208,6 +235,45 @@ def test_user_algebra_named_svir_gets_no_svir_rules(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert "algebra: svir" in proc.stdout.splitlines()
         assert "predicted_dim: n/a" in proc.stdout.splitlines()
+        # it declares no classes, so it is matched against none of svir's
+        assert "matched: (none)" in proc.stdout.splitlines()
+
+
+def test_renamed_svir_copy_gets_the_svir_rules(tmp_path):
+    from lieext.presets import preset_source
+
+    path = tmp_path / "svcopy.lie"
+    path.write_text(preset_source("svir").replace("algebra svir(", "algebra svcopy("))
+    proc = run_cli("h2", "--algebra", str(path), "--lambda=-1", "--mu", "0",
+                   "--window", "6", "--steps", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: mu = 0 is out of scope")
+    proc = run_cli("h2", "--algebra", str(path), "--lambda=-1", "--mu", "1",
+                   "--window", "8", "--steps", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "algebra: svcopy" in lines
+    assert "predicted_dim: 3" in lines
+    assert "agree: yes" in lines
+
+
+@pytest.mark.parametrize("source, core, classes", [
+    (HV_SOURCE, 3, ["virasoro", "ii", "li-square"]),
+    (W22_SOURCE, 2, ["virasoro", "lw-cubic"]),
+])
+def test_user_algebra_matches_its_own_classes(tmp_path, source, core, classes):
+    path = tmp_path / "user.lie"
+    path.write_text(source)
+    proc = run_cli("h2", "--algebra", str(path), "--window", "16")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert f"core_h2_dim: {core}" in lines
+    assert f"stabilized: yes (N=16: {core}, N=18: {core}, N=20: {core})" in lines
+    assert "matched: " + ", ".join(f"{name}=yes" for name in classes) in lines
+    for name in classes:
+        proc = run_cli("verify", "--algebra", str(path), "--cocycle", name, "--window", "20")
+        assert proc.returncode == 0, (name, proc.stdout, proc.stderr)
+        assert proc.stdout.splitlines()[1:] == ["nontrivial: yes"], name
 
 
 def test_scan_workers_clamped_without_starting_processes():
@@ -378,6 +444,17 @@ def test_verify_unknown_name_lists_registry():
     assert proc.returncode == 2
     assert "unknown cocycle 'nosuch'" in proc.stderr
     assert "virasoro" in proc.stderr
+
+
+def test_verify_reads_the_algebras_own_classes(tmp_path):
+    # svir's classes are not reachable from an algebra that does not
+    # declare them, even one with the same families
+    path = tmp_path / "impostor.lie"
+    path.write_text(IMPOSTOR_SVIR_SOURCE)
+    proc = run_cli("verify", "--algebra", str(path), "--lambda=-1", "--mu", "1",
+                   "--cocycle", "virasoro")
+    assert proc.returncode == 2
+    assert "not a class svir declares (none)" in proc.stderr
 
 
 def test_verify_failing_assignment_file(tmp_path):

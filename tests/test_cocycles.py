@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from lieext.algebra import BasisElement, validate_parameters
+from lieext.algebra import BasisElement, CocycleLine, validate_parameters
 from lieext.engine import (
     REGISTRY,
     CocycleAssignment,
-    CocycleLine,
     KnownCocycle,
     Window,
     h2,
@@ -47,6 +46,10 @@ def test_registry_names():
     for name, entry in REGISTRY.items():
         assert entry.name == name
         assert entry.lines
+    # the registry is what the bundled presets declare, in svir's order
+    assert list(REGISTRY) == list(SVIR.cocycles)
+    assert all(REGISTRY[name].lines == lines for name, lines in SVIR.cocycles.items())
+    assert WITT.cocycles == {"virasoro": REGISTRY["virasoro"].lines}
 
 
 def test_virasoro_verifies_on_witt():
@@ -68,7 +71,7 @@ def test_virasoro_cubic_variant_is_cohomologous():
     # -virasoro by the linear line m/12, which is the coboundary of
     # f(L_0) = 1/24
     window = Window(20, 3)
-    variant = KnownCocycle.single("vir-variant", "L", "L", _poly("m*m*m/12"))
+    variant = KnownCocycle("vir-variant", (CocycleLine("L", "L", _poly("m*m*m/12")),))
     report = verify_cocycle(WITT, {}, window, variant)
     assert report.passed
     assert not is_coboundary(WITT, {}, window, report.assignment)
@@ -153,14 +156,10 @@ def test_coupled_class_lines_fail_alone():
     # residual on (L, Y, Y) triples, with opposite signs
     window = Window(12, 3)
     params = {"lambda": 1, "mu": 1}
-    lm_only = KnownCocycle.single(
-        "lm-only", "L", "M",
-        _poly("(m + 2*mu - 1)*(m + 2*mu)*(m + 2*mu + 1)"), mu_multiple=2,
-    )
-    yy_only = KnownCocycle.single(
-        "yy-only", "Y", "Y",
-        _poly("(m + mu - 1)*(m + mu)*(m + mu + 1)"), mu_multiple=2,
-    )
+    lm_line, yy_line = REGISTRY["lm-yy-cubic"].lines
+    assert (lm_line.family_a, lm_line.family_b, yy_line.family_a) == ("L", "M", "Y")
+    lm_only = KnownCocycle("lm-only", (lm_line,))
+    yy_only = KnownCocycle("yy-only", (yy_line,))
     rep_lm = verify_cocycle(SVIR, params, window, lm_only)
     rep_yy = verify_cocycle(SVIR, params, window, yy_only)
     assert not rep_lm.passed
@@ -239,7 +238,15 @@ def test_symbolic_row_collapse_for_reciprocal_class():
 
 def test_zero_denominator_rejected():
     with pytest.raises(ValueError, match="identically zero"):
-        CocycleLine("Y", "Y", _poly("1"), mu_multiple=2, denom=_poly("0"))
+        CocycleLine("Y", "Y", _poly("1"), _poly("-2*mu"), _poly("0"))
+
+
+def test_denominator_of_degree_two_rejected():
+    # a linear denominator's integer roots are one divisibility test; a
+    # quadratic one would need a divisor search of the bound constant term
+    with pytest.raises(ValueError, match="degree 2 or more in m"):
+        CocycleLine("Y", "Y", _poly("1"), _poly("-2*mu"), _poly("m*m + mu"))
+    assert CocycleLine("Y", "Y", _poly("1"), denom=_poly("mu*mu*m + 1")).denom == _poly("mu*mu*m + 1")
 
 
 def test_symbolic_closure_of_ym_pairing():
@@ -316,7 +323,7 @@ def test_degree_mixing_rejected():
 
 def test_skew_inconsistent_table_rejected():
     # a constant same-family line assigns +1 and -1 to the same pair
-    sym = KnownCocycle.single("bad-skew", "Y", "Y", _poly("1"), mu_multiple=2)
+    sym = KnownCocycle("bad-skew", (CocycleLine("Y", "Y", _poly("1"), _poly("-2*mu")),))
     with pytest.raises(ValueError, match="not skew-consistent"):
         sym.instantiate(SVIR, {"lambda": 0, "mu": 1}, Window(8, 3))
 
@@ -327,10 +334,10 @@ def test_empty_lines_rejected():
 
 
 def test_support_line_missing_integers():
-    line = CocycleLine("L", "Y", _poly("1"), mu_multiple=1)
-    with pytest.raises(ValueError, match="misses integer indices"):
-        line.offset({"mu": Fraction(1, 2)})
-    assert line.offset({"mu": Fraction(2)}) == -2
+    known = KnownCocycle("ly", (CocycleLine("L", "Y", _poly("1"), _poly("-mu")),))
+    assert known.applicability(SVIR, {"lambda": Fraction(0), "mu": Fraction(1, 2)}) == "requires mu integer"
+    psi = known.instantiate(SVIR, {"lambda": 0, "mu": 2}, Window(8, 3))
+    assert psi.values and all(x.index + y.index == -2 for x, y in psi.values)
 
 
 def test_matched_known_sets():
@@ -369,13 +376,13 @@ def _reference_values(known, spec, params, window):
     key = spec.element_key
     values = {}
     for line in known.lines:
-        total = -line.mu_multiple * params.get("mu", 0)
+        total = line.offset.evaluate(params)
         assert total.denominator == 1
         for m in window.indices():
             a, b = BasisElement(line.family_a, int(total) - m), BasisElement(line.family_b, m)
             if not window.contains(a.index) or a == b:
                 continue
-            point = {**params, "m": m}
+            point = {**params, line.var_b: m}
             value = line.coeff.evaluate(point) / line.denom.evaluate(point)
             if not value:
                 continue
@@ -385,10 +392,12 @@ def _reference_values(known, spec, params, window):
     return values
 
 
-# a rational constant, a power of mu and a rational denominator, so the
-# scale a line's coefficient and denominator share is not 1
-SCALED = KnownCocycle.single(
-    "scaled", "L", "M", _poly("2/3 + mu*mu*m/5 - m*m*m"), denom=_poly("m/7 + 1/3")
+# a rational constant, a power of mu, a rational denominator and an offset
+# with halves, so the scale a line's coefficient, denominator and offset
+# share is not 1
+SCALED = KnownCocycle(
+    "scaled",
+    (CocycleLine("L", "M", _poly("2/3 + mu*mu*m/5 - m*m*m"), _poly("(mu*mu + mu)/2"), _poly("m/7 + 1/3")),),
 )
 
 

@@ -1,5 +1,6 @@
 import random
 import string
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,19 @@ def _random_spec_source(rng):
             else:
                 text = coeff.to_text(("n", "m") + tuple(params))
                 lines.append(f"  bracket [{fa} n, {fb} m] = ({text}) {out}(n + m);")
+    for k in range(rng.choice((0, 0, 1, 2))):
+        lines.append(f"  cocycle k{k}-v{rng.randint(0, 9)} {{")
+        for _ in range(rng.randint(1, 2)):
+            fa, fb = rng.choice(families), rng.choice(families)
+            _, ctext = _random_poly_text(rng, ["m"] + params)
+            rhs = f"({ctext})"
+            if rng.random() < 0.4:
+                constant, _ = _random_poly_text(rng, params)
+                slope = rng.choice((-2, -1, 1, 3))
+                rhs += f" / ({(constant + slope * V('m')).to_text(('m',) + tuple(params))})"
+            _, offset = _random_poly_text(rng, params) if params else (None, str(rng.randint(-3, 3)))
+            lines.append(f"    [{fa} n, {fb} m] = {rhs} on n + m = {offset};")
+        lines.append("  }")
     lines.append("}")
     return "\n".join(lines)
 
@@ -294,3 +308,121 @@ algebra c() {   # trailing comment
     result = parse(src)
     assert result.ok
     assert result.spec.name == "c"
+
+
+COCYCLE_SOURCE = """
+algebra ren(lam, nu) {
+  family A weight 0;
+  family B weight nu;
+  bracket [A n, A m] = (m - n) A(n + m);
+  bracket [A n, B m] = (m + nu) B(n + m);
+  bracket [B n, B m] = 0;
+  cocycle ab-half-one { [A i, B j] = (j + nu)/2 / (2*j + nu) on i + j = 2 - 3*nu/2; }
+  cocycle aa {
+    [A n, A m] = m*m*m - m on n + m = 0;
+    [B n, B m] = lam on m + n = -2*nu;
+  }
+}
+"""
+
+
+def test_cocycle_blocks_parse_and_round_trip():
+    result = parse(COCYCLE_SOURCE)
+    assert result.ok, result.diagnostics
+    spec = result.spec
+    assert list(spec.cocycles) == ["ab-half-one", "aa"]
+    (line,) = spec.cocycles["ab-half-one"]
+    assert (line.family_a, line.family_b, line.var_a, line.var_b) == ("A", "B", "i", "j")
+    assert line.coeff == (V("j") + V("nu")) / 2
+    assert line.denom == 2 * V("j") + V("nu")
+    assert line.offset == 2 - Fraction(3, 2) * V("nu")
+    assert [ln.offset for ln in spec.cocycles["aa"]] == [C(0), -2 * V("nu")]
+    text = render(spec)
+    assert "cocycle ab-half-one {" in text
+    assert "/ (2*j + nu) on i + j = -3/2*nu + 2;" in text
+    again = parse(text)
+    assert again.ok, again.diagnostics
+    assert again.spec == spec
+    # the classes take part in equality, and so does their order
+    reordered = parse(COCYCLE_SOURCE.replace("cocycle aa", "cocycle zz"))
+    assert reordered.ok and reordered.spec != spec
+
+
+def test_library_built_cocycle_lines_round_trip():
+    from lieext.algebra import AlgebraSpec, CocycleLine
+
+    witt = parse(preset_source("witt")).spec
+    lines = [
+        CocycleLine("L", "L", V("m"), denom=C(2)),  # kept as m/2 over 1
+        CocycleLine("L", "L", C(3), C(0), 2 * V("k") + 1, "j", "k"),
+    ]
+    spec = AlgebraSpec("w", (), witt.families, witt.weight_offsets, witt.rules, {"half": lines})
+    assert spec.cocycles["half"][0].coeff == V("m") / 2
+    again = parse(render(spec))
+    assert again.ok, again.diagnostics
+    assert again.spec == spec
+
+
+def test_cocycle_reason_is_rendered_from_the_offset():
+    from lieext.engine import KnownCocycle
+
+    spec = parse(COCYCLE_SOURCE).spec
+    ab = KnownCocycle("ab-half-one", spec.cocycles["ab-half-one"])
+    assert ab.applicability(spec, {"lam": Fraction(0), "nu": Fraction(1, 3)}) == "requires 3/2*nu - 2 integer"
+    assert (
+        ab.applicability(spec, {"lam": Fraction(0), "nu": Fraction(2)})
+        == "denominator 2*j + nu vanishes at an integer index"
+    )
+    assert ab.applicability(spec, {"lam": Fraction(0), "nu": Fraction(2, 3)}) is None
+
+
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        ("[A n, Q m] = 1 on n + m = 0;", "undeclared-family"),
+        ("[A n, B m] = n on n + m = 0;", "unknown-variable"),
+        ("[A n, B m] = 1 on n + m = m;", "unknown-variable"),
+        ("[A n, B m] = 1 on n - m = 0;", "non-additive-support"),
+        ("[A n, B n] = 1 on n + n = 0;", "duplicate-index-variable"),
+        ("[A n, B nu] = 1 on n + nu = 0;", "index-shadows-parameter"),
+        ("[A n, B m] = 1/(m + nu) + 1 on n + m = 0;", "non-polynomial-coefficient"),
+        ("[A n, B m] = 1 + 1/(m + nu) on n + m = 0;", "non-polynomial-coefficient"),
+        ("[A n, B m] = (1/(m + nu)) on n + m = 0;", "non-polynomial-coefficient"),
+        ("[A n, B m] = 1 / (m*m + nu) on n + m = 0;", "bad-denominator"),
+        ("[A n, B m] = 1 / (m - m) on n + m = 0;", "division-by-zero"),
+        ("[A n, B m] = 1 n + m = 0;", "syntax"),
+    ],
+)
+def test_cocycle_line_diagnostics(line, code):
+    source = "algebra a(nu) {\n  family A weight 0;\n  family B weight nu;\n"
+    result = parse(source + "  cocycle c {\n    " + line + "\n  }\n}")
+    assert not result.ok
+    assert code in {d.code for d in result.errors()}, result.diagnostics
+
+
+@pytest.mark.parametrize(
+    "block, code",
+    [
+        ("cocycle c { }", "empty-cocycle"),
+        ("cocycle c { [A n, A m] = m on n + m = 0; } cocycle c { [A n, A m] = m on n + m = 0; }", "duplicate-cocycle"),
+        ("cocycle c- { [A n, A m] = m on n + m = 0; }", "syntax"),
+        ("cocycle on { [A n, A m] = m on n + m = 0; }", "reserved-word"),
+    ],
+)
+def test_cocycle_block_diagnostics(block, code):
+    result = parse("algebra a() {\n  family A weight 0;\n  " + block + "\n}")
+    assert not result.ok
+    assert code in {d.code for d in result.errors()}, result.diagnostics
+
+
+def test_quadratic_cocycle_denominator_is_a_diagnostic_not_a_hang():
+    # the integer-root test of a quadratic denominator would have to try the
+    # divisors of its constant term, about 10**15 of them at mu = 10**30
+    source = preset_source("svir").replace("1 / (m + mu)", "1 / (m*m + mu)")
+    start = time.perf_counter()
+    result = parse(source)
+    assert not result.ok
+    (error,) = result.errors()
+    assert error.code == "bad-denominator"
+    assert "degree 2 or more in m" in error.message
+    assert time.perf_counter() - start < 2
