@@ -22,26 +22,32 @@ are projected onto core pairs (all indices within N - margin) and the
 computation is repeated on grown windows; a stable core dimension is the
 windowed estimate of the true H^2 dimension.
 
-The cocycles are found by a certified subset solve.  Only the rows of
-triples with an element of index -1 or 0 are eliminated, in integers; the
-primitive integer null vectors of that subset are then checked against
-every other admissible row by exact integer dot products (the subset's rows
-are in the echelon, so they hold by construction).  A checked row costs a
-few multiplications and an eliminated one several reduction steps, so the
-subset is kept as small as still reaches full rank on the svir grid (see
-_SUBSET).  A violated row is added to the echelon as it is found, and the
-check runs again until one full round finds every row satisfied.  A row
-that passes lies in the span of the rows eliminated so far, so after a
-round that added rows every row lies in the echelon's span and the next
-round is clean: there are at most two.
+The cocycles are found by a certified subset solve.  Only the pinned rows
+are eliminated, in integers: those of the triples with index -1 at a
+position whose family has weight 0 at the bound parameters, or at any
+position when none of the triple's families has.  The rule reads weights,
+never names.  Fixing an index leaves one free, so there are O(n) pinned
+triples per family triple (_Identity.pinned).  With a weight-zero family L
+they are the recursion in L_-1 of the classical computation of Virasoro
+cocycles, with almost one independent row per column: at svir (-3, 1),
+n = 40, 498 pinned rows reach rank 347 of 349.
 
-The result is the one full elimination gives.  The subset nullspace always
-contains the full one, and a clean check shows the subset null vectors,
-which span it, lie in the full one, so the two are equal.  Equal nullspaces
-have equal row spaces, hence the same pivot columns, so the reduced basis
-(one vector per free column) is the same vector for vector.  The check
-skips an identity when no null vector is nonzero on any of its columns, and
-family triples whose pairs bracket to nothing give no row and are left out.
+Every admissible row is then checked against the primitive integer null
+vectors of the echelon by exact integer dot products, and the check refines
+as it goes (_add_violated).  A row that fails is added to the echelon, the
+null vectors are recomputed, and the walk carries on from the next triple.
+So there is one pass, and it adds exactly the pinned rows' rank deficit.
+
+The result is the one full elimination gives.  Every admissible row is
+either in the echelon or passed against a nullspace that contains the final
+one, since the nullspace only shrinks as rows are added.  The final
+nullspace is that of the echelon rows, which are admissible rows, so it
+contains the full one and, by the above, lies in it: the two are equal.
+Equal nullspaces have equal row spaces, hence the same pivot columns, so the
+reduced basis (one vector per free column) is the same vector for vector.
+The check skips an identity when no null vector is nonzero on any of its
+columns, and family triples whose pairs bracket to nothing give no row and
+are left out.
 
 h2 solves its first window this way and grows each later window from the
 certified echelon of the one before.  Both windows' columns sort the same
@@ -52,10 +58,10 @@ its indices, or the output index total - idx[w] of one of its terms, lies in
 the strip between the two windows; there are O(n) of them per family triple,
 and they are enumerated directly.  Every other admissible triple has its
 indices and its nonzero outputs inside the smaller window, so its row is a
-row of that window with the same entries, and after that window's clean
-check it lies in the span of the echelon.  So only the new subset rows are
-added and only the other new rows are checked, and the nullspace, its pivot
-columns and its reduced basis are exactly those of a fresh solve.
+row of that window with the same entries, and it lies in the span of that
+window's certified echelon.  So only the new pinned rows are added and only
+the new rows are checked, and the nullspace, its pivot columns and its
+reduced basis are exactly those of a fresh solve.
 
 Every row is expanded from one compiled form of the identity.  The indices
 of the triples (F_i, G_j, H_k) of one family triple at one degree sum to a
@@ -130,7 +136,6 @@ from .sparse import (
     _Echelon,
     _fraction_basis,
     _int_row_from_dense,
-    _normalize_int_row,
     _null_vectors,
 )
 
@@ -285,12 +290,14 @@ class _Identity:
     module reads these tables.
     """
 
-    __slots__ = ("families", "total", "n", "terms", "bound")
+    __slots__ = ("families", "total", "n", "terms", "bound", "pins")
 
     def __init__(self, alg: BoundAlgebra, window: Window, pairs: PairBasis, families, total: int):
         self.families = families
         self.total = total
         self.n = n = window.n
+        # the positions of weight-zero families, all three if there is none
+        self.pins = tuple(w for w, p in enumerate(families) if not alg.offsets[p]) or (0, 1, 2)
         a, b, c = families
         self.terms = []
         # |k * i**e * j**f| <= |k| * n**(e + f) for indices i, j in [-n, n]
@@ -313,9 +320,9 @@ class _Identity:
             self.terms.append((coefficient, table, w, u, v))
             self.bound += sum(abs(k) * n ** (e + f) for k, e, f in coefficient)
 
-    def _js(self, i: int, meeting, avoiding):
+    def _js(self, i: int, meeting):
         """The j of the triples (i, j, total - i - j) that indices() visits
-        at one i not in `avoiding`, in increasing order."""
+        at one i, in increasing order."""
         n, total = self.n, self.total
         a, b, c = self.families
         # j ranges so that k = total - i - j lies in the window, with
@@ -323,23 +330,34 @@ class _Identity:
         low = max(-n, total - i - n, i + 1 if a == b else -n)
         high = min(n, total - i + n, (total - i - 1) // 2 if b == c else n)
         if meeting is None or i in meeting:
-            js = range(low, high + 1)
-        else:
-            js = sorted({y for x in meeting for y in (x, total - i - x) if low <= y <= high})
-        if avoiding:
-            js = [j for j in js if j not in avoiding and total - i - j not in avoiding]
-        return js
+            return range(low, high + 1)
+        return sorted({y for x in meeting for y in (x, total - i - x) if low <= y <= high})
 
-    def indices(self, meeting=None, avoiding=frozenset()):
+    def indices(self, meeting=None):
         """idx = (i, j, k) of the canonically ordered window triples of
-        these families (a <= b <= c) with no index in `avoiding` and, unless
-        `meeting` is None, some index in `meeting`, in (i, j) lexicographic
-        order.  For an i outside `meeting` only the j that put j or k in it
-        are visited, so a small `meeting` costs O(n) triples, not O(n^2)."""
+        these families (a <= b <= c) with, unless `meeting` is None, some
+        index in `meeting`, in (i, j) lexicographic order.  For an i outside
+        `meeting` only the j that put j or k in it are visited, so a small
+        `meeting` costs O(n) triples, not O(n^2)."""
         for i in range(-self.n, self.n + 1):
-            if i not in avoiding:
-                for j in self._js(i, meeting, avoiding):
-                    yield i, j, self.total - i - j
+            for j in self._js(i, meeting):
+                yield i, j, self.total - i - j
+
+    def pinned(self) -> list:
+        """The triples of indices() with index -1 at a position in pins, in
+        the same order: the rows the certified solve eliminates (see
+        _cocycles).  With the pinned index fixed, the other two indices sum
+        to total + 1, so there are O(n) of them."""
+        n, total = self.n, self.total
+        a, b, c = self.families
+        found = set()
+        for x in range(max(-n, total + 1 - n), min(n, total + 1 + n) + 1):
+            y = total + 1 - x
+            for w in self.pins:
+                idx = ((-1, x, y), (x, -1, y), (x, y, -1))[w]
+                if (a != b or idx[0] < idx[1]) and (b != c or idx[1] < idx[2]):
+                    found.add(idx)
+        return sorted(found)
 
     def touching(self, strip) -> set:
         """The indices whose triples meet the strip: those with an index in
@@ -394,21 +412,24 @@ class _Identity:
             terms.append((coefficient, values, w, u, v))
         return terms, reached
 
-    def walk(self, terms: list, meeting=None, avoiding=frozenset(), first=False) -> tuple:
+    def walk(self, terms: list, meeting=None, first=False, after=None) -> tuple:
         """(checked, failed): the dot products of the triples of
-        indices(meeting, avoiding) with the entries `terms` was valued by,
-        in that order.  checked counts the admissible triples and failed
-        lists (idx, dot) of those with a nonzero dot; with first, the walk
-        stops at the first of them.  A coefficient is evaluated only where
-        an entry is nonzero or _OUT, and an _OUT entry with a nonzero
-        coefficient makes the triple inadmissible: exactly as row() decides
-        it, since _EQUAL entries and zero entries add nothing to the dot."""
+        indices(meeting) with the entries `terms` was valued by, in that
+        order, starting after the triple `after` when it is given.  checked
+        counts the admissible triples and failed lists (idx, dot) of those
+        with a nonzero dot; with first, the walk stops at the first of them.
+        A coefficient is evaluated only where an entry is nonzero or _OUT,
+        and an _OUT entry with a nonzero coefficient makes the triple
+        inadmissible: exactly as row() decides it, since _EQUAL entries and
+        zero entries add nothing to the dot."""
         n, total = self.n, self.total
         checked, failed = 0, []
-        for i in range(-n, n + 1):
-            if i in avoiding:
-                continue
-            for j in self._js(i, meeting, avoiding):
+        start = -n if after is None else after[0]
+        for i in range(start, n + 1):
+            js = self._js(i, meeting)
+            if after is not None and i == start:
+                js = [j for j in js if j > after[1]]
+            for j in js:
                 idx = (i, j, total - i - j)
                 dot = 0
                 for coefficient, values, w, u, v in terms:
@@ -490,21 +511,12 @@ def cocycle_space(spec, params, window, degree, pairs: PairBasis | None = None) 
     return _fraction_basis(len(pairs), _cocycles(alg, window, degree, pairs)[0])
 
 
-# The subset rule of the certified solve: the rows of triples with an index
-# in this set are eliminated up front, and every other row is checked.  Any
-# set gives exact results, and a smaller subset eliminates fewer rows.  Rows
-# the check added over the 80 svir grid points at N = 12 (3 windows each):
-# 0 with {-1, 0}, {0, 1} or {-1, 0, 1}; 823 with {1}, 785 with {-1}; 0 with
-# {-1, 0} at both N = 40 points of the benchmark.
-_SUBSET = frozenset((-1, 0))
-
-
 def _cocycles(
     alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis, seed: tuple | None = None
 ) -> tuple:
-    """The certified subset solve of the module docstring: the primitive
-    {column: int} null vectors, which have passed one full check round with
-    every row satisfied, and the echelon they solve.
+    """The certified solve of the module docstring: the primitive
+    {column: int} null vectors of every admissible row, and the echelon
+    they solve.
 
     seed, when given, is the (pairs, echelon) of a smaller window's solve at
     this degree.  That echelon is renumbered to this window's columns and
@@ -528,16 +540,15 @@ def _cocycles(
             ech.pivots[column[lead]] = {column[col]: value for col, value in row.items()}
         strip = set(window.indices()).difference(seed_pairs.window.indices())
     for identity in identities:
-        meeting = _SUBSET if strip is None else identity.touching(strip)
-        for idx in identity.indices(meeting):
-            if not _SUBSET.isdisjoint(idx):
-                row = identity.row(idx)
-                if row:
-                    ech.add(_normalize_int_row(row))
-    while True:
-        vectors = _null_vectors(ech.pivots, len(pairs))
-        if not _add_violated(identities, vectors, ech, strip):
-            return vectors, ech
+        pinned = identity.pinned()
+        if strip is not None:
+            touching = identity.touching(strip)
+            pinned = [idx for idx in pinned if not touching.isdisjoint(idx)]
+        for idx in pinned:
+            row = identity.row(idx)
+            if row:
+                ech.add(row)
+    return _add_violated(identities, ech, len(pairs), strip)[0], ech
 
 
 def _packed(vectors: list, identities: list) -> tuple:
@@ -564,25 +575,36 @@ def _packed(vectors: list, identities: list) -> tuple:
     return packed, width
 
 
-def _add_violated(identities: list, vectors: list, ech: _Echelon, strip=None) -> int:
-    """Add to the echelon each admissible row that some null vector fails,
-    by exact integer dot products against all of them at once (_packed);
-    returns how many rows failed.  Only the triples that meet the strip are
-    checked, all of them when it is None.  Triples with an index in _SUBSET
-    are skipped: their rows are in the echelon, so every null vector
-    satisfies them.  So is an identity with no table column where a null
-    vector is nonzero: its dot products are 0."""
+def _add_violated(identities: list, ech: _Echelon, n_cols: int, strip=None) -> tuple:
+    """(vectors, added): check every admissible row against the null vectors
+    of the echelon, by exact integer dot products against all of them at
+    once (_packed), and refine as it goes.  When a row fails, it is added to
+    the echelon, the null vectors are recomputed and the walk carries on
+    from the next triple.  The nullspace only shrinks, so the rows passed
+    before still hold, and each added row raises the rank by one.  vectors
+    are the final null vectors and added counts the rows.  Only the triples
+    that meet the strip are checked, all of them when it is None.  An
+    identity with no table column where a null vector is nonzero is skipped:
+    its dot products are 0."""
+    vectors = _null_vectors(ech.pivots, n_cols)
     packed = _packed(vectors, identities)[0]
-    violated = 0
+    added = 0
     for identity in identities:
-        terms, reached = identity.valued(packed)
-        if not reached:
-            continue
         meeting = None if strip is None else identity.touching(strip)
-        for idx, _ in identity.walk(terms, meeting, _SUBSET)[1]:
-            violated += 1
-            ech.add(_normalize_int_row(identity.row(idx)))
-    return violated
+        after = None
+        while True:
+            terms, reached = identity.valued(packed)
+            if not reached:
+                break
+            failed = identity.walk(terms, meeting, first=True, after=after)[1]
+            if not failed:
+                break
+            after = failed[0][0]
+            ech.add(identity.row(after))
+            added += 1
+            vectors = _null_vectors(ech.pivots, n_cols)
+            packed = _packed(vectors, identities)[0]
+    return vectors, added
 
 
 def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:

@@ -14,10 +14,13 @@ must answer for each class.
 
 The engine expands each family triple's identity from compiled per-index
 tables; the same reference identities, rebuilt triple by triple, must give
-verify_cocycle's report and the rows the certificate check flags exactly.
+verify_cocycle's report and the triples the packed check flags exactly.
 
-h2 seeds each grown window's solve with the echelon of the window before it;
-at every window of its history the null vectors must equal a fresh solve's.
+The solve eliminates only the pinned rows and certifies the rest; at the
+edges of the pinning rule its basis must still be full elimination's.  h2
+seeds each grown window's solve with the echelon of the window before it;
+at every window of its history the null vectors must equal a fresh solve's,
+and the check must add exactly the rank the pinned rows miss.
 """
 
 import random
@@ -285,6 +288,62 @@ def test_subset_solve_equals_full_elimination(name, values, n):
     assert cocycle_space(spec, params, window, 0, pairs).vectors == full.vectors
 
 
+# No family of weight 0: every triple's index -1 is pinned, at any position.
+NO_WEIGHT_ZERO_SOURCE = """
+algebra graded3() {
+    family A weight 1;
+    family B weight 2;
+    family C weight 3;
+
+    bracket [A n, A m] = (m - n) B(n + m);
+    bracket [A n, B m] = (2*m - n + 1) C(n + m);
+}
+"""
+
+# Two families of weight 0; at a = 1, b = 0 the grading is not inner.
+WAB_SOURCE = """
+algebra wab(a, b) {
+    family L weight 0;
+    family W weight 0;
+
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, W m] = (a + m + b*n) W(n + m);
+}
+"""
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize(
+    "source, values, degree, pins",
+    [
+        (NO_WEIGHT_ZERO_SOURCE, {}, 2, {(0, 1, 2)}),
+        (NO_WEIGHT_ZERO_SOURCE, {}, 5, {(0, 1, 2)}),
+        (WAB_SOURCE, {"a": 1, "b": 0}, 0, {(0, 1, 2)}),
+        (WAB_SOURCE, {"a": 1, "b": 0}, -1, {(0, 1, 2)}),
+        ("svir", {"lambda": -3, "mu": 1}, 1, {(0,), (0, 1), (0, 1, 2)}),
+        ("svir", {"lambda": 1, "mu": "1/2"}, "1/2", {(0,), (0, 1), (0, 1, 2)}),
+    ],
+    ids=["no-weight-zero-2", "no-weight-zero-5", "wab-0", "wab-(-1)", "svir(-3,1)-1", "svir(1,1/2)-1/2"],
+)
+def test_pinned_rule_edges_equal_full_elimination(tmp_path, source, values, degree, pins, n):
+    """The rows eliminated up front follow the families' weights; at each
+    edge of that rule cocycle_space must still be full elimination's."""
+    if source == "svir":
+        spec = load_algebra(source)
+    else:
+        path = tmp_path / "algebra.lie"
+        path.write_text(source)
+        spec = load_algebra(str(path))
+    params = validate_parameters(spec, values)
+    window = Window(n)
+    alg = engine._bind(spec, params)
+    pairs = enumerate_pairs(spec, params, window, degree)
+    identities = engine._identities(alg, window, Fraction(degree), pairs)
+    assert {identity.pins for identity in identities if identity.terms} == pins
+    full = nullspace(assemble_constraints(spec, params, window, degree, pairs))
+    assert cocycle_space(spec, params, window, degree, pairs).vectors == full.vectors
+
+
 def _reference_identities(spec, params, window, degree):
     """[(x, y, z, terms)] for the window triples x < y < z (element-key
     order) of total weight `degree`, ordered by family triple and then by
@@ -350,17 +409,9 @@ def _scaled(row):
     return {col: Fraction(value) / lead for col, value in row.items()}
 
 
-class _RecordingEchelon:
-    def __init__(self):
-        self.rows = []
-
-    def add(self, row):
-        self.rows.append(row)
-
-
 @pytest.mark.parametrize("n", [6, 8, 12])
 @pytest.mark.parametrize("name, values", SOLVE_POINTS)
-def test_compiled_identity_matches_reference(monkeypatch, name, values, n):
+def test_compiled_identity_matches_reference(name, values, n):
     spec = parse(STRESS_SOURCE).spec if name is None else load_algebra(name)
     params = validate_parameters(spec, values)
     window = Window(n)
@@ -382,7 +433,7 @@ def test_compiled_identity_matches_reference(monkeypatch, name, values, n):
             psi = known.instantiate(spec, params, window)
             assert report(known) == _reference_verify(identities, psi), known.name
 
-    # wrong null vectors; every row is checked, none eliminated.  First two
+    # wrong null vectors, packed and walked over every triple.  First two
     # sparse small ones, then four with entries near +-2**61 of both signs,
     # whose dot products must not spill into a neighbouring packed slot
     pairs = enumerate_pairs(spec, params, window, 0)
@@ -399,7 +450,6 @@ def test_compiled_identity_matches_reference(monkeypatch, name, values, n):
         }
         for _ in range(4)
     ]
-    monkeypatch.setattr(engine, "_SUBSET", frozenset())
     alg = engine._bind(spec, params)
     compiled = engine._identities(alg, window, Fraction(0), pairs)
     for vectors in (small, large):
@@ -415,14 +465,25 @@ def test_compiled_identity_matches_reference(monkeypatch, name, values, n):
             dots = [sum(value * vec.get(col, 0) for col, value in row.items()) for vec in vectors]
             top = max(top, *map(abs, dots))
             if any(dots):
-                flagged.append(_scaled(row))
+                flagged.append(((x, y, z), _scaled(row)))
         # the reference rows are over Fraction; a packed dot product is an
         # integer over the bracket denominator
-        width = engine._packed(vectors, compiled)[1]
+        packed, width = engine._packed(vectors, compiled)
         assert top * alg.denominator < 2 ** (width - 1)
-        recorder = _RecordingEchelon()
-        assert engine._add_violated(compiled, vectors, recorder) == len(flagged)
-        assert [_scaled(row) for row in recorder.rows] == flagged
+        walked = []
+        for identity in compiled:
+            terms, reached = identity.valued(packed)
+            failed = identity.walk(terms)[1]
+            # the check skips an identity no vector reaches; it must flag nothing
+            assert reached or not failed
+            # and resumes after a failing triple with the ones that follow it
+            # (the first three, to keep the walks linear)
+            for at, (idx, _) in enumerate(failed[:3]):
+                assert identity.walk(terms, after=idx)[1] == failed[at + 1 :]
+            for idx, _ in failed:
+                triple = tuple(alg.element(key) for key in zip(identity.families, idx))
+                walked.append((triple, _scaled(identity.row(idx))))
+        assert walked == flagged
 
 
 @pytest.mark.parametrize(
@@ -472,6 +533,23 @@ def _assert_strip_meets_new_rows(alg, degree, seed_pairs, pairs):
             assert {column[col]: value for col, value in seed_row.items()} == row
 
 
+def _rank_deficit(alg, degree, pairs):
+    """The rank of every admissible row of the window minus the rank of the
+    rows the solve eliminates up front: those of the triples with index -1
+    at a position whose family has weight 0, at any position when no family
+    of the triple has.  Both by separate full eliminations."""
+    full, pinned = engine._Echelon(), engine._Echelon()
+    for identity in engine._identities(alg, pairs.window, degree, pairs):
+        pins = [w for w, p in enumerate(identity.families) if not alg.offsets[p]] or [0, 1, 2]
+        for idx in identity.indices():
+            row = identity.row(idx)
+            if row:
+                full.add(row)
+                if any(idx[w] == -1 for w in pins):
+                    pinned.add(row)
+    return full.rank - pinned.rank
+
+
 def _seeded_windows(monkeypatch, spec, params, window, steps=3):
     """Run h2 with each window's solve checked against a fresh solve of the
     same window, and each seeded window's unvisited rows against the seed's;
@@ -479,8 +557,9 @@ def _seeded_windows(monkeypatch, spec, params, window, steps=3):
     added, windows = [], []
 
     def counting(*args):
-        added.append(_ADD_VIOLATED(*args))
-        return added[-1]
+        result = _ADD_VIOLATED(*args)
+        added.append(result[1])
+        return result
 
     def checked(alg, window, degree, pairs, seed=None):
         if seed is not None:
@@ -499,14 +578,22 @@ def _seeded_windows(monkeypatch, spec, params, window, steps=3):
     return windows
 
 
+def _assert_check_adds_the_deficit(spec, params, window, windows):
+    """The first window's check adds exactly the rank deficit of the pinned
+    rows, and a seeded window's adds nothing."""
+    alg = engine._bind(spec, params)
+    pairs = engine._enumerate_pairs(alg, window, Fraction(0))
+    assert windows[0][2] == _rank_deficit(alg, Fraction(0), pairs)
+    assert [added for _, _, added in windows[1:]] == [0] * (len(windows) - 1)
+
+
 @pytest.mark.parametrize("lam", GRID_LAMBDAS, ids=str)
 def test_seeded_windows_equal_fresh_solves_on_grid(monkeypatch, lam):
-    # the subset rule reaches full rank on the whole grid: the check of
-    # every window, first and seeded, adds no row
     spec = load_algebra("svir")
     for mu in GRID_MUS:
-        windows = _seeded_windows(monkeypatch, spec, {"lambda": lam, "mu": mu}, Window(12))
-        assert [added for _, _, added in windows] == [0, 0, 0], mu
+        params = {"lambda": lam, "mu": mu}
+        windows = _seeded_windows(monkeypatch, spec, params, Window(12))
+        _assert_check_adds_the_deficit(spec, params, Window(12), windows)
 
 
 @pytest.mark.parametrize(
@@ -520,14 +607,21 @@ def test_seeded_windows_equal_fresh_solves_on_grid(monkeypatch, lam):
     ids=["wide(-3,1)", "wide(1,1/2)", "witt", "one-step"],
 )
 def test_seeded_windows_equal_fresh_solves(monkeypatch, name, values, n, steps):
-    windows = _seeded_windows(monkeypatch, load_algebra(name), values, Window(n), steps)
-    assert not any(added for _, _, added in windows)
+    spec = load_algebra(name)
+    windows = _seeded_windows(monkeypatch, spec, values, Window(n), steps)
+    _assert_check_adds_the_deficit(spec, validate_parameters(spec, values), Window(n), windows)
+
+
+def _pin_index_zero(identity):
+    """A narrower rule for the solve: the triples with an index 0."""
+    return list(identity.indices((0,)))
 
 
 @pytest.mark.parametrize("name, values", POINTS)
 def test_seeded_check_adds_rows_under_a_narrow_subset(monkeypatch, name, values):
-    # with |index| <= 0 the subset rows miss some of the strip's rows on
-    # every grown window, so the seeded check must find and add them
-    monkeypatch.setattr(engine, "_SUBSET", frozenset({0}))
+    # with only the triples of an index 0 eliminated, the rows miss some of
+    # the strip's rows on every grown window, so the seeded check must find
+    # and add them
+    monkeypatch.setattr(engine._Identity, "pinned", _pin_index_zero)
     windows = _seeded_windows(monkeypatch, load_algebra(name), values, Window(8))
     assert all(added for _, seeded, added in windows if seeded)

@@ -190,22 +190,25 @@ def test_cocycle_space_dims():
 def test_subset_too_small_generates_rows_and_keeps_results(
     monkeypatch, spec, params, history, cocycle_dim, matched
 ):
-    # |index| <= 0 leaves rows out of the subset span at these points, so
-    # the check must find them violated and add them to the echelon
-    monkeypatch.setattr(engine, "_SUBSET", frozenset({0}))
-    violated = []
+    # eliminating only the triples with an index 0, or nothing, leaves rows
+    # out of the span at these points, so the check must find them violated
+    # and add them to the echelon
     add_violated = engine._add_violated
+    for pinned in (lambda identity: list(identity.indices((0,))), lambda identity: []):
+        monkeypatch.setattr(engine._Identity, "pinned", pinned)
+        violated = []
 
-    def spy(*args):
-        violated.append(add_violated(*args))
-        return violated[-1]
+        def spy(*args):
+            result = add_violated(*args)
+            violated.append(result[1])
+            return result
 
-    monkeypatch.setattr(engine, "_add_violated", spy)
-    report = h2(spec, params, Window(6))
-    assert any(violated)
-    assert report.core_history == history
-    assert report.cocycle_dim == cocycle_dim
-    assert [m.name for m in report.matched_known if m.matched] == matched
+        monkeypatch.setattr(engine, "_add_violated", spy)
+        report = h2(spec, params, Window(6))
+        assert any(violated)
+        assert report.core_history == history
+        assert report.cocycle_dim == cocycle_dim
+        assert [m.name for m in report.matched_known if m.matched] == matched
 
 
 def test_coboundary_space_dims():

@@ -9,7 +9,6 @@ from lieext.sparse import (
     SparseMatrix,
     VectorBasis,
     _Echelon,
-    _normalize_int_row,
     in_span,
     nullspace,
     project_dimension,
@@ -168,26 +167,26 @@ def _random_int_rows(rng):
     return [row for row in rows if row]
 
 
-def _subset_rows(name, values, n):
-    """The normalized subset rows of the engine's certified solve at one
-    point, in the order it eliminates them."""
+def _pinned_rows(name, values, n):
+    """The rows the engine's certified solve eliminates up front at one
+    point, as it passes them to the echelon, in that order."""
     spec = load_algebra(name)
     alg = engine._bind(spec, values)
     window = engine.Window(n)
     pairs = engine._enumerate_pairs(alg, window, Fraction(0))
     rows = []
     for identity in engine._identities(alg, window, Fraction(0), pairs):
-        for idx in identity.indices(engine._SUBSET):
+        for idx in identity.pinned():
             row = identity.row(idx)
             if row:
-                rows.append(_normalize_int_row(row))
+                rows.append(row)
     return rows
 
 
 def test_echelon_pivots_equal_reference_elimination():
     rng = random.Random(1361)
     cases = [_random_int_rows(rng) for _ in range(300)]
-    cases.append(_subset_rows("svir", {"lambda": -3, "mu": 1}, 12))
+    cases.append(_pinned_rows("svir", {"lambda": -3, "mu": 1}, 12))
     assert len(cases[-1]) > 100
     for rows in cases:
         snapshot = [dict(row) for row in rows]
