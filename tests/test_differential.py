@@ -288,7 +288,7 @@ def test_subset_solve_equals_full_elimination(name, values, n):
     assert cocycle_space(spec, params, window, 0, pairs).vectors == full.vectors
 
 
-# No family of weight 0: every triple's index -1 is pinned, at any position.
+# No family of weight 0: every triple with an index -1 or 0 is pinned.
 NO_WEIGHT_ZERO_SOURCE = """
 algebra graded3() {
     family A weight 1;
@@ -299,6 +299,13 @@ algebra graded3() {
     bracket [A n, B m] = (2*m - n + 1) C(n + m);
 }
 """
+
+# The same with a family of weight 0 that brackets with nothing: the
+# triples that have it pin only the index -1, which leaves rows for the
+# check to add.
+TRIVIAL_WEIGHT_ZERO_SOURCE = NO_WEIGHT_ZERO_SOURCE.replace(
+    "algebra graded3() {", "algebra graded3z() {\n    family Z weight 0;"
+)
 
 # Two families of weight 0; at a = 1, b = 0 the grading is not inner.
 WAB_SOURCE = """
@@ -316,14 +323,23 @@ algebra wab(a, b) {
 @pytest.mark.parametrize(
     "source, values, degree, pins",
     [
-        (NO_WEIGHT_ZERO_SOURCE, {}, 2, {(0, 1, 2)}),
-        (NO_WEIGHT_ZERO_SOURCE, {}, 5, {(0, 1, 2)}),
-        (WAB_SOURCE, {"a": 1, "b": 0}, 0, {(0, 1, 2)}),
-        (WAB_SOURCE, {"a": 1, "b": 0}, -1, {(0, 1, 2)}),
-        ("svir", {"lambda": -3, "mu": 1}, 1, {(0,), (0, 1), (0, 1, 2)}),
-        ("svir", {"lambda": 1, "mu": "1/2"}, "1/2", {(0,), (0, 1), (0, 1, 2)}),
+        (NO_WEIGHT_ZERO_SOURCE, {}, 2, {(-1, 0)}),
+        (NO_WEIGHT_ZERO_SOURCE, {}, 5, {(-1, 0)}),
+        (TRIVIAL_WEIGHT_ZERO_SOURCE, {}, 2, {(-1,), (-1, 0)}),
+        (WAB_SOURCE, {"a": 1, "b": 0}, 0, {(-1,)}),
+        (WAB_SOURCE, {"a": 1, "b": 0}, -1, {(-1,)}),
+        ("svir", {"lambda": -3, "mu": 1}, 1, {(-1,), (-1, 0)}),
+        ("svir", {"lambda": 1, "mu": "1/2"}, "1/2", {(-1,), (-1, 0)}),
     ],
-    ids=["no-weight-zero-2", "no-weight-zero-5", "wab-0", "wab-(-1)", "svir(-3,1)-1", "svir(1,1/2)-1/2"],
+    ids=[
+        "no-weight-zero-2",
+        "no-weight-zero-5",
+        "trivial-weight-zero-2",
+        "wab-0",
+        "wab-(-1)",
+        "svir(-3,1)-1",
+        "svir(1,1/2)-1/2",
+    ],
 )
 def test_pinned_rule_edges_equal_full_elimination(tmp_path, source, values, degree, pins, n):
     """The rows eliminated up front follow the families' weights; at each
@@ -340,6 +356,10 @@ def test_pinned_rule_edges_equal_full_elimination(tmp_path, source, values, degr
     pairs = enumerate_pairs(spec, params, window, degree)
     identities = engine._identities(alg, window, Fraction(degree), pairs)
     assert {identity.pins for identity in identities if identity.terms} == pins
+    for identity in identities:
+        assert identity.pinned() == [
+            idx for idx in identity.indices() if any(v in idx for v in identity.pins)
+        ]
     full = nullspace(assemble_constraints(spec, params, window, degree, pairs))
     assert cocycle_space(spec, params, window, degree, pairs).vectors == full.vectors
 
@@ -535,17 +555,16 @@ def _assert_strip_meets_new_rows(alg, degree, seed_pairs, pairs):
 
 def _rank_deficit(alg, degree, pairs):
     """The rank of every admissible row of the window minus the rank of the
-    rows the solve eliminates up front: those of the triples with index -1
-    at a position whose family has weight 0, at any position when no family
-    of the triple has.  Both by separate full eliminations."""
+    rows the solve eliminates up front: those of the triples with an index
+    in the identity's pins.  Both by separate full eliminations over all of
+    indices(), not over pinned()."""
     full, pinned = engine._Echelon(), engine._Echelon()
     for identity in engine._identities(alg, pairs.window, degree, pairs):
-        pins = [w for w, p in enumerate(identity.families) if not alg.offsets[p]] or [0, 1, 2]
         for idx in identity.indices():
             row = identity.row(idx)
             if row:
                 full.add(row)
-                if any(idx[w] == -1 for w in pins):
+                if any(v in idx for v in identity.pins):
                     pinned.add(row)
     return full.rank - pinned.rank
 
