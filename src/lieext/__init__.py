@@ -23,7 +23,6 @@ from .algebra import (
 )
 from .dsl import Diagnostic, ParseResult, parse, parse_polynomial, render
 from .engine import (
-    REGISTRY,
     CocycleAssignment,
     H2Report,
     KnownCocycle,
@@ -57,6 +56,16 @@ from .sparse import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # engine builds REGISTRY at first use (it parses the svir preset)
+    if name == "REGISTRY":
+        from . import engine
+
+        return engine.REGISTRY
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlgebraSpec",

@@ -55,14 +55,21 @@ The check skips an identity when no null vector is nonzero on any of its
 columns, and family triples whose pairs bracket to nothing give no row and
 are left out.
 
-h2 solves its first window this way and grows each later window from the
-certified echelon of the one before.  Both windows' columns sort the same
-pair keys, so mapping each smaller-window column to the column of the same
-pair is increasing, and the renumbered pivot rows are still an echelon with
-the same leading columns.  A triple of the grown window is new when one of
-its indices, or the output index total - idx[w] of one of its terms, lies in
-the strip between the two windows; there are O(n) of them per family triple,
-and they are enumerated directly.  Every other admissible triple has its
+h2 builds one plan per call, at its largest window N + 2 * (steps - 1)
+(_Plan): one pair basis, one compile of the identities and one bracket pass
+for the coboundaries.  Each window n is a view on it.  Its columns are the
+plan's columns whose pair has both indices in [-n, n]; both numberings sort
+the same pair keys, so the map from window n's own columns into the plan's
+is increasing, every row keeps its leading column, and pivots, ranks and
+reduced null vectors correspond one to one.  Its identity tables are the
+plan's cut to [-n, n], with "the output leaves the window" wherever the
+output index leaves [-n, n]; its coboundary generators and core columns are
+filtered from the plan's.  h2 solves its first window as above and grows
+each later window from the certified echelon of the one before, which
+passes from window to window unchanged.  A triple of the grown window is
+new when one of its indices, or the output index total - idx[w] of one of
+its terms, lies in the strip between the two windows; there are O(n) of
+them per family triple, and they are enumerated directly.  Every other admissible triple has its
 indices and its nonzero outputs inside the smaller window, so its row is a
 row of that window with the same entries, and it lies in the span of that
 window's certified echelon.  So only the new pinned rows are added and only
@@ -74,7 +81,7 @@ of the triples (F_i, G_j, H_k) of one family triple at one degree sum to a
 fixed t, so the term [F_i, G_j] psi(., H_k) has output index t - k and its
 column and skew sign depend on k alone, as the other two terms' depend on i
 and on j alone.  Each family triple's identity is therefore compiled once
-per window into three per-index tables whose entries are a (column, sign),
+per plan into three per-index tables whose entries are a (column, sign),
 "the output is the paired element" (no contribution), or "the output leaves
 the window" (the triple is dropped if the coefficient there is nonzero).
 Assembly, the subset solve, the check and verify_cocycle all read these
@@ -102,7 +109,10 @@ and which is matched against that algebra only, goes through the same
 kernel.  Its applicability is decided once per class and call, by the step
 that compiles each line at the bound parameters: coefficient, denominator
 and support offset become integer terms over one shared scale, so each
-value is one quotient of two integers.
+value is one quotient of two integers.  Matching puts those quotients
+straight on the plan's columns, over their common denominator, and reads
+the class's degree from the bound weight offsets and the compiled support
+offsets.
 
 After the solve every vector stays a {column: int} row: the primitive null
 vectors, the kept coboundary generators as numerators over the algebra's
@@ -110,18 +120,20 @@ denominator, and a cocycle class as its values over their common
 denominator.  A core dimension is the rank of such rows restricted to the
 core columns, which keep their indices (echelon order is column order, so
 nothing is renumbered).  Each window's core-coboundary echelon is built once
-and serves core_h2 and the coboundary test of every cocycle class; one
-echelon of the null vectors serves their cocycle test.  Fractions appear only
-at the public boundary: cocycle_space and coboundary_space return a
-VectorBasis, and match_known takes them.
+and serves core_h2 and the coboundary test of every cocycle class.  The
+cocycles are the nullspace of the first window's echelon, so a class is a
+cocycle when every row of that echelon has dot product 0 with it.
+Fractions appear only at the public boundary: cocycle_space and
+coboundary_space return a VectorBasis, and match_known takes them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -301,13 +313,11 @@ class _Identity:
     def __init__(self, alg: BoundAlgebra, window: Window, pairs: PairBasis, families, total: int):
         self.families = families
         self.total = total
-        self.n = n = window.n
+        self.n = window.n
         # the pinned indices: -1, and 0 too when no family has weight 0
         self.pins = (-1,) if any(not alg.offsets[p] for p in families) else (-1, 0)
         a, b, c = families
         self.terms = []
-        # |k * i**e * j**f| <= |k| * n**(e + f) for indices i, j in [-n, n]
-        self.bound = 0
         cyclic = (((a, b, c), (2, 0, 1)), ((b, c, a), (0, 1, 2)), ((c, a, b), (1, 2, 0)))
         for (p, q, r), (w, u, v) in cyclic:
             rule = alg._rules[p][q]
@@ -324,45 +334,89 @@ class _Identity:
                 else:
                     table.append(pairs._column(output, (r, index)))
             self.terms.append((coefficient, table, w, u, v))
-            self.bound += sum(abs(k) * n ** (e + f) for k, e, f in coefficient)
+        self.bound = self._bound()
 
-    def _js(self, i: int, meeting):
-        """The j of the triples (i, j, total - i - j) that indices() visits
-        at one i, in increasing order."""
+    def _bound(self) -> int:
+        # |k * i**e * j**f| <= |k| * n**(e + f) for indices i, j in [-n, n]
+        return sum(abs(k) * self.n ** (e + f) for coefficient, *_ in self.terms for k, e, f in coefficient)
+
+    def sliced(self, n: int) -> "_Identity":
+        """This identity on the window [-n, n] inside its own: each table
+        cut to the indices of [-n, n], with _OUT where the output index
+        total - index leaves [-n, n].  The entries inside keep their columns,
+        so the rows are those of the smaller window with each column mapped
+        to the column of the same pair here."""
+        if n == self.n:
+            return self
+        view = object.__new__(_Identity)
+        view.families, view.total, view.pins, view.n = self.families, self.total, self.pins, n
+        # the positions in [0, 2n] of the indices whose output index
+        # total - index lies in [-n, n]; position p is p + shift here
+        low, high = max(0, self.total), min(2 * n, self.total + 2 * n)
+        shift = self.n - n
+        view.terms = []
+        for coefficient, table, w, u, v in self.terms:
+            if low <= high:
+                table = [_OUT] * low + table[low + shift : high + shift + 1] + [_OUT] * (2 * n - high)
+            else:
+                table = [_OUT] * (2 * n + 1)
+            view.terms.append((coefficient, table, w, u, v))
+        view.bound = view._bound()
+        return view
+
+    def _js(self, i: int) -> range:
+        """The j of the triples (i, j, total - i - j) of the window, in
+        increasing order."""
         n, total = self.n, self.total
         a, b, c = self.families
         # j ranges so that k = total - i - j lies in the window, with
         # i < j within one family and j < k within one family
         low = max(-n, total - i - n, i + 1 if a == b else -n)
         high = min(n, total - i + n, (total - i - 1) // 2 if b == c else n)
-        if meeting is None or i in meeting:
-            return range(low, high + 1)
-        return sorted({y for x in meeting for y in (x, total - i - x) if low <= y <= high})
+        return range(low, high + 1)
+
+    def meeting(self, values) -> list:
+        """The (i, j) of the window triples (i, j, total - i - j) with an
+        index in `values`, in increasing order.  With one index fixed at v,
+        the other two sum to total - v, and each position of v leaves one
+        range of the free index, so there are O(n) of them per value."""
+        n, total = self.n, self.total
+        a, b, c = self.families
+        found = set()
+        for v in values:
+            if not -n <= v <= n:
+                continue
+            rest = total - v
+            # the free index x and rest - x both in [-n, n]
+            low, high = max(-n, rest - n), min(n, rest + n)
+            # i = v
+            found.update(zip(repeat(v), self._js(v)))
+            # j = v, k = rest - i: i < j within one family, j < k within one
+            top = min(high, v - 1 if a == b else n, rest - v - 1 if b == c else n)
+            found.update(zip(range(low, top + 1), repeat(v)))
+            # k = v, j = rest - i: the same two orders
+            top = min(high, (rest - 1) // 2 if a == b else n)
+            bottom = max(low, rest - v + 1 if b == c else -n)
+            found.update(zip(range(bottom, top + 1), range(rest - bottom, rest - top - 1, -1)))
+        return sorted(found)
 
     def indices(self, meeting=None):
         """idx = (i, j, k) of the canonically ordered window triples of
         these families (a <= b <= c) with, unless `meeting` is None, some
-        index in `meeting`, in (i, j) lexicographic order.  For an i outside
-        `meeting` only the j that put j or k in it are visited, so a small
-        `meeting` costs O(n) triples, not O(n^2)."""
-        for i in range(-self.n, self.n + 1):
-            for j in self._js(i, meeting):
-                yield i, j, self.total - i - j
+        index in `meeting`, in (i, j) lexicographic order."""
+        total = self.total
+        if meeting is None:
+            for i in range(-self.n, self.n + 1):
+                for j in self._js(i):
+                    yield i, j, total - i - j
+        else:
+            for i, j in self.meeting(meeting):
+                yield i, j, total - i - j
 
     def pinned(self) -> list:
         """The triples of indices() with an index in pins, in the same
-        order: the rows the certified solve eliminates (see _cocycles).
-        With one index fixed at v, the other two sum to total - v, so there
-        are O(n) of them."""
-        n, total = self.n, self.total
-        a, b, c = self.families
-        found = set()
-        for v in self.pins:
-            for x in range(max(-n, total - v - n), min(n, total - v + n) + 1):
-                for idx in ((v, x, total - v - x), (x, v, total - v - x), (x, total - v - x, v)):
-                    if (a != b or idx[0] < idx[1]) and (b != c or idx[1] < idx[2]):
-                        found.add(idx)
-        return sorted(found)
+        order: the rows the certified solve eliminates (see _cocycles)."""
+        return list(self.indices(self.pins))
 
     def touching(self, strip) -> set:
         """The indices whose triples meet the strip: those with an index in
@@ -418,21 +472,27 @@ class _Identity:
         return terms, reached
 
     def walk(self, terms: list, meeting=None, first=False, after=None) -> tuple:
-        """(checked, failed): the dot products of the triples of
-        indices(meeting) with the entries `terms` was valued by, in that
-        order, starting after the triple `after` when it is given.  checked
-        counts the admissible triples and failed lists (idx, dot) of those
-        with a nonzero dot; with first, the walk stops at the first of them.
-        A coefficient is evaluated only where an entry is nonzero or _OUT,
-        and an _OUT entry with a nonzero coefficient makes the triple
-        inadmissible: exactly as row() decides it, since _EQUAL entries and
-        zero entries add nothing to the dot."""
+        """(checked, failed): the dot products of the window's triples, or
+        of those of `meeting` (a meeting() list) when it is given, with the
+        entries `terms` was valued by, in (i, j) order, starting after the
+        triple `after` when it is given.  checked counts the admissible
+        triples and failed lists (idx, dot) of those with a nonzero dot;
+        with first, the walk stops at the first of them.  A coefficient is
+        evaluated only where an entry is nonzero or _OUT, and an _OUT entry
+        with a nonzero coefficient makes the triple inadmissible: exactly as
+        row() decides it, since _EQUAL entries and zero entries add nothing
+        to the dot."""
         n, total = self.n, self.total
         checked, failed = 0, []
         start = -n if after is None else after[0]
-        for i in range(start, n + 1):
-            js = self._js(i, meeting)
-            if after is not None and i == start:
+        if meeting is None:
+            groups = ((i, self._js(i)) for i in range(start, n + 1))
+        else:
+            groups = ((i, (j,)) for i, j in meeting)
+        for i, js in groups:
+            if after is not None and i <= start:
+                if i < start:
+                    continue
                 js = [j for j in js if j > after[1]]
             for j in js:
                 idx = (i, j, total - i - j)
@@ -507,43 +567,89 @@ def assemble_constraints(
     return SparseMatrix.from_rows(rows, len(pairs))
 
 
+class _Plan:
+    """The windows [-n, n] of one degree up to `window`, built once at it:
+    its pair basis, the compiled identities of its family triples, and each
+    pair's bracket.  Window n's columns are the plan's columns whose pair
+    has both indices in [-n, n]; both numberings sort the pair keys, so the
+    map from window n's own columns to these is increasing, and every row,
+    pivot and null vector of window n is the same one here.  Its identities
+    are the compiled ones sliced to [-n, n] (_Identity.sliced), and its
+    coboundary generators and core columns are filtered from the plan's."""
+
+    def __init__(self, alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None = None):
+        self.alg, self.window, self.degree = alg, window, degree
+        self.pairs = _enumerate_pairs(alg, window, degree) if pairs is None else pairs
+        # the window radius of each column: the larger |index| of its pair
+        self.radius = [max(abs(x[1]), abs(y[1])) for x, y in self.pairs._columns]
+
+    @cached_property
+    def identities(self) -> list:
+        """The compiled identities whose family pairs bracket to something."""
+        return [
+            identity
+            for identity in _identities(self.alg, self.window, self.degree, self.pairs)
+            if identity.terms
+        ]
+
+    @cached_property
+    def images(self) -> dict:
+        """{element key of z: {column: numerator over alg.denominator}}: for
+        each plan element z of weight == degree, in family order, the
+        columns whose pair brackets to a multiple of z."""
+        alg = self.alg
+        slots = {}
+        for pos, off in enumerate(alg.offsets):
+            target = self.degree - off
+            if target.denominator == 1 and self.window.contains(int(target)):
+                slots[(pos, int(target))] = {}
+        for col, (x, y) in enumerate(self.pairs._columns):
+            term = alg.int_bracket(x, y)
+            if term is not None and term[1] in slots:
+                slots[term[1]][col] = term[0]
+        return slots
+
+    def columns(self, n: int) -> list:
+        return [col for col, radius in enumerate(self.radius) if radius <= n]
+
+    def core(self, window: Window) -> set:
+        bound = window.core_bound()
+        return {col for col, radius in enumerate(self.radius) if radius <= bound}
+
+    def coboundaries(self, n: int) -> list:
+        """The kept generators of coboundary_space on window n, as {column:
+        numerator over alg.denominator}, in the order of their z: a
+        generator is kept when it adds a new direction to the ones before
+        it."""
+        ech = _Echelon()
+        kept = []
+        for (_, index), generator in self.images.items():
+            if abs(index) > n:
+                continue
+            if n < self.window.n:
+                generator = {col: value for col, value in generator.items() if self.radius[col] <= n}
+            if ech.add(generator):
+                kept.append(generator)
+        return kept
+
+
 def cocycle_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
     """nullspace(assemble_constraints(...)), by the certified subset solve."""
-    alg = _bind(spec, params)
-    degree = _degree(degree)
-    if pairs is None:
-        pairs = _enumerate_pairs(alg, window, degree)
-    return _fraction_basis(len(pairs), _cocycles(alg, window, degree, pairs)[0])
+    plan = _Plan(_bind(spec, params), window, _degree(degree), pairs)
+    return _fraction_basis(len(plan.pairs), _cocycles(plan, window.n, _Echelon()))
 
 
-def _cocycles(
-    alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis, seed: tuple | None = None
-) -> tuple:
-    """The certified solve of the module docstring: the primitive
-    {column: int} null vectors of every admissible row, and the echelon
-    they solve.
+def _cocycles(plan: _Plan, n: int, ech: _Echelon, previous: int | None = None) -> list:
+    """The certified solve of the module docstring on the plan's window n:
+    the primitive {column: int} null vectors of every admissible row, over
+    the plan's columns, with the rows it eliminates added to ech.
 
-    seed, when given, is the (pairs, echelon) of a smaller window's solve at
-    this degree.  That echelon is renumbered to this window's columns and
-    taken over, and only the triples that meet the strip of indices between
-    the two windows (see _Identity.touching) have their rows added or
-    checked: every other admissible row is one of the smaller window's, in
-    the span of its echelon."""
-    identities = [identity for identity in _identities(alg, window, degree, pairs) if identity.terms]
-    strip = None
-    if seed is None:
-        ech = _Echelon()
-    else:
-        seed_pairs, ech = seed
-        # both column orders sort the pair keys, so the map is increasing
-        # and each pivot row keeps its leading column; each row is released
-        # as soon as it is renumbered
-        column = [pairs._columns[key] for key in seed_pairs._columns]
-        pivots, ech.pivots = ech.pivots, {}
-        while pivots:
-            lead, row = pivots.popitem()
-            ech.pivots[column[lead]] = {column[col]: value for col, value in row.items()}
-        strip = set(window.indices()).difference(seed_pairs.window.indices())
+    previous, when given, is the smaller window whose solve left ech, and
+    only the triples that meet the strip of indices between the two windows
+    (see _Identity.touching) have their rows added or checked: every other
+    admissible row is one of the smaller window's, in the span of ech."""
+    identities = [identity.sliced(n) for identity in plan.identities]
+    strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
     for identity in identities:
         pinned = identity.pinned()
         if strip is not None:
@@ -553,7 +659,7 @@ def _cocycles(
             row = identity.row(idx)
             if row:
                 ech.add(row)
-    return _add_violated(identities, ech, len(pairs), strip)[0], ech
+    return _add_violated(identities, ech, plan.columns(n), strip)[0]
 
 
 def _packed(vectors: list, identities: list) -> tuple:
@@ -580,22 +686,22 @@ def _packed(vectors: list, identities: list) -> tuple:
     return packed, width
 
 
-def _add_violated(identities: list, ech: _Echelon, n_cols: int, strip=None) -> tuple:
+def _add_violated(identities: list, ech: _Echelon, columns: list, strip=None) -> tuple:
     """(vectors, added): check every admissible row against the null vectors
-    of the echelon, by exact integer dot products against all of them at
-    once (_packed), and refine as it goes.  When a row fails, it is added to
-    the echelon, the null vectors are recomputed and the walk carries on
-    from the next triple.  The nullspace only shrinks, so the rows passed
-    before still hold, and each added row raises the rank by one.  vectors
-    are the final null vectors and added counts the rows.  Only the triples
-    that meet the strip are checked, all of them when it is None.  An
-    identity with no table column where a null vector is nonzero is skipped:
-    its dot products are 0."""
-    vectors = _null_vectors(ech.pivots, n_cols)
+    of the echelon over `columns`, by exact integer dot products against all
+    of them at once (_packed), and refine as it goes.  When a row fails, it
+    is added to the echelon, the null vectors are recomputed and the walk
+    carries on from the next triple.  The nullspace only shrinks, so the
+    rows passed before still hold, and each added row raises the rank by
+    one.  vectors are the final null vectors and added counts the rows.
+    Only the triples that meet the strip are checked, all of them when it is
+    None.  An identity with no table column where a null vector is nonzero
+    is skipped: its dot products are 0."""
+    vectors = _null_vectors(ech.pivots, columns)
     packed = _packed(vectors, identities)[0]
     added = 0
     for identity in identities:
-        meeting = None if strip is None else identity.touching(strip)
+        meeting = None if strip is None else identity.meeting(identity.touching(strip))
         after = None
         while True:
             terms, reached = identity.valued(packed)
@@ -607,7 +713,7 @@ def _add_violated(identities: list, ech: _Echelon, n_cols: int, strip=None) -> t
             after = failed[0][0]
             ech.add(identity.row(after))
             added += 1
-            vectors = _null_vectors(ech.pivots, n_cols)
+            vectors = _null_vectors(ech.pivots, columns)
             packed = _packed(vectors, identities)[0]
     return vectors, added
 
@@ -618,26 +724,8 @@ def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = Non
     fixed degree each family contributes at most one such z.  A generator
     is kept when it adds a new direction to the ones before it."""
     alg = _bind(spec, params)
-    degree = _degree(degree)
-    if pairs is None:
-        pairs = _enumerate_pairs(alg, window, degree)
-    return _fraction_basis(len(pairs), _coboundaries(alg, window, degree, pairs), alg.denominator)
-
-
-def _coboundaries(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis) -> list:
-    """The kept generators of coboundary_space as {column: numerator over
-    alg.denominator}, in the order of their z."""
-    slots = {}  # element key of each z -> its generator
-    for pos, off in enumerate(alg.offsets):
-        target = degree - off
-        if target.denominator == 1 and window.contains(int(target)):
-            slots[(pos, int(target))] = {}
-    for col, (x, y) in enumerate(pairs._columns):
-        term = alg.int_bracket(x, y)
-        if term is not None and term[1] in slots:
-            slots[term[1]][col] = term[0]
-    ech = _Echelon()
-    return [generator for generator in slots.values() if ech.add(generator)]
+    plan = _Plan(alg, window, _degree(degree), pairs)
+    return _fraction_basis(len(plan.pairs), plan.coboundaries(window.n), alg.denominator)
 
 
 # cocycle values as data
@@ -865,33 +953,59 @@ class KnownCocycle:
         self.degree(spec, params)
         return CocycleAssignment(spec, window, self._values(spec, window, lines))
 
-    def _values(self, spec: AlgebraSpec, window: Window, lines: list) -> dict:
-        """The canonical {(x, y): value} of _check's lines on the window,
-        each value coeff(m) / denom(m) from two integer evaluations."""
-        values: dict = {}
+    def _ratios(self, spec: AlgebraSpec, window: Window, lines: list) -> dict:
+        """The canonical values of _check's lines on the window as
+        {(key of x, key of y): (numerator, denominator)}, each value
+        coeff(m) / denom(m) from two integer evaluations."""
+        ratios: dict = {}
         for line, total, coeff, denom in lines:
-            pos_a, pos_b = map(spec.family_position, (line.family_a, line.family_b))
+            a, b = map(spec.family_position, (line.family_a, line.family_b))
             for m in window.indices():
                 n = total - m
-                if not window.contains(n) or (pos_a, n) == (pos_b, m):
+                if not window.contains(n) or (a, n) == (b, m):
                     continue
-                value = _evaluate(coeff, 0, m)
-                if not value:
+                num = _evaluate(coeff, 0, m)
+                if not num:
                     continue
-                value = Fraction(value, _evaluate(denom, 0, m))
-                a = BasisElement(line.family_a, n)
-                b = BasisElement(line.family_b, m)
-                if (pos_a, n) > (pos_b, m):
-                    a, b, value = b, a, -value
-                if values.setdefault((a, b), value) != value:
+                den = _evaluate(denom, 0, m)
+                x, y = (a, n), (b, m)
+                if x > y:
+                    x, y, num = y, x, -num
+                first = ratios.setdefault((x, y), (num, den))
+                if first[0] * den != num * first[1]:
                     raise ValueError(f"cocycle {self.name!r} table is not skew-consistent")
-        return values
+        return ratios
+
+    def _values(self, spec: AlgebraSpec, window: Window, lines: list) -> dict:
+        """_ratios as the canonical {(x, y): value} of an assignment."""
+        families = spec.families
+        return {
+            (BasisElement(families[x[0]], x[1]), BasisElement(families[y[0]], y[1])): Fraction(num, den)
+            for (x, y), (num, den) in self._ratios(spec, window, lines).items()
+        }
+
+    def _compiled_degree(self, alg: BoundAlgebra, lines: list) -> Fraction:
+        """degree() from the bound offsets and _check's support offsets."""
+        position = alg.spec.family_position
+        offs = alg.offsets
+        degrees = {
+            offs[position(line.family_a)] + offs[position(line.family_b)] + total
+            for line, total, _, _ in lines
+        }
+        if len(degrees) != 1:
+            raise ValueError(f"cocycle {self.name!r} mixes degrees {sorted(degrees)}")
+        return degrees.pop()
 
 
-# The classes the bundled presets declare, by name: svir declares all of
-# them (witt's virasoro is the same class).  load_algebra caches the parsed
-# preset, so svir is parsed once per process.
-REGISTRY = {name: KnownCocycle(name, lines) for name, lines in load_algebra("svir").cocycles.items()}
+def __getattr__(name):
+    # REGISTRY: the classes the bundled presets declare, by name (svir
+    # declares all of them; witt's virasoro is the same class).  It is built
+    # at first use, so a process that never reads it never parses svir.
+    if name == "REGISTRY":
+        registry = {known: KnownCocycle(known, lines) for known, lines in load_algebra("svir").cocycles.items()}
+        globals()[name] = registry
+        return registry
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # verification
@@ -955,10 +1069,10 @@ def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     degree = psi.degree(alg.params)
     if degree is None:
         return True
-    pairs = _enumerate_pairs(alg, window, degree)
-    vector, _ = _int_vector(psi.values, pairs)
-    core = set(pairs.core_columns())
-    bounds = _core_echelon(_coboundaries(alg, window, degree, pairs), core)
+    plan = _Plan(alg, window, degree)
+    vector, _ = _int_vector(psi.values, plan.pairs)
+    core = plan.core(window)
+    bounds = _core_echelon(plan.coboundaries(window.n), core)
     return bounds.contains(_restrict(vector, core))
 
 
@@ -1020,7 +1134,7 @@ def nonzero_degree_triviality(spec, params, window, degree) -> bool:
             f"the grading is not inner ({failure}): the argument that nonzero "
             "degrees carry no cohomology does not apply"
         )
-    return _core_dims(alg, window, degree)[5] == 0
+    return _core_dims(_Plan(alg, window, degree), window, _Echelon())[-1] == 0
 
 
 # H^2 reports
@@ -1058,47 +1172,62 @@ def match_known(
         raise ValueError("basis dimension does not match the pair basis")
     core = set(pairs.core_columns())
     return _match(
-        spec,
-        validate_parameters(spec, params),
+        BoundAlgebra(spec, params),
         window,
         _degree(degree),
-        pairs,
-        _Echelon(_int_row_from_dense(vec) for vec in cocycles),
+        pairs._columns,
+        _Echelon(_int_row_from_dense(vec) for vec in cocycles).contains,
         _core_echelon((_int_row_from_dense(vec) for vec in bounds), core),
+        core,
     )
 
 
-def _match(spec, params, window, degree, pairs, cocycles: _Echelon, core_bounds: _Echelon) -> list:
-    """match_known against the echelon of the cocycles and the core echelon
-    of the coboundaries; params are validated."""
-    core = set(pairs.core_columns())
+def _match(alg: BoundAlgebra, window, degree, columns: Mapping, is_cocycle, core_bounds: _Echelon, core) -> list:
+    """match_known over the pair columns `columns` ({(key, key): column}):
+    is_cocycle says whether a {column: int} vector is a cocycle, and
+    core_bounds is the core echelon of the coboundaries.  Each class's
+    values on the window become one integer vector over their common
+    denominator."""
+    spec = alg.spec
     results = []
     for name, lines in spec.cocycles.items():
         known = KnownCocycle(name, lines)
-        reason, lines = known._check(spec, params)
+        reason, lines = known._check(spec, alg.params)
         if reason is not None:
             continue
-        values = known._values(spec, window, lines)
-        if not values or known.degree(spec, params) != degree:
-            results.append(MatchResult(known.name, False))
-            continue
-        vector, _ = _int_vector(values, pairs)
-        matched = cocycles.contains(vector) and not core_bounds.contains(_restrict(vector, core))
+        ratios = known._ratios(spec, window, lines)
+        matched = False
+        if ratios and known._compiled_degree(alg, lines) == degree:
+            scale = math.lcm(*(den for _, den in ratios.values()))
+            vector = {}
+            for (x, y), (num, den) in ratios.items():
+                col = columns.get((x, y))
+                if col is None:
+                    x, y = alg.element(x), alg.element(y)
+                    raise ValueError(f"assignment has support on {x}, {y} outside the pair basis")
+                vector[col] = num * (scale // den)
+            matched = is_cocycle(vector) and not core_bounds.contains(_restrict(vector, core))
         results.append(MatchResult(known.name, matched))
     return results
 
 
-def _core_dims(alg: BoundAlgebra, window: Window, degree: Fraction, seed: tuple | None = None) -> tuple:
-    """(pairs, null vectors, their echelon, kept coboundary generators, core
-    echelon of the coboundaries, core H^2 dimension) of one window; seed is
-    _cocycles'."""
-    pairs = _enumerate_pairs(alg, window, degree)
-    cocycles, ech = _cocycles(alg, window, degree, pairs, seed)
-    bounds = _coboundaries(alg, window, degree, pairs)
-    core = set(pairs.core_columns())
+def _annihilates(rows, vector: dict) -> bool:
+    """Whether every {column: int} row has dot product 0 with the vector."""
+    for row in rows:
+        if sum(value * vector[col] for col, value in row.items() if col in vector):
+            return False
+    return True
+
+
+def _core_dims(plan: _Plan, window: Window, ech: _Echelon, previous: int | None = None) -> tuple:
+    """(null vectors, kept coboundary generators, core echelon of the
+    coboundaries, core columns, core H^2 dimension) of the plan's window;
+    ech and previous are _cocycles'."""
+    vectors = _cocycles(plan, window.n, ech, previous)
+    bounds = plan.coboundaries(window.n)
+    core = plan.core(window)
     core_bounds = _core_echelon(bounds, core)
-    core_h2 = _core_echelon(cocycles, core).rank - core_bounds.rank
-    return pairs, cocycles, ech, bounds, core_bounds, core_h2
+    return vectors, bounds, core_bounds, core, _core_echelon(vectors, core).rank - core_bounds.rank
 
 
 def h2(
@@ -1113,7 +1242,8 @@ def h2(
     The report's h2_dim is the raw windowed quotient dimension (it can carry
     edge junk); core_h2_dim is the trustworthy number, and stabilized says
     whether it agreed across stabilization_steps windows n, n+2, n+4, ...
-    Each grown window's solve is seeded with the one before it.
+    All windows are views on one plan built at the largest, and each grown
+    window's solve goes on from the echelon of the one before it.
     grading_inner is False when no family's index-0 element acts by the
     weights (see _grading_failure); degree 0 then need not carry the whole
     H^2.
@@ -1122,15 +1252,21 @@ def h2(
         raise ValueError("need at least one stabilization step")
     alg = _bind(spec, params)
     degree = _degree(degree)
+    plan = _Plan(alg, window.grown(2 * (stabilization_steps - 1)), degree)
+    ech = _Echelon()
     history = []
-    seed = None
     for step in range(stabilization_steps):
         grown = window.grown(2 * step)
-        pairs, cocycles, ech, bounds, core_bounds, dim = _core_dims(alg, grown, degree, seed)
+        previous = history[-1][0] if history else None
+        vectors, bounds, core_bounds, core, dim = _core_dims(plan, grown, ech, previous)
         if not step:
-            matched = _match(spec, alg.params, window, degree, pairs, _Echelon(cocycles), core_bounds)
-            cocycle_dim, coboundary_dim = len(cocycles), len(bounds)
-        seed = pairs, ech
+            # the first window's cocycles are the nullspace of its echelon
+            rows = list(ech.pivots.values())
+            matched = _match(
+                alg, window, degree, plan.pairs._columns,
+                lambda vector: _annihilates(rows, vector), core_bounds, core,
+            )
+            cocycle_dim, coboundary_dim = len(vectors), len(bounds)
         history.append((grown.n, dim))
     return H2Report(
         algebra=spec.name,

@@ -237,13 +237,14 @@ def nullspace(matrix: SparseMatrix) -> VectorBasis:
     """Right nullspace, one vector per free column in ascending column order,
     each normalized so its first nonzero coordinate is 1."""
     ech = _Echelon(_scale_row(row) for row in matrix.rows())
-    return _fraction_basis(matrix.n_cols, _null_vectors(ech.pivots, matrix.n_cols))
+    return _fraction_basis(matrix.n_cols, _null_vectors(ech.pivots, range(matrix.n_cols)))
 
 
-def _null_vectors(pivots: dict, n_cols: int) -> list:
-    """Integer back-substitution: the null vectors of the echelon rows, one
-    per free column in ascending order, as primitive {column: int} rows
-    whose first nonzero entry is positive.
+def _null_vectors(pivots: dict, columns: Iterable[int]) -> list:
+    """Integer back-substitution: the null vectors of the echelon rows over
+    the increasing column list `columns`, which holds every column of the
+    rows, one per free column in ascending order, as primitive
+    {column: int} rows whose first nonzero entry is positive.
 
     The vector of free column f is 1 at f, 0 at the other free columns, and
     solves each pivot row for its leading column, last pivot first.  Only
@@ -253,7 +254,7 @@ def _null_vectors(pivots: dict, n_cols: int) -> list:
     """
     pivot_cols = sorted(pivots)
     vectors = []
-    for free in range(n_cols):
+    for free in columns:
         if free in pivots:
             continue
         vec = {free: 1}

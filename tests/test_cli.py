@@ -340,6 +340,53 @@ def test_cli_import_leaves_the_process_pool_out():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["h2", "--algebra", "witt", "--window", "8", "--steps", "1"],
+    ["verify", "--algebra", "witt", "--cocycle", "virasoro", "--window", "8"],
+    ["jacobi", "--algebra", "witt"],
+    ["h2", "--algebra", "{user}", "--window", "10", "--steps", "1"],
+    ["verify", "--algebra", "{user}", "--cocycle", "ii", "--window", "8"],
+], ids=["h2-witt", "verify-witt", "jacobi-witt", "h2-user", "verify-user"])
+def test_other_algebras_leave_the_svir_preset_unparsed(tmp_path, argv):
+    # REGISTRY is built at first use and is_svir turns away an algebra of
+    # another shape without loading svir
+    path = tmp_path / "user.lie"
+    path.write_text(HV_SOURCE)
+    argv = [arg.format(user=path) for arg in argv]
+    code = (
+        "import contextlib, io\n"
+        "from lieext import cli, presets\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, sorted(presets._cache))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(" ", 1) == ["0", "['witt']\n" if "witt" in argv else "[]\n"]
+
+
+def test_lazy_registry_is_the_svir_classes():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import lieext, lieext.presets as p\n"
+         "before = sorted(p._cache)\n"
+         "from lieext import REGISTRY\n"
+         "from lieext.engine import REGISTRY as same\n"
+         "print(before, sorted(p._cache), REGISTRY is same is lieext.REGISTRY, 'REGISTRY' in lieext.__all__)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] ['svir'] True True"
+
+
+def test_svir_shape_is_the_presets():
+    from lieext.presets import _SVIR_SHAPE, is_svir, load_algebra
+
+    svir = load_algebra("svir")
+    assert (svir.parameters, len(svir.families)) == _SVIR_SHAPE
+    assert is_svir(svir) and not is_svir(load_algebra("witt"))
+
+
 # The Witt algebra acting on the module W(lambda, mu), all of weight 0: at
 # lambda = 1, [L(0), W(m)] = (m + 1) W(m) and the grading is not inner.
 WAB_SOURCE = """

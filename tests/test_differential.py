@@ -18,15 +18,18 @@ verify_cocycle's report and the triples the packed check flags exactly.
 
 The solve eliminates only the pinned rows and certifies the rest; at the
 edges of the pinning rule its basis must still be full elimination's.  h2
-seeds each grown window's solve with the echelon of the window before it;
-at every window of its history the null vectors must equal a fresh solve's,
-and the check must add exactly the rank the pinned rows miss.
+solves all its windows on one plan built at the largest, each grown window
+going on from the echelon of the window before it; at every window of its
+history the null vectors, relabelled by pair key, must equal a fresh
+solve's of that window alone, the check must add exactly the rank the
+pinned rows miss, and the report must be the one the windows computed alone
+give.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -51,6 +54,7 @@ from lieext.sparse import nullspace
 
 from oracle_dense import dense_in_span, dense_nullspace, dense_rank
 from test_acceptance import GRID_LAMBDAS, GRID_MUS
+from test_cli import HV_SOURCE, W22_SOURCE
 
 POINTS = [
     pytest.param("svir", {"lambda": -3, "mu": "1/2"}, id="svir(-3,1/2)"),
@@ -319,6 +323,15 @@ algebra wab(a, b) {
 """
 
 
+def _spec(tmp_path, source):
+    """A bundled preset by name, or an algebra source through a .lie file."""
+    if source in ("svir", "witt"):
+        return load_algebra(source)
+    path = tmp_path / "algebra.lie"
+    path.write_text(source)
+    return load_algebra(str(path))
+
+
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize(
     "source, values, degree, pins",
@@ -344,12 +357,7 @@ algebra wab(a, b) {
 def test_pinned_rule_edges_equal_full_elimination(tmp_path, source, values, degree, pins, n):
     """The rows eliminated up front follow the families' weights; at each
     edge of that rule cocycle_space must still be full elimination's."""
-    if source == "svir":
-        spec = load_algebra(source)
-    else:
-        path = tmp_path / "algebra.lie"
-        path.write_text(source)
-        spec = load_algebra(str(path))
+    spec = _spec(tmp_path, source)
     params = validate_parameters(spec, values)
     window = Window(n)
     alg = engine._bind(spec, params)
@@ -529,28 +537,29 @@ def test_reference_identities_reach_the_special_cases(name, values, n):
 _SOLVE, _ADD_VIOLATED = engine._cocycles, engine._add_violated
 
 
-def _assert_strip_meets_new_rows(alg, degree, seed_pairs, pairs):
-    """Every nonempty admissible row of the grown window that the seeded
-    solve does not visit (its triple does not meet the strip) must be a row
-    of the seed's window, with the same entries once its columns are mapped
-    by pair key."""
-    seed_window, window = seed_pairs.window, pairs.window
-    strip = set(window.indices()).difference(seed_window.indices())
-    column = [pairs._columns[key] for key in seed_pairs._columns]
-    seed_identities = {
+def _assert_strip_meets_new_rows(plan, n, previous):
+    """Every nonempty admissible row of the plan's window n that the solve
+    grown from window `previous` does not visit (its triple does not meet
+    the strip) must be a row of window `previous`, compiled from nothing
+    there, with the same entries once its columns are mapped by pair key."""
+    strip = [i for i in range(-n, n + 1) if abs(i) > previous]
+    smaller = engine._enumerate_pairs(plan.alg, Window(previous), plan.degree)
+    column = {col: plan.pairs._columns[key] for key, col in smaller._columns.items()}
+    smaller_identities = {
         identity.families: identity
-        for identity in engine._identities(alg, seed_window, degree, seed_pairs)
+        for identity in engine._identities(plan.alg, smaller.window, plan.degree, smaller)
     }
-    for identity in engine._identities(alg, window, degree, pairs):
+    for identity in plan.identities:
+        identity = identity.sliced(n)
         met = set(identity.indices(identity.touching(strip)))
         for idx in identity.indices():
             row = identity.row(idx)
             if not row or idx in met:
                 continue
-            assert all(seed_window.contains(i) for i in idx), idx
-            seed_row = seed_identities[identity.families].row(idx)
-            assert seed_row is not None, (identity.families, idx)
-            assert {column[col]: value for col, value in seed_row.items()} == row
+            assert all(abs(i) <= previous for i in idx), idx
+            smaller_row = smaller_identities[identity.families].row(idx)
+            assert smaller_row is not None, (identity.families, idx)
+            assert {column[col]: value for col, value in smaller_row.items()} == row
 
 
 def _rank_deficit(alg, degree, pairs):
@@ -570,9 +579,10 @@ def _rank_deficit(alg, degree, pairs):
 
 
 def _seeded_windows(monkeypatch, spec, params, window, steps=3):
-    """Run h2 with each window's solve checked against a fresh solve of the
-    same window, and each seeded window's unvisited rows against the seed's;
-    returns [(n, seeded, rows the check added)] per window."""
+    """Run h2 with each window's solve on the plan checked against a fresh
+    solve of that window alone, and each grown window's unvisited rows
+    against the window before it; returns [(n, grown from the window
+    before, rows the check added)] per window."""
     added, windows = [], []
 
     def counting(*args):
@@ -580,14 +590,19 @@ def _seeded_windows(monkeypatch, spec, params, window, steps=3):
         added.append(result[1])
         return result
 
-    def checked(alg, window, degree, pairs, seed=None):
-        if seed is not None:
-            _assert_strip_meets_new_rows(alg, degree, seed[0], pairs)
+    def checked(plan, n, ech, previous=None):
+        if previous is not None:
+            _assert_strip_meets_new_rows(plan, n, previous)
         start = len(added)
-        vectors, ech = _SOLVE(alg, window, degree, pairs, seed)
-        windows.append((window.n, seed is not None, sum(added[start:])))
-        assert vectors == _SOLVE(alg, window, degree, pairs)[0], window.n
-        return vectors, ech
+        vectors = _SOLVE(plan, n, ech, previous)
+        windows.append((n, previous is not None, sum(added[start:])))
+        # the window's null vectors, relabelled by pair key to its own
+        # columns, are a fresh solve's vector for vector
+        fresh = engine._Plan(plan.alg, Window(n), plan.degree)
+        label = {plan.pairs._columns[key]: col for key, col in fresh.pairs._columns.items()}
+        relabelled = [{label[col]: value for col, value in vec.items()} for vec in vectors]
+        assert relabelled == _SOLVE(fresh, n, engine._Echelon()), n
+        return vectors
 
     monkeypatch.setattr(engine, "_add_violated", counting)
     monkeypatch.setattr(engine, "_cocycles", checked)
@@ -644,3 +659,88 @@ def test_seeded_check_adds_rows_under_a_narrow_subset(monkeypatch, name, values)
     monkeypatch.setattr(engine._Identity, "pinned", _pin_index_zero)
     windows = _seeded_windows(monkeypatch, load_algebra(name), values, Window(8))
     assert all(added for _, seeded, added in windows if seeded)
+
+
+@pytest.mark.parametrize(
+    "source, values, degree, n, margin, steps",
+    [
+        ("witt", {}, 0, 10, 3, 4),
+        (NO_WEIGHT_ZERO_SOURCE, {}, 0, 8, 3, 3),
+        (NO_WEIGHT_ZERO_SOURCE, {}, 2, 8, 3, 3),
+        (WAB_SOURCE, {"a": 1, "b": 0}, -1, 8, 3, 3),
+        (HV_SOURCE, {}, 0, 10, 3, 3),
+        (W22_SOURCE, {}, 0, 10, 3, 3),
+        ("svir", {"lambda": -3, "mu": 1}, 0, 8, 3, 1),
+        ("svir", {"lambda": 1, "mu": "1/2"}, 0, 8, 3, 2),
+        ("svir", {"lambda": -1, "mu": "1/3"}, 0, 6, 1, 3),
+        ("svir", {"lambda": -3, "mu": 2}, 0, 10, 5, 3),
+    ],
+    ids=[
+        "witt-4-steps",
+        "graded3-0",
+        "graded3-2",
+        "wab-(-1)",
+        "hv",
+        "w22",
+        "svir(-3,1)-1-step",
+        "svir(1,1/2)-2-steps",
+        "svir(-1,1/3)-margin-1",
+        "svir(-3,2)-margin-5",
+    ],
+)
+def test_h2_equals_fresh_windows(tmp_path, source, values, degree, n, margin, steps):
+    """Every window of h2's plan reports what that window computed alone
+    reports: core history, cocycle and coboundary dimensions and matches."""
+    spec = _spec(tmp_path, source)
+    params = validate_parameters(spec, values)
+    window = Window(n, margin)
+    report = h2(spec, params, window, degree, stabilization_steps=steps)
+    alg = engine._bind(spec, params)
+    history = []
+    for step in range(steps):
+        grown = window.grown(2 * step)
+        plan = engine._Plan(alg, grown, Fraction(degree))
+        vectors, bounds, _, _, dim = engine._core_dims(plan, grown, engine._Echelon())
+        history.append((grown.n, dim))
+        if not step:
+            assert (report.cocycle_dim, report.coboundary_dim) == (len(vectors), len(bounds))
+    assert report.core_history == history
+    pairs = enumerate_pairs(spec, params, window, degree)
+    cocycles = cocycle_space(spec, params, window, degree, pairs)
+    bounds = coboundary_space(spec, params, window, degree, pairs)
+    assert report.matched_known == match_known(spec, params, window, degree, pairs, cocycles, bounds)
+    if source in (HV_SOURCE, W22_SOURCE):
+        assert all(m.matched for m in report.matched_known)
+
+
+@pytest.mark.parametrize(
+    "name, values, steps",
+    [("svir", {"lambda": -3, "mu": "1/2"}, 3), ("svir", {"lambda": 1, "mu": 1}, 1), ("witt", {}, 4)],
+    ids=["svir(-3,1/2)", "svir(1,1)-1-step", "witt-4-steps"],
+)
+def test_h2_builds_one_plan(monkeypatch, name, values, steps):
+    """One h2 call enumerates its pairs once and compiles each family
+    triple's identity once, whatever the number of windows."""
+    spec = load_algebra(name)
+    alg = engine._bind(spec, values)
+    # the family triples whose index total is an integer at degree 0
+    triples = sum(
+        sum(alg.offsets[p] for p in families).denominator == 1
+        for families in combinations_with_replacement(range(len(alg.offsets)), 3)
+    )
+    calls = Counter()
+    enumerate_pairs_, init = engine._enumerate_pairs, engine._Identity.__init__
+
+    def counting_pairs(*args):
+        calls["pairs"] += 1
+        return enumerate_pairs_(*args)
+
+    def counting_init(self, *args):
+        calls[args[3]] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(engine, "_enumerate_pairs", counting_pairs)
+    monkeypatch.setattr(engine._Identity, "__init__", counting_init)
+    h2(spec, values, Window(8), stabilization_steps=steps)
+    assert calls.pop("pairs") == 1
+    assert len(calls) == triples and set(calls.values()) == {1}
