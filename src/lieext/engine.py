@@ -305,7 +305,7 @@ class _Identity:
     position w of idx = (i, j, k), and the bracket coefficient is evaluated
     at idx[u], idx[v].  bound is at least the sum of |coefficient| over the
     terms at any triple of window indices.  Every row expansion in this
-    module reads these tables.
+    module reads these tables; sliced() gives them on a smaller window.
     """
 
     __slots__ = ("families", "total", "n", "terms", "bound", "pins")
@@ -338,7 +338,8 @@ class _Identity:
 
     def _bound(self) -> int:
         # |k * i**e * j**f| <= |k| * n**(e + f) for indices i, j in [-n, n]
-        return sum(abs(k) * self.n ** (e + f) for coefficient, *_ in self.terms for k, e, f in coefficient)
+        n = self.n
+        return sum(abs(k) * n ** (e + f) for coefficient, *_ in self.terms for k, e, f in coefficient)
 
     def sliced(self, n: int) -> "_Identity":
         """This identity on the window [-n, n] inside its own: each table
@@ -351,7 +352,7 @@ class _Identity:
         view = object.__new__(_Identity)
         view.families, view.total, view.pins, view.n = self.families, self.total, self.pins, n
         # the positions in [0, 2n] of the indices whose output index
-        # total - index lies in [-n, n]; position p is p + shift here
+        # total - index lies in [-n, n]; position p is p + shift in table
         low, high = max(0, self.total), min(2 * n, self.total + 2 * n)
         shift = self.n - n
         view.terms = []
