@@ -148,8 +148,9 @@ def cmd_jacobi(args) -> int:
 def _prediction(spec, params, degree):
     """The closed-form table's dimension, for the bundled svir bracket
     table under any name (is_svir); an algebra that only shares the name
-    gets none."""
-    if degree == 0 and is_svir(spec):
+    gets none.  An algebra without the table's lambda and mu gets none
+    before is_svir parses svir."""
+    if degree == 0 and {"lambda", "mu"} <= set(spec.parameters) and is_svir(spec):
         return theorem_predicted_dim(params["lambda"], params["mu"])
     return None
 

@@ -69,12 +69,13 @@ each later window from the certified echelon of the one before, which
 passes from window to window unchanged.  A triple of the grown window is
 new when one of its indices, or the output index total - idx[w] of one of
 its terms, lies in the strip between the two windows; there are O(n) of
-them per family triple, and they are enumerated directly.  Every other admissible triple has its
-indices and its nonzero outputs inside the smaller window, so its row is a
-row of that window with the same entries, and it lies in the span of that
-window's certified echelon.  So only the new pinned rows are added and only
-the new rows are checked, and the nullspace, its pivot columns and its
-reduced basis are exactly those of a fresh solve.
+them per family triple, and they are enumerated directly.  Every other
+admissible triple has its indices and its nonzero outputs inside the
+smaller window, so its row is a row of that window with the same entries,
+and it lies in the span of that window's certified echelon.  So only the
+new pinned rows are added and only the new rows are checked, and the
+nullspace, its pivot columns and its reduced basis are exactly those of a
+fresh solve.
 
 Every row is expanded from one compiled form of the identity.  The indices
 of the triples (F_i, G_j, H_k) of one family triple at one degree sum to a
@@ -110,9 +111,7 @@ kernel.  Its applicability is decided once per class and call, by the step
 that compiles each line at the bound parameters: coefficient, denominator
 and support offset become integer terms over one shared scale, so each
 value is one quotient of two integers.  Matching puts those quotients
-straight on the plan's columns, over their common denominator, and reads
-the class's degree from the bound weight offsets and the compiled support
-offsets.
+straight on the plan's columns, over their common denominator.
 
 After the solve every vector stays a {column: int} row: the primitive null
 vectors, the kept coboundary generators as numerators over the algebra's
@@ -120,11 +119,10 @@ denominator, and a cocycle class as its values over their common
 denominator.  A core dimension is the rank of such rows restricted to the
 core columns, which keep their indices (echelon order is column order, so
 nothing is renumbered).  Each window's core-coboundary echelon is built once
-and serves core_h2 and the coboundary test of every cocycle class.  The
-cocycles are the nullspace of the first window's echelon, so a class is a
-cocycle when every row of that echelon has dot product 0 with it.
-Fractions appear only at the public boundary: cocycle_space and
-coboundary_space return a VectorBasis, and match_known takes them.
+and serves core_h2 and the coboundary test of every cocycle class; one
+echelon of the null vectors serves their cocycle test.  Fractions appear only
+at the public boundary: cocycle_space and coboundary_space return a
+VectorBasis, and match_known takes them.
 """
 
 from __future__ import annotations
@@ -568,6 +566,14 @@ def assemble_constraints(
     return SparseMatrix.from_rows(rows, len(pairs))
 
 
+def _same_window(pairs: PairBasis, window: Window) -> PairBasis:
+    """pairs, when it is the pair basis of the window a public call was
+    given: a basis of another window has other columns."""
+    if pairs.window != window:
+        raise ValueError(f"pair basis is of {pairs.window}, not {window}")
+    return pairs
+
+
 class _Plan:
     """The windows [-n, n] of one degree up to `window`, built once at it:
     its pair basis, the compiled identities of its family triples, and each
@@ -580,7 +586,7 @@ class _Plan:
 
     def __init__(self, alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None = None):
         self.alg, self.window, self.degree = alg, window, degree
-        self.pairs = _enumerate_pairs(alg, window, degree) if pairs is None else pairs
+        self.pairs = _enumerate_pairs(alg, window, degree) if pairs is None else _same_window(pairs, window)
         # the window radius of each column: the larger |index| of its pair
         self.radius = [max(abs(x[1]), abs(y[1])) for x, y in self.pairs._columns]
 
@@ -985,18 +991,6 @@ class KnownCocycle:
             for (x, y), (num, den) in self._ratios(spec, window, lines).items()
         }
 
-    def _compiled_degree(self, alg: BoundAlgebra, lines: list) -> Fraction:
-        """degree() from the bound offsets and _check's support offsets."""
-        position = alg.spec.family_position
-        offs = alg.offsets
-        degrees = {
-            offs[position(line.family_a)] + offs[position(line.family_b)] + total
-            for line, total, _, _ in lines
-        }
-        if len(degrees) != 1:
-            raise ValueError(f"cocycle {self.name!r} mixes degrees {sorted(degrees)}")
-        return degrees.pop()
-
 
 def __getattr__(name):
     # REGISTRY: the classes the bundled presets declare, by name (svir
@@ -1169,6 +1163,7 @@ def match_known(
     """Which of the algebra's declared cocycle classes lie in the computed
     cocycle space and are not coboundaries (core-projected).  Inapplicable
     classes are omitted."""
+    _same_window(pairs, window)
     if cocycles.dimension != len(pairs) or bounds.dimension != len(pairs):
         raise ValueError("basis dimension does not match the pair basis")
     core = set(pairs.core_columns())
@@ -1177,18 +1172,17 @@ def match_known(
         window,
         _degree(degree),
         pairs._columns,
-        _Echelon(_int_row_from_dense(vec) for vec in cocycles).contains,
+        _Echelon(_int_row_from_dense(vec) for vec in cocycles),
         _core_echelon((_int_row_from_dense(vec) for vec in bounds), core),
         core,
     )
 
 
-def _match(alg: BoundAlgebra, window, degree, columns: Mapping, is_cocycle, core_bounds: _Echelon, core) -> list:
-    """match_known over the pair columns `columns` ({(key, key): column}):
-    is_cocycle says whether a {column: int} vector is a cocycle, and
-    core_bounds is the core echelon of the coboundaries.  Each class's
-    values on the window become one integer vector over their common
-    denominator."""
+def _match(alg: BoundAlgebra, window, degree, columns: Mapping, cocycles: _Echelon, core_bounds: _Echelon, core) -> list:
+    """match_known over the pair columns `columns` ({(key, key): column})
+    against the echelon of the cocycles and the core echelon of the
+    coboundaries.  Each class's values on the window become one integer
+    vector over their common denominator."""
     spec = alg.spec
     results = []
     for name, lines in spec.cocycles.items():
@@ -1198,7 +1192,7 @@ def _match(alg: BoundAlgebra, window, degree, columns: Mapping, is_cocycle, core
             continue
         ratios = known._ratios(spec, window, lines)
         matched = False
-        if ratios and known._compiled_degree(alg, lines) == degree:
+        if ratios and known.degree(spec, alg.params) == degree:
             scale = math.lcm(*(den for _, den in ratios.values()))
             vector = {}
             for (x, y), (num, den) in ratios.items():
@@ -1207,17 +1201,9 @@ def _match(alg: BoundAlgebra, window, degree, columns: Mapping, is_cocycle, core
                     x, y = alg.element(x), alg.element(y)
                     raise ValueError(f"assignment has support on {x}, {y} outside the pair basis")
                 vector[col] = num * (scale // den)
-            matched = is_cocycle(vector) and not core_bounds.contains(_restrict(vector, core))
+            matched = cocycles.contains(vector) and not core_bounds.contains(_restrict(vector, core))
         results.append(MatchResult(known.name, matched))
     return results
-
-
-def _annihilates(rows, vector: dict) -> bool:
-    """Whether every {column: int} row has dot product 0 with the vector."""
-    for row in rows:
-        if sum(value * vector[col] for col, value in row.items() if col in vector):
-            return False
-    return True
 
 
 def _core_dims(plan: _Plan, window: Window, ech: _Echelon, previous: int | None = None) -> tuple:
@@ -1261,12 +1247,7 @@ def h2(
         previous = history[-1][0] if history else None
         vectors, bounds, core_bounds, core, dim = _core_dims(plan, grown, ech, previous)
         if not step:
-            # the first window's cocycles are the nullspace of its echelon
-            rows = list(ech.pivots.values())
-            matched = _match(
-                alg, window, degree, plan.pairs._columns,
-                lambda vector: _annihilates(rows, vector), core_bounds, core,
-            )
+            matched = _match(alg, window, degree, plan.pairs._columns, _Echelon(vectors), core_bounds, core)
             cocycle_dim, coboundary_dim = len(vectors), len(bounds)
         history.append((grown.n, dim))
     return H2Report(

@@ -348,8 +348,8 @@ def test_cli_import_leaves_the_process_pool_out():
     ["verify", "--algebra", "{user}", "--cocycle", "ii", "--window", "8"],
 ], ids=["h2-witt", "verify-witt", "jacobi-witt", "h2-user", "verify-user"])
 def test_other_algebras_leave_the_svir_preset_unparsed(tmp_path, argv):
-    # REGISTRY is built at first use and is_svir turns away an algebra of
-    # another shape without loading svir
+    # REGISTRY is built at first use, and the closed-form prediction turns
+    # away an algebra without lambda and mu before is_svir loads svir
     path = tmp_path / "user.lie"
     path.write_text(HV_SOURCE)
     argv = [arg.format(user=path) for arg in argv]
@@ -377,14 +377,6 @@ def test_lazy_registry_is_the_svir_classes():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[] ['svir'] True True"
-
-
-def test_svir_shape_is_the_presets():
-    from lieext.presets import _SVIR_SHAPE, is_svir, load_algebra
-
-    svir = load_algebra("svir")
-    assert (svir.parameters, len(svir.families)) == _SVIR_SHAPE
-    assert is_svir(svir) and not is_svir(load_algebra("witt"))
 
 
 # The Witt algebra acting on the module W(lambda, mu), all of weight 0: at

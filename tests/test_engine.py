@@ -239,6 +239,21 @@ def test_coboundaries_are_cocycles():
             assert in_span(vec, cocycles)
 
 
+@pytest.mark.parametrize("other", [Window(10, 3), Window(6, 3), Window(8, 2)], ids=["larger", "smaller", "margin"])
+def test_pair_basis_of_another_window_is_refused(other):
+    window = Window(8, 3)
+    pairs = enumerate_pairs(WITT, {}, other, 0)
+    own = enumerate_pairs(WITT, {}, window, 0)
+    cocycles = cocycle_space(WITT, {}, window, 0, own)
+    bounds = coboundary_space(WITT, {}, window, 0, own)
+    with pytest.raises(ValueError, match="pair basis is of"):
+        cocycle_space(WITT, {}, window, 0, pairs)
+    with pytest.raises(ValueError, match="pair basis is of"):
+        coboundary_space(WITT, {}, window, 0, pairs)
+    with pytest.raises(ValueError, match="pair basis is of"):
+        match_known(WITT, {}, window, 0, pairs, cocycles, bounds)
+
+
 def test_cocycle_vectors_verify():
     params = {"lambda": -1, "mu": "1/3"}
     window = Window(8, 3)
