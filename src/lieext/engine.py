@@ -24,25 +24,28 @@ windowed estimate of the true H^2 dimension.
 
 The cocycles are found by a certified subset solve.  Only the pinned rows
 are eliminated, in integers: those of the triples with an index -1, or,
-when none of the triple's families has weight 0 at the bound parameters,
-an index -1 or 0.  The rule reads weights, never names.  Fixing an index
+when none of the triple's families has weight 0 at the bound parameters, an
+index -1 or 0.  The rule reads weights, never names.  Fixing an index
 leaves one free, so there are O(n) pinned triples per family triple
-(_Identity.pinned).  With a weight-zero family L they hold the recursion in
-L_-1 of the classical computation of Virasoro cocycles, with almost one
-independent row per column: at svir (-3, 1), n = 40, the 346 rows with an
-L_-1 reach rank 346 of 349, and all 1022 pinned rows reach 349.  A triple
-with no weight-zero family has no such recursion, and there the rows with
-an index 0 are needed too: without them, at n = 40, the check has to add
-39 of the rank 302 of an algebra with families of weights 1, 2 and 3.
+(_Identity.pinned; _Plan.cocycles runs the solve).  With a weight-zero
+family L they hold the recursion in L_-1 of the classical computation of
+Virasoro cocycles, with almost one independent row per column: at svir
+(-3, 1), n = 40, the 346 rows with an L_-1 reach rank 346 of 349, and all
+1022 pinned rows reach 349.  A triple with no weight-zero family has no such
+recursion, and there the rows with an index 0 are needed too: without them,
+at n = 40, the check has to add 39 of the rank 302 of an algebra with
+families of weights 1, 2 and 3.
 
 Every admissible row is then checked against the primitive integer null
 vectors of the echelon by exact integer dot products, and the check refines
 as it goes (_add_violated).  A row that fails is added to the echelon, the
-null vectors are recomputed, and the walk carries on from the next triple.
-So there is one pass, and it adds exactly the pinned rows' rank deficit.
-Each added row costs a back-substitution, so the solve is only as cheap as
-that deficit is small: at most 4 at n = 40 and degrees 0, 1 and 2 on svir,
-witt and five algebras of the tests.
+null vectors are recomputed, and the walk takes that family triple again
+from its first triple.  That is exact: the nullspace only shrinks, so the
+triples passed before still pass and the added row now does too.  Each
+added row raises the rank by one, so the check adds exactly the pinned
+rows' rank deficit.  Each added row costs a back-substitution, so the solve
+is only as cheap as that deficit is small: at most 4 at n = 40 and degrees
+0, 1 and 2 on svir, witt and five algebras of the tests.
 
 The result is the one full elimination gives.  Every admissible row is
 either in the echelon or passed against a nullspace that contains the final
@@ -64,18 +67,18 @@ is increasing, every row keeps its leading column, and pivots, ranks and
 reduced null vectors correspond one to one.  Its identity tables are the
 plan's cut to [-n, n], with "the output leaves the window" wherever the
 output index leaves [-n, n]; its coboundary generators and core columns are
-filtered from the plan's.  h2 solves its first window as above and grows
-each later window from the certified echelon of the one before, which
-passes from window to window unchanged.  A triple of the grown window is
-new when one of its indices, or the output index total - idx[w] of one of
-its terms, lies in the strip between the two windows; there are O(n) of
-them per family triple, and they are enumerated directly.  Every other
-admissible triple has its indices and its nonzero outputs inside the
-smaller window, so its row is a row of that window with the same entries,
-and it lies in the span of that window's certified echelon.  So only the
-new pinned rows are added and only the new rows are checked, and the
-nullspace, its pivot columns and its reduced basis are exactly those of a
-fresh solve.
+filtered from the plan's.  The plan holds the certified echelon and the
+window it was solved on: h2 solves its first window as above and grows each
+later window from that echelon, which passes from window to window
+unchanged.  A triple of the grown window is new when one of its indices, or
+the output index total - idx[w] of one of its terms, lies in the strip
+between the two windows; there are O(n) of them per family triple, and they
+are enumerated directly.  Every other admissible triple has its indices and
+its nonzero outputs inside the smaller window, so its row is a row of that
+window with the same entries, and it lies in the span of that window's
+certified echelon.  So only the new pinned rows are added and only the new
+rows are checked, and the nullspace, its pivot columns and its reduced
+basis are exactly those of a fresh solve.
 
 Every row is expanded from one compiled form of the identity.  The indices
 of the triples (F_i, G_j, H_k) of one family triple at one degree sum to a
@@ -214,20 +217,26 @@ class PairBasis:
     Column order is lexicographic in the element keys (family position,
     index) of both elements, which fixes the coordinatization used by every
     matrix in this module.  column_of resolves either orientation of a pair
-    and reports the skew sign, so psi(x, y) = sign * value[column].
+    and reports the skew sign, so psi(x, y) = sign * value[column].  A basis
+    is fixed by the algebra's weight offsets, the window and the degree, and
+    the public calls that take one refuse a basis of any other.
     """
 
-    __slots__ = ("spec", "window", "pairs", "_columns")
-
-    def __init__(self, spec, window, pairs):
-        self.spec = spec
+    def __init__(self, alg: BoundAlgebra, window: Window, degree: Fraction, keys: list):
+        self.spec = alg.spec
         self.window = window
-        self.pairs = pairs
-        key = spec.element_key
-        self._columns = {(key(x), key(y)): col for col, (x, y) in enumerate(pairs)}
+        self._offsets, self._degree = alg.offsets, degree
+        self._index = {key: col for col, key in enumerate(keys)}
+        # the window radius of each column: the larger |index| of its pair
+        self._radius = [max(abs(x[1]), abs(y[1])) for x, y in keys]
+
+    @cached_property
+    def pairs(self) -> list:
+        """The element pairs of the columns, built on first use."""
+        return [(self._element(x), self._element(y)) for x, y in self._index]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._radius)
 
     def __iter__(self):
         return iter(self.pairs)
@@ -246,17 +255,20 @@ class PairBasis:
         if x > y:
             x, y, sign = y, x, -1
         try:
-            return self._columns[(x, y)], sign
+            return self._index[(x, y)], sign
         except KeyError:
-            x, y = (BasisElement(self.spec.families[p], i) for p, i in (x, y))
-            raise ValueError(f"pair ({x}, {y}) is not in this basis") from None
+            raise ValueError(f"pair ({self._element(x)}, {self._element(y)}) is not in this basis") from None
+
+    def _element(self, key: tuple) -> BasisElement:
+        return BasisElement(self.spec.families[key[0]], key[1])
+
+    def _columns(self, n: int) -> list:
+        """The columns, in increasing order, whose pair has both indices in
+        [-n, n]."""
+        return [col for col, radius in enumerate(self._radius) if radius <= n]
 
     def core_columns(self) -> list:
-        return [
-            col
-            for col, (x, y) in enumerate(self.pairs)
-            if self.window.core_contains(x.index) and self.window.core_contains(y.index)
-        ]
+        return self._columns(self.window.core_bound())
 
 
 def enumerate_pairs(spec: AlgebraSpec, params: Mapping, window: Window, degree) -> PairBasis:
@@ -279,8 +291,22 @@ def _enumerate_pairs(alg: BoundAlgebra, window: Window, degree: Fraction) -> Pai
                 if window.contains(j) and (a != b or i < j):
                     keys.append(((a, i), (b, j)))
     keys.sort()
-    pairs = [(alg.element(x), alg.element(y)) for x, y in keys]
-    return PairBasis(alg.spec, window, pairs)
+    return PairBasis(alg, window, degree, keys)
+
+
+def _pair_basis(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None) -> PairBasis:
+    """The pair basis of a public call: enumerated when it is None, else
+    pairs, when it is the basis of these weight offsets, window and degree.
+    Any other basis has other columns."""
+    if pairs is None:
+        return _enumerate_pairs(alg, window, degree)
+    if pairs._offsets != alg.offsets:
+        raise ValueError("pair basis is of an algebra with other weights")
+    if pairs.window != window:
+        raise ValueError(f"pair basis is of {pairs.window}, not {window}")
+    if pairs._degree != degree:
+        raise ValueError(f"pair basis is of degree {format_rational(pairs._degree)}, not {format_rational(degree)}")
+    return pairs
 
 
 # An entry of an identity's index table: the term's bracket output is the
@@ -399,23 +425,19 @@ class _Identity:
             found.update(zip(range(bottom, top + 1), range(rest - bottom, rest - top - 1, -1)))
         return sorted(found)
 
-    def indices(self, meeting=None):
+    def indices(self):
         """idx = (i, j, k) of the canonically ordered window triples of
-        these families (a <= b <= c) with, unless `meeting` is None, some
-        index in `meeting`, in (i, j) lexicographic order."""
+        these families (a <= b <= c), in (i, j) lexicographic order."""
         total = self.total
-        if meeting is None:
-            for i in range(-self.n, self.n + 1):
-                for j in self._js(i):
-                    yield i, j, total - i - j
-        else:
-            for i, j in self.meeting(meeting):
+        for i in range(-self.n, self.n + 1):
+            for j in self._js(i):
                 yield i, j, total - i - j
 
     def pinned(self) -> list:
         """The triples of indices() with an index in pins, in the same
-        order: the rows the certified solve eliminates (see _cocycles)."""
-        return list(self.indices(self.pins))
+        order: the rows the certified solve eliminates (see _Plan.cocycles)."""
+        total = self.total
+        return [(i, j, total - i - j) for i, j in self.meeting(self.pins)]
 
     def touching(self, strip) -> set:
         """The indices whose triples meet the strip: those with an index in
@@ -470,29 +492,23 @@ class _Identity:
             terms.append((coefficient, values, w, u, v))
         return terms, reached
 
-    def walk(self, terms: list, meeting=None, first=False, after=None) -> tuple:
+    def walk(self, terms: list, meeting=None) -> tuple:
         """(checked, failed): the dot products of the window's triples, or
         of those of `meeting` (a meeting() list) when it is given, with the
-        entries `terms` was valued by, in (i, j) order, starting after the
-        triple `after` when it is given.  checked counts the admissible
-        triples and failed lists (idx, dot) of those with a nonzero dot;
-        with first, the walk stops at the first of them.  A coefficient is
+        entries `terms` was valued by, in (i, j) order, up to the first that
+        is nonzero.  checked counts the admissible triples walked, and failed
+        is (idx, dot) of that first one, or None.  A coefficient is
         evaluated only where an entry is nonzero or _OUT, and an _OUT entry
         with a nonzero coefficient makes the triple inadmissible: exactly as
         row() decides it, since _EQUAL entries and zero entries add nothing
         to the dot."""
         n, total = self.n, self.total
-        checked, failed = 0, []
-        start = -n if after is None else after[0]
+        checked = 0
         if meeting is None:
-            groups = ((i, self._js(i)) for i in range(start, n + 1))
+            groups = ((i, self._js(i)) for i in range(-n, n + 1))
         else:
             groups = ((i, (j,)) for i, j in meeting)
         for i, js in groups:
-            if after is not None and i <= start:
-                if i < start:
-                    continue
-                js = [j for j in js if j > after[1]]
             for j in js:
                 idx = (i, j, total - i - j)
                 dot = 0
@@ -512,10 +528,8 @@ class _Identity:
                 else:
                     checked += 1
                     if dot:
-                        failed.append((idx, dot))
-                        if first:
-                            return checked, failed
-        return checked, failed
+                        return checked, (idx, dot)
+        return checked, None
 
 
 def _identities(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis) -> list:
@@ -534,15 +548,16 @@ def _identities(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: Pair
 def constraint_row(spec, params, window, x, y, z, pairs: PairBasis):
     """One cocycle constraint as a sparse row over the pair basis, or None
     for an inadmissible triple.  A vacuous identity gives an empty dict.
-    The weights of x, y and z must sum to the basis degree."""
-    alg = BoundAlgebra(spec, params)
+    The weights of x, y and z must sum to the basis degree, and the basis
+    must be of this algebra and window."""
+    alg = _bind(spec, params)
+    _pair_basis(alg, window, pairs._degree, pairs)
     keys = [spec.element_key(e) for e in (x, y, z)]
     for e in (x, y, z):
         if not window.contains(e.index):
             raise ValueError(f"element {e} is outside the window")
-    idx = tuple(i for _, i in keys)
-    identity = _Identity(alg, window, pairs, tuple(p for p, _ in keys), sum(idx))
-    row = identity.row(idx)
+    families, idx = zip(*keys)
+    row = _Identity(alg, window, pairs, families, sum(idx)).row(idx)
     if row is None:
         return None
     return {col: Fraction(value, alg.denominator) for col, value in row.items()}
@@ -554,8 +569,7 @@ def assemble_constraints(
     """Constraint matrix with one row per admissible nonvacuous triple."""
     alg = _bind(spec, params)
     degree = _degree(degree)
-    if pairs is None:
-        pairs = _enumerate_pairs(alg, window, degree)
+    pairs = _pair_basis(alg, window, degree, pairs)
     denominator = alg.denominator
     rows = []
     for identity in _identities(alg, window, degree, pairs):
@@ -566,14 +580,6 @@ def assemble_constraints(
     return SparseMatrix.from_rows(rows, len(pairs))
 
 
-def _same_window(pairs: PairBasis, window: Window) -> PairBasis:
-    """pairs, when it is the pair basis of the window a public call was
-    given: a basis of another window has other columns."""
-    if pairs.window != window:
-        raise ValueError(f"pair basis is of {pairs.window}, not {window}")
-    return pairs
-
-
 class _Plan:
     """The windows [-n, n] of one degree up to `window`, built once at it:
     its pair basis, the compiled identities of its family triples, and each
@@ -582,13 +588,16 @@ class _Plan:
     map from window n's own columns to these is increasing, and every row,
     pivot and null vector of window n is the same one here.  Its identities
     are the compiled ones sliced to [-n, n] (_Identity.sliced), and its
-    coboundary generators and core columns are filtered from the plan's."""
+    coboundary generators and core columns are filtered from the plan's.
+
+    The plan also owns the certified solve of its windows: the echelon of
+    the rows it has eliminated, and the window that echelon was solved on.
+    Each window it solves must grow the one before (cocycles)."""
 
     def __init__(self, alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None = None):
         self.alg, self.window, self.degree = alg, window, degree
-        self.pairs = _enumerate_pairs(alg, window, degree) if pairs is None else _same_window(pairs, window)
-        # the window radius of each column: the larger |index| of its pair
-        self.radius = [max(abs(x[1]), abs(y[1])) for x, y in self.pairs._columns]
+        self.pairs = _pair_basis(alg, window, degree, pairs)
+        self.ech, self.solved = _Echelon(), None
 
     @cached_property
     def identities(self) -> list:
@@ -610,63 +619,70 @@ class _Plan:
             target = self.degree - off
             if target.denominator == 1 and self.window.contains(int(target)):
                 slots[(pos, int(target))] = {}
-        for col, (x, y) in enumerate(self.pairs._columns):
+        for col, (x, y) in enumerate(self.pairs._index):
             term = alg.int_bracket(x, y)
             if term is not None and term[1] in slots:
                 slots[term[1]][col] = term[0]
         return slots
 
-    def columns(self, n: int) -> list:
-        return [col for col, radius in enumerate(self.radius) if radius <= n]
-
-    def core(self, window: Window) -> set:
-        bound = window.core_bound()
-        return {col for col, radius in enumerate(self.radius) if radius <= bound}
+    def cocycles(self, n: int) -> list:
+        """The certified solve of the module docstring on window n: the
+        primitive {column: int} null vectors of every admissible row, over
+        the plan's columns, with the rows it eliminates added to the plan's
+        echelon.  n must exceed the window solved before, if any, and then
+        only the triples that meet the strip of indices between the two
+        windows (see _Identity.touching) have their rows added or checked:
+        every other admissible row is one of the smaller window's, in the
+        span of the echelon."""
+        previous = self.solved
+        if previous is not None and n <= previous:
+            raise ValueError(f"window {n} does not grow the solved window {previous}")
+        identities = [identity.sliced(n) for identity in self.identities]
+        strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
+        for identity in identities:
+            pinned = identity.pinned()
+            if strip is not None:
+                touching = identity.touching(strip)
+                pinned = [idx for idx in pinned if not touching.isdisjoint(idx)]
+            for idx in pinned:
+                row = identity.row(idx)
+                if row:
+                    self.ech.add(row)
+        vectors = _add_violated(identities, self.ech, self.pairs._columns(n), strip)
+        self.solved = n
+        return vectors
 
     def coboundaries(self, n: int) -> list:
         """The kept generators of coboundary_space on window n, as {column:
         numerator over alg.denominator}, in the order of their z: a
         generator is kept when it adds a new direction to the ones before
         it."""
+        within = set(self.pairs._columns(n))
         ech = _Echelon()
         kept = []
         for (_, index), generator in self.images.items():
             if abs(index) > n:
                 continue
-            if n < self.window.n:
-                generator = {col: value for col, value in generator.items() if self.radius[col] <= n}
+            generator = _restrict(generator, within)
             if ech.add(generator):
                 kept.append(generator)
         return kept
+
+    def core_dims(self, window: Window) -> tuple:
+        """(null vectors, kept coboundary generators, core echelon of the
+        coboundaries, core columns, core H^2 dimension) of the plan's
+        window, solved by cocycles."""
+        vectors = self.cocycles(window.n)
+        bounds = self.coboundaries(window.n)
+        core = set(self.pairs._columns(window.core_bound()))
+        core_bounds = _core_echelon(bounds, core)
+        return vectors, bounds, core_bounds, core, _core_echelon(vectors, core).rank - core_bounds.rank
 
 
 def cocycle_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
     """nullspace(assemble_constraints(...)), by the certified subset solve."""
     plan = _Plan(_bind(spec, params), window, _degree(degree), pairs)
-    return _fraction_basis(len(plan.pairs), _cocycles(plan, window.n, _Echelon()))
-
-
-def _cocycles(plan: _Plan, n: int, ech: _Echelon, previous: int | None = None) -> list:
-    """The certified solve of the module docstring on the plan's window n:
-    the primitive {column: int} null vectors of every admissible row, over
-    the plan's columns, with the rows it eliminates added to ech.
-
-    previous, when given, is the smaller window whose solve left ech, and
-    only the triples that meet the strip of indices between the two windows
-    (see _Identity.touching) have their rows added or checked: every other
-    admissible row is one of the smaller window's, in the span of ech."""
-    identities = [identity.sliced(n) for identity in plan.identities]
-    strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
-    for identity in identities:
-        pinned = identity.pinned()
-        if strip is not None:
-            touching = identity.touching(strip)
-            pinned = [idx for idx in pinned if not touching.isdisjoint(idx)]
-        for idx in pinned:
-            row = identity.row(idx)
-            if row:
-                ech.add(row)
-    return _add_violated(identities, ech, plan.columns(n), strip)[0]
+    return _fraction_basis(len(plan.pairs), plan.cocycles(window.n))
 
 
 def _packed(vectors: list, identities: list) -> tuple:
@@ -693,36 +709,32 @@ def _packed(vectors: list, identities: list) -> tuple:
     return packed, width
 
 
-def _add_violated(identities: list, ech: _Echelon, columns: list, strip=None) -> tuple:
-    """(vectors, added): check every admissible row against the null vectors
-    of the echelon over `columns`, by exact integer dot products against all
-    of them at once (_packed), and refine as it goes.  When a row fails, it
-    is added to the echelon, the null vectors are recomputed and the walk
-    carries on from the next triple.  The nullspace only shrinks, so the
-    rows passed before still hold, and each added row raises the rank by
-    one.  vectors are the final null vectors and added counts the rows.
-    Only the triples that meet the strip are checked, all of them when it is
-    None.  An identity with no table column where a null vector is nonzero
-    is skipped: its dot products are 0."""
+def _add_violated(identities: list, ech: _Echelon, columns: list, strip=None) -> list:
+    """Check every admissible row against the null vectors of the echelon
+    over `columns`, by exact integer dot products against all of them at
+    once (_packed), refine as it goes, and return the final null vectors.
+    When a row fails, it is added to the echelon, the null vectors are
+    recomputed and its family triple is walked again from its first triple.
+    That is exact: the nullspace only shrinks, so the triples passed before
+    still pass and the added row now does too, and each added row raises
+    the rank by one.  Only the triples that meet the strip are checked, all
+    of them when it is None.  An identity with no table column where a null
+    vector is nonzero is skipped: its dot products are 0."""
     vectors = _null_vectors(ech.pivots, columns)
     packed = _packed(vectors, identities)[0]
-    added = 0
     for identity in identities:
         meeting = None if strip is None else identity.meeting(identity.touching(strip))
-        after = None
         while True:
             terms, reached = identity.valued(packed)
             if not reached:
                 break
-            failed = identity.walk(terms, meeting, first=True, after=after)[1]
-            if not failed:
+            failed = identity.walk(terms, meeting)[1]
+            if failed is None:
                 break
-            after = failed[0][0]
-            ech.add(identity.row(after))
-            added += 1
+            ech.add(identity.row(failed[0]))
             vectors = _null_vectors(ech.pivots, columns)
             packed = _packed(vectors, identities)[0]
-    return vectors, added
+    return vectors
 
 
 def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
@@ -805,7 +817,7 @@ class CocycleAssignment:
         )
 
     def to_vector(self, pairs: PairBasis) -> list:
-        vector, scale = _int_vector(self.values, pairs)
+        vector, scale = _on_columns(_keyed(self.spec, self.values), pairs)
         return [Fraction(vector.get(col, 0), scale) for col in range(len(pairs))]
 
     @classmethod
@@ -849,17 +861,25 @@ def _by_degree(values: Mapping, offsets: Mapping) -> dict:
     return groups
 
 
-def _int_vector(values: Mapping, pairs: PairBasis) -> tuple:
-    """(vector, scale): canonical cocycle values as {column: int} over
-    their common denominator scale.  Every pair must be in the basis."""
-    scale = math.lcm(1, *(value.denominator for value in values.values()))
-    key = pairs.spec.element_key
+def _keyed(spec: AlgebraSpec, values: Mapping) -> dict:
+    """Canonical cocycle values {(x, y): Fraction} as {(key of x, key of
+    y): (numerator, denominator)}, the form _on_columns takes."""
+    key = spec.element_key
+    return {(key(x), key(y)): (value.numerator, value.denominator) for (x, y), value in values.items()}
+
+
+def _on_columns(ratios: Mapping, pairs: PairBasis) -> tuple:
+    """(vector, scale): canonical cocycle values {(key of x, key of y):
+    (numerator, denominator)} as {column: int} over their common
+    denominator scale.  Every pair must be in the basis."""
+    scale = math.lcm(1, *(den for _, den in ratios.values()))
     vector = {}
-    for (x, y), value in values.items():
-        col = pairs._columns.get((key(x), key(y)))
+    for (x, y), (num, den) in ratios.items():
+        col = pairs._index.get((x, y))
         if col is None:
+            x, y = pairs._element(x), pairs._element(y)
             raise ValueError(f"assignment has support on {x}, {y} outside the pair basis")
-        vector[col] = value.numerator * (scale // value.denominator)
+        vector[col] = num * (scale // den)
     return vector, scale
 
 
@@ -958,7 +978,12 @@ class KnownCocycle:
         if reason is not None:
             raise ValueError(f"cocycle {self.name!r} not applicable: {reason}")
         self.degree(spec, params)
-        return CocycleAssignment(spec, window, self._values(spec, window, lines))
+        families = spec.families
+        values = {
+            (BasisElement(families[x[0]], x[1]), BasisElement(families[y[0]], y[1])): Fraction(num, den)
+            for (x, y), (num, den) in self._ratios(spec, window, lines).items()
+        }
+        return CocycleAssignment(spec, window, values)
 
     def _ratios(self, spec: AlgebraSpec, window: Window, lines: list) -> dict:
         """The canonical values of _check's lines on the window as
@@ -982,14 +1007,6 @@ class KnownCocycle:
                 if first[0] * den != num * first[1]:
                     raise ValueError(f"cocycle {self.name!r} table is not skew-consistent")
         return ratios
-
-    def _values(self, spec: AlgebraSpec, window: Window, lines: list) -> dict:
-        """_ratios as the canonical {(x, y): value} of an assignment."""
-        families = spec.families
-        return {
-            (BasisElement(families[x[0]], x[1]), BasisElement(families[y[0]], y[1])): Fraction(num, den)
-            for (x, y), (num, den) in self._ratios(spec, window, lines).items()
-        }
 
 
 def __getattr__(name):
@@ -1033,12 +1050,12 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
         pairs = _enumerate_pairs(alg, window, degree)
         # a pair outside the window is in no admissible triple's row
         inside = {p: v for p, v in values.items() if all(window.contains(e.index) for e in p)}
-        vector, scale = _int_vector(inside, pairs)
+        vector, scale = _on_columns(_keyed(spec, inside), pairs)
         for identity in _identities(alg, window, degree, pairs):
-            count, failed = identity.walk(identity.valued(vector)[0], first=True)
+            count, failed = identity.walk(identity.valued(vector)[0])
             checked += count
-            if failed:
-                idx, dot = failed[0]
+            if failed is not None:
+                idx, dot = failed
                 residual = Fraction(dot, alg.denominator * scale)
                 x, y, z = (alg.element(k) for k in zip(identity.families, idx))
                 return VerifyReport(False, checked, (x, y, z, residual), psi)
@@ -1065,8 +1082,8 @@ def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     if degree is None:
         return True
     plan = _Plan(alg, window, degree)
-    vector, _ = _int_vector(psi.values, plan.pairs)
-    core = plan.core(window)
+    vector = _on_columns(_keyed(spec, psi.values), plan.pairs)[0]
+    core = set(plan.pairs.core_columns())
     bounds = _core_echelon(plan.coboundaries(window.n), core)
     return bounds.contains(_restrict(vector, core))
 
@@ -1129,7 +1146,7 @@ def nonzero_degree_triviality(spec, params, window, degree) -> bool:
             f"the grading is not inner ({failure}): the argument that nonzero "
             "degrees carry no cohomology does not apply"
         )
-    return _core_dims(_Plan(alg, window, degree), window, _Echelon())[-1] == 0
+    return _Plan(alg, window, degree).core_dims(window)[-1] == 0
 
 
 # H^2 reports
@@ -1163,26 +1180,27 @@ def match_known(
     """Which of the algebra's declared cocycle classes lie in the computed
     cocycle space and are not coboundaries (core-projected).  Inapplicable
     classes are omitted."""
-    _same_window(pairs, window)
+    alg = _bind(spec, params)
+    degree = _degree(degree)
+    _pair_basis(alg, window, degree, pairs)
     if cocycles.dimension != len(pairs) or bounds.dimension != len(pairs):
         raise ValueError("basis dimension does not match the pair basis")
     core = set(pairs.core_columns())
     return _match(
-        BoundAlgebra(spec, params),
+        alg,
         window,
-        _degree(degree),
-        pairs._columns,
+        degree,
+        pairs,
         _Echelon(_int_row_from_dense(vec) for vec in cocycles),
         _core_echelon((_int_row_from_dense(vec) for vec in bounds), core),
         core,
     )
 
 
-def _match(alg: BoundAlgebra, window, degree, columns: Mapping, cocycles: _Echelon, core_bounds: _Echelon, core) -> list:
-    """match_known over the pair columns `columns` ({(key, key): column})
-    against the echelon of the cocycles and the core echelon of the
-    coboundaries.  Each class's values on the window become one integer
-    vector over their common denominator."""
+def _match(alg: BoundAlgebra, window, degree, pairs: PairBasis, cocycles: _Echelon, core_bounds: _Echelon, core) -> list:
+    """match_known over the columns of `pairs` against the echelon of the
+    cocycles and the core echelon of the coboundaries.  Each class's values
+    on the window become one integer vector over their common denominator."""
     spec = alg.spec
     results = []
     for name, lines in spec.cocycles.items():
@@ -1193,28 +1211,10 @@ def _match(alg: BoundAlgebra, window, degree, columns: Mapping, cocycles: _Echel
         ratios = known._ratios(spec, window, lines)
         matched = False
         if ratios and known.degree(spec, alg.params) == degree:
-            scale = math.lcm(*(den for _, den in ratios.values()))
-            vector = {}
-            for (x, y), (num, den) in ratios.items():
-                col = columns.get((x, y))
-                if col is None:
-                    x, y = alg.element(x), alg.element(y)
-                    raise ValueError(f"assignment has support on {x}, {y} outside the pair basis")
-                vector[col] = num * (scale // den)
+            vector = _on_columns(ratios, pairs)[0]
             matched = cocycles.contains(vector) and not core_bounds.contains(_restrict(vector, core))
         results.append(MatchResult(known.name, matched))
     return results
-
-
-def _core_dims(plan: _Plan, window: Window, ech: _Echelon, previous: int | None = None) -> tuple:
-    """(null vectors, kept coboundary generators, core echelon of the
-    coboundaries, core columns, core H^2 dimension) of the plan's window;
-    ech and previous are _cocycles'."""
-    vectors = _cocycles(plan, window.n, ech, previous)
-    bounds = plan.coboundaries(window.n)
-    core = plan.core(window)
-    core_bounds = _core_echelon(bounds, core)
-    return vectors, bounds, core_bounds, core, _core_echelon(vectors, core).rank - core_bounds.rank
 
 
 def h2(
@@ -1240,14 +1240,12 @@ def h2(
     alg = _bind(spec, params)
     degree = _degree(degree)
     plan = _Plan(alg, window.grown(2 * (stabilization_steps - 1)), degree)
-    ech = _Echelon()
     history = []
     for step in range(stabilization_steps):
         grown = window.grown(2 * step)
-        previous = history[-1][0] if history else None
-        vectors, bounds, core_bounds, core, dim = _core_dims(plan, grown, ech, previous)
+        vectors, bounds, core_bounds, core, dim = plan.core_dims(grown)
         if not step:
-            matched = _match(alg, window, degree, plan.pairs._columns, _Echelon(vectors), core_bounds, core)
+            matched = _match(alg, window, degree, plan.pairs, _Echelon(vectors), core_bounds, core)
             cocycle_dim, coboundary_dim = len(vectors), len(bounds)
         history.append((grown.n, dim))
     return H2Report(

@@ -501,16 +501,18 @@ def test_compiled_identity_matches_reference(name, values, n):
         walked = []
         for identity in compiled:
             terms, reached = identity.valued(packed)
+            # a walk stops at the first flagged triple; walking the triples
+            # after it must find the next one
+            rest = [idx[:2] for idx in identity.indices()]
             failed = identity.walk(terms)[1]
-            # the check skips an identity no vector reaches; it must flag nothing
-            assert reached or not failed
-            # and resumes after a failing triple with the ones that follow it
-            # (the first three, to keep the walks linear)
-            for at, (idx, _) in enumerate(failed[:3]):
-                assert identity.walk(terms, after=idx)[1] == failed[at + 1 :]
-            for idx, _ in failed:
+            while failed is not None:
+                # the check skips an identity no vector reaches; it must flag nothing
+                assert reached
+                idx = failed[0]
                 triple = tuple(alg.element(key) for key in zip(identity.families, idx))
                 walked.append((triple, _scaled(identity.row(idx))))
+                rest = rest[rest.index(idx[:2]) + 1 :]
+                failed = identity.walk(terms, rest)[1]
         assert walked == flagged
 
 
@@ -533,10 +535,6 @@ def test_reference_identities_reach_the_special_cases(name, values, n):
         assert saved > 0
 
 
-# the engine's own functions, before any test wraps them
-_SOLVE, _ADD_VIOLATED = engine._cocycles, engine._add_violated
-
-
 def _assert_strip_meets_new_rows(plan, n, previous):
     """Every nonempty admissible row of the plan's window n that the solve
     grown from window `previous` does not visit (its triple does not meet
@@ -544,14 +542,14 @@ def _assert_strip_meets_new_rows(plan, n, previous):
     there, with the same entries once its columns are mapped by pair key."""
     strip = [i for i in range(-n, n + 1) if abs(i) > previous]
     smaller = engine._enumerate_pairs(plan.alg, Window(previous), plan.degree)
-    column = {col: plan.pairs._columns[key] for key, col in smaller._columns.items()}
+    column = {col: plan.pairs._index[key] for key, col in smaller._index.items()}
     smaller_identities = {
         identity.families: identity
         for identity in engine._identities(plan.alg, smaller.window, plan.degree, smaller)
     }
     for identity in plan.identities:
         identity = identity.sliced(n)
-        met = set(identity.indices(identity.touching(strip)))
+        met = {(i, j, identity.total - i - j) for i, j in identity.meeting(identity.touching(strip))}
         for idx in identity.indices():
             row = identity.row(idx)
             if not row or idx in met:
@@ -583,30 +581,35 @@ def _seeded_windows(monkeypatch, spec, params, window, steps=3):
     solve of that window alone, and each grown window's unvisited rows
     against the window before it; returns [(n, grown from the window
     before, rows the check added)] per window."""
+    solve, add_violated = engine._Plan.cocycles, engine._add_violated
     added, windows = [], []
 
-    def counting(*args):
-        result = _ADD_VIOLATED(*args)
-        added.append(result[1])
-        return result
+    def counting(identities, ech, *args):
+        rank = ech.rank
+        vectors = add_violated(identities, ech, *args)
+        added.append(ech.rank - rank)
+        return vectors
 
-    def checked(plan, n, ech, previous=None):
+    def checked(plan, n):
+        previous = plan.solved
         if previous is not None:
             _assert_strip_meets_new_rows(plan, n, previous)
         start = len(added)
-        vectors = _SOLVE(plan, n, ech, previous)
+        vectors = solve(plan, n)
         windows.append((n, previous is not None, sum(added[start:])))
         # the window's null vectors, relabelled by pair key to its own
         # columns, are a fresh solve's vector for vector
         fresh = engine._Plan(plan.alg, Window(n), plan.degree)
-        label = {plan.pairs._columns[key]: col for key, col in fresh.pairs._columns.items()}
+        label = {plan.pairs._index[key]: col for key, col in fresh.pairs._index.items()}
         relabelled = [{label[col]: value for col, value in vec.items()} for vec in vectors]
-        assert relabelled == _SOLVE(fresh, n, engine._Echelon()), n
+        assert relabelled == solve(fresh, n), n
         return vectors
 
-    monkeypatch.setattr(engine, "_add_violated", counting)
-    monkeypatch.setattr(engine, "_cocycles", checked)
-    h2(spec, params, window, stabilization_steps=steps)
+    # undone on return, so that the next call wraps the engine's own again
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_add_violated", counting)
+        patch.setattr(engine._Plan, "cocycles", checked)
+        h2(spec, params, window, stabilization_steps=steps)
     expected = [(window.n + 2 * step, step > 0) for step in range(steps)]
     assert [(n, seeded) for n, seeded, _ in windows] == expected
     return windows
@@ -648,7 +651,7 @@ def test_seeded_windows_equal_fresh_solves(monkeypatch, name, values, n, steps):
 
 def _pin_index_zero(identity):
     """A narrower rule for the solve: the triples with an index 0."""
-    return list(identity.indices((0,)))
+    return [(i, j, identity.total - i - j) for i, j in identity.meeting((0,))]
 
 
 @pytest.mark.parametrize("name, values", POINTS)
@@ -699,8 +702,7 @@ def test_h2_equals_fresh_windows(tmp_path, source, values, degree, n, margin, st
     history = []
     for step in range(steps):
         grown = window.grown(2 * step)
-        plan = engine._Plan(alg, grown, Fraction(degree))
-        vectors, bounds, _, _, dim = engine._core_dims(plan, grown, engine._Echelon())
+        vectors, bounds, _, _, dim = engine._Plan(alg, grown, Fraction(degree)).core_dims(grown)
         history.append((grown.n, dim))
         if not step:
             assert (report.cocycle_dim, report.coboundary_dim) == (len(vectors), len(bounds))
@@ -744,3 +746,53 @@ def test_h2_builds_one_plan(monkeypatch, name, values, steps):
     h2(spec, values, Window(8), stabilization_steps=steps)
     assert calls.pop("pairs") == 1
     assert len(calls) == triples and set(calls.values()) == {1}
+
+
+def test_plan_refuses_a_window_that_does_not_grow():
+    """A plan's echelon holds the rows of the window it solved last, so the
+    next window it solves must be larger."""
+    alg = engine._bind(load_algebra("svir"), {"lambda": -3, "mu": 1})
+    plan = engine._Plan(alg, Window(12), Fraction(0))
+    plan.core_dims(Window(8))
+    for n in (8, 6):
+        with pytest.raises(ValueError, match=f"window {n} does not grow the solved window 8"):
+            plan.cocycles(n)
+    with pytest.raises(ValueError, match="does not grow"):
+        plan.core_dims(Window(8))
+    assert plan.solved == 8
+    assert plan.core_dims(Window(10))[-1] == 3
+
+
+@pytest.mark.parametrize(
+    "source, values, degree",
+    [
+        ("svir", {"lambda": -3, "mu": 1}, 0),
+        ("svir", {"lambda": 1, "mu": "1/2"}, "1/2"),
+        ("witt", {}, 0),
+        ("witt", {}, 2),
+        (HV_SOURCE, {}, 0),
+        (NO_WEIGHT_ZERO_SOURCE, {}, 5),
+    ],
+    ids=["svir(-3,1)", "svir(1,1/2)-1/2", "witt", "witt-2", "hv", "graded3-5"],
+)
+def test_pair_basis_equals_element_enumeration(tmp_path, source, values, degree):
+    """The pairs of a basis, built from its element keys, are the pairs of
+    window elements of total weight `degree` in element-key order, and its
+    core columns those whose elements both lie in the core."""
+    spec = _spec(tmp_path, source)
+    params = validate_parameters(spec, values)
+    window = Window(8)
+    elements = sorted((BasisElement(fam, i) for fam in spec.families for i in window.indices()), key=spec.element_key)
+    expected = [
+        (x, y)
+        for x, y in combinations(elements, 2)
+        if spec.weight(x, params) + spec.weight(y, params) == Fraction(degree)
+    ]
+    pairs = enumerate_pairs(spec, params, window, degree)
+    assert expected and len(pairs) == len(expected)
+    assert pairs.pairs == list(pairs) == [pairs.pair_at(col) for col in range(len(pairs))] == expected
+    assert pairs.core_columns() == [
+        col
+        for col, (x, y) in enumerate(expected)
+        if window.core_contains(x.index) and window.core_contains(y.index)
+    ]

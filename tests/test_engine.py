@@ -194,14 +194,19 @@ def test_subset_too_small_generates_rows_and_keeps_results(
     # out of the span at these points, so the check must find them violated
     # and add them to the echelon
     add_violated = engine._add_violated
-    for pinned in (lambda identity: list(identity.indices((0,))), lambda identity: []):
+
+    def pin_index_zero(identity):
+        return [(i, j, identity.total - i - j) for i, j in identity.meeting((0,))]
+
+    for pinned in (pin_index_zero, lambda identity: []):
         monkeypatch.setattr(engine._Identity, "pinned", pinned)
         violated = []
 
-        def spy(*args):
-            result = add_violated(*args)
-            violated.append(result[1])
-            return result
+        def spy(identities, ech, *args):
+            rank = ech.rank
+            vectors = add_violated(identities, ech, *args)
+            violated.append(ech.rank - rank)
+            return vectors
 
         monkeypatch.setattr(engine, "_add_violated", spy)
         report = h2(spec, params, Window(6))
@@ -239,19 +244,50 @@ def test_coboundaries_are_cocycles():
             assert in_span(vec, cocycles)
 
 
+def _calls_taking_a_basis(spec, params, window):
+    """{name: call} of each public call that takes a pair basis, at degree 0
+    on the window, as a function of the basis it is given."""
+    own = enumerate_pairs(spec, params, window, 0)
+    cocycles = cocycle_space(spec, params, window, 0, own)
+    bounds = coboundary_space(spec, params, window, 0, own)
+    return {
+        "assemble_constraints": lambda pairs: assemble_constraints(spec, params, window, 0, pairs),
+        "constraint_row": lambda pairs: constraint_row(spec, params, window, L(1), L(2), L(-3), pairs),
+        "cocycle_space": lambda pairs: cocycle_space(spec, params, window, 0, pairs),
+        "coboundary_space": lambda pairs: coboundary_space(spec, params, window, 0, pairs),
+        "match_known": lambda pairs: match_known(spec, params, window, 0, pairs, cocycles, bounds),
+    }
+
+
 @pytest.mark.parametrize("other", [Window(10, 3), Window(6, 3), Window(8, 2)], ids=["larger", "smaller", "margin"])
 def test_pair_basis_of_another_window_is_refused(other):
     window = Window(8, 3)
     pairs = enumerate_pairs(WITT, {}, other, 0)
-    own = enumerate_pairs(WITT, {}, window, 0)
-    cocycles = cocycle_space(WITT, {}, window, 0, own)
-    bounds = coboundary_space(WITT, {}, window, 0, own)
-    with pytest.raises(ValueError, match="pair basis is of"):
-        cocycle_space(WITT, {}, window, 0, pairs)
-    with pytest.raises(ValueError, match="pair basis is of"):
-        coboundary_space(WITT, {}, window, 0, pairs)
-    with pytest.raises(ValueError, match="pair basis is of"):
-        match_known(WITT, {}, window, 0, pairs, cocycles, bounds)
+    for call in _calls_taking_a_basis(WITT, {}, window).values():
+        with pytest.raises(ValueError, match=re.escape(f"pair basis is of {other}, not {window}")):
+            call(pairs)
+
+
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        # no degree-1 pair brackets to an element of weight 0, so unchecked,
+        # coboundary_space would return none of its 2 generators here
+        (lambda window: enumerate_pairs(SVIR, {"lambda": -3, "mu": 1}, window, 1), "degree 1, not 0"),
+        (lambda window: enumerate_pairs(WITT, {}, window, 0), "an algebra with other weights"),
+    ],
+    ids=["degree", "algebra"],
+)
+def test_pair_basis_of_another_degree_or_algebra_is_refused(other, message):
+    window = Window(8)
+    pairs = other(window)
+    calls = _calls_taking_a_basis(SVIR, {"lambda": -3, "mu": 1}, window)
+    if message.startswith("degree"):
+        # constraint_row takes no degree to compare with the basis's
+        del calls["constraint_row"]
+    for call in calls.values():
+        with pytest.raises(ValueError, match=f"pair basis is of {message}"):
+            call(pairs)
 
 
 def test_cocycle_vectors_verify():
