@@ -181,9 +181,6 @@ class Window:
     def core_bound(self) -> int:
         return self.n - self.margin
 
-    def core_contains(self, index: int) -> bool:
-        return abs(index) <= self.core_bound()
-
     def grown(self, extra: int) -> "Window":
         return Window(self.n + extra, self.margin)
 
@@ -548,8 +545,8 @@ def _identities(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: Pair
 def constraint_row(spec, params, window, x, y, z, pairs: PairBasis):
     """One cocycle constraint as a sparse row over the pair basis, or None
     for an inadmissible triple.  A vacuous identity gives an empty dict.
-    The weights of x, y and z must sum to the basis degree, and the basis
-    must be of this algebra and window."""
+    A triple whose weights do not sum to the basis degree is refused, and
+    the basis must be of this algebra and window."""
     alg = _bind(spec, params)
     _pair_basis(alg, window, pairs._degree, pairs)
     keys = [spec.element_key(e) for e in (x, y, z)]
@@ -557,6 +554,12 @@ def constraint_row(spec, params, window, x, y, z, pairs: PairBasis):
         if not window.contains(e.index):
             raise ValueError(f"element {e} is outside the window")
     families, idx = zip(*keys)
+    degree = sum(alg.offsets[p] for p in families) + sum(idx)
+    if degree != pairs._degree:
+        raise ValueError(
+            f"triple ({x}, {y}, {z}) has degree {format_rational(degree)}, "
+            f"not the basis degree {format_rational(pairs._degree)}"
+        )
     row = _Identity(alg, window, pairs, families, sum(idx)).row(idx)
     if row is None:
         return None
@@ -750,6 +753,7 @@ def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = Non
 # cocycle values as data
 
 
+@dataclass(frozen=True)
 class CocycleAssignment:
     """A finitely supported skew form on window pairs.
 
@@ -758,29 +762,29 @@ class CocycleAssignment:
     "FAM:index,FAM:index" keys to "p/q" strings.
     """
 
-    __slots__ = ("spec", "window", "values")
+    spec: AlgebraSpec
+    window: Window
+    values: Mapping
 
-    def __init__(self, spec: AlgebraSpec, window: Window, values: Mapping):
+    def __post_init__(self):
+        key, window = self.spec.element_key, self.window
         canonical: dict = {}
-        for (x, y), value in values.items():
+        for (x, y), value in self.values.items():
             value = as_rational(value, "cocycle value")
-            spec.element_key(x)
-            spec.element_key(y)
+            flip = key(x) > key(y)
             if not (window.contains(x.index) and window.contains(y.index)):
                 raise ValueError(f"pair ({x}, {y}) is outside the window")
             if x == y:
                 if value:
                     raise ValueError(f"nonzero value on the diagonal pair ({x}, {x})")
                 continue
-            if spec.element_key(x) > spec.element_key(y):
+            if flip:
                 x, y, value = y, x, -value
             if (x, y) in canonical:
                 raise ValueError(f"pair ({x}, {y}) assigned twice")
             if value:
                 canonical[(x, y)] = value
-        self.spec = spec
-        self.window = window
-        self.values = canonical
+        object.__setattr__(self, "values", canonical)
 
     def support(self) -> list:
         return sorted(self.values, key=lambda p: (self.spec.element_key(p[0]), self.spec.element_key(p[1])))
@@ -794,31 +798,11 @@ class CocycleAssignment:
         return sign * self.values.get((x, y), Fraction(0))
 
     def degrees(self, params: Mapping) -> set:
-        params = validate_parameters(self.spec, params)
-        offsets = {fam: off.evaluate(params) for fam, off in self.spec.weight_offsets.items()}
-        return set(_by_degree(self.values, offsets))
+        return set(_by_degree(self.spec, BoundAlgebra(self.spec, params).offsets, self.values))
 
     def degree(self, params: Mapping) -> Fraction | None:
         """The single support degree; None when empty, error when mixed."""
-        degrees = self.degrees(params)
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError("assignment mixes degrees")
-        return degrees.pop()
-
-    def __eq__(self, other):
-        if not isinstance(other, CocycleAssignment):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.window == other.window
-            and self.values == other.values
-        )
-
-    def to_vector(self, pairs: PairBasis) -> list:
-        vector, scale = _on_columns(_keyed(self.spec, self.values), pairs)
-        return [Fraction(vector.get(col, 0), scale) for col in range(len(pairs))]
+        return _one_degree(_by_degree(self.spec, BoundAlgebra(self.spec, params).offsets, self.values))[0]
 
     @classmethod
     def from_vector(cls, pairs: PairBasis, vector: Sequence) -> "CocycleAssignment":
@@ -851,21 +835,25 @@ class CocycleAssignment:
         return cls(spec, window, values)
 
 
-def _by_degree(values: Mapping, offsets: Mapping) -> dict:
-    """{degree: {(x, y): value}} of canonical cocycle values, with each
-    family's weight offset looked up by name in `offsets`."""
+def _by_degree(spec: AlgebraSpec, offsets: tuple, values: Mapping) -> dict:
+    """{degree: {(key of x, key of y): (numerator, denominator)}} of
+    canonical cocycle values {(x, y): Fraction}, the form _on_columns takes,
+    with each family's weight offset taken by position from `offsets`."""
+    key = spec.element_key
     groups: dict = {}
     for (x, y), value in values.items():
-        degree = x.index + offsets[x.family] + y.index + offsets[y.family]
-        groups.setdefault(degree, {})[(x, y)] = value
+        x, y = key(x), key(y)
+        degree = offsets[x[0]] + offsets[y[0]] + (x[1] + y[1])
+        groups.setdefault(degree, {})[(x, y)] = (value.numerator, value.denominator)
     return groups
 
 
-def _keyed(spec: AlgebraSpec, values: Mapping) -> dict:
-    """Canonical cocycle values {(x, y): Fraction} as {(key of x, key of
-    y): (numerator, denominator)}, the form _on_columns takes."""
-    key = spec.element_key
-    return {(key(x), key(y)): (value.numerator, value.denominator) for (x, y), value in values.items()}
+def _one_degree(groups: dict) -> tuple:
+    """(degree, values) of the one group of _by_degree, (None, None) when
+    there is none; more than one is an error."""
+    if len(groups) > 1:
+        raise ValueError("assignment mixes degrees")
+    return next(iter(groups.items()), (None, None))
 
 
 def _on_columns(ratios: Mapping, pairs: PairBasis) -> tuple:
@@ -1045,12 +1033,11 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
     else:
         raise TypeError("expected a KnownCocycle or CocycleAssignment")
     checked = 0
-    groups = _by_degree(psi.values, dict(zip(alg.families, alg.offsets)))
-    for degree, values in sorted(groups.items()):
+    for degree, ratios in sorted(_by_degree(spec, alg.offsets, psi.values).items()):
         pairs = _enumerate_pairs(alg, window, degree)
         # a pair outside the window is in no admissible triple's row
-        inside = {p: v for p, v in values.items() if all(window.contains(e.index) for e in p)}
-        vector, scale = _on_columns(_keyed(spec, inside), pairs)
+        inside = {(x, y): r for (x, y), r in ratios.items() if window.contains(x[1]) and window.contains(y[1])}
+        vector, scale = _on_columns(inside, pairs)
         for identity in _identities(alg, window, degree, pairs):
             count, failed = identity.walk(identity.valued(vector)[0])
             checked += count
@@ -1078,11 +1065,11 @@ def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     with no core support; mixed-degree input is an error (split it by degree
     first)."""
     alg = _bind(spec, params)
-    degree = psi.degree(alg.params)
+    degree, ratios = _one_degree(_by_degree(spec, alg.offsets, psi.values))
     if degree is None:
         return True
     plan = _Plan(alg, window, degree)
-    vector = _on_columns(_keyed(spec, psi.values), plan.pairs)[0]
+    vector = _on_columns(ratios, plan.pairs)[0]
     core = set(plan.pairs.core_columns())
     bounds = _core_echelon(plan.coboundaries(window.n), core)
     return bounds.contains(_restrict(vector, core))
@@ -1233,12 +1220,26 @@ def h2(
     window's solve goes on from the echelon of the one before it.
     grading_inner is False when no family's index-0 element acts by the
     weights (see _grading_failure); degree 0 then need not carry the whole
-    H^2.
+    H^2.  A window is refused when its core holds no pair of some family
+    pair (sector) that has pairs at this degree: the core dimension would
+    leave that sector out.  The message names the smallest window that
+    covers it.
     """
     if stabilization_steps < 1:
         raise ValueError("need at least one stabilization step")
     alg = _bind(spec, params)
     degree = _degree(degree)
+    # a core pair (i, total - i) has |i|, |total - i| <= core, and i != total - i
+    # within one family
+    core = window.core_bound()
+    for a, b in combinations_with_replacement(range(len(alg.offsets)), 2):
+        total = degree - alg.offsets[a] - alg.offsets[b]
+        if total.denominator == 1 and abs(total) > 2 * core - (a == b):
+            radius = (abs(total.numerator) + (a == b) + 1) // 2
+            raise ValueError(
+                f"window too small: the {alg.families[a]}-{alg.families[b]} sector has no pair of degree "
+                f"{format_rational(degree)} in the core; it needs N >= {window.margin + radius}"
+            )
     plan = _Plan(alg, window.grown(2 * (stabilization_steps - 1)), degree)
     history = []
     for step in range(stabilization_steps):

@@ -420,6 +420,61 @@ def test_window_too_small_is_a_usage_error():
     assert "window too small" in proc.stderr
 
 
+# Witt acting on a module of weight lambda: at lambda = 20 the degree-0
+# pairs of the L-W sector have index total -20 and those of W-W -40.
+WAB_A_SOURCE = """
+algebra wab_a(lambda, mu) {
+    family L weight 0;
+    family W weight lambda;
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, W m] = (lambda + m + mu*n) W(n + m);
+    bracket [W n, W m] = 0;
+}
+"""
+
+
+def test_window_missing_a_sector_is_a_usage_error(tmp_path):
+    path = tmp_path / "wab_a.lie"
+    path.write_text(WAB_A_SOURCE)
+    # at N = 23 the core reaches W(-20), but W(-20), W(-20) is not a pair
+    for n, sector, need in (("6", "L-W", 13), ("12", "L-W", 13), ("18", "W-W", 24), ("23", "W-W", 24)):
+        proc = run_cli("h2", "--algebra", str(path), "--lambda=20", "--mu=0", "--window", n)
+        assert proc.returncode == 2, n
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: window too small: the {sector} sector has no pair of degree 0 "
+            f"in the core; it needs N >= {need}\n"
+        )
+    proc = run_cli("h2", "--algebra", str(path), "--lambda=20", "--mu=0", "--window", "24")
+    assert proc.returncode == 0, proc.stderr
+    assert "stabilized: yes (N=24: 3, N=26: 3, N=28: 3)" in proc.stdout.splitlines()
+    proc = run_cli("scan", "--algebra", str(path), "--lambda-values=20", "--mu-values=0", "--jobs", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: window too small: the L-W sector")
+
+
+def test_weights_that_do_not_add_are_a_usage_error(tmp_path):
+    path = tmp_path / "ab.lie"
+    path.write_text("""
+algebra ab(p) {
+    family A weight 0;
+    family B weight p;
+    bracket [A n, A m] = (m - n) B(n + m);
+    bracket [A n, B m] = 0;
+    bracket [B n, B m] = 0;
+}
+""")
+    proc = run_cli("h2", "--algebra", str(path), "--param", "p=1")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: algebra is not graded by its weights: [A, A] -> B breaks weight "
+        "additivity at these parameters\n"
+    )
+    proc = run_cli("h2", "--algebra", str(path), "--param", "p=0")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout.startswith("algebra: ab\n")
+
+
 def test_scan_csv_agreeing_grid():
     proc = run_cli("scan", "--lambda-values=-1,0", "--mu-values=1/3,1",
                    "--window", "10", "--steps", "2", "--jobs", "1")

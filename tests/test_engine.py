@@ -62,7 +62,6 @@ def test_window_validation():
     assert w.core_bound() == 7
     assert w.grown(2) == Window(12, 3)
     assert list(w.indices()) == list(range(-10, 11))
-    assert w.core_contains(7) and not w.core_contains(8)
 
 
 def test_enumerate_pairs_third_integer_mu():
@@ -148,8 +147,21 @@ def test_vacuous_triples_emit_no_row():
     params = {"lambda": 0, "mu": 1}
     pairs = enumerate_pairs(SVIR, params, window, 0)
     # Y, M, M triples bracket entirely to zero
-    row = constraint_row(SVIR, params, window, Y(0), M(-1), M(-2), pairs)
+    row = constraint_row(SVIR, params, window, Y(-1), M(-1), M(-3), pairs)
     assert row == {}
+
+
+@pytest.mark.parametrize(
+    "triple, degree",
+    [((Y(0), M(-1), M(-2)), "2"), ((L(1), L(2), L(3)), "6")],
+    ids=["vacuous", "bracketing"],
+)
+def test_constraint_row_refuses_a_triple_of_another_degree(triple, degree):
+    window = Window(6, 3)
+    params = {"lambda": 0, "mu": 1}
+    pairs = enumerate_pairs(SVIR, params, window, 0)
+    with pytest.raises(ValueError, match=f"has degree {degree}, not the basis degree 0"):
+        constraint_row(SVIR, params, window, *triple, pairs)
 
 
 def test_constraint_row_rejects_elements_outside_the_window():
@@ -222,9 +234,8 @@ def test_coboundary_space_dims():
     assert len(basis) == 1
     generator = list(basis)[0]
     pairs = enumerate_pairs(SVIR, params, Window(4, 1), 0)
-    expected = CocycleAssignment(
-        SVIR, Window(4, 1), {(L(-n), L(n)): Fraction(2 * n) for n in range(1, 5)}
-    ).to_vector(pairs)
+    psi = CocycleAssignment(SVIR, Window(4, 1), {(L(-n), L(n)): Fraction(2 * n) for n in range(1, 5)})
+    expected = [psi.value(x, y) for x, y in pairs]
     assert in_span(expected, basis)
     # weight-0 elements L_0, Y_{-1}, M_{-2} give three independent generators
     # at generic lambda; at lambda = -3 the Y functional acts by zero
@@ -407,7 +418,7 @@ def test_cocycle_assignment_vector_round_trip():
     rng = random.Random(11)
     vector = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(len(pairs))]
     psi = CocycleAssignment.from_vector(pairs, vector)
-    assert psi.to_vector(pairs) == vector
+    assert [psi.value(x, y) for x, y in pairs] == vector
     assert psi.value(Y(0), L(-1)) == -psi.value(L(-1), Y(0))
 
 
@@ -422,6 +433,58 @@ def test_float_cocycle_values_rejected():
         CocycleAssignment.from_vector(pairs, vector)
     exact = CocycleAssignment(WITT, window, {(L(-1), L(1)): "1/10", (L(-2), L(2)): 3})
     assert exact.values == {(L(-1), L(1)): Fraction(1, 10), (L(-2), L(2)): Fraction(3)}
+
+
+def test_cocycle_assignment_refusals_and_canonical_form():
+    window = Window(6)
+    for values, message in (
+        ({(L(-7), L(7)): 1}, "pair \\(L\\(-7\\), L\\(7\\)\\) is outside the window"),
+        ({(L(2), L(2)): 1}, "nonzero value on the diagonal pair \\(L\\(2\\), L\\(2\\)\\)"),
+        ({(L(-1), L(1)): 1, (L(1), L(-1)): 2}, "pair \\(L\\(-1\\), L\\(1\\)\\) assigned twice"),
+        ({(L(-1), BasisElement("Q", 1)): 1}, "unknown family 'Q'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            CocycleAssignment(SVIR, window, values)
+    psi = CocycleAssignment(SVIR, window, {(Y(1), L(-2)): 3, (L(2), L(2)): 0, (L(-3), L(3)): 0})
+    assert psi.values == {(L(-2), Y(1)): Fraction(-3)}
+    assert psi == CocycleAssignment(SVIR, window, {(L(-2), Y(1)): -3})
+    with pytest.raises(AttributeError):
+        psi.values = {}
+    params = {"lambda": 0, "mu": 1}
+    assert psi.degrees(params) == {0} and psi.degree(params) == 0
+    mixed = CocycleAssignment(SVIR, window, {(L(-2), Y(1)): 1, (L(-1), L(2)): 1})
+    assert mixed.degrees(params) == {0, 1}
+    with pytest.raises(ValueError, match="assignment mixes degrees"):
+        is_coboundary(SVIR, params, window, mixed)
+    assert is_coboundary(SVIR, params, window, CocycleAssignment(SVIR, window, {}))
+
+
+def test_is_coboundary_validates_parameters_once(monkeypatch):
+    calls = []
+    validate = engine.validate_parameters
+
+    def counting(spec, values):
+        calls.append(spec)
+        return validate(spec, values)
+
+    monkeypatch.setattr(lieext.algebra, "validate_parameters", counting)
+    monkeypatch.setattr(engine, "validate_parameters", counting)
+    psi = CocycleAssignment(SVIR, Window(8), {(L(-2), L(2)): 1})
+    assert not is_coboundary(SVIR, {"lambda": 0, "mu": 1}, Window(8), psi)
+    assert len(calls) == 1
+
+
+def test_h2_compiles_each_declared_class_once(monkeypatch):
+    calls = []
+    check = engine.KnownCocycle._check
+
+    def counting(self, spec, params):
+        calls.append(self.name)
+        return check(self, spec, params)
+
+    monkeypatch.setattr(engine.KnownCocycle, "_check", counting)
+    h2(SVIR, {"lambda": -3, "mu": 1}, Window(12))
+    assert sorted(calls) == sorted(SVIR.cocycles)
 
 
 def test_cocycle_assignment_json_round_trip():
