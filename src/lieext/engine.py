@@ -113,8 +113,11 @@ and which is matched against that algebra only, goes through the same
 kernel.  Its applicability is decided once per class and call, by the step
 that compiles each line at the bound parameters: coefficient, denominator
 and support offset become integer terms over one shared scale, so each
-value is one quotient of two integers.  Matching puts those quotients
-straight on the plan's columns, over their common denominator.
+value is one quotient of two integers.  The same step gives the class's
+degree, from the binding's weight offsets and each line's integer offset,
+and refuses lines that disagree on it.  Matching and verify_cocycle put
+those quotients straight on the pair columns, over their common
+denominator.
 
 After the solve every vector stays a {column: int} row: the primitive null
 vectors, the kept coboundary generators as numerators over the algebra's
@@ -144,7 +147,6 @@ from .algebra import (
     ParamMap,
     _compile,
     _evaluate,
-    validate_parameters,
 )
 from .poly import IndexPolynomial
 from .presets import load_algebra
@@ -797,13 +799,6 @@ class CocycleAssignment:
             x, y, sign = y, x, -1
         return sign * self.values.get((x, y), Fraction(0))
 
-    def degrees(self, params: Mapping) -> set:
-        return set(_by_degree(self.spec, BoundAlgebra(self.spec, params).offsets, self.values))
-
-    def degree(self, params: Mapping) -> Fraction | None:
-        """The single support degree; None when empty, error when mixed."""
-        return _one_degree(_by_degree(self.spec, BoundAlgebra(self.spec, params).offsets, self.values))[0]
-
     @classmethod
     def from_vector(cls, pairs: PairBasis, vector: Sequence) -> "CocycleAssignment":
         if len(vector) != len(pairs):
@@ -846,14 +841,6 @@ def _by_degree(spec: AlgebraSpec, offsets: tuple, values: Mapping) -> dict:
         degree = offsets[x[0]] + offsets[y[0]] + (x[1] + y[1])
         groups.setdefault(degree, {})[(x, y)] = (value.numerator, value.denominator)
     return groups
-
-
-def _one_degree(groups: dict) -> tuple:
-    """(degree, values) of the one group of _by_degree, (None, None) when
-    there is none; more than one is an error."""
-    if len(groups) > 1:
-        raise ValueError("assignment mixes degrees")
-    return next(iter(groups.items()), (None, None))
 
 
 def _on_columns(ratios: Mapping, pairs: PairBasis) -> tuple:
@@ -899,7 +886,8 @@ class KnownCocycle:
     couple several pair sectors (svir's lm-yy-cubic couples L-M to Y-Y)
     carry one line per sector.  Applicability requires every line's offset
     to be an integer, so the support hits integer indices, and every
-    denominator to have no integer root.
+    denominator to have no integer root.  The lines of an applicable class
+    must agree on its degree.
     """
 
     name: str
@@ -913,73 +901,72 @@ class KnownCocycle:
     def applicability(self, spec: AlgebraSpec, params: ParamMap) -> str | None:
         """None when this cocycle makes sense on the algebra, else the
         violated condition, e.g. "requires 3*mu integer"."""
-        return self._check(spec, params)[0]
+        return self._check(BoundAlgebra(spec, params))[0]
 
-    def _check(self, spec: AlgebraSpec, params: ParamMap) -> tuple:
-        """(reason, lines): applicability's answer, and when that is None
-        each line at these parameters as (line, support offset, coefficient
-        terms, denominator terms), both integer terms (k, 0, b) in m over
-        one scale; the offset is compiled alone and first, to fail fast."""
-        compiled = []
+    def _check(self, alg: BoundAlgebra) -> tuple:
+        """(reason, degree, lines): applicability's answer at the binding,
+        and when that is None the class's degree and each line as (family
+        position a, family position b, support offset t, coefficient terms,
+        denominator terms), both integer terms (k, 0, b) in m over one
+        scale.  A line's degree is alg.offsets[a] + alg.offsets[b] + t, and
+        lines that disagree on it raise.  The offset is compiled alone and
+        first, to fail fast."""
+        spec = alg.spec
+        compiled, degrees = [], set()
         for line in self.lines:
             for fam in (line.family_a, line.family_b):
                 if fam not in spec.families:
-                    return f"algebra has no family {fam}", None
+                    return f"algebra has no family {fam}", None, None
             extra = sorted(line.parameters - set(spec.parameters))
             if extra:
-                return f"algebra has no parameter {extra[0]}", None
-            bound = {p: params[p] for p in spec.parameters}
-            scale, (offset,) = _compile([(line.offset, None, None)], bound)
+                return f"algebra has no parameter {extra[0]}", None, None
+            scale, (offset,) = _compile([(line.offset, None, None)], alg.params)
             total = Fraction(_evaluate(offset, 0, 0), scale)
             if total.denominator != 1:
                 # t is an integer exactly when -t is: name the one that
                 # leads with a positive term
                 lead = line.offset.sorted_terms(spec.parameters)[0][1]
                 text = (line.offset if lead > 0 else -line.offset).to_text(spec.parameters)
-                return f"requires {text} integer", None
-            _, (coeff, denom) = _compile([(line.coeff, None, line.var_b), (line.denom, None, line.var_b)], bound)
+                return f"requires {text} integer", None, None
+            _, (coeff, denom) = _compile([(line.coeff, None, line.var_b), (line.denom, None, line.var_b)], alg.params)
             # a*m + b (CocycleLine keeps it at most linear) vanishes at an
             # integer m exactly when a divides b
             slope = sum(k for k, _, e in denom if e)
             if not denom or (slope and _evaluate(denom, 0, 0) % slope == 0):
                 where = "at an integer index" if denom else "identically"
                 text = line.denom.to_text((line.var_b,) + spec.parameters)
-                return f"denominator {text} vanishes {where}", None
-            compiled.append((line, int(total), coeff, denom))
-        return None, compiled
-
-    def degree(self, spec: AlgebraSpec, params: ParamMap) -> Fraction:
-        offs = spec.weight_offsets
-        degrees = {
-            offs[line.family_a].evaluate(params)
-            + offs[line.family_b].evaluate(params)
-            + line.offset.evaluate(params)
-            for line in self.lines
-        }
-        if len(degrees) != 1:
-            raise ValueError(f"cocycle {self.name!r} mixes degrees {sorted(degrees)}")
-        return degrees.pop()
+                return f"denominator {text} vanishes {where}", None, None
+            a, b = map(spec.family_position, (line.family_a, line.family_b))
+            degrees.add(alg.offsets[a] + alg.offsets[b] + total)
+            compiled.append((a, b, int(total), coeff, denom))
+        if len(degrees) > 1:
+            text = ", ".join(map(format_rational, sorted(degrees)))
+            raise ValueError(f"cocycle {self.name!r} mixes degrees {text}")
+        return None, degrees.pop(), compiled
 
     def instantiate(self, spec: AlgebraSpec, params: Mapping, window: Window) -> CocycleAssignment:
-        params = validate_parameters(spec, params)
-        reason, lines = self._check(spec, params)
+        return self._instantiate(_bind(spec, params), window)[2]
+
+    def _instantiate(self, alg: BoundAlgebra, window: Window) -> tuple:
+        """(degree, values, assignment): the class at the binding on the
+        window, as its degree, its canonical values as _ratios gives them,
+        and the CocycleAssignment of those values.  An inapplicable class is
+        refused with the violated condition."""
+        reason, degree, lines = self._check(alg)
         if reason is not None:
             raise ValueError(f"cocycle {self.name!r} not applicable: {reason}")
-        self.degree(spec, params)
-        families = spec.families
+        ratios = self._ratios(window, lines)
         values = {
-            (BasisElement(families[x[0]], x[1]), BasisElement(families[y[0]], y[1])): Fraction(num, den)
-            for (x, y), (num, den) in self._ratios(spec, window, lines).items()
+            (alg.element(x), alg.element(y)): Fraction(num, den) for (x, y), (num, den) in ratios.items()
         }
-        return CocycleAssignment(spec, window, values)
+        return degree, ratios, CocycleAssignment(alg.spec, window, values)
 
-    def _ratios(self, spec: AlgebraSpec, window: Window, lines: list) -> dict:
+    def _ratios(self, window: Window, lines: list) -> dict:
         """The canonical values of _check's lines on the window as
         {(key of x, key of y): (numerator, denominator)}, each value
         coeff(m) / denom(m) from two integer evaluations."""
         ratios: dict = {}
-        for line, total, coeff, denom in lines:
-            a, b = map(spec.family_position, (line.family_a, line.family_b))
+        for a, b, total, coeff, denom in lines:
             for m in window.indices():
                 n = total - m
                 if not window.contains(n) or (a, n) == (b, m):
@@ -1027,17 +1014,21 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
     """
     alg = _bind(spec, params)
     if isinstance(cocycle, KnownCocycle):
-        psi = cocycle.instantiate(spec, alg.params, window)
+        degree, ratios, psi = cocycle._instantiate(alg, window)
+        groups = {degree: ratios} if ratios else {}
     elif isinstance(cocycle, CocycleAssignment):
         psi = cocycle
+        # a pair outside the window is in no admissible triple's row
+        groups = {
+            degree: {(x, y): r for (x, y), r in ratios.items() if window.contains(x[1]) and window.contains(y[1])}
+            for degree, ratios in _by_degree(spec, alg.offsets, psi.values).items()
+        }
     else:
         raise TypeError("expected a KnownCocycle or CocycleAssignment")
     checked = 0
-    for degree, ratios in sorted(_by_degree(spec, alg.offsets, psi.values).items()):
+    for degree, ratios in sorted(groups.items()):
         pairs = _enumerate_pairs(alg, window, degree)
-        # a pair outside the window is in no admissible triple's row
-        inside = {(x, y): r for (x, y), r in ratios.items() if window.contains(x[1]) and window.contains(y[1])}
-        vector, scale = _on_columns(inside, pairs)
+        vector, scale = _on_columns(ratios, pairs)
         for identity in _identities(alg, window, degree, pairs):
             count, failed = identity.walk(identity.valued(vector)[0])
             checked += count
@@ -1065,9 +1056,12 @@ def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     with no core support; mixed-degree input is an error (split it by degree
     first)."""
     alg = _bind(spec, params)
-    degree, ratios = _one_degree(_by_degree(spec, alg.offsets, psi.values))
-    if degree is None:
+    groups = _by_degree(spec, alg.offsets, psi.values)
+    if len(groups) > 1:
+        raise ValueError("assignment mixes degrees")
+    if not groups:
         return True
+    [(degree, ratios)] = groups.items()
     plan = _Plan(alg, window, degree)
     vector = _on_columns(ratios, plan.pairs)[0]
     core = set(plan.pairs.core_columns())
@@ -1192,12 +1186,12 @@ def _match(alg: BoundAlgebra, window, degree, pairs: PairBasis, cocycles: _Echel
     results = []
     for name, lines in spec.cocycles.items():
         known = KnownCocycle(name, lines)
-        reason, lines = known._check(spec, alg.params)
+        reason, known_degree, lines = known._check(alg)
         if reason is not None:
             continue
-        ratios = known._ratios(spec, window, lines)
+        ratios = known._ratios(window, lines)
         matched = False
-        if ratios and known.degree(spec, alg.params) == degree:
+        if ratios and known_degree == degree:
             vector = _on_columns(ratios, pairs)[0]
             matched = cocycles.contains(vector) and not core_bounds.contains(_restrict(vector, core))
         results.append(MatchResult(known.name, matched))

@@ -116,7 +116,7 @@ class VectorBasis:
             raise ValueError("negative dimension")
         frozen = []
         for vec in vectors:
-            vec = tuple(Fraction(v) for v in vec)
+            vec = tuple(v if type(v) is Fraction else Fraction(v) for v in vec)
             if len(vec) != dimension:
                 raise ValueError("vector length does not match basis dimension")
             frozen.append(vec)

@@ -475,6 +475,28 @@ algebra ab(p) {
     assert proc.stdout.startswith("algebra: ab\n")
 
 
+def test_class_of_mixed_degrees_is_a_usage_error(tmp_path):
+    path = tmp_path / "mix.lie"
+    path.write_text("""
+algebra mix() {
+    family L weight 0;
+    family W weight 1;
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, W m] = m W(n + m);
+    bracket [W n, W m] = 0;
+    cocycle bad-mix {
+        [L n, L m] = m on n + m = 0;
+        [L n, W m] = 1 on n + m = 0;
+    }
+}
+""")
+    for command in (("h2",), ("verify", "--cocycle", "bad-mix")):
+        proc = run_cli(*command, "--algebra", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: cocycle 'bad-mix' mixes degrees 0, 1\n"
+
+
 def test_scan_csv_agreeing_grid():
     proc = run_cli("scan", "--lambda-values=-1,0", "--mu-values=1/3,1",
                    "--window", "10", "--steps", "2", "--jobs", "1")

@@ -28,6 +28,11 @@ def L(n):
     return BasisElement("L", n)
 
 
+def _degrees(psi, params):
+    """The degrees weight(x) + weight(y) of the pairs psi is nonzero on."""
+    return {SVIR.weight(x, params) + SVIR.weight(y, params) for x, y in psi.values}
+
+
 def _poly(text):
     return parse_polynomial(text, ("m", "mu"))
 
@@ -217,8 +222,7 @@ def test_reciprocal_class_values():
     assert psi.value(Yn(1), Yn(-2)) == Fraction(-2, 3)
     assert psi.value(Yn(-1), Yn(0)) == 2  # 1/(0 + 1/2)
     assert psi.value(Yn(-2), Yn(0)) == 0  # off the line
-    degrees = psi.degrees(params)
-    assert degrees == {Fraction(0)}
+    assert _degrees(psi, params) == {0}
 
 
 def test_symbolic_row_collapse_for_reciprocal_class():
@@ -306,7 +310,8 @@ def test_registry_degrees_are_zero():
     for name, entry in REGISTRY.items():
         params = validate_parameters(SVIR, home.get(name, {"lambda": 0, "mu": 1}))
         assert entry.applicability(SVIR, params) is None, name
-        assert entry.degree(SVIR, params) == 0, name
+        psi = entry.instantiate(SVIR, params, Window(8, 3))
+        assert psi.values and _degrees(psi, params) == {0}, name
 
 
 def test_degree_mixing_rejected():
@@ -317,8 +322,15 @@ def test_degree_mixing_rejected():
             CocycleLine("L", "Y", _poly("1")),
         ),
     )
-    with pytest.raises(ValueError, match="mixes degrees"):
-        mixed.degree(SVIR, {"lambda": Fraction(0), "mu": Fraction(1)})
+    params = {"lambda": 0, "mu": 1}
+    refusals = (
+        lambda: mixed.instantiate(SVIR, params, Window(8, 3)),
+        lambda: verify_cocycle(SVIR, params, Window(8, 3), mixed),
+        lambda: mixed.applicability(SVIR, params),
+    )
+    for refused in refusals:
+        with pytest.raises(ValueError, match="^cocycle 'bad-mix' mixes degrees 0, 1$"):
+            refused()
 
 
 def test_skew_inconsistent_table_rejected():

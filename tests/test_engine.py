@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import random
 import re
 from fractions import Fraction
@@ -8,7 +10,7 @@ import pytest
 
 import lieext
 import lieext.engine as engine
-from lieext.algebra import BasisElement, validate_parameters
+from lieext.algebra import BasisElement, ParameterError, validate_parameters
 from lieext.engine import (
     CocycleAssignment,
     Window,
@@ -451,9 +453,13 @@ def test_cocycle_assignment_refusals_and_canonical_form():
     with pytest.raises(AttributeError):
         psi.values = {}
     params = {"lambda": 0, "mu": 1}
-    assert psi.degrees(params) == {0} and psi.degree(params) == 0
+
+    def degrees(psi):
+        return {SVIR.weight(x, params) + SVIR.weight(y, params) for x, y in psi.values}
+
+    assert degrees(psi) == {0}
     mixed = CocycleAssignment(SVIR, window, {(L(-2), Y(1)): 1, (L(-1), L(2)): 1})
-    assert mixed.degrees(params) == {0, 1}
+    assert degrees(mixed) == {0, 1}
     with pytest.raises(ValueError, match="assignment mixes degrees"):
         is_coboundary(SVIR, params, window, mixed)
     assert is_coboundary(SVIR, params, window, CocycleAssignment(SVIR, window, {}))
@@ -461,26 +467,74 @@ def test_cocycle_assignment_refusals_and_canonical_form():
 
 def test_is_coboundary_validates_parameters_once(monkeypatch):
     calls = []
-    validate = engine.validate_parameters
+    validate = lieext.algebra.validate_parameters
 
     def counting(spec, values):
         calls.append(spec)
         return validate(spec, values)
 
     monkeypatch.setattr(lieext.algebra, "validate_parameters", counting)
-    monkeypatch.setattr(engine, "validate_parameters", counting)
     psi = CocycleAssignment(SVIR, Window(8), {(L(-2), L(2)): 1})
     assert not is_coboundary(SVIR, {"lambda": 0, "mu": 1}, Window(8), psi)
     assert len(calls) == 1
+
+
+def test_verify_of_a_declared_class_binds_once(monkeypatch):
+    # the class's own values go to the pair columns: no second validation
+    # of the parameters, and no regrouping of its values by degree
+    calls, grouped = [], []
+    validate, by_degree = lieext.algebra.validate_parameters, engine._by_degree
+
+    def counting(spec, values):
+        calls.append(spec)
+        return validate(spec, values)
+
+    def grouping(*args):
+        grouped.append(args)
+        return by_degree(*args)
+
+    monkeypatch.setattr(lieext.algebra, "validate_parameters", counting)
+    monkeypatch.setattr(engine, "_by_degree", grouping)
+    report = verify_cocycle(SVIR, {"lambda": -1, "mu": 1}, Window(12), engine.REGISTRY["c1"])
+    assert report.passed and report.assignment.values
+    assert len(calls) == 1 and not grouped
+
+
+def test_applicability_validates_its_parameters():
+    c1 = engine.REGISTRY["c1"]
+    with pytest.raises(ParameterError, match="^missing parameter 'lambda' for algebra 'svir'$"):
+        c1.applicability(SVIR, {})
+    with pytest.raises(ParameterError, match="^unknown parameter 'nu'"):
+        c1.applicability(SVIR, {"lambda": -1, "mu": 1, "nu": 0})
+    with pytest.raises(ParameterError, match="^mu = 0 is out of scope for svir"):
+        c1.applicability(SVIR, {"lambda": -1, "mu": 0})
+    assert c1.applicability(SVIR, {"lambda": -1, "mu": "1"}) is None
+
+
+def test_instantiate_refuses_weights_that_do_not_add():
+    spec = parse("""
+algebra ab(p) {
+    family A weight 0;
+    family B weight p;
+    bracket [A n, A m] = (m - n) B(n + m);
+    bracket [A n, B m] = 0;
+    bracket [B n, B m] = 0;
+    cocycle aa { [A n, A m] = m on n + m = 0; }
+}
+""").spec
+    known = engine.KnownCocycle("aa", spec.cocycles["aa"])
+    with pytest.raises(ValueError, match="^algebra is not graded by its weights"):
+        known.instantiate(spec, {"p": 1}, Window(6))
+    assert known.instantiate(spec, {"p": 0}, Window(6)).values
 
 
 def test_h2_compiles_each_declared_class_once(monkeypatch):
     calls = []
     check = engine.KnownCocycle._check
 
-    def counting(self, spec, params):
+    def counting(self, alg):
         calls.append(self.name)
-        return check(self, spec, params)
+        return check(self, alg)
 
     monkeypatch.setattr(engine.KnownCocycle, "_check", counting)
     h2(SVIR, {"lambda": -3, "mu": 1}, Window(12))
@@ -572,10 +626,14 @@ def test_non_inner_grading_is_recorded():
         nonzero_degree_triviality(spec, shifted, Window(8), -1)
 
 
-def test_readme_library_names_are_exported():
+def _readme_library_code() -> str:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
-    code = "\n".join(re.findall(r"```python\n(.*?)```", section, re.S))
+    return "\n".join(re.findall(r"```python\n(.*?)```", section, re.S))
+
+
+def test_readme_library_names_are_exported():
+    code = _readme_library_code()
     names = {
         alias.name
         for node in ast.walk(ast.parse(code))
@@ -584,3 +642,14 @@ def test_readme_library_names_are_exported():
     }
     assert "validate_parameters" in names
     assert names <= set(lieext.__all__)
+
+
+def test_readme_library_example_prints_its_comments():
+    # each printed line is the next "#" comment of the example, written at
+    # the end of its print or on the line below it
+    code = _readme_library_code()
+    expected = re.findall(r"#\s*(.*)", code)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert expected and out.getvalue().splitlines() == expected
