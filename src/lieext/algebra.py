@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, count, islice
 from typing import Mapping, Sequence
 
 from .poly import IndexPolynomial
@@ -108,21 +108,11 @@ def same_family_rule_is_antisymmetric(rule: BracketRule) -> bool:
     return (rule.coeff + swapped).is_zero()
 
 
-def _fresh_names(count: int, taken) -> list:
-    pool = ["n", "m", "i", "j", "k", "p", "q", "r", "s", "t"]
-    out = []
-    for name in pool:
-        if len(out) == count:
-            return out
-        if name not in taken and name not in out:
-            out.append(name)
-    counter = 0
-    while len(out) < count:
-        name = f"x{counter}"
-        counter += 1
-        if name not in taken and name not in out:
-            out.append(name)
-    return out
+def _fresh_names(size: int, taken) -> list:
+    """The first size names of n, m, i, j, k, p, q, r, s, t, x0, x1, ...
+    that are not taken."""
+    names = chain("nmijkpqrst", (f"x{i}" for i in count()))
+    return list(islice((name for name in names if name not in taken), size))
 
 
 class AlgebraSpec:

@@ -24,8 +24,6 @@ from .engine import (
     CocycleAssignment,
     KnownCocycle,
     Window,
-    _bind,
-    _grading_failure,
     h2,
     is_coboundary,
     theorem_predicted_dim,
@@ -155,14 +153,21 @@ def _prediction(spec, params, degree):
     return None
 
 
-def _grading_warning(spec, params) -> str:
-    """The stderr warning for an h2 report with grading_inner False."""
-    return (f"warning: the grading is not inner ({_grading_failure(_bind(spec, params))}): "
-            "no family's index-0 element acts by the weights, so other degrees "
-            "than this one may carry H^2 too")
+def _h2_run(spec, params, window, degree, steps):
+    """(report, predicted dim, agreement, warning) of h2 at one point; the
+    agreement is None without a prediction, the stderr warning None when
+    the grading is inner."""
+    report = h2(spec, params, window, degree=degree, stabilization_steps=steps)
+    predicted = _prediction(spec, report.params, degree)
+    agree = None if predicted is None else report.core_h2_dim == predicted
+    warning = report.grading and (
+        f"warning: the grading is not inner ({report.grading}): no family's index-0 "
+        "element acts by the weights, so other degrees than this one may carry H^2 too")
+    return report, predicted, agree, warning
 
 
-def _h2_json(report, params, predicted, agree) -> dict:
+def _h2_json(report, predicted, agree) -> dict:
+    params = report.params
     out = {
         "algebra": report.algebra,
         "lambda": format_rational(params["lambda"]) if "lambda" in params else None,
@@ -181,7 +186,7 @@ def _h2_json(report, params, predicted, agree) -> dict:
         "predicted_dim": predicted,
         "agree": agree,
     }
-    if not report.grading_inner:
+    if report.grading:
         out["grading_inner"] = False
     return out
 
@@ -190,18 +195,16 @@ def cmd_h2(args) -> int:
     spec, params = _bound_algebra(args)
     window = Window(args.window, args.margin)
     degree = parse_rational(args.degree)
-    report = h2(spec, params, window, degree=degree, stabilization_steps=args.steps)
-    predicted = _prediction(spec, params, degree)
-    agree = None if predicted is None else report.core_h2_dim == predicted
-    if not report.grading_inner:
-        print(_grading_warning(spec, params), file=sys.stderr)
+    report, predicted, agree, warning = _h2_run(spec, params, window, degree, args.steps)
+    if warning:
+        print(warning, file=sys.stderr)
     if args.format == "json":
-        print(json.dumps(_h2_json(report, params, predicted, agree), indent=2))
+        print(json.dumps(_h2_json(report, predicted, agree), indent=2))
     else:
         rows = [
             ("algebra", report.algebra),
             ("parameters", " ".join(
-                f"{k}={format_rational(v)}" for k, v in params.items()) or "(none)"),
+                f"{k}={format_rational(v)}" for k, v in report.params.items()) or "(none)"),
             ("window", f"N={window.n} margin={window.margin}"),
             ("degree", format_rational(degree)),
             ("cocycle_dim", report.cocycle_dim),
@@ -216,10 +219,7 @@ def cmd_h2(args) -> int:
             ("agree", "n/a" if agree is None else _yesno(agree)),
         ]
         if args.format == "md":
-            print("| field | value |")
-            print("| --- | --- |")
-            for name, value in rows:
-                print(f"| {name} | {value} |")
+            _print_md(("field", "value"), rows)
         else:
             for name, value in rows:
                 print(f"{name}: {value}")
@@ -234,24 +234,26 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _print_md(header, rows):
+    for cells in (header, ["---"] * len(header), *rows):
+        print("| " + " | ".join(map(str, cells)) + " |")
+
+
 def _scan_point(payload) -> dict:
     ref, lam_text, mu_text, n, margin, degree_text, steps = payload
-    spec = load_algebra(ref)
-    params = validate_parameters(spec, {"lambda": lam_text, "mu": mu_text})
-    degree = parse_rational(degree_text)
-    report = h2(spec, params, Window(n, margin), degree=degree, stabilization_steps=steps)
-    predicted = _prediction(spec, params, degree)
-    matched = ";".join(m.name for m in report.matched_known if m.matched)
+    report, predicted, agree, warning = _h2_run(
+        load_algebra(ref), {"lambda": lam_text, "mu": mu_text}, Window(n, margin),
+        parse_rational(degree_text), steps)
     return {
         "lambda": lam_text,
         "mu": mu_text,
         "window": n,
         "core_h2_dim": report.core_h2_dim,
         "predicted_dim": predicted,
-        "agree": None if predicted is None else report.core_h2_dim == predicted,
-        "matched": matched,
+        "agree": agree,
+        "matched": ";".join(m.name for m in report.matched_known if m.matched),
         "stabilized": report.stabilized,
-        "grading": None if report.grading_inner else _grading_warning(spec, params),
+        "grading": warning,
     }
 
 
@@ -277,7 +279,7 @@ def cmd_scan(args) -> int:
         for lam, mu in grid
     ]
     # fail fast on bad bindings (e.g. mu = 0) and options before spawning
-    # workers, in the order _scan_point meets them
+    # workers, so that no worker meets them
     for lam, mu in grid:
         validate_parameters(spec, {"lambda": lam, "mu": mu})
     parse_rational(args.degree)
@@ -305,10 +307,7 @@ def cmd_scan(args) -> int:
         for row in rows:
             writer.writerow([_cell(row[c]) for c in columns])
     else:
-        print("| " + " | ".join(columns) + " |")
-        print("|" + "|".join(" --- " for _ in columns) + "|")
-        for row in rows:
-            print("| " + " | ".join(_cell(row[c]) for c in columns) + " |")
+        _print_md(columns, ([_cell(row[c]) for c in columns] for row in rows))
     for row in rows:
         if row["grading"]:
             print(f"lambda={row['lambda']} mu={row['mu']}: {row['grading']}", file=sys.stderr)
@@ -364,10 +363,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -163,19 +163,16 @@ class _Parser:
     def warning(self, code: str, message: str, tok: _Token):
         self.diagnostics.append(Diagnostic(tok.line, tok.col, "warning", code, message))
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str, text: str | None = None) -> _Token:
+        """The next token; it must be of this kind and, when text is given, read text."""
         tok = self.peek()
-        if tok.kind != kind:
+        if tok.kind != kind or text not in (None, tok.text):
             self.error("syntax", f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input")
             raise _Abort()
         return self.advance()
 
     def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            self.error("syntax", f"expected {word!r}, found {tok.text!r}" if tok.text else f"expected {word!r}, found end of input")
-            raise _Abort()
-        return self.advance()
+        return self.expect("ident", repr(word), word)
 
     def ident(self, what: str) -> _Token:
         tok = self.expect("ident", what)

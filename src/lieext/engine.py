@@ -1085,15 +1085,10 @@ def _grading_failure(alg: BoundAlgebra) -> str | None:
             rule = alg._rules[p][q]
             at_zero = {b: k for k, a, b in rule[1] if not a} if rule else {}
             if scale is None:
-                scale = at_zero.get(1)
-            if not (
-                rule
-                and rule[0] == q
-                and scale
-                and at_zero.keys() <= {0, 1}
-                and at_zero.get(1) == scale
-                and at_zero.get(0, 0) == scale * other_offset
-            ):
+                scale = at_zero.get(1, 0)
+            # c * (m + offset_G), its zero terms left out as _compile leaves them out
+            expected = {b: k for b, k in ((1, scale), (0, scale * other_offset)) if k}
+            if not (scale and at_zero == expected and rule[0] == q):
                 text = "0"
                 if rule:
                     terms = {((("m", b),) if b else ()): Fraction(k, alg.denominator) for b, k in at_zero.items()}
@@ -1152,7 +1147,7 @@ class H2Report:
     stabilized: bool
     core_history: list = field(default_factory=list)  # [(n, core dim)]
     matched_known: list = field(default_factory=list)  # [MatchResult]
-    grading_inner: bool = True  # see _grading_failure
+    grading: str | None = None  # why the grading is not inner (_grading_failure); None when it is
 
 
 def match_known(
@@ -1212,12 +1207,12 @@ def h2(
     whether it agreed across stabilization_steps windows n, n+2, n+4, ...
     All windows are views on one plan built at the largest, and each grown
     window's solve goes on from the echelon of the one before it.
-    grading_inner is False when no family's index-0 element acts by the
-    weights (see _grading_failure); degree 0 then need not carry the whole
-    H^2.  A window is refused when its core holds no pair of some family
-    pair (sector) that has pairs at this degree: the core dimension would
-    leave that sector out.  The message names the smallest window that
-    covers it.
+    grading is None when some family's index-0 element acts by the
+    weights; otherwise it is _grading_failure's text naming the brackets
+    that fail, and degree 0 then need not carry the whole H^2.  A window
+    is refused when its core holds no pair of some family pair (sector)
+    that has pairs at this degree: the core dimension would leave that
+    sector out.  The message names the smallest window that covers it.
     """
     if stabilization_steps < 1:
         raise ValueError("need at least one stabilization step")
@@ -1255,7 +1250,7 @@ def h2(
         stabilized=len({dim for _, dim in history}) == 1,
         core_history=history,
         matched_known=matched,
-        grading_inner=_grading_failure(alg) is None,
+        grading=_grading_failure(alg),
     )
 
 

@@ -4,13 +4,17 @@ from fractions import Fraction
 import pytest
 
 from lieext.algebra import (
+    AlgebraSpec,
     BasisElement,
+    BracketRule,
+    CocycleLine,
     ParameterError,
     check_jacobi_symbolic,
     check_jacobi_window,
     validate_parameters,
 )
 from lieext.dsl import parse
+from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
 
 SVIR = load_algebra("svir")
@@ -107,6 +111,63 @@ def test_validate_parameters_coercion():
     params = validate_parameters(SVIR, {"lambda": "-1/3", "mu": 2})
     assert params == {"lambda": Fraction(-1, 3), "mu": Fraction(2)}
     assert all(isinstance(v, Fraction) for v in params.values())
+
+
+V = IndexPolynomial.variable
+C = IndexPolynomial.constant
+
+
+def _rule(left, right, coeff, out, var_left="n", var_right="m"):
+    return BracketRule(left, right, var_left, var_right, coeff, out)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"name": "1a"}, "bad algebra name '1a'"),
+        ({"families": ("A", "B-")}, "bad identifier 'B-'"),
+        ({"parameters": ("p", "p")}, "duplicate parameter name"),
+        ({"families": ("A", "B", "A")}, "duplicate family name"),
+        ({"parameters": ("p", "B")}, "parameter name collides with a family name"),
+        ({"weight_offsets": {"A": C(0)}}, "missing weight for family 'B'"),
+        ({"weight_offsets": {"A": C(0), "B": V("z")}}, "weight of 'B' uses unknown variable 'z'"),
+        ({"weight_offsets": {"A": C(0), "B": V("p"), "D": C(0)}},
+         "weight given for an undeclared family"),
+        ({"rules": {("A", "B"): _rule("A", "A", V("m") - V("n"), "A")}},
+         "rule key ('A', 'B') does not match rule families"),
+        ({"rules": {("A", "D"): _rule("A", "D", V("m"), "A")}},
+         "bracket rule uses undeclared family 'D'"),
+        ({"rules": {("B", "A"): _rule("B", "A", V("m"), "B")}},
+         "rule [B, A] is stored on the reversed family pair"),
+        ({"rules": {("A", "B"): _rule("A", "B", V("m"), "D")}},
+         "bracket output family 'D' is undeclared"),
+        ({"rules": {("A", "A"): _rule("A", "A", V("m"), "A")}},
+         "same-family bracket [A, A] must have an index-antisymmetric coefficient"),
+        ({"cocycles": {"c-": [CocycleLine("A", "A", V("m"))]}},
+         "bad cocycle class name 'c-' or no lines"),
+        ({"cocycles": {"c": [CocycleLine("A", "D", V("m"))]}},
+         "cocycle 'c' uses an undeclared family or parameter"),
+        ({"rules": {("A", "B"): _rule("A", "B", V("n"), "B", var_right="n")}},
+         "rule [A, B] repeats an index variable"),
+        ({"rules": {("A", "B"): _rule("A", "B", V("m"), "B", var_left="p")}},
+         "index variable 'p' collides with a parameter"),
+        ({"rules": {("A", "B"): _rule("A", "B", V("z"), "B")}},
+         "rule [A, B] uses unknown variable 'z'"),
+    ],
+)
+def test_spec_construction_validates(changes, message):
+    # parse() refuses each of these first; a spec built in code meets them here
+    args = {
+        "name": "a",
+        "parameters": ("p",),
+        "families": ("A", "B"),
+        "weight_offsets": {"A": C(0), "B": V("p")},
+        "rules": {("A", "A"): _rule("A", "A", V("m") - V("n"), "A")},
+    }
+    AlgebraSpec(**args)
+    with pytest.raises(ValueError) as info:
+        AlgebraSpec(**{**args, **changes})
+    assert str(info.value) == message
 
 
 def test_jacobi_window_svir():

@@ -413,6 +413,34 @@ def test_non_inner_grading_warns_and_keeps_the_exit_code(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("lambda=1 mu=0: " + GRADING_WARNING)
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["h2", "--lambda=1", "--mu=0", "--window", "8"], 1),
+        (["scan", "--lambda-values=0,1", "--mu-values=0", "--window", "8", "--jobs", "1"], 2),
+    ],
+    ids=["h2", "scan"],
+)
+def test_grading_verdict_is_decided_once_per_h2_call(monkeypatch, capsys, tmp_path, argv, calls):
+    from lieext import engine
+
+    path = tmp_path / "wab.lie"
+    path.write_text(WAB_SOURCE)
+    seen = []
+
+    def spy(alg):
+        seen.append(alg)
+        return verdict(alg)
+
+    verdict = engine._grading_failure
+    monkeypatch.setattr(engine, "_grading_failure", spy)
+    # a module that imported the function holds its own reference to it
+    monkeypatch.setattr(cli, "_grading_failure", spy, raising=False)
+    assert cli.main([*argv, "--algebra", str(path)]) == 0
+    assert capsys.readouterr().err.count(GRADING_WARNING) == 1
+    assert len(seen) == calls
+
+
 def test_window_too_small_is_a_usage_error():
     proc = run_cli("h2", "--algebra", "svir", "--lambda", "0", "--mu", "1",
                    "--window", "3", "--margin", "3")

@@ -122,6 +122,33 @@ algebra partial(mu) {
     assert spec.rules[("Y", "Y")].is_zero()
 
 
+def test_zero_rules_take_fresh_names_past_the_pool():
+    # the parameters take every name of the pool n, m, i, ..., t
+    src = """
+algebra pool(n, m, i, j, k, p, q, r, s, t) {
+  family A weight 0;
+  family B weight 0;
+  bracket [A a, A b] = (b - a) A(a + b);
+}
+"""
+    spec = parse(src).spec
+    rule = spec.rules[("A", "B")]
+    assert rule.is_zero() and (rule.var_left, rule.var_right) == ("x0", "x1")
+    assert parse(render(spec)).spec == spec
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("x", "expected 'algebra', found 'x'"),
+        ("", "expected 'algebra', found end of input"),
+        ("algebra a() { family L wait 0; }", "expected 'weight', found 'wait'"),
+    ],
+)
+def test_missing_keyword_is_named(src, message):
+    assert [d.message for d in parse(src).diagnostics] == [message]
+
+
 def test_diagnostics_carry_positions():
     src = "algebra bad() {\n  family L weight 0;\n  bracket [L n, Q m] = (m - n) L(n + m);\n}"
     result = parse(src)
