@@ -178,25 +178,19 @@ class AlgebraSpec:
             if rule.out_family is not None and rule.out_family not in positions:
                 raise ValueError(f"bracket output family {rule.out_family!r} is undeclared")
             normalized[key] = self._normalize_rule(rule, parameters)
-        for i, fam_a in enumerate(families):
-            for fam_b in families[i:]:
-                normalized.setdefault(
-                    (fam_a, fam_b), _zero_rule(fam_a, fam_b, parameters)
-                )
-
-        for key in sorted(normalized, key=lambda k: (positions[k[0]], positions[k[1]])):
-            rule = normalized[key]
+        ordered = {
+            (fam_a, fam_b): normalized.get((fam_a, fam_b))
+            or _zero_rule(fam_a, fam_b, parameters)
+            for i, fam_a in enumerate(families)
+            for fam_b in families[i:]
+        }
+        for rule in ordered.values():
             if rule.left == rule.right and not rule.is_zero():
                 if not same_family_rule_is_antisymmetric(rule):
                     raise ValueError(
                         f"same-family bracket [{rule.left}, {rule.right}] must have an "
                         "index-antisymmetric coefficient"
                     )
-
-        ordered = {
-            key: normalized[key]
-            for key in sorted(normalized, key=lambda k: (positions[k[0]], positions[k[1]]))
-        }
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "families", families)

@@ -61,6 +61,16 @@ def _gather_params(args) -> dict:
     return values
 
 
+def _add_window_options(parser: argparse.ArgumentParser, solve: bool = True):
+    """--window and --margin; with solve, also --degree and --steps."""
+    parser.add_argument("--window", type=int, default=12, metavar="N")
+    parser.add_argument("--margin", type=int, default=3, metavar="M")
+    if solve:
+        parser.add_argument("--degree", default="0", metavar="Q")
+        parser.add_argument("--steps", type=int, default=3, metavar="S",
+                            help="stabilization windows N, N+2, ... (default 3)")
+
+
 def _bound_algebra(args):
     spec = load_algebra(args.algebra)
     params = validate_parameters(spec, _gather_params(args))
@@ -84,11 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_h2 = sub.add_parser("h2", help="windowed H^2 dimensions at one degree")
     _add_algebra_options(p_h2)
-    p_h2.add_argument("--window", type=int, default=12, metavar="N")
-    p_h2.add_argument("--margin", type=int, default=3, metavar="M")
-    p_h2.add_argument("--degree", default="0", metavar="Q")
-    p_h2.add_argument("--steps", type=int, default=3, metavar="S",
-                      help="stabilization windows N, N+2, ... (default 3)")
+    _add_window_options(p_h2)
     p_h2.add_argument("--format", choices=("text", "json", "md"), default="text")
     p_h2.set_defaults(func=cmd_h2)
 
@@ -98,10 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="lambda_values", help="comma-separated rationals")
     p_scan.add_argument("--mu-values", required=True, metavar="Q,Q,...",
                         dest="mu_values", help="comma-separated rationals (mu = 0 excluded)")
-    p_scan.add_argument("--window", type=int, default=12, metavar="N")
-    p_scan.add_argument("--margin", type=int, default=3, metavar="M")
-    p_scan.add_argument("--degree", default="0", metavar="Q")
-    p_scan.add_argument("--steps", type=int, default=3, metavar="S")
+    _add_window_options(p_scan)
     p_scan.add_argument("--jobs", type=int, default=0, metavar="J",
                         help="worker processes (default: usable CPUs); never more "
                         "than the grid points or the usable CPUs")
@@ -112,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_algebra_options(p_verify)
     p_verify.add_argument("--cocycle", required=True, metavar="NAME_OR_FILE",
                           help="a cocycle class the algebra declares, or a JSON assignment file")
-    p_verify.add_argument("--window", type=int, default=12, metavar="N")
-    p_verify.add_argument("--margin", type=int, default=3, metavar="M")
+    _add_window_options(p_verify, solve=False)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -240,14 +242,13 @@ def _print_md(header, rows):
 
 
 def _scan_point(payload) -> dict:
-    ref, lam_text, mu_text, n, margin, degree_text, steps = payload
+    ref, lam, mu, window, degree, steps = payload
     report, predicted, agree, warning = _h2_run(
-        load_algebra(ref), {"lambda": lam_text, "mu": mu_text}, Window(n, margin),
-        parse_rational(degree_text), steps)
+        load_algebra(ref), {"lambda": lam, "mu": mu}, window, degree, steps)
     return {
-        "lambda": lam_text,
-        "mu": mu_text,
-        "window": n,
+        "lambda": format_rational(lam),
+        "mu": format_rational(mu),
+        "window": window.n,
         "core_h2_dim": report.core_h2_dim,
         "predicted_dim": predicted,
         "agree": agree,
@@ -273,19 +274,15 @@ def cmd_scan(args) -> int:
     lams = [parse_rational(part) for part in args.lambda_values.split(",")]
     mus = [parse_rational(part) for part in args.mu_values.split(",")]
     grid = sorted({(lam, mu) for lam in lams for mu in mus})
-    payloads = [
-        (args.algebra, format_rational(lam), format_rational(mu),
-         args.window, args.margin, args.degree, args.steps)
-        for lam, mu in grid
-    ]
     # fail fast on bad bindings (e.g. mu = 0) and options before spawning
     # workers, so that no worker meets them
     for lam, mu in grid:
         validate_parameters(spec, {"lambda": lam, "mu": mu})
-    parse_rational(args.degree)
-    Window(args.window, args.margin)
+    degree = parse_rational(args.degree)
+    window = Window(args.window, args.margin)
     if args.steps < 1:
         raise ValueError("need at least one stabilization step")
+    payloads = [(args.algebra, lam, mu, window, degree, args.steps) for lam, mu in grid]
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:

@@ -260,7 +260,6 @@ class _Parser:
         name_tok = None
         params: list = []
         families: list = []
-        family_toks: dict = {}
         offsets: dict = {}
         brackets: list = []
         classes: dict = {}  # name -> [CocycleLine]
@@ -282,7 +281,7 @@ class _Parser:
             self.expect(")", "')'")
             self.expect("{", "'{'")
             items = {
-                "family": lambda: self.parse_family(params, families, family_toks, offsets),
+                "family": lambda: self.parse_family(params, families, offsets),
                 "bracket": lambda: brackets.append(self.parse_bracket(params)),
                 "cocycle": lambda: self.parse_cocycle(params, classes, refs),
             }
@@ -303,9 +302,9 @@ class _Parser:
 
         if any(d.severity == "error" for d in self.diagnostics):
             return None
-        return self.assemble(name_tok, params, families, family_toks, offsets, brackets, classes, refs)
+        return self.assemble(name_tok, params, families, offsets, brackets, classes, refs)
 
-    def parse_family(self, params, families, family_toks, offsets):
+    def parse_family(self, params, families, offsets):
         self.expect_keyword("family")
         name_tok = self.ident("a family name")
         name = name_tok.text
@@ -315,7 +314,6 @@ class _Parser:
             self.error("name-collision", f"family {name!r} collides with a parameter", name_tok)
         else:
             families.append(name)
-            family_toks[name] = name_tok
         self.expect_keyword("weight")
         offsets[name] = self.parse_expr(frozenset(params))
         self.expect(";", "';'")
@@ -402,7 +400,7 @@ class _Parser:
             self.error("bad-denominator", str(exc), on_tok)
             return None
 
-    def assemble(self, name_tok, params, families, family_toks, offsets, brackets, classes, refs) -> AlgebraSpec | None:
+    def assemble(self, name_tok, params, families, offsets, brackets, classes, refs) -> AlgebraSpec | None:
         positions = {fam: i for i, fam in enumerate(families)}
         rules: dict = {}
         for raw in brackets:
@@ -467,8 +465,6 @@ def parse(source: str) -> ParseResult:
     try:
         spec = parser.parse_algebra()
     except _Abort:
-        spec = None
-    if spec is not None and any(d.severity == "error" for d in parser.diagnostics):
         spec = None
     if spec is None and not any(d.severity == "error" for d in parser.diagnostics):
         parser.diagnostics.append(Diagnostic(1, 1, "error", "syntax", "no algebra definition found"))

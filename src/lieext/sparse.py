@@ -18,7 +18,6 @@ exact: no floats appear anywhere in this module.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -158,45 +157,33 @@ def _eliminate(row: dict, pivots: dict) -> dict:
     """Reduce an integer row against the pivot rows; result is normalized.
     The argument is not modified.
 
-    Each step clears the row's leading column with the pivot row there:
-    row * (a / g) - pivot * (b / g) for leading entries a of the pivot and b
-    of the row, g = gcd(a, b).  The row is copied once and updated in place,
-    and a heap of its columns yields each next leading column; a column
-    that has cancelled stays in the heap and is skipped when it comes up."""
+    Each step clears the row's leading column, min(row), with the pivot row
+    there: row * (a / g) - pivot * (b / g) for leading entries a of the
+    pivot and b of the row, g = gcd(a, b).  The row is copied once and
+    updated in place."""
     row = dict(row)
-    heap = list(row)
-    heapq.heapify(heap)
     while row:
-        lead = heapq.heappop(heap)
-        b = row.get(lead)
-        if b is None:
-            continue
+        lead = min(row)
         pivot = pivots.get(lead)
         if pivot is None:
             return _normalize_int_row(row)
-        a = pivot[lead]
+        a, b = pivot[lead], row[lead]
         g = math.gcd(a, b)
         ra, pb = a // g, b // g
         if ra != 1:
             for col in row:
                 row[col] *= ra
         for col, val in pivot.items():
-            if col in row:
-                new = row[col] - pb * val
-                if new:
-                    row[col] = new
-                else:
-                    del row[col]
+            new = row.get(col, 0) - pb * val
+            if new:
+                row[col] = new
             else:
-                row[col] = -pb * val
-                heapq.heappush(heap, col)
+                del row[col]
     return {}
 
 
 def _normalize_int_row(row: dict) -> dict:
-    g = 0
-    for value in row.values():
-        g = math.gcd(g, value)
+    g = math.gcd(*row.values())
     if g == 0:
         return {}
     if row[min(row)] < 0:

@@ -255,12 +255,8 @@ def test_fuzz_never_raises():
     for _ in range(2000):
         text = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randint(0, 120)))
         result = parse(text)
-        if result.ok:
-            assert result.spec is not None
-        else:
-            errs = result.errors()
-            assert errs
-            assert all(d.line >= 1 and d.col >= 1 for d in errs)
+        assert (result.spec is None) == bool(result.errors())
+        assert all(d.line >= 1 and d.col >= 1 for d in result.errors())
 
 
 def test_fuzz_mutated_preset():
@@ -272,8 +268,7 @@ def test_fuzz_mutated_preset():
             pos = rng.randrange(len(chars))
             chars[pos] = rng.choice(FUZZ_ALPHABET)
         result = parse("".join(chars))
-        if result.ok:
-            assert result.spec is not None
+        assert (result.spec is None) == bool(result.errors())
 
 
 def test_error_cap_on_pathological_input():

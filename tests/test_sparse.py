@@ -183,11 +183,23 @@ def _pinned_rows(name, values, n):
     return rows
 
 
+def _long_rows(name, values, n):
+    """The null vectors and the kept coboundary generators of the engine's
+    plan at one point, each list followed by itself again, so that the
+    second copies reduce to zero with fill-in."""
+    plan = engine._Plan(engine._bind(load_algebra(name), values), engine.Window(n), Fraction(0))
+    return [rows + rows for rows in (plan.cocycles(n), plan.coboundaries(n))]
+
+
 def test_echelon_pivots_equal_reference_elimination():
     rng = random.Random(1361)
     cases = [_random_int_rows(rng) for _ in range(300)]
     cases.append(_pinned_rows("svir", {"lambda": -3, "mu": 1}, 12))
     assert len(cases[-1]) > 100
+    long = _long_rows("svir", {"lambda": -3, "mu": 1}, 40)
+    long += _long_rows("svir", {"lambda": 1, "mu": Fraction(1, 2)}, 40)
+    assert max(len(row) for rows in long for row in rows) > 50
+    cases += long
     for rows in cases:
         snapshot = [dict(row) for row in rows]
         ech = _Echelon(rows)
