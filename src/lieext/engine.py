@@ -36,7 +36,7 @@ recursion, and there the rows with an index 0 are needed too: without them,
 at n = 40, the check has to add 39 of the rank 302 of an algebra with
 families of weights 1, 2 and 3.
 
-Every admissible row is then checked against the primitive integer null
+The admissible rows are then checked against the primitive integer null
 vectors of the echelon by exact integer dot products, and the check refines
 as it goes (_add_violated).  A row that fails is added to the echelon, the
 null vectors are recomputed, and the walk takes that family triple again
@@ -47,11 +47,32 @@ rows' rank deficit.  Each added row costs a back-substitution, so the solve
 is only as cheap as that deficit is small: at most 4 at n = 40 and degrees
 0, 1 and 2 on svir, witt and five algebras of the tests.
 
-The result is the one full elimination gives.  Every admissible row is
-either in the echelon or passed against a nullspace that contains the final
-one, since the nullspace only shrinks as rows are added.  The final
-nullspace is that of the echelon rows, which are admissible rows, so it
-contains the full one and, by the above, lies in it: the two are equal.
+A first window's check walks only each family triple's boundary, O(n)
+triples (_Identity.boundary), and the identity d^2 = 0 of the
+Chevalley-Eilenberg complex (Fuks 1986, ch. 1) certifies the rest.  Let
+R(tau) be the identity's value at a triple tau, and L a family of weight 0
+with [L_-1, X] in X for each family X of the triple.  d^2 psi = 0 on the
+quadruple (L_-1, tau + e_p) relates R(tau), with the coefficient
+c_p(tau_p + 1) of [L_-1, X_(tau_p + 1)], to R at the neighbours
+tau + e_p - e_q and at triples with L_-1.  Swept in descending tau_p, a
+triple with c_p(tau_p + 1) != 0 whose other terms are admissible window
+triples is certified by triples settled before it.  The boundary lists the
+others, as the triples with an index in a set of O(1 + |total|) values and,
+for F, F, F, the line j = i + 1, where the two neighbours cancel.  It lists
+the triples with an index -1 too, so the certificate rests on walked
+triples alone, whatever the echelon holds.  d^2 = 0 needs the Jacobi
+identity, which is not assumed: the boundary is used only when it holds,
+as a polynomial identity at the bound parameters, on the triple's families
+and on L with each two of them (_lawful).  Otherwise, and when no family
+fits L, every triple is walked.  verify_cocycle walks every triple too,
+since its count of triples checked is part of its report.
+
+The result is the one full elimination gives.  Every admissible row is in
+the echelon, or walked and passed against a nullspace that contains the
+final one, since the nullspace only shrinks as rows are added, or, in a
+first window, certified from walked rows by d^2 = 0.  The final nullspace
+is that of the echelon rows, which are admissible rows, so it contains the
+full one and, by the above, lies in it: the two are equal.
 Equal nullspaces have equal row spaces, hence the same pivot columns, so the
 reduced basis (one vector per free column) is the same vector for vector.
 The check skips an identity when no null vector is nonzero on any of its
@@ -137,7 +158,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations, combinations_with_replacement, repeat
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -424,6 +445,47 @@ class _Identity:
             found.update(zip(range(bottom, top + 1), range(rest - bottom, rest - top - 1, -1)))
         return sorted(found)
 
+    def boundary(self, alg: BoundAlgebra, lawful: set) -> list | None:
+        """The (i, j) of the triples a first window's check walks, as a
+        meeting() list: a superset of those that d^2 = 0 does not certify
+        from the others (module docstring), and the triples with an index
+        -1.  None, for all of them, unless some family L of weight 0 has
+        [L_-1, X] in X for each family X here, and the Jacobi identity holds
+        on these families and on L with each two of them (lawful).
+
+        The certificate of a triple tau takes the quadruple (L_-1, tau + e_p)
+        at a position p whose family is not repeated, or p = 0 for F, F, F.
+        Its terms are c_p(tau_p + 1) times tau, the neighbours
+        tau + e_p - e_q, and triples with L_-1, whose output index total + 1
+        must lie in the window.  Listed is each triple with an index n, -n
+        or -1, an index v with c_p(v + 1) = 0, or an index v whose output
+        index total - v is at least n or at most -n.  Every other triple's
+        other terms are window triples with their outputs inside, walked or
+        with a larger index at p.  For F, F, F the neighbour (i + 1, i, k)
+        is tau itself, so the line j = i + 1 is listed too."""
+        families, n, total = self.families, self.n, self.total
+        for acting, offset in enumerate(alg.offsets):
+            rules = [alg._rules[acting][f] for f in families]
+            if (
+                not offset
+                and all(rule is not None and rule[0] == f for rule, f in zip(rules, families))
+                and families in lawful
+                and all(tuple(sorted((acting, f, g))) in lawful for f, g in combinations(families, 2))
+            ):
+                break
+        else:
+            return None
+        # the triples with L_-1 have an output index total + 1
+        if abs(total + 1) > n:
+            return None
+        p = next((w for w in range(3) if families.count(families[w]) == 1), 0)
+        values = {-1, -n, n, *range(-n, total - n + 1), *range(total + n, n + 1)}
+        values.update(v for v in range(-n, n) if not _evaluate(rules[p][1], -1, v + 1))
+        walked = self.meeting(values)
+        if families[0] == families[2]:
+            walked = sorted({*walked, *((i, i + 1) for i in range(-n, n) if i + 1 in self._js(i))})
+        return walked
+
     def indices(self):
         """idx = (i, j, k) of the canonically ordered window triples of
         these families (a <= b <= c), in (i, j) lexicographic order."""
@@ -544,6 +606,32 @@ def _identities(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: Pair
     return identities
 
 
+def _lawful(alg: BoundAlgebra) -> set:
+    """The family triples a <= b <= c on which the Jacobi identity holds at
+    every triple of indices (x, y, z): for each output family, the sum of
+    c1(x, y) * c2(x + y, z) over the cyclic orders of [[F_x, G_y], H_z] is
+    the zero polynomial."""
+    lawful = set()
+    for families in combinations_with_replacement(range(len(alg.offsets)), 3):
+        residual: dict = {}
+        for p, q, r in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            first = alg._rules[families[p]][families[q]]
+            second = first and alg._rules[first[0]][families[r]]
+            if not second:
+                continue
+            for k, a, b in first[1]:
+                for l, c, d in second[1]:
+                    # k x**a y**b * l (x + y)**c z**d, expanded in x, y, z
+                    for s in range(c + 1):
+                        exps = [0, 0, 0]
+                        exps[p], exps[q], exps[r] = a + s, b + c - s, d
+                        key = (second[0], *exps)
+                        residual[key] = residual.get(key, 0) + k * l * math.comb(c, s)
+        if not any(residual.values()):
+            lawful.add(families)
+    return lawful
+
+
 def constraint_row(spec, params, window, x, y, z, pairs: PairBasis):
     """One cocycle constraint as a sparse row over the pair basis, or None
     for an inadmissible triple.  A vacuous identity gives an empty dict.
@@ -644,6 +732,13 @@ class _Plan:
             raise ValueError(f"window {n} does not grow the solved window {previous}")
         identities = [identity.sliced(n) for identity in self.identities]
         strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
+        lawful = _lawful(self.alg) if strip is None else None
+
+        def walked(identity):
+            if strip is None:
+                return identity.boundary(self.alg, lawful)
+            return identity.meeting(identity.touching(strip))
+
         for identity in identities:
             pinned = identity.pinned()
             if strip is not None:
@@ -653,7 +748,7 @@ class _Plan:
                 row = identity.row(idx)
                 if row:
                     self.ech.add(row)
-        vectors = _add_violated(identities, self.ech, self.pairs._columns(n), strip)
+        vectors = _add_violated(identities, self.ech, self.pairs._columns(n), walked)
         self.solved = n
         return vectors
 
@@ -714,31 +809,33 @@ def _packed(vectors: list, identities: list) -> tuple:
     return packed, width
 
 
-def _add_violated(identities: list, ech: _Echelon, columns: list, strip=None) -> list:
-    """Check every admissible row against the null vectors of the echelon
-    over `columns`, by exact integer dot products against all of them at
-    once (_packed), refine as it goes, and return the final null vectors.
-    When a row fails, it is added to the echelon, the null vectors are
-    recomputed and its family triple is walked again from its first triple.
-    That is exact: the nullspace only shrinks, so the triples passed before
-    still pass and the added row now does too, and each added row raises
-    the rank by one.  Only the triples that meet the strip are checked, all
-    of them when it is None.  An identity with no table column where a null
-    vector is nonzero is skipped: its dot products are 0."""
+def _add_violated(identities: list, ech: _Echelon, columns: list, walked) -> list:
+    """Check the admissible rows of the triples walked(identity) lists (a
+    meeting() list, or None for all of them) against the null vectors of
+    the echelon over `columns`, by exact integer dot products against all
+    of them at once (_packed), refine as it goes, and return the final null
+    vectors.  When a row fails, it is added to the echelon, the null vectors
+    are recomputed and its family triple is walked again from its first
+    listed triple.  That is exact: the nullspace only shrinks, so the
+    triples passed before still pass and the added row now does too, and
+    each added row raises the rank by one.  A first window lists each
+    identity's boundary, whose rows certify every other row by d^2 = 0
+    (module docstring); a grown window lists the triples that meet the
+    strip.  An identity with no table column where a null vector is
+    nonzero is skipped: its dot products are 0."""
     vectors = _null_vectors(ech.pivots, columns)
     packed = _packed(vectors, identities)[0]
     for identity in identities:
-        meeting = None if strip is None else identity.meeting(identity.touching(strip))
-        while True:
-            terms, reached = identity.valued(packed)
-            if not reached:
-                break
+        terms, reached = identity.valued(packed)
+        meeting = walked(identity) if reached else None
+        while reached:
             failed = identity.walk(terms, meeting)[1]
             if failed is None:
                 break
             ech.add(identity.row(failed[0]))
             vectors = _null_vectors(ech.pivots, columns)
             packed = _packed(vectors, identities)[0]
+            terms, reached = identity.valued(packed)
     return vectors
 
 

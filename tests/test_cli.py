@@ -199,6 +199,26 @@ def test_h2_stabilization_failure_exits_three(tmp_path):
     assert "predicted_dim: n/a" in lines
 
 
+def test_disagreeing_unstabilized_point_exit_codes(monkeypatch, capsys):
+    # a point that disagrees with the prediction and does not stabilize:
+    # h2 exits 3 (stabilization first), scan exits 1 (disagreement first)
+    h2_run = cli._h2_run
+
+    def unstabilized(*args):
+        report, predicted, agree, warning = h2_run(*args)
+        report.stabilized = False
+        return report, predicted, False, warning
+
+    monkeypatch.setattr(cli, "_h2_run", unstabilized)
+    options = ["--window", "6", "--steps", "1"]
+    assert cli.main(["h2", "--algebra", "svir", "--lambda=0", "--mu=1", *options]) == 3
+    assert "agree: no" in capsys.readouterr().out.splitlines()
+    assert cli.main(["scan", "--lambda-values=0", "--mu-values=1", "--jobs", "1", *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1] == "0,1,6,1,1,false,virasoro"
+    assert "warning: lambda=0 mu=1 did not stabilize" in captured.err
+
+
 def test_preset_path_environment_resolution(tmp_path):
     (tmp_path / "abel.lie").write_text(ABELIAN_SOURCE)
     env = dict(os.environ)

@@ -24,17 +24,23 @@ history the null vectors, relabelled by pair key, must equal a fresh
 solve's of that window alone, the check must add exactly the rank the
 pinned rows miss, and the report must be the one the windows computed alone
 give.
+
+A first window's check walks only each family triple's boundary and
+certifies the rest from d^2 = 0: every triple a reference rule, decided
+triple by triple from the brackets, cannot certify must be on it, the rows
+walked must reach the full rank, and the boundary is used only where the
+Jacobi identity holds.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 import lieext.engine as engine
-from lieext.algebra import BasisElement, validate_parameters
+from lieext.algebra import BasisElement, _jacobi_residual, validate_parameters
 from lieext.dsl import parse
 from lieext.engine import (
     REGISTRY,
@@ -54,7 +60,7 @@ from lieext.sparse import nullspace
 
 from oracle_dense import dense_in_span, dense_nullspace, dense_rank
 from test_acceptance import GRID_LAMBDAS, GRID_MUS
-from test_cli import HV_SOURCE, W22_SOURCE
+from test_cli import CORRUPT_SOURCE, HV_SOURCE, W22_SOURCE
 
 POINTS = [
     pytest.param("svir", {"lambda": -3, "mu": "1/2"}, id="svir(-3,1/2)"),
@@ -796,3 +802,189 @@ def test_pair_basis_equals_element_enumeration(tmp_path, source, values, degree)
         for col, (x, y) in enumerate(expected)
         if max(abs(x.index), abs(y.index)) <= window.core_bound()
     ]
+
+
+def _reference_uncertified(alg, identities, identity):
+    """The admissible triples tau of `identity` that the d^2 = 0 recursion
+    does not certify, decided triple by triple from the brackets.  With L
+    the first family of weight 0 that maps each family here into itself, p
+    a position whose family is not repeated (0 for F, F, F) and x = tau +
+    e_p, the quadruple (L_-1, x) certifies tau when c_p(tau_p + 1) != 0 and
+    every other term with a nonzero coefficient vanishes: the neighbours
+    [L_-1, x_q] with x_q lowered, and the triples ([x_u, x_v], L_-1, x_w).
+    Such a term vanishes when it repeats an element or its family triple
+    brackets to nothing, and may be taken to vanish (walked, pinned, or
+    certified before tau) when its elements lie in the window, it is a row
+    of its family triple, and it is not tau itself."""
+    n, families = identity.n, identity.families
+    [acting] = [
+        L
+        for L, offset in enumerate(alg.offsets)
+        if not offset and all((alg._rules[L][f] or (None,))[0] == f for f in families)
+    ][:1]
+    p = next((w for w in range(3) if families.count(families[w]) == 1), 0)
+    compiled = {other.families: other for other in identities}
+    lowered = (acting, -1)
+
+    def vanishes(keys, tau):
+        keys = sorted(keys)
+        if len(set(keys)) < 3:
+            return True
+        if any(abs(index) > n for _, index in keys) or keys == tau:
+            return False
+        fams, idx = zip(*keys)
+        return fams not in compiled or compiled[fams].row(idx) is not None
+
+    uncertified = []
+    for idx in identity.indices():
+        if identity.row(idx) is None:
+            continue
+        tau = sorted(zip(families, idx))
+        x = [(f, i + (w == p)) for w, (f, i) in enumerate(zip(families, idx))]
+        if idx[p] == n or alg.int_bracket(lowered, x[p]) is None:
+            uncertified.append(idx)
+            continue
+        terms = []
+        for q in range(3):
+            if q != p and alg.int_bracket(lowered, x[q]) is not None:
+                terms.append([(f, i - (w == q)) for w, (f, i) in enumerate(x)])
+        for u, v, w in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            bracket = alg.int_bracket(x[u], x[v])
+            if bracket is not None:
+                terms.append([bracket[1], lowered, x[w]])
+        if not all(vanishes(keys, tau) for keys in terms):
+            uncertified.append(idx)
+    return uncertified
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize(
+    "source, values, n",
+    [
+        ("svir", {"lambda": -3, "mu": 1}, 12),
+        ("svir", {"lambda": -3, "mu": 1}, 20),
+        ("svir", {"lambda": 1, "mu": "1/2"}, 12),
+        ("svir", {"lambda": 1, "mu": "1/2"}, 20),
+        ("witt", {}, 12),
+        (WAB_SOURCE, {"a": 2, "b": 1}, 12),
+        (HV_SOURCE, {}, 12),
+        (W22_SOURCE, {}, 12),
+    ],
+    ids=["svir(-3,1)-12", "svir(-3,1)-20", "svir(1,1/2)-12", "svir(1,1/2)-20", "witt", "wab(2,1)", "hv", "w22"],
+)
+def test_boundary_holds_every_uncertified_triple(tmp_path, source, values, degree, n):
+    """The first window's check walks each family triple's boundary: it
+    must hold every admissible triple the reference rule cannot certify,
+    and the triples with an index -1, whose rows the certificate uses.  So
+    the rows of the walked triples alone have the rank of all the rows."""
+    spec = _spec(tmp_path, source)
+    alg = engine._bind(spec, validate_parameters(spec, values))
+    plan = engine._Plan(alg, Window(n), Fraction(degree))
+    lawful = engine._lawful(alg)
+    assert lawful == set(combinations_with_replacement(range(len(alg.offsets)), 3))
+    walked, full = engine._Echelon(), engine._Echelon()
+    listed_count = total = uncertified = 0
+    for identity in plan.identities:
+        boundary = identity.boundary(alg, lawful)
+        assert boundary == sorted(set(boundary))
+        listed = set(boundary)
+        reference = _reference_uncertified(alg, plan.identities, identity)
+        missing = [idx for idx in reference if idx[:2] not in listed]
+        assert not missing, (identity.families, missing)
+        assert set(identity.meeting((-1,))) <= listed
+        for idx in identity.indices():
+            row = identity.row(idx)
+            if row:
+                full.add(row)
+                if idx[:2] in listed:
+                    walked.add(row)
+        listed_count += len(boundary)
+        total += sum(1 for _ in identity.indices())
+        uncertified += len(reference)
+    assert uncertified
+    assert walked.rank == full.rank
+    if n == 20:
+        assert listed_count < total / 2
+
+
+@pytest.mark.parametrize(
+    "source, values, broken",
+    [
+        ("svir", {"lambda": -3, "mu": 1}, set()),
+        ("svir", {"lambda": "1/2", "mu": -2}, set()),
+        ("witt", {}, set()),
+        (STRESS_SOURCE, STRESS_PARAMS, {(0, 1, 1)}),
+        (CORRUPT_SOURCE, {"lambda": -3, "mu": 1}, {(0, 1, 1)}),
+    ],
+    ids=["svir(-3,1)", "svir(1/2,-2)", "witt", "stress", "corrupt"],
+)
+def test_boundary_needs_the_jacobi_identity(tmp_path, source, values, broken):
+    """d^2 = 0 needs the Jacobi identity.  _lawful holds the family triples
+    where it holds at the bound parameters, as the residuals at the indices
+    -4..4 decide it: a polynomial of degree at most 8 in each index that
+    vanishes there is zero.  An identity that needs another triple, its
+    own or L (family 0 here) with two of its families, walks every triple,
+    as does one whose triples with L_-1 have an output index total + 1
+    outside the window."""
+    spec = _spec(tmp_path, source)
+    alg = engine._bind(spec, validate_parameters(spec, values))
+    triples = set(combinations_with_replacement(range(len(alg.offsets)), 3))
+    lawful = {
+        families
+        for families in triples
+        if not any(_jacobi_residual(alg, *zip(families, idx)) for idx in product(range(-4, 5), repeat=3))
+    }
+    assert engine._lawful(alg) == lawful == triples - broken
+    plan = engine._Plan(alg, Window(8), Fraction(0))
+    for identity in plan.identities:
+        needs = {identity.families, *(tuple(sorted((0, f, g))) for f, g in combinations(identity.families, 2))}
+        walks_all = bool(needs & broken) or abs(identity.total + 1) > 8
+        assert (identity.boundary(alg, lawful) is None) == walks_all, identity.families
+
+
+# The first windows at N = 12 where the pinned rows miss rank, so that the
+# check adds rows.
+DEFICIT_POINTS = [{"lambda": -3, "mu": 2}, {"lambda": -1, "mu": 1}, {"lambda": 0, "mu": "1/2"}, {"lambda": 5, "mu": -2}]
+
+
+def _fails(identities, walks, vector):
+    """Whether the vector fails an admissible triple walked: every triple
+    of an identity whose walk is None."""
+    for identity, walk in zip(identities, walks):
+        if identity.walk(identity.valued(vector)[0], walk)[1] is not None:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("values", DEFICIT_POINTS, ids=str)
+def test_boundary_walk_finds_every_failing_vector(values):
+    """A vector that fails some admissible triple fails a triple of the
+    boundary walk.  Tried on the null vectors of the pinned rows alone and
+    on seeded integer combinations of them, which are not all cocycles; the
+    final null vectors fail no triple of a full walk."""
+    alg = engine._bind(load_algebra("svir"), values)
+    plan = engine._Plan(alg, Window(12), Fraction(0))
+    identities = plan.identities
+    boundaries = [identity.boundary(alg, engine._lawful(alg)) for identity in identities]
+    assert None not in boundaries
+    ech = engine._Echelon()
+    for identity in identities:
+        for idx in identity.pinned():
+            row = identity.row(idx)
+            if row:
+                ech.add(row)
+    columns = plan.pairs._columns(12)
+    vectors = engine._null_vectors(ech.pivots, columns)
+    rng = random.Random(12)
+    combined = [
+        {col: value for col in columns if (value := sum(c * vec.get(col, 0) for c, vec in zip(cs, vectors)))}
+        for cs in ([rng.randint(-3, 3) for _ in vectors] for _ in range(6))
+    ]
+    full = [None] * len(identities)
+    failing = [vec for vec in vectors + combined if _fails(identities, full, vec)]
+    assert failing
+    for vector in failing:
+        assert _fails(identities, boundaries, vector)
+    final = plan.cocycles(12)
+    assert len(final) < len(vectors)
+    assert not any(_fails(identities, full, vec) for vec in final)

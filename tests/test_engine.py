@@ -230,6 +230,27 @@ def test_subset_too_small_generates_rows_and_keeps_results(
         assert [m.name for m in report.matched_known if m.matched] == matched
 
 
+def test_first_window_check_walks_o_n_triples(monkeypatch):
+    # the first window's check walks each family triple's boundary, O(n)
+    # triples, where a walk of every triple (7820 at n = 40) grows as n**2
+    walk = engine._Identity.walk
+    walked = {}
+
+    def counting(identity, terms, meeting=None):
+        checked, failed = walk(identity, terms, meeting)
+        walked[identity.n] = walked.get(identity.n, 0) + checked
+        return checked, failed
+
+    monkeypatch.setattr(engine._Identity, "walk", counting)
+    first = {}
+    for n in (20, 40):
+        walked.clear()
+        h2(SVIR, {"lambda": -3, "mu": 1}, Window(n))
+        first[n] = walked[n]
+    assert first[40] < 1500
+    assert first[40] < 3 * first[20]
+
+
 def test_coboundary_space_dims():
     params = {"lambda": 2, "mu": "1/5"}
     basis = coboundary_space(SVIR, params, Window(4, 1), 0)
