@@ -11,9 +11,13 @@ declaration order; the reversed bracket is obtained by a sign flip, and a
 same-family rule must have a coefficient antisymmetric under swapping its
 two index variables, so the bracket table is skew by construction.
 
-Both Jacobi checks live here: a windowed check that expands every triple of
-basis elements with indices in a box, and a symbolic check that expands the
-identity once per family triple with fully symbolic indices and parameters.
+The Jacobi identity is expanded in one place (_jacobi_residuals): once per
+family triple, with symbolic indices, from a bracket table of compiled
+coefficient terms.  The same expansion serves bound parameters (integer
+coefficients, BoundAlgebra) and free ones (coefficients polynomial in the
+parameters), so the symbolic check, the windowed check that reads each
+triple of basis elements with indices in a box off it, and the engine's
+boundary gate and h2's warning all read one residual.
 """
 
 from __future__ import annotations
@@ -243,11 +247,6 @@ class AlgebraSpec:
 
     # bracket evaluation
 
-    def _oriented_rule(self, fam_a: str, fam_b: str) -> tuple:
-        if self._positions[fam_a] <= self._positions[fam_b]:
-            return self.rules[(fam_a, fam_b)], False
-        return self.rules[(fam_b, fam_a)], True
-
     def bracket(self, x: BasisElement, y: BasisElement, params: ParamMap) -> list:
         """[x, y] as a list of (coefficient, element) with nonzero
         coefficients; at most one term for this class of algebras.  A
@@ -258,18 +257,6 @@ class AlgebraSpec:
         if term is None:
             return []
         return [(Fraction(term[0], alg.denominator), alg.element(term[1]))]
-
-    def bracket_symbolic(
-        self, fam_a: str, idx_a: IndexPolynomial, fam_b: str, idx_b: IndexPolynomial
-    ) -> tuple:
-        """(out_family, coefficient polynomial) with parameters symbolic;
-        (None, 0) for a vanishing family pair."""
-        rule, flipped = self._oriented_rule(fam_a, fam_b)
-        if rule.is_zero():
-            return None, IndexPolynomial()
-        left, right = (idx_b, idx_a) if flipped else (idx_a, idx_b)
-        coeff = rule.coeff.substitute({rule.var_left: left, rule.var_right: right})
-        return rule.out_family, (-coeff if flipped else coeff)
 
     def _table(self) -> tuple:
         """The bracket table: all but the name and the declared classes."""
@@ -348,15 +335,7 @@ class BoundAlgebra:
         self.offsets = tuple(spec.weight_offsets[fam].evaluate(self.params) for fam in self.families)
         polys = [(rule.coeff, rule.var_left, rule.var_right) for rule in spec.rules.values()]
         self.denominator, compiled = _compile(polys, self.params)
-        count = len(self.families)
-        self._rules = [[None] * count for _ in range(count)]
-        for ((fam_a, fam_b), rule), terms in zip(spec.rules.items(), compiled):
-            if terms:
-                p, q = spec.family_position(fam_a), spec.family_position(fam_b)
-                out = spec.family_position(rule.out_family)
-                self._rules[p][q] = (out, terms)
-                # [G_m, F_n] = -c(n, m) H_{n+m}: the reversed pair swaps exponents
-                self._rules[q][p] = (out, tuple((-k, b, a) for k, a, b in terms))
+        self._rules = _rule_table(spec, compiled)
 
     def element(self, key: tuple) -> BasisElement:
         return BasisElement(self.families[key[0]], key[1])
@@ -371,6 +350,23 @@ class BoundAlgebra:
         if not value:
             return None
         return value, (rule[0], x[1] + y[1])
+
+
+def _rule_table(spec: AlgebraSpec, compiled: list) -> list:
+    """table[p][q] for each ordered family pair: (output family position,
+    terms) or None, from the terms (k, a, b) of each rule of spec.rules in
+    order, meaning c(n, m) = sum k * n**a * m**b; empty terms bracket to
+    zero."""
+    count = len(spec.families)
+    table = [[None] * count for _ in range(count)]
+    for ((fam_a, fam_b), rule), terms in zip(spec.rules.items(), compiled):
+        if terms:
+            p, q = spec.family_position(fam_a), spec.family_position(fam_b)
+            out = spec.family_position(rule.out_family)
+            table[p][q] = (out, terms)
+            # [G_m, F_n] = -c(n, m) H_{n+m}: the reversed pair swaps exponents
+            table[q][p] = (out, tuple((-k, b, a) for k, a, b in terms))
+    return table
 
 
 def _compile(polys: list, params: ParamMap) -> tuple:
@@ -410,6 +406,39 @@ def _evaluate(terms: tuple, n: int, m: int) -> int:
     return value
 
 
+def _jacobi_residuals(rules: list) -> dict:
+    """{(a, b, c): {(output family, e0, e1, e2): k}} for each family triple
+    a <= b <= c on which the Jacobi identity fails, from a table shaped like
+    BoundAlgebra._rules: the nonzero terms k * x**e0 * y**e1 * z**e2 of the
+    residual [[F_x, G_y], H_z] + [[G_y, H_z], F_x] + [[H_z, F_x], G_y], with
+    the products c1(x, y) * c2(x + y, z) expanded.  Terms are grouped by
+    output family, in the cyclic order that first reaches it.  k is a
+    product of two rule coefficients, so only *, + and a zero test are
+    asked of them: integers over denominator**2 at bound parameters, or
+    polynomials in free ones."""
+    failing = {}
+    for families in combinations_with_replacement(range(len(rules)), 3):
+        residual: dict = {}
+        for p, q, r in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            first = rules[families[p]][families[q]]
+            second = first and rules[first[0]][families[r]]
+            if not second:
+                continue
+            terms = residual.setdefault(second[0], {})
+            for k, a, b in first[1]:
+                for l, c, d in second[1]:
+                    # k x**a y**b * l (x + y)**c z**d, expanded in x, y, z
+                    for s in range(c + 1):
+                        exps = [0, 0, 0]
+                        exps[p], exps[q], exps[r] = a + s, b + c - s, d
+                        key = tuple(exps)
+                        terms[key] = terms.get(key, 0) + k * l * math.comb(c, s)
+        nonzero = {(out, *exps): k for out, terms in residual.items() for exps, k in terms.items() if k}
+        if nonzero:
+            failing[families] = nonzero
+    return failing
+
+
 @dataclass
 class WindowJacobiReport:
     passed: bool
@@ -417,44 +446,28 @@ class WindowJacobiReport:
     witness: tuple | None  # (x, y, z, {element: residual coefficient})
 
 
-def _jacobi_residual(alg: BoundAlgebra, x, y, z) -> dict:
-    """{element key: numerator over alg.denominator ** 2} of the nonzero
-    residual coefficients of one triple of element keys."""
-    residual: dict = {}
-    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-        first = alg.int_bracket(u, v)
-        if first is None:
-            continue
-        second = alg.int_bracket(first[1], w)
-        if second is None:
-            continue
-        e2 = second[1]
-        value = residual.get(e2, 0) + first[0] * second[0]
-        if value:
-            residual[e2] = value
-        else:
-            residual.pop(e2, None)
-    return residual
-
-
 def check_jacobi_window(spec: AlgebraSpec, params: ParamMap, n: int) -> WindowJacobiReport:
-    """Expand [[x,y],z] + [[y,z],x] + [[z,x],y] for every triple of distinct
-    basis elements with indices in [-n, n].  Triples with a repeated element
-    vanish identically because the bracket table is skew by construction."""
+    """The Jacobi identity [[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on every
+    triple of distinct basis elements with indices in [-n, n], read off the
+    expansion (_jacobi_residuals): all of them pass when no family triple
+    fails; otherwise the first triple, in element key order, at which a
+    failing residual is nonzero is the witness, counted up to it.  Triples
+    with a repeated element vanish identically because the bracket table is
+    skew by construction."""
     if n < 0:
         raise ValueError("window bound must be nonnegative")
     alg = BoundAlgebra(spec, params)
     keys = [(pos, i) for pos in range(len(spec.families)) for i in range(-n, n + 1)]
-    checked = 0
-    for triple in combinations(keys, 3):
-        checked += 1
-        residual = _jacobi_residual(alg, *triple)
-        if residual:
-            scale = alg.denominator**2
-            x, y, z = map(alg.element, triple)
-            witness = {alg.element(e): Fraction(v, scale) for e, v in residual.items()}
-            return WindowJacobiReport(False, checked, (x, y, z, witness))
-    return WindowJacobiReport(True, checked, None)
+    failing = _jacobi_residuals(alg._rules)
+    for checked, triple in enumerate(combinations(keys, 3) if failing else (), 1):
+        (a, x), (b, y), (c, z) = triple
+        values: dict = {}
+        for (out, e0, e1, e2), k in failing.get((a, b, c), {}).items():
+            values[out] = values.get(out, 0) + k * x**e0 * y**e1 * z**e2
+        witness = {alg.element((out, x + y + z)): Fraction(v, alg.denominator**2) for out, v in values.items() if v}
+        if witness:
+            return WindowJacobiReport(False, checked, (*map(alg.element, triple), witness))
+    return WindowJacobiReport(True, math.comb(len(keys), 3), None)
 
 
 @dataclass
@@ -464,27 +477,26 @@ class SymbolicJacobiReport:
 
 
 def check_jacobi_symbolic(spec: AlgebraSpec) -> SymbolicJacobiReport:
-    """Jacobi identity with symbolic indices and symbolic parameters, one
-    expansion per unordered family triple.  Index variables are generated
-    outside the DSL identifier space so they cannot collide with parameters."""
-    idx = [IndexPolynomial.variable(v) for v in ("_i", "_j", "_k")]
+    """The Jacobi identity with symbolic indices and symbolic parameters, one
+    expansion per unordered family triple: the rules are compiled to terms
+    (k, a, b) with k a polynomial in the parameters, and each residual is
+    rebuilt as a polynomial in _i, _j, _k.  Those index variables lie
+    outside the DSL identifier space, so they cannot collide with
+    parameters."""
+    compiled = []
+    for rule in spec.rules.values():
+        terms: dict = {}
+        for mono, value in rule.coeff.term_items():
+            exps = dict(mono)
+            shape = (exps.pop(rule.var_left, 0), exps.pop(rule.var_right, 0))
+            terms[shape] = terms.get(shape, 0) + IndexPolynomial({tuple(exps.items()): value})
+        compiled.append(tuple((k, a, b) for (a, b), k in terms.items()))
     failures = []
-    for fams in combinations_with_replacement(spec.families, 3):
-        triple = list(zip(fams, idx))
-        residuals: dict = {}
-        for (fu, iu), (fv, iv), (fw, iw) in (
-            (triple[0], triple[1], triple[2]),
-            (triple[1], triple[2], triple[0]),
-            (triple[2], triple[0], triple[1]),
-        ):
-            fam1, c1 = spec.bracket_symbolic(fu, iu, fv, iv)
-            if fam1 is None:
-                continue
-            fam2, c2 = spec.bracket_symbolic(fam1, iu + iv, fw, iw)
-            if fam2 is None:
-                continue
-            residuals[fam2] = residuals.get(fam2, IndexPolynomial()) + c1 * c2
-        for out_family, poly in residuals.items():
-            if not poly.is_zero():
-                failures.append((fams, out_family, poly))
+    for families, residual in _jacobi_residuals(_rule_table(spec, compiled)).items():
+        polys: dict = {}
+        for (out, *exps), k in residual.items():
+            mono = tuple((var, e) for var, e in zip(("_i", "_j", "_k"), exps) if e)
+            polys[out] = polys.get(out, 0) + k * IndexPolynomial({mono: 1})
+        names = tuple(spec.families[p] for p in families)
+        failures.extend((names, spec.families[out], poly) for out, poly in polys.items())
     return SymbolicJacobiReport(not failures, failures)

@@ -158,14 +158,20 @@ def _prediction(spec, params, degree):
 def _h2_run(spec, params, window, degree, steps):
     """(report, predicted dim, agreement, warning) of h2 at one point; the
     agreement is None without a prediction, the stderr warning None when
-    the grading is inner."""
+    the grading is inner and the Jacobi identity holds, and otherwise one
+    line for each."""
     report = h2(spec, params, window, degree=degree, stabilization_steps=steps)
     predicted = _prediction(spec, report.params, degree)
     agree = None if predicted is None else report.core_h2_dim == predicted
-    warning = report.grading and (
-        f"warning: the grading is not inner ({report.grading}): no family's index-0 "
-        "element acts by the weights, so other degrees than this one may carry H^2 too")
-    return report, predicted, agree, warning
+    warnings = [
+        report.grading and (
+            f"warning: the grading is not inner ({report.grading}): no family's index-0 "
+            "element acts by the weights, so other degrees than this one may carry H^2 too"),
+        report.jacobi and (
+            f"warning: the Jacobi identity fails ({report.jacobi}): the bracket is not a "
+            "Lie algebra, so these H^2 numbers describe none"),
+    ]
+    return report, predicted, agree, "\n".join(filter(None, warnings)) or None
 
 
 def _h2_json(report, predicted, agree) -> dict:
@@ -190,6 +196,8 @@ def _h2_json(report, predicted, agree) -> dict:
     }
     if report.grading:
         out["grading_inner"] = False
+    if report.jacobi:
+        out["jacobi_holds"] = False
     return out
 
 
@@ -254,7 +262,7 @@ def _scan_point(payload) -> dict:
         "agree": agree,
         "matched": ";".join(m.name for m in report.matched_known if m.matched),
         "stabilized": report.stabilized,
-        "grading": warning,
+        "warning": warning,
     }
 
 
@@ -306,8 +314,8 @@ def cmd_scan(args) -> int:
     else:
         _print_md(columns, ([_cell(row[c]) for c in columns] for row in rows))
     for row in rows:
-        if row["grading"]:
-            print(f"lambda={row['lambda']} mu={row['mu']}: {row['grading']}", file=sys.stderr)
+        for line in (row["warning"] or "").splitlines():
+            print(f"lambda={row['lambda']} mu={row['mu']}: {line}", file=sys.stderr)
         if not row["stabilized"]:
             print(f"warning: lambda={row['lambda']} mu={row['mu']} did not stabilize",
                   file=sys.stderr)

@@ -63,7 +63,9 @@ the triples with an index -1 too, so the certificate rests on walked
 triples alone, whatever the echelon holds.  d^2 = 0 needs the Jacobi
 identity, which is not assumed: the boundary is used only when it holds,
 as a polynomial identity at the bound parameters, on the triple's families
-and on L with each two of them (_lawful).  Otherwise, and when no family
+and on L with each two of them.  The plan expands the identity once
+(_Plan.failing, from algebra._jacobi_residuals), and h2 reports the family
+triples where it fails (H2Report.jacobi).  Otherwise, and when no family
 fits L, every triple is walked.  verify_cocycle walks every triple too,
 since its count of triples checked is part of its report.
 
@@ -168,6 +170,7 @@ from .algebra import (
     ParamMap,
     _compile,
     _evaluate,
+    _jacobi_residuals,
 )
 from .poly import IndexPolynomial
 from .presets import load_algebra
@@ -445,13 +448,14 @@ class _Identity:
             found.update(zip(range(bottom, top + 1), range(rest - bottom, rest - top - 1, -1)))
         return sorted(found)
 
-    def boundary(self, alg: BoundAlgebra, lawful: set) -> list | None:
+    def boundary(self, alg: BoundAlgebra, failing: Mapping) -> list | None:
         """The (i, j) of the triples a first window's check walks, as a
         meeting() list: a superset of those that d^2 = 0 does not certify
         from the others (module docstring), and the triples with an index
         -1.  None, for all of them, unless some family L of weight 0 has
         [L_-1, X] in X for each family X here, and the Jacobi identity holds
-        on these families and on L with each two of them (lawful).
+        on these families and on L with each two of them: none of those
+        family triples is in failing, the plan's failing set.
 
         The certificate of a triple tau takes the quadruple (L_-1, tau + e_p)
         at a position p whose family is not repeated, or p = 0 for F, F, F.
@@ -469,8 +473,8 @@ class _Identity:
             if (
                 not offset
                 and all(rule is not None and rule[0] == f for rule, f in zip(rules, families))
-                and families in lawful
-                and all(tuple(sorted((acting, f, g))) in lawful for f, g in combinations(families, 2))
+                and families not in failing
+                and all(tuple(sorted((acting, f, g))) not in failing for f, g in combinations(families, 2))
             ):
                 break
         else:
@@ -606,32 +610,6 @@ def _identities(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: Pair
     return identities
 
 
-def _lawful(alg: BoundAlgebra) -> set:
-    """The family triples a <= b <= c on which the Jacobi identity holds at
-    every triple of indices (x, y, z): for each output family, the sum of
-    c1(x, y) * c2(x + y, z) over the cyclic orders of [[F_x, G_y], H_z] is
-    the zero polynomial."""
-    lawful = set()
-    for families in combinations_with_replacement(range(len(alg.offsets)), 3):
-        residual: dict = {}
-        for p, q, r in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            first = alg._rules[families[p]][families[q]]
-            second = first and alg._rules[first[0]][families[r]]
-            if not second:
-                continue
-            for k, a, b in first[1]:
-                for l, c, d in second[1]:
-                    # k x**a y**b * l (x + y)**c z**d, expanded in x, y, z
-                    for s in range(c + 1):
-                        exps = [0, 0, 0]
-                        exps[p], exps[q], exps[r] = a + s, b + c - s, d
-                        key = (second[0], *exps)
-                        residual[key] = residual.get(key, 0) + k * l * math.comb(c, s)
-        if not any(residual.values()):
-            lawful.add(families)
-    return lawful
-
-
 def constraint_row(spec, params, window, x, y, z, pairs: PairBasis):
     """One cocycle constraint as a sparse row over the pair basis, or None
     for an inadmissible triple.  A vacuous identity gives an empty dict.
@@ -702,6 +680,12 @@ class _Plan:
         ]
 
     @cached_property
+    def failing(self) -> dict:
+        """The family triples where the Jacobi identity fails at the bound
+        parameters, with their residuals (algebra._jacobi_residuals)."""
+        return _jacobi_residuals(self.alg._rules)
+
+    @cached_property
     def images(self) -> dict:
         """{element key of z: {column: numerator over alg.denominator}}: for
         each plan element z of weight == degree, in family order, the
@@ -732,11 +716,10 @@ class _Plan:
             raise ValueError(f"window {n} does not grow the solved window {previous}")
         identities = [identity.sliced(n) for identity in self.identities]
         strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
-        lawful = _lawful(self.alg) if strip is None else None
 
         def walked(identity):
             if strip is None:
-                return identity.boundary(self.alg, lawful)
+                return identity.boundary(self.alg, self.failing)
             return identity.meeting(identity.touching(strip))
 
         for identity in identities:
@@ -1197,6 +1180,17 @@ def _grading_failure(alg: BoundAlgebra) -> str | None:
     return "; ".join(failures) or "no family has weight 0"
 
 
+def _jacobi_failure(alg: BoundAlgebra, failing: Mapping) -> str | None:
+    """None when the Jacobi identity holds; otherwise each failing family
+    triple of a failing set and its residual's output families, as
+    "L, Y, Y -> M", joined by "; "."""
+    names = alg.families
+    return "; ".join(
+        ", ".join(names[p] for p in families) + " -> " + ", ".join(dict.fromkeys(names[key[0]] for key in residual))
+        for families, residual in failing.items()
+    ) or None
+
+
 def nonzero_degree_triviality(spec, params, window, degree) -> bool:
     """Whether cocycles and coboundaries have the same core dimension at a
     nonzero degree d.
@@ -1245,6 +1239,7 @@ class H2Report:
     core_history: list = field(default_factory=list)  # [(n, core dim)]
     matched_known: list = field(default_factory=list)  # [MatchResult]
     grading: str | None = None  # why the grading is not inner (_grading_failure); None when it is
+    jacobi: str | None = None  # where the Jacobi identity fails (_jacobi_failure); None when it holds
 
 
 def match_known(
@@ -1306,7 +1301,10 @@ def h2(
     window's solve goes on from the echelon of the one before it.
     grading is None when some family's index-0 element acts by the
     weights; otherwise it is _grading_failure's text naming the brackets
-    that fail, and degree 0 then need not carry the whole H^2.  A window
+    that fail, and degree 0 then need not carry the whole H^2.  jacobi is
+    None when the bracket satisfies the Jacobi identity; otherwise it names
+    the family triples where it fails, read off the plan's one expansion,
+    and the numbers then describe no Lie algebra.  A window
     is refused when its core holds no pair of some family pair (sector)
     that has pairs at this degree: the core dimension would leave that
     sector out.  The message names the smallest window that covers it.
@@ -1348,6 +1346,7 @@ def h2(
         core_history=history,
         matched_known=matched,
         grading=_grading_failure(alg),
+        jacobi=_jacobi_failure(alg, plan.failing),
     )
 
 

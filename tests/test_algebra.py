@@ -174,7 +174,8 @@ def test_jacobi_window_svir():
     report = check_jacobi_window(SVIR, {"lambda": -1, "mu": Fraction(1, 3)}, 6)
     assert report.passed
     assert report.witness is None
-    assert report.triples_checked > 0
+    # every triple of the 3 * 13 elements with indices in [-6, 6]
+    assert report.triples_checked == 9139
 
 
 def test_jacobi_window_witt():

@@ -112,7 +112,10 @@ def test_jacobi_symbolic_fail_names_families(tmp_path):
     bad.write_text(CORRUPT_SOURCE)
     proc = run_cli("jacobi", "--algebra", str(bad), "--symbolic")
     assert proc.returncode == 1
-    assert "FAIL on families ('L', 'Y', 'Y') -> M" in proc.stdout
+    assert proc.stdout == (
+        "jacobi symbolic: FAIL on families ('L', 'Y', 'Y') -> M: residual "
+        "-_i*_j*lambda + _i*_k*lambda - 3*_i*_j + 3*_i*_k + 2*_j*mu - 2*_k*mu\n"
+    )
 
 
 def test_deep_unary_signs_are_a_parse_error(tmp_path):
@@ -459,6 +462,65 @@ def test_grading_verdict_is_decided_once_per_h2_call(monkeypatch, capsys, tmp_pa
     assert cli.main([*argv, "--algebra", str(path)]) == 0
     assert capsys.readouterr().err.count(GRADING_WARNING) == 1
     assert len(seen) == calls
+
+
+JACOBI_WARNING = "warning: the Jacobi identity fails (L, Y, Y -> M): the bracket is not a Lie algebra"
+
+
+def test_bracket_failing_jacobi_warns_and_keeps_stdout(tmp_path):
+    """h2 and scan answer on a bracket that fails the Jacobi identity as
+    they did before the check, and say on stderr where it fails."""
+    bad = tmp_path / "bad.lie"
+    bad.write_text(CORRUPT_SOURCE)
+    proc = run_cli("h2", "--algebra", str(bad), "--lambda=-3", "--mu=1", "--window", "8")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "core_h2_dim: 0" in lines
+    assert "stabilized: yes (N=8: 0, N=10: 0, N=12: 0)" in lines
+    warnings = proc.stderr.splitlines()
+    assert len(warnings) == 2
+    assert warnings[0].startswith("warning: the grading is not inner")
+    assert warnings[1].startswith(JACOBI_WARNING)
+    proc = run_cli("h2", "--algebra", str(bad), "--lambda=-3", "--mu=1", "--window", "8", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["jacobi_holds"] is False and out["grading_inner"] is False
+    proc = run_cli("scan", "--algebra", str(bad), "--lambda-values=-3,1", "--mu-values=1",
+                   "--window", "8", "--jobs", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "lambda,mu,window,core_h2_dim,predicted_dim,agree,matched",
+        "-3,1,8,0,,,",
+        "1,1,8,0,,,",
+    ]
+    warnings = proc.stderr.splitlines()
+    assert len(warnings) == 4
+    for line, prefix in zip(warnings, ["lambda=-3 mu=1: "] * 2 + ["lambda=1 mu=1: "] * 2):
+        assert line.startswith(prefix + "warning: ")
+    assert warnings[1].startswith("lambda=-3 mu=1: " + JACOBI_WARNING)
+    assert warnings[3].startswith("lambda=1 mu=1: " + JACOBI_WARNING)
+    proc = run_cli("h2", "--algebra", "svir", "--lambda=0", "--mu=1", "--window", "8", "--format", "json")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "jacobi_holds" not in json.loads(proc.stdout)
+
+
+def test_jacobi_identity_is_expanded_once_per_h2_call(monkeypatch, capsys, tmp_path):
+    from lieext import engine
+
+    bad = tmp_path / "bad.lie"
+    bad.write_text(CORRUPT_SOURCE)
+    seen = []
+
+    def spy(rules):
+        seen.append(rules)
+        return expand(rules)
+
+    expand = engine._jacobi_residuals
+    monkeypatch.setattr(engine, "_jacobi_residuals", spy)
+    argv = ["scan", "--algebra", str(bad), "--lambda-values=-3,1", "--mu-values=1", "--window", "8", "--jobs", "1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err.count(JACOBI_WARNING) == 2
+    assert len(seen) == 2
 
 
 def test_window_too_small_is_a_usage_error():

@@ -29,7 +29,9 @@ A first window's check walks only each family triple's boundary and
 certifies the rest from d^2 = 0: every triple a reference rule, decided
 triple by triple from the brackets, cannot certify must be on it, the rows
 walked must reach the full rank, and the boundary is used only where the
-Jacobi identity holds.
+Jacobi identity holds.  The one expansion of that identity, which both
+Jacobi checks also read, must agree with a walk of nested brackets, triple
+by triple.
 """
 
 import random
@@ -40,7 +42,13 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 import lieext.engine as engine
-from lieext.algebra import BasisElement, _jacobi_residual, validate_parameters
+from lieext.algebra import (
+    BasisElement,
+    BoundAlgebra,
+    check_jacobi_symbolic,
+    check_jacobi_window,
+    validate_parameters,
+)
 from lieext.dsl import parse
 from lieext.engine import (
     REGISTRY,
@@ -61,6 +69,7 @@ from lieext.sparse import nullspace
 from oracle_dense import dense_in_span, dense_nullspace, dense_rank
 from test_acceptance import GRID_LAMBDAS, GRID_MUS
 from test_cli import CORRUPT_SOURCE, HV_SOURCE, W22_SOURCE
+from test_dsl import _random_spec_source
 
 POINTS = [
     pytest.param("svir", {"lambda": -3, "mu": "1/2"}, id="svir(-3,1/2)"),
@@ -880,12 +889,11 @@ def test_boundary_holds_every_uncertified_triple(tmp_path, source, values, degre
     spec = _spec(tmp_path, source)
     alg = engine._bind(spec, validate_parameters(spec, values))
     plan = engine._Plan(alg, Window(n), Fraction(degree))
-    lawful = engine._lawful(alg)
-    assert lawful == set(combinations_with_replacement(range(len(alg.offsets)), 3))
+    assert plan.failing == {}
     walked, full = engine._Echelon(), engine._Echelon()
     listed_count = total = uncertified = 0
     for identity in plan.identities:
-        boundary = identity.boundary(alg, lawful)
+        boundary = identity.boundary(alg, plan.failing)
         assert boundary == sorted(set(boundary))
         listed = set(boundary)
         reference = _reference_uncertified(alg, plan.identities, identity)
@@ -919,10 +927,10 @@ def test_boundary_holds_every_uncertified_triple(tmp_path, source, values, degre
     ids=["svir(-3,1)", "svir(1/2,-2)", "witt", "stress", "corrupt"],
 )
 def test_boundary_needs_the_jacobi_identity(tmp_path, source, values, broken):
-    """d^2 = 0 needs the Jacobi identity.  _lawful holds the family triples
-    where it holds at the bound parameters, as the residuals at the indices
-    -4..4 decide it: a polynomial of degree at most 8 in each index that
-    vanishes there is zero.  An identity that needs another triple, its
+    """d^2 = 0 needs the Jacobi identity.  The plan's failing set holds the
+    family triples where it fails at the bound parameters, as the residuals
+    at the indices -4..4 decide it: a polynomial of degree at most 8 in each
+    index that vanishes there is zero.  An identity that needs another triple, its
     own or L (family 0 here) with two of its families, walks every triple,
     as does one whose triples with L_-1 have an output index total + 1
     outside the window."""
@@ -932,14 +940,97 @@ def test_boundary_needs_the_jacobi_identity(tmp_path, source, values, broken):
     lawful = {
         families
         for families in triples
-        if not any(_jacobi_residual(alg, *zip(families, idx)) for idx in product(range(-4, 5), repeat=3))
+        if not any(_reference_jacobi(alg, *zip(families, idx)) for idx in product(range(-4, 5), repeat=3))
     }
-    assert engine._lawful(alg) == lawful == triples - broken
     plan = engine._Plan(alg, Window(8), Fraction(0))
+    assert triples - set(plan.failing) == lawful == triples - broken
     for identity in plan.identities:
         needs = {identity.families, *(tuple(sorted((0, f, g))) for f, g in combinations(identity.families, 2))}
         walks_all = bool(needs & broken) or abs(identity.total + 1) > 8
-        assert (identity.boundary(alg, lawful) is None) == walks_all, identity.families
+        assert (identity.boundary(alg, plan.failing) is None) == walks_all, identity.families
+
+
+def _reference_jacobi(alg, x, y, z) -> dict:
+    """{element key: numerator over alg.denominator ** 2} of the nonzero
+    residual coefficients of one triple of element keys, from the three
+    nested brackets of its cyclic orders."""
+    residual: dict = {}
+    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+        first = alg.int_bracket(u, v)
+        second = first and alg.int_bracket(first[1], w)
+        if second:
+            e = second[1]
+            residual[e] = residual.get(e, 0) + first[0] * second[0]
+    return {e: value for e, value in residual.items() if value}
+
+
+def _reference_jacobi_window(alg, n) -> tuple:
+    """check_jacobi_window's (passed, triples checked, witness), by walking
+    every triple of distinct elements with indices in [-n, n] in key order
+    up to the first one with a nonzero residual."""
+    keys = [(pos, i) for pos in range(len(alg.families)) for i in range(-n, n + 1)]
+    checked = 0
+    for triple in combinations(keys, 3):
+        checked += 1
+        residual = _reference_jacobi(alg, *triple)
+        if residual:
+            witness = {alg.element(e): Fraction(v, alg.denominator**2) for e, v in residual.items()}
+            return False, checked, (*map(alg.element, triple), witness)
+    return True, checked, None
+
+
+def _jacobi_algebras() -> list:
+    """The bundled presets, the test algebras, and criterion 8's random
+    specs, each parameter bound to a fixed value."""
+    rng = random.Random(808)
+    values = {"alpha": 2, "beta": "-1/2", "gam": 3}
+    randoms = []
+    for i in range(20):
+        source = _random_spec_source(rng)
+        bound = {p: values[p] for p in parse(source).spec.parameters}
+        randoms.append(pytest.param(source, bound, id=f"random{i}"))
+    return [
+        pytest.param("svir", {"lambda": -3, "mu": 1}, id="svir(-3,1)"),
+        pytest.param("svir", {"lambda": "1/2", "mu": -2}, id="svir(1/2,-2)"),
+        pytest.param("witt", {}, id="witt"),
+        pytest.param(CORRUPT_SOURCE, {"lambda": -3, "mu": 1}, id="corrupt(-3,1)"),
+        pytest.param(CORRUPT_SOURCE, {"lambda": 0, "mu": 1}, id="corrupt(0,1)"),
+        pytest.param(STRESS_SOURCE, STRESS_PARAMS, id="stress"),
+        pytest.param(HV_SOURCE, {}, id="hv"),
+        pytest.param(W22_SOURCE, {}, id="w22"),
+        pytest.param(WAB_SOURCE, {"a": 1, "b": 0}, id="wab(1,0)"),
+        pytest.param(WAB_SOURCE, {"a": 2, "b": 1}, id="wab(2,1)"),
+        *randoms,
+    ]
+
+
+@pytest.mark.parametrize("source, values", _jacobi_algebras())
+def test_jacobi_checks_match_the_bracket_walk(tmp_path, source, values):
+    """Both Jacobi checks read one expansion of the identity per family
+    triple.  The windowed check must give the triple by triple bracket
+    walk's verdict, count and witness, and each symbolic residual, with the
+    parameters substituted, must be the walk's residual at every triple of
+    indices in [-3, 3]; where it vanishes, so must the walk's."""
+    spec = _spec(tmp_path, source)
+    params = validate_parameters(spec, values)
+    alg = BoundAlgebra(spec, params)
+    for n in (0, 2, 4):
+        got = check_jacobi_window(spec, params, n)
+        assert (got.passed, got.triples_checked, got.witness) == _reference_jacobi_window(alg, n), n
+    symbolic = check_jacobi_symbolic(spec)
+    assert symbolic.passed == (not symbolic.residuals)
+    residuals = {}
+    for families, out_family, poly in symbolic.residuals:
+        positions = tuple(map(spec.family_position, families))
+        residuals.setdefault(positions, []).append((spec.family_position(out_family), poly.substitute(params)))
+    for families in combinations_with_replacement(range(len(spec.families)), 3):
+        for idx in product(range(-3, 4), repeat=3):
+            expected = {
+                (out, sum(idx)): value * alg.denominator**2
+                for out, poly in residuals.get(families, [])
+                if (value := poly.evaluate(dict(zip(("_i", "_j", "_k"), idx))))
+            }
+            assert _reference_jacobi(alg, *zip(families, idx)) == expected, (families, idx)
 
 
 # The first windows at N = 12 where the pinned rows miss rank, so that the
@@ -965,7 +1056,7 @@ def test_boundary_walk_finds_every_failing_vector(values):
     alg = engine._bind(load_algebra("svir"), values)
     plan = engine._Plan(alg, Window(12), Fraction(0))
     identities = plan.identities
-    boundaries = [identity.boundary(alg, engine._lawful(alg)) for identity in identities]
+    boundaries = [identity.boundary(alg, plan.failing) for identity in identities]
     assert None not in boundaries
     ech = engine._Echelon()
     for identity in identities:
