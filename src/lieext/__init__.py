@@ -33,7 +33,6 @@ from .engine import (
     assemble_constraints,
     coboundary_space,
     cocycle_space,
-    constraint_row,
     enumerate_pairs,
     h2,
     is_coboundary,
@@ -48,11 +47,8 @@ from .rational import format_rational, parse_rational, rational
 from .sparse import (
     SparseMatrix,
     VectorBasis,
-    in_span,
     nullspace,
     project_dimension,
-    rank,
-    span_basis,
 )
 
 __version__ = "0.1.0"
@@ -92,11 +88,9 @@ __all__ = [
     "check_jacobi_window",
     "coboundary_space",
     "cocycle_space",
-    "constraint_row",
     "enumerate_pairs",
     "format_rational",
     "h2",
-    "in_span",
     "is_coboundary",
     "load_algebra",
     "match_known",
@@ -106,10 +100,8 @@ __all__ = [
     "parse_polynomial",
     "parse_rational",
     "project_dimension",
-    "rank",
     "rational",
     "render",
-    "span_basis",
     "theorem_predicted_dim",
     "validate_parameters",
     "verify_cocycle",

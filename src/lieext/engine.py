@@ -157,6 +157,7 @@ VectorBasis, and match_known takes them.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -610,30 +611,6 @@ def _identities(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: Pair
     return identities
 
 
-def constraint_row(spec, params, window, x, y, z, pairs: PairBasis):
-    """One cocycle constraint as a sparse row over the pair basis, or None
-    for an inadmissible triple.  A vacuous identity gives an empty dict.
-    A triple whose weights do not sum to the basis degree is refused, and
-    the basis must be of this algebra and window."""
-    alg = _bind(spec, params)
-    _pair_basis(alg, window, pairs._degree, pairs)
-    keys = [spec.element_key(e) for e in (x, y, z)]
-    for e in (x, y, z):
-        if not window.contains(e.index):
-            raise ValueError(f"element {e} is outside the window")
-    families, idx = zip(*keys)
-    degree = sum(alg.offsets[p] for p in families) + sum(idx)
-    if degree != pairs._degree:
-        raise ValueError(
-            f"triple ({x}, {y}, {z}) has degree {format_rational(degree)}, "
-            f"not the basis degree {format_rational(pairs._degree)}"
-        )
-    row = _Identity(alg, window, pairs, families, sum(idx)).row(idx)
-    if row is None:
-        return None
-    return {col: Fraction(value, alg.denominator) for col, value in row.items()}
-
-
 def assemble_constraints(
     spec: AlgebraSpec, params: Mapping, window: Window, degree, pairs: PairBasis | None = None
 ) -> SparseMatrix:
@@ -938,6 +915,9 @@ def _on_columns(ratios: Mapping, pairs: PairBasis) -> tuple:
     return vector, scale
 
 
+_INDEX_RE = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_pair_key(key: str) -> tuple:
     parts = key.split(",")
     if len(parts) != 2:
@@ -945,12 +925,11 @@ def _parse_pair_key(key: str) -> tuple:
     elements = []
     for part in parts:
         fam, _, idx = part.partition(":")
-        fam = fam.strip()
-        try:
-            index = int(idx.strip())
-        except ValueError:
-            raise ValueError(f"bad element {part!r} in pair key {key!r}") from None
-        elements.append(BasisElement(fam, index))
+        idx = idx.strip()
+        # int() alone would also read "1_0" and non-ASCII digits
+        if not _INDEX_RE.fullmatch(idx):
+            raise ValueError(f"bad element {part!r} in pair key {key!r}")
+        elements.append(BasisElement(fam.strip(), int(idx)))
     return elements[0], elements[1]
 
 

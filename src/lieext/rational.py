@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def rational(numerator: int, denominator: int = 1) -> Fraction:

@@ -10,8 +10,8 @@ Null vectors come from one integer back-substitution (_null_vectors), shared
 by nullspace and the engine's certified subset solve, as primitive
 {column: int} rows.  The engine keeps them, and every other vector after
 the solve, in that form and builds each echelon it needs from them once;
-Fractions appear only at the public boundary of this module (SparseMatrix,
-VectorBasis and the functions that take or return them).  All results are
+Fractions appear only at the public boundary of this module: SparseMatrix,
+VectorBasis, nullspace and project_dimension.  All results are
 exact: no floats appear anywhere in this module.
 """
 
@@ -61,41 +61,11 @@ class SparseMatrix:
                     entries.append((i, col, value))
         return cls(len(rows), n_cols, entries)
 
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence]) -> "SparseMatrix":
-        n_rows = len(dense)
-        n_cols = len(dense[0]) if n_rows else 0
-        entries = []
-        for i, row in enumerate(dense):
-            if len(row) != n_cols:
-                raise ValueError("ragged dense matrix")
-            for j, value in enumerate(row):
-                if value:
-                    entries.append((i, j, Fraction(value)))
-        return cls(n_rows, n_cols, entries)
-
     def rows(self) -> list:
         out = [dict() for _ in range(self.n_rows)]
         for row, col, value in self.entries:
             out[row][col] = value
         return out
-
-    def multiply_vector(self, vector: Sequence[Fraction]) -> list:
-        if len(vector) != self.n_cols:
-            raise ValueError("vector length does not match column count")
-        out = [Fraction(0)] * self.n_rows
-        for row, col, value in self.entries:
-            out[row] += value * vector[col]
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (self.n_rows, self.n_cols, self.entries) == (
-            other.n_rows,
-            other.n_cols,
-            other.entries,
-        )
 
     def __repr__(self):
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={len(self.entries)})"
@@ -216,10 +186,6 @@ class _Echelon:
         return len(self.pivots)
 
 
-def rank(matrix: SparseMatrix) -> int:
-    return _Echelon(_scale_row(row) for row in matrix.rows()).rank
-
-
 def nullspace(matrix: SparseMatrix) -> VectorBasis:
     """Right nullspace, one vector per free column in ascending column order,
     each normalized so its first nonzero coordinate is 1."""
@@ -278,13 +244,6 @@ def _fraction_basis(
     return VectorBasis(n_cols, dense)
 
 
-def in_span(vector: Sequence[Fraction], basis: VectorBasis) -> bool:
-    if len(vector) != basis.dimension:
-        raise ValueError("vector length does not match basis dimension")
-    ech = _Echelon(_int_row_from_dense(vec) for vec in basis)
-    return ech.contains(_int_row_from_dense(vector))
-
-
 def project_dimension(basis: VectorBasis, coords: Iterable[int]) -> int:
     """Dimension of the basis span after projecting onto the listed
     coordinates."""
@@ -293,17 +252,3 @@ def project_dimension(basis: VectorBasis, coords: Iterable[int]) -> int:
         if not (0 <= col < basis.dimension):
             raise ValueError(f"coordinate {col} out of range")
     return _Echelon(_scale_row({c: vec[c] for c in cols if vec[c]}) for vec in basis).rank
-
-
-def span_basis(dimension: int, vectors: Iterable[Sequence[Fraction]]) -> VectorBasis:
-    """Reduce a spanning list (possibly dependent) to an independent basis,
-    keeping the first vector of each new direction in input order."""
-    ech = _Echelon()
-    kept = []
-    for vec in vectors:
-        vec = tuple(Fraction(v) for v in vec)
-        if len(vec) != dimension:
-            raise ValueError("vector length does not match dimension")
-        if ech.add(_int_row_from_dense(vec)):
-            kept.append(vec)
-    return VectorBasis(dimension, kept)

@@ -17,9 +17,10 @@ import time
 from fractions import Fraction
 
 from conftest import ACCEPTANCE_LINES
-from oracle_dense import dense_in_span, dense_nullspace, dense_rank
+from oracle_dense import dense_in_span, dense_matvec, dense_nullspace, dense_rank
 from test_dsl import _random_spec_source
-from test_sparse import _random_dense
+from test_engine import _identity_row
+from test_sparse import _echelon, _matrix, _random_dense
 
 from lieext.algebra import (
     BasisElement,
@@ -30,7 +31,6 @@ from lieext.dsl import parse, render
 from lieext.engine import (
     REGISTRY,
     Window,
-    constraint_row,
     enumerate_pairs,
     h2,
     is_coboundary,
@@ -40,7 +40,7 @@ from lieext.engine import (
 )
 from lieext.presets import load_algebra, preset_source
 from lieext.rational import format_rational
-from lieext.sparse import SparseMatrix, in_span, nullspace, rank, span_basis
+from lieext.sparse import _scale_row, nullspace
 
 SVIR = load_algebra("svir")
 WITT = load_algebra("witt")
@@ -280,7 +280,7 @@ def _golden_row(shape, m, n, lam, mu):
     raise AssertionError(shape)
 
 
-def test_criterion_6_constraint_row_golden_relations():
+def test_criterion_6_identity_row_golden_relations():
     rng = random.Random(1106)
     window = Window(12, 3)
     shapes = ("YY", "LM", "YM", "MM", "LY")
@@ -298,7 +298,7 @@ def test_criterion_6_constraint_row_golden_relations():
         (x, y, z), expected = _golden_row(shape, m, n, lam, mu)
         degree = sum(SVIR.weight(e, params) for e in (x, y, z))
         pairs = enumerate_pairs(SVIR, params, window, degree)
-        row = constraint_row(SVIR, params, window, x, y, z, pairs)
+        row = _identity_row(SVIR, params, window, x, y, z, pairs)
         named = {pairs.pair_at(col): value for col, value in row.items()}
         if named != expected:
             failures.append((shape, m, n, lam, mu, named, expected))
@@ -320,8 +320,9 @@ def test_criterion_7_solver_against_dense_oracle():
     for _ in range(200):
         dense = _random_dense(rng, max_dim=12, max_num=20)
         n_cols = len(dense[0])
-        matrix = SparseMatrix.from_dense(dense)
-        r_sparse = rank(matrix)
+        matrix = _matrix(dense)
+        ech = _echelon(matrix.rows())
+        r_sparse = ech.rank
         r_dense = dense_rank([list(row) for row in dense], n_cols)
         if r_sparse != r_dense:
             failures.append(("rank", dense))
@@ -330,7 +331,7 @@ def test_criterion_7_solver_against_dense_oracle():
         if len(null) != n_cols - r_dense:
             failures.append(("nullity", dense))
             continue
-        if any(any(v != 0 for v in matrix.multiply_vector(list(vec))) for vec in null):
+        if any(any(v != 0 for v in dense_matvec(dense, vec)) for vec in null):
             failures.append(("residual", dense))
             continue
         if dense_rank([list(vec) for vec in null], n_cols) != len(null):
@@ -340,8 +341,7 @@ def test_criterion_7_solver_against_dense_oracle():
         probe = [
             Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n_cols)
         ]
-        basis = span_basis(n_cols, [list(row) for row in dense])
-        got = in_span(probe, basis)
+        got = ech.contains(_scale_row(dict(enumerate(probe))))
         want = dense_in_span(probe, [list(row) for row in dense], n_cols)
         if got != want:
             failures.append(("span", dense))

@@ -17,7 +17,6 @@ from lieext.engine import (
     assemble_constraints,
     coboundary_space,
     cocycle_space,
-    constraint_row,
     enumerate_pairs,
     h2,
     is_coboundary,
@@ -28,7 +27,8 @@ from lieext.engine import (
 )
 from lieext.dsl import parse
 from lieext.presets import load_algebra
-from lieext.sparse import in_span
+
+from oracle_dense import dense_in_span, dense_matvec
 
 SVIR = load_algebra("svir")
 WITT = load_algebra("witt")
@@ -53,6 +53,15 @@ def _pairs_within(pairs, bound):
     over the smaller index range (too small to be a legal Window directly).
     """
     return {(x, y) for x, y in pairs if abs(x.index) <= bound and abs(y.index) <= bound}
+
+
+def _identity_row(spec, params, window, x, y, z, pairs):
+    """The cocycle constraint of the triple as {column: Fraction}, or None
+    when a bracket leaves the window: the engine's row over its denominator."""
+    alg = engine._bind(spec, params)
+    families, idx = zip(*(spec.element_key(e) for e in (x, y, z)))
+    row = engine._Identity(alg, window, pairs, families, sum(idx)).row(idx)
+    return None if row is None else {col: Fraction(v, alg.denominator) for col, v in row.items()}
 
 
 def test_window_validation():
@@ -111,10 +120,10 @@ def test_pair_basis_canonical_order_and_orientation():
         pairs.column_of(L(0), Y(5))
 
 
-def test_constraint_row_witt_golden():
+def test_identity_row_witt_golden():
     window = Window(6, 3)
     pairs = enumerate_pairs(WITT, {}, window, 0)
-    row = constraint_row(WITT, {}, window, L(1), L(2), L(-3), pairs)
+    row = _identity_row(WITT, {}, window, L(1), L(2), L(-3), pairs)
     named = {pairs.pair_at(col): value for col, value in row.items()}
     assert named == {
         (L(-3), L(3)): Fraction(-1),
@@ -131,7 +140,7 @@ def test_constraint_row_witt_golden():
     assert sum(named.get(p, 0) for p in [(L(-1), L(1))]) != 0
 
 
-def test_constraint_row_half_integer_mu_single_entry():
+def test_identity_row_half_integer_mu_single_entry():
     window = Window(6, 3)
     params = validate_parameters(SVIR, {"lambda": 4, "mu": "1/2"})
     pairs = enumerate_pairs(SVIR, params, window, 0)
@@ -139,7 +148,7 @@ def test_constraint_row_half_integer_mu_single_entry():
     # vanishes, leaving (m - n) on the {L_0, M_-1} column
     for m in (1, 2):
         n = -1 - m
-        row = constraint_row(SVIR, params, window, L(0), Y(m), Y(n), pairs)
+        row = _identity_row(SVIR, params, window, L(0), Y(m), Y(n), pairs)
         named = {pairs.pair_at(col): value for col, value in row.items()}
         assert named == {(L(0), M(-1)): Fraction(m - n)}
 
@@ -149,28 +158,8 @@ def test_vacuous_triples_emit_no_row():
     params = {"lambda": 0, "mu": 1}
     pairs = enumerate_pairs(SVIR, params, window, 0)
     # Y, M, M triples bracket entirely to zero
-    row = constraint_row(SVIR, params, window, Y(-1), M(-1), M(-3), pairs)
+    row = _identity_row(SVIR, params, window, Y(-1), M(-1), M(-3), pairs)
     assert row == {}
-
-
-@pytest.mark.parametrize(
-    "triple, degree",
-    [((Y(0), M(-1), M(-2)), "2"), ((L(1), L(2), L(3)), "6")],
-    ids=["vacuous", "bracketing"],
-)
-def test_constraint_row_refuses_a_triple_of_another_degree(triple, degree):
-    window = Window(6, 3)
-    params = {"lambda": 0, "mu": 1}
-    pairs = enumerate_pairs(SVIR, params, window, 0)
-    with pytest.raises(ValueError, match=f"has degree {degree}, not the basis degree 0"):
-        constraint_row(SVIR, params, window, *triple, pairs)
-
-
-def test_constraint_row_rejects_elements_outside_the_window():
-    window = Window(6, 3)
-    pairs = enumerate_pairs(WITT, {}, window, 0)
-    with pytest.raises(ValueError, match="L\\(-9\\) is outside the window"):
-        constraint_row(WITT, {}, window, L(-9), L(2), L(7), pairs)
 
 
 def test_assemble_constraints_shape_and_solution():
@@ -180,8 +169,9 @@ def test_assemble_constraints_shape_and_solution():
     assert matrix.n_cols == len(pairs)
     assert matrix.n_rows > 0
     basis = cocycle_space(WITT, {}, window, 0, pairs)
+    dense = [[row.get(col, 0) for col in range(len(pairs))] for row in matrix.rows()]
     for vec in basis:
-        assert all(v == 0 for v in matrix.multiply_vector(list(vec)))
+        assert all(v == 0 for v in dense_matvec(dense, vec))
 
 
 def test_cocycle_space_dims():
@@ -259,7 +249,7 @@ def test_coboundary_space_dims():
     pairs = enumerate_pairs(SVIR, params, Window(4, 1), 0)
     psi = CocycleAssignment(SVIR, Window(4, 1), {(L(-n), L(n)): Fraction(2 * n) for n in range(1, 5)})
     expected = [psi.value(x, y) for x, y in pairs]
-    assert in_span(expected, basis)
+    assert dense_in_span(expected, basis, len(pairs))
     # weight-0 elements L_0, Y_{-1}, M_{-2} give three independent generators
     # at generic lambda; at lambda = -3 the Y functional acts by zero
     assert len(coboundary_space(SVIR, {"lambda": 0, "mu": 1}, Window(12, 3), 0)) == 3
@@ -275,7 +265,7 @@ def test_coboundaries_are_cocycles():
         pairs = enumerate_pairs(SVIR, params, window, 0)
         cocycles = cocycle_space(SVIR, params, window, 0, pairs)
         for vec in coboundary_space(SVIR, params, window, 0, pairs):
-            assert in_span(vec, cocycles)
+            assert dense_in_span(vec, cocycles, len(pairs))
 
 
 def _calls_taking_a_basis(spec, params, window):
@@ -286,7 +276,6 @@ def _calls_taking_a_basis(spec, params, window):
     bounds = coboundary_space(spec, params, window, 0, own)
     return {
         "assemble_constraints": lambda pairs: assemble_constraints(spec, params, window, 0, pairs),
-        "constraint_row": lambda pairs: constraint_row(spec, params, window, L(1), L(2), L(-3), pairs),
         "cocycle_space": lambda pairs: cocycle_space(spec, params, window, 0, pairs),
         "coboundary_space": lambda pairs: coboundary_space(spec, params, window, 0, pairs),
         "match_known": lambda pairs: match_known(spec, params, window, 0, pairs, cocycles, bounds),
@@ -315,11 +304,7 @@ def test_pair_basis_of_another_window_is_refused(other):
 def test_pair_basis_of_another_degree_or_algebra_is_refused(other, message):
     window = Window(8)
     pairs = other(window)
-    calls = _calls_taking_a_basis(SVIR, {"lambda": -3, "mu": 1}, window)
-    if message.startswith("degree"):
-        # constraint_row takes no degree to compare with the basis's
-        del calls["constraint_row"]
-    for call in calls.values():
+    for call in _calls_taking_a_basis(SVIR, {"lambda": -3, "mu": 1}, window).values():
         with pytest.raises(ValueError, match=f"pair basis is of {message}"):
             call(pairs)
 
@@ -580,6 +565,26 @@ def test_cocycle_assignment_json_round_trip():
     assert wrapped == psi
 
 
+@pytest.mark.parametrize(
+    "key, pair",
+    [
+        ("L:-2,L:+2", (L(-2), L(2))),
+        ("L:1_0,Y:0", None),
+        ("L:1,Y:\u0663", None),
+        ("L:1.0,Y:0", None),
+        ("L:,Y:0", None),
+        ("L:1,Y:0,M:0", None),
+    ],
+)
+def test_from_json_dict_reads_only_ascii_integer_indices(key, pair):
+    window = Window(6, 3)
+    if pair is None:
+        with pytest.raises(ValueError, match="bad (element|pair key)"):
+            CocycleAssignment.from_json_dict(SVIR, window, {key: "1"})
+    else:
+        assert CocycleAssignment.from_json_dict(SVIR, window, {key: "1"}).values == {pair: 1}
+
+
 def test_coboundary_assignment_is_coboundary():
     rng = random.Random(21)
     params = {"lambda": -1, "mu": 1}
@@ -663,6 +668,15 @@ def test_readme_library_names_are_exported():
     }
     assert "validate_parameters" in names
     assert names <= set(lieext.__all__)
+
+
+def test_every_export_resolves():
+    assert len(set(lieext.__all__)) == len(lieext.__all__)
+    for name in lieext.__all__:
+        getattr(lieext, name)
+    namespace = {}
+    exec("from lieext import *", namespace)
+    assert set(lieext.__all__) <= namespace.keys()
 
 
 def test_readme_library_example_prints_its_comments():

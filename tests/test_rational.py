@@ -30,7 +30,9 @@ def test_parse_basic():
     assert parse_rational("0") == 0
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "1/0", "a/b", "1/-2", "1 / 2", "--3", "1e3", "/3", "3/"])
+@pytest.mark.parametrize(
+    "bad", ["", "1.5", "1/0", "a/b", "1/-2", "1 / 2", "--3", "1e3", "/3", "3/", "\u0661", "1/\u0662", "1_0"]
+)
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -5,16 +5,7 @@ import pytest
 
 import lieext.engine as engine
 from lieext.presets import load_algebra
-from lieext.sparse import (
-    SparseMatrix,
-    VectorBasis,
-    _Echelon,
-    in_span,
-    nullspace,
-    project_dimension,
-    rank,
-    span_basis,
-)
+from lieext.sparse import SparseMatrix, VectorBasis, _Echelon, _scale_row, nullspace, project_dimension
 
 from oracle_dense import dense_in_span, dense_matvec, dense_nullspace, dense_rank, reference_pivots
 
@@ -35,24 +26,33 @@ def _random_dense(rng, max_dim=12, max_num=50):
     return rows
 
 
+def _matrix(dense):
+    return SparseMatrix.from_rows([dict(enumerate(row)) for row in dense], len(dense[0]))
+
+
+def _echelon(rows):
+    """The echelon of {column: Fraction} rows, scaled as nullspace scales them."""
+    return _Echelon(map(_scale_row, rows))
+
+
 def test_rank_examples():
-    assert rank(SparseMatrix.from_dense([[1, 2], [2, 4]])) == 1
-    assert rank(SparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-    assert rank(SparseMatrix(4, 5, [])) == 0
+    assert _echelon(_matrix([[1, 2], [2, 4]]).rows()).rank == 1
+    assert _echelon(_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rows()).rank == 3
+    assert _echelon(SparseMatrix(4, 5, []).rows()).rank == 0
 
 
 def test_nullspace_examples():
-    basis = nullspace(SparseMatrix.from_dense([[1, 1]]))
+    basis = nullspace(_matrix([[1, 1]]))
     assert len(basis) == 1
     assert list(basis)[0] == (Fraction(1), Fraction(-1))
-    assert len(nullspace(SparseMatrix.from_dense([[1, 0], [0, 1]]))) == 0
+    assert len(nullspace(_matrix([[1, 0], [0, 1]]))) == 0
 
 
 def test_nullspace_first_nonzero_is_one():
     rng = random.Random(88)
     for _ in range(30):
         dense = _random_dense(rng, max_dim=9)
-        mat = SparseMatrix.from_dense(dense)
+        mat = _matrix(dense)
         for vec in nullspace(mat):
             lead = next(v for v in vec if v != 0)
             assert lead == 1
@@ -62,20 +62,18 @@ def test_random_nullspace_against_matrix():
     rng = random.Random(2023)
     for _ in range(40):
         dense = _random_dense(rng, max_dim=9)
-        mat = SparseMatrix.from_dense(dense)
+        mat = _matrix(dense)
         basis = nullspace(mat)
-        assert rank(mat) + len(basis) == mat.n_cols
+        assert _echelon(mat.rows()).rank + len(basis) == mat.n_cols
         for vec in basis:
-            assert all(v == 0 for v in mat.multiply_vector(list(vec)))
+            assert all(v == 0 for v in dense_matvec(dense, vec))
 
 
-def test_in_span_examples():
-    b = VectorBasis(3, [(1, 0, 0), (0, 1, 0)])
-    assert in_span([0, 0, 0], b)
-    assert in_span([1, 2, 0], b)
-    assert not in_span([0, 0, 1], b)
-    with pytest.raises(ValueError):
-        in_span([1, 0], b)
+def test_echelon_contains_examples():
+    ech = _Echelon([{0: 1}, {1: 1}])
+    assert ech.contains({})
+    assert ech.contains({0: 1, 1: 2})
+    assert not ech.contains({2: 1})
 
 
 def test_project_dimension_examples():
@@ -90,24 +88,25 @@ def test_against_dense_oracle():
     rng = random.Random(424242)
     for _ in range(60):
         dense = _random_dense(rng)
-        mat = SparseMatrix.from_dense(dense)
+        mat = _matrix(dense)
         n_cols = mat.n_cols
-        assert rank(mat) == dense_rank(dense, n_cols)
+        assert _echelon(mat.rows()).rank == dense_rank(dense, n_cols)
         sparse_null = [list(v) for v in nullspace(mat)]
         oracle_null = dense_nullspace(dense, n_cols)
         assert len(sparse_null) == len(oracle_null)
         for vec in sparse_null:
             assert all(v == 0 for v in dense_matvec(dense, vec))
             assert dense_in_span(vec, oracle_null, n_cols)
+        null = _echelon(dict(enumerate(vec)) for vec in sparse_null)
+        assert null.rank == len(sparse_null)
         for vec in oracle_null:
-            if sparse_null:
-                assert in_span(vec, VectorBasis(n_cols, sparse_null))
-        # in_span agreement on random probes
+            assert null.contains(_scale_row(dict(enumerate(vec))))
+        # membership agreement on random probes
         if sparse_null:
-            basis = VectorBasis(n_cols, sparse_null)
             for _ in range(3):
                 probe = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n_cols)]
-                assert in_span(probe, basis) == dense_in_span(probe, sparse_null, n_cols)
+                got = null.contains(_scale_row(dict(enumerate(probe))))
+                assert got == dense_in_span(probe, sparse_null, n_cols)
 
 
 def test_sparse_matrix_validation():
@@ -128,20 +127,20 @@ def test_vector_basis_rejects_dependent():
         VectorBasis(3, [(1, 2)])  # wrong length
 
 
-def test_span_basis_reduces_dependent_spanning_set():
-    vectors = [(1, 0, 1), (0, 1, 0), (1, 1, 1), (2, 1, 2)]
-    basis = span_basis(3, vectors)
-    assert len(basis) == 2
+def test_echelon_of_a_dependent_spanning_set():
+    vectors = [{0: 1, 2: 1}, {1: 1}, {0: 1, 1: 1, 2: 1}, {0: 2, 1: 1, 2: 2}]
+    ech = _Echelon(vectors)
+    assert ech.rank == 2
     for vec in vectors:
-        assert in_span(vec, basis)
+        assert ech.contains(vec)
 
 
 def test_determinism():
     rng = random.Random(99)
     dense = _random_dense(rng, max_dim=8)
-    mat = SparseMatrix.from_dense(dense)
+    mat = _matrix(dense)
     first = [list(v) for v in nullspace(mat)]
-    second = [list(v) for v in nullspace(SparseMatrix.from_dense(dense))]
+    second = [list(v) for v in nullspace(_matrix(dense))]
     assert first == second
 
 

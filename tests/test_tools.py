@@ -1,9 +1,16 @@
-"""The repository tools under tools/."""
+"""The repository tools under tools/, and the benchmark's use of lieext."""
 
+import ast
+import functools
+import importlib
 import importlib.util
+import re
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+import lieext
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 CODE_SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -33,3 +40,17 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
     (tmp_path / "sample.py").write_text(CODE_SAMPLE)
     assert tool.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["sample.py", "5", "total", "5"]
+
+
+def test_benchmark_names_exist():
+    # perfbench/ changes only with the benchmark, so a name deleted from
+    # lieext while it still reads it would stop the benchmark's runs
+    for name in ("run.py", "spans.py"):
+        tree = ast.parse((ROOT / "perfbench" / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lieext":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{name}: {node.module}.{alias.name}"
+            elif isinstance(node, ast.Attribute) and re.fullmatch(r"lieext(\.\w+)+", ast.unparse(node)):
+                functools.reduce(getattr, ast.unparse(node).split(".")[1:], lieext)
