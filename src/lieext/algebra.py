@@ -33,8 +33,9 @@ from typing import Mapping, Sequence
 from .poly import IndexPolynomial
 from .rational import as_rational
 
-IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-CLASS_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*(-[A-Za-z][A-Za-z0-9_]*)*$")
+# A name, ASCII only; the .lie scanner reads names by this pattern too.
+IDENT_RE = re.compile("[A-Za-z][A-Za-z0-9_]*")
+CLASS_NAME_RE = re.compile(f"{IDENT_RE.pattern}(-{IDENT_RE.pattern})*")
 
 ParamMap = Mapping[str, Fraction]
 
@@ -141,12 +142,12 @@ class AlgebraSpec:
         rules: Mapping[tuple, BracketRule],
         cocycles: Mapping[str, Sequence[CocycleLine]] | None = None,
     ):
-        if not IDENT_RE.match(name):
+        if not IDENT_RE.fullmatch(name):
             raise ValueError(f"bad algebra name {name!r}")
         parameters = tuple(parameters)
         families = tuple(families)
         for ident in parameters + families:
-            if not IDENT_RE.match(ident):
+            if not IDENT_RE.fullmatch(ident):
                 raise ValueError(f"bad identifier {ident!r}")
         if len(set(parameters)) != len(parameters):
             raise ValueError("duplicate parameter name")
@@ -202,7 +203,7 @@ class AlgebraSpec:
         object.__setattr__(self, "rules", ordered)
         classes = {name: tuple(lines) for name, lines in (cocycles or {}).items()}
         for name, lines in classes.items():
-            if not CLASS_NAME_RE.match(name) or not lines:
+            if not CLASS_NAME_RE.fullmatch(name) or not lines:
                 raise ValueError(f"bad cocycle class name {name!r} or no lines")
             for line in lines:
                 unknown = {line.family_a, line.family_b} - positions.keys(), line.parameters - {*parameters}

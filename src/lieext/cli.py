@@ -4,7 +4,8 @@ Subcommands: jacobi (bracket closure checks), h2 (windowed H^2 report),
 scan (parameter grid against the closed-form dimension table), verify
 (check a named or file-based cocycle).  Exit codes: 0 success / agreement,
 1 mathematical disagreement or verification failure, 2 usage or parse
-problems, 3 stabilization failure.
+problems, 3 stabilization failure, 141 a stdout closed before the output
+was written (128 + SIGPIPE, with no message).
 
 Rationals on the command line are "p/q" literals.  For negative values use
 the equals form (--mu=-1/3): a bare "-1/3" looks like an option to the
@@ -14,6 +15,7 @@ argument parser.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -30,7 +32,7 @@ from .engine import (
     verify_cocycle,
 )
 from .presets import is_svir, load_algebra
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_integer, parse_rational
 
 
 def _add_algebra_options(parser: argparse.ArgumentParser):
@@ -61,13 +63,21 @@ def _gather_params(args) -> dict:
     return values
 
 
+def _integer(text: str) -> int:
+    """An integer option's value, as parse_integer reads it."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_window_options(parser: argparse.ArgumentParser, solve: bool = True):
     """--window and --margin; with solve, also --degree and --steps."""
-    parser.add_argument("--window", type=int, default=12, metavar="N")
-    parser.add_argument("--margin", type=int, default=3, metavar="M")
+    parser.add_argument("--window", type=_integer, default=12, metavar="N")
+    parser.add_argument("--margin", type=_integer, default=3, metavar="M")
     if solve:
         parser.add_argument("--degree", default="0", metavar="Q")
-        parser.add_argument("--steps", type=int, default=3, metavar="S",
+        parser.add_argument("--steps", type=_integer, default=3, metavar="S",
                             help="stabilization windows N, N+2, ... (default 3)")
 
 
@@ -88,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_algebra_options(p_jacobi)
     p_jacobi.add_argument("--symbolic", action="store_true",
                           help="check once with symbolic indices and parameters")
-    p_jacobi.add_argument("--window", type=int, default=6, metavar="N",
+    p_jacobi.add_argument("--window", type=_integer, default=6, metavar="N",
                           help="index bound for the triple-by-triple check (default 6)")
     p_jacobi.set_defaults(func=cmd_jacobi)
 
@@ -105,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--mu-values", required=True, metavar="Q,Q,...",
                         dest="mu_values", help="comma-separated rationals (mu = 0 excluded)")
     _add_window_options(p_scan)
-    p_scan.add_argument("--jobs", type=int, default=0, metavar="J",
+    p_scan.add_argument("--jobs", type=_integer, default=0, metavar="J",
                         help="worker processes (default: usable CPUs); never more "
                         "than the grid points or the usable CPUs")
     p_scan.add_argument("--format", choices=("csv", "md"), default="csv")
@@ -365,9 +375,18 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed stdout shows here, not at the interpreter's exit
+    except BrokenPipeError:
+        # the reader stopped reading: end as quietly as a writer that SIGPIPE
+        # kills, and let the interpreter's last flush write to devnull
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:  # ParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,12 @@ Grammar (comments run from "#" to end of line):
     expr    := term { ("+" | "-") term }
     term    := factor { ("*" | "/") factor }
     factor  := INT | IDENT | "(" expr ")" | ("+" | "-") factor
+    IDENT   := [A-Za-z][A-Za-z0-9_]*
+    INT     := [0-9]+
+
+Names and integers are ASCII (algebra.IDENT_RE is the one name rule).
+Blanks are spaces, tabs and carriage returns; any other character outside a
+comment is a bad-character error at its own line and column.
 
 In a head the identifier after each family names its index variable.  In a
 bracket item the trailing IDENT "(" expr ")" of a rhs is the output family
@@ -35,16 +41,22 @@ and parse(render(spec)) reproduces spec exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import AlgebraSpec, BracketRule, CocycleLine, same_family_rule_is_antisymmetric
+from .algebra import IDENT_RE, AlgebraSpec, BracketRule, CocycleLine, same_family_rule_is_antisymmetric
 from .poly import IndexPolynomial
 
 KEYWORDS = frozenset({"algebra", "family", "weight", "bracket", "cocycle", "on"})
-_PUNCT = frozenset("(){}[],;=+-*/")
+# One token per match, after any blanks: a character that starts no other
+# token and is no blank is "bad".  No \d or \w, which admit non-ASCII
+# digits and letters.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>#.*)|(?P<int>[0-9]+)"
+    rf"|(?P<ident>{IDENT_RE.pattern})|(?P<punct>[(){{}}\[\],;=+\-*/])|(?P<bad>[^ \t\r\n]))"
+)
 _MAX_EXPR_DEPTH = 64
-_DIGITS = frozenset("0123456789")
 _MAX_ERRORS = 100
 
 
@@ -86,46 +98,19 @@ class _Abort(Exception):
 
 
 def _tokenize(source: str, diagnostics: list) -> list:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch in _DIGITS:  # str.isdigit() also admits digits int() rejects or reads
-            start = i
-            while i < n and source[i] in _DIGITS:
-                i += 1
-            tokens.append(_Token("int", source[start:i], line, col))
-            col += i - start
-        elif ch.isalpha():
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", source[start:i], line, col))
-            col += i - start
-        elif ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-        else:
-            if len(diagnostics) < _MAX_ERRORS:
-                diagnostics.append(
-                    Diagnostic(line, col, "error", "bad-character", f"unexpected character {ch!r}")
-                )
-            i += 1
-            col += 1
-    tokens.append(_Token("eof", "", line, col))
+    tokens, line, line_start = [], 1, 0
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind != "comment":
+            text, col = match[kind], match.start(kind) - line_start + 1
+            if kind != "bad":
+                tokens.append(_Token(text if kind == "punct" else kind, text, line, col))
+            elif len(diagnostics) < _MAX_ERRORS:
+                diagnostics.append(Diagnostic(line, col, "error", "bad-character", f"unexpected character {text!r}"))
+    # the end of input; after a comment on the last line, it sits at the "#"
+    tokens.append(_Token("eof", "", line, len(source[line_start:].partition("#")[0]) + 1))
     return tokens
 
 

@@ -157,7 +157,6 @@ VectorBasis, and match_known takes them.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -175,7 +174,7 @@ from .algebra import (
 )
 from .poly import IndexPolynomial
 from .presets import load_algebra
-from .rational import as_rational, format_rational, parse_rational
+from .rational import as_rational, format_rational, parse_integer, parse_rational
 from .sparse import (
     SparseMatrix,
     VectorBasis,
@@ -915,9 +914,6 @@ def _on_columns(ratios: Mapping, pairs: PairBasis) -> tuple:
     return vector, scale
 
 
-_INDEX_RE = re.compile(r"[+-]?[0-9]+")
-
-
 def _parse_pair_key(key: str) -> tuple:
     parts = key.split(",")
     if len(parts) != 2:
@@ -925,11 +921,10 @@ def _parse_pair_key(key: str) -> tuple:
     elements = []
     for part in parts:
         fam, _, idx = part.partition(":")
-        idx = idx.strip()
-        # int() alone would also read "1_0" and non-ASCII digits
-        if not _INDEX_RE.fullmatch(idx):
-            raise ValueError(f"bad element {part!r} in pair key {key!r}")
-        elements.append(BasisElement(fam.strip(), int(idx)))
+        try:
+            elements.append(BasisElement(fam.strip(), parse_integer(idx)))
+        except ValueError:
+            raise ValueError(f"bad element {part!r} in pair key {key!r}") from None
     return elements[0], elements[1]
 
 

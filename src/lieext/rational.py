@@ -12,7 +12,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+# ASCII digits only: int() alone also reads "1_0" and non-ASCII digits.
+_INTEGER_RE = re.compile("[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(f"{_INTEGER_RE.pattern}(/[0-9]+)?")
 
 
 def rational(numerator: int, denominator: int = 1) -> Fraction:
@@ -25,12 +27,21 @@ def rational(numerator: int, denominator: int = 1) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p".  Anything else (floats, blanks, "1/0") is an error."""
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
     if "/" in text:
         num, den = text.split("/")
         return rational(int(num), int(den))
     return Fraction(int(text))
+
+
+def parse_integer(text: str) -> int:
+    """Parse "p", the numerator of parse_rational's form.  Anything else
+    ("1_0", "1.0", non-ASCII digits) is an error."""
+    text = text.strip()
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
 
 
 def as_rational(value, what: str) -> Fraction:

@@ -2,6 +2,7 @@
 subprocesses: output formats, exit codes, and file/preset resolution."""
 
 import concurrent.futures
+import io
 import json
 import os
 import subprocess
@@ -351,6 +352,60 @@ def test_scan_bad_option_exits_before_any_pool(monkeypatch, capsys, option, mess
     code = cli.main(["scan", "--lambda-values=1", "--mu-values=1,2", "--jobs", "2", *option])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["\u0661\u0662", "1_2"], ids=["arabic-indic", "underscore"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["h2", "--algebra", "svir", "--lambda=1", "--mu=1"], "--window"),
+        (["h2", "--algebra", "svir", "--lambda=1", "--mu=1"], "--margin"),
+        (["h2", "--algebra", "svir", "--lambda=1", "--mu=1"], "--steps"),
+        (["scan", "--lambda-values=1", "--mu-values=1"], "--jobs"),
+        (["jacobi", "--algebra", "svir", "--lambda=1", "--mu=1"], "--window"),
+    ],
+    ids=["h2-window", "h2-margin", "h2-steps", "scan-jobs", "jacobi-window"],
+)
+def test_integer_options_read_only_ascii_digits(capsys, argv, option, value):
+    # int() would read both values as 12
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, option, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+
+def test_negative_jobs_is_an_integer_option(capsys):
+    # a negative count means the usable CPUs, like 0; one point runs here
+    argv = ["scan", "--lambda-values=0", "--mu-values=1", "--window", "6", "--steps", "1"]
+    assert cli.build_parser().parse_args([*argv, "--jobs", "-2"]).jobs == -2
+    assert cli.main([*argv, "--jobs", "-2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,1,6,1,1,true,virasoro"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_ends_quietly(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(["h2", "--algebra", "svir", "--lambda=0", "--mu=1", "--window", "6"]) == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_the_real_cli_quietly(unbuffered):
+    # buffered, the output meets the closed pipe at main's last flush; then
+    # the interpreter's own flush at exit must not raise again
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(CLI + ["h2", "--algebra", "svir", "--lambda=0", "--mu=1", "--window", "6"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the child has imported lieext, let alone printed
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=300) == 141
+    assert stderr == b""
 
 
 def test_cli_import_leaves_the_process_pool_out():

@@ -448,3 +448,40 @@ def test_quadratic_cocycle_denominator_is_a_diagnostic_not_a_hang():
     assert error.code == "bad-denominator"
     assert "degree 2 or more in m" in error.message
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize(
+    "src, diagnostic",
+    [
+        ("algebra a(p, p) {\n  family L weight 0;\n}",
+         "1:14: error[duplicate-parameter]: duplicate parameter 'p'"),
+        ("algebra a() {\n  family L weight 0;\n  family L weight 1;\n}",
+         "3:10: error[duplicate-family]: duplicate family 'L'"),
+        ("algebra a(p) {\n  family p weight 0;\n}",
+         "2:10: error[name-collision]: family 'p' collides with a parameter"),
+    ],
+)
+def test_declaration_diagnostics(src, diagnostic):
+    assert [str(d) for d in parse(src).errors()] == [diagnostic]
+
+
+@pytest.mark.parametrize(
+    "src, line, col",
+    [
+        ("algebra a() {\n  family Ŷ weight 0;\n}", 2, 10),  # Y with circumflex
+        ("algebra a() {\n  family L½ weight 0;\n}", 2, 11),  # vulgar half
+        ("algebra a(µ) {\n  family L weight 0;\n}", 1, 11),  # micro sign
+        ("algebra a() {\n  family L weight 0;\n  bracket [L ñ, L m] = (m - n) L(n + m);\n}", 3, 14),
+        ("algebra a() {\n  family L weight 0;\n  bracket [L n, L m] = (m - n) L(n + m);\n"
+         "  cocycle vïr { [L n, L m] = m on n + m = 0; }\n}", 4, 12),
+        ("algebra a() {\n  family L² weight 0;\n}", 2, 11),  # superscript two
+    ],
+    ids=["family", "family-numeric", "parameter", "index-variable", "class", "digit-in-name"],
+)
+def test_non_ascii_letter_or_digit_in_a_name_is_a_bad_character(src, line, col):
+    # names are ASCII, as AlgebraSpec checks them: the character is the
+    # error, where it stands, and the spec is never built
+    errors = parse(src).errors()
+    assert (errors[0].line, errors[0].col, errors[0].code) == (line, col, "bad-character")
+    assert src.split("\n")[line - 1][col - 1] in errors[0].message
+    assert "invalid-spec" not in {d.code for d in errors}

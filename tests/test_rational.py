@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieext.rational import format_rational, parse_rational, rational
+from lieext.rational import format_rational, parse_integer, parse_rational, rational
 
 
 def test_canonical_form_examples():
@@ -36,6 +36,14 @@ def test_parse_basic():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_parse_integer_reads_ascii_digits():
+    assert parse_integer(" -12 ") == -12
+    assert parse_integer("+7") == 7
+    for bad in ["", "1_2", "\u0661\u0662", "1.0", "1/1", "0x1", "--1", "1 2"]:
+        with pytest.raises(ValueError, match="not an integer literal"):
+            parse_integer(bad)
 
 
 def test_format_round_trip_examples():
