@@ -11,6 +11,13 @@ declaration order; the reversed bracket is obtained by a sign flip, and a
 same-family rule must have a coefficient antisymmetric under swapping its
 two index variables, so the bracket table is skew by construction.
 
+Each bracket coefficient, and each coefficient and denominator of a
+declared class's line, is split into index terms n**a * m**b once, when its
+rule or line is made (_split): the coefficient of each term is a polynomial
+in the parameters.  Binding an algebra only evaluates those coefficients;
+the symbolic Jacobi check keeps them as they are, and the antisymmetry of a
+same-family rule is read off them too.
+
 The Jacobi identity is expanded in one place (_jacobi_residuals): once per
 family triple, with symbolic indices, from a bracket table of compiled
 coefficient terms.  The same expansion serves bound parameters (integer
@@ -71,6 +78,12 @@ class BracketRule:
     def is_zero(self) -> bool:
         return self.out_family is None
 
+    @cached_property
+    def _index_terms(self) -> dict:
+        """The coefficient split into index terms (_split) in var_left and
+        var_right."""
+        return _split(self.coeff, self.var_left, self.var_right)
+
 
 @dataclass(frozen=True)
 class CocycleLine:
@@ -101,16 +114,30 @@ class CocycleLine:
         """The parameters the line uses: every variable but var_b."""
         return (self.coeff.variables() | self.denom.variables()) - {self.var_b} | self.offset.variables()
 
+    @cached_property
+    def _index_terms(self) -> tuple:
+        """coeff and denom, each split into index terms (_split) in var_b."""
+        return _split(self.coeff, None, self.var_b), _split(self.denom, None, self.var_b)
+
+
+def _split(poly: IndexPolynomial, n: str | None, m: str | None) -> dict:
+    """{(exponent of n, exponent of m): coefficient} with poly the sum of
+    coefficient * n**a * m**b, each coefficient a nonzero polynomial in
+    poly's other variables, in the order poly's terms first reach (a, b).
+    n None means a polynomial in m and the other variables alone."""
+    split: dict = {}
+    for mono, value in poly.term_items():
+        exps = dict(mono)
+        shape = (exps.pop(n, 0), exps.pop(m, 0))
+        split[shape] = split.get(shape, 0) + IndexPolynomial({tuple(exps.items()): value})
+    return split
+
 
 def same_family_rule_is_antisymmetric(rule: BracketRule) -> bool:
-    """Whether coeff(n, m) == -coeff(m, n) identically."""
-    swapped = rule.coeff.substitute(
-        {
-            rule.var_left: IndexPolynomial.variable(rule.var_right),
-            rule.var_right: IndexPolynomial.variable(rule.var_left),
-        }
-    )
-    return (rule.coeff + swapped).is_zero()
+    """Whether coeff(n, m) == -coeff(m, n) identically: the coefficient of
+    each index term n**a * m**b is minus that of n**b * m**a."""
+    split = rule._index_terms
+    return all(split.get((b, a)) == -coeff for (a, b), coeff in split.items())
 
 
 def _fresh_names(size: int, taken) -> list:
@@ -317,12 +344,14 @@ class BoundAlgebra:
     Binding validates the parameters and evaluates every family's weight
     offset once (offsets[p] for the family at position p).  Elements are
     addressed by key, (family position, index).  For each ordered family
-    pair the bracket [F_n, G_m] = c(n, m) H_{n+m}, with the parameters
-    substituted, is held as integer terms (k, a, b) meaning
-    c(n, m) = sum k * n**a * m**b / denominator, with one denominator shared
-    by every rule (_compile, which also compiles the lines of cocycle
-    classes).  A sum of brackets, such as one cocycle row, is therefore
-    accumulated in ints and divided by the denominator once.  _rules[p][q]
+    pair the bracket [F_n, G_m] = c(n, m) H_{n+m} is held as integer terms
+    (k, a, b) meaning c(n, m) = sum k * n**a * m**b / denominator, with one
+    denominator shared by every rule.  Binding only evaluates the
+    coefficients of the rules' index terms, split once per rule
+    (BracketRule._index_terms), at the parameters (_compile, which also
+    compiles the lines of cocycle classes).  A sum of brackets, such as one
+    cocycle row, is therefore accumulated in ints and divided by the
+    denominator once.  _rules[p][q]
     is (output family position, terms), or None when the pair brackets to
     zero; the engine compiles its cocycle identities from it.
     """
@@ -334,8 +363,7 @@ class BoundAlgebra:
         self.params = validate_parameters(spec, params)
         self.families = spec.families
         self.offsets = tuple(spec.weight_offsets[fam].evaluate(self.params) for fam in self.families)
-        polys = [(rule.coeff, rule.var_left, rule.var_right) for rule in spec.rules.values()]
-        self.denominator, compiled = _compile(polys, self.params)
+        self.denominator, compiled = _compile([rule._index_terms for rule in spec.rules.values()], self.params)
         self._rules = _rule_table(spec, compiled)
 
     def element(self, key: tuple) -> BasisElement:
@@ -370,32 +398,17 @@ def _rule_table(spec: AlgebraSpec, compiled: list) -> list:
     return table
 
 
-def _compile(polys: list, params: ParamMap) -> tuple:
-    """(denominator, terms): each (polynomial, n, m) of polys with the
-    parameters substituted, as integer terms (k, a, b) meaning the sum of
-    k * n**a * m**b / denominator, over one common denominator.  n None
-    means a polynomial in m alone, and m None too one in the parameters
-    alone; any other variable raises ValueError."""
-    compiled = []
-    for poly, n, m in polys:
-        terms: dict = {}  # (exponent of n, exponent of m) -> coefficient
-        for mono, value in poly.term_items():
-            exps = {n: 0, m: 0}
-            for var, exp in mono:
-                if var in exps:
-                    exps[var] = exp
-                elif var in params:
-                    value *= Fraction(params[var]) ** exp
-                else:
-                    raise ValueError(f"unbound variable {var!r}")
-            shape = (exps[n], exps[m])
-            terms[shape] = terms.get(shape, 0) + value
-        compiled.append({shape: value for shape, value in terms.items() if value})
-    scale = math.lcm(1, *(value.denominator for terms in compiled for value in terms.values()))
-    return scale, [
-        tuple((v.numerator * (scale // v.denominator), a, b) for (a, b), v in terms.items())
-        for terms in compiled
+def _compile(splits: list, params: ParamMap) -> tuple:
+    """(denominator, terms): each split of splits (_split) with its
+    coefficients evaluated at params, as integer terms (k, a, b) meaning
+    the sum of k * n**a * m**b / denominator, over one common denominator,
+    in the split's order with the terms that vanish left out.  A variable
+    params does not bind raises ValueError."""
+    compiled = [
+        [(value, a, b) for (a, b), coeff in split.items() if (value := coeff.evaluate(params))] for split in splits
     ]
+    scale = math.lcm(1, *(value.denominator for terms in compiled for value, _, _ in terms))
+    return scale, [tuple((v.numerator * (scale // v.denominator), a, b) for v, a, b in terms) for terms in compiled]
 
 
 def _evaluate(terms: tuple, n: int, m: int) -> int:
@@ -479,19 +492,12 @@ class SymbolicJacobiReport:
 
 def check_jacobi_symbolic(spec: AlgebraSpec) -> SymbolicJacobiReport:
     """The Jacobi identity with symbolic indices and symbolic parameters, one
-    expansion per unordered family triple: the rules are compiled to terms
-    (k, a, b) with k a polynomial in the parameters, and each residual is
-    rebuilt as a polynomial in _i, _j, _k.  Those index variables lie
-    outside the DSL identifier space, so they cannot collide with
-    parameters."""
-    compiled = []
-    for rule in spec.rules.values():
-        terms: dict = {}
-        for mono, value in rule.coeff.term_items():
-            exps = dict(mono)
-            shape = (exps.pop(rule.var_left, 0), exps.pop(rule.var_right, 0))
-            terms[shape] = terms.get(shape, 0) + IndexPolynomial({tuple(exps.items()): value})
-        compiled.append(tuple((k, a, b) for (a, b), k in terms.items()))
+    expansion per unordered family triple: the rules' index terms
+    (BracketRule._index_terms) are read as terms (k, a, b) with k a
+    polynomial in the parameters, and each residual is rebuilt as a
+    polynomial in _i, _j, _k.  Those index variables lie outside the DSL
+    identifier space, so they cannot collide with parameters."""
+    compiled = [tuple((k, a, b) for (a, b), k in rule._index_terms.items()) for rule in spec.rules.values()]
     failures = []
     for families, residual in _jacobi_residuals(_rule_table(spec, compiled)).items():
         polys: dict = {}

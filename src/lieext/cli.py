@@ -32,7 +32,7 @@ from .engine import (
     verify_cocycle,
 )
 from .presets import is_svir, load_algebra
-from .rational import format_rational, parse_integer, parse_rational
+from .rational import _BLANKS, format_rational, parse_integer, parse_rational
 
 
 def _add_algebra_options(parser: argparse.ArgumentParser):
@@ -54,12 +54,12 @@ def _gather_params(args) -> dict:
         values["mu"] = args.mu
     for item in args.param:
         name, sep, value = item.partition("=")
-        name = name.strip()
+        name = name.strip(_BLANKS)
         if not sep or not name:
             raise ParameterError(f"bad --param {item!r} (expected NAME=VALUE)")
         if name in values:
             raise ParameterError(f"parameter {name!r} given twice")
-        values[name] = value.strip()
+        values[name] = value.strip(_BLANKS)
     return values
 
 
@@ -87,8 +87,24 @@ def _bound_algebra(args):
     return spec, params
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage text into a closed pipe
+    raises BrokenPipeError up to main: argparse's own _print_message
+    swallows every OSError of its write, so --help into a closed,
+    unbuffered stdout would exit 0.  Subparsers are made of this class too."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            try:
+                (file or sys.stderr).write(message)
+            except BrokenPipeError:
+                raise
+            except (AttributeError, OSError):  # what argparse's own swallows
+                pass
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lieext",
         description="Exact central-extension (H^2) computations for graded Lie algebras.",
     )

@@ -17,8 +17,10 @@ Grammar (comments run from "#" to end of line):
     INT     := [0-9]+
 
 Names and integers are ASCII (algebra.IDENT_RE is the one name rule).
-Blanks are spaces, tabs and carriage returns; any other character outside a
-comment is a bad-character error at its own line and column.
+Blanks are spaces, tabs and carriage returns (rational._BLANKS, the ones a
+value read from outside the program may carry around it); any other
+character outside a comment is a bad-character error at its own line and
+column.
 
 In a head the identifier after each family names its index variable.  In a
 bracket item the trailing IDENT "(" expr ")" of a rhs is the output family
@@ -47,14 +49,15 @@ from typing import Sequence
 
 from .algebra import IDENT_RE, AlgebraSpec, BracketRule, CocycleLine, same_family_rule_is_antisymmetric
 from .poly import IndexPolynomial
+from .rational import _BLANKS
 
 KEYWORDS = frozenset({"algebra", "family", "weight", "bracket", "cocycle", "on"})
 # One token per match, after any blanks: a character that starts no other
 # token and is no blank is "bad".  No \d or \w, which admit non-ASCII
 # digits and letters.
 _TOKEN_RE = re.compile(
-    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>#.*)|(?P<int>[0-9]+)"
-    rf"|(?P<ident>{IDENT_RE.pattern})|(?P<punct>[(){{}}\[\],;=+\-*/])|(?P<bad>[^ \t\r\n]))"
+    rf"[{_BLANKS}]*(?:(?P<newline>\n)|(?P<comment>#.*)|(?P<int>[0-9]+)"
+    rf"|(?P<ident>{IDENT_RE.pattern})|(?P<punct>[(){{}}\[\],;=+\-*/])|(?P<bad>[^{_BLANKS}\n]))"
 )
 _MAX_EXPR_DEPTH = 64
 _MAX_ERRORS = 100

@@ -174,7 +174,7 @@ from .algebra import (
 )
 from .poly import IndexPolynomial
 from .presets import load_algebra
-from .rational import as_rational, format_rational, parse_integer, parse_rational
+from .rational import _BLANKS, as_rational, format_rational, parse_integer, parse_rational
 from .sparse import (
     SparseMatrix,
     VectorBasis,
@@ -922,7 +922,7 @@ def _parse_pair_key(key: str) -> tuple:
     for part in parts:
         fam, _, idx = part.partition(":")
         try:
-            elements.append(BasisElement(fam.strip(), parse_integer(idx)))
+            elements.append(BasisElement(fam.strip(_BLANKS), parse_integer(idx)))
         except ValueError:
             raise ValueError(f"bad element {part!r} in pair key {key!r}") from None
     return elements[0], elements[1]
@@ -963,8 +963,8 @@ class KnownCocycle:
         position a, family position b, support offset t, coefficient terms,
         denominator terms), both integer terms (k, 0, b) in m over one
         scale.  A line's degree is alg.offsets[a] + alg.offsets[b] + t, and
-        lines that disagree on it raise.  The offset is compiled alone and
-        first, to fail fast."""
+        lines that disagree on it raise.  The offset is evaluated first, to
+        fail fast."""
         spec = alg.spec
         compiled, degrees = [], set()
         for line in self.lines:
@@ -974,15 +974,14 @@ class KnownCocycle:
             extra = sorted(line.parameters - set(spec.parameters))
             if extra:
                 return f"algebra has no parameter {extra[0]}", None, None
-            scale, (offset,) = _compile([(line.offset, None, None)], alg.params)
-            total = Fraction(_evaluate(offset, 0, 0), scale)
+            total = line.offset.evaluate(alg.params)
             if total.denominator != 1:
                 # t is an integer exactly when -t is: name the one that
                 # leads with a positive term
                 lead = line.offset.sorted_terms(spec.parameters)[0][1]
                 text = (line.offset if lead > 0 else -line.offset).to_text(spec.parameters)
                 return f"requires {text} integer", None, None
-            _, (coeff, denom) = _compile([(line.coeff, None, line.var_b), (line.denom, None, line.var_b)], alg.params)
+            _, (coeff, denom) = _compile(line._index_terms, alg.params)
             # a*m + b (CocycleLine keeps it at most linear) vanishes at an
             # integer m exactly when a divides b
             slope = sum(k for k, _, e in denom if e)

@@ -12,6 +12,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+# The blanks a value read from outside the program may carry around it, the
+# ones the .lie scanner skips: str.strip() alone also drops "\x1c", "\x85"
+# and other Unicode blanks.
+_BLANKS = " \t\r"
 # ASCII digits only: int() alone also reads "1_0" and non-ASCII digits.
 _INTEGER_RE = re.compile("[+-]?[0-9]+")
 _RATIONAL_RE = re.compile(f"{_INTEGER_RE.pattern}(/[0-9]+)?")
@@ -25,8 +29,9 @@ def rational(numerator: int, denominator: int = 1) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p".  Anything else (floats, blanks, "1/0") is an error."""
-    text = text.strip()
+    """Parse "p/q" or "p", with blanks (_BLANKS) around it.  Anything else
+    (floats, blanks inside, "1/0") is an error."""
+    text = text.strip(_BLANKS)
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
     if "/" in text:
@@ -38,7 +43,7 @@ def parse_rational(text: str) -> Fraction:
 def parse_integer(text: str) -> int:
     """Parse "p", the numerator of parse_rational's form.  Anything else
     ("1_0", "1.0", non-ASCII digits) is an error."""
-    text = text.strip()
+    text = text.strip(_BLANKS)
     if not _INTEGER_RE.fullmatch(text):
         raise ValueError(f"not an integer literal: {text!r}")
     return int(text)

@@ -396,16 +396,43 @@ def test_closed_stdout_ends_quietly(monkeypatch, capsys):
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_ends_the_real_cli_quietly(unbuffered):
     # buffered, the output meets the closed pipe at main's last flush; then
-    # the interpreter's own flush at exit must not raise again
+    # the interpreter's own flush at exit must not raise again.  Unbuffered,
+    # argparse's help meets it at argparse's own write, which swallows errors
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.Popen(CLI + ["h2", "--algebra", "svir", "--lambda=0", "--mu=1", "--window", "6"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()  # before the child has imported lieext, let alone printed
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=300) == 141
-    assert stderr == b""
+    for argv in (["h2", "--algebra", "svir", "--lambda=0", "--mu=1", "--window", "6"], ["--help"], ["h2", "--help"]):
+        proc = subprocess.Popen(CLI + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # before the child has imported lieext, let alone printed
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=300), stderr) == (141, b""), argv
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("blank, accepted", [
+    (" ", True), ("\t", True), ("\u2003", False), ("\x1c", False), ("\x85", False), ("\n", False),
+], ids=["space", "tab", "em-space", "file-separator", "next-line", "newline"])
+def test_values_take_the_lie_scanners_blanks_only(tmp_path, capsys, blank, accepted):
+    # space, tab and CR around a value are blanks, as in a .lie file; other
+    # Unicode blanks, which str.strip() would also drop, are refused
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({f"L:-3,{blank}L:3{blank}": "1"}))
+    svir = ["--algebra", "svir", "--mu=1", "--window", "6", "--steps", "1"]
+    runs = [
+        ["h2", "--algebra", "witt", "--window", f"{blank}8{blank}", "--steps", "1"],
+        ["h2", *svir, f"--lambda={blank}0{blank}"],
+        ["h2", *svir, "--param", f"{blank}lambda{blank}={blank}0{blank}"],
+        ["verify", "--algebra", "witt", "--cocycle", str(pair), "--window", "8"],
+    ]
+    for argv in runs:
+        code = _exit_code(argv)
+        assert (code != 2) == accepted, (argv, capsys.readouterr().err)
 
 
 def test_cli_import_leaves_the_process_pool_out():

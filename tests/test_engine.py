@@ -10,7 +10,7 @@ import pytest
 
 import lieext
 import lieext.engine as engine
-from lieext.algebra import BasisElement, ParameterError, validate_parameters
+from lieext.algebra import BasisElement, CocycleLine, ParameterError, validate_parameters
 from lieext.engine import (
     CocycleAssignment,
     Window,
@@ -26,6 +26,7 @@ from lieext.engine import (
     verify_cocycle,
 )
 from lieext.dsl import parse
+from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
 
 from oracle_dense import dense_in_span, dense_matvec
@@ -545,6 +546,46 @@ def test_h2_compiles_each_declared_class_once(monkeypatch):
     monkeypatch.setattr(engine.KnownCocycle, "_check", counting)
     h2(SVIR, {"lambda": -3, "mu": 1}, Window(12))
     assert sorted(calls) == sorted(SVIR.cocycles)
+
+
+def test_identity_sliced_below_its_total_leaves_every_index_out():
+    # witt at degree 26: window 16 has triples of index total 26, window 12
+    # none, as 26 > 2 * 12
+    alg = engine._bind(WITT, {})
+    [identity] = engine._Plan(alg, Window(16), Fraction(26)).identities
+    sliced = identity.sliced(12)
+    pairs = engine._enumerate_pairs(alg, Window(12), Fraction(26))
+    fresh = engine._Identity(alg, Window(12), pairs, identity.families, identity.total)
+    assert [term[1] for term in sliced.terms] == [term[1] for term in fresh.terms]
+    assert all(entry is engine._OUT for term in sliced.terms for entry in term[1])
+    assert sliced.bound == fresh.bound
+
+
+def test_windows_leave_out_the_generators_outside_them():
+    # L(13) lies outside window 12, so its coboundary generator is left out
+    # there and the cocycle it would bound counts
+    report = h2(WITT, {}, Window(12), degree=13)
+    assert report.core_history == [(12, 1), (14, 0), (16, 0)]
+    for n, dim in report.core_history:
+        assert h2(WITT, {}, Window(n), degree=13, stabilization_steps=1).core_history == [(n, dim)]
+
+
+def test_is_coboundary_refuses_support_outside_the_window():
+    psi = CocycleAssignment(WITT, Window(16), {(L(-14), L(14)): Fraction(1)})
+    with pytest.raises(ValueError, match=r"^assignment has support on L\(-14\), L\(14\) outside the pair basis$"):
+        is_coboundary(WITT, {}, Window(12), psi)
+
+
+def test_applicability_names_a_missing_parameter():
+    line = CocycleLine("L", "L", IndexPolynomial.variable("c"))
+    assert engine.KnownCocycle("lc", [line]).applicability(WITT, {}) == "algebra has no parameter c"
+
+
+def test_verify_and_h2_refuse_bad_arguments():
+    with pytest.raises(TypeError, match="^expected a KnownCocycle or CocycleAssignment$"):
+        verify_cocycle(WITT, {}, Window(8), {"L:-1,L:1": "1"})
+    with pytest.raises(ValueError, match="^need at least one stabilization step$"):
+        h2(WITT, {}, Window(8), stabilization_steps=0)
 
 
 def test_cocycle_assignment_json_round_trip():

@@ -1,7 +1,8 @@
 """The command line's golden outputs (tools/golden.py): every recorded
 invocation gives the same exit code, stdout and stderr as its record under
 tests/golden/, and the in-process runs that make the records give what the
-real `python -m lieext` prints."""
+real `python -m lieext` prints.  Every window h2 solves on the recorded runs
+gives null vectors with the recorded digest."""
 
 import importlib.util
 import os
@@ -24,6 +25,11 @@ def test_cli_output_matches_its_record(case):
     # a deliberate change of output rewrites the record with
     # `python tools/golden.py --write`, and says why
     assert golden.render(case) == (golden.GOLDEN / f"{case}.txt").read_text()
+
+
+def test_null_vectors_match_their_record():
+    # only `python tools/golden.py --write` rewrites the record
+    assert golden.null_vectors() == golden.NULL_VECTORS.read_text()
 
 
 SUBPROCESS_RUNS = {

@@ -46,6 +46,18 @@ def test_parse_integer_reads_ascii_digits():
             parse_integer(bad)
 
 
+def test_blanks_around_a_literal_are_the_lie_scanners():
+    # space, tab and CR, as the .lie scanner reads them; not the other
+    # characters str.strip() drops
+    assert parse_integer(" \t-12\r ") == -12
+    assert parse_rational("\t1/2 ") == Fraction(1, 2)
+    for blank in ["\x1c", "\x85", "\u2003", "\n", "\x0b", "\x0c"]:
+        with pytest.raises(ValueError, match="not an integer literal"):
+            parse_integer(f" 1{blank}")
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(f"{blank}1/2 ")
+
+
 def test_format_round_trip_examples():
     assert format_rational(Fraction(-1, 3)) == "-1/3"
     assert format_rational(Fraction(5)) == "5"

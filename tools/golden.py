@@ -15,11 +15,18 @@ The runs see a fixed environment: a temporary working directory holding the
 no LIEEXT_PRESET_PATH.  The records of argparse's help texts and usage
 errors were written with Python 3.11 (ARGPARSE_PYTHON), whose layout
 differs from other versions'.
+
+A second record, tests/golden/null-vectors.txt (null_vectors), holds the
+sha256 of the primitive null vectors of every window `h2` solves on the
+runs of null_vector_runs, so a change to the solver or to the compiled
+brackets that moves one entry of one null vector shows too.  `--write`
+rewrites it with the others.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import shlex
@@ -31,9 +38,11 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 if __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from lieext import cli  # noqa: E402
+from lieext import cli, engine  # noqa: E402
+from lieext.dsl import parse  # noqa: E402
+from lieext.presets import load_algebra  # noqa: E402
 
 # The Witt algebra acting on the module W(lambda, mu), all of weight 0: at
 # lambda = 1 the grading is not inner.
@@ -159,6 +168,54 @@ CASES = {
 }
 
 
+NULL_VECTORS = GOLDEN / "null-vectors.txt"
+
+
+def null_vector_runs() -> list:
+    """The (label, spec, params, window N, degree) of each recorded h2 run:
+    svir at the 80 grid points at N = 12 and at both wide points at N = 40,
+    and five more algebras at degrees -1, 0, 1/2 and 1 at N = 12.  The
+    sources are the ones the tests keep."""
+    from test_acceptance import GRID_LAMBDAS, GRID_MUS
+    from test_cli import HV_SOURCE, W22_SOURCE
+    from test_differential import NO_WEIGHT_ZERO_SOURCE
+
+    svir = load_algebra("svir")
+    runs = [(f"svir({lam},{mu})", svir, {"lambda": lam, "mu": mu}, 12, 0)
+            for lam in GRID_LAMBDAS for mu in GRID_MUS]
+    runs += [(f"svir({lam},{mu})", svir, {"lambda": lam, "mu": mu}, 40, 0) for lam, mu in ((-3, 1), (1, "1/2"))]
+    others = [
+        ("witt", load_algebra("witt"), {}),
+        ("graded3", parse(NO_WEIGHT_ZERO_SOURCE).spec, {}),
+        ("wab(1,0)", parse(WAB_SOURCE).spec, {"lambda": 1, "mu": 0}),
+        ("wab(2,1)", parse(WAB_SOURCE).spec, {"lambda": 2, "mu": 1}),
+        ("hv", parse(HV_SOURCE).spec, {}),
+        ("w22", parse(W22_SOURCE).spec, {}),
+    ]
+    runs += [(label, spec, params, 12, degree) for label, spec, params in others for degree in ("-1", "0", "1/2", "1")]
+    return runs
+
+
+def null_vectors() -> str:
+    """The null-vector record: for each run, one line per window h2 solves,
+    with the number and the sha256 of that window's null vectors as
+    _Plan.cocycles returns them, each vector's entries in column order.
+    h2 accepts every run's window."""
+    lines = []
+    solve = engine._Plan.cocycles
+    for label, spec, params, n, degree in null_vector_runs():
+        def recorded(plan, window):
+            vectors = solve(plan, window)
+            text = repr([sorted(vector.items()) for vector in vectors])
+            lines.append(f"{label} degree {degree} N {n} window {window}: {len(vectors)} "
+                         f"{hashlib.sha256(text.encode()).hexdigest()}")
+            return vectors
+
+        with mock.patch.object(engine._Plan, "cocycles", recorded):
+            engine.h2(spec, params, engine.Window(n), degree)
+    return "".join(line + "\n" for line in lines)
+
+
 @contextlib.contextmanager
 def workdir():
     """Run inside a temporary directory holding SOURCES, in the fixed
@@ -209,6 +266,7 @@ def main(argv=None) -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for case in CASES:
         (GOLDEN / f"{case}.txt").write_text(render(case))
+    NULL_VECTORS.write_text(null_vectors())
     return 0
 
 
