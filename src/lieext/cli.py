@@ -404,7 +404,13 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (ValueError, OSError) as exc:  # ParameterError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            # a closed stderr loses the message, not the exit code; the
+            # interpreter's last flush of it writes to devnull
+            with contextlib.suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return 2
 
 

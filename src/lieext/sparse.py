@@ -3,9 +3,21 @@
 The cocycle engine produces constraint matrices with a few thousand rows of
 at most three nonzeros each over ~10^2 columns, so a plain incremental
 echelon is all that is needed.  Rows are scaled to integers (denominators
-cleared, gcd divided out) and eliminated against pivot rows keyed by leading
-column; pivots are chosen deterministically as the leftmost column of each
-incoming row in input order, i.e. (row, col) lexicographic tie-breaking.
+cleared, gcd divided out) and reduced against pivot rows keyed by leading
+column; a row that does not reduce to zero becomes the pivot row of its
+leftmost column.  The pivot columns are thus the leading columns of the
+rows' span, and the fully reduced pivot rows are its reduced row echelon
+form, whatever the order of elimination.
+
+The echelon keeps its pivot rows reduced lazily (_Echelon._cleared).  A row
+is stored holding no pivot column but its own; when a later pivot lands on
+one of its columns, it is cleared again only when it is next used, the
+deeper rows it needs first.  So reducing a row takes one combination per
+pivot column it holds, not one per step along a chain of unreduced pivot
+rows.  Such a chain can be as long as the rank, hundreds of rows at a
+--window of several hundred, so the clearing walks it on an explicit stack
+and never recurses.
+
 Null vectors come from one integer back-substitution (_null_vectors), shared
 by nullspace and the engine's certified subset solve, as primitive
 {column: int} rows.  The engine keeps them, and every other vector after
@@ -123,35 +135,6 @@ def _scale_row(row: Mapping[int, Fraction]) -> dict:
     )
 
 
-def _eliminate(row: dict, pivots: dict) -> dict:
-    """Reduce an integer row against the pivot rows; result is normalized.
-    The argument is not modified.
-
-    Each step clears the row's leading column, min(row), with the pivot row
-    there: row * (a / g) - pivot * (b / g) for leading entries a of the
-    pivot and b of the row, g = gcd(a, b).  The row is copied once and
-    updated in place."""
-    row = dict(row)
-    while row:
-        lead = min(row)
-        pivot = pivots.get(lead)
-        if pivot is None:
-            return _normalize_int_row(row)
-        a, b = pivot[lead], row[lead]
-        g = math.gcd(a, b)
-        ra, pb = a // g, b // g
-        if ra != 1:
-            for col in row:
-                row[col] *= ra
-        for col, val in pivot.items():
-            new = row.get(col, 0) - pb * val
-            if new:
-                row[col] = new
-            else:
-                del row[col]
-    return {}
-
-
 def _normalize_int_row(row: dict) -> dict:
     g = math.gcd(*row.values())
     if g == 0:
@@ -163,7 +146,8 @@ def _normalize_int_row(row: dict) -> dict:
 
 class _Echelon:
     """Incremental echelon form keyed by leading column, over {column: int}
-    rows; a row need not be primitive."""
+    rows; a row need not be primitive.  The pivot rows are kept reduced
+    lazily (module docstring)."""
 
     def __init__(self, int_rows: Iterable[dict] = ()):
         self.pivots: dict = {}
@@ -172,18 +156,83 @@ class _Echelon:
 
     def add(self, int_row: dict) -> bool:
         """Insert a row; returns True if it added a new pivot."""
-        reduced = _eliminate(int_row, self.pivots)
+        reduced = self._reduced(int_row)
         if not reduced:
             return False
-        self.pivots[min(reduced)] = reduced
+        self.pivots[min(reduced)] = _normalize_int_row(reduced)
         return True
 
     def contains(self, int_row: dict) -> bool:
-        return not _eliminate(int_row, self.pivots)
+        return not self._reduced(int_row)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def _reduced(self, int_row: dict) -> dict:
+        """A copy of the row with every pivot column cleared out of it, by
+        one combination with each cleared pivot row it holds; the argument
+        is not modified.  A cleared pivot row holds no other pivot column,
+        so no combination brings back a column cleared before it."""
+        pivots = self.pivots
+        row = dict(int_row)
+        for col in int_row:
+            if col in pivots:
+                _combine(row, self._cleared(col), col)
+        return row
+
+    def _cleared(self, col: int) -> dict:
+        """Pivot row `col` with every other pivot column cleared out of it,
+        stored back as a primitive row.  A pivot row holds only columns
+        right of its own, so the rows it needs cleared first are deeper
+        ones: they are cleared in post-order, deepest column first, on an
+        explicit stack, so a chain of any length needs no recursion."""
+        pivots = self.pivots
+        row = pivots[col]
+        for c in row:
+            if c != col and c in pivots:
+                break
+        else:
+            return row
+        done: set = set()
+        stack = [col]
+        while stack:
+            top = stack[-1]
+            if top in done:
+                stack.pop()
+                continue
+            row = pivots[top]
+            held = [c for c in row if c != top and c in pivots]
+            pending = [c for c in held if c not in done]
+            if pending:
+                pending.sort()
+                stack += pending
+                continue
+            stack.pop()
+            done.add(top)
+            if held:
+                for c in held:
+                    _combine(row, pivots[c], c)
+                pivots[top] = _normalize_int_row(row)
+        return pivots[col]
+
+
+def _combine(row: dict, pivot: dict, col: int) -> None:
+    """Clear column `col` out of the row in place with the pivot row there:
+    row * (a / g) - pivot * (b / g) for the entries a of the pivot and b of
+    the row at col, g = gcd(a, b)."""
+    a, b = pivot[col], row[col]
+    g = math.gcd(a, b)
+    ra, pb = a // g, b // g
+    if ra != 1:
+        for c in row:
+            row[c] *= ra
+    for c, val in pivot.items():
+        new = row.get(c, 0) - pb * val
+        if new:
+            row[c] = new
+        else:
+            del row[c]
 
 
 def nullspace(matrix: SparseMatrix) -> VectorBasis:

@@ -6,13 +6,19 @@ regardless of output capturing.
 
 The CLI tests start `python -m lieext` in subprocesses; PYTHONPATH gets the
 checkout's src/ so they import the same package pytest does, installed or not.
+
+The tests import tools/golden.py as `golden`: it keeps the sources that the
+golden records and the tests share.
 """
 
 import os
+import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+sys.path.append(str(ROOT / "tools"))
 
 ACCEPTANCE_LINES = []
 

@@ -4,10 +4,12 @@ Independent reference for the sparse solver: no code shared with
 lieext.sparse beyond the Fraction type.  Everything here is O(n^3)
 row reduction on dense lists of lists, kept deliberately boring.
 
-reference_pivots is the one sparse exception: the fraction-free integer
-elimination of lieext.sparse._Echelon, step for step, written as plainly as
-possible (each step rebuilds the row as a new dict), so the solver's pivot
-rows can be compared exactly, not only up to span.
+Two helpers take sparse {column: int} rows, so the solver's echelon can be
+compared exactly, not only up to span.  reference_pivots is a plain
+fraction-free elimination at each row's leading column; its pivot columns
+are those of any echelon of the same rows inserted in the same order.
+reduced_pivots is rref's rows scaled to primitive integers: the fully
+reduced rows, which no order of elimination changes.
 """
 import math
 from fractions import Fraction
@@ -100,4 +102,17 @@ def reference_pivots(int_rows):
             row = {col: value for col, value in merged.items() if value}
         if row:
             pivots[min(row)] = _primitive(row)
+    return pivots
+
+
+def reduced_pivots(int_rows):
+    """{pivot column: row} of rref over the {column: int} rows, each reduced
+    row scaled to primitive integers with a positive leading entry."""
+    n_cols = max((col for row in int_rows for col in row), default=-1) + 1
+    dense = [[row.get(col, 0) for col in range(n_cols)] for row in int_rows]
+    reduced, pivot_cols = rref(dense, n_cols)
+    pivots = {}
+    for col, row in zip(pivot_cols, reduced):
+        scale = math.lcm(*(value.denominator for value in row))
+        pivots[col] = _primitive({c: int(value * scale) for c, value in enumerate(row) if value})
     return pivots

@@ -13,6 +13,8 @@ import pytest
 from lieext import cli
 from lieext.cli import _scan_workers
 
+from golden import WAB_SOURCE
+
 CLI = [sys.executable, "-m", "lieext"]
 
 CORRUPT_SOURCE = """
@@ -408,6 +410,20 @@ def test_closed_stdout_ends_the_real_cli_quietly(unbuffered):
         assert (proc.wait(timeout=300), stderr) == (141, b""), argv
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stderr_keeps_the_usage_error_exit_code(unbuffered):
+    # the error message meets the closed pipe at once; buffered, the
+    # interpreter's own flush at exit must not meet it again
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(CLI + ["h2", "--algebra", "nosuch"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stderr.close()  # before the child has imported lieext
+    stdout = proc.stdout.read()
+    assert (proc.wait(timeout=300), stdout) == (2, b"")
+
+
 def _exit_code(argv) -> int:
     try:
         return cli.main(argv)
@@ -484,16 +500,7 @@ def test_lazy_registry_is_the_svir_classes():
     assert proc.stdout.strip() == "[] ['svir'] True True"
 
 
-# The Witt algebra acting on the module W(lambda, mu), all of weight 0: at
-# lambda = 1, [L(0), W(m)] = (m + 1) W(m) and the grading is not inner.
-WAB_SOURCE = """
-algebra wab(lambda, mu) {
-    family L weight 0;
-    family W weight 0;
-    bracket [L n, L m] = (m - n) L(n + m);
-    bracket [L n, W m] = (lambda + m + mu*n) W(n + m);
-}
-"""
+# at lambda = 1, [L(0), W(m)] = (m + 1) W(m) and the grading is not inner
 GRADING_WARNING = "warning: the grading is not inner ([L(0), W(m)] = (m + 1) W(m);"
 
 

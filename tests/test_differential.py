@@ -66,6 +66,7 @@ from lieext.engine import (
 from lieext.presets import load_algebra
 from lieext.sparse import nullspace
 
+from golden import WAB_SOURCE
 from oracle_dense import dense_in_span, dense_nullspace, dense_rank
 from test_acceptance import GRID_LAMBDAS, GRID_MUS
 from test_cli import CORRUPT_SOURCE, HV_SOURCE, W22_SOURCE
@@ -326,17 +327,6 @@ TRIVIAL_WEIGHT_ZERO_SOURCE = NO_WEIGHT_ZERO_SOURCE.replace(
     "algebra graded3() {", "algebra graded3z() {\n    family Z weight 0;"
 )
 
-# Two families of weight 0; at a = 1, b = 0 the grading is not inner.
-WAB_SOURCE = """
-algebra wab(a, b) {
-    family L weight 0;
-    family W weight 0;
-
-    bracket [L n, L m] = (m - n) L(n + m);
-    bracket [L n, W m] = (a + m + b*n) W(n + m);
-}
-"""
-
 
 def _spec(tmp_path, source):
     """A bundled preset by name, or an algebra source through a .lie file."""
@@ -354,8 +344,8 @@ def _spec(tmp_path, source):
         (NO_WEIGHT_ZERO_SOURCE, {}, 2, {(-1, 0)}),
         (NO_WEIGHT_ZERO_SOURCE, {}, 5, {(-1, 0)}),
         (TRIVIAL_WEIGHT_ZERO_SOURCE, {}, 2, {(-1,), (-1, 0)}),
-        (WAB_SOURCE, {"a": 1, "b": 0}, 0, {(-1,)}),
-        (WAB_SOURCE, {"a": 1, "b": 0}, -1, {(-1,)}),
+        (WAB_SOURCE, {"lambda": 1, "mu": 0}, 0, {(-1,)}),
+        (WAB_SOURCE, {"lambda": 1, "mu": 0}, -1, {(-1,)}),
         ("svir", {"lambda": -3, "mu": 1}, 1, {(-1,), (-1, 0)}),
         ("svir", {"lambda": 1, "mu": "1/2"}, "1/2", {(-1,), (-1, 0)}),
     ],
@@ -685,7 +675,7 @@ def test_seeded_check_adds_rows_under_a_narrow_subset(monkeypatch, name, values)
         ("witt", {}, 0, 10, 3, 4),
         (NO_WEIGHT_ZERO_SOURCE, {}, 0, 8, 3, 3),
         (NO_WEIGHT_ZERO_SOURCE, {}, 2, 8, 3, 3),
-        (WAB_SOURCE, {"a": 1, "b": 0}, -1, 8, 3, 3),
+        (WAB_SOURCE, {"lambda": 1, "mu": 0}, -1, 8, 3, 3),
         (HV_SOURCE, {}, 0, 10, 3, 3),
         (W22_SOURCE, {}, 0, 10, 3, 3),
         ("svir", {"lambda": -3, "mu": 1}, 0, 8, 3, 1),
@@ -875,7 +865,7 @@ def _reference_uncertified(alg, identities, identity):
         ("svir", {"lambda": 1, "mu": "1/2"}, 12),
         ("svir", {"lambda": 1, "mu": "1/2"}, 20),
         ("witt", {}, 12),
-        (WAB_SOURCE, {"a": 2, "b": 1}, 12),
+        (WAB_SOURCE, {"lambda": 2, "mu": 1}, 12),
         (HV_SOURCE, {}, 12),
         (W22_SOURCE, {}, 12),
     ],
@@ -998,8 +988,8 @@ def _jacobi_algebras() -> list:
         pytest.param(STRESS_SOURCE, STRESS_PARAMS, id="stress"),
         pytest.param(HV_SOURCE, {}, id="hv"),
         pytest.param(W22_SOURCE, {}, id="w22"),
-        pytest.param(WAB_SOURCE, {"a": 1, "b": 0}, id="wab(1,0)"),
-        pytest.param(WAB_SOURCE, {"a": 2, "b": 1}, id="wab(2,1)"),
+        pytest.param(WAB_SOURCE, {"lambda": 1, "mu": 0}, id="wab(1,0)"),
+        pytest.param(WAB_SOURCE, {"lambda": 2, "mu": 1}, id="wab(2,1)"),
         *randoms,
     ]
 

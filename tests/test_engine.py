@@ -29,6 +29,7 @@ from lieext.dsl import parse
 from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
 
+from golden import WAB_SOURCE
 from oracle_dense import dense_in_span, dense_matvec
 
 SVIR = load_algebra("svir")
@@ -664,27 +665,16 @@ algebra skew(mu) {
         h2(bad, {"mu": 1}, Window(8, 3))
 
 
-# The Witt algebra acting on the module W(a, b), all of weight 0.  At a = 0,
-# L(0) acts on every element by its weight; at a = 1, [L(0), W(m)] =
-# (m + 1) W(m) and no family's index-0 element does.
-WAB_SOURCE = """
-algebra wab(a, b) {
-    family L weight 0;
-    family W weight 0;
-    bracket [L n, L m] = (m - n) L(n + m);
-    bracket [L n, W m] = (a + m + b*n) W(n + m);
-}
-"""
-
-
 def test_non_inner_grading_is_recorded():
+    # at lambda = 0, L(0) acts on every element by its weight; at lambda = 1,
+    # [L(0), W(m)] = (m + 1) W(m) and no family's index-0 element does
     spec = parse(WAB_SOURCE).spec
-    inner, shifted = {"a": 0, "b": 0}, {"a": 1, "b": 0}
+    inner, shifted = {"lambda": 0, "mu": 0}, {"lambda": 1, "mu": 0}
     assert h2(spec, inner, Window(8)).grading is None
     assert h2(spec, shifted, Window(8)).grading is not None
     assert h2(SVIR, {"lambda": -3, "mu": 1}, Window(6)).grading is None
     assert h2(WITT, {}, Window(6)).grading is None
-    # the flag is needed: degree -1 carries a class at a = 1, none at a = 0
+    # the flag is needed: degree -1 carries a class at lambda = 1, none at lambda = 0
     report = h2(spec, shifted, Window(8), degree=-1)
     assert report.stabilized and report.core_h2_dim == 1
     assert h2(spec, inner, Window(8), degree=-1).core_h2_dim == 0

@@ -4,18 +4,13 @@ tests/golden/, and the in-process runs that make the records give what the
 real `python -m lieext` prints.  Every window h2 solves on the recorded runs
 gives null vectors with the recorded digest."""
 
-import importlib.util
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
+import golden
 
 
 @pytest.mark.parametrize("case", sorted(golden.CASES))

@@ -1,13 +1,29 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import lieext.engine as engine
 from lieext.presets import load_algebra
-from lieext.sparse import SparseMatrix, VectorBasis, _Echelon, _scale_row, nullspace, project_dimension
+from lieext.sparse import (
+    SparseMatrix,
+    VectorBasis,
+    _Echelon,
+    _null_vectors,
+    _scale_row,
+    nullspace,
+    project_dimension,
+)
 
-from oracle_dense import dense_in_span, dense_matvec, dense_nullspace, dense_rank, reference_pivots
+from oracle_dense import (
+    dense_in_span,
+    dense_matvec,
+    dense_nullspace,
+    dense_rank,
+    reduced_pivots,
+    reference_pivots,
+)
 
 
 def _random_dense(rng, max_dim=12, max_num=50):
@@ -191,6 +207,8 @@ def _long_rows(name, values, n):
 
 
 def test_echelon_pivots_equal_reference_elimination():
+    # the pivot columns are the leading-column elimination's, and each pivot
+    # row, once cleared, is the primitive row of the reduced row echelon form
     rng = random.Random(1361)
     cases = [_random_int_rows(rng) for _ in range(300)]
     cases.append(_pinned_rows("svir", {"lambda": -3, "mu": 1}, 12))
@@ -202,11 +220,25 @@ def test_echelon_pivots_equal_reference_elimination():
     for rows in cases:
         snapshot = [dict(row) for row in rows]
         ech = _Echelon(rows)
-        assert ech.pivots == reference_pivots(snapshot)
+        assert ech.pivots.keys() == reference_pivots(snapshot).keys()
         assert rows == snapshot
         for row in rows:
             assert ech.contains(row)
         assert rows == snapshot
+        assert {col: ech._cleared(col) for col in ech.pivots} == reduced_pivots(snapshot)
+
+
+def test_echelon_clears_a_long_pivot_chain_without_recursion():
+    # row k says x_k = 2 x_(k+1); each row added leaves the pivot row before
+    # it holding its pivot column, so clearing row 0 needs the whole chain
+    n = 5000
+    assert n > sys.getrecursionlimit()
+    ech = _Echelon({k: 1, k + 1: -2} for k in range(n))
+    assert all(k + 1 in ech.pivots[k] for k in range(n - 1))
+    assert ech.contains({0: 3, n: -3 * 2**n})
+    assert not ech.contains({0: 1, n: 1 - 2**n})
+    assert ech.pivots[0] == {0: 1, n: -(2**n)}
+    assert _null_vectors(ech.pivots, range(n + 1)) == [{k: 2 ** (n - k) for k in range(n + 1)}]
 
 
 def test_echelon_contains_leaves_its_argument_alone():

@@ -173,9 +173,9 @@ NULL_VECTORS = GOLDEN / "null-vectors.txt"
 
 def null_vector_runs() -> list:
     """The (label, spec, params, window N, degree) of each recorded h2 run:
-    svir at the 80 grid points at N = 12 and at both wide points at N = 40,
-    and five more algebras at degrees -1, 0, 1/2 and 1 at N = 12.  The
-    sources are the ones the tests keep."""
+    svir at the 80 grid points at N = 12 and at both wide points at N = 40
+    and N = 80, and five more algebras at degrees -1, 0, 1/2 and 1 at
+    N = 12.  The sources are the ones the tests keep."""
     from test_acceptance import GRID_LAMBDAS, GRID_MUS
     from test_cli import HV_SOURCE, W22_SOURCE
     from test_differential import NO_WEIGHT_ZERO_SOURCE
@@ -183,7 +183,8 @@ def null_vector_runs() -> list:
     svir = load_algebra("svir")
     runs = [(f"svir({lam},{mu})", svir, {"lambda": lam, "mu": mu}, 12, 0)
             for lam in GRID_LAMBDAS for mu in GRID_MUS]
-    runs += [(f"svir({lam},{mu})", svir, {"lambda": lam, "mu": mu}, 40, 0) for lam, mu in ((-3, 1), (1, "1/2"))]
+    runs += [(f"svir({lam},{mu})", svir, {"lambda": lam, "mu": mu}, n, 0)
+             for n in (40, 80) for lam, mu in ((-3, 1), (1, "1/2"))]
     others = [
         ("witt", load_algebra("witt"), {}),
         ("graded3", parse(NO_WEIGHT_ZERO_SOURCE).spec, {}),
