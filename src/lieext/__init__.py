@@ -21,7 +21,7 @@ from .algebra import (
     check_jacobi_window,
     validate_parameters,
 )
-from .dsl import Diagnostic, ParseResult, parse, parse_polynomial, render
+from .dsl import Diagnostic, ParseResult, parse, render
 from .engine import (
     CocycleAssignment,
     H2Report,
@@ -97,7 +97,6 @@ __all__ = [
     "nonzero_degree_triviality",
     "nullspace",
     "parse",
-    "parse_polynomial",
     "parse_rational",
     "project_dimension",
     "rational",

@@ -48,7 +48,7 @@ ParamMap = Mapping[str, Fraction]
 
 
 class ParameterError(ValueError):
-    """Bad parameter binding (missing, unknown, or out-of-scope value)."""
+    """Bad parameter binding (missing, unknown, or malformed value)."""
 
 
 @dataclass(frozen=True)
@@ -270,9 +270,6 @@ class AlgebraSpec:
     def element_key(self, element: BasisElement) -> tuple:
         return (self.family_position(element.family), element.index)
 
-    def weight(self, element: BasisElement, params: ParamMap) -> Fraction:
-        return element.index + self.weight_offsets[element.family].evaluate(params)
-
     # bracket evaluation
 
     def bracket(self, x: BasisElement, y: BasisElement, params: ParamMap) -> list:
@@ -311,13 +308,11 @@ def _zero_rule(fam_a: str, fam_b: str, parameters: tuple) -> BracketRule:
 def validate_parameters(spec: AlgebraSpec, values: Mapping) -> dict:
     """Coerce and complete a parameter binding.
 
-    Values may be ints, Fractions, or "p/q" strings.  For the bundled svir
-    algebra mu = 0 is rejected: that degeneration collapses the weight
-    grading this engine relies on and has a different extension theory.
-    The rule follows the bracket table, not the name (presets.is_svir): it
-    spares an algebra that only borrows the name and holds for a renamed copy.
+    Values may be ints, Fractions, or "p/q" strings; each of the
+    algebra's parameters must be given, and no other.  Any exact value is
+    in scope: the rules are the same for every algebra, svir included
+    (svir(lambda, 0) is svir(lambda, 1) up to a graded isomorphism).
     """
-    from .presets import is_svir  # presets imports this module
     bound = {}
     for key, value in values.items():
         if key not in spec.parameters:
@@ -329,11 +324,6 @@ def validate_parameters(spec: AlgebraSpec, values: Mapping) -> dict:
     missing = [p for p in spec.parameters if p not in bound]
     if missing:
         raise ParameterError(f"missing parameter {missing[0]!r} for algebra {spec.name!r}")
-    if bound.get("mu") == 0 and is_svir(spec):
-        raise ParameterError(
-            "mu = 0 is out of scope for svir: the Y/M weight grading degenerates "
-            "and the classification computed here does not apply"
-        )
     return bound
 
 

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--lambda-values", required=True, metavar="Q,Q,...",
                         dest="lambda_values", help="comma-separated rationals")
     p_scan.add_argument("--mu-values", required=True, metavar="Q,Q,...",
-                        dest="mu_values", help="comma-separated rationals (mu = 0 excluded)")
+                        dest="mu_values", help="comma-separated rationals")
     _add_window_options(p_scan)
     p_scan.add_argument("--jobs", type=_integer, default=0, metavar="J",
                         help="worker processes (default: usable CPUs); never more "
@@ -308,10 +308,8 @@ def cmd_scan(args) -> int:
     lams = [parse_rational(part) for part in args.lambda_values.split(",")]
     mus = [parse_rational(part) for part in args.mu_values.split(",")]
     grid = sorted({(lam, mu) for lam in lams for mu in mus})
-    # fail fast on bad bindings (e.g. mu = 0) and options before spawning
-    # workers, so that no worker meets them
-    for lam, mu in grid:
-        validate_parameters(spec, {"lambda": lam, "mu": mu})
+    # fail fast on bad options before spawning workers, so that no worker
+    # meets them; every exact lambda and mu binds
     degree = parse_rational(args.degree)
     window = Window(args.window, args.margin)
     if args.steps < 1:

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 from .algebra import IDENT_RE, AlgebraSpec, BracketRule, CocycleLine, same_family_rule_is_antisymmetric
 from .poly import IndexPolynomial
@@ -457,21 +456,6 @@ def parse(source: str) -> ParseResult:
     if spec is None and not any(d.severity == "error" for d in parser.diagnostics):
         parser.diagnostics.append(Diagnostic(1, 1, "error", "syntax", "no algebra definition found"))
     return ParseResult(spec, parser.diagnostics)
-
-
-def parse_polynomial(text: str, variables: Sequence[str]) -> IndexPolynomial:
-    """Parse a bare expression over the given variables; raises ValueError."""
-    parser = _Parser(text)
-    try:
-        value = parser.parse_expr(frozenset(variables))
-        if parser.peek().kind != "eof":
-            parser.error("syntax", f"unexpected trailing input {parser.peek().text!r}")
-    except _Abort:
-        value = None
-    errors = [d for d in parser.diagnostics if d.severity == "error"]
-    if errors:
-        raise ValueError(f"bad polynomial {text!r}: {errors[0]}")
-    return value
 
 
 def _coeff_text(poly: IndexPolynomial, var_order) -> str:

@@ -161,7 +161,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, repeat
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .algebra import (
     AlgebraSpec,
@@ -239,7 +239,7 @@ class PairBasis:
 
     Column order is lexicographic in the element keys (family position,
     index) of both elements, which fixes the coordinatization used by every
-    matrix in this module.  column_of resolves either orientation of a pair
+    matrix in this module.  _column resolves either orientation of a pair
     and reports the skew sign, so psi(x, y) = sign * value[column].  A basis
     is fixed by the algebra's weight offsets, the window and the degree, and
     the public calls that take one refuse a basis of any other.
@@ -253,27 +253,12 @@ class PairBasis:
         # the window radius of each column: the larger |index| of its pair
         self._radius = [max(abs(x[1]), abs(y[1])) for x, y in keys]
 
-    @cached_property
-    def pairs(self) -> list:
-        """The element pairs of the columns, built on first use."""
-        return [(self._element(x), self._element(y)) for x, y in self._index]
-
     def __len__(self) -> int:
         return len(self._radius)
 
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def pair_at(self, col: int) -> tuple:
-        return self.pairs[col]
-
-    def column_of(self, x: BasisElement, y: BasisElement) -> tuple:
-        """(column, sign) for the pair {x, y}; sign is -1 when (x, y) is the
-        reversed orientation of the stored pair."""
-        return self._column(self.spec.element_key(x), self.spec.element_key(y))
-
     def _column(self, x: tuple, y: tuple) -> tuple:
-        """column_of for element keys."""
+        """(column, sign) for the pair of element keys {x, y}; sign is -1
+        when (x, y) is the reversed orientation of the stored pair."""
         sign = 1
         if x > y:
             x, y, sign = y, x, -1
@@ -855,17 +840,6 @@ class CocycleAssignment:
             x, y, sign = y, x, -1
         return sign * self.values.get((x, y), Fraction(0))
 
-    @classmethod
-    def from_vector(cls, pairs: PairBasis, vector: Sequence) -> "CocycleAssignment":
-        if len(vector) != len(pairs):
-            raise ValueError("vector length does not match pair basis")
-        values = {
-            pairs.pair_at(col): as_rational(v, "cocycle value")
-            for col, v in enumerate(vector)
-            if v
-        }
-        return cls(pairs.spec, pairs.window, values)
-
     def to_json_dict(self) -> dict:
         out = {}
         for x, y in self.support():
@@ -1328,11 +1302,11 @@ def theorem_predicted_dim(lam, mu) -> int:
     classification: 1 generically (the central charge), an extra Y-M class
     when 3*mu is an integer and lambda = -1, extra L-Y classes at integer mu
     for lambda in {-3, 1}, and all of c1, c2 on top of virasoro at
-    lambda = -1 with integer mu."""
+    lambda = -1 with integer mu.  mu = 0 is an integer mu: svir(lambda, 0)
+    is svir(lambda, 1) up to the graded isomorphism Y_m -> Y_{m+1},
+    M_m -> M_{m+2}."""
     lam = Fraction(lam)
     mu = Fraction(mu)
-    if mu == 0:
-        raise ValueError("mu = 0 out of scope")
     if (3 * mu).denominator != 1:
         return 1
     if mu.denominator == 1:

@@ -90,22 +90,6 @@ class IndexPolynomial:
             total += value
         return total
 
-    def substitute(self, mapping: Mapping[str, "IndexPolynomial | Scalar"]) -> "IndexPolynomial":
-        """Replace variables by polynomials; unmapped variables persist."""
-        subs = {}
-        for var, repl in mapping.items():
-            if not isinstance(repl, IndexPolynomial):
-                repl = IndexPolynomial.constant(repl)
-            subs[var] = repl
-        result = IndexPolynomial()
-        for mono, coeff in self._terms.items():
-            term = IndexPolynomial.constant(coeff)
-            for var, exp in mono:
-                factor = subs.get(var, IndexPolynomial.variable(var))
-                term = term * factor ** exp
-            result = result + term
-        return result
-
     # arithmetic
 
     def __add__(self, other) -> "IndexPolynomial":
@@ -165,14 +149,6 @@ class IndexPolynomial:
         if not other:
             raise ZeroDivisionError("division by zero")
         return IndexPolynomial({m: c / other for m, c in self._terms.items()})
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = IndexPolynomial.constant(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

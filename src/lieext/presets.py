@@ -45,7 +45,7 @@ def _parse_or_fail(source: str, origin: str) -> AlgebraSpec:
 
 def is_svir(spec: AlgebraSpec) -> bool:
     """Whether spec has the bundled svir's bracket table, whatever its name
-    and declared classes: the mu = 0 refusal and the prediction follow it."""
+    and declared classes: the CLI's closed-form prediction follows it."""
     return spec._table() == load_algebra("svir")._table()
 
 

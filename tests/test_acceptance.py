@@ -17,9 +17,10 @@ import time
 from fractions import Fraction
 
 from conftest import ACCEPTANCE_LINES
+from isomorphism import weight
 from oracle_dense import dense_in_span, dense_matvec, dense_nullspace, dense_rank
 from test_dsl import _random_spec_source
-from test_engine import _identity_row
+from test_engine import _identity_row, _named
 from test_sparse import _echelon, _matrix, _random_dense
 
 from lieext.algebra import (
@@ -296,10 +297,10 @@ def test_criterion_6_identity_row_golden_relations():
         mu = Fraction(rng.choice([v for v in range(-4, 5) if v]), rng.choice((1, 2, 3)))
         params = validate_parameters(SVIR, {"lambda": lam, "mu": mu})
         (x, y, z), expected = _golden_row(shape, m, n, lam, mu)
-        degree = sum(SVIR.weight(e, params) for e in (x, y, z))
+        degree = sum(weight(SVIR, e, params) for e in (x, y, z))
         pairs = enumerate_pairs(SVIR, params, window, degree)
         row = _identity_row(SVIR, params, window, x, y, z, pairs)
-        named = {pairs.pair_at(col): value for col, value in row.items()}
+        named = _named(row, pairs)
         if named != expected:
             failures.append((shape, m, n, lam, mu, named, expected))
         samples += 1

@@ -234,11 +234,19 @@ def test_preset_path_environment_resolution(tmp_path):
     assert proc.stdout.startswith("jacobi window: PASS (84 triples")
 
 
-def test_mu_zero_is_a_usage_error():
+def test_mu_zero_is_reported():
+    # svir(lambda, 0) is svir(lambda, 1) up to a graded isomorphism, and
+    # gets its report: at lambda = -1 the core and classes of mu = 1
     proc = run_cli("h2", "--algebra", "svir", "--lambda=-1", "--mu", "0",
                    "--window", "8")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: mu = 0 is out of scope")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "core_h2_dim: 3" in lines
+    assert "stabilized: yes (N=8: 3, N=10: 3, N=12: 3)" in lines
+    assert ("matched: virasoro=yes, c1=yes, c2=yes, ly-linear=no, ly-cubic=no, "
+            "ly-constant=no, lm-yy-cubic=no") in lines
+    assert "predicted_dim: 3" in lines
+    assert "agree: yes" in lines
 
 
 def test_parameter_given_twice_is_a_usage_error():
@@ -270,17 +278,14 @@ def test_renamed_svir_copy_gets_the_svir_rules(tmp_path):
 
     path = tmp_path / "svcopy.lie"
     path.write_text(preset_source("svir").replace("algebra svir(", "algebra svcopy("))
-    proc = run_cli("h2", "--algebra", str(path), "--lambda=-1", "--mu", "0",
-                   "--window", "6", "--steps", "1")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: mu = 0 is out of scope")
-    proc = run_cli("h2", "--algebra", str(path), "--lambda=-1", "--mu", "1",
-                   "--window", "8", "--steps", "2")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert "algebra: svcopy" in lines
-    assert "predicted_dim: 3" in lines
-    assert "agree: yes" in lines
+    for mu in ("1", "0"):
+        proc = run_cli("h2", "--algebra", str(path), "--lambda=-1", "--mu", mu,
+                       "--window", "8", "--steps", "2")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "algebra: svcopy" in lines
+        assert "predicted_dim: 3" in lines
+        assert "agree: yes" in lines
 
 
 @pytest.mark.parametrize("source, core, classes", [

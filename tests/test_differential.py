@@ -67,10 +67,12 @@ from lieext.presets import load_algebra
 from lieext.sparse import nullspace
 
 from golden import WAB_SOURCE
+from isomorphism import substitute, weight
 from oracle_dense import dense_in_span, dense_nullspace, dense_rank
 from test_acceptance import GRID_LAMBDAS, GRID_MUS
 from test_cli import CORRUPT_SOURCE, HV_SOURCE, W22_SOURCE
 from test_dsl import _random_spec_source
+from test_engine import _assignment, _column_of, _pair_list
 
 POINTS = [
     pytest.param("svir", {"lambda": -3, "mu": "1/2"}, id="svir(-3,1/2)"),
@@ -132,8 +134,8 @@ def _dense_system(spec, params, window):
     """(pairs, constraint rows, coboundary generators, core columns), with
     dense rows and generators over the list of pairs."""
     elements = [BasisElement(fam, i) for fam in spec.families for i in window.indices()]
-    weight = {e: spec.weight(e, params) for e in elements}
-    pairs = [(x, y) for x, y in combinations(elements, 2) if weight[x] + weight[y] == 0]
+    weight_of = {e: weight(spec, e, params) for e in elements}
+    pairs = [(x, y) for x, y in combinations(elements, 2) if weight_of[x] + weight_of[y] == 0]
     column = {pair: col for col, pair in enumerate(pairs)}
 
     def add(vector, e, w, value):
@@ -144,7 +146,7 @@ def _dense_system(spec, params, window):
 
     rows = []
     for x, y, z in combinations(elements, 3):
-        if weight[x] + weight[y] + weight[z] != 0:
+        if weight_of[x] + weight_of[y] + weight_of[z] != 0:
             continue
         row = [Fraction(0)] * len(pairs)
         admissible = True
@@ -161,7 +163,7 @@ def _dense_system(spec, params, window):
 
     generators = []
     for z in elements:
-        if weight[z] != 0:
+        if weight_of[z] != 0:
             continue
         vector = [Fraction(0)] * len(pairs)
         for x, y in pairs:
@@ -187,9 +189,9 @@ def _assert_rows_match_reference(spec, params, window):
     pairs, rows, _, _ = _dense_system(spec, params, window)
     engine_pairs = enumerate_pairs(spec, params, window, 0)
     matrix = assemble_constraints(spec, params, window, 0, engine_pairs)
-    assert list(engine_pairs) == pairs
+    assert _pair_list(engine_pairs) == pairs
     dense_rows = [{col: value for col, value in enumerate(row) if value} for row in rows]
-    assert _row_multiset(matrix.rows(), engine_pairs.pair_at) == _row_multiset(
+    assert _row_multiset(matrix.rows(), pairs.__getitem__) == _row_multiset(
         dense_rows, pairs.__getitem__
     )
 
@@ -248,11 +250,9 @@ def test_engine_matches_dense_oracle(name, values):
         # virasoro makes it nontrivial; support only on non-core pairs has
         # the empty core projection, which is in the span
         total = [sum(column) for column in zip(*generators)]
-        bound = CocycleAssignment.from_vector(engine_pairs, total)
+        bound = _assignment(engine_pairs, total)
         virasoro = applicable["virasoro"]
-        shifted = CocycleAssignment.from_vector(
-            engine_pairs, [a + virasoro.value(x, y) for a, (x, y) in zip(total, pairs)]
-        )
+        shifted = _assignment(engine_pairs, [a + virasoro.value(x, y) for a, (x, y) in zip(total, pairs)])
         edge = CocycleAssignment(spec, window, {(BasisElement("L", -n), BasisElement("L", n)): 1})
         extra = {"generators": bound, "generators+virasoro": shifted, "edge": edge}
         for label, psi in [*applicable.items(), *extra.items()]:
@@ -389,12 +389,12 @@ def _reference_identities(spec, params, window, degree):
     elements = sorted(
         (BasisElement(fam, i) for fam in spec.families for i in window.indices()), key=key
     )
-    weight = {e: spec.weight(e, params) for e in elements}
+    weight_of = {e: weight(spec, e, params) for e in elements}
     offsets = {fam: spec.weight_offsets[fam].evaluate(params) for fam in spec.families}
     triples = []
     for x, y in combinations(elements, 2):
         for fam in spec.families:
-            index = degree - weight[x] - weight[y] - offsets[fam]
+            index = degree - weight_of[x] - weight_of[y] - offsets[fam]
             if index.denominator == 1 and window.contains(int(index)):
                 z = BasisElement(fam, int(index))
                 if key(z) > key(y):
@@ -492,7 +492,7 @@ def test_compiled_identity_matches_reference(name, values, n):
                 continue
             row = {}
             for coeff, e, w in terms:
-                col, sign = pairs.column_of(e, w)
+                col, sign = _column_of(pairs, e, w)
                 row[col] = row.get(col, 0) + sign * coeff
             row = {col: value for col, value in row.items() if value}
             dots = [sum(value * vec.get(col, 0) for col, value in row.items()) for vec in vectors]
@@ -791,11 +791,11 @@ def test_pair_basis_equals_element_enumeration(tmp_path, source, values, degree)
     expected = [
         (x, y)
         for x, y in combinations(elements, 2)
-        if spec.weight(x, params) + spec.weight(y, params) == Fraction(degree)
+        if weight(spec, x, params) + weight(spec, y, params) == Fraction(degree)
     ]
     pairs = enumerate_pairs(spec, params, window, degree)
     assert expected and len(pairs) == len(expected)
-    assert pairs.pairs == list(pairs) == [pairs.pair_at(col) for col in range(len(pairs))] == expected
+    assert _pair_list(pairs) == expected
     assert pairs.core_columns() == [
         col
         for col, (x, y) in enumerate(expected)
@@ -1012,7 +1012,7 @@ def test_jacobi_checks_match_the_bracket_walk(tmp_path, source, values):
     residuals = {}
     for families, out_family, poly in symbolic.residuals:
         positions = tuple(map(spec.family_position, families))
-        residuals.setdefault(positions, []).append((spec.family_position(out_family), poly.substitute(params)))
+        residuals.setdefault(positions, []).append((spec.family_position(out_family), substitute(poly, params)))
     for families in combinations_with_replacement(range(len(spec.families)), 3):
         for idx in product(range(-3, 4), repeat=3):
             expected = {

@@ -5,12 +5,30 @@ from fractions import Fraction
 
 import pytest
 
-from lieext.dsl import parse, parse_polynomial, render
+from lieext.dsl import _Abort, _Parser, parse, render
 from lieext.poly import IndexPolynomial
 from lieext.presets import preset_source
 
+from isomorphism import substitute
+
 V = IndexPolynomial.variable
 C = IndexPolynomial.constant
+
+
+def parse_polynomial(text: str, variables) -> IndexPolynomial:
+    """A bare expression over the given variables, read by the .lie
+    expression grammar; raises ValueError with the first error."""
+    parser = _Parser(text)
+    try:
+        value = parser.parse_expr(frozenset(variables))
+        if parser.peek().kind != "eof":
+            parser.error("syntax", f"unexpected trailing input {parser.peek().text!r}")
+    except _Abort:
+        value = None
+    errors = [d for d in parser.diagnostics if d.severity == "error"]
+    if errors:
+        raise ValueError(f"bad polynomial {text!r}: {errors[0]}")
+    return value
 
 
 def test_parse_svir_preset():
@@ -207,7 +225,7 @@ def _random_spec_source(rng):
             out = rng.choice(families)
             if fa == fb:
                 q, _ = _random_poly_text(rng, ["n", "m"] + params)
-                coeff = q - q.substitute({"n": V("m"), "m": V("n")})
+                coeff = q - substitute(q, {"n": V("m"), "m": V("n")})
             else:
                 coeff, _ = _random_poly_text(rng, ["n", "m"] + params)
             if coeff.is_zero():

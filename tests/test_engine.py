@@ -30,6 +30,7 @@ from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
 
 from golden import WAB_SOURCE
+from isomorphism import weight
 from oracle_dense import dense_in_span, dense_matvec
 
 SVIR = load_algebra("svir")
@@ -48,13 +49,34 @@ def M(n):
     return BasisElement("M", n)
 
 
+def _pair_list(pairs) -> list:
+    """The element pairs of a PairBasis's columns, in column order."""
+    return [(pairs._element(x), pairs._element(y)) for x, y in pairs._index]
+
+
+def _named(row, pairs) -> dict:
+    """A row {column: value} keyed by the element pairs of its columns."""
+    listed = _pair_list(pairs)
+    return {listed[col]: value for col, value in row.items()}
+
+
+def _column_of(pairs, x, y) -> tuple:
+    """(column, sign) of the pair {x, y} in a PairBasis."""
+    return pairs._column(pairs.spec.element_key(x), pairs.spec.element_key(y))
+
+
+def _assignment(pairs, vector) -> CocycleAssignment:
+    """The CocycleAssignment of a vector over a PairBasis's columns."""
+    return CocycleAssignment(pairs.spec, pairs.window, dict(zip(_pair_list(pairs), vector, strict=True)))
+
+
 def _pairs_within(pairs, bound):
     """Restrict an enumeration to pairs with both indices in [-bound, bound].
 
     Pair membership depends only on weights, so this equals the enumeration
     over the smaller index range (too small to be a legal Window directly).
     """
-    return {(x, y) for x, y in pairs if abs(x.index) <= bound and abs(y.index) <= bound}
+    return {(x, y) for x, y in _pair_list(pairs) if abs(x.index) <= bound and abs(y.index) <= bound}
 
 
 def _identity_row(spec, params, window, x, y, z, pairs):
@@ -111,22 +133,22 @@ def test_enumerate_pairs_integer_mu_small_window():
 
 def test_pair_basis_canonical_order_and_orientation():
     pairs = enumerate_pairs(SVIR, {"lambda": 0, "mu": 1}, Window(6, 2), 0)
-    listed = list(pairs)
+    listed = _pair_list(pairs)
     assert listed == sorted(listed, key=lambda p: (SVIR.element_key(p[0]), SVIR.element_key(p[1])))
-    col, sign = pairs.column_of(L(-1), Y(0))
+    col, sign = _column_of(pairs, L(-1), Y(0))
     assert sign == 1
-    col2, sign2 = pairs.column_of(Y(0), L(-1))
+    col2, sign2 = _column_of(pairs, Y(0), L(-1))
     assert (col2, sign2) == (col, -1)
-    assert pairs.pair_at(pairs.column_of(L(0), Y(-1))[0]) == (L(0), Y(-1))
+    assert listed[_column_of(pairs, L(0), Y(-1))[0]] == (L(0), Y(-1))
     with pytest.raises(ValueError):
-        pairs.column_of(L(0), Y(5))
+        _column_of(pairs, L(0), Y(5))
 
 
 def test_identity_row_witt_golden():
     window = Window(6, 3)
     pairs = enumerate_pairs(WITT, {}, window, 0)
     row = _identity_row(WITT, {}, window, L(1), L(2), L(-3), pairs)
-    named = {pairs.pair_at(col): value for col, value in row.items()}
+    named = _named(row, pairs)
     assert named == {
         (L(-3), L(3)): Fraction(-1),
         (L(-1), L(1)): Fraction(-5),
@@ -151,7 +173,7 @@ def test_identity_row_half_integer_mu_single_entry():
     for m in (1, 2):
         n = -1 - m
         row = _identity_row(SVIR, params, window, L(0), Y(m), Y(n), pairs)
-        named = {pairs.pair_at(col): value for col, value in row.items()}
+        named = _named(row, pairs)
         assert named == {(L(0), M(-1)): Fraction(m - n)}
 
 
@@ -250,7 +272,7 @@ def test_coboundary_space_dims():
     generator = list(basis)[0]
     pairs = enumerate_pairs(SVIR, params, Window(4, 1), 0)
     psi = CocycleAssignment(SVIR, Window(4, 1), {(L(-n), L(n)): Fraction(2 * n) for n in range(1, 5)})
-    expected = [psi.value(x, y) for x, y in pairs]
+    expected = [psi.value(x, y) for x, y in _pair_list(pairs)]
     assert dense_in_span(expected, basis, len(pairs))
     # weight-0 elements L_0, Y_{-1}, M_{-2} give three independent generators
     # at generic lambda; at lambda = -3 the Y functional acts by zero
@@ -316,7 +338,7 @@ def test_cocycle_vectors_verify():
     window = Window(8, 3)
     pairs = enumerate_pairs(SVIR, params, window, 0)
     for vec in cocycle_space(SVIR, params, window, 0, pairs):
-        psi = CocycleAssignment.from_vector(pairs, vec)
+        psi = _assignment(pairs, vec)
         assert verify_cocycle(SVIR, params, window, psi).passed
 
 
@@ -377,8 +399,8 @@ def test_theorem_predicted_dim_table():
     assert theorem_predicted_dim(1, -2) == 2
     assert theorem_predicted_dim(0, 1) == 1
     assert theorem_predicted_dim(-1, "1/2") == 1
-    with pytest.raises(ValueError):
-        theorem_predicted_dim(0, 0)
+    # mu = 0 is an integer mu: svir(lambda, 0) is svir(lambda, 1)
+    assert [theorem_predicted_dim(lam, 0) for lam in (-3, -1, 0, 1)] == [2, 3, 1, 2]
 
 
 def test_match_known_monotone_in_window():
@@ -427,8 +449,8 @@ def test_cocycle_assignment_vector_round_trip():
     pairs = enumerate_pairs(SVIR, params, window, 0)
     rng = random.Random(11)
     vector = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(len(pairs))]
-    psi = CocycleAssignment.from_vector(pairs, vector)
-    assert [psi.value(x, y) for x, y in pairs] == vector
+    psi = _assignment(pairs, vector)
+    assert [psi.value(x, y) for x, y in _pair_list(pairs)] == vector
     assert psi.value(Y(0), L(-1)) == -psi.value(L(-1), Y(0))
 
 
@@ -440,7 +462,7 @@ def test_float_cocycle_values_rejected():
     vector = [Fraction(0)] * len(pairs)
     vector[0] = 0.5
     with pytest.raises(ValueError, match="cocycle value must be rational, got float"):
-        CocycleAssignment.from_vector(pairs, vector)
+        _assignment(pairs, vector)
     exact = CocycleAssignment(WITT, window, {(L(-1), L(1)): "1/10", (L(-2), L(2)): 3})
     assert exact.values == {(L(-1), L(1)): Fraction(1, 10), (L(-2), L(2)): Fraction(3)}
 
@@ -463,7 +485,7 @@ def test_cocycle_assignment_refusals_and_canonical_form():
     params = {"lambda": 0, "mu": 1}
 
     def degrees(psi):
-        return {SVIR.weight(x, params) + SVIR.weight(y, params) for x, y in psi.values}
+        return {weight(SVIR, x, params) + weight(SVIR, y, params) for x, y in psi.values}
 
     assert degrees(psi) == {0}
     mixed = CocycleAssignment(SVIR, window, {(L(-2), Y(1)): 1, (L(-1), L(2)): 1})
@@ -514,9 +536,10 @@ def test_applicability_validates_its_parameters():
         c1.applicability(SVIR, {})
     with pytest.raises(ParameterError, match="^unknown parameter 'nu'"):
         c1.applicability(SVIR, {"lambda": -1, "mu": 1, "nu": 0})
-    with pytest.raises(ParameterError, match="^mu = 0 is out of scope for svir"):
-        c1.applicability(SVIR, {"lambda": -1, "mu": 0})
+    with pytest.raises(ParameterError, match="^parameter 'mu' must be rational, got float"):
+        c1.applicability(SVIR, {"lambda": -1, "mu": 0.5})
     assert c1.applicability(SVIR, {"lambda": -1, "mu": "1"}) is None
+    assert c1.applicability(SVIR, {"lambda": -1, "mu": 0}) is None
 
 
 def test_instantiate_refuses_weights_that_do_not_add():
@@ -643,7 +666,7 @@ def test_coboundary_assignment_is_coboundary():
             (coeff * functional.get(e, 0) for coeff, e in SVIR.bracket(x, y, pfull)),
             Fraction(0),
         )
-        for x, y in enumerate_pairs(SVIR, params, window, 0)
+        for x, y in _pair_list(enumerate_pairs(SVIR, params, window, 0))
     }
     degree_zero = CocycleAssignment(SVIR, window, values)
     assert degree_zero.values

@@ -1,0 +1,105 @@
+"""Graded isomorphisms (tests/isomorphism.py) as an exact oracle.
+
+svir(lambda, mu) is isomorphic to svir(lambda, -mu) by L_n -> -L_{-n},
+Y_m -> Y_{-m}, M_m -> -M_{-m}, and to svir(lambda, mu - 1) by
+Y_m -> Y_{m-1}, M_m -> M_{m-2}.  Both are checked on the spec, symbolically.
+Negation maps the window [-N, N] onto itself and keeps degree 0, so h2 must
+give an algebra and its negation the same numbers at every window: a
+solver that treats the two window edges differently, or that leans on the
+sign of an index, fails here.  The shift moves the window instead, and is
+checked where the mu = 0 binding meets it: svir(lambda, 0) against
+svir(lambda, 1).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from lieext.dsl import parse
+from lieext.engine import Window, h2
+from lieext.presets import load_algebra
+
+from golden import WAB_SOURCE
+from isomorphism import V, negated, shifted, substituted
+from test_acceptance import GRID_LAMBDAS, GRID_MUS
+from test_cli import HV_SOURCE, W22_SOURCE
+from test_differential import NO_WEIGHT_ZERO_SOURCE
+
+SVIR = load_algebra("svir")
+SVIR_SIGNS = {"L": -1, "Y": 1, "M": -1}
+MU = V("mu")
+
+
+def _numbers(spec, params, n):
+    """What h2 reports at degree 0 on Window(n), stabilization windows
+    included, or the text of its refusal."""
+    try:
+        report = h2(spec, params, Window(n))
+    except ValueError as exc:
+        return str(exc)
+    return (
+        report.core_history,
+        report.cocycle_dim,
+        report.coboundary_dim,
+        [(m.name, m.matched) for m in report.matched_known],
+        report.grading is None,
+        report.jacobi is None,
+    )
+
+
+def test_negation_maps_svir_to_svir_at_minus_mu():
+    negative = negated(SVIR, SVIR_SIGNS)
+    assert negative._table() == substituted(SVIR, {"mu": -MU})._table()
+    assert negative.weight_offsets == {"L": 0, "Y": -MU, "M": -2 * MU}
+    # the signs matter: M_m -> M_{-m} instead flips the sign of [Y, Y]
+    assert negated(SVIR, {"L": -1})._table() != negative._table()
+
+
+def test_shift_maps_svir_to_svir_at_mu_minus_one():
+    # the bracket table and every declared class, line by line
+    assert shifted(SVIR, {"Y": -1, "M": -2}) == substituted(SVIR, {"mu": MU - 1})
+    assert shifted(SVIR, {"Y": 1, "M": 2}) == substituted(SVIR, {"mu": MU + 1})
+    # [Y_n, Y_m] lands on M_{n+m}: a shift of Y alone is no isomorphism
+    with pytest.raises(ValueError, match=r"the shifts of \[Y, Y\] do not add"):
+        shifted(SVIR, {"Y": 1})
+
+
+def test_negation_keeps_h2_on_the_svir_grid():
+    negative = negated(SVIR, SVIR_SIGNS)
+    for lam in GRID_LAMBDAS:
+        for mu in GRID_MUS:
+            params = {"lambda": lam, "mu": mu}
+            assert _numbers(negative, params, 12) == _numbers(SVIR, params, 12), params
+
+
+@pytest.mark.parametrize(
+    "source, points, n",
+    [
+        ("witt", [{}], 8),
+        ("witt", [{}], 12),
+        (WAB_SOURCE, [{"lambda": 1, "mu": 0}, {"lambda": 0, "mu": Fraction(1, 2)}], 8),
+        (NO_WEIGHT_ZERO_SOURCE, [{}], 8),
+        (NO_WEIGHT_ZERO_SOURCE, [{}], 12),
+        (HV_SOURCE, [{}], 12),
+        (W22_SOURCE, [{}], 12),
+        # too small a window for the M-M sector at mu = 2 and 3/2: refused
+        ("svir", [{"lambda": 1, "mu": 2}, {"lambda": -1, "mu": Fraction(3, 2)}], 6),
+    ],
+    ids=["witt-8", "witt-12", "wab", "graded3-8", "graded3-12", "hv", "w22", "svir-refusals"],
+)
+def test_negation_keeps_h2(source, points, n):
+    spec = load_algebra(source) if source in ("witt", "svir") else parse(source).spec
+    negative = negated(spec, {"L": -1})
+    for params in points:
+        expected = _numbers(spec, params, n)
+        assert _numbers(negative, params, n) == expected, params
+        if source == "svir":
+            assert expected.startswith("window too small: the M-M sector"), expected
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_mu_zero_is_mu_one(n):
+    for lam in GRID_LAMBDAS:
+        zero, one = (h2(SVIR, {"lambda": lam, "mu": mu}, Window(n)) for mu in (0, 1))
+        assert zero.core_history == one.core_history, lam
+        assert [m.name for m in zero.matched_known if m.matched] == [m.name for m in one.matched_known if m.matched]

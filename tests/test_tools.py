@@ -54,3 +54,61 @@ def test_benchmark_names_exist():
                     assert hasattr(module, alias.name), f"{name}: {node.module}.{alias.name}"
             elif isinstance(node, ast.Attribute) and re.fullmatch(r"lieext(\.\w+)+", ast.unparse(node)):
                 functools.reduce(getattr, ast.unparse(node).split(".")[1:], lieext)
+
+
+# The public names of src/lieext that no program reads.  Each is a library
+# call the README documents, under the heading named.
+API_ALLOWED = {
+    "cocycle_space",  # the cocycle basis of one window ("How H^2 is computed")
+    "nonzero_degree_triviality",  # that a nonzero degree carries no H^2 ("Exit codes")
+    "CocycleAssignment.to_json_dict",  # writes what `verify --cocycle FILE` reads ("JSON formats")
+    "KnownCocycle.applicability",  # why a class does not apply at a binding ("Cocycle registry")
+}
+
+
+def _read_names(tree, skip=None) -> set:
+    """The names read by the ast Name and Attribute nodes of tree, outside
+    the node skip."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # no public API exists only for tests: every public module-level function
+    # and class of src/lieext, and every public method, is read by name in src/
+    # outside its own definition, in perfbench/ or tools/, or in the README's
+    # "Library use" example, or is on API_ALLOWED; dunders are exempt, and a
+    # mention in a docstring or comment is no caller
+    from test_engine import _readme_library_code
+
+    modules = [ast.parse(path.read_text()) for path in (ROOT / "src" / "lieext").glob("*.py")]
+    outside = _read_names(ast.parse(_readme_library_code()))
+    for path in [*(ROOT / "perfbench").rglob("*.py"), *TOOLS.rglob("*.py")]:
+        outside |= _read_names(ast.parse(path.read_text()))
+    defined = []
+    for tree in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    uncalled = {
+        qualname
+        for qualname, node in defined
+        if (name := qualname.rpartition(".")[2]) not in outside
+        and not any(name in _read_names(tree, skip=node) for tree in modules)
+    }
+    assert uncalled == API_ALLOWED
