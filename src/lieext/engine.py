@@ -66,8 +66,12 @@ as a polynomial identity at the bound parameters, on the triple's families
 and on L with each two of them.  The plan expands the identity once
 (_Plan.failing, from algebra._jacobi_residuals), and h2 reports the family
 triples where it fails (H2Report.jacobi).  Otherwise, and when no family
-fits L, every triple is walked.  verify_cocycle walks every triple too,
-since its count of triples checked is part of its report.
+fits L, every triple is walked.  verify_cocycle walks every triple of a
+family triple with a term whose columns lie in a sector (family pair)
+where psi is nonzero.  Every other family triple's dot products are 0, so
+it counts that one's admissible triples instead (_Identity.admissible):
+only a triple with an index at the window edge can have an output outside.
+Its count of triples checked, part of its report, stays exact.
 
 The result is the one full elimination gives.  Every admissible row is in
 the echelon, or walked and passed against a nullspace that contains the
@@ -111,17 +115,18 @@ and on j alone.  Each family triple's identity is therefore compiled once
 per plan into three per-index tables whose entries are a (column, sign),
 "the output is the paired element" (no contribution), or "the output leaves
 the window" (the triple is dropped if the coefficient there is nonzero).
-Assembly, the subset solve, the check and verify_cocycle all read these
-tables.  The check and verify_cocycle replace each table's columns by
-vector entries and walk the triples in one loop (_Identity.walk).
-verify_cocycle uses psi's values.  The check packs the entries of all d
-null vectors at a column into one integer, in slots of w bits, and sums
-one packed dot product per triple.  w is set by a bound on the bracket
-coefficients over the window, so that no slot's dot product can reach the
-next slot: the packed sum is zero exactly when all d dot products are
-(_packed has the proof).  A term whose entry is zero is skipped without
-evaluating its coefficient, while a term whose output leaves the window is
-always evaluated, so admissibility is still decided exactly.
+Assembly, the subset solve, the check and verify_cocycle's walks all
+read these tables, which are built at their first use.  The check and
+verify_cocycle replace each table's columns by vector entries and walk the
+triples in one loop (_Identity.walk).  verify_cocycle uses psi's values.
+The check packs the entries of all d null vectors at a column into one
+integer, in slots of w bits, and sums one packed dot product per triple.
+w is set by a bound on the bracket coefficients over the window, so that
+no slot's dot product can reach the next slot: the packed sum is zero
+exactly when all d dot products are (_packed has the proof).  A term
+whose entry is zero is skipped without evaluating its coefficient, while a
+term whose output leaves the window is always evaluated, so admissibility
+is still decided exactly.
 
 Degrees, coefficients, and dimensions are exact rationals end to end.  Each
 public call binds its parameters once (a BoundAlgebra), and every bracket
@@ -332,46 +337,50 @@ class _Identity:
     [F_i, G_j] psi(., H_k) has output index total - k, so its column and
     skew sign depend on k alone; [G_j, H_k] psi(., F_i) depends on i alone
     and [H_k, F_i] psi(., G_j) on j alone.  Each term whose family pair
-    brackets to something is held as (coefficient terms, table, w, u, v):
-    table[idx[w] + n] is (column, sign), _EQUAL or _OUT for the index at
-    position w of idx = (i, j, k), and the bracket coefficient is evaluated
-    at idx[u], idx[v].  bound is at least the sum of |coefficient| over the
-    terms at any triple of window indices.  Every row expansion in this
-    module reads these tables; sliced() gives them on a smaller window.
+    brackets to something is held in rules as (coefficient terms, output
+    family, paired family, w, u, v), and in terms as (coefficient terms,
+    table, w, u, v): table[idx[w] + n] is (column, sign), _EQUAL or _OUT
+    for the index at position w of idx = (i, j, k), and the bracket
+    coefficient is evaluated at idx[u], idx[v].  bound is at least the sum
+    of |coefficient| over the terms at any triple of window indices.  The
+    tables are built at their first use: every row expansion in this module
+    reads them, while an identity verify_cocycle does not walk reads only
+    rules (admissible); sliced() gives them on a smaller window.
     """
 
-    __slots__ = ("families", "total", "n", "terms", "bound", "pins")
-
     def __init__(self, alg: BoundAlgebra, window: Window, pairs: PairBasis, families, total: int):
-        self.families = families
-        self.total = total
-        self.n = window.n
+        self.families, self.total, self.n, self.pairs = families, total, window.n, pairs
         # the pinned indices: -1, and 0 too when no family has weight 0
         self.pins = (-1,) if any(not alg.offsets[p] for p in families) else (-1, 0)
         a, b, c = families
-        self.terms = []
         cyclic = (((a, b, c), (2, 0, 1)), ((b, c, a), (0, 1, 2)), ((c, a, b), (1, 2, 0)))
-        for (p, q, r), (w, u, v) in cyclic:
-            rule = alg._rules[p][q]
-            if rule is None:
-                continue
-            out, coefficient = rule
+        self.rules = [
+            (rule[1], rule[0], r, *positions)
+            for (p, q, r), positions in cyclic
+            if (rule := alg._rules[p][q]) is not None
+        ]
+        self.bound = self._bound()
+
+    @cached_property
+    def terms(self) -> list:
+        n, total, terms = self.n, self.total, []
+        for coefficient, out, r, w, u, v in self.rules:
             table = []
-            for index in window.indices():
+            for index in range(-n, n + 1):
                 output = (out, total - index)
                 if output == (r, index):
                     table.append(_EQUAL)
-                elif not window.contains(output[1]):
+                elif abs(output[1]) > n:
                     table.append(_OUT)
                 else:
-                    table.append(pairs._column(output, (r, index)))
-            self.terms.append((coefficient, table, w, u, v))
-        self.bound = self._bound()
+                    table.append(self.pairs._column(output, (r, index)))
+            terms.append((coefficient, table, w, u, v))
+        return terms
 
     def _bound(self) -> int:
         # |k * i**e * j**f| <= |k| * n**(e + f) for indices i, j in [-n, n]
         n = self.n
-        return sum(abs(k) * n ** (e + f) for coefficient, *_ in self.terms for k, e, f in coefficient)
+        return sum(abs(k) * n ** (e + f) for coefficient, *_ in self.rules for k, e, f in coefficient)
 
     def sliced(self, n: int) -> "_Identity":
         """This identity on the window [-n, n] inside its own: each table
@@ -383,6 +392,7 @@ class _Identity:
             return self
         view = object.__new__(_Identity)
         view.families, view.total, view.pins, view.n = self.families, self.total, self.pins, n
+        view.rules = self.rules
         # the positions in [0, 2n] of the indices whose output index
         # total - index lies in [-n, n]; position p is p + shift in table
         low, high = max(0, self.total), min(2 * n, self.total + 2 * n)
@@ -407,6 +417,28 @@ class _Identity:
         low = max(-n, total - i - n, i + 1 if a == b else -n)
         high = min(n, total - i + n, (total - i - 1) // 2 if b == c else n)
         return range(low, high + 1)
+
+    def reaches(self, sectors) -> bool:
+        """Whether a term's columns lie in one of `sectors`, family pairs
+        (a, b) with a <= b: those of a pair of the output family and the
+        paired one."""
+        return any((min(out, r), max(out, r)) in sectors for _, out, r, *_ in self.rules)
+
+    def admissible(self) -> int:
+        """The number of admissible window triples, as walk() counts them
+        when no entry is nonzero: all but those with a term whose output
+        index total - idx[w] leaves the window, exactly the _OUT entries,
+        and whose coefficient there is nonzero.  Those meet the edge
+        indices v with |total - v| > n."""
+        n, total = self.n, self.total
+        count = sum(len(self._js(i)) for i in range(-n, n + 1))
+        for i, j in self.meeting([v for v in range(-n, n + 1) if abs(total - v) > n]):
+            idx = (i, j, total - i - j)
+            for coefficient, _, _, w, u, v in self.rules:
+                if abs(total - idx[w]) > n and _evaluate(coefficient, idx[u], idx[v]):
+                    count -= 1
+                    break
+        return count
 
     def meeting(self, values) -> list:
         """The (i, j) of the window triples (i, j, total - i - j) with an
@@ -637,7 +669,7 @@ class _Plan:
         return [
             identity
             for identity in _identities(self.alg, self.window, self.degree, self.pairs)
-            if identity.terms
+            if identity.rules
         ]
 
     @cached_property
@@ -1034,8 +1066,13 @@ class VerifyReport:
 
 
 def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
-    """Check every admissible window triple against the cocycle identity.
+    """Check every admissible window triple against the cocycle identity,
+    degree by degree, and count them.
 
+    Only the family triples with a term whose columns lie in a sector where
+    psi is nonzero are compiled and walked, in (i, j) order up to the first
+    failing triple, the witness.  Every other family triple's residuals are
+    0: its admissible triples are counted (_Identity.admissible) and pass.
     Accepts a KnownCocycle (instantiated here; inapplicable parameter
     values raise with the violated condition) or a CocycleAssignment.
     """
@@ -1056,7 +1093,13 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
     for degree, ratios in sorted(groups.items()):
         pairs = _enumerate_pairs(alg, window, degree)
         vector, scale = _on_columns(ratios, pairs)
+        sectors = {(x[0], y[0]) for x, y in ratios}
         for identity in _identities(alg, window, degree, pairs):
+            if not identity.reaches(sectors):
+                # psi is 0 on every column of its terms: its admissible
+                # triples all pass
+                checked += identity.admissible()
+                continue
             count, failed = identity.walk(identity.valued(vector)[0])
             checked += count
             if failed is not None:

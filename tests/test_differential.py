@@ -53,6 +53,7 @@ from lieext.dsl import parse
 from lieext.engine import (
     REGISTRY,
     CocycleAssignment,
+    KnownCocycle,
     Window,
     assemble_constraints,
     coboundary_space,
@@ -436,6 +437,34 @@ def _reference_verify(identities, psi):
     return True, checked, None
 
 
+def _perturbed_by_sector(spec, params, window, psi) -> list:
+    """psi plus 1 at one pair of each sector (family pair) with pairs at
+    degree 0, one assignment per sector: the pair of smallest radius, the
+    first in column order among those, so that it lies in the core."""
+    chosen = {}
+    for x, y in _pair_list(enumerate_pairs(spec, params, window, 0)):
+        radius = max(abs(x.index), abs(y.index))
+        if radius < chosen.get((x.family, y.family), (radius + 1,))[0]:
+            chosen[(x.family, y.family)] = (radius, (x, y))
+    perturbed = []
+    for _, pair in chosen.values():
+        values = dict(psi.values)
+        values[pair] = values.get(pair, 0) + 1
+        perturbed.append(CocycleAssignment(spec, window, values))
+    return perturbed
+
+
+def _sectors_alone(psi) -> list:
+    """psi restricted to each of its sectors in turn, when it has several."""
+    sectors = {(x.family, y.family) for x, y in psi.values}
+    return [
+        CocycleAssignment(psi.spec, psi.window, {
+            (x, y): value for (x, y), value in psi.values.items() if (x.family, y.family) == sector
+        })
+        for sector in sorted(sectors) if len(sectors) > 1
+    ]
+
+
 def _scaled(row):
     """A row divided by its entry at the smallest column."""
     lead = row[min(row)]
@@ -461,10 +490,19 @@ def test_compiled_identity_matches_reference(name, values, n):
     expected = _reference_verify(identities, perturbed)
     assert not expected[0]
     assert report(perturbed) == expected
+    # verify_cocycle walks only the family triples with a term in a sector
+    # where psi is nonzero and counts the triples of the others: perturbed
+    # in one sector, or restricted to one sector of a class that holds
+    # several, psi may first fail in any family triple that sector reaches,
+    # and the count before it takes in the skipped ones
+    cases = _perturbed_by_sector(spec, params, window, virasoro)
     for known in REGISTRY.values():
         if known.applicability(spec, params) is None:
             psi = known.instantiate(spec, params, window)
             assert report(known) == _reference_verify(identities, psi), known.name
+            cases += _sectors_alone(psi)
+    for psi in cases:
+        assert report(psi) == _reference_verify(identities, psi)
 
     # wrong null vectors, packed and walked over every triple.  First two
     # sparse small ones, then four with entries near +-2**61 of both signs,
@@ -519,6 +557,60 @@ def test_compiled_identity_matches_reference(name, values, n):
                 rest = rest[rest.index(idx[:2]) + 1 :]
                 failed = identity.walk(terms, rest)[1]
         assert walked == flagged
+
+
+def _coboundary_of(spec, params, window, z) -> CocycleAssignment:
+    """The coboundary (x, y) -> f([x, y]) of f dual to the basis element z,
+    on the window pairs."""
+    key = spec.element_key
+    elements = [BasisElement(fam, i) for fam in spec.families for i in window.indices()]
+    values = {}
+    for x, y in combinations(elements, 2):
+        for coeff, out in _reference_bracket(spec, params, x, y):
+            if out == z:
+                values[(x, y) if key(x) < key(y) else (y, x)] = coeff
+    return CocycleAssignment(spec, window, values)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_verify_skip_matches_reference_at_two_degrees_and_off_jacobi(tmp_path, n):
+    """verify_cocycle's report is the reference walk's, over the degrees
+    psi has values at in increasing order, on an assignment with values at
+    two degrees, which verify_cocycle walks one degree after the other; on the sectors of a
+    coupled class alone where the class is a cocycle; on an algebra where
+    the Jacobi identity fails, so declared classes fail too; and on wab at
+    (1, 0), whose two families both have weight 0."""
+    window = Window(n)
+    svir, params = load_algebra("svir"), {"lambda": Fraction(-3), "mu": Fraction(1)}
+    virasoro = REGISTRY["virasoro"].instantiate(svir, params, window)
+    bound = _coboundary_of(svir, params, window, BasisElement("L", 1))
+    assert bound.values
+    both = CocycleAssignment(svir, window, {**virasoro.values, **bound.values})
+    failing = dict(both.values)
+    failing[(BasisElement("L", 0), BasisElement("L", 1))] += 1
+    cases = [(svir, params, psi) for psi in (both, CocycleAssignment(svir, window, failing))]
+    # lm-yy-cubic is a cocycle at lambda = 1: each sector alone first fails
+    # on (L, Y, Y), whose first term's sector is Y-Y, so the L-M sector
+    # reaches it only through its second term
+    for mu in (1, Fraction(1, 2)):
+        params = {"lambda": Fraction(1), "mu": Fraction(mu)}
+        coupled = REGISTRY["lm-yy-cubic"].instantiate(svir, params, window)
+        cases += [(svir, params, psi) for psi in _sectors_alone(coupled)]
+    for source, values in ((CORRUPT_SOURCE, {"lambda": -3, "mu": 1}), (WAB_SOURCE, {"lambda": 1, "mu": 0})):
+        spec = _spec(tmp_path, source)
+        params = validate_parameters(spec, values)
+        known = [cocycle for cocycle in REGISTRY.values() if cocycle.applicability(spec, params) is None]
+        cases += [(spec, params, cocycle) for cocycle in known]
+        virasoro = REGISTRY["virasoro"].instantiate(spec, params, window)
+        cases += [(spec, params, psi) for psi in _perturbed_by_sector(spec, params, window, virasoro)]
+    for spec, params, cocycle in cases:
+        psi = cocycle.instantiate(spec, params, window) if isinstance(cocycle, KnownCocycle) else cocycle
+        degrees = sorted({weight(spec, x, params) + weight(spec, y, params) for x, y in psi.values})
+        identities = [
+            triple for degree in degrees for triple in _reference_identities(spec, params, window, degree)[0]
+        ]
+        got = verify_cocycle(spec, params, window, cocycle)
+        assert (got.passed, got.triples_checked, got.witness) == _reference_verify(identities, psi)
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ SUBPROCESS_RUNS = {
     "jacobi": golden.CASES["jacobi"][2],
     "h2": golden.CASES["wab"][0],
     "scan": golden.CASES["wab"][2],
-    "verify": golden.CASES["errors"][-4],
+    "verify": next(argv for argv in golden.CASES["errors"] if "fails.json" in argv),
     "help": golden.CASES["argparse"][2],
 }
 

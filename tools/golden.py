@@ -103,9 +103,23 @@ SVIR = ["--algebra", "svir"]
 GRID = ["--lambda-values=-3,-2,-1,0,1/2,1,2,5", "--mu-values=-2,-1,1,2,1/2,1/3,2/3,4/3,1/4,1/5"]
 SVIR_CLASSES = ["virasoro", "c1", "c2", "ly-linear", "ly-cubic", "ly-constant", "lm-yy-cubic",
                 "yy-reciprocal"]
+# The eight points of perfbench/run.py:VERIFY_POINTS, each with the classes
+# that apply there: all but yy-reciprocal at integer mu, the three that need
+# 2*mu integer at mu = 1/2, and the two that need 3*mu integer at thirds.
+INTEGER_MU = [name for name in SVIR_CLASSES if name != "yy-reciprocal"]
+HALF_MU = ["virasoro", "lm-yy-cubic", "yy-reciprocal"]
+THIRD_MU = ["virasoro", "c2"]
+VERIFY_POINTS = {
+    ("-3", "1"): INTEGER_MU, ("-1", "1"): INTEGER_MU, ("1", "2"): INTEGER_MU,
+    ("-3", "1/2"): HALF_MU, ("1", "1/2"): HALF_MU,
+    ("-1", "1/3"): THIRD_MU, ("-1", "2/3"): THIRD_MU, ("-1", "4/3"): THIRD_MU,
+}
 
 CASES = {
-    "scan-grid-csv": [["scan", *GRID, "--jobs", "1"]],
+    "scan-grid-csv": [
+        ["scan", *GRID, "--jobs", "1"],
+        ["scan", "--lambda-values=1", "--mu-values=0", "--jobs", "1"],
+    ],
     "scan-grid-md": [["scan", *GRID, "--jobs", "1", "--format", "md"]],
     "h2-json-wide": [
         ["h2", *SVIR, "--lambda=-3", "--mu=1", "--format", "json", "--window", "40"],
@@ -115,10 +129,15 @@ CASES = {
         ["h2", *SVIR, "--lambda=-1", "--mu", "1/3"],
         ["h2", *SVIR, "--lambda=1", "--mu=1", "--format", "md"],
         ["h2", "--algebra", "witt", "--steps", "4"],
+        ["h2", *SVIR, "--lambda=-1", "--mu", "0", "--window", "8"],
     ],
     "verify-svir": [
         ["verify", *SVIR, f"--lambda={lam}", f"--mu={mu}", "--cocycle", name]
         for lam in ("-3", "-1", "1") for mu in ("1", "1/2", "1/3") for name in SVIR_CLASSES
+    ],
+    "verify-wide": [
+        ["verify", *SVIR, f"--lambda={lam}", f"--mu={mu}", "--cocycle", name, "--window", "30"]
+        for (lam, mu), names in VERIFY_POINTS.items() for name in names
     ],
     "jacobi": [
         ["jacobi", *SVIR, "--symbolic"],
@@ -140,7 +159,6 @@ CASES = {
     ],
     "errors": [
         ["h2", "--algebra", "nosuch"],
-        ["h2", *SVIR, "--lambda=-1", "--mu", "0", "--window", "8"],
         ["h2", *SVIR, "--lambda=-1", "--param", "lambda=0", "--mu", "1"],
         ["h2", *SVIR, "--lambda=-1", "--param", "mu"],
         ["h2", *SVIR, "--lambda=1.5", "--mu=1"],
@@ -151,7 +169,6 @@ CASES = {
         ["h2", "--algebra", "mix.lie"],
         ["scan", "--algebra", "witt", "--lambda-values", "1", "--mu-values", "1"],
         ["scan", "--lambda-values=1", "--mu-values=1,2", "--jobs", "1", "--steps", "0"],
-        ["scan", "--lambda-values=1", "--mu-values=0", "--jobs", "1"],
         ["scan", "--lambda-values=1", "--mu-values=1", "--jobs", "1", "--degree", "x/y"],
         ["verify", "--algebra", "witt", "--cocycle", "nosuch"],
         ["verify", "--algebra", "witt", "--cocycle", "fails.json", "--window", "8"],
