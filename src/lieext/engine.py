@@ -40,12 +40,13 @@ The admissible rows are then checked against the primitive integer null
 vectors of the echelon by exact integer dot products, and the check refines
 as it goes (_add_violated).  A row that fails is added to the echelon, the
 null vectors are recomputed, and the walk takes that family triple again
-from its first triple.  That is exact: the nullspace only shrinks, so the
-triples passed before still pass and the added row now does too.  Each
-added row raises the rank by one, so the check adds exactly the pinned
-rows' rank deficit.  Each added row costs a back-substitution, so the solve
-is only as cheap as that deficit is small: at most 4 at n = 40 and degrees
-0, 1 and 2 on svir, witt and five algebras of the tests.
+from the start.  That is exact: the nullspace only shrinks, so the triples
+passed before still pass and the added row now does too.  Each added row
+raises the rank by one, so the check adds exactly the pinned rows' rank
+deficit, in whatever order it walks the triples.  Each added row costs a
+back-substitution, so the solve is only as cheap as that deficit is small:
+at most 4 at n = 40 and degrees 0, 1 and 2 on svir, witt and five algebras
+of the tests.
 
 A first window's check walks only each family triple's boundary, O(n)
 triples (_Identity.boundary), and the identity d^2 = 0 of the
@@ -86,39 +87,41 @@ columns, and family triples whose pairs bracket to nothing give no row and
 are left out.
 
 h2 builds one plan per call, at its largest window N + 2 * (steps - 1)
-(_Plan): one pair basis, one compile of the identities and one bracket pass
-for the coboundaries.  Each window n is a view on it.  Its columns are the
-plan's columns whose pair has both indices in [-n, n]; both numberings sort
-the same pair keys, so the map from window n's own columns into the plan's
-is increasing, every row keeps its leading column, and pivots, ranks and
-reduced null vectors correspond one to one.  Its identity tables are the
-plan's cut to [-n, n], with "the output leaves the window" wherever the
-output index leaves [-n, n]; its coboundary generators and core columns are
-filtered from the plan's.  The plan holds the certified echelon and the
-window it was solved on: h2 solves its first window as above and grows each
-later window from that echelon, which passes from window to window
-unchanged.  A triple of the grown window is new when one of its indices, or
-the output index total - idx[w] of one of its terms, lies in the strip
-between the two windows; there are O(n) of them per family triple, and they
-are enumerated directly.  Every other admissible triple has its indices and
-its nonzero outputs inside the smaller window, so its row is a row of that
-window with the same entries, and it lies in the span of that window's
-certified echelon.  So only the new pinned rows are added and only the new
-rows are checked, and the nullspace, its pivot columns and its reduced
-basis are exactly those of a fresh solve.
+(_Plan): one pair basis, one compile of the identities' rules and one
+bracket pass for the coboundaries.  Each window n is a view on it.  Its
+columns are the plan's columns whose pair has both indices in [-n, n]; both
+numberings sort the same pair keys, so the map from window n's own columns
+into the plan's is increasing, every row keeps its leading column, and
+pivots, ranks and reduced null vectors correspond one to one.  Its
+identities share the plan's rules and pair basis and build their own tables
+at radius n, by the one rule that marks "the output leaves the window"
+wherever the output index leaves [-n, n]; its coboundary generators and
+core columns are filtered from the plan's.  The plan holds the certified
+echelon and the window it was solved on: h2 solves its first window as
+above and grows each later window from that echelon, which passes from
+window to window unchanged.  A triple of the grown window is new when one
+of its indices, or the output index total - idx[w] of one of its terms,
+lies in the strip between the two windows; there are O(n) of them per
+family triple, and they are enumerated directly.  Every other admissible
+triple has its indices and its nonzero outputs inside the smaller window,
+so its row is a row of that window with the same entries, and it lies in
+the span of that window's certified echelon.  So only the new pinned rows
+are added and only the new rows are checked, and the nullspace, its pivot
+columns and its reduced basis are exactly those of a fresh solve.
 
 Every row is expanded from one compiled form of the identity.  The indices
 of the triples (F_i, G_j, H_k) of one family triple at one degree sum to a
 fixed t, so the term [F_i, G_j] psi(., H_k) has output index t - k and its
 column and skew sign depend on k alone, as the other two terms' depend on i
 and on j alone.  Each family triple's identity is therefore compiled once
-per plan into three per-index tables whose entries are a (column, sign),
-"the output is the paired element" (no contribution), or "the output leaves
-the window" (the triple is dropped if the coefficient there is nonzero).
-Assembly, the subset solve, the check and verify_cocycle's walks all
-read these tables, which are built at their first use.  The check and
-verify_cocycle replace each table's columns by vector entries and walk the
-triples in one loop (_Identity.walk).  verify_cocycle uses psi's values.
+per plan into its coefficient terms, and once per window into three
+per-index tables whose entries are a (column, sign), "the output is the
+paired element" (no contribution), or "the output leaves the window" (the
+triple is dropped if the coefficient there is nonzero).  Assembly, the
+subset solve, the check and verify_cocycle's walks all read these tables,
+which are built at their first use.  The check and verify_cocycle replace
+each table's columns by vector entries and walk the triples in one loop
+(_Identity.walk).  verify_cocycle uses psi's values.
 The check packs the entries of all d null vectors at a column into one
 integer, in slots of w bits, and sums one packed dot product per triple.
 w is set by a bound on the bracket coefficients over the window, so that
@@ -198,6 +201,8 @@ class Window:
     margin: int = 3
 
     def __post_init__(self):
+        if not (isinstance(self.n, int) and isinstance(self.margin, int)):
+            raise ValueError(f"window n and margin must be integers, got {self.n!r} and {self.margin!r}")
         if self.margin < 1:
             raise ValueError("window margin must be at least 1")
         if self.n - self.margin < 3:
@@ -244,10 +249,10 @@ class PairBasis:
 
     Column order is lexicographic in the element keys (family position,
     index) of both elements, which fixes the coordinatization used by every
-    matrix in this module.  _column resolves either orientation of a pair
-    and reports the skew sign, so psi(x, y) = sign * value[column].  A basis
-    is fixed by the algebra's weight offsets, the window and the degree, and
-    the public calls that take one refuse a basis of any other.
+    matrix in this module.  _index maps each stored pair (x, y), x < y, to
+    its column, and psi(y, x) = -psi(x, y) gives the other orientation.  A
+    basis is fixed by the algebra's weight offsets, the window and the
+    degree, and the public calls that take one refuse a basis of any other.
     """
 
     def __init__(self, alg: BoundAlgebra, window: Window, degree: Fraction, keys: list):
@@ -260,17 +265,6 @@ class PairBasis:
 
     def __len__(self) -> int:
         return len(self._radius)
-
-    def _column(self, x: tuple, y: tuple) -> tuple:
-        """(column, sign) for the pair of element keys {x, y}; sign is -1
-        when (x, y) is the reversed orientation of the stored pair."""
-        sign = 1
-        if x > y:
-            x, y, sign = y, x, -1
-        try:
-            return self._index[(x, y)], sign
-        except KeyError:
-            raise ValueError(f"pair ({self._element(x)}, {self._element(y)}) is not in this basis") from None
 
     def _element(self, key: tuple) -> BasisElement:
         return BasisElement(self.spec.families[key[0]], key[1])
@@ -330,8 +324,9 @@ _OUT = "out"
 
 
 class _Identity:
-    """The cocycle identity of one family triple at one index total,
-    compiled against one pair basis.
+    """The cocycle identity of one family triple at one index total on the
+    window [-n, n], compiled against one pair basis whose window contains
+    it.
 
     For the triples (F_i, G_j, H_k) with i + j + k = total, the term
     [F_i, G_j] psi(., H_k) has output index total - k, so its column and
@@ -341,11 +336,14 @@ class _Identity:
     family, paired family, w, u, v), and in terms as (coefficient terms,
     table, w, u, v): table[idx[w] + n] is (column, sign), _EQUAL or _OUT
     for the index at position w of idx = (i, j, k), and the bracket
-    coefficient is evaluated at idx[u], idx[v].  bound is at least the sum
-    of |coefficient| over the terms at any triple of window indices.  The
-    tables are built at their first use: every row expansion in this module
-    reads them, while an identity verify_cocycle does not walk reads only
-    rules (admissible); sliced() gives them on a smaller window.
+    coefficient is evaluated at idx[u], idx[v].  The entry is _OUT exactly
+    when the output index total - idx[w] leaves [-n, n]: terms is the one
+    place that decides it.  bound is at least the sum of |coefficient| over
+    the terms at any triple of window indices.  The tables are built at
+    their first use: every row expansion in this module reads them, while
+    an identity verify_cocycle does not walk reads only rules
+    (admissible).  within() gives the identity on a smaller window, with
+    its own tables.
     """
 
     def __init__(self, alg: BoundAlgebra, window: Window, pairs: PairBasis, families, total: int):
@@ -363,17 +361,19 @@ class _Identity:
 
     @cached_property
     def terms(self) -> list:
-        n, total, terms = self.n, self.total, []
+        n, total, column, terms = self.n, self.total, self.pairs._index, []
         for coefficient, out, r, w, u, v in self.rules:
             table = []
             for index in range(-n, n + 1):
-                output = (out, total - index)
-                if output == (r, index):
+                output, paired = (out, total - index), (r, index)
+                if output == paired:
                     table.append(_EQUAL)
                 elif abs(output[1]) > n:
                     table.append(_OUT)
+                elif output < paired:
+                    table.append((column[(output, paired)], 1))
                 else:
-                    table.append(self.pairs._column(output, (r, index)))
+                    table.append((column[(paired, output)], -1))
             terms.append((coefficient, table, w, u, v))
         return terms
 
@@ -382,28 +382,13 @@ class _Identity:
         n = self.n
         return sum(abs(k) * n ** (e + f) for coefficient, *_ in self.rules for k, e, f in coefficient)
 
-    def sliced(self, n: int) -> "_Identity":
-        """This identity on the window [-n, n] inside its own: each table
-        cut to the indices of [-n, n], with _OUT where the output index
-        total - index leaves [-n, n].  The entries inside keep their columns,
-        so the rows are those of the smaller window with each column mapped
-        to the column of the same pair here."""
-        if n == self.n:
-            return self
+    def within(self, n: int) -> "_Identity":
+        """This identity on the window [-n, n], n at most its own: the same
+        rules, pins and pair basis, with its own tables, which terms builds
+        at radius n."""
         view = object.__new__(_Identity)
         view.families, view.total, view.pins, view.n = self.families, self.total, self.pins, n
-        view.rules = self.rules
-        # the positions in [0, 2n] of the indices whose output index
-        # total - index lies in [-n, n]; position p is p + shift in table
-        low, high = max(0, self.total), min(2 * n, self.total + 2 * n)
-        shift = self.n - n
-        view.terms = []
-        for coefficient, table, w, u, v in self.terms:
-            if low <= high:
-                table = [_OUT] * low + table[low + shift : high + shift + 1] + [_OUT] * (2 * n - high)
-            else:
-                table = [_OUT] * (2 * n + 1)
-            view.terms.append((coefficient, table, w, u, v))
+        view.rules, view.pairs = self.rules, self.pairs
         view.bound = view._bound()
         return view
 
@@ -440,11 +425,11 @@ class _Identity:
                     break
         return count
 
-    def meeting(self, values) -> list:
-        """The (i, j) of the window triples (i, j, total - i - j) with an
-        index in `values`, in increasing order.  With one index fixed at v,
-        the other two sum to total - v, and each position of v leaves one
-        range of the free index, so there are O(n) of them per value."""
+    def meeting(self, values) -> set:
+        """The set of (i, j) of the window triples (i, j, total - i - j)
+        with an index in `values`.  With one index fixed at v, the other two
+        sum to total - v, and each position of v leaves one range of the
+        free index, so there are O(n) of them per value."""
         n, total = self.n, self.total
         a, b, c = self.families
         found = set()
@@ -463,11 +448,11 @@ class _Identity:
             top = min(high, (rest - 1) // 2 if a == b else n)
             bottom = max(low, rest - v + 1 if b == c else -n)
             found.update(zip(range(bottom, top + 1), range(rest - bottom, rest - top - 1, -1)))
-        return sorted(found)
+        return found
 
-    def boundary(self, alg: BoundAlgebra, failing: Mapping) -> list | None:
+    def boundary(self, alg: BoundAlgebra, failing: Mapping) -> set | None:
         """The (i, j) of the triples a first window's check walks, as a
-        meeting() list: a superset of those that d^2 = 0 does not certify
+        meeting() set: a superset of those that d^2 = 0 does not certify
         from the others (module docstring), and the triples with an index
         -1.  None, for all of them, unless some family L of weight 0 has
         [L_-1, X] in X for each family X here, and the Jacobi identity holds
@@ -504,7 +489,7 @@ class _Identity:
         values.update(v for v in range(-n, n) if not _evaluate(rules[p][1], -1, v + 1))
         walked = self.meeting(values)
         if families[0] == families[2]:
-            walked = sorted({*walked, *((i, i + 1) for i in range(-n, n) if i + 1 in self._js(i))})
+            walked.update((i, i + 1) for i in range(-n, n) if i + 1 in self._js(i))
         return walked
 
     def indices(self):
@@ -516,8 +501,10 @@ class _Identity:
                 yield i, j, total - i - j
 
     def pinned(self) -> list:
-        """The triples of indices() with an index in pins, in the same
-        order: the rows the certified solve eliminates (see _Plan.cocycles)."""
+        """The triples of indices() with an index in pins, in no particular
+        order: the rows the certified solve eliminates (see _Plan.cocycles).
+        The row space they span, and so the null vectors, do not depend on
+        the order."""
         total = self.total
         return [(i, j, total - i - j) for i, j in self.meeting(self.pins)]
 
@@ -575,11 +562,12 @@ class _Identity:
         return terms, reached
 
     def walk(self, terms: list, meeting=None) -> tuple:
-        """(checked, failed): the dot products of the window's triples, or
-        of those of `meeting` (a meeting() list) when it is given, with the
-        entries `terms` was valued by, in (i, j) order, up to the first that
-        is nonzero.  checked counts the admissible triples walked, and failed
-        is (idx, dot) of that first one, or None.  A coefficient is
+        """(checked, failed): the dot products of the window's triples, in
+        (i, j) order, or of those of `meeting` (a meeting() set, in its
+        iteration order) when it is given, with the entries `terms` was
+        valued by, up to the first that is nonzero.  checked counts the
+        admissible triples walked, and failed is (idx, dot) of that first
+        one, or None.  A coefficient is
         evaluated only where an entry is nonzero or _OUT, and an _OUT entry
         with a nonzero coefficient makes the triple inadmissible: exactly as
         row() decides it, since _EQUAL entries and zero entries add nothing
@@ -651,8 +639,9 @@ class _Plan:
     has both indices in [-n, n]; both numberings sort the pair keys, so the
     map from window n's own columns to these is increasing, and every row,
     pivot and null vector of window n is the same one here.  Its identities
-    are the compiled ones sliced to [-n, n] (_Identity.sliced), and its
-    coboundary generators and core columns are filtered from the plan's.
+    share the compiled ones' rules, pins and pair basis, and build their own
+    tables at radius n (_Identity.within); its coboundary generators and
+    core columns are filtered from the plan's.
 
     The plan also owns the certified solve of its windows: the echelon of
     the rows it has eliminated, and the window that echelon was solved on.
@@ -707,7 +696,7 @@ class _Plan:
         previous = self.solved
         if previous is not None and n <= previous:
             raise ValueError(f"window {n} does not grow the solved window {previous}")
-        identities = [identity.sliced(n) for identity in self.identities]
+        identities = [identity.within(n) for identity in self.identities]
         strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
 
         def walked(identity):
@@ -787,18 +776,19 @@ def _packed(vectors: list, identities: list) -> tuple:
 
 def _add_violated(identities: list, ech: _Echelon, columns: list, walked) -> list:
     """Check the admissible rows of the triples walked(identity) lists (a
-    meeting() list, or None for all of them) against the null vectors of
+    meeting() set, or None for all of them) against the null vectors of
     the echelon over `columns`, by exact integer dot products against all
     of them at once (_packed), refine as it goes, and return the final null
     vectors.  When a row fails, it is added to the echelon, the null vectors
-    are recomputed and its family triple is walked again from its first
-    listed triple.  That is exact: the nullspace only shrinks, so the
-    triples passed before still pass and the added row now does too, and
-    each added row raises the rank by one.  A first window lists each
-    identity's boundary, whose rows certify every other row by d^2 = 0
-    (module docstring); a grown window lists the triples that meet the
-    strip.  An identity with no table column where a null vector is
-    nonzero is skipped: its dot products are 0."""
+    are recomputed and its family triple is walked again from the start.
+    That is exact: the nullspace only shrinks, so the triples passed before
+    still pass and the added row now does too, and each added row raises
+    the rank by one.  So the order of the walk decides which failing rows
+    are added, but neither how many nor the final null vectors.  A first
+    window lists each identity's boundary, whose rows certify every other
+    row by d^2 = 0 (module docstring); a grown window lists the triples
+    that meet the strip.  An identity with no table column where a null
+    vector is nonzero is skipped: its dot products are 0."""
     vectors = _null_vectors(ech.pivots, columns)
     packed = _packed(vectors, identities)[0]
     for identity in identities:
@@ -1347,9 +1337,10 @@ def theorem_predicted_dim(lam, mu) -> int:
     for lambda in {-3, 1}, and all of c1, c2 on top of virasoro at
     lambda = -1 with integer mu.  mu = 0 is an integer mu: svir(lambda, 0)
     is svir(lambda, 1) up to the graded isomorphism Y_m -> Y_{m+1},
-    M_m -> M_{m+2}."""
-    lam = Fraction(lam)
-    mu = Fraction(mu)
+    M_m -> M_{m+2}.  Each argument is an int, a Fraction or a "p/q"
+    string; a float raises ValueError, as it cannot be exact."""
+    lam = as_rational(lam, "lambda")
+    mu = as_rational(mu, "mu")
     if (3 * mu).denominator != 1:
         return 1
     if mu.denominator == 1:

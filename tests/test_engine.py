@@ -61,8 +61,11 @@ def _named(row, pairs) -> dict:
 
 
 def _column_of(pairs, x, y) -> tuple:
-    """(column, sign) of the pair {x, y} in a PairBasis."""
-    return pairs._column(pairs.spec.element_key(x), pairs.spec.element_key(y))
+    """(column, sign) of the pair {x, y} in a PairBasis: sign is -1 when
+    (x, y) is the reversed orientation of the stored pair.  A pair not in
+    the basis raises KeyError."""
+    x, y = pairs.spec.element_key(x), pairs.spec.element_key(y)
+    return (pairs._index[(x, y)], 1) if x < y else (pairs._index[(y, x)], -1)
 
 
 def _assignment(pairs, vector) -> CocycleAssignment:
@@ -97,6 +100,14 @@ def test_window_validation():
     assert w.core_bound() == 7
     assert w.grown(2) == Window(12, 3)
     assert list(w.indices()) == list(range(-10, 11))
+
+
+def test_window_refuses_a_non_integer_radius_or_margin():
+    # a half-integer n failed only later, inside range, and a margin of 2.5
+    # gave h2 a core bound of 9.5
+    for n, margin in ((12.5, 3), (Fraction(25, 2), 3), (Fraction(12), 3), (12, 2.5)):
+        with pytest.raises(ValueError, match="window n and margin must be integers"):
+            Window(n, margin)
 
 
 def test_enumerate_pairs_third_integer_mu():
@@ -140,7 +151,7 @@ def test_pair_basis_canonical_order_and_orientation():
     col2, sign2 = _column_of(pairs, Y(0), L(-1))
     assert (col2, sign2) == (col, -1)
     assert listed[_column_of(pairs, L(0), Y(-1))[0]] == (L(0), Y(-1))
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError):
         _column_of(pairs, L(0), Y(5))
 
 
@@ -403,6 +414,18 @@ def test_theorem_predicted_dim_table():
     assert [theorem_predicted_dim(lam, 0) for lam in (-3, -1, 0, 1)] == [2, 3, 1, 2]
 
 
+def test_theorem_predicted_dim_refuses_floats():
+    # Fraction(1/3) is a dyadic rational near 1/3, whose 3 * mu is no
+    # integer: a float answered for another mu
+    assert theorem_predicted_dim(-1, Fraction(1, 3)) == 2
+    with pytest.raises(ValueError, match="mu must be rational, got float"):
+        theorem_predicted_dim(-1, 1 / 3)
+    with pytest.raises(ValueError, match="lambda must be rational, got float"):
+        theorem_predicted_dim(-1.0, 1)
+    with pytest.raises(ValueError, match="not a rational literal"):
+        theorem_predicted_dim(-1, "0.5")
+
+
 def test_match_known_monotone_in_window():
     params = {"lambda": -1, "mu": 1}
     small = h2(SVIR, params, Window(8, 3), stabilization_steps=1)
@@ -572,17 +595,18 @@ def test_h2_compiles_each_declared_class_once(monkeypatch):
     assert sorted(calls) == sorted(SVIR.cocycles)
 
 
-def test_identity_sliced_below_its_total_leaves_every_index_out():
+def test_identity_within_below_its_total_leaves_every_index_out():
     # witt at degree 26: window 16 has triples of index total 26, window 12
     # none, as 26 > 2 * 12
     alg = engine._bind(WITT, {})
     [identity] = engine._Plan(alg, Window(16), Fraction(26)).identities
-    sliced = identity.sliced(12)
+    within = identity.within(12)
+    assert within.rules is identity.rules and within.pairs is identity.pairs
     pairs = engine._enumerate_pairs(alg, Window(12), Fraction(26))
     fresh = engine._Identity(alg, Window(12), pairs, identity.families, identity.total)
-    assert [term[1] for term in sliced.terms] == [term[1] for term in fresh.terms]
-    assert all(entry is engine._OUT for term in sliced.terms for entry in term[1])
-    assert sliced.bound == fresh.bound
+    assert [term[1] for term in within.terms] == [term[1] for term in fresh.terms]
+    assert all(entry is engine._OUT for term in within.terms for entry in term[1])
+    assert within.bound == fresh.bound
 
 
 def test_windows_leave_out_the_generators_outside_them():

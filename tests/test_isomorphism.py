@@ -8,7 +8,9 @@ give an algebra and its negation the same numbers at every window: a
 solver that treats the two window edges differently, or that leans on the
 sign of an index, fails here.  The shift moves the window instead, and is
 checked where the mu = 0 binding meets it: svir(lambda, 0) against
-svir(lambda, 1).
+svir(lambda, 1).  It is checked far from index 0 too: wab_a(20, mu), whose
+W has weight 20, is wab_a(0, mu) with W shifted by 20, and at degree 0 most
+entries of its identity tables leave the window.
 """
 
 from fractions import Fraction
@@ -22,10 +24,11 @@ from lieext.presets import load_algebra
 from golden import WAB_SOURCE
 from isomorphism import V, negated, shifted, substituted
 from test_acceptance import GRID_LAMBDAS, GRID_MUS
-from test_cli import HV_SOURCE, W22_SOURCE
+from test_cli import HV_SOURCE, W22_SOURCE, WAB_A_SOURCE
 from test_differential import NO_WEIGHT_ZERO_SOURCE
 
 SVIR = load_algebra("svir")
+WAB_A = parse(WAB_A_SOURCE).spec
 SVIR_SIGNS = {"L": -1, "Y": 1, "M": -1}
 MU = V("mu")
 
@@ -103,3 +106,17 @@ def test_mu_zero_is_mu_one(n):
         zero, one = (h2(SVIR, {"lambda": lam, "mu": mu}, Window(n)) for mu in (0, 1))
         assert zero.core_history == one.core_history, lam
         assert [m.name for m in zero.matched_known if m.matched] == [m.name for m in one.matched_known if m.matched]
+
+
+def test_shift_maps_wab_a_to_wab_a_at_lambda_minus_twenty():
+    # [W, W] = 0, so W may shift alone: W'_m = W_{m-20}
+    assert shifted(WAB_A, {"W": -20}) == substituted(WAB_A, {"lambda": V("lambda") - 20})
+
+
+@pytest.mark.parametrize("mu, dim", [(0, 3), (1, 3), (Fraction(1, 2), 1), (-1, 2)], ids=str)
+def test_shift_keeps_h2_far_from_the_window_centre(mu, dim):
+    # lambda = 20 needs N >= 24 for the L-W sector's core pairs (i, -20 - i)
+    far = h2(WAB_A, {"lambda": 20, "mu": mu}, Window(24))
+    near = h2(WAB_A, {"lambda": 0, "mu": mu}, Window(12))
+    assert far.stabilized and near.stabilized
+    assert [d for _, d in far.core_history] == [d for _, d in near.core_history] == [dim] * 3

@@ -191,10 +191,13 @@ NULL_VECTORS = GOLDEN / "null-vectors.txt"
 def null_vector_runs() -> list:
     """The (label, spec, params, window N, degree) of each recorded h2 run:
     svir at the 80 grid points at N = 12 and at both wide points at N = 40
-    and N = 80, and five more algebras at degrees -1, 0, 1/2 and 1 at
-    N = 12.  The sources are the ones the tests keep."""
+    and N = 80, five more algebras at degrees -1, 0, 1/2 and 1 at N = 12,
+    and two runs whose index totals lie far from 0, so that most entries of
+    their identity tables leave the window: wab_a at lambda = 20 (W of
+    weight 20) at N = 24, and witt at degree 13 at N = 12.  The sources are
+    the ones the tests keep."""
     from test_acceptance import GRID_LAMBDAS, GRID_MUS
-    from test_cli import HV_SOURCE, W22_SOURCE
+    from test_cli import HV_SOURCE, W22_SOURCE, WAB_A_SOURCE
     from test_differential import NO_WEIGHT_ZERO_SOURCE
 
     svir = load_algebra("svir")
@@ -211,6 +214,9 @@ def null_vector_runs() -> list:
         ("w22", parse(W22_SOURCE).spec, {}),
     ]
     runs += [(label, spec, params, 12, degree) for label, spec, params in others for degree in ("-1", "0", "1/2", "1")]
+    wab_a = parse(WAB_A_SOURCE).spec
+    runs += [(f"wab_a(20,{mu})", wab_a, {"lambda": 20, "mu": mu}, 24, "0") for mu in (0, "1/2")]
+    runs.append(("witt", load_algebra("witt"), {}, 12, "13"))
     return runs
 
 
