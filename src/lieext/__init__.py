@@ -38,11 +38,10 @@ from .engine import (
     is_coboundary,
     match_known,
     nonzero_degree_triviality,
-    theorem_predicted_dim,
     verify_cocycle,
 )
 from .poly import IndexPolynomial
-from .presets import load_algebra
+from .presets import load_algebra, theorem_predicted_dim
 from .rational import format_rational, parse_rational, rational
 from .sparse import (
     SparseMatrix,
@@ -55,11 +54,11 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # engine builds REGISTRY at first use (it parses the svir preset)
+    # presets builds REGISTRY at first use (it parses the svir preset)
     if name == "REGISTRY":
-        from . import engine
+        from . import presets
 
-        return engine.REGISTRY
+        return presets.REGISTRY
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -7,6 +7,11 @@ scan (parameter grid against the closed-form dimension table), verify
 problems, 3 stabilization failure, 141 a stdout closed before the output
 was written (128 + SIGPIPE, with no message).
 
+h2 and scan print the closed-form table's dimension and whether the run
+agrees with it wherever lieext.presets.predicted_dim gives one, and "n/a"
+elsewhere.  Apart from scan's default --algebra, nothing here is specific
+to svir.
+
 Rationals on the command line are "p/q" literals.  For negative values use
 the equals form (--mu=-1/3): a bare "-1/3" looks like an option to the
 argument parser.
@@ -28,10 +33,9 @@ from .engine import (
     Window,
     h2,
     is_coboundary,
-    theorem_predicted_dim,
     verify_cocycle,
 )
-from .presets import is_svir, load_algebra
+from .presets import load_algebra, predicted_dim
 from .rational import _BLANKS, format_rational, parse_integer, parse_rational
 
 
@@ -171,23 +175,13 @@ def cmd_jacobi(args) -> int:
     return 1
 
 
-def _prediction(spec, params, degree):
-    """The closed-form table's dimension, for the bundled svir bracket
-    table under any name (is_svir); an algebra that only shares the name
-    gets none.  An algebra without the table's lambda and mu gets none
-    before is_svir parses svir."""
-    if degree == 0 and {"lambda", "mu"} <= set(spec.parameters) and is_svir(spec):
-        return theorem_predicted_dim(params["lambda"], params["mu"])
-    return None
-
-
 def _h2_run(spec, params, window, degree, steps):
     """(report, predicted dim, agreement, warning) of h2 at one point; the
     agreement is None without a prediction, the stderr warning None when
     the grading is inner and the Jacobi identity holds, and otherwise one
     line for each."""
     report = h2(spec, params, window, degree=degree, stabilization_steps=steps)
-    predicted = _prediction(spec, report.params, degree)
+    predicted = predicted_dim(spec, report.params, degree)
     agree = None if predicted is None else report.core_h2_dim == predicted
     warnings = [
         report.grading and (

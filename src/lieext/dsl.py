@@ -79,10 +79,6 @@ class ParseResult:
     spec: AlgebraSpec | None
     diagnostics: list
 
-    @property
-    def ok(self) -> bool:
-        return self.spec is not None
-
     def errors(self) -> list:
         return [d for d in self.diagnostics if d.severity == "error"]
 

@@ -160,6 +160,11 @@ and serves core_h2 and the coboundary test of every cocycle class; one
 echelon of the null vectors serves their cocycle test.  Fractions appear only
 at the public boundary: cocycle_space and coboundary_space return a
 VectorBasis, and match_known takes them.
+
+Nothing here knows an algebra by its name or loads a preset: every rule
+reads the spec it is given.  svir's closed-form table, which the CLI
+compares h2's reports with, and REGISTRY, the classes svir declares, live
+in lieext.presets.
 """
 
 from __future__ import annotations
@@ -181,7 +186,6 @@ from .algebra import (
     _jacobi_residuals,
 )
 from .poly import IndexPolynomial
-from .presets import load_algebra
 from .rational import _BLANKS, as_rational, format_rational, parse_integer, parse_rational
 from .sparse import (
     SparseMatrix,
@@ -1033,17 +1037,6 @@ class KnownCocycle:
         return ratios
 
 
-def __getattr__(name):
-    # REGISTRY: the classes the bundled presets declare, by name (svir
-    # declares all of them; witt's virasoro is the same class).  It is built
-    # at first use, so a process that never reads it never parses svir.
-    if name == "REGISTRY":
-        registry = {known: KnownCocycle(known, lines) for known, lines in load_algebra("svir").cocycles.items()}
-        globals()[name] = registry
-        return registry
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # verification
 
 
@@ -1329,24 +1322,3 @@ def h2(
         jacobi=_jacobi_failure(alg, plan.failing),
     )
 
-
-def theorem_predicted_dim(lam, mu) -> int:
-    """Dimension of degree-zero H^2 for svir(lambda, mu) per the closed-form
-    classification: 1 generically (the central charge), an extra Y-M class
-    when 3*mu is an integer and lambda = -1, extra L-Y classes at integer mu
-    for lambda in {-3, 1}, and all of c1, c2 on top of virasoro at
-    lambda = -1 with integer mu.  mu = 0 is an integer mu: svir(lambda, 0)
-    is svir(lambda, 1) up to the graded isomorphism Y_m -> Y_{m+1},
-    M_m -> M_{m+2}.  Each argument is an int, a Fraction or a "p/q"
-    string; a float raises ValueError, as it cannot be exact."""
-    lam = as_rational(lam, "lambda")
-    mu = as_rational(mu, "mu")
-    if (3 * mu).denominator != 1:
-        return 1
-    if mu.denominator == 1:
-        if lam == -1:
-            return 3
-        if lam in (Fraction(-3), Fraction(1)):
-            return 2
-        return 1
-    return 2 if lam == -1 else 1

@@ -1,18 +1,30 @@
-"""Bundled algebra definitions and definition-file resolution.
+"""Bundled algebra definitions, definition-file resolution, and all that
+is specific to svir.
 
 An algebra reference is resolved in this order: a bundled preset name
 ("svir", "witt", or the alias "virasoro-sector"), then "<name>.lie" in each
 directory on the LIEEXT_PRESET_PATH environment variable (colon separated),
 then the reference taken as a literal file path.
+
+svir is the one algebra with a closed-form table of its degree-zero H^2
+(theorem_predicted_dim).  predicted_dim says when the table applies to an
+h2 run: at degree 0, on any algebra with svir's bracket table, whatever its
+name and the letters of its index variables.  REGISTRY maps each class svir
+declares to a KnownCocycle; it is built the first time it is read, so a
+process that never reads it never parses svir.  The engine itself loads no
+preset.
 """
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from importlib import resources
 
 from . import dsl
 from .algebra import AlgebraSpec
+from .engine import KnownCocycle
+from .rational import as_rational
 
 PRESET_FILES = {
     "svir": "svir.lie",
@@ -43,12 +55,6 @@ def _parse_or_fail(source: str, origin: str) -> AlgebraSpec:
     return result.spec
 
 
-def is_svir(spec: AlgebraSpec) -> bool:
-    """Whether spec has the bundled svir's bracket table, whatever its name
-    and declared classes: the CLI's closed-form prediction follows it."""
-    return spec._table() == load_algebra("svir")._table()
-
-
 def load_algebra(ref: str) -> AlgebraSpec:
     """Resolve a preset name or a .lie file path to a parsed spec."""
     if ref in PRESET_FILES:
@@ -68,3 +74,53 @@ def load_algebra(ref: str) -> AlgebraSpec:
         f"cannot resolve algebra {ref!r}: not a preset name, not on "
         f"{PRESET_PATH_ENV}, and not a file"
     )
+
+
+def __getattr__(name):
+    if name == "REGISTRY":
+        registry = {known: KnownCocycle(known, lines) for known, lines in load_algebra("svir").cocycles.items()}
+        globals()[name] = registry
+        return registry
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _bracket_table(spec: AlgebraSpec) -> tuple:
+    """spec's bracket table without the letters of its index variables:
+    each rule as its output family and its coefficient's index terms."""
+    rules = {key: (rule.out_family, rule._index_terms) for key, rule in spec.rules.items()}
+    return spec.parameters, spec.families, spec.weight_offsets, rules
+
+
+def predicted_dim(spec: AlgebraSpec, params, degree):
+    """The closed-form table's dimension for h2 of spec at params and
+    degree, or None where the table does not apply: at another degree than
+    0, or on an algebra without svir's bracket table (an algebra that only
+    shares the name gets none).  An algebra without lambda and mu gets none
+    before svir is parsed."""
+    if degree != 0 or not {"lambda", "mu"} <= set(spec.parameters):
+        return None
+    if _bracket_table(spec) != _bracket_table(load_algebra("svir")):
+        return None
+    return theorem_predicted_dim(params["lambda"], params["mu"])
+
+
+def theorem_predicted_dim(lam, mu) -> int:
+    """Dimension of degree-zero H^2 for svir(lambda, mu) per the closed-form
+    classification: 1 generically (the central charge), an extra Y-M class
+    when 3*mu is an integer and lambda = -1, extra L-Y classes at integer mu
+    for lambda in {-3, 1}, and all of c1, c2 on top of virasoro at
+    lambda = -1 with integer mu.  mu = 0 is an integer mu: svir(lambda, 0)
+    is svir(lambda, 1) up to the graded isomorphism Y_m -> Y_{m+1},
+    M_m -> M_{m+2}.  Each argument is an int, a Fraction or a "p/q"
+    string; a float raises ValueError, as it cannot be exact."""
+    lam = as_rational(lam, "lambda")
+    mu = as_rational(mu, "mu")
+    if (3 * mu).denominator != 1:
+        return 1
+    if mu.denominator == 1:
+        if lam == -1:
+            return 3
+        if lam in (Fraction(-3), Fraction(1)):
+            return 2
+        return 1
+    return 2 if lam == -1 else 1

@@ -1,7 +1,7 @@
 """Graded isomorphisms between algebra specs, an exact oracle for the engine.
 
-Two relabellings of the basis turn an algebra with polynomial structure
-constants into an isomorphic one of the same kind.  Each is built here as a
+Three changes of basis turn an algebra with polynomial structure constants
+into an isomorphic one of the same kind.  Each is built here as a
 new AlgebraSpec, with its declared classes pulled back along it:
 
 - shifted(spec, {F: k_F}): F'_m = F_{m+k_F}.  Then [F'_n, G'_m] =
@@ -14,6 +14,12 @@ new AlgebraSpec, with its declared classes pulled back along it:
   line becomes s_A s_B c(-m) / d(-m) on n + m = -t.  The window [-N, N] maps
   onto itself and degree d onto -d, so at degree 0 every number h2 computes
   must be the same for spec and negated(spec) at the same parameters.
+- rescaled(spec, {F: s_F}), s_F a nonzero rational: F'_m = s_F F_m.  Then
+  c'(n, m) = c(n, m) s_F s_G / s_H, the weights do not change, and a
+  line's coefficient is multiplied by s_A s_B.  Windows, degrees and
+  supports stay, so every number h2 computes must be the same; only the
+  sizes of the integers it computes with change: the bracket denominator,
+  the coefficient bound and with it the packed slot width.
 
 substituted(spec, {parameter: polynomial}) is the same algebra at other
 parameters, so the transforms can be compared with the family they come
@@ -22,6 +28,8 @@ M -2 to svir(lambda, mu - 1).  substitute and power are the polynomial
 operations these need, and weight the grading they act on; the package
 itself never substitutes.
 """
+
+from fractions import Fraction
 
 from lieext.algebra import AlgebraSpec, BracketRule, CocycleLine
 from lieext.poly import IndexPolynomial
@@ -127,3 +135,20 @@ def negated(spec: AlgebraSpec, signs) -> AlgebraSpec:
         return sign * substitute(each.coeff, at), -each.offset, substitute(each.denom, at)
 
     return _rebuilt(spec, lambda fam: -spec.weight_offsets[fam], coeff, line)
+
+
+def rescaled(spec: AlgebraSpec, scales) -> AlgebraSpec:
+    """The algebra of F'_m = s_F F_m, s_F = scales.get(F, 1)."""
+    s = {fam: Fraction(scales.get(fam, 1)) for fam in spec.families}
+    if not all(s.values()):
+        raise ValueError("each scale must be nonzero")
+
+    def coeff(rule):
+        if rule.is_zero():
+            return rule.coeff
+        return s[rule.left] * s[rule.right] / s[rule.out_family] * rule.coeff
+
+    def line(each):
+        return s[each.family_a] * s[each.family_b] * each.coeff, each.offset, each.denom
+
+    return _rebuilt(spec, lambda fam: spec.weight_offsets[fam], coeff, line)

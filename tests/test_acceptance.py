@@ -29,14 +29,13 @@ from lieext.algebra import (
     validate_parameters,
 )
 from lieext.dsl import parse, render
+from lieext import REGISTRY, theorem_predicted_dim
 from lieext.engine import (
-    REGISTRY,
     Window,
     enumerate_pairs,
     h2,
     is_coboundary,
     nonzero_degree_triviality,
-    theorem_predicted_dim,
     verify_cocycle,
 )
 from lieext.presets import load_algebra, preset_source
@@ -363,11 +362,11 @@ def test_criterion_8_parser_round_trip_and_fuzz():
     for name in ("svir", "witt"):
         source = preset_source(name)
         first = parse(source)
-        if not first.ok:
+        if first.spec is None:
             problems.append(f"preset {name} does not parse")
             continue
         second = parse(render(first.spec))
-        if not second.ok or second.spec != first.spec:
+        if second.spec is None or second.spec != first.spec:
             problems.append(f"preset {name} does not round-trip")
     rng = random.Random(808)
     # sources with cocycle blocks, to be fuzzed by mutation below
@@ -375,11 +374,11 @@ def test_criterion_8_parser_round_trip_and_fuzz():
     for _ in range(20):
         source = _random_spec_source(rng)
         first = parse(source)
-        if not first.ok:
+        if first.spec is None:
             problems.append("random spec does not parse")
             continue
         second = parse(render(first.spec))
-        if not second.ok or second.spec != first.spec:
+        if second.spec is None or second.spec != first.spec:
             problems.append("random spec does not round-trip")
         if first.spec.cocycles:
             seeds.append(source)

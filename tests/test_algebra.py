@@ -202,7 +202,7 @@ algebra bad(lambda, mu) {
 
 def test_jacobi_window_corrupted_spec_fails_with_witness():
     result = parse(CORRUPT_SOURCE)
-    assert result.ok, result.diagnostics
+    assert result.spec is not None, result.diagnostics
     bad = result.spec
     report = check_jacobi_window(bad, {"lambda": 0, "mu": 1}, 4)
     assert not report.passed

@@ -288,6 +288,24 @@ def test_renamed_svir_copy_gets_the_svir_rules(tmp_path):
         assert "agree: yes" in lines
 
 
+@pytest.mark.parametrize("bracket, predicted, agree, code", [
+    ("[L a, L b] = (b - a) L(a + b)", "2", "no", 1),
+    ("[L a, L b] = (2*b - 2*a) L(a + b)", "n/a", "n/a", 0),
+], ids=["relettered", "rescaled"])
+def test_svir_prediction_ignores_the_index_letters(tmp_path, bracket, predicted, agree, code):
+    # the same bracket table with other index variables is svir; twice the
+    # L-L bracket is another table
+    from lieext.presets import preset_source
+
+    path = tmp_path / "copy.lie"
+    path.write_text(preset_source("svir").replace("[L n, L m] = (m - n) L(n + m)", bracket))
+    proc = run_cli("h2", "--algebra", str(path), "--lambda=-3", "--mu=1", "--window", "8")
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert f"predicted_dim: {predicted}" in lines
+    assert f"agree: {agree}" in lines
+
+
 @pytest.mark.parametrize("source, core, classes", [
     (HV_SOURCE, 3, ["virasoro", "ii", "li-square"]),
     (W22_SOURCE, 2, ["virasoro", "lw-cubic"]),
@@ -475,7 +493,7 @@ def test_cli_import_leaves_the_process_pool_out():
 ], ids=["h2-witt", "verify-witt", "jacobi-witt", "h2-user", "verify-user"])
 def test_other_algebras_leave_the_svir_preset_unparsed(tmp_path, argv):
     # REGISTRY is built at first use, and the closed-form prediction turns
-    # away an algebra without lambda and mu before is_svir loads svir
+    # away an algebra without lambda and mu before it loads svir
     path = tmp_path / "user.lie"
     path.write_text(HV_SOURCE)
     argv = [arg.format(user=path) for arg in argv]
@@ -497,12 +515,12 @@ def test_lazy_registry_is_the_svir_classes():
          "import lieext, lieext.presets as p\n"
          "before = sorted(p._cache)\n"
          "from lieext import REGISTRY\n"
-         "from lieext.engine import REGISTRY as same\n"
-         "print(before, sorted(p._cache), REGISTRY is same is lieext.REGISTRY, 'REGISTRY' in lieext.__all__)"],
+         "print(before, sorted(p._cache), REGISTRY is p.REGISTRY is lieext.REGISTRY, 'REGISTRY' in lieext.__all__,\n"
+         "      hasattr(lieext.engine, 'REGISTRY'))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[] ['svir'] True True"
+    assert proc.stdout.strip() == "[] ['svir'] True True False"
 
 
 # at lambda = 1, [L(0), W(m)] = (m + 1) W(m) and the grading is not inner

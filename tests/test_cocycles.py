@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from lieext.algebra import BasisElement, CocycleLine, validate_parameters
+from lieext import REGISTRY
 from lieext.engine import (
-    REGISTRY,
     CocycleAssignment,
     KnownCocycle,
     Window,

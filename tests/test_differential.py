@@ -50,8 +50,8 @@ from lieext.algebra import (
     validate_parameters,
 )
 from lieext.dsl import parse
+from lieext import REGISTRY
 from lieext.engine import (
-    REGISTRY,
     CocycleAssignment,
     KnownCocycle,
     Window,

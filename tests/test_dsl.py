@@ -33,7 +33,7 @@ def parse_polynomial(text: str, variables) -> IndexPolynomial:
 
 def test_parse_svir_preset():
     result = parse(preset_source("svir"))
-    assert result.ok, result.diagnostics
+    assert result.spec is not None, result.diagnostics
     spec = result.spec
     assert spec.name == "svir"
     assert spec.parameters == ("lambda", "mu")
@@ -43,7 +43,7 @@ def test_parse_svir_preset():
 
 def test_parse_empty_algebra():
     result = parse("algebra a(){}")
-    assert result.ok
+    assert result.spec is not None
     assert result.spec.families == ()
     assert result.spec.parameters == ()
 
@@ -56,7 +56,7 @@ algebra bad() {
 }
 """
     result = parse(src)
-    assert not result.ok
+    assert result.spec is None
     assert any(d.code == "non-additive-output-index" for d in result.errors())
 
 
@@ -68,7 +68,7 @@ algebra bad() {
 }
 """
     result = parse(src)
-    assert not result.ok
+    assert result.spec is None
     assert any(d.code == "undeclared-family" for d in result.errors())
 
 
@@ -81,7 +81,7 @@ algebra bad(mu) {
 }
 """
     result = parse(src)
-    assert not result.ok
+    assert result.spec is None
     assert any(d.code == "reversed-family-pair" for d in result.errors())
 
 
@@ -94,7 +94,7 @@ algebra bad() {
 }
 """
     result = parse(src)
-    assert not result.ok
+    assert result.spec is None
     assert any(d.code == "duplicate-bracket" for d in result.errors())
 
 
@@ -106,7 +106,7 @@ algebra bad() {
 }
 """
     result = parse(src)
-    assert not result.ok
+    assert result.spec is None
     assert any(d.code == "non-antisymmetric" for d in result.errors())
 
 
@@ -118,7 +118,7 @@ algebra bad() {
 }
 """
     result = parse(src)
-    assert not result.ok
+    assert result.spec is None
     assert any(d.code in ("non-polynomial-coefficient", "division-by-zero") for d in result.errors())
 
 
@@ -131,7 +131,7 @@ algebra partial(mu) {
 }
 """
     result = parse(src)
-    assert result.ok
+    assert result.spec is not None
     warnings = [d for d in result.diagnostics if d.severity == "warning"]
     assert any(d.code == "missing-bracket-default" for d in warnings)
     spec = result.spec
@@ -170,7 +170,7 @@ def test_missing_keyword_is_named(src, message):
 def test_diagnostics_carry_positions():
     src = "algebra bad() {\n  family L weight 0;\n  bracket [L n, Q m] = (m - n) L(n + m);\n}"
     result = parse(src)
-    assert not result.ok
+    assert result.spec is None
     lines = src.split("\n")
     for diag in result.diagnostics:
         assert 1 <= diag.line <= len(lines)
@@ -185,7 +185,7 @@ algebra canon() {
 }
 """
     result = parse(src)
-    assert result.ok
+    assert result.spec is not None
     text = render(result.spec)
     assert "2/4" not in text
     assert "1/2" in text
@@ -195,7 +195,7 @@ def test_round_trip_presets():
     for name in ("svir", "witt"):
         spec = parse(preset_source(name)).spec
         again = parse(render(spec))
-        assert again.ok, again.diagnostics
+        assert again.spec is not None, again.diagnostics
         assert again.spec == spec
 
 
@@ -256,9 +256,9 @@ def test_round_trip_random_specs():
     while done < 20:
         src = _random_spec_source(rng)
         result = parse(src)
-        assert result.ok, (src, result.diagnostics)
+        assert result.spec is not None, (src, result.diagnostics)
         again = parse(render(result.spec))
-        assert again.ok, (render(result.spec), again.diagnostics)
+        assert again.spec is not None, (render(result.spec), again.diagnostics)
         assert again.spec == result.spec
         done += 1
 
@@ -291,7 +291,7 @@ def test_fuzz_mutated_preset():
 
 def test_error_cap_on_pathological_input():
     result = parse(";" * 100000)
-    assert not result.ok
+    assert result.spec is None
     assert len(result.diagnostics) <= 101  # capped, not one per semicolon
 
 
@@ -305,7 +305,7 @@ def test_deep_nesting_rejected():
         + " L(n + m);\n}"
     )
     result = parse(src)
-    assert not result.ok
+    assert result.spec is None
     assert any(d.code == "nesting" for d in result.errors())
 
 
@@ -313,7 +313,7 @@ def test_long_unary_sign_run_rejected():
     # every unary sign is one level of nesting, like a parenthesis
     signs = "-" * 5000
     result = parse("algebra deep() {\n  family L weight " + signs + "1;\n}")
-    assert not result.ok
+    assert result.spec is None
     assert any(d.code == "nesting" for d in result.errors())
     with pytest.raises(ValueError, match="nesting"):
         parse_polynomial(signs + "m", ("m",))
@@ -322,7 +322,7 @@ def test_long_unary_sign_run_rejected():
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
 def test_non_ascii_digit_rejected(digit):
     result = parse("algebra a() {\n  family L weight " + digit + ";\n}")
-    assert not result.ok
+    assert result.spec is None
     assert any(d.code == "bad-character" for d in result.errors())
     with pytest.raises(ValueError, match="bad-character"):
         parse_polynomial("m + " + digit, ("m",))
@@ -346,7 +346,7 @@ algebra c() {   # trailing comment
 }
 """
     result = parse(src)
-    assert result.ok
+    assert result.spec is not None
     assert result.spec.name == "c"
 
 
@@ -368,7 +368,7 @@ algebra ren(lam, nu) {
 
 def test_cocycle_blocks_parse_and_round_trip():
     result = parse(COCYCLE_SOURCE)
-    assert result.ok, result.diagnostics
+    assert result.spec is not None, result.diagnostics
     spec = result.spec
     assert list(spec.cocycles) == ["ab-half-one", "aa"]
     (line,) = spec.cocycles["ab-half-one"]
@@ -381,11 +381,11 @@ def test_cocycle_blocks_parse_and_round_trip():
     assert "cocycle ab-half-one {" in text
     assert "/ (2*j + nu) on i + j = -3/2*nu + 2;" in text
     again = parse(text)
-    assert again.ok, again.diagnostics
+    assert again.spec is not None, again.diagnostics
     assert again.spec == spec
     # the classes take part in equality, and so does their order
     reordered = parse(COCYCLE_SOURCE.replace("cocycle aa", "cocycle zz"))
-    assert reordered.ok and reordered.spec != spec
+    assert reordered.spec is not None and reordered.spec != spec
 
 
 def test_library_built_cocycle_lines_round_trip():
@@ -399,7 +399,7 @@ def test_library_built_cocycle_lines_round_trip():
     spec = AlgebraSpec("w", (), witt.families, witt.weight_offsets, witt.rules, {"half": lines})
     assert spec.cocycles["half"][0].coeff == V("m") / 2
     again = parse(render(spec))
-    assert again.ok, again.diagnostics
+    assert again.spec is not None, again.diagnostics
     assert again.spec == spec
 
 
@@ -436,7 +436,7 @@ def test_cocycle_reason_is_rendered_from_the_offset():
 def test_cocycle_line_diagnostics(line, code):
     source = "algebra a(nu) {\n  family A weight 0;\n  family B weight nu;\n"
     result = parse(source + "  cocycle c {\n    " + line + "\n  }\n}")
-    assert not result.ok
+    assert result.spec is None
     assert code in {d.code for d in result.errors()}, result.diagnostics
 
 
@@ -451,7 +451,7 @@ def test_cocycle_line_diagnostics(line, code):
 )
 def test_cocycle_block_diagnostics(block, code):
     result = parse("algebra a() {\n  family A weight 0;\n  " + block + "\n}")
-    assert not result.ok
+    assert result.spec is None
     assert code in {d.code for d in result.errors()}, result.diagnostics
 
 
@@ -461,7 +461,7 @@ def test_quadratic_cocycle_denominator_is_a_diagnostic_not_a_hang():
     source = preset_source("svir").replace("1 / (m + mu)", "1 / (m*m + mu)")
     start = time.perf_counter()
     result = parse(source)
-    assert not result.ok
+    assert result.spec is None
     (error,) = result.errors()
     assert error.code == "bad-denominator"
     assert "degree 2 or more in m" in error.message

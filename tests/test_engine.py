@@ -10,6 +10,7 @@ import pytest
 
 import lieext
 import lieext.engine as engine
+from lieext import REGISTRY, theorem_predicted_dim
 from lieext.algebra import BasisElement, CocycleLine, ParameterError, validate_parameters
 from lieext.engine import (
     CocycleAssignment,
@@ -22,7 +23,6 @@ from lieext.engine import (
     is_coboundary,
     match_known,
     nonzero_degree_triviality,
-    theorem_predicted_dim,
     verify_cocycle,
 )
 from lieext.dsl import parse
@@ -548,13 +548,13 @@ def test_verify_of_a_declared_class_binds_once(monkeypatch):
 
     monkeypatch.setattr(lieext.algebra, "validate_parameters", counting)
     monkeypatch.setattr(engine, "_by_degree", grouping)
-    report = verify_cocycle(SVIR, {"lambda": -1, "mu": 1}, Window(12), engine.REGISTRY["c1"])
+    report = verify_cocycle(SVIR, {"lambda": -1, "mu": 1}, Window(12), REGISTRY["c1"])
     assert report.passed and report.assignment.values
     assert len(calls) == 1 and not grouped
 
 
 def test_applicability_validates_its_parameters():
-    c1 = engine.REGISTRY["c1"]
+    c1 = REGISTRY["c1"]
     with pytest.raises(ParameterError, match="^missing parameter 'lambda' for algebra 'svir'$"):
         c1.applicability(SVIR, {})
     with pytest.raises(ParameterError, match="^unknown parameter 'nu'"):

@@ -11,8 +11,14 @@ checked where the mu = 0 binding meets it: svir(lambda, 0) against
 svir(lambda, 1).  It is checked far from index 0 too: wab_a(20, mu), whose
 W has weight 20, is wab_a(0, mu) with W shifted by 20, and at degree 0 most
 entries of its identity tables leave the window.
+
+Rescaling keeps every window, degree and support and changes only the
+sizes of the integers h2 computes with: it must give the same numbers on
+every spec the negation is checked on, and on those of criterion 8's random
+specs that h2 answers.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,14 +28,19 @@ from lieext.engine import Window, h2
 from lieext.presets import load_algebra
 
 from golden import WAB_SOURCE
-from isomorphism import V, negated, shifted, substituted
+from isomorphism import V, negated, rescaled, shifted, substituted
 from test_acceptance import GRID_LAMBDAS, GRID_MUS
 from test_cli import HV_SOURCE, W22_SOURCE, WAB_A_SOURCE
 from test_differential import NO_WEIGHT_ZERO_SOURCE
+from test_dsl import _random_spec_source
 
 SVIR = load_algebra("svir")
 WAB_A = parse(WAB_A_SOURCE).spec
 SVIR_SIGNS = {"L": -1, "Y": 1, "M": -1}
+# large and fractional: the first grows the coefficient bound and the
+# packed slot width, the second the bracket denominator too (to 49000)
+SVIR_SCALES = [{"Y": 1000, "M": Fraction(-1, 7)}, {"Y": Fraction(-1, 7), "M": 1000}]
+SCALES = (Fraction(-1, 7), 1000, Fraction(9, 4), -3)
 MU = V("mu")
 
 
@@ -75,7 +86,7 @@ def test_negation_keeps_h2_on_the_svir_grid():
             assert _numbers(negative, params, 12) == _numbers(SVIR, params, 12), params
 
 
-@pytest.mark.parametrize(
+SPECS = pytest.mark.parametrize(
     "source, points, n",
     [
         ("witt", [{}], 8),
@@ -90,14 +101,57 @@ def test_negation_keeps_h2_on_the_svir_grid():
     ],
     ids=["witt-8", "witt-12", "wab", "graded3-8", "graded3-12", "hv", "w22", "svir-refusals"],
 )
+
+
+def _spec(source):
+    return load_algebra(source) if source in ("witt", "svir") else parse(source).spec
+
+
+@SPECS
 def test_negation_keeps_h2(source, points, n):
-    spec = load_algebra(source) if source in ("witt", "svir") else parse(source).spec
+    spec = _spec(source)
     negative = negated(spec, {"L": -1})
     for params in points:
         expected = _numbers(spec, params, n)
         assert _numbers(negative, params, n) == expected, params
         if source == "svir":
             assert expected.startswith("window too small: the M-M sector"), expected
+
+
+@pytest.mark.parametrize("scales", SVIR_SCALES, ids=["bound", "denominator"])
+def test_rescaling_keeps_h2_on_the_svir_grid(scales):
+    scaled = rescaled(SVIR, scales)
+    assert scaled._table() != SVIR._table()
+    assert rescaled(scaled, {fam: 1 / Fraction(s) for fam, s in scales.items()}) == SVIR
+    for lam in GRID_LAMBDAS:
+        for mu in GRID_MUS:
+            params = {"lambda": lam, "mu": mu}
+            assert _numbers(scaled, params, 12) == _numbers(SVIR, params, 12), params
+
+
+@SPECS
+def test_rescaling_keeps_h2(source, points, n):
+    spec = _spec(source)
+    scaled = rescaled(spec, dict(zip(spec.families, SCALES)))
+    for params in points:
+        assert _numbers(scaled, params, n) == _numbers(spec, params, n), params
+
+
+def test_random_specs_keep_h2_under_negation_and_rescaling():
+    # criterion 8's specs at seed 808, with the parameters of
+    # test_differential._jacobi_algebras; most are not graded by their
+    # weights, and h2 refuses them the same way after either map
+    rng = random.Random(808)
+    values = {"alpha": 2, "beta": "-1/2", "gam": 3}
+    answered = 0
+    for _ in range(20):
+        spec = parse(_random_spec_source(rng)).spec
+        params = {p: values[p] for p in spec.parameters}
+        expected = _numbers(spec, params, 8)
+        answered += not isinstance(expected, str)
+        assert _numbers(negated(spec, {spec.families[0]: -1}), params, 8) == expected, spec
+        assert _numbers(rescaled(spec, dict(zip(spec.families, SCALES))), params, 8) == expected, spec
+    assert answered == 3
 
 
 @pytest.mark.parametrize("n", [8, 12])

@@ -66,49 +66,88 @@ API_ALLOWED = {
 }
 
 
-def _read_names(tree, skip=None) -> set:
-    """The names read by the ast Name and Attribute nodes of tree, outside
-    the node skip."""
-    names, stack = set(), [tree]
+def _read_names(tree, skip=None) -> dict:
+    """The names read by the ast nodes of tree, outside the node skip:
+    under "attribute" the attributes of its Attribute nodes, and under
+    "name" those and the ids of its Name nodes."""
+    read, stack = {"name": set(), "attribute": set()}, [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            read["name"].add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            read["name"].add(node.attr)
+            read["attribute"].add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
-    return names
+    return read
 
 
 def test_every_public_name_has_a_caller():
     # no public API exists only for tests: every public module-level function
-    # and class of src/lieext, and every public method, is read by name in src/
+    # and class of src/lieext, and every public method, is read in src/
     # outside its own definition, in perfbench/ or tools/, or in the README's
     # "Library use" example, or is on API_ALLOWED; dunders are exempt, and a
-    # mention in a docstring or comment is no caller
+    # mention in a docstring or comment is no caller.  A function or class
+    # is read by name; a method only as an attribute, so that a local
+    # variable of the same name is no caller
     from test_engine import _readme_library_code
 
     modules = [ast.parse(path.read_text()) for path in (ROOT / "src" / "lieext").glob("*.py")]
     outside = _read_names(ast.parse(_readme_library_code()))
     for path in [*(ROOT / "perfbench").rglob("*.py"), *TOOLS.rglob("*.py")]:
-        outside |= _read_names(ast.parse(path.read_text()))
+        for kind, names in _read_names(ast.parse(path.read_text())).items():
+            outside[kind] |= names
     defined = []
     for tree in modules:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.append((node.name, node))
+                defined.append((node.name, node, "name"))
             if isinstance(node, ast.ClassDef):
                 defined += [
-                    (f"{node.name}.{item.name}", item)
+                    (f"{node.name}.{item.name}", item, "attribute")
                     for item in node.body
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
                 ]
     uncalled = {
         qualname
-        for qualname, node in defined
-        if (name := qualname.rpartition(".")[2]) not in outside
-        and not any(name in _read_names(tree, skip=node) for tree in modules)
+        for qualname, node, kind in defined
+        if (name := qualname.rpartition(".")[2]) not in outside[kind]
+        and not any(name in _read_names(tree, skip=node)[kind] for tree in modules)
     }
     assert uncalled == API_ALLOWED
+
+
+def _package_imports(tree) -> set:
+    """The lieext modules that tree imports, by their names in the package."""
+    paths = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "lieext" + (f".{node.module}" if node.module else "") if node.level else node.module or ""
+            paths += [module] if module != "lieext" else [f"lieext.{alias.name}" for alias in node.names]
+    return {path.split(".")[1] for path in paths if path.startswith("lieext.")}
+
+
+def test_svir_specifics_live_in_presets():
+    # the engine is the generic solver: it loads no preset and holds no
+    # module __getattr__; svir's closed-form table is defined once, in
+    # presets.py, and only presets.py loads an algebra by a literal name
+    trees = {path.name: ast.parse(path.read_text()) for path in (ROOT / "src" / "lieext").glob("*.py")}
+    assert _package_imports(trees["engine.py"]) == {"algebra", "poly", "rational", "sparse"}
+    assert "__getattr__" not in {node.name for node in trees["engine.py"].body if isinstance(node, ast.FunctionDef)}
+    tables, literal_loads = [], set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "theorem_predicted_dim":
+                tables.append(name)
+            elif (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func).rpartition(".")[2] == "load_algebra"
+                and any(isinstance(arg, ast.Constant) and isinstance(arg.value, str) for arg in node.args)
+            ):
+                literal_loads.add(name)
+    assert tables == ["presets.py"]
+    assert literal_loads == {"presets.py"}
