@@ -72,7 +72,10 @@ family triple with a term whose columns lie in a sector (family pair)
 where psi is nonzero.  Every other family triple's dot products are 0, so
 it counts that one's admissible triples instead (_Identity.admissible):
 only a triple with an index at the window edge can have an output outside.
-Its count of triples checked, part of its report, stays exact.
+Its count of triples checked, part of its report, stays exact.  The count
+decides "the output leaves the window" from the identity's rules, by the
+same test as its tables (below), so that the family triples verify_cocycle
+does not walk build no tables: the rule has two places, on purpose.
 
 The result is the one full elimination gives.  Every admissible row is in
 the echelon, or walked and passed against a nullspace that contains the
@@ -87,16 +90,17 @@ columns, and family triples whose pairs bracket to nothing give no row and
 are left out.
 
 h2 builds one plan per call, at its largest window N + 2 * (steps - 1)
-(_Plan): one pair basis, one compile of the identities' rules and one
-bracket pass for the coboundaries.  Each window n is a view on it.  Its
-columns are the plan's columns whose pair has both indices in [-n, n]; both
-numberings sort the same pair keys, so the map from window n's own columns
-into the plan's is increasing, every row keeps its leading column, and
-pivots, ranks and reduced null vectors correspond one to one.  Its
-identities share the plan's rules and pair basis and build their own tables
-at radius n, by the one rule that marks "the output leaves the window"
-wherever the output index leaves [-n, n]; its coboundary generators and
-core columns are filtered from the plan's.  The plan holds the certified
+(_Plan): one pair basis, one list of the family triples that bracket, with
+their index totals, and one bracket pass for the coboundaries.  Each window
+n is a view on it.  Its columns are the plan's columns whose pair has both
+indices in [-n, n]; both numberings sort the same pair keys, so the map
+from window n's own columns into the plan's is increasing, every row keeps
+its leading column, and pivots, ranks and reduced null vectors correspond
+one to one.  It builds its own identity of each of those family triples at
+radius n, over the plan's pair basis, by the one constructor every identity
+has; their tables mark "the output leaves the window" wherever the output
+index leaves [-n, n].  Its coboundary generators and core columns are
+filtered from the plan's.  The plan holds the certified
 echelon and the window it was solved on: h2 solves its first window as
 above and grows each later window from that echelon, which passes from
 window to window unchanged.  A triple of the grown window is new when one
@@ -113,11 +117,11 @@ Every row is expanded from one compiled form of the identity.  The indices
 of the triples (F_i, G_j, H_k) of one family triple at one degree sum to a
 fixed t, so the term [F_i, G_j] psi(., H_k) has output index t - k and its
 column and skew sign depend on k alone, as the other two terms' depend on i
-and on j alone.  Each family triple's identity is therefore compiled once
-per plan into its coefficient terms, and once per window into three
-per-index tables whose entries are a (column, sign), "the output is the
-paired element" (no contribution), or "the output leaves the window" (the
-triple is dropped if the coefficient there is nonzero).  Assembly, the
+and on j alone.  Each family triple's identity is therefore compiled, once
+per window, into its coefficient terms and three per-index tables whose
+entries are a (column, sign), "the output is the paired element" (no
+contribution), or "the output leaves the window" (the triple is dropped if
+the coefficient there is nonzero).  Assembly, the
 subset solve, the check and verify_cocycle's walks all read these tables,
 which are built at their first use.  The check and verify_cocycle replace
 each table's columns by vector entries and walk the triples in one loop
@@ -341,17 +345,17 @@ class _Identity:
     table, w, u, v): table[idx[w] + n] is (column, sign), _EQUAL or _OUT
     for the index at position w of idx = (i, j, k), and the bracket
     coefficient is evaluated at idx[u], idx[v].  The entry is _OUT exactly
-    when the output index total - idx[w] leaves [-n, n]: terms is the one
-    place that decides it.  bound is at least the sum of |coefficient| over
+    when the output index total - idx[w] leaves [-n, n].  terms decides it
+    for every row expansion in this module; admissible() decides it again,
+    by the same test on rules, so that an identity verify_cocycle does not
+    walk builds no tables.  bound is at least the sum of |coefficient| over
     the terms at any triple of window indices.  The tables are built at
-    their first use: every row expansion in this module reads them, while
-    an identity verify_cocycle does not walk reads only rules
-    (admissible).  within() gives the identity on a smaller window, with
-    its own tables.
+    their first use.  Every identity is built by __init__ at its radius n:
+    _Plan.cocycles builds one per window solved, over the plan's pair basis.
     """
 
-    def __init__(self, alg: BoundAlgebra, window: Window, pairs: PairBasis, families, total: int):
-        self.families, self.total, self.n, self.pairs = families, total, window.n, pairs
+    def __init__(self, alg: BoundAlgebra, n: int, pairs: PairBasis, families, total: int):
+        self.families, self.total, self.n, self.pairs = families, total, n, pairs
         # the pinned indices: -1, and 0 too when no family has weight 0
         self.pins = (-1,) if any(not alg.offsets[p] for p in families) else (-1, 0)
         a, b, c = families
@@ -361,7 +365,8 @@ class _Identity:
             for (p, q, r), positions in cyclic
             if (rule := alg._rules[p][q]) is not None
         ]
-        self.bound = self._bound()
+        # |k * i**e * j**f| <= |k| * n**(e + f) for indices i, j in [-n, n]
+        self.bound = sum(abs(k) * n ** (e + f) for coefficient, *_ in self.rules for k, e, f in coefficient)
 
     @cached_property
     def terms(self) -> list:
@@ -380,21 +385,6 @@ class _Identity:
                     table.append((column[(paired, output)], -1))
             terms.append((coefficient, table, w, u, v))
         return terms
-
-    def _bound(self) -> int:
-        # |k * i**e * j**f| <= |k| * n**(e + f) for indices i, j in [-n, n]
-        n = self.n
-        return sum(abs(k) * n ** (e + f) for coefficient, *_ in self.rules for k, e, f in coefficient)
-
-    def within(self, n: int) -> "_Identity":
-        """This identity on the window [-n, n], n at most its own: the same
-        rules, pins and pair basis, with its own tables, which terms builds
-        at radius n."""
-        view = object.__new__(_Identity)
-        view.families, view.total, view.pins, view.n = self.families, self.total, self.pins, n
-        view.rules, view.pairs = self.rules, self.pairs
-        view.bound = view._bound()
-        return view
 
     def _js(self, i: int) -> range:
         """The j of the triples (i, j, total - i - j) of the window, in
@@ -416,9 +406,12 @@ class _Identity:
     def admissible(self) -> int:
         """The number of admissible window triples, as walk() counts them
         when no entry is nonzero: all but those with a term whose output
-        index total - idx[w] leaves the window, exactly the _OUT entries,
-        and whose coefficient there is nonzero.  Those meet the edge
-        indices v with |total - v| > n."""
+        index total - idx[w] leaves the window and whose coefficient there
+        is nonzero.  Those meet the edge indices v with |total - v| > n.
+        This is the second place of the edge rule, beside terms: it reads
+        rules alone, so that the family triples verify_cocycle does not
+        walk build no tables, and it must mark a term out exactly where
+        terms puts _OUT."""
         n, total = self.n, self.total
         count = sum(len(self._js(i)) for i in range(-n, n + 1))
         for i, j in self.meeting([v for v in range(-n, n + 1) if abs(total - v) > n]):
@@ -606,7 +599,7 @@ class _Identity:
         return checked, None
 
 
-def _identities(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis) -> list:
+def _identities(alg: BoundAlgebra, n: int, degree: Fraction, pairs: PairBasis) -> list:
     """The compiled identity of every family triple a <= b <= c whose index
     total is an integer at this degree, in lexicographic order; with their
     indices() in turn they run through all of the degree's window triples."""
@@ -615,7 +608,7 @@ def _identities(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: Pair
     for families in combinations_with_replacement(range(len(offs)), 3):
         total = degree - sum(offs[p] for p in families)
         if total.denominator == 1:
-            identities.append(_Identity(alg, window, pairs, families, int(total)))
+            identities.append(_Identity(alg, n, pairs, families, int(total)))
     return identities
 
 
@@ -628,7 +621,7 @@ def assemble_constraints(
     pairs = _pair_basis(alg, window, degree, pairs)
     denominator = alg.denominator
     rows = []
-    for identity in _identities(alg, window, degree, pairs):
+    for identity in _identities(alg, window.n, degree, pairs):
         for idx in identity.indices():
             row = identity.row(idx)
             if row:
@@ -638,14 +631,15 @@ def assemble_constraints(
 
 class _Plan:
     """The windows [-n, n] of one degree up to `window`, built once at it:
-    its pair basis, the compiled identities of its family triples, and each
-    pair's bracket.  Window n's columns are the plan's columns whose pair
-    has both indices in [-n, n]; both numberings sort the pair keys, so the
-    map from window n's own columns to these is increasing, and every row,
-    pivot and null vector of window n is the same one here.  Its identities
-    share the compiled ones' rules, pins and pair basis, and build their own
-    tables at radius n (_Identity.within); its coboundary generators and
-    core columns are filtered from the plan's.
+    its pair basis, the identities of its family triples that bracket, and
+    each pair's bracket.  Window n's columns are the plan's columns whose
+    pair has both indices in [-n, n]; both numberings sort the pair keys, so
+    the map from window n's own columns to these is increasing, and every
+    row, pivot and null vector of window n is the same one here.  Window n
+    builds its own identity of each of those family triples with
+    _Identity(alg, n, pairs, families, total), over the plan's pair basis
+    (cocycles); its coboundary generators and core columns are filtered
+    from the plan's.
 
     The plan also owns the certified solve of its windows: the echelon of
     the rows it has eliminated, and the window that echelon was solved on.
@@ -658,10 +652,12 @@ class _Plan:
 
     @cached_property
     def identities(self) -> list:
-        """The compiled identities whose family pairs bracket to something."""
+        """The identities, at the plan's window, of the family triples whose
+        family pairs bracket to something: the families and index totals
+        each window builds its own identities from."""
         return [
             identity
-            for identity in _identities(self.alg, self.window, self.degree, self.pairs)
+            for identity in _identities(self.alg, self.window.n, self.degree, self.pairs)
             if identity.rules
         ]
 
@@ -700,7 +696,7 @@ class _Plan:
         previous = self.solved
         if previous is not None and n <= previous:
             raise ValueError(f"window {n} does not grow the solved window {previous}")
-        identities = [identity.within(n) for identity in self.identities]
+        identities = [_Identity(self.alg, n, self.pairs, triple.families, triple.total) for triple in self.identities]
         strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
 
         def walked(identity):
@@ -1077,7 +1073,7 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
         pairs = _enumerate_pairs(alg, window, degree)
         vector, scale = _on_columns(ratios, pairs)
         sectors = {(x[0], y[0]) for x, y in ratios}
-        for identity in _identities(alg, window, degree, pairs):
+        for identity in _identities(alg, window.n, degree, pairs):
             if not identity.reaches(sectors):
                 # psi is 0 on every column of its terms: its admissible
                 # triples all pass

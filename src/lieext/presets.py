@@ -9,10 +9,10 @@ then the reference taken as a literal file path.
 svir is the one algebra with a closed-form table of its degree-zero H^2
 (theorem_predicted_dim).  predicted_dim says when the table applies to an
 h2 run: at degree 0, on any algebra with svir's bracket table, whatever its
-name and the letters of its index variables.  REGISTRY maps each class svir
-declares to a KnownCocycle; it is built the first time it is read, so a
-process that never reads it never parses svir.  The engine itself loads no
-preset.
+name, the letters of its index variables and the order of its
+declarations.  REGISTRY maps each class svir declares to a KnownCocycle; it
+is built the first time it is read, so a process that never reads it never
+parses svir.  The engine itself loads no preset.
 """
 
 from __future__ import annotations
@@ -85,10 +85,19 @@ def __getattr__(name):
 
 
 def _bracket_table(spec: AlgebraSpec) -> tuple:
-    """spec's bracket table without the letters of its index variables:
-    each rule as its output family and its coefficient's index terms."""
-    rules = {key: (rule.out_family, rule._index_terms) for key, rule in spec.rules.items()}
-    return spec.parameters, spec.families, spec.weight_offsets, rules
+    """spec's bracket table without the letters of its index variables or
+    the order of its declarations: the parameters and families as sets, and
+    each rule keyed on its family pair in name order, as its output family
+    and its coefficient's index terms.  A rule stored as [G, F] with F
+    before G in name order is read as [F, G] = -[G, F]: its exponents
+    swapped and its coefficients negated."""
+    rules = {}
+    for (a, b), rule in spec.rules.items():
+        terms = rule._index_terms
+        if a > b:
+            a, b, terms = b, a, {(f, e): -k for (e, f), k in terms.items()}
+        rules[a, b] = rule.out_family, terms
+    return frozenset(spec.parameters), frozenset(spec.families), spec.weight_offsets, rules
 
 
 def predicted_dim(spec: AlgebraSpec, params, degree):

@@ -288,17 +288,43 @@ def test_renamed_svir_copy_gets_the_svir_rules(tmp_path):
         assert "agree: yes" in lines
 
 
-@pytest.mark.parametrize("bracket, predicted, agree, code", [
-    ("[L a, L b] = (b - a) L(a + b)", "2", "no", 1),
-    ("[L a, L b] = (2*b - 2*a) L(a + b)", "n/a", "n/a", 0),
-], ids=["relettered", "rescaled"])
-def test_svir_prediction_ignores_the_index_letters(tmp_path, bracket, predicted, agree, code):
-    # the same bracket table with other index variables is svir; twice the
-    # L-L bracket is another table
+# svir's bracket table with Y declared before L, so that the L-Y bracket is
+# stored as [Y, L] = -[L, Y]
+SVIR_Y_FIRST_SOURCE = """
+algebra svir(lambda, mu) {
+    family Y weight mu;
+    family L weight 0;
+    family M weight 2*mu;
+    bracket [Y n, Y m] = (m - n) M(n + m);
+    bracket [Y m, L n] = -(m - (lambda + 1)/2*n + mu) Y(n + m);
+    bracket [Y n, M m] = 0;
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, M m] = (m - lambda*n + 2*mu) M(n + m);
+    bracket [M n, M m] = 0;
+}
+"""
+
+
+def _svir_with(old, new):
     from lieext.presets import preset_source
 
+    return preset_source("svir").replace(old, new)
+
+
+@pytest.mark.parametrize("source, predicted, agree, code", [
+    (_svir_with("[L n, L m] = (m - n) L(n + m)", "[L a, L b] = (b - a) L(a + b)"), "2", "no", 1),
+    (_svir_with("[L n, L m] = (m - n) L(n + m)", "[L a, L b] = (2*b - 2*a) L(a + b)"), "n/a", "n/a", 0),
+    (SVIR_Y_FIRST_SOURCE, "2", "no", 1),
+    (_svir_with("algebra svir(lambda, mu)", "algebra svir(mu, lambda)"), "2", "no", 1),
+    (SVIR_Y_FIRST_SOURCE.replace("(m - n) M(n + m)", "(n - m) M(n + m)"), "n/a", "n/a", 0),
+    (SVIR_Y_FIRST_SOURCE.replace("= -(m - (lambda", "= (m - (lambda"), "n/a", "n/a", 0),
+], ids=["relettered", "rescaled", "y-first", "mu-first", "y-first-yy-negated", "y-first-ly-negated"])
+def test_svir_prediction_ignores_the_index_letters(tmp_path, source, predicted, agree, code):
+    # the same bracket table with other index variables, or declared in
+    # another order, is svir; twice the L-L bracket, or either sign of a
+    # reordered copy's brackets flipped, is another table
     path = tmp_path / "copy.lie"
-    path.write_text(preset_source("svir").replace("[L n, L m] = (m - n) L(n + m)", bracket))
+    path.write_text(source)
     proc = run_cli("h2", "--algebra", str(path), "--lambda=-3", "--mu=1", "--window", "8")
     assert proc.returncode == code, proc.stderr
     lines = proc.stdout.splitlines()

@@ -368,7 +368,7 @@ def test_pinned_rule_edges_equal_full_elimination(tmp_path, source, values, degr
     window = Window(n)
     alg = engine._bind(spec, params)
     pairs = enumerate_pairs(spec, params, window, degree)
-    identities = engine._identities(alg, window, Fraction(degree), pairs)
+    identities = engine._identities(alg, n, Fraction(degree), pairs)
     assert {identity.pins for identity in identities if identity.terms} == pins
     for identity in identities:
         assert sorted(identity.pinned()) == [
@@ -522,7 +522,8 @@ def test_compiled_identity_matches_reference(name, values, n):
         for _ in range(4)
     ]
     alg = engine._bind(spec, params)
-    compiled = engine._identities(alg, window, Fraction(0), pairs)
+    compiled = engine._identities(alg, n, Fraction(0), pairs)
+    _assert_admissible_is_walked(compiled)
     for vectors in (small, large):
         flagged, top = [], 0
         for x, y, z, terms in identities:
@@ -557,6 +558,43 @@ def test_compiled_identity_matches_reference(name, values, n):
                 rest = rest[rest.index(idx[:2]) + 1 :]
                 failed = identity.walk(terms, rest)[1]
         assert walked == flagged
+
+
+def _assert_admissible_is_walked(identities):
+    """admissible() decides "the output leaves the window" from the rules,
+    not from the tables every walk reads: it must count what walk() counts
+    when no entry is nonzero."""
+    for identity in identities:
+        assert identity.admissible() == identity.walk(identity.valued({})[0])[0], identity.families
+
+
+@pytest.mark.parametrize(
+    "name, values, degree",
+    [
+        ("witt", {}, 13),
+        ("witt", {}, 26),
+        ("svir", {"lambda": -3, "mu": 1}, 26),
+        ("svir", {"lambda": 1, "mu": "1/2"}, -13),
+    ],
+    ids=["witt-13", "witt-26", "svir(-3,1)-26", "svir(1,1/2)-(-13)"],
+)
+def test_admissible_is_walked_where_totals_exceed_the_window(name, values, degree):
+    """The index totals here exceed the window 12, so many outputs leave
+    it.  A triple of svir with a Y-M or M-M pair stays admissible wherever
+    that pair's output lies, as the pair brackets to 0, so the count must
+    test each term's output on its own."""
+    spec = load_algebra(name)
+    alg = engine._bind(spec, validate_parameters(spec, values))
+    pairs = engine._enumerate_pairs(alg, Window(12), Fraction(degree))
+    identities = engine._identities(alg, 12, Fraction(degree), pairs)
+    _assert_admissible_is_walked(identities)
+    if name == "witt":
+        # an output 13 - k leaves the window when k < 1, so the admissible
+        # triples at 13 are the 8 with 1 <= i < j < k; at 26 every output
+        # leaves it
+        [identity] = identities
+        assert list(identity.indices())
+        assert identity.admissible() == {13: 8, 26: 0}[degree]
 
 
 def _coboundary_of(spec, params, window, z) -> CocycleAssignment:
@@ -642,10 +680,10 @@ def _assert_strip_meets_new_rows(plan, n, previous):
     column = {col: plan.pairs._index[key] for key, col in smaller._index.items()}
     smaller_identities = {
         identity.families: identity
-        for identity in engine._identities(plan.alg, smaller.window, plan.degree, smaller)
+        for identity in engine._identities(plan.alg, previous, plan.degree, smaller)
     }
-    for identity in plan.identities:
-        identity = identity.within(n)
+    for triple in plan.identities:
+        identity = engine._Identity(plan.alg, n, plan.pairs, triple.families, triple.total)
         met = {(i, j, identity.total - i - j) for i, j in identity.meeting(identity.touching(strip))}
         for idx in identity.indices():
             row = identity.row(idx)
@@ -663,7 +701,7 @@ def _rank_deficit(alg, degree, pairs):
     in the identity's pins.  Both by separate full eliminations over all of
     indices(), not over pinned()."""
     full, pinned = engine._Echelon(), engine._Echelon()
-    for identity in engine._identities(alg, pairs.window, degree, pairs):
+    for identity in engine._identities(alg, pairs.window.n, degree, pairs):
         for idx in identity.indices():
             row = identity.row(idx)
             if row:
@@ -818,15 +856,20 @@ def test_h2_equals_fresh_windows(tmp_path, source, values, degree, n, margin, st
     ids=["svir(-3,1/2)", "svir(1,1)-1-step", "witt-4-steps"],
 )
 def test_h2_builds_one_plan(monkeypatch, name, values, steps):
-    """One h2 call enumerates its pairs once and compiles each family
-    triple's identity once, whatever the number of windows."""
+    """One h2 call enumerates its pairs once.  Its plan builds each family
+    triple's identity once, and each window it solves builds its own
+    identity of each family triple that brackets to something."""
     spec = load_algebra(name)
     alg = engine._bind(spec, values)
     # the family triples whose index total is an integer at degree 0
-    triples = sum(
-        sum(alg.offsets[p] for p in families).denominator == 1
+    triples = [
+        families
         for families in combinations_with_replacement(range(len(alg.offsets)), 3)
-    )
+        if sum(alg.offsets[p] for p in families).denominator == 1
+    ]
+    brackets = {
+        families for families in triples if any(alg._rules[p][q] is not None for p, q in combinations(families, 2))
+    }
     calls = Counter()
     enumerate_pairs_, init = engine._enumerate_pairs, engine._Identity.__init__
 
@@ -842,7 +885,7 @@ def test_h2_builds_one_plan(monkeypatch, name, values, steps):
     monkeypatch.setattr(engine._Identity, "__init__", counting_init)
     h2(spec, values, Window(8), stabilization_steps=steps)
     assert calls.pop("pairs") == 1
-    assert len(calls) == triples and set(calls.values()) == {1}
+    assert calls == {families: 1 + steps * (families in brackets) for families in triples}
 
 
 def test_plan_refuses_a_window_that_does_not_grow():

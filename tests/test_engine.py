@@ -87,7 +87,7 @@ def _identity_row(spec, params, window, x, y, z, pairs):
     when a bracket leaves the window: the engine's row over its denominator."""
     alg = engine._bind(spec, params)
     families, idx = zip(*(spec.element_key(e) for e in (x, y, z)))
-    row = engine._Identity(alg, window, pairs, families, sum(idx)).row(idx)
+    row = engine._Identity(alg, window.n, pairs, families, sum(idx)).row(idx)
     return None if row is None else {col: Fraction(v, alg.denominator) for col, v in row.items()}
 
 
@@ -597,16 +597,21 @@ def test_h2_compiles_each_declared_class_once(monkeypatch):
 
 def test_identity_within_below_its_total_leaves_every_index_out():
     # witt at degree 26: window 16 has triples of index total 26, window 12
-    # none, as 26 > 2 * 12
+    # none with every output inside, as 26 > 2 * 12.  The plan's window 12
+    # builds its identity over the plan's pair basis, as a fresh window 12
+    # does over its own
     alg = engine._bind(WITT, {})
-    [identity] = engine._Plan(alg, Window(16), Fraction(26)).identities
-    within = identity.within(12)
-    assert within.rules is identity.rules and within.pairs is identity.pairs
+    plan = engine._Plan(alg, Window(16), Fraction(26))
+    [triple] = plan.identities
+    within = engine._Identity(alg, 12, plan.pairs, triple.families, triple.total)
     pairs = engine._enumerate_pairs(alg, Window(12), Fraction(26))
-    fresh = engine._Identity(alg, Window(12), pairs, identity.families, identity.total)
+    [fresh] = engine._identities(alg, 12, Fraction(26), pairs)
+    assert within.rules == fresh.rules == triple.rules
     assert [term[1] for term in within.terms] == [term[1] for term in fresh.terms]
     assert all(entry is engine._OUT for term in within.terms for entry in term[1])
-    assert within.bound == fresh.bound
+    assert within.bound == fresh.bound < triple.bound
+    # [L_i, L_j] = (j - i) L_(i + j) is nonzero on every triple i < j < k
+    assert list(within.indices()) and within.admissible() == 0
 
 
 def test_windows_leave_out_the_generators_outside_them():

@@ -151,3 +151,16 @@ def test_svir_specifics_live_in_presets():
                 literal_loads.add(name)
     assert tables == ["presets.py"]
     assert literal_loads == {"presets.py"}
+
+
+def test_every_class_is_built_by_its_own_init():
+    # no module of src/lieext makes an instance by calling __new__, as
+    # object.__new__(cls) does: that skips __init__ and leaves a second
+    # construction path to keep in step with it
+    calls = [
+        (path.name, node.lineno)
+        for path in (ROOT / "src" / "lieext").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
+    ]
+    assert calls == []
