@@ -90,21 +90,24 @@ columns, and family triples whose pairs bracket to nothing give no row and
 are left out.
 
 h2 builds one plan per call, at its largest window N + 2 * (steps - 1)
-(_Plan): one pair basis, one list of the family triples that bracket, with
-their index totals, and one bracket pass for the coboundaries.  Each window
-n is a view on it.  Its columns are the plan's columns whose pair has both
-indices in [-n, n]; both numberings sort the same pair keys, so the map
-from window n's own columns into the plan's is increasing, every row keeps
-its leading column, and pivots, ranks and reduced null vectors correspond
-one to one.  It builds its own identity of each of those family triples at
-radius n, over the plan's pair basis, by the one constructor every identity
-has; their tables mark "the output leaves the window" wherever the output
-index leaves [-n, n].  Its coboundary generators and core columns are
-filtered from the plan's.  The plan holds the certified
-echelon and the window it was solved on: h2 solves its first window as
-above and grows each later window from that echelon, which passes from
-window to window unchanged.  A triple of the grown window is new when one
-of its indices, or the output index total - idx[w] of one of its terms,
+(_Plan): one pair basis, one list of the family triples with their index
+totals, and one bracket pass for the coboundaries.  Which family pairs,
+triples and single families exist at a degree is one rule, _totals: those
+whose index total, the degree less their weight offsets, is an integer.
+Each window n is a view on the plan.  Its columns are the plan's columns
+whose pair has both indices in [-n, n]; both numberings sort the same pair
+keys, so the map from window n's own columns into the plan's is
+increasing, every row keeps its leading column, and pivots, ranks and
+reduced null vectors correspond one to one.  It builds its own identity of
+each of the plan's family triples at radius n, over the plan's pair basis,
+by the one constructor every identity has, and keeps those whose family
+pairs bracket to something; their tables mark "the output leaves the
+window" wherever the output index leaves [-n, n].  Its coboundary
+generators and core columns are filtered from the plan's.  The plan holds
+the certified echelon and the window it was solved on: h2 solves its first
+window as above and grows each later window from that echelon, which passes
+from window to window unchanged.  A triple of the grown window is new when
+one of its indices, or the output index total - idx[w] of one of its terms,
 lies in the strip between the two windows; there are O(n) of them per
 family triple, and they are enumerated directly.  Every other admissible
 triple has its indices and its nonzero outputs inside the smaller window,
@@ -292,19 +295,26 @@ def enumerate_pairs(spec: AlgebraSpec, params: Mapping, window: Window, degree) 
     return _enumerate_pairs(_bind(spec, params), window, _degree(degree))
 
 
-def _enumerate_pairs(alg: BoundAlgebra, window: Window, degree: Fraction) -> PairBasis:
+def _totals(alg: BoundAlgebra, degree: Fraction, size: int):
+    """(families, total) for each family tuple a <= b <= ... of `size`, in
+    combinations_with_replacement order, that has elements at this degree:
+    those whose index total degree - sum of their weight offsets is an
+    integer, as an int.  Every reader of which family pairs, triples or
+    single families exist at a degree takes them from here."""
     offs = alg.offsets
+    for families in combinations_with_replacement(range(len(offs)), size):
+        total = degree - sum(offs[p] for p in families)
+        if total.denominator == 1:
+            yield families, int(total)
+
+
+def _enumerate_pairs(alg: BoundAlgebra, window: Window, degree: Fraction) -> PairBasis:
     keys = []
-    for a in range(len(offs)):
-        for b in range(a, len(offs)):
-            total = degree - offs[a] - offs[b]
-            if total.denominator != 1:
-                continue
-            total = int(total)
-            for i in window.indices():
-                j = total - i
-                if window.contains(j) and (a != b or i < j):
-                    keys.append(((a, i), (b, j)))
+    for (a, b), total in _totals(alg, degree, 2):
+        for i in window.indices():
+            j = total - i
+            if window.contains(j) and (a != b or i < j):
+                keys.append(((a, i), (b, j)))
     keys.sort()
     return PairBasis(alg, window, degree, keys)
 
@@ -600,16 +610,10 @@ class _Identity:
 
 
 def _identities(alg: BoundAlgebra, n: int, degree: Fraction, pairs: PairBasis) -> list:
-    """The compiled identity of every family triple a <= b <= c whose index
-    total is an integer at this degree, in lexicographic order; with their
-    indices() in turn they run through all of the degree's window triples."""
-    offs = alg.offsets
-    identities = []
-    for families in combinations_with_replacement(range(len(offs)), 3):
-        total = degree - sum(offs[p] for p in families)
-        if total.denominator == 1:
-            identities.append(_Identity(alg, n, pairs, families, int(total)))
-    return identities
+    """The compiled identity of every family triple a <= b <= c that _totals
+    gives at this degree, in its order; with their indices() in turn they
+    run through all of the degree's window triples."""
+    return [_Identity(alg, n, pairs, families, total) for families, total in _totals(alg, degree, 3)]
 
 
 def assemble_constraints(
@@ -631,15 +635,15 @@ def assemble_constraints(
 
 class _Plan:
     """The windows [-n, n] of one degree up to `window`, built once at it:
-    its pair basis, the identities of its family triples that bracket, and
-    each pair's bracket.  Window n's columns are the plan's columns whose
-    pair has both indices in [-n, n]; both numberings sort the pair keys, so
-    the map from window n's own columns to these is increasing, and every
-    row, pivot and null vector of window n is the same one here.  Window n
-    builds its own identity of each of those family triples with
-    _Identity(alg, n, pairs, families, total), over the plan's pair basis
-    (cocycles); its coboundary generators and core columns are filtered
-    from the plan's.
+    its pair basis, its family triples as the (families, total) of
+    _totals, and each pair's bracket.  Window n's columns are the plan's
+    columns whose pair has both indices in [-n, n]; both numberings sort the
+    pair keys, so the map from window n's own columns to these is
+    increasing, and every row, pivot and null vector of window n is the same
+    one here.  Window n builds its own identity of each of those family
+    triples with _Identity(alg, n, pairs, families, total), over the plan's
+    pair basis (cocycles); its coboundary generators and core columns are
+    filtered from the plan's.
 
     The plan also owns the certified solve of its windows: the echelon of
     the rows it has eliminated, and the window that echelon was solved on.
@@ -651,15 +655,10 @@ class _Plan:
         self.ech, self.solved = _Echelon(), None
 
     @cached_property
-    def identities(self) -> list:
-        """The identities, at the plan's window, of the family triples whose
-        family pairs bracket to something: the families and index totals
-        each window builds its own identities from."""
-        return [
-            identity
-            for identity in _identities(self.alg, self.window.n, self.degree, self.pairs)
-            if identity.rules
-        ]
+    def triples(self) -> list:
+        """The (families, total) of _totals for family triples: what each
+        window solved builds its identities from."""
+        return list(_totals(self.alg, self.degree, 3))
 
     @cached_property
     def failing(self) -> dict:
@@ -672,14 +671,9 @@ class _Plan:
         """{element key of z: {column: numerator over alg.denominator}}: for
         each plan element z of weight == degree, in family order, the
         columns whose pair brackets to a multiple of z."""
-        alg = self.alg
-        slots = {}
-        for pos, off in enumerate(alg.offsets):
-            target = self.degree - off
-            if target.denominator == 1 and self.window.contains(int(target)):
-                slots[(pos, int(target))] = {}
+        slots = {(pos, index): {} for (pos,), index in _totals(self.alg, self.degree, 1) if self.window.contains(index)}
         for col, (x, y) in enumerate(self.pairs._index):
-            term = alg.int_bracket(x, y)
+            term = self.alg.int_bracket(x, y)
             if term is not None and term[1] in slots:
                 slots[term[1]][col] = term[0]
         return slots
@@ -688,15 +682,18 @@ class _Plan:
         """The certified solve of the module docstring on window n: the
         primitive {column: int} null vectors of every admissible row, over
         the plan's columns, with the rows it eliminates added to the plan's
-        echelon.  n must exceed the window solved before, if any, and then
-        only the triples that meet the strip of indices between the two
-        windows (see _Identity.touching) have their rows added or checked:
-        every other admissible row is one of the smaller window's, in the
-        span of the echelon."""
+        echelon.  It builds the identity of each of the plan's triples at
+        radius n and solves over those whose family pairs bracket to
+        something: the others give no row.  n must exceed the window solved
+        before, if any, and then only the triples that meet the strip of
+        indices between the two windows (see _Identity.touching) have their
+        rows added or checked: every other admissible row is one of the
+        smaller window's, in the span of the echelon."""
         previous = self.solved
         if previous is not None and n <= previous:
             raise ValueError(f"window {n} does not grow the solved window {previous}")
-        identities = [_Identity(self.alg, n, self.pairs, triple.families, triple.total) for triple in self.identities]
+        identities = [_Identity(self.alg, n, self.pairs, families, total) for families, total in self.triples]
+        identities = [identity for identity in identities if identity.rules]
         strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
 
         def walked(identity):
@@ -1285,10 +1282,9 @@ def h2(
     # a core pair (i, total - i) has |i|, |total - i| <= core, and i != total - i
     # within one family
     core = window.core_bound()
-    for a, b in combinations_with_replacement(range(len(alg.offsets)), 2):
-        total = degree - alg.offsets[a] - alg.offsets[b]
-        if total.denominator == 1 and abs(total) > 2 * core - (a == b):
-            radius = (abs(total.numerator) + (a == b) + 1) // 2
+    for (a, b), total in _totals(alg, degree, 2):
+        if abs(total) > 2 * core - (a == b):
+            radius = (abs(total) + (a == b) + 1) // 2
             raise ValueError(
                 f"window too small: the {alg.families[a]}-{alg.families[b]} sector has no pair of degree "
                 f"{format_rational(degree)} in the core; it needs N >= {window.margin + radius}"

@@ -186,7 +186,11 @@ class _Echelon:
         stored back as a primitive row.  A pivot row holds only columns
         right of its own, so the rows it needs cleared first are deeper
         ones: they are cleared in post-order, deepest column first, on an
-        explicit stack, so a chain of any length needs no recursion."""
+        explicit stack, so a chain of any length needs no recursion.  The
+        top's pending columns lie right of it and are pushed in ascending
+        order, so the stack rises strictly from bottom to top and no column
+        is on it twice.  A column leaves it when it is done, and pending
+        excludes done columns, so the top is never a column already done."""
         pivots = self.pivots
         row = pivots[col]
         for c in row:
@@ -198,9 +202,6 @@ class _Echelon:
         stack = [col]
         while stack:
             top = stack[-1]
-            if top in done:
-                stack.pop()
-                continue
             row = pivots[top]
             held = [c for c in row if c != top and c in pivots]
             pending = [c for c in held if c not in done]

@@ -682,8 +682,8 @@ def _assert_strip_meets_new_rows(plan, n, previous):
         identity.families: identity
         for identity in engine._identities(plan.alg, previous, plan.degree, smaller)
     }
-    for triple in plan.identities:
-        identity = engine._Identity(plan.alg, n, plan.pairs, triple.families, triple.total)
+    for families, total in plan.triples:
+        identity = engine._Identity(plan.alg, n, plan.pairs, families, total)
         met = {(i, j, identity.total - i - j) for i, j in identity.meeting(identity.touching(strip))}
         for idx in identity.indices():
             row = identity.row(idx)
@@ -856,9 +856,9 @@ def test_h2_equals_fresh_windows(tmp_path, source, values, degree, n, margin, st
     ids=["svir(-3,1/2)", "svir(1,1)-1-step", "witt-4-steps"],
 )
 def test_h2_builds_one_plan(monkeypatch, name, values, steps):
-    """One h2 call enumerates its pairs once.  Its plan builds each family
-    triple's identity once, and each window it solves builds its own
-    identity of each family triple that brackets to something."""
+    """One h2 call enumerates its pairs once.  Its plan keeps the family
+    triples and builds no identity itself; each window it solves builds its
+    own identity of each family triple, once."""
     spec = load_algebra(name)
     alg = engine._bind(spec, values)
     # the family triples whose index total is an integer at degree 0
@@ -867,9 +867,6 @@ def test_h2_builds_one_plan(monkeypatch, name, values, steps):
         for families in combinations_with_replacement(range(len(alg.offsets)), 3)
         if sum(alg.offsets[p] for p in families).denominator == 1
     ]
-    brackets = {
-        families for families in triples if any(alg._rules[p][q] is not None for p, q in combinations(families, 2))
-    }
     calls = Counter()
     enumerate_pairs_, init = engine._enumerate_pairs, engine._Identity.__init__
 
@@ -885,7 +882,7 @@ def test_h2_builds_one_plan(monkeypatch, name, values, steps):
     monkeypatch.setattr(engine._Identity, "__init__", counting_init)
     h2(spec, values, Window(8), stabilization_steps=steps)
     assert calls.pop("pairs") == 1
-    assert calls == {families: 1 + steps * (families in brackets) for families in triples}
+    assert calls == {families: steps for families in triples}
 
 
 def test_plan_refuses_a_window_that_does_not_grow():
@@ -935,6 +932,17 @@ def test_pair_basis_equals_element_enumeration(tmp_path, source, values, degree)
         col
         for col, (x, y) in enumerate(expected)
         if max(abs(x.index), abs(y.index)) <= window.core_bound()
+    ]
+
+
+def _plan_identities(plan):
+    """The identities at the plan's own window of its family triples whose
+    family pairs bracket to something, as the solve of that window builds
+    them."""
+    return [
+        identity
+        for identity in engine._identities(plan.alg, plan.window.n, plan.degree, plan.pairs)
+        if identity.rules
     ]
 
 
@@ -1017,11 +1025,12 @@ def test_boundary_holds_every_uncertified_triple(tmp_path, source, values, degre
     assert plan.failing == {}
     walked, full = engine._Echelon(), engine._Echelon()
     listed_count = total = uncertified = 0
-    for identity in plan.identities:
+    identities = _plan_identities(plan)
+    for identity in identities:
         listed = identity.boundary(alg, plan.failing)
         # walk() takes each listed (i, j) as a window triple, unchecked
         assert listed <= {idx[:2] for idx in identity.indices()}
-        reference = _reference_uncertified(alg, plan.identities, identity)
+        reference = _reference_uncertified(alg, identities, identity)
         missing = [idx for idx in reference if idx[:2] not in listed]
         assert not missing, (identity.families, missing)
         assert set(identity.meeting((-1,))) <= listed
@@ -1069,7 +1078,7 @@ def test_boundary_needs_the_jacobi_identity(tmp_path, source, values, broken):
     }
     plan = engine._Plan(alg, Window(8), Fraction(0))
     assert triples - set(plan.failing) == lawful == triples - broken
-    for identity in plan.identities:
+    for identity in _plan_identities(plan):
         needs = {identity.families, *(tuple(sorted((0, f, g))) for f, g in combinations(identity.families, 2))}
         walks_all = bool(needs & broken) or abs(identity.total + 1) > 8
         assert (identity.boundary(alg, plan.failing) is None) == walks_all, identity.families
@@ -1180,7 +1189,7 @@ def test_boundary_walk_finds_every_failing_vector(values):
     final null vectors fail no triple of a full walk."""
     alg = engine._bind(load_algebra("svir"), values)
     plan = engine._Plan(alg, Window(12), Fraction(0))
-    identities = plan.identities
+    identities = _plan_identities(plan)
     boundaries = [identity.boundary(alg, plan.failing) for identity in identities]
     assert None not in boundaries
     ech = engine._Echelon()

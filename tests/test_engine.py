@@ -602,8 +602,9 @@ def test_identity_within_below_its_total_leaves_every_index_out():
     # does over its own
     alg = engine._bind(WITT, {})
     plan = engine._Plan(alg, Window(16), Fraction(26))
-    [triple] = plan.identities
-    within = engine._Identity(alg, 12, plan.pairs, triple.families, triple.total)
+    [(families, total)] = plan.triples
+    triple = engine._Identity(alg, 16, plan.pairs, families, total)
+    within = engine._Identity(alg, 12, plan.pairs, families, total)
     pairs = engine._enumerate_pairs(alg, Window(12), Fraction(26))
     [fresh] = engine._identities(alg, 12, Fraction(26), pairs)
     assert within.rules == fresh.rules == triple.rules
@@ -733,6 +734,65 @@ def test_non_inner_grading_is_recorded():
     assert nonzero_degree_triviality(spec, inner, Window(8), -1)
     with pytest.raises(ValueError, match=r"\[L\(0\), W\(m\)\] = \(m \+ 1\) W\(m\).*does not apply"):
         nonzero_degree_triviality(spec, shifted, Window(8), -1)
+
+
+def _covered_from(alg, degree, margin) -> dict:
+    """{family pair (a, b): the least N whose core holds a pair of that
+    sector} over the sectors with pairs at this degree in a window of 48,
+    read off the pair basis of Window(N, margin) itself: it holds such a
+    pair at that N and none at N - 1."""
+
+    def sectors(n):
+        pairs = engine._enumerate_pairs(alg, Window(n, margin), degree)
+        keys = list(pairs._index)
+        return {(keys[col][0][0], keys[col][1][0]) for col in pairs.core_columns()}
+
+    least = {}
+    for (a, i), (b, j) in engine._enumerate_pairs(alg, Window(48, margin), degree)._index:
+        n = max(abs(i), abs(j), 3) + margin
+        least[(a, b)] = min(least.get((a, b), n), n)
+    for sector, n in least.items():
+        assert sector in sectors(n) and (n == margin + 3 or sector not in sectors(n - 1)), (sector, n)
+    return least
+
+
+def test_h2_coverage_check_names_the_least_window_of_the_pair_basis():
+    # two readers of which sectors exist at a degree: the N that h2's
+    # "window too small" refusal names for a sector is the least N whose
+    # pair basis holds a core pair of it, and at that N h2 refuses it no
+    # more.  h2 is called from the smallest window up, at each refusal's N,
+    # until it answers; then every sector is covered
+    from test_cli import WAB_A_SOURCE
+    from test_isomorphism import _graded_spec_source
+
+    rng = random.Random(809)
+    values = {"alpha": 2, "beta": "-1/2", "gam": 3}
+    specs = [parse(_graded_spec_source(rng)).spec for _ in range(20)]
+    cases = [(spec, {p: values[p] for p in spec.parameters}) for spec in specs]
+    cases.append((parse(WAB_A_SOURCE).spec, {"lambda": 20, "mu": 0}))
+    refusal = re.compile(r"window too small: the (\w+)-(\w+) sector .* it needs N >= (\d+)")
+    refused = 0
+    for spec, params in cases:
+        try:
+            alg = engine._bind(spec, params)
+        except ValueError as exc:
+            assert "not graded" in str(exc)
+            continue
+        position = {family: pos for pos, family in enumerate(spec.families)}
+        for degree in [*map(Fraction, range(-3, 4)), Fraction(1, 2)]:
+            least, n = _covered_from(alg, degree, 3), 6
+            while True:
+                try:
+                    h2(spec, params, Window(n, 3), degree, stabilization_steps=1)
+                except ValueError as exc:
+                    a, b, need = refusal.fullmatch(str(exc)).groups()
+                    sector = (position[a], position[b])
+                    assert least[sector] == int(need) > n, (spec.name, degree, exc)
+                    n, refused = int(need), refused + 1
+                    continue
+                assert max(least.values(), default=n) <= n, (spec.name, degree)
+                break
+    assert refused
 
 
 def _readme_library_code() -> str:

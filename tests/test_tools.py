@@ -84,6 +84,16 @@ def _read_names(tree, skip=None) -> dict:
     return read
 
 
+def _own_names(tree) -> set:
+    """The names tree defines (def or class) or assigns itself."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+    }
+
+
 def test_every_public_name_has_a_caller():
     # no public API exists only for tests: every public module-level function
     # and class of src/lieext, and every public method, is read in src/
@@ -91,14 +101,19 @@ def test_every_public_name_has_a_caller():
     # "Library use" example, or is on API_ALLOWED; dunders are exempt, and a
     # mention in a docstring or comment is no caller.  A function or class
     # is read by name; a method only as an attribute, so that a local
-    # variable of the same name is no caller
+    # variable of the same name is no caller.  Outside src/, a bare name
+    # that the file itself defines or assigns is its own, no caller: a
+    # tool's own render() does not call dsl.render
     from test_engine import _readme_library_code
 
     modules = [ast.parse(path.read_text()) for path in (ROOT / "src" / "lieext").glob("*.py")]
-    outside = _read_names(ast.parse(_readme_library_code()))
-    for path in [*(ROOT / "perfbench").rglob("*.py"), *TOOLS.rglob("*.py")]:
-        for kind, names in _read_names(ast.parse(path.read_text())).items():
-            outside[kind] |= names
+    outside = {"name": set(), "attribute": set()}
+    trees = [ast.parse(_readme_library_code())]
+    trees += [ast.parse(path.read_text()) for path in [*(ROOT / "perfbench").rglob("*.py"), *TOOLS.rglob("*.py")]]
+    for tree in trees:
+        read = _read_names(tree)
+        outside["name"] |= (read["name"] - _own_names(tree)) | read["attribute"]
+        outside["attribute"] |= read["attribute"]
     defined = []
     for tree in modules:
         for node in tree.body:
@@ -164,3 +179,45 @@ def test_every_class_is_built_by_its_own_init():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
     ]
     assert calls == []
+
+
+def test_verify_golden_points_are_the_benchmark_points():
+    # tools/golden.py's verify-wide records are the verify workload's points,
+    # each with every class that applies there.  perfbench/run.py is read,
+    # not imported, since importing it loads the presets
+    from fractions import Fraction
+
+    import golden
+    from lieext import REGISTRY, load_algebra, validate_parameters
+
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    [value] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(target) for target in node.targets] == ["VERIFY_POINTS"]
+    ]
+    points = eval(compile(ast.Expression(value), "run.py", "eval"), {"__builtins__": {}, "Fraction": Fraction})
+    assert [(Fraction(lam), Fraction(mu)) for lam, mu in golden.VERIFY_POINTS] == [
+        (Fraction(lam), Fraction(mu)) for lam, mu in points
+    ]
+    svir = load_algebra("svir")
+    for (lam, mu), names in golden.VERIFY_POINTS.items():
+        params = validate_parameters(svir, {"lambda": lam, "mu": mu})
+        assert names == [name for name, known in REGISTRY.items() if known.applicability(svir, params) is None]
+
+
+def test_family_tuples_at_a_degree_come_from_one_generator():
+    # which family pairs, triples or single families exist at a degree is
+    # one rule, engine._totals: no other function of engine.py enumerates
+    # family tuples itself, and the plan keeps family triples, not
+    # identities built at its own window
+    tree = ast.parse((ROOT / "src" / "lieext" / "engine.py").read_text())
+    calls = {
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "combinations_with_replacement"
+    }
+    [totals] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_totals"]
+    assert calls and calls == calls & set(ast.walk(totals))
+    [plan] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Plan"]
+    assert "identities" not in {node.name for node in plan.body if isinstance(node, ast.FunctionDef)}

@@ -106,6 +106,7 @@ SVIR_CLASSES = ["virasoro", "c1", "c2", "ly-linear", "ly-cubic", "ly-constant", 
 # The eight points of perfbench/run.py:VERIFY_POINTS, each with the classes
 # that apply there: all but yy-reciprocal at integer mu, the three that need
 # 2*mu integer at mu = 1/2, and the two that need 3*mu integer at thirds.
+# tests/test_tools.py checks both the points and the classes.
 INTEGER_MU = [name for name in SVIR_CLASSES if name != "yy-reciprocal"]
 HALF_MU = ["virasoro", "lm-yy-cubic", "yy-reciprocal"]
 THIRD_MU = ["virasoro", "c2"]
