@@ -70,8 +70,9 @@ triples where it fails (H2Report.jacobi).  Otherwise, and when no family
 fits L, every triple is walked.  verify_cocycle walks every triple of a
 family triple with a term whose columns lie in a sector (family pair)
 where psi is nonzero.  Every other family triple's dot products are 0, so
-it counts that one's admissible triples instead (_Identity.admissible):
-only a triple with an index at the window edge can have an output outside.
+it counts that one's admissible triples instead (_Identity.admissible): its
+window triples in closed form, less those with an output outside, and only
+a triple with an index at the window edge can have an output outside.
 Its count of triples checked, part of its report, stays exact.  The count
 decides "the output leaves the window" from the identity's rules, by the
 same test as its tables (below), so that the family triples verify_cocycle
@@ -155,7 +156,13 @@ value is one quotient of two integers.  The same step gives the class's
 degree, from the binding's weight offsets and each line's integer offset,
 and refuses lines that disagree on it.  Matching and verify_cocycle put
 those quotients straight on the pair columns, over their common
-denominator.
+denominator.  verify_cocycle converts a class once: its assignment holds
+the integer quotients, with the class's degree, and is_coboundary reads
+them from it; their Fractions (CocycleAssignment.values) are built only
+when a caller reads them.  is_coboundary builds no plan: the core
+projection of the coboundary space is spanned by the generators of the
+window elements restricted to the core pairs, so it brackets the core pairs
+alone and keys its echelon by the pairs themselves.
 
 After the solve every vector stays a {column: int} row: the primitive null
 vectors, the kept coboundary generators as numerators over the algebra's
@@ -277,9 +284,6 @@ class PairBasis:
     def __len__(self) -> int:
         return len(self._radius)
 
-    def _element(self, key: tuple) -> BasisElement:
-        return BasisElement(self.spec.families[key[0]], key[1])
-
     def _columns(self, n: int) -> list:
         """The columns, in increasing order, whose pair has both indices in
         [-n, n]."""
@@ -308,15 +312,18 @@ def _totals(alg: BoundAlgebra, degree: Fraction, size: int):
             yield families, int(total)
 
 
-def _enumerate_pairs(alg: BoundAlgebra, window: Window, degree: Fraction) -> PairBasis:
-    keys = []
+def _pair_keys(alg: BoundAlgebra, degree: Fraction, n: int):
+    """The canonical pairs ((a, i), (b, j)) of this degree with both indices
+    in [-n, n], i < j within one family: a pair basis's keys, unsorted."""
     for (a, b), total in _totals(alg, degree, 2):
-        for i in window.indices():
+        for i in range(-n, n + 1):
             j = total - i
-            if window.contains(j) and (a != b or i < j):
-                keys.append(((a, i), (b, j)))
-    keys.sort()
-    return PairBasis(alg, window, degree, keys)
+            if -n <= j <= n and (a != b or i < j):
+                yield (a, i), (b, j)
+
+
+def _enumerate_pairs(alg: BoundAlgebra, window: Window, degree: Fraction) -> PairBasis:
+    return PairBasis(alg, window, degree, sorted(_pair_keys(alg, degree, window.n)))
 
 
 def _pair_basis(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None) -> PairBasis:
@@ -421,9 +428,29 @@ class _Identity:
         This is the second place of the edge rule, beside terms: it reads
         rules alone, so that the family triples verify_cocycle does not
         walk build no tables, and it must mark a term out exactly where
-        terms puts _OUT."""
-        n, total = self.n, self.total
-        count = sum(len(self._js(i)) for i in range(-n, n + 1))
+        terms puts _OUT.
+
+        The window triples are counted in closed form, with no walk over i:
+        as many as indices() yields.  With d = |total| (negating every index
+        maps total to -total), the (i, j, k) in [-n, n]^3 with i + j + k = d
+        are the solutions in u = n - i, v = n - j, w = n - k in [0, 2n] of
+        u + v + w = 3n - d: C(3n - d + 2, 2) - 3 C(n - d + 1, 2), with
+        C(x, 2) = 0 for x < 2, by inclusion-exclusion over those with one of
+        u, v, w above 2n (two would need a sum above 4n).  Of them, `two`
+        are x, x, d - 2x, and three, 1 when 3 divides d and else 0, are
+        x, x, x.  The indices increase within one family, so F, F, G and
+        F, G, G keep (all - two) / 2 of them, and F, F, F keeps
+        (all - 3 two + 2 three) / 6.  Beyond d = 3n all three terms are 0,
+        and three is at most 1, so the count is 0 there too."""
+        n, total, d = self.n, self.total, abs(self.total)
+        count = math.comb(max(0, 3 * n - d + 2), 2) - 3 * math.comb(max(0, n - d + 1), 2)
+        two = max(0, min(n, (d + n) // 2) + (n - d) // 2 + 1)
+        # F, F, F has one distinct family, F, F, G and F, G, G two
+        distinct = len(set(self.families))
+        if distinct == 1:
+            count = (count - 3 * two + 2 * (d % 3 == 0)) // 6
+        elif distinct == 2:
+            count = (count - two) // 2
         for i, j in self.meeting([v for v in range(-n, n + 1) if abs(total - v) > n]):
             idx = (i, j, total - i - j)
             for coefficient, _, _, w, u, v in self.rules:
@@ -668,15 +695,8 @@ class _Plan:
 
     @cached_property
     def images(self) -> dict:
-        """{element key of z: {column: numerator over alg.denominator}}: for
-        each plan element z of weight == degree, in family order, the
-        columns whose pair brackets to a multiple of z."""
-        slots = {(pos, index): {} for (pos,), index in _totals(self.alg, self.degree, 1) if self.window.contains(index)}
-        for col, (x, y) in enumerate(self.pairs._index):
-            term = self.alg.int_bracket(x, y)
-            if term is not None and term[1] in slots:
-                slots[term[1]][col] = term[0]
-        return slots
+        """_images of the plan's pairs, on its columns."""
+        return _images(self.alg, self.degree, self.window.n, self.pairs._index)
 
     def cocycles(self, n: int) -> list:
         """The certified solve of the module docstring on window n: the
@@ -739,6 +759,19 @@ class _Plan:
         core = set(self.pairs._columns(window.core_bound()))
         core_bounds = _core_echelon(bounds, core)
         return vectors, bounds, core_bounds, core, _core_echelon(vectors, core).rank - core_bounds.rank
+
+
+def _images(alg: BoundAlgebra, degree: Fraction, n: int, column: Mapping) -> dict:
+    """{element key of z: {column[pair]: numerator over alg.denominator}}:
+    for each element z of weight == degree with index in [-n, n], in family
+    order, the columns of the pairs {pair: column} that bracket to a
+    multiple of z."""
+    slots = {(pos, index): {} for (pos,), index in _totals(alg, degree, 1) if abs(index) <= n}
+    for (x, y), col in column.items():
+        term = alg.int_bracket(x, y)
+        if term is not None and term[1] in slots:
+            slots[term[1]][col] = term[0]
+    return slots
 
 
 def cocycle_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
@@ -815,56 +848,78 @@ def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = Non
 # cocycle values as data
 
 
-@dataclass(frozen=True)
 class CocycleAssignment:
     """A finitely supported skew form on window pairs.
 
     Values are stored on canonically ordered pairs only; value(x, y)
     resolves either orientation with the sign.  JSON form maps
     "FAM:index,FAM:index" keys to "p/q" strings.
+
+    psi is converted once: it is held as the integer ratios {(key of x, key
+    of y): (numerator, denominator)} that verify_cocycle and is_coboundary
+    read, and values, their {(x, y): Fraction} form, is built at its first
+    read.  _known, from KnownCocycle._instantiate, is (weight offsets,
+    degree, ratios) of a declared class: its canonical ratios, taken as they
+    are, and their one degree at those offsets (_grouped).
     """
 
-    spec: AlgebraSpec
-    window: Window
-    values: Mapping
-
-    def __post_init__(self):
-        key, window = self.spec.element_key, self.window
-        canonical: dict = {}
-        for (x, y), value in self.values.items():
+    def __init__(self, spec: AlgebraSpec, window: Window, values: Mapping, _known=None):
+        self.spec, self.window, self._known, self._values = spec, window, _known, None
+        self._ratios = _known[2] if _known else {}
+        key = spec.element_key
+        for (x, y), value in values.items():
             value = as_rational(value, "cocycle value")
-            flip = key(x) > key(y)
+            pair = key(x), key(y)
             if not (window.contains(x.index) and window.contains(y.index)):
                 raise ValueError(f"pair ({x}, {y}) is outside the window")
             if x == y:
                 if value:
                     raise ValueError(f"nonzero value on the diagonal pair ({x}, {x})")
                 continue
-            if flip:
-                x, y, value = y, x, -value
-            if (x, y) in canonical:
+            if pair[0] > pair[1]:
+                x, y, pair, value = y, x, pair[::-1], -value
+            if pair in self._ratios:
                 raise ValueError(f"pair ({x}, {y}) assigned twice")
             if value:
-                canonical[(x, y)] = value
-        object.__setattr__(self, "values", canonical)
+                self._ratios[pair] = value.numerator, value.denominator
+
+    @property
+    def values(self) -> dict:
+        if self._values is None:
+            self._values = {
+                tuple(BasisElement(self.spec.families[f], i) for f, i in pair): Fraction(*ratio)
+                for pair, ratio in self._ratios.items()
+            }
+        return self._values
+
+    def __eq__(self, other):
+        if not isinstance(other, CocycleAssignment):
+            return NotImplemented
+        return (self.spec, self.window, self.values) == (other.spec, other.window, other.values)
+
+    def _grouped(self, alg: BoundAlgebra) -> dict:
+        """{degree: ratios} of psi at the binding's weight offsets:
+        _by_degree's, unless _known is of these offsets.  The ratios are
+        keyed by family position, so the binding must have psi's families,
+        in their order."""
+        if alg.families != self.spec.families:
+            raise ValueError("assignment is of an algebra with other families")
+        if self._known and self._known[0] == alg.offsets:
+            return {self._known[1]: self._ratios} if self._ratios else {}
+        return _by_degree(alg.offsets, self._ratios)
 
     def support(self) -> list:
-        return sorted(self.values, key=lambda p: (self.spec.element_key(p[0]), self.spec.element_key(p[1])))
+        # values is built from _ratios, in its order; the element keys sort
+        return [pair for _, pair in sorted(zip(self._ratios, self.values))]
 
     def value(self, x: BasisElement, y: BasisElement) -> Fraction:
-        if x == y:
-            return Fraction(0)
-        sign = 1
-        if self.spec.element_key(x) > self.spec.element_key(y):
-            x, y, sign = y, x, -1
-        return sign * self.values.get((x, y), Fraction(0))
+        # a stored pair's value is nonzero
+        return self.values.get((x, y)) or -self.values.get((y, x), Fraction(0))
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for x, y in self.support():
-            key = f"{x.family}:{x.index},{y.family}:{y.index}"
-            out[key] = format_rational(self.values[(x, y)])
-        return out
+        return {
+            f"{x.family}:{x.index},{y.family}:{y.index}": format_rational(self.values[(x, y)]) for x, y in self.support()
+        }
 
     @classmethod
     def from_json_dict(cls, spec: AlgebraSpec, window: Window, data: Mapping) -> "CocycleAssignment":
@@ -873,38 +928,27 @@ class CocycleAssignment:
             data = data["values"]
         if not isinstance(data, Mapping):
             raise ValueError("cocycle assignment must be a JSON object of 'FAM:i,FAM:j' keys")
-        values = {}
-        for key, text in data.items():
-            values[_parse_pair_key(key)] = parse_rational(str(text))
-        return cls(spec, window, values)
+        return cls(spec, window, {_parse_pair_key(key): parse_rational(str(text)) for key, text in data.items()})
 
 
-def _by_degree(spec: AlgebraSpec, offsets: tuple, values: Mapping) -> dict:
-    """{degree: {(key of x, key of y): (numerator, denominator)}} of
-    canonical cocycle values {(x, y): Fraction}, the form _on_columns takes,
-    with each family's weight offset taken by position from `offsets`."""
-    key = spec.element_key
-    groups: dict = {}
-    for (x, y), value in values.items():
-        x, y = key(x), key(y)
-        degree = offsets[x[0]] + offsets[y[0]] + (x[1] + y[1])
-        groups.setdefault(degree, {})[(x, y)] = (value.numerator, value.denominator)
+def _by_degree(offsets: tuple, ratios: Mapping) -> dict:
+    """{degree: ratios} of canonical cocycle values {(key of x, key of y):
+    (numerator, denominator)}, the form _on_columns takes, with each
+    family's weight offset taken by position from `offsets`."""
+    groups = {}
+    for (x, y), ratio in ratios.items():
+        groups.setdefault(offsets[x[0]] + offsets[y[0]] + (x[1] + y[1]), {})[(x, y)] = ratio
     return groups
 
 
-def _on_columns(ratios: Mapping, pairs: PairBasis) -> tuple:
+def _on_columns(ratios: Mapping, column: Mapping) -> tuple:
     """(vector, scale): canonical cocycle values {(key of x, key of y):
-    (numerator, denominator)} as {column: int} over their common
-    denominator scale.  Every pair must be in the basis."""
+    (numerator, denominator)} as {column[pair]: int} over their common
+    denominator scale, for the columns {pair: column} of a pair basis.  A
+    pair with no column is left out: at the basis's degree, a pair outside
+    its window is in no admissible triple's row."""
     scale = math.lcm(1, *(den for _, den in ratios.values()))
-    vector = {}
-    for (x, y), (num, den) in ratios.items():
-        col = pairs._index.get((x, y))
-        if col is None:
-            x, y = pairs._element(x), pairs._element(y)
-            raise ValueError(f"assignment has support on {x}, {y} outside the pair basis")
-        vector[col] = num * (scale // den)
-    return vector, scale
+    return {column[pair]: num * (scale // den) for pair, (num, den) in ratios.items() if pair in column}, scale
 
 
 def _parse_pair_key(key: str) -> tuple:
@@ -991,21 +1035,16 @@ class KnownCocycle:
         return None, degrees.pop(), compiled
 
     def instantiate(self, spec: AlgebraSpec, params: Mapping, window: Window) -> CocycleAssignment:
-        return self._instantiate(_bind(spec, params), window)[2]
+        return self._instantiate(_bind(spec, params), window)
 
-    def _instantiate(self, alg: BoundAlgebra, window: Window) -> tuple:
-        """(degree, values, assignment): the class at the binding on the
-        window, as its degree, its canonical values as _ratios gives them,
-        and the CocycleAssignment of those values.  An inapplicable class is
-        refused with the violated condition."""
+    def _instantiate(self, alg: BoundAlgebra, window: Window) -> CocycleAssignment:
+        """The class at the binding on the window: the CocycleAssignment of
+        its canonical values as _ratios gives them, of _check's degree.  An
+        inapplicable class is refused with the violated condition."""
         reason, degree, lines = self._check(alg)
         if reason is not None:
             raise ValueError(f"cocycle {self.name!r} not applicable: {reason}")
-        ratios = self._ratios(window, lines)
-        values = {
-            (alg.element(x), alg.element(y)): Fraction(num, den) for (x, y), (num, den) in ratios.items()
-        }
-        return degree, ratios, CocycleAssignment(alg.spec, window, values)
+        return CocycleAssignment(alg.spec, window, {}, (alg.offsets, degree, self._ratios(window, lines)))
 
     def _ratios(self, window: Window, lines: list) -> dict:
         """The canonical values of _check's lines on the window as
@@ -1053,22 +1092,13 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
     values raise with the violated condition) or a CocycleAssignment.
     """
     alg = _bind(spec, params)
-    if isinstance(cocycle, KnownCocycle):
-        degree, ratios, psi = cocycle._instantiate(alg, window)
-        groups = {degree: ratios} if ratios else {}
-    elif isinstance(cocycle, CocycleAssignment):
-        psi = cocycle
-        # a pair outside the window is in no admissible triple's row
-        groups = {
-            degree: {(x, y): r for (x, y), r in ratios.items() if window.contains(x[1]) and window.contains(y[1])}
-            for degree, ratios in _by_degree(spec, alg.offsets, psi.values).items()
-        }
-    else:
+    psi = cocycle._instantiate(alg, window) if isinstance(cocycle, KnownCocycle) else cocycle
+    if not isinstance(psi, CocycleAssignment):
         raise TypeError("expected a KnownCocycle or CocycleAssignment")
     checked = 0
-    for degree, ratios in sorted(groups.items()):
+    for degree, ratios in sorted(psi._grouped(alg).items()):
         pairs = _enumerate_pairs(alg, window, degree)
-        vector, scale = _on_columns(ratios, pairs)
+        vector, scale = _on_columns(ratios, pairs._index)
         sectors = {(x[0], y[0]) for x, y in ratios}
         for identity in _identities(alg, window.n, degree, pairs):
             if not identity.reaches(sectors):
@@ -1100,19 +1130,25 @@ def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     """Whether psi, restricted to core pairs, lies in the core projection of
     the coboundary space.  Empty assignments are coboundaries, and so is one
     with no core support; mixed-degree input is an error (split it by degree
-    first)."""
+    first), and so is support outside the window.
+
+    The core projection of the coboundary space is spanned by the generator
+    of each window element z of weight == degree (coboundary_space), each
+    restricted to the core pairs.  So only the core pairs and their brackets
+    are built, with the pair keys themselves as the echelon's columns."""
     alg = _bind(spec, params)
-    groups = _by_degree(spec, alg.offsets, psi.values)
+    groups = psi._grouped(alg)
     if len(groups) > 1:
         raise ValueError("assignment mixes degrees")
     if not groups:
         return True
     [(degree, ratios)] = groups.items()
-    plan = _Plan(alg, window, degree)
-    vector = _on_columns(ratios, plan.pairs)[0]
-    core = set(plan.pairs.core_columns())
-    bounds = _core_echelon(plan.coboundaries(window.n), core)
-    return bounds.contains(_restrict(vector, core))
+    for x, y in ratios:
+        if max(abs(x[1]), abs(y[1])) > window.n:
+            raise ValueError(f"assignment has support on {alg.element(x)}, {alg.element(y)} outside the pair basis")
+    core = {pair: pair for pair in _pair_keys(alg, degree, window.core_bound())}
+    bounds = _Echelon(_images(alg, degree, window.n, core).values())
+    return bounds.contains(_on_columns(ratios, core)[0])
 
 
 def _grading_failure(alg: BoundAlgebra) -> str | None:
@@ -1245,7 +1281,7 @@ def _match(alg: BoundAlgebra, window, degree, pairs: PairBasis, cocycles: _Echel
         ratios = known._ratios(window, lines)
         matched = False
         if ratios and known_degree == degree:
-            vector = _on_columns(ratios, pairs)[0]
+            vector = _on_columns(ratios, pairs._index)[0]
             matched = cocycles.contains(vector) and not core_bounds.contains(_restrict(vector, core))
         results.append(MatchResult(known.name, matched))
     return results

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import lieext.engine as engine
 from lieext.algebra import BasisElement, CocycleLine, validate_parameters
 from lieext import REGISTRY
 from lieext.engine import (
@@ -19,6 +20,7 @@ from lieext.engine import (
 from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
 
+from golden import VERIFY_POINTS
 from isomorphism import substitute, weight
 from test_dsl import parse_polynomial
 
@@ -433,3 +435,37 @@ def test_instantiate_matches_fraction_reference(n):
             assert psi.values == _reference_values(known, SVIR, params, window), (known.name, params)
             checked += 1
     assert checked > 2 * len(points)
+
+
+def test_declared_class_and_its_file_verify_alike():
+    """verify_cocycle converts a declared class once, into the integer
+    ratios its report's assignment carries.  The same class read back from
+    its JSON file, as `lieext verify --cocycle FILE` reads it, goes the
+    assignment's way and must get the same answers at the verify points.
+    The reported assignment must be instantiate()'s, and its values the
+    Fractions of the class's quotients, in the same order."""
+    window = Window(30)
+    for (lam, mu), names in VERIFY_POINTS.items():
+        params = validate_parameters(SVIR, {"lambda": lam, "mu": mu})
+        alg = engine._bind(SVIR, params)
+        for name in names:
+            known = REGISTRY[name]
+            report = verify_cocycle(SVIR, params, window, known)
+            read = CocycleAssignment.from_json_dict(SVIR, window, report.assignment.to_json_dict())
+            again = verify_cocycle(SVIR, params, window, read)
+            label = (lam, mu, name)
+            assert (again.passed, again.triples_checked, again.witness) == (
+                report.passed,
+                report.triples_checked,
+                report.witness,
+            ), label
+            trivial = is_coboundary(SVIR, params, window, report.assignment)
+            assert is_coboundary(SVIR, params, window, read) == trivial, label
+            assert report.assignment == known.instantiate(SVIR, params, window) == read, label
+            _, _, lines = known._check(alg)
+            fractions = {
+                (alg.element(x), alg.element(y)): Fraction(num, den)
+                for (x, y), (num, den) in known._ratios(window, lines).items()
+            }
+            assert dict(report.assignment.values) == fractions, label
+            assert list(report.assignment.values.items()) == list(fractions.items()), label

@@ -34,6 +34,7 @@ Jacobi checks also read, must agree with a walk of nested brackets, triple
 by triple.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -67,7 +68,7 @@ from lieext.engine import (
 from lieext.presets import load_algebra
 from lieext.sparse import nullspace
 
-from golden import WAB_SOURCE
+from golden import VERIFY_POINTS, WAB_SOURCE
 from isomorphism import substitute, weight
 from oracle_dense import dense_in_span, dense_nullspace, dense_rank
 from test_acceptance import GRID_LAMBDAS, GRID_MUS
@@ -595,6 +596,81 @@ def test_admissible_is_walked_where_totals_exceed_the_window(name, values, degre
         [identity] = identities
         assert list(identity.indices())
         assert identity.admissible() == {13: 8, 26: 0}[degree]
+
+
+# three families that bracket to nothing: every window triple is
+# admissible, so admissible() is its closed-form count alone
+ABELIAN_SOURCE = """
+algebra abelian() {
+    family A weight 0;
+    family B weight 0;
+    family C weight 0;
+}
+"""
+
+
+def test_admissible_counts_the_window_triples_in_closed_form():
+    """admissible() counts the window triples by a formula, not by walking
+    them: with no term to drop a triple, it must equal the number indices()
+    yields, at every index total with triples and one beyond on each side,
+    for each pattern of repeated families: (F, G, H), (F, F, G), (F, G, G)
+    and (F, F, F)."""
+    alg = engine._bind(parse(ABELIAN_SOURCE).spec, {})
+    for n in range(1, 11):
+        for total in range(-3 * n - 1, 3 * n + 2):
+            for families in ((0, 1, 2), (0, 0, 1), (0, 1, 1), (0, 0, 0)):
+                # neither admissible() nor indices() builds a table, so the
+                # identity needs no pair basis
+                identity = engine._Identity(alg, n, None, families, total)
+                assert not identity.rules
+                assert identity.admissible() == len(list(identity.indices())), (n, total, families)
+
+
+def _reference_is_coboundary(spec, params, window, psi) -> bool:
+    """is_coboundary as the whole window's plan decides it: psi on the
+    plan's columns, restricted to its core columns, against the kept
+    coboundary generators of the window restricted to them."""
+    degrees = {weight(spec, x, params) + weight(spec, y, params) for x, y in psi.values}
+    if not degrees:
+        return True
+    [degree] = degrees
+    plan = engine._Plan(engine._bind(spec, params), window, Fraction(degree))
+    key, scale = spec.element_key, math.lcm(*(value.denominator for value in psi.values.values()))
+    vector = {plan.pairs._index[(key(x), key(y))]: int(value * scale) for (x, y), value in psi.values.items()}
+    core = set(plan.pairs.core_columns())
+    return engine._core_echelon(plan.coboundaries(window.n), core).contains(engine._restrict(vector, core))
+
+
+@pytest.mark.parametrize("n", [8, 30])
+def test_core_pair_is_coboundary_matches_the_plan(n):
+    """is_coboundary brackets the core pairs alone.  It must answer as the
+    whole window's plan does: for every class that applies at the verify
+    points, for each kept coboundary generator of the plan, which is a
+    coboundary, and for support outside the core alone, which is one too.
+    At degree n - 1 the generator of L_(n-1), an element outside the core,
+    has core support: it must still span."""
+    svir, window = load_algebra("svir"), Window(n)
+    nontrivial = 0
+    for (lam, mu), names in VERIFY_POINTS.items():
+        params = validate_parameters(svir, {"lambda": lam, "mu": mu})
+        bounds = []
+        for degree in (0, n - 1):
+            plan = engine._Plan(engine._bind(svir, params), window, Fraction(degree))
+            elements, denominator = _pair_list(plan.pairs), plan.alg.denominator
+            bounds += [
+                CocycleAssignment(svir, window, {elements[c]: Fraction(v, denominator) for c, v in vec.items()})
+                for vec in plan.coboundaries(n)
+            ]
+        edge = CocycleAssignment(svir, window, {(BasisElement("L", -i), BasisElement("L", i)): i for i in (n - 1, n)})
+        assert bounds
+        for psi in [*bounds, edge]:
+            assert is_coboundary(svir, params, window, psi) and _reference_is_coboundary(svir, params, window, psi)
+        for name in names:
+            psi = REGISTRY[name].instantiate(svir, params, window)
+            trivial = is_coboundary(svir, params, window, psi)
+            assert trivial == _reference_is_coboundary(svir, params, window, psi), (lam, mu, name)
+            nontrivial += not trivial
+    assert nontrivial
 
 
 def _coboundary_of(spec, params, window, z) -> CocycleAssignment:

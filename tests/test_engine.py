@@ -51,7 +51,8 @@ def M(n):
 
 def _pair_list(pairs) -> list:
     """The element pairs of a PairBasis's columns, in column order."""
-    return [(pairs._element(x), pairs._element(y)) for x, y in pairs._index]
+    families = pairs.spec.families
+    return [tuple(BasisElement(families[f], i) for f, i in pair) for pair in pairs._index]
 
 
 def _named(row, pairs) -> dict:
@@ -628,6 +629,15 @@ def test_is_coboundary_refuses_support_outside_the_window():
     psi = CocycleAssignment(WITT, Window(16), {(L(-14), L(14)): Fraction(1)})
     with pytest.raises(ValueError, match=r"^assignment has support on L\(-14\), L\(14\) outside the pair basis$"):
         is_coboundary(WITT, {}, Window(12), psi)
+
+
+def test_assignment_of_other_families_is_refused():
+    # an assignment keys its values by family position in its own algebra,
+    # so verify_cocycle and is_coboundary refuse one whose families differ
+    psi = CocycleAssignment(WITT, Window(8), {(L(-2), L(2)): 1})
+    for call in (verify_cocycle, is_coboundary):
+        with pytest.raises(ValueError, match="^assignment is of an algebra with other families$"):
+            call(SVIR, {"lambda": 0, "mu": 1}, Window(8), psi)
 
 
 def test_applicability_names_a_missing_parameter():

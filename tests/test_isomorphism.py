@@ -204,7 +204,8 @@ def test_shift_maps_wab_a_to_wab_a_at_lambda_minus_twenty():
 
 @pytest.mark.parametrize("mu, dim", [(0, 3), (1, 3), (Fraction(1, 2), 1), (-1, 2)], ids=str)
 def test_shift_keeps_h2_far_from_the_window_centre(mu, dim):
-    # lambda = 20 needs N >= 24 for the L-W sector's core pairs (i, -20 - i)
+    # lambda = 20 needs N >= 24 for the W-W sector's core pairs (i, -40 - i);
+    # the L-W sector's, (i, -20 - i), need only N >= 13
     far = h2(WAB_A, {"lambda": 20, "mu": mu}, Window(24))
     near = h2(WAB_A, {"lambda": 0, "mu": mu}, Window(12))
     assert far.stabilized and near.stabilized

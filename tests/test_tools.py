@@ -36,10 +36,12 @@ def _load(name):
 
 def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
     tool = _load("code_lines")
-    assert tool.code_lines(CODE_SAMPLE) == 5  # import, def, the two text lines, return
+    # lines: import, def, the two text lines, return; tokens: import os,
+    # def f ( x ) :, text = and the string, return x , text
+    assert tool.code_counts(CODE_SAMPLE) == (5, 15)
     (tmp_path / "sample.py").write_text(CODE_SAMPLE)
     assert tool.main([str(tmp_path)]) == 0
-    assert capsys.readouterr().out.split() == ["sample.py", "5", "total", "5"]
+    assert capsys.readouterr().out.split() == ["sample.py", "5", "15", "total", "5", "15"]
 
 
 def test_benchmark_names_exist():
