@@ -442,7 +442,8 @@ class _Identity:
         F, G, G keep (all - two) / 2 of them, and F, F, F keeps
         (all - 3 two + 2 three) / 6.  Beyond d = 3n all three terms are 0,
         and three is at most 1, so the count is 0 there too."""
-        n, total, d = self.n, self.total, abs(self.total)
+        n, total = self.n, self.total
+        d = abs(total)
         count = math.comb(max(0, 3 * n - d + 2), 2) - 3 * math.comb(max(0, n - d + 1), 2)
         two = max(0, min(n, (d + n) // 2) + (n - d) // 2 + 1)
         # F, F, F has one distinct family, F, F, G and F, G, G two
@@ -769,7 +770,7 @@ def _images(alg: BoundAlgebra, degree: Fraction, n: int, column: Mapping) -> dic
     slots = {(pos, index): {} for (pos,), index in _totals(alg, degree, 1) if abs(index) <= n}
     for (x, y), col in column.items():
         term = alg.int_bracket(x, y)
-        if term is not None and term[1] in slots:
+        if term and term[1] in slots:
             slots[term[1]][col] = term[0]
     return slots
 
@@ -860,12 +861,14 @@ class CocycleAssignment:
     read, and values, their {(x, y): Fraction} form, is built at its first
     read.  _known, from KnownCocycle._instantiate, is (weight offsets,
     degree, ratios) of a declared class: its canonical ratios, taken as they
-    are, and their one degree at those offsets (_grouped).
+    are, and their one degree at those offsets (_grouped).  An assignment is
+    immutable, so values never goes stale.
     """
 
     def __init__(self, spec: AlgebraSpec, window: Window, values: Mapping, _known=None):
-        self.spec, self.window, self._known, self._values = spec, window, _known, None
-        self._ratios = _known[2] if _known else {}
+        ratios = _known[2] if _known else {}
+        # past __setattr__, which refuses every assignment
+        self.__dict__.update(spec=spec, window=window, _known=_known, _ratios=ratios)
         key = spec.element_key
         for (x, y), value in values.items():
             value = as_rational(value, "cocycle value")
@@ -878,19 +881,23 @@ class CocycleAssignment:
                 continue
             if pair[0] > pair[1]:
                 x, y, pair, value = y, x, pair[::-1], -value
-            if pair in self._ratios:
+            if pair in ratios:
                 raise ValueError(f"pair ({x}, {y}) assigned twice")
             if value:
-                self._ratios[pair] = value.numerator, value.denominator
+                ratios[pair] = value.numerator, value.denominator
 
-    @property
+    def __setattr__(self, name, value):
+        raise AttributeError("CocycleAssignment is immutable")
+
+    @cached_property
     def values(self) -> dict:
-        if self._values is None:
-            self._values = {
-                tuple(BasisElement(self.spec.families[f], i) for f, i in pair): Fraction(*ratio)
-                for pair, ratio in self._ratios.items()
-            }
-        return self._values
+        return {
+            tuple(BasisElement(self.spec.families[f], i) for f, i in pair): Fraction(*ratio)
+            for pair, ratio in self._ratios.items()
+        }
+
+    def __repr__(self):
+        return f"CocycleAssignment(spec={self.spec!r}, window={self.window!r}, values={self.values!r})"
 
     def __eq__(self, other):
         if not isinstance(other, CocycleAssignment):
@@ -898,14 +905,15 @@ class CocycleAssignment:
         return (self.spec, self.window, self.values) == (other.spec, other.window, other.values)
 
     def _grouped(self, alg: BoundAlgebra) -> dict:
-        """{degree: ratios} of psi at the binding's weight offsets:
-        _by_degree's, unless _known is of these offsets.  The ratios are
-        keyed by family position, so the binding must have psi's families,
-        in their order."""
+        """{degree: ratios} of psi at the binding's weight offsets, keyed by
+        family position in the binding: a declared class's one degree when
+        _known is of these offsets, else _by_degree's of psi's ratios, or, on
+        an algebra with other families, of psi's values re-keyed by family
+        name."""
         if alg.families != self.spec.families:
-            raise ValueError("assignment is of an algebra with other families")
-        if self._known and self._known[0] == alg.offsets:
-            return {self._known[1]: self._ratios} if self._ratios else {}
+            return CocycleAssignment(alg.spec, self.window, self.values)._grouped(alg)
+        if self._known and self._known[0] == alg.offsets and self._ratios:
+            return {self._known[1]: self._ratios}
         return _by_degree(alg.offsets, self._ratios)
 
     def support(self) -> list:
@@ -914,7 +922,7 @@ class CocycleAssignment:
 
     def value(self, x: BasisElement, y: BasisElement) -> Fraction:
         # a stored pair's value is nonzero
-        return self.values.get((x, y)) or -self.values.get((y, x), Fraction(0))
+        return self.values.get((x, y)) or -self.values.get((y, x), Fraction())
 
     def to_json_dict(self) -> dict:
         return {
@@ -937,7 +945,7 @@ def _by_degree(offsets: tuple, ratios: Mapping) -> dict:
     family's weight offset taken by position from `offsets`."""
     groups = {}
     for (x, y), ratio in ratios.items():
-        groups.setdefault(offsets[x[0]] + offsets[y[0]] + (x[1] + y[1]), {})[(x, y)] = ratio
+        groups.setdefault(offsets[x[0]] + offsets[y[0]] + x[1] + y[1], {})[x, y] = ratio
     return groups
 
 
@@ -1147,8 +1155,7 @@ def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
         if max(abs(x[1]), abs(y[1])) > window.n:
             raise ValueError(f"assignment has support on {alg.element(x)}, {alg.element(y)} outside the pair basis")
     core = {pair: pair for pair in _pair_keys(alg, degree, window.core_bound())}
-    bounds = _Echelon(_images(alg, degree, window.n, core).values())
-    return bounds.contains(_on_columns(ratios, core)[0])
+    return _Echelon(_images(alg, degree, window.n, core).values()).contains(_on_columns(ratios, core)[0])
 
 
 def _grading_failure(alg: BoundAlgebra) -> str | None:

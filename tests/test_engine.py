@@ -631,13 +631,45 @@ def test_is_coboundary_refuses_support_outside_the_window():
         is_coboundary(WITT, {}, Window(12), psi)
 
 
-def test_assignment_of_other_families_is_refused():
-    # an assignment keys its values by family position in its own algebra,
-    # so verify_cocycle and is_coboundary refuse one whose families differ
-    psi = CocycleAssignment(WITT, Window(8), {(L(-2), L(2)): 1})
-    for call in (verify_cocycle, is_coboundary):
-        with pytest.raises(ValueError, match="^assignment is of an algebra with other families$"):
-            call(SVIR, {"lambda": 0, "mu": 1}, Window(8), psi)
+SVIR_Y_FIRST_SOURCE = """
+algebra svir(lambda, mu) {
+    family Y weight mu;
+    family L weight 0;
+    family M weight 2*mu;
+    bracket [Y n, Y m] = (m - n) M(n + m);
+    bracket [Y m, L n] = -(m - (lambda + 1)/2*n + mu) Y(n + m);
+    bracket [Y n, M m] = 0;
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, M m] = (m - lambda*n + 2*mu) M(n + m);
+    bracket [M n, M m] = 0;
+}
+"""
+
+
+def test_assignment_is_read_by_family_name():
+    # verify_cocycle and is_coboundary read an assignment of another algebra
+    # by family name, as they read one of the algebra itself: witt's L-L
+    # values on svir, and svir's L-Y class on a copy of svir that declares
+    # its families in another order, where each L-Y pair flips to Y-L
+    reordered = parse(SVIR_Y_FIRST_SOURCE).spec
+    assert reordered.families == ("Y", "L", "M")
+    window, params = Window(8), {"lambda": -1, "mu": 0}
+    witt_psi = CocycleAssignment(WITT, window, {(L(-i), L(i)): i**3 - i for i in range(2, 9)})
+    svir_psi = REGISTRY["c1"].instantiate(SVIR, params, window)
+    for spec, psi, own in (
+        (SVIR, witt_psi, CocycleAssignment(SVIR, window, witt_psi.values)),
+        (reordered, svir_psi, CocycleAssignment(reordered, window, svir_psi.values)),
+    ):
+        report, expected = (verify_cocycle(spec, params, window, p) for p in (psi, own))
+        assert (report.passed, report.triples_checked, report.witness) == (
+            expected.passed,
+            expected.triples_checked,
+            expected.witness,
+        )
+        assert is_coboundary(spec, params, window, psi) == is_coboundary(spec, params, window, own)
+    assert verify_cocycle(reordered, params, window, svir_psi).passed
+    with pytest.raises(ValueError, match="^unknown family 'Y'$"):
+        verify_cocycle(WITT, {}, window, svir_psi)
 
 
 def test_applicability_names_a_missing_parameter():
@@ -668,6 +700,20 @@ def test_cocycle_assignment_json_round_trip():
     # a {"values": {...}} wrapper is unwrapped on read
     wrapped = CocycleAssignment.from_json_dict(SVIR, window, {"values": data})
     assert wrapped == psi
+
+
+def test_cocycle_assignment_is_immutable():
+    # values is built at its first read, from the spec and the ratios, so
+    # none of them may change after construction; the repr is a dataclass's
+    psi = CocycleAssignment(WITT, Window(6), {(L(2), L(-2)): -1})
+    assert repr(psi) == (
+        "CocycleAssignment(spec=AlgebraSpec('witt', families=['L']), window=Window(n=6, margin=3), "
+        "values={(BasisElement(family='L', index=-2), BasisElement(family='L', index=2)): Fraction(1, 1)})"
+    )
+    for name in ("spec", "window", "values", "_ratios"):
+        with pytest.raises(AttributeError, match="^CocycleAssignment is immutable$"):
+            setattr(psi, name, None)
+    assert psi.values == {(L(-2), L(2)): Fraction(1)}
 
 
 @pytest.mark.parametrize(
