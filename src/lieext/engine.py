@@ -157,17 +157,25 @@ degree, from the binding's weight offsets and each line's integer offset,
 and refuses lines that disagree on it.  Matching and verify_cocycle put
 those quotients straight on the pair columns, over their common
 denominator.  verify_cocycle converts a class once: its assignment holds
-the integer quotients, with the class's degree, and is_coboundary reads
-them from it; their Fractions (CocycleAssignment.values) are built only
-when a caller reads them.  is_coboundary builds no plan: the core
-projection of the coboundary space is spanned by the generators of the
-window elements restricted to the core pairs, so it brackets the core pairs
-alone and keys its echelon by the pairs themselves.
+the integer quotients, and is_coboundary reads them from it; their
+Fractions (CocycleAssignment.values) are built only when a caller reads
+them.  Both calls take psi from there one way.  They group its quotients
+by degree (_by_degree), one sum per family pair and index total, whatever
+made the assignment, and key its columns by the pairs themselves
+({pair: pair} over _pair_keys), as neither reduces an echelon at scale:
+verify_cocycle compiles its identities against the window's pairs, and
+is_coboundary builds no plan.  The core projection of the coboundary space
+is spanned by the generators of the window elements restricted to the core
+pairs, so is_coboundary brackets the core pairs alone.
 
 After the solve every vector stays a {column: int} row: the primitive null
 vectors, the kept coboundary generators as numerators over the algebra's
-denominator, and a cocycle class as its values over their common
-denominator.  A core dimension is the rank of such rows restricted to the
+denominator (each nonzero one: a pair brackets to one element, so the
+generators of distinct elements have disjoint supports and are
+independent), and a cocycle class as its values over their common
+denominator.  Sorted integer columns (a PairBasis) exist only where an
+echelon is reduced at scale, in a plan, and at the public Fraction
+boundary.  A core dimension is the rank of such rows restricted to the
 core columns, which keep their indices (echelon order is column order, so
 nothing is renumbered).  Each window's core-coboundary echelon is built once
 and serves core_h2 and the coboundary test of every cocycle class; one
@@ -350,8 +358,9 @@ _OUT = "out"
 
 class _Identity:
     """The cocycle identity of one family triple at one index total on the
-    window [-n, n], compiled against one pair basis whose window contains
-    it.
+    window [-n, n], compiled against one column map {pair: column} that
+    holds every canonical pair of the degree with both indices in [-n, n]:
+    a pair basis's _index, or the pairs keyed by themselves.
 
     For the triples (F_i, G_j, H_k) with i + j + k = total, the term
     [F_i, G_j] psi(., H_k) has output index total - k, so its column and
@@ -368,11 +377,12 @@ class _Identity:
     walk builds no tables.  bound is at least the sum of |coefficient| over
     the terms at any triple of window indices.  The tables are built at
     their first use.  Every identity is built by __init__ at its radius n:
-    _Plan.cocycles builds one per window solved, over the plan's pair basis.
+    _Plan.cocycles builds one per window solved, over the plan's pair basis,
+    and verify_cocycle one over the window's pairs keyed by themselves.
     """
 
-    def __init__(self, alg: BoundAlgebra, n: int, pairs: PairBasis, families, total: int):
-        self.families, self.total, self.n, self.pairs = families, total, n, pairs
+    def __init__(self, alg: BoundAlgebra, n: int, column: Mapping, families, total: int):
+        self.families, self.total, self.n, self.column = families, total, n, column
         # the pinned indices: -1, and 0 too when no family has weight 0
         self.pins = (-1,) if any(not alg.offsets[p] for p in families) else (-1, 0)
         a, b, c = families
@@ -387,7 +397,7 @@ class _Identity:
 
     @cached_property
     def terms(self) -> list:
-        n, total, column, terms = self.n, self.total, self.pairs._index, []
+        n, total, column, terms = self.n, self.total, self.column, []
         for coefficient, out, r, w, u, v in self.rules:
             table = []
             for index in range(-n, n + 1):
@@ -637,11 +647,11 @@ class _Identity:
         return checked, None
 
 
-def _identities(alg: BoundAlgebra, n: int, degree: Fraction, pairs: PairBasis) -> list:
+def _identities(alg: BoundAlgebra, n: int, degree: Fraction, column: Mapping) -> list:
     """The compiled identity of every family triple a <= b <= c that _totals
     gives at this degree, in its order; with their indices() in turn they
     run through all of the degree's window triples."""
-    return [_Identity(alg, n, pairs, families, total) for families, total in _totals(alg, degree, 3)]
+    return [_Identity(alg, n, column, families, total) for families, total in _totals(alg, degree, 3)]
 
 
 def assemble_constraints(
@@ -653,7 +663,7 @@ def assemble_constraints(
     pairs = _pair_basis(alg, window, degree, pairs)
     denominator = alg.denominator
     rows = []
-    for identity in _identities(alg, window.n, degree, pairs):
+    for identity in _identities(alg, window.n, degree, pairs._index):
         for idx in identity.indices():
             row = identity.row(idx)
             if row:
@@ -669,9 +679,9 @@ class _Plan:
     pair keys, so the map from window n's own columns to these is
     increasing, and every row, pivot and null vector of window n is the same
     one here.  Window n builds its own identity of each of those family
-    triples with _Identity(alg, n, pairs, families, total), over the plan's
-    pair basis (cocycles); its coboundary generators and core columns are
-    filtered from the plan's.
+    triples with _Identity(alg, n, pairs._index, families, total), over the
+    plan's pair basis (cocycles); its coboundary generators and core columns
+    are filtered from the plan's.
 
     The plan also owns the certified solve of its windows: the echelon of
     the rows it has eliminated, and the window that echelon was solved on.
@@ -713,7 +723,7 @@ class _Plan:
         previous = self.solved
         if previous is not None and n <= previous:
             raise ValueError(f"window {n} does not grow the solved window {previous}")
-        identities = [_Identity(self.alg, n, self.pairs, families, total) for families, total in self.triples]
+        identities = [_Identity(self.alg, n, self.pairs._index, families, total) for families, total in self.triples]
         identities = [identity for identity in identities if identity.rules]
         strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
 
@@ -737,19 +747,15 @@ class _Plan:
 
     def coboundaries(self, n: int) -> list:
         """The kept generators of coboundary_space on window n, as {column:
-        numerator over alg.denominator}, in the order of their z: a
-        generator is kept when it adds a new direction to the ones before
-        it."""
+        numerator over alg.denominator}, in the order of their z: each one
+        that is nonzero on the window's columns.  Those are independent, as
+        the generators of distinct z have disjoint supports (_images)."""
         within = set(self.pairs._columns(n))
-        ech = _Echelon()
-        kept = []
-        for (_, index), generator in self.images.items():
-            if abs(index) > n:
-                continue
-            generator = _restrict(generator, within)
-            if ech.add(generator):
-                kept.append(generator)
-        return kept
+        return [
+            generator
+            for (_, index), image in self.images.items()
+            if abs(index) <= n and (generator := _restrict(image, within))
+        ]
 
     def core_dims(self, window: Window) -> tuple:
         """(null vectors, kept coboundary generators, core echelon of the
@@ -766,7 +772,9 @@ def _images(alg: BoundAlgebra, degree: Fraction, n: int, column: Mapping) -> dic
     """{element key of z: {column[pair]: numerator over alg.denominator}}:
     for each element z of weight == degree with index in [-n, n], in family
     order, the columns of the pairs {pair: column} that bracket to a
-    multiple of z."""
+    multiple of z.  BoundAlgebra.int_bracket gives each pair one output
+    element, so the generators of distinct z have disjoint supports, and the
+    nonzero ones are independent."""
     slots = {(pos, index): {} for (pos,), index in _totals(alg, degree, 1) if abs(index) <= n}
     for (x, y), col in column.items():
         term = alg.int_bracket(x, y)
@@ -839,8 +847,9 @@ def _add_violated(identities: list, ech: _Echelon, columns: list, walked) -> lis
 def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
     """Span of the functional generators: for each window element z of
     weight == degree, the form (x, y) -> f([x, y]) with f dual to z.  At a
-    fixed degree each family contributes at most one such z.  A generator
-    is kept when it adds a new direction to the ones before it."""
+    fixed degree each family contributes at most one such z.  Each nonzero
+    generator is kept: each pair brackets to one element, so the generators
+    of distinct z have disjoint supports and are independent."""
     alg = _bind(spec, params)
     plan = _Plan(alg, window, _degree(degree), pairs)
     return _fraction_basis(len(plan.pairs), plan.coboundaries(window.n), alg.denominator)
@@ -859,16 +868,15 @@ class CocycleAssignment:
     psi is converted once: it is held as the integer ratios {(key of x, key
     of y): (numerator, denominator)} that verify_cocycle and is_coboundary
     read, and values, their {(x, y): Fraction} form, is built at its first
-    read.  _known, from KnownCocycle._instantiate, is (weight offsets,
-    degree, ratios) of a declared class: its canonical ratios, taken as they
-    are, and their one degree at those offsets (_grouped).  An assignment is
-    immutable, so values never goes stale.
+    read.  _ratios, from KnownCocycle._instantiate, are a declared class's
+    canonical ratios, taken as they are.  An assignment is immutable, so
+    values never goes stale.
     """
 
-    def __init__(self, spec: AlgebraSpec, window: Window, values: Mapping, _known=None):
-        ratios = _known[2] if _known else {}
+    def __init__(self, spec: AlgebraSpec, window: Window, values: Mapping, _ratios=None):
+        ratios = _ratios or {}
         # past __setattr__, which refuses every assignment
-        self.__dict__.update(spec=spec, window=window, _known=_known, _ratios=ratios)
+        self.__dict__.update(spec=spec, window=window, _ratios=ratios)
         key = spec.element_key
         for (x, y), value in values.items():
             value = as_rational(value, "cocycle value")
@@ -906,14 +914,11 @@ class CocycleAssignment:
 
     def _grouped(self, alg: BoundAlgebra) -> dict:
         """{degree: ratios} of psi at the binding's weight offsets, keyed by
-        family position in the binding: a declared class's one degree when
-        _known is of these offsets, else _by_degree's of psi's ratios, or, on
+        family position in the binding: _by_degree's of psi's ratios, or, on
         an algebra with other families, of psi's values re-keyed by family
         name."""
         if alg.families != self.spec.families:
             return CocycleAssignment(alg.spec, self.window, self.values)._grouped(alg)
-        if self._known and self._known[0] == alg.offsets and self._ratios:
-            return {self._known[1]: self._ratios}
         return _by_degree(alg.offsets, self._ratios)
 
     def support(self) -> list:
@@ -942,10 +947,16 @@ class CocycleAssignment:
 def _by_degree(offsets: tuple, ratios: Mapping) -> dict:
     """{degree: ratios} of canonical cocycle values {(key of x, key of y):
     (numerator, denominator)}, the form _on_columns takes, with each
-    family's weight offset taken by position from `offsets`."""
-    groups = {}
+    family's weight offset taken by position from `offsets`, in the order of
+    the ratios.  The degree offsets[a] + offsets[b] + i + j is worked out
+    once per family pair (a, b) and index total i + j, so a declared class,
+    whose lines each have one, costs one sum per line, not one per pair."""
+    groups, lines = {}, {}
     for (x, y), ratio in ratios.items():
-        groups.setdefault(offsets[x[0]] + offsets[y[0]] + x[1] + y[1], {})[x, y] = ratio
+        line = x[0], y[0], x[1] + y[1]
+        if line not in lines:
+            lines[line] = groups.setdefault(offsets[x[0]] + offsets[y[0]] + line[2], {})
+        lines[line][x, y] = ratio
     return groups
 
 
@@ -1047,12 +1058,13 @@ class KnownCocycle:
 
     def _instantiate(self, alg: BoundAlgebra, window: Window) -> CocycleAssignment:
         """The class at the binding on the window: the CocycleAssignment of
-        its canonical values as _ratios gives them, of _check's degree.  An
-        inapplicable class is refused with the violated condition."""
-        reason, degree, lines = self._check(alg)
+        its canonical values as _ratios gives them, which _check has found
+        to be of one degree.  An inapplicable class is refused with the
+        violated condition."""
+        reason, _, lines = self._check(alg)
         if reason is not None:
             raise ValueError(f"cocycle {self.name!r} not applicable: {reason}")
-        return CocycleAssignment(alg.spec, window, {}, (alg.offsets, degree, self._ratios(window, lines)))
+        return CocycleAssignment(alg.spec, window, {}, self._ratios(window, lines))
 
     def _ratios(self, window: Window, lines: list) -> dict:
         """The canonical values of _check's lines on the window as
@@ -1092,10 +1104,14 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
     """Check every admissible window triple against the cocycle identity,
     degree by degree, and count them.
 
-    Only the family triples with a term whose columns lie in a sector where
-    psi is nonzero are compiled and walked, in (i, j) order up to the first
-    failing triple, the witness.  Every other family triple's residuals are
-    0: its admissible triples are counted (_Identity.admissible) and pass.
+    Each degree's identities are compiled against the window's pairs keyed
+    by themselves, as is_coboundary keys its columns: nothing is eliminated,
+    so no pair basis is built, and psi's pairs outside the window are left
+    out (_on_columns).  Only the family triples with a term whose columns
+    lie in a sector where psi is nonzero are compiled and walked, in (i, j)
+    order up to the first failing triple, the witness.  Every other family
+    triple's residuals are 0: its admissible triples are counted
+    (_Identity.admissible) and pass.
     Accepts a KnownCocycle (instantiated here; inapplicable parameter
     values raise with the violated condition) or a CocycleAssignment.
     """
@@ -1105,10 +1121,10 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
         raise TypeError("expected a KnownCocycle or CocycleAssignment")
     checked = 0
     for degree, ratios in sorted(psi._grouped(alg).items()):
-        pairs = _enumerate_pairs(alg, window, degree)
-        vector, scale = _on_columns(ratios, pairs._index)
+        column = {pair: pair for pair in _pair_keys(alg, degree, window.n)}
+        vector, scale = _on_columns(ratios, column)
         sectors = {(x[0], y[0]) for x, y in ratios}
-        for identity in _identities(alg, window.n, degree, pairs):
+        for identity in _identities(alg, window.n, degree, column):
             if not identity.reaches(sectors):
                 # psi is 0 on every column of its terms: its admissible
                 # triples all pass
@@ -1143,7 +1159,9 @@ def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     The core projection of the coboundary space is spanned by the generator
     of each window element z of weight == degree (coboundary_space), each
     restricted to the core pairs.  So only the core pairs and their brackets
-    are built, with the pair keys themselves as the echelon's columns."""
+    are built, with the pair keys themselves as the echelon's columns, as
+    verify_cocycle keys its identities' columns.  psi is grouped by degree
+    as verify_cocycle groups it (CocycleAssignment._grouped)."""
     alg = _bind(spec, params)
     groups = psi._grouped(alg)
     if len(groups) > 1:

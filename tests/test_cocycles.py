@@ -1,6 +1,7 @@
 """Closed-form cocycle registry: verification against the windowed identity,
 nontriviality, symbolic closure proofs, applicability, and serialization."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -469,3 +470,64 @@ def test_declared_class_and_its_file_verify_alike():
             }
             assert dict(report.assignment.values) == fractions, label
             assert list(report.assignment.values.items()) == list(fractions.items()), label
+
+
+def test_verify_leaves_out_pairs_outside_its_window():
+    """verify_cocycle puts on its columns only psi's pairs inside the call's
+    window (_on_columns).  A class instantiated on a larger window must
+    verify there as the class instantiated on the call's own window does."""
+    small, large = Window(8), Window(12)
+    for (lam, mu), names in VERIFY_POINTS.items():
+        params = validate_parameters(SVIR, {"lambda": lam, "mu": mu})
+        for name in names:
+            wide, own = (REGISTRY[name].instantiate(SVIR, params, window) for window in (large, small))
+            assert any(not small.contains(x.index) or not small.contains(y.index) for x, y in wide.values)
+            got, expected = (verify_cocycle(SVIR, params, small, psi) for psi in (wide, own))
+            assert (got.passed, got.triples_checked, got.witness) == (
+                expected.passed,
+                expected.triples_checked,
+                expected.witness,
+            ), (lam, mu, name)
+            if (lam, mu, name) == ("-3", "1", "virasoro"):
+                assert got.passed and got.triples_checked == 743
+
+
+def _reference_by_degree(offsets, ratios) -> dict:
+    """_by_degree's grouping with each pair's degree summed on its own, in
+    Fractions."""
+    groups = {}
+    for (x, y), ratio in ratios.items():
+        groups.setdefault(offsets[x[0]] + offsets[y[0]] + x[1] + y[1], {})[x, y] = ratio
+    return groups
+
+
+def test_grouping_by_degree_matches_a_per_pair_reference():
+    """_by_degree works out one degree per family pair and index total.  On
+    seeded assignments over several sectors and degrees it must group as a
+    sum per pair does: the same degrees, and the same pairs in the same
+    order within each.  Each class that applies at a verify point gets one
+    group, of _check's degree."""
+    rng = random.Random(33)
+    window = Window(8)
+    families = range(len(SVIR.families))
+    for mu in (1, "1/2", "1/3"):
+        alg = engine._bind(SVIR, validate_parameters(SVIR, {"lambda": -1, "mu": mu}))
+        for _ in range(20):
+            values = {}
+            for _ in range(rng.randint(2, 40)):
+                a, b, total, i = rng.choice(families), rng.choice(families), rng.randint(-2, 2), rng.randint(-8, 8)
+                x, y = alg.element((a, i)), alg.element((b, total - i))
+                if x != y and window.contains(y.index) and (y, x) not in values:
+                    values[x, y] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+            ratios = CocycleAssignment(SVIR, window, values)._ratios
+            grouped, reference = engine._by_degree(alg.offsets, ratios), _reference_by_degree(alg.offsets, ratios)
+            assert [(degree, list(group.items())) for degree, group in grouped.items()] == [
+                (degree, list(group.items())) for degree, group in reference.items()
+            ]
+        assert len(grouped) > 1 and len({(x[0], y[0]) for x, y in ratios}) > 1
+    window = Window(12)
+    for (lam, mu), names in VERIFY_POINTS.items():
+        alg = engine._bind(SVIR, validate_parameters(SVIR, {"lambda": lam, "mu": mu}))
+        for name in names:
+            _, degree, lines = REGISTRY[name]._check(alg)
+            assert list(engine._by_degree(alg.offsets, REGISTRY[name]._ratios(window, lines))) == [degree]

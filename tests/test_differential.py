@@ -369,7 +369,7 @@ def test_pinned_rule_edges_equal_full_elimination(tmp_path, source, values, degr
     window = Window(n)
     alg = engine._bind(spec, params)
     pairs = enumerate_pairs(spec, params, window, degree)
-    identities = engine._identities(alg, n, Fraction(degree), pairs)
+    identities = engine._identities(alg, n, Fraction(degree), pairs._index)
     assert {identity.pins for identity in identities if identity.terms} == pins
     for identity in identities:
         assert sorted(identity.pinned()) == [
@@ -523,7 +523,7 @@ def test_compiled_identity_matches_reference(name, values, n):
         for _ in range(4)
     ]
     alg = engine._bind(spec, params)
-    compiled = engine._identities(alg, n, Fraction(0), pairs)
+    compiled = engine._identities(alg, n, Fraction(0), pairs._index)
     _assert_admissible_is_walked(compiled)
     for vectors in (small, large):
         flagged, top = [], 0
@@ -587,7 +587,7 @@ def test_admissible_is_walked_where_totals_exceed_the_window(name, values, degre
     spec = load_algebra(name)
     alg = engine._bind(spec, validate_parameters(spec, values))
     pairs = engine._enumerate_pairs(alg, Window(12), Fraction(degree))
-    identities = engine._identities(alg, 12, Fraction(degree), pairs)
+    identities = engine._identities(alg, 12, Fraction(degree), pairs._index)
     _assert_admissible_is_walked(identities)
     if name == "witt":
         # an output 13 - k leaves the window when k < 1, so the admissible
@@ -673,6 +673,44 @@ def test_core_pair_is_coboundary_matches_the_plan(n):
     assert nontrivial
 
 
+KEPT_POINTS = [("svir", {"lambda": lam, "mu": mu}) for lam in (-3, -1, "1/2", 1) for mu in (1, -2, "1/2", "1/3")] + [
+    ("witt", {}),
+    (HV_SOURCE, {}),
+    (W22_SOURCE, {}),
+    (NO_WEIGHT_ZERO_SOURCE, {}),
+    (WAB_SOURCE, {"lambda": 1, "mu": 0}),
+    (WAB_SOURCE, {"lambda": 2, "mu": 1}),
+]
+
+
+def test_every_nonzero_coboundary_generator_is_kept(tmp_path):
+    """_Plan.coboundaries keeps each generator that is nonzero on the
+    window's columns, with no echelon: a pair brackets to one element, so
+    the generators of distinct z have disjoint supports.  It must keep what
+    an echelon keeps, generator by generator in z order, at every window
+    view of the plan and at degrees where some weights are halves."""
+    plans = dropped = 0
+    for source, values in KEPT_POINTS:
+        spec = _spec(tmp_path, source)
+        alg = engine._bind(spec, validate_parameters(spec, values))
+        for degree in (-1, 0, Fraction(1, 2), 1):
+            plan = engine._Plan(alg, Window(12), Fraction(degree))
+            for n in (8, 10, 12):
+                within = set(plan.pairs._columns(n))
+                ech, reference = engine._Echelon(), []
+                for (_, index), generator in plan.images.items():
+                    generator = engine._restrict(generator, within)
+                    if abs(index) <= n and ech.add(generator):
+                        reference.append(generator)
+                kept = plan.coboundaries(n)
+                assert kept == reference, (source, values, degree, n)
+                columns = [col for generator in kept for col in generator]
+                assert len(columns) == len(set(columns))
+                dropped += sum(abs(index) <= n for _, index in plan.images) - len(kept)
+                plans += 1
+    assert plans == 264 and dropped
+
+
 def _coboundary_of(spec, params, window, z) -> CocycleAssignment:
     """The coboundary (x, y) -> f([x, y]) of f dual to the basis element z,
     on the window pairs."""
@@ -756,10 +794,10 @@ def _assert_strip_meets_new_rows(plan, n, previous):
     column = {col: plan.pairs._index[key] for key, col in smaller._index.items()}
     smaller_identities = {
         identity.families: identity
-        for identity in engine._identities(plan.alg, previous, plan.degree, smaller)
+        for identity in engine._identities(plan.alg, previous, plan.degree, smaller._index)
     }
     for families, total in plan.triples:
-        identity = engine._Identity(plan.alg, n, plan.pairs, families, total)
+        identity = engine._Identity(plan.alg, n, plan.pairs._index, families, total)
         met = {(i, j, identity.total - i - j) for i, j in identity.meeting(identity.touching(strip))}
         for idx in identity.indices():
             row = identity.row(idx)
@@ -777,7 +815,7 @@ def _rank_deficit(alg, degree, pairs):
     in the identity's pins.  Both by separate full eliminations over all of
     indices(), not over pinned()."""
     full, pinned = engine._Echelon(), engine._Echelon()
-    for identity in engine._identities(alg, pairs.window.n, degree, pairs):
+    for identity in engine._identities(alg, pairs.window.n, degree, pairs._index):
         for idx in identity.indices():
             row = identity.row(idx)
             if row:
@@ -1017,7 +1055,7 @@ def _plan_identities(plan):
     them."""
     return [
         identity
-        for identity in engine._identities(plan.alg, plan.window.n, plan.degree, plan.pairs)
+        for identity in engine._identities(plan.alg, plan.window.n, plan.degree, plan.pairs._index)
         if identity.rules
     ]
 

@@ -28,6 +28,7 @@ from lieext.engine import (
 from lieext.dsl import parse
 from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
+from lieext.sparse import VectorBasis
 
 from golden import WAB_SOURCE
 from isomorphism import weight
@@ -88,7 +89,7 @@ def _identity_row(spec, params, window, x, y, z, pairs):
     when a bracket leaves the window: the engine's row over its denominator."""
     alg = engine._bind(spec, params)
     families, idx = zip(*(spec.element_key(e) for e in (x, y, z)))
-    row = engine._Identity(alg, window.n, pairs, families, sum(idx)).row(idx)
+    row = engine._Identity(alg, window.n, pairs._index, families, sum(idx)).row(idx)
     return None if row is None else {col: Fraction(v, alg.denominator) for col, v in row.items()}
 
 
@@ -327,6 +328,19 @@ def test_pair_basis_of_another_window_is_refused(other):
             call(pairs)
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_match_known_refuses_a_basis_of_another_dimension(extra):
+    params, window = {"lambda": -3, "mu": 1}, Window(8)
+    pairs = enumerate_pairs(SVIR, params, window, 0)
+    cocycles = cocycle_space(SVIR, params, window, 0, pairs)
+    bounds = coboundary_space(SVIR, params, window, 0, pairs)
+    other = VectorBasis(len(pairs) + extra, [(*vec, 0) for vec in bounds] if extra > 0 else [])
+    for given in ((other, bounds), (cocycles, other)):
+        with pytest.raises(ValueError, match="^basis dimension does not match the pair basis$"):
+            match_known(SVIR, params, window, 0, pairs, *given)
+    assert any(m.matched for m in match_known(SVIR, params, window, 0, pairs, cocycles, bounds))
+
+
 @pytest.mark.parametrize(
     "other, message",
     [
@@ -535,23 +549,24 @@ def test_is_coboundary_validates_parameters_once(monkeypatch):
 
 def test_verify_of_a_declared_class_binds_once(monkeypatch):
     # the class's own values go to the pair columns: no second validation
-    # of the parameters, and no regrouping of its values by degree
-    calls, grouped = [], []
-    validate, by_degree = lieext.algebra.validate_parameters, engine._by_degree
+    # of the parameters, and no pair basis, since verify_cocycle keys its
+    # columns by the pairs themselves
+    calls, enumerated = [], []
+    validate, enumerate_pairs = lieext.algebra.validate_parameters, engine._enumerate_pairs
 
     def counting(spec, values):
         calls.append(spec)
         return validate(spec, values)
 
-    def grouping(*args):
-        grouped.append(args)
-        return by_degree(*args)
+    def enumerating(*args):
+        enumerated.append(args)
+        return enumerate_pairs(*args)
 
     monkeypatch.setattr(lieext.algebra, "validate_parameters", counting)
-    monkeypatch.setattr(engine, "_by_degree", grouping)
+    monkeypatch.setattr(engine, "_enumerate_pairs", enumerating)
     report = verify_cocycle(SVIR, {"lambda": -1, "mu": 1}, Window(12), REGISTRY["c1"])
     assert report.passed and report.assignment.values
-    assert len(calls) == 1 and not grouped
+    assert len(calls) == 1 and not enumerated
 
 
 def test_applicability_validates_its_parameters():
@@ -604,10 +619,10 @@ def test_identity_within_below_its_total_leaves_every_index_out():
     alg = engine._bind(WITT, {})
     plan = engine._Plan(alg, Window(16), Fraction(26))
     [(families, total)] = plan.triples
-    triple = engine._Identity(alg, 16, plan.pairs, families, total)
-    within = engine._Identity(alg, 12, plan.pairs, families, total)
+    triple = engine._Identity(alg, 16, plan.pairs._index, families, total)
+    within = engine._Identity(alg, 12, plan.pairs._index, families, total)
     pairs = engine._enumerate_pairs(alg, Window(12), Fraction(26))
-    [fresh] = engine._identities(alg, 12, Fraction(26), pairs)
+    [fresh] = engine._identities(alg, 12, Fraction(26), pairs._index)
     assert within.rules == fresh.rules == triple.rules
     assert [term[1] for term in within.terms] == [term[1] for term in fresh.terms]
     assert all(entry is engine._OUT for term in within.terms for entry in term[1])

@@ -190,7 +190,7 @@ def _pinned_rows(name, values, n):
     window = engine.Window(n)
     pairs = engine._enumerate_pairs(alg, window, Fraction(0))
     rows = []
-    for identity in engine._identities(alg, n, Fraction(0), pairs):
+    for identity in engine._identities(alg, n, Fraction(0), pairs._index):
         for idx in identity.pinned():
             row = identity.row(idx)
             if row:

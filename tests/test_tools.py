@@ -4,7 +4,9 @@ import ast
 import functools
 import importlib
 import importlib.util
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import lieext
@@ -223,3 +225,73 @@ def test_family_tuples_at_a_degree_come_from_one_generator():
     assert calls and calls == calls & set(ast.walk(totals))
     [plan] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Plan"]
     assert "identities" not in {node.name for node in plan.body if isinstance(node, ast.FunctionDef)}
+
+
+# A private name as the docs write it: `_name`, or `_Class.member`; not the
+# tail of a longer word (psi_x, L_-1) and no dunder of Python's own
+PRIVATE_MENTION = re.compile(r"(?<!\w)(_(?!_)\w*[A-Za-z]\w*)(?:\.([A-Za-z_]\w*))?")
+
+
+def _doc_texts(source) -> list:
+    """The docstrings and comments of a Python source."""
+    texts = [
+        doc
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and (doc := ast.get_docstring(node, clean=False))
+    ]
+    return texts + [
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    ]
+
+
+def _members(node) -> set:
+    """What a class defines: its methods and class attributes, the self.x
+    its methods assign, and the keywords of a self.__dict__.update(...)."""
+    members = {item.name for item in node.body if isinstance(item, (ast.FunctionDef, ast.ClassDef))}
+    for item in node.body:
+        if isinstance(item, (ast.Assign, ast.AnnAssign)):
+            targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+            members.update(ast.unparse(target) for target in targets)
+    for item in ast.walk(node):
+        if isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store) and ast.unparse(item.value) == "self":
+            members.add(item.attr)
+        elif isinstance(item, ast.Call) and ast.unparse(item.func) == "self.__dict__.update":
+            members.update(keyword.arg for keyword in item.keywords)
+    return members
+
+
+def test_private_names_in_the_docs_exist():
+    # every _name or _Class.member that a docstring or comment of
+    # src/lieext, or the README, mentions is in the code of src/: defined,
+    # assigned, an attribute, an argument or a one-word string constant (as
+    # algebra.py's _i, _j and _k are).  A name the code has lost leaves its
+    # mentions stale
+    paths = sorted((ROOT / "src" / "lieext").glob("*.py"))
+    sources = {path.name: path.read_text() for path in paths}
+    names, classes = set(), {}
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    classes[node.name] = _members(node)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                names.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"\w+", node.value):
+                names.add(node.value)
+    texts = [(name, text) for name, source in sources.items() for text in _doc_texts(source)]
+    texts.append(("README.md", (ROOT / "README.md").read_text()))
+    stale = set()
+    for where, text in texts:
+        for match in PRIVATE_MENTION.finditer(text):
+            name, member = match.groups()
+            if name not in names or (member and name in classes and member not in classes[name]):
+                stale.add((where, match.group(0)))
+    assert not stale
