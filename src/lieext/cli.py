@@ -270,20 +270,13 @@ def _print_md(header, rows):
 
 
 def _scan_point(payload) -> dict:
+    """One scan row: h2's JSON record (_h2_json) at the point, with the
+    matched names joined by ";" and the stderr warning, or None."""
     ref, lam, mu, window, degree, steps = payload
     report, predicted, agree, warning = _h2_run(
         load_algebra(ref), {"lambda": lam, "mu": mu}, window, degree, steps)
-    return {
-        "lambda": format_rational(lam),
-        "mu": format_rational(mu),
-        "window": window.n,
-        "core_h2_dim": report.core_h2_dim,
-        "predicted_dim": predicted,
-        "agree": agree,
-        "matched": ";".join(m.name for m in report.matched_known if m.matched),
-        "stabilized": report.stabilized,
-        "warning": warning,
-    }
+    matched = ";".join(m.name for m in report.matched_known if m.matched)
+    return {**_h2_json(report, predicted, agree), "matched": matched, "warning": warning}
 
 
 def _scan_workers(jobs: int, points: int, cpus: int | None) -> int:

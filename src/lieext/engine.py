@@ -38,7 +38,7 @@ families of weights 1, 2 and 3.
 
 The admissible rows are then checked against the primitive integer null
 vectors of the echelon by exact integer dot products, and the check refines
-as it goes (_add_violated).  A row that fails is added to the echelon, the
+as it goes (_Plan.check).  A row that fails is added to the echelon, the
 null vectors are recomputed, and the walk takes that family triple again
 from the start.  That is exact: the nullspace only shrinks, so the triples
 passed before still pass and the added row now does too.  Each added row
@@ -73,10 +73,10 @@ where psi is nonzero.  Every other family triple's dot products are 0, so
 it counts that one's admissible triples instead (_Identity.admissible): its
 window triples in closed form, less those with an output outside, and only
 a triple with an index at the window edge can have an output outside.
-Its count of triples checked, part of its report, stays exact.  The count
-decides "the output leaves the window" from the identity's rules, by the
-same test as its tables (below), so that the family triples verify_cocycle
-does not walk build no tables: the rule has two places, on purpose.
+Its count of triples checked, part of its report, stays exact.  Whether an
+output leaves the window is one rule, _Identity.inside, which the count
+reads with the identity's rules and the tables (below) read too, so that
+the family triples verify_cocycle does not walk build no tables.
 
 The result is the one full elimination gives.  Every admissible row is in
 the echelon, or walked and passed against a nullspace that contains the
@@ -371,18 +371,21 @@ class _Identity:
     table, w, u, v): table[idx[w] + n] is (column, sign), _EQUAL or _OUT
     for the index at position w of idx = (i, j, k), and the bracket
     coefficient is evaluated at idx[u], idx[v].  The entry is _OUT exactly
-    when the output index total - idx[w] leaves [-n, n].  terms decides it
-    for every row expansion in this module; admissible() decides it again,
-    by the same test on rules, so that an identity verify_cocycle does not
-    walk builds no tables.  bound is at least the sum of |coefficient| over
-    the terms at any triple of window indices.  The tables are built at
-    their first use.  Every identity is built by __init__ at its radius n:
-    _Plan.cocycles builds one per window solved, over the plan's pair basis,
-    and verify_cocycle one over the window's pairs keyed by themselves.
+    when idx[w] is not in inside, the indices whose output index
+    total - idx[w] lies in [-n, n]: the one edge rule, which terms and
+    admissible() both read, the second with rules alone, so that an
+    identity verify_cocycle does not walk builds no tables.  bound is at
+    least the sum of |coefficient| over the terms at any triple of window
+    indices.  The tables are built at their first use.  Every identity is
+    built by __init__ at its radius n: _Plan.cocycles builds one per window
+    solved, over the plan's pair basis, and verify_cocycle one over the
+    window's pairs keyed by themselves.
     """
 
     def __init__(self, alg: BoundAlgebra, n: int, column: Mapping, families, total: int):
         self.families, self.total, self.n, self.column = families, total, n, column
+        # the indices whose term output total - index stays in [-n, n]
+        self.inside = range(total - n, total + n + 1)
         # the pinned indices: -1, and 0 too when no family has weight 0
         self.pins = (-1,) if any(not alg.offsets[p] for p in families) else (-1, 0)
         a, b, c = families
@@ -397,14 +400,14 @@ class _Identity:
 
     @cached_property
     def terms(self) -> list:
-        n, total, column, terms = self.n, self.total, self.column, []
+        n, total, inside, column, terms = self.n, self.total, self.inside, self.column, []
         for coefficient, out, r, w, u, v in self.rules:
             table = []
             for index in range(-n, n + 1):
                 output, paired = (out, total - index), (r, index)
                 if output == paired:
                     table.append(_EQUAL)
-                elif abs(output[1]) > n:
+                elif index not in inside:
                     table.append(_OUT)
                 elif output < paired:
                     table.append((column[(output, paired)], 1))
@@ -434,11 +437,10 @@ class _Identity:
         """The number of admissible window triples, as walk() counts them
         when no entry is nonzero: all but those with a term whose output
         index total - idx[w] leaves the window and whose coefficient there
-        is nonzero.  Those meet the edge indices v with |total - v| > n.
-        This is the second place of the edge rule, beside terms: it reads
+        is nonzero.  Those meet the edge indices, the window's indices not
+        in inside, the edge rule the tables read too; this reads it with
         rules alone, so that the family triples verify_cocycle does not
-        walk build no tables, and it must mark a term out exactly where
-        terms puts _OUT.
+        walk build no tables.
 
         The window triples are counted in closed form, with no walk over i:
         as many as indices() yields.  With d = |total| (negating every index
@@ -452,7 +454,7 @@ class _Identity:
         F, G, G keep (all - two) / 2 of them, and F, F, F keeps
         (all - 3 two + 2 three) / 6.  Beyond d = 3n all three terms are 0,
         and three is at most 1, so the count is 0 there too."""
-        n, total = self.n, self.total
+        n, total, inside = self.n, self.total, self.inside
         d = abs(total)
         count = math.comb(max(0, 3 * n - d + 2), 2) - 3 * math.comb(max(0, n - d + 1), 2)
         two = max(0, min(n, (d + n) // 2) + (n - d) // 2 + 1)
@@ -462,10 +464,10 @@ class _Identity:
             count = (count - 3 * two + 2 * (d % 3 == 0)) // 6
         elif distinct == 2:
             count = (count - two) // 2
-        for i, j in self.meeting([v for v in range(-n, n + 1) if abs(total - v) > n]):
+        for i, j in self.meeting([v for v in range(-n, n + 1) if v not in inside]):
             idx = (i, j, total - i - j)
             for coefficient, _, _, w, u, v in self.rules:
-                if abs(total - idx[w]) > n and _evaluate(coefficient, idx[u], idx[v]):
+                if idx[w] not in inside and _evaluate(coefficient, idx[u], idx[v]):
                     count -= 1
                     break
         return count
@@ -683,9 +685,10 @@ class _Plan:
     plan's pair basis (cocycles); its coboundary generators and core columns
     are filtered from the plan's.
 
-    The plan also owns the certified solve of its windows: the echelon of
-    the rows it has eliminated, and the window that echelon was solved on.
-    Each window it solves must grow the one before (cocycles)."""
+    The plan also owns the certified solve of its windows (cocycles, and
+    its check): the echelon of the rows it has eliminated, and the window
+    that echelon was solved on.  Each window it solves must grow the one
+    before."""
 
     def __init__(self, alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None = None):
         self.alg, self.window, self.degree = alg, window, degree
@@ -715,23 +718,19 @@ class _Plan:
         the plan's columns, with the rows it eliminates added to the plan's
         echelon.  It builds the identity of each of the plan's triples at
         radius n and solves over those whose family pairs bracket to
-        something: the others give no row.  n must exceed the window solved
-        before, if any, and then only the triples that meet the strip of
-        indices between the two windows (see _Identity.touching) have their
-        rows added or checked: every other admissible row is one of the
-        smaller window's, in the span of the echelon."""
+        something: the others give no row.  It eliminates the pinned rows,
+        then hands the identities, with the strip or None, to check, which
+        walks and refines.  n must exceed the window solved before, if any,
+        and then only the triples that meet the strip of indices between
+        the two windows (see _Identity.touching) have their rows added or
+        checked: every other admissible row is one of the smaller window's,
+        in the span of the echelon."""
         previous = self.solved
         if previous is not None and n <= previous:
             raise ValueError(f"window {n} does not grow the solved window {previous}")
         identities = [_Identity(self.alg, n, self.pairs._index, families, total) for families, total in self.triples]
         identities = [identity for identity in identities if identity.rules]
         strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
-
-        def walked(identity):
-            if strip is None:
-                return identity.boundary(self.alg, self.failing)
-            return identity.meeting(identity.touching(strip))
-
         for identity in identities:
             pinned = identity.pinned()
             if strip is not None:
@@ -741,8 +740,38 @@ class _Plan:
                 row = identity.row(idx)
                 if row:
                     self.ech.add(row)
-        vectors = _add_violated(identities, self.ech, self.pairs._columns(n), walked)
+        vectors = self.check(identities, n, strip)
         self.solved = n
+        return vectors
+
+    def check(self, identities: list, n: int, strip) -> list:
+        """Check the admissible rows of window n's identities against the
+        null vectors of the plan's echelon over the window's columns, by
+        exact integer dot products against all of them at once (_packed),
+        refine as it goes, and return the final null vectors.  When a row
+        fails, it is added to the echelon, the null vectors are recomputed
+        and its family triple is walked again from the start.  That is
+        exact: the nullspace only shrinks, so the triples passed before
+        still pass and the added row now does too, and each added row
+        raises the rank by one.  So the order of the walk decides which
+        failing rows are added, but neither how many nor the final null
+        vectors.  A first window (strip None) walks each identity's
+        boundary, whose rows certify every other row by d^2 = 0 (module
+        docstring); a grown window walks the triples that meet the strip.
+        An identity with no table column where a null vector is nonzero is
+        skipped: its dot products are 0."""
+        columns = self.pairs._columns(n)
+        vectors = _null_vectors(self.ech.pivots, columns)
+        packed = _packed(vectors, identities)[0]
+        for identity in identities:
+            terms, reached = identity.valued(packed)
+            if reached:
+                meeting = identity.meeting(identity.touching(strip)) if strip else identity.boundary(self.alg, self.failing)
+            while reached and (failed := identity.walk(terms, meeting)[1]) is not None:
+                self.ech.add(identity.row(failed[0]))
+                vectors = _null_vectors(self.ech.pivots, columns)
+                packed = _packed(vectors, identities)[0]
+                terms, reached = identity.valued(packed)
         return vectors
 
     def coboundaries(self, n: int) -> list:
@@ -811,37 +840,6 @@ def _packed(vectors: list, identities: list) -> tuple:
         for col, value in vec.items():
             packed[col] = packed.get(col, 0) + (value << shift)
     return packed, width
-
-
-def _add_violated(identities: list, ech: _Echelon, columns: list, walked) -> list:
-    """Check the admissible rows of the triples walked(identity) lists (a
-    meeting() set, or None for all of them) against the null vectors of
-    the echelon over `columns`, by exact integer dot products against all
-    of them at once (_packed), refine as it goes, and return the final null
-    vectors.  When a row fails, it is added to the echelon, the null vectors
-    are recomputed and its family triple is walked again from the start.
-    That is exact: the nullspace only shrinks, so the triples passed before
-    still pass and the added row now does too, and each added row raises
-    the rank by one.  So the order of the walk decides which failing rows
-    are added, but neither how many nor the final null vectors.  A first
-    window lists each identity's boundary, whose rows certify every other
-    row by d^2 = 0 (module docstring); a grown window lists the triples
-    that meet the strip.  An identity with no table column where a null
-    vector is nonzero is skipped: its dot products are 0."""
-    vectors = _null_vectors(ech.pivots, columns)
-    packed = _packed(vectors, identities)[0]
-    for identity in identities:
-        terms, reached = identity.valued(packed)
-        meeting = walked(identity) if reached else None
-        while reached:
-            failed = identity.walk(terms, meeting)[1]
-            if failed is None:
-                break
-            ech.add(identity.row(failed[0]))
-            vectors = _null_vectors(ech.pivots, columns)
-            packed = _packed(vectors, identities)[0]
-            terms, reached = identity.valued(packed)
-    return vectors
 
 
 def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:

@@ -2,6 +2,7 @@
 subprocesses: output formats, exit codes, and file/preset resolution."""
 
 import concurrent.futures
+import csv
 import io
 import json
 import os
@@ -756,6 +757,21 @@ def test_scan_csv_agreeing_grid():
         "0,1/3,10,1,1,true,virasoro",
         "0,1,10,1,1,true,virasoro",
     ]
+    # each row is lieext h2's JSON record at its point
+    for row in csv.DictReader(io.StringIO(proc.stdout)):
+        h2 = run_cli("h2", "--algebra", "svir", f"--lambda={row['lambda']}", f"--mu={row['mu']}",
+                     "--window", "10", "--steps", "2", "--format", "json")
+        assert h2.returncode == 0, h2.stderr
+        record = json.loads(h2.stdout)
+        assert row == {
+            "lambda": record["lambda"],
+            "mu": record["mu"],
+            "window": str(record["window"]),
+            "core_h2_dim": str(record["core_h2_dim"]),
+            "predicted_dim": str(record["predicted_dim"]),
+            "agree": json.dumps(record["agree"]),
+            "matched": ";".join(m["name"] for m in record["matched_known"] if m["matched"]),
+        }
 
 
 def test_scan_reports_undercounted_point_and_exits_one():

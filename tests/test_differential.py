@@ -17,7 +17,9 @@ tables; the same reference identities, rebuilt triple by triple, must give
 verify_cocycle's report and the triples the packed check flags exactly.
 
 The solve eliminates only the pinned rows and certifies the rest; at the
-edges of the pinning rule its basis must still be full elimination's.  h2
+edges of the pinning rule, and on random Lie algebras drawn by construction
+(a Witt family with tensor-density modules, DRAWN), its basis must still
+be full elimination's.  h2
 solves all its windows on one plan built at the largest, each grown window
 going on from the echelon of the window before it; at every window of its
 history the null vectors, relabelled by pair key, must equal a fresh
@@ -46,6 +48,7 @@ import lieext.engine as engine
 from lieext.algebra import (
     BasisElement,
     BoundAlgebra,
+    _jacobi_residuals,
     check_jacobi_symbolic,
     check_jacobi_window,
     validate_parameters,
@@ -66,6 +69,7 @@ from lieext.engine import (
     verify_cocycle,
 )
 from lieext.presets import load_algebra
+from lieext.rational import format_rational
 from lieext.sparse import nullspace
 
 from golden import VERIFY_POINTS, WAB_SOURCE
@@ -73,7 +77,7 @@ from isomorphism import substitute, weight
 from oracle_dense import dense_in_span, dense_nullspace, dense_rank
 from test_acceptance import GRID_LAMBDAS, GRID_MUS
 from test_cli import CORRUPT_SOURCE, HV_SOURCE, W22_SOURCE
-from test_dsl import _random_spec_source
+from test_dsl import C, V, _random_spec_source
 from test_engine import _assignment, _column_of, _pair_list
 
 POINTS = [
@@ -112,6 +116,54 @@ algebra stress(lambda, mu) {
 STRESS_PARAMS = {"lambda": "1/2", "mu": 1}
 
 SOLVE_POINTS = ROW_POINTS + [pytest.param(None, STRESS_PARAMS, id="stress(1/2,1)")]
+
+MODULE_ALPHAS = (0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3))
+MODULE_BETAS = (0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 3))
+
+
+def _lie_spec_source(rng):
+    """A random Lie algebra, one by construction: a Witt family L of weight
+    0 and one to three tensor-density modules X, each with
+    [L_n, X_m] = (m + a + b*n) X(n + m) for rationals a and b, declared
+    `family X weight a`.  The commutator [L_n, L_k] acts on X_m by
+    (k - n)(m + a + b*(n + k)), so every a and b give a Witt module.  With
+    two modules or more, half the draws bracket one X into another Z as
+    svir's Y brackets into M, [X_n, X_m] = (m - n) Z(n + m): Z then has
+    weight 2a, and b_Z = 2b + 1 in two draws of three, a random b_Z
+    otherwise.  That bracket is kept only where algebra._jacobi_residuals
+    is empty."""
+    names = rng.sample("ABC", rng.randint(1, 3))
+    modules = {name: [rng.choice(MODULE_ALPHAS), rng.choice(MODULE_BETAS)] for name in names}
+    square = None
+    if len(modules) > 1 and rng.random() < 0.5:
+        x, z = rng.sample(sorted(modules), 2)
+        a, b = modules[x]
+        modules[z] = [2 * a, 2 * b + 1 if rng.random() < 2 / 3 else rng.choice(MODULE_BETAS)]
+        square = x, z
+
+    def source(square):
+        lines = ["algebra drawn() {", "  family L weight 0;"]
+        lines += [f"  family {x} weight {format_rational(a)};" for x, (a, _) in modules.items()]
+        lines.append("  bracket [L n, L m] = (m - n) L(n + m);")
+        for x, (a, b) in modules.items():
+            coefficient = V("m") + C(a) + C(b) * V("n")
+            lines.append(f"  bracket [L n, {x} m] = ({coefficient.to_text(('n', 'm'))}) {x}(n + m);")
+        for i, x in enumerate(names):
+            for y in names[i:]:
+                if square is not None and x == y == square[0]:
+                    lines.append(f"  bracket [{x} n, {x} m] = (m - n) {square[1]}(n + m);")
+                else:
+                    lines.append(f"  bracket [{x} n, {y} m] = 0;")
+        return "\n".join(lines + ["}"])
+
+    if square is not None and _jacobi_residuals(BoundAlgebra(parse(source(square)).spec, {})._rules):
+        square = None
+    return source(square)
+
+
+# twenty drawn Lie algebras at a fixed seed, for the tests that run on them
+_drawing = random.Random(809)
+DRAWN = [_lie_spec_source(_drawing) for _ in range(20)]
 
 
 def _reference_bracket(spec, params, x, y):
@@ -297,12 +349,17 @@ def test_common_denominator_rows_and_witnesses_equal_reference():
     assert failing >= 5
 
 
-@pytest.mark.parametrize("n", [6, 8, 12])
-@pytest.mark.parametrize("name, values", SOLVE_POINTS)
-def test_subset_solve_equals_full_elimination(name, values, n):
+@pytest.mark.parametrize(
+    "name, values, n",
+    [pytest.param(*point.values, n, id=f"{point.id}-{n}") for point in SOLVE_POINTS for n in (6, 8, 12)]
+    + [pytest.param(source, {}, n, id=f"drawn{i}-{n}") for i, source in enumerate(DRAWN) for n in (6, 8)],
+)
+def test_subset_solve_equals_full_elimination(tmp_path, name, values, n):
     """cocycle_space eliminates only some rows and certifies the rest; its
-    reduced basis must be the one full elimination gives, vector for vector."""
-    spec = parse(STRESS_SOURCE).spec if name is None else load_algebra(name)
+    reduced basis must be the one full elimination gives, vector for vector,
+    on the presets, on an algebra that fails the Jacobi identity, and on
+    the drawn Lie algebras."""
+    spec = _spec(tmp_path, STRESS_SOURCE if name is None else name)
     params = validate_parameters(spec, values)
     window = Window(n)
     pairs = enumerate_pairs(spec, params, window, 0)
@@ -598,6 +655,28 @@ def test_admissible_is_walked_where_totals_exceed_the_window(name, values, degre
         assert identity.admissible() == {13: 8, 26: 0}[degree]
 
 
+def test_drawn_lie_algebras_reach_the_boundary():
+    """The drawn specs are Lie algebras that reach the d^2 = 0 certificate:
+    at least 15 of the 20 have a nonzero bracket, satisfy the Jacobi
+    identity and get a boundary set, not None, from a family triple with a
+    module that brackets (19 do).  On each, admissible() counts what walk()
+    counts at degree 0, at N = 8."""
+    reached = 0
+    for source in DRAWN:
+        alg = engine._bind(parse(source).spec, {})
+        pairs = engine._enumerate_pairs(alg, Window(8), Fraction(0))
+        identities = engine._identities(alg, 8, Fraction(0), pairs._index)
+        _assert_admissible_is_walked(identities)
+        failing = _jacobi_residuals(alg._rules)
+        bracketing = [identity for identity in identities if identity.rules and identity.families != (0, 0, 0)]
+        reached += bool(
+            any(rule is not None for rules in alg._rules for rule in rules)
+            and not failing
+            and any(identity.boundary(alg, failing) is not None for identity in bracketing)
+        )
+    assert reached >= 15
+
+
 # three families that bracket to nothing: every window triple is
 # admissible, so admissible() is its closed-form count alone
 ABELIAN_SOURCE = """
@@ -830,13 +909,13 @@ def _seeded_windows(monkeypatch, spec, params, window, steps=3):
     solve of that window alone, and each grown window's unvisited rows
     against the window before it; returns [(n, grown from the window
     before, rows the check added)] per window."""
-    solve, add_violated = engine._Plan.cocycles, engine._add_violated
+    solve, check = engine._Plan.cocycles, engine._Plan.check
     added, windows = [], []
 
-    def counting(identities, ech, *args):
-        rank = ech.rank
-        vectors = add_violated(identities, ech, *args)
-        added.append(ech.rank - rank)
+    def counting(plan, *args):
+        rank = plan.ech.rank
+        vectors = check(plan, *args)
+        added.append(plan.ech.rank - rank)
         return vectors
 
     def checked(plan, n):
@@ -856,7 +935,7 @@ def _seeded_windows(monkeypatch, spec, params, window, steps=3):
 
     # undone on return, so that the next call wraps the engine's own again
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "_add_violated", counting)
+        patch.setattr(engine._Plan, "check", counting)
         patch.setattr(engine._Plan, "cocycles", checked)
         h2(spec, params, window, stabilization_steps=steps)
     expected = [(window.n + 2 * step, step > 0) for step in range(steps)]

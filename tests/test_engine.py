@@ -234,7 +234,7 @@ def test_subset_too_small_generates_rows_and_keeps_results(
     # eliminating only the triples with an index 0, or nothing, leaves rows
     # out of the span at these points, so the check must find them violated
     # and add them to the echelon
-    add_violated = engine._add_violated
+    check = engine._Plan.check
 
     def pin_index_zero(identity):
         return [(i, j, identity.total - i - j) for i, j in identity.meeting((0,))]
@@ -243,13 +243,13 @@ def test_subset_too_small_generates_rows_and_keeps_results(
         monkeypatch.setattr(engine._Identity, "pinned", pinned)
         violated = []
 
-        def spy(identities, ech, *args):
-            rank = ech.rank
-            vectors = add_violated(identities, ech, *args)
-            violated.append(ech.rank - rank)
+        def spy(plan, *args):
+            rank = plan.ech.rank
+            vectors = check(plan, *args)
+            violated.append(plan.ech.rank - rank)
             return vectors
 
-        monkeypatch.setattr(engine, "_add_violated", spy)
+        monkeypatch.setattr(engine._Plan, "check", spy)
         report = h2(spec, params, Window(6))
         assert any(violated)
         assert report.core_history == history
@@ -834,21 +834,14 @@ def test_h2_coverage_check_names_the_least_window_of_the_pair_basis():
     # more.  h2 is called from the smallest window up, at each refusal's N,
     # until it answers; then every sector is covered
     from test_cli import WAB_A_SOURCE
-    from test_isomorphism import _graded_spec_source
+    from test_differential import DRAWN
 
-    rng = random.Random(809)
-    values = {"alpha": 2, "beta": "-1/2", "gam": 3}
-    specs = [parse(_graded_spec_source(rng)).spec for _ in range(20)]
-    cases = [(spec, {p: values[p] for p in spec.parameters}) for spec in specs]
+    cases = [(parse(source).spec, {}) for source in DRAWN]
     cases.append((parse(WAB_A_SOURCE).spec, {"lambda": 20, "mu": 0}))
     refusal = re.compile(r"window too small: the (\w+)-(\w+) sector .* it needs N >= (\d+)")
     refused = 0
     for spec, params in cases:
-        try:
-            alg = engine._bind(spec, params)
-        except ValueError as exc:
-            assert "not graded" in str(exc)
-            continue
+        alg = engine._bind(spec, params)
         position = {family: pos for pos, family in enumerate(spec.families)}
         for degree in [*map(Fraction, range(-3, 4)), Fraction(1, 2)]:
             least, n = _covered_from(alg, degree, 3), 6

@@ -227,6 +227,25 @@ def test_family_tuples_at_a_degree_come_from_one_generator():
     assert "identities" not in {node.name for node in plan.body if isinstance(node, ast.FunctionDef)}
 
 
+def test_the_window_edge_is_one_rule():
+    # whether a term's output leaves the window is one attribute,
+    # _Identity.inside: the tables (terms) and the closed-form count
+    # (admissible) both read it, and neither compares abs(...) with n
+    tree = ast.parse((ROOT / "src" / "lieext" / "engine.py").read_text())
+    [identity] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Identity"]
+    methods = {node.name: node for node in identity.body if isinstance(node, ast.FunctionDef)}
+    for name in ("terms", "admissible"):
+        nodes = list(ast.walk(methods[name]))
+        assert "self.inside" in {ast.unparse(node) for node in nodes if isinstance(node, ast.Attribute)}, name
+        for node in nodes:
+            if isinstance(node, ast.Compare):
+                operands = {ast.unparse(operand) for operand in (node.left, *node.comparators)}
+                assert not ({"n", "self.n"} & operands and any(text.startswith("abs(") for text in operands)), (
+                    name,
+                    ast.unparse(node),
+                )
+
+
 # A private name as the docs write it: `_name`, or `_Class.member`; not the
 # tail of a longer word (psi_x, L_-1) and no dunder of Python's own
 PRIVATE_MENTION = re.compile(r"(?<!\w)(_(?!_)\w*[A-Za-z]\w*)(?:\.([A-Za-z_]\w*))?")
