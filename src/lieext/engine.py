@@ -94,7 +94,8 @@ h2 builds one plan per call, at its largest window N + 2 * (steps - 1)
 (_Plan): one pair basis, one list of the family triples with their index
 totals, and one bracket pass for the coboundaries.  Which family pairs,
 triples and single families exist at a degree is one rule, _totals: those
-whose index total, the degree less their weight offsets, is an integer.
+whose index total, the degree less their weight offsets, is an integer,
+found by integer division over the offsets' common denominator.
 Each window n is a view on the plan.  Its columns are the plan's columns
 whose pair has both indices in [-n, n]; both numberings sort the same pair
 keys, so the map from window n's own columns into the plan's is
@@ -311,13 +312,21 @@ def _totals(alg: BoundAlgebra, degree: Fraction, size: int):
     """(families, total) for each family tuple a <= b <= ... of `size`, in
     combinations_with_replacement order, that has elements at this degree:
     those whose index total degree - sum of their weight offsets is an
-    integer, as an int.  Every reader of which family pairs, triples or
-    single families exist at a degree takes them from here."""
-    offs = alg.offsets
+    integer, as an int.  It is found in integers over the offsets' common
+    denominator D: a total is an integer only if degree * D is, that is if
+    the degree's denominator divides D, so otherwise no tuple has one, and
+    each tuple's total is a divmod by D of degree * D less its offsets
+    times D.  Every reader of which family pairs, triples or single
+    families exist at a degree takes them from here."""
+    scale = math.lcm(*(off.denominator for off in alg.offsets))
+    if scale % degree.denominator:
+        return
+    target = degree.numerator * (scale // degree.denominator)
+    offs = [off.numerator * (scale // off.denominator) for off in alg.offsets]
     for families in combinations_with_replacement(range(len(offs)), size):
-        total = degree - sum(offs[p] for p in families)
-        if total.denominator == 1:
-            yield families, int(total)
+        total, rest = divmod(target - sum(offs[p] for p in families), scale)
+        if not rest:
+            yield families, total
 
 
 def _pair_keys(alg: BoundAlgebra, degree: Fraction, n: int):
@@ -376,10 +385,11 @@ class _Identity:
     admissible() both read, the second with rules alone, so that an
     identity verify_cocycle does not walk builds no tables.  bound is at
     least the sum of |coefficient| over the terms at any triple of window
-    indices.  The tables are built at their first use.  Every identity is
-    built by __init__ at its radius n: _Plan.cocycles builds one per window
-    solved, over the plan's pair basis, and verify_cocycle one over the
-    window's pairs keyed by themselves.
+    indices; only _packed reads it.  The tables and bound are built at
+    their first use.  Every identity is built by __init__ at its radius n:
+    _Plan.cocycles builds one per window solved, over the plan's pair
+    basis, and verify_cocycle one over the window's pairs keyed by
+    themselves.
     """
 
     def __init__(self, alg: BoundAlgebra, n: int, column: Mapping, families, total: int):
@@ -395,8 +405,11 @@ class _Identity:
             for (p, q, r), positions in cyclic
             if (rule := alg._rules[p][q]) is not None
         ]
+
+    @cached_property
+    def bound(self) -> int:
         # |k * i**e * j**f| <= |k| * n**(e + f) for indices i, j in [-n, n]
-        self.bound = sum(abs(k) * n ** (e + f) for coefficient, *_ in self.rules for k, e, f in coefficient)
+        return sum(abs(k) * self.n ** (e + f) for coefficient, *_ in self.rules for k, e, f in coefficient)
 
     @cached_property
     def terms(self) -> list:

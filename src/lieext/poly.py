@@ -79,16 +79,24 @@ class IndexPolynomial:
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at an exact point.  The assignment may bind extra
         variables, but every variable appearing in the polynomial must be
-        bound."""
-        total = Fraction(0)
+        bound.  The sum is kept as one integer numerator and denominator,
+        and one Fraction is built per call, at the end."""
+        total, scale = 0, 1
         for mono, coeff in self._terms.items():
-            value = coeff
+            num, den = coeff.numerator, coeff.denominator
             for var, exp in mono:
                 if var not in assignment:
                     raise ValueError(f"unbound variable {var!r}")
-                value *= _as_fraction(assignment[var]) ** exp
-            total += value
-        return total
+                value = assignment[var]
+                if type(value) is not int:
+                    value = _as_fraction(value)
+                num *= value.numerator**exp
+                den *= value.denominator**exp
+            if den == scale:
+                total += num
+            else:
+                total, scale = total * den + num * scale, scale * den
+        return Fraction(total, scale)
 
     # arithmetic
 

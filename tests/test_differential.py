@@ -48,6 +48,7 @@ import lieext.engine as engine
 from lieext.algebra import (
     BasisElement,
     BoundAlgebra,
+    _evaluate,
     _jacobi_residuals,
     check_jacobi_symbolic,
     check_jacobi_window,
@@ -675,6 +676,38 @@ def test_drawn_lie_algebras_reach_the_boundary():
             and any(identity.boundary(alg, failing) is not None for identity in bracketing)
         )
     assert reached >= 15
+
+
+@pytest.mark.parametrize(
+    "source, values",
+    [
+        pytest.param(None, {"lambda": -3, "mu": 1}, id="svir(-3,1)"),
+        pytest.param(None, {"lambda": 1, "mu": "1/2"}, id="svir(1,1/2)"),
+    ]
+    + [pytest.param(source, {}, id=f"drawn{i}") for i, source in enumerate(DRAWN)],
+)
+def test_identity_bound_covers_every_window_triple(source, values):
+    """_packed sizes its slots by _Identity.bound, which is built at first
+    use: it must be at least the sum of |coefficient| over an identity's
+    terms (integer numerators over the algebra's denominator) at every
+    triple of window indices with the identity's total, canonical or not,
+    at N = 6."""
+    spec = load_algebra("svir") if source is None else parse(source).spec
+    alg = engine._bind(spec, validate_parameters(spec, values))
+    n = 6
+    pairs = engine._enumerate_pairs(alg, Window(n), Fraction(0))
+    for identity in engine._identities(alg, n, Fraction(0), pairs._index):
+        assert "bound" not in vars(identity)
+        largest = 0
+        for i in range(-n, n + 1):
+            for j in range(-n, n + 1):
+                idx = (i, j, identity.total - i - j)
+                if abs(idx[2]) <= n:
+                    largest = max(
+                        largest,
+                        sum(abs(_evaluate(coefficient, idx[u], idx[v])) for coefficient, _, _, _, u, v in identity.rules),
+                    )
+        assert largest <= identity.bound, identity.families
 
 
 # three families that bracket to nothing: every window triple is

@@ -4,7 +4,9 @@ import io
 import random
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -142,6 +144,33 @@ def test_enumerate_pairs_integer_mu_small_window():
         (L(0), Y(-1)),
     }
     assert got == expected
+
+
+def test_totals_equal_the_fraction_rule():
+    # _totals works in integers over the offsets' common denominator; the
+    # rule it implements is degree - sum(offsets) in Fractions, kept where
+    # that is an integer.  Degrees include negative ones and ones whose
+    # denominator (5 or 7) divides no offset's.
+    rng = random.Random(6121)
+    nonempty = empty = 0
+    for _ in range(400):
+        offsets = tuple(
+            Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(rng.randint(1, 4))
+        )
+        degree = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 5, 6, 7, 12)))
+        alg = SimpleNamespace(offsets=offsets)
+        for size in (1, 2, 3):
+            expected = []
+            for families in combinations_with_replacement(range(len(offsets)), size):
+                total = degree - sum(offsets[p] for p in families)
+                if total.denominator == 1:
+                    expected.append((families, int(total)))
+            got = list(engine._totals(alg, degree, size))
+            assert got == expected, (offsets, degree, size)
+            assert all(type(total) is int for _, total in got)
+            nonempty += bool(got)
+            empty += not got
+    assert nonempty > 200 and empty > 200
 
 
 def test_pair_basis_canonical_order_and_orientation():

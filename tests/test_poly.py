@@ -38,10 +38,41 @@ def test_eval_structure_constant_examples():
 
 def test_eval_unbound_variable_is_error():
     p = V("m") + V("mu")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unbound variable 'mu'"):
         p.evaluate({"m": 1})
     # superset assignments are fine
     assert p.evaluate({"m": 1, "mu": 2, "unused": 7}) == 3
+    # and a bound value must be exact
+    with pytest.raises(TypeError, match="exact scalar, got float"):
+        p.evaluate({"m": 1.5, "mu": 1})
+    with pytest.raises(TypeError, match="exact scalar, got str"):
+        p.evaluate({"m": 1, "mu": "1/2"})
+
+
+def test_eval_equals_a_fraction_sum_of_its_terms():
+    # evaluate sums in integers; the reference sums each term as Fractions.
+    # Points mix ints (negative and zero too) with non-integer Fractions,
+    # and the draws include the zero polynomial and constants.
+    rng = random.Random(3517)
+    variables = ("m", "n", "lambda", "mu")
+    shapes = {"zero": 0, "constant": 0, "other": 0}
+    for _ in range(300):
+        p = _random_poly(rng)
+        shapes["zero" if p.is_zero() else "constant" if p.is_constant() else "other"] += 1
+        point = {
+            var: rng.choice([rng.randint(-7, 7), Fraction(rng.randint(-12, 12), rng.randint(2, 7))])
+            for var in variables
+        }
+        expected = Fraction(0)
+        for mono, coeff in p.term_items():
+            term = Fraction(coeff)
+            for var, exp in mono:
+                term *= Fraction(point[var]) ** exp
+            expected += term
+        value = p.evaluate(point)
+        assert type(value) is Fraction and value == expected
+    assert C(Fraction(-5, 6)).evaluate({}) == Fraction(-5, 6)
+    assert all(shapes.values()), shapes
 
 
 def test_is_zero_cancellation():

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import io
 import re
+import resource
 import tokenize
 from pathlib import Path
 
@@ -43,7 +44,29 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
     assert tool.code_counts(CODE_SAMPLE) == (5, 15)
     (tmp_path / "sample.py").write_text(CODE_SAMPLE)
     assert tool.main([str(tmp_path)]) == 0
-    assert capsys.readouterr().out.split() == ["sample.py", "5", "15", "total", "5", "15"]
+    name, lines, tokens, peak, total, total_lines, total_tokens, top = capsys.readouterr().out.split()
+    assert [name, lines, tokens, total, total_lines, total_tokens] == ["sample.py", "5", "15", "total", "5", "15"]
+    assert top == peak and float(peak) > 1
+
+
+def test_code_lines_measures_each_module_s_compile_peak(tmp_path, capsys):
+    # the last column is the peak RSS of a fresh interpreter compiling the
+    # module: 5000 assignments (25000 code tokens) peak above the sample.
+    # A measure that carried over the peak of the process that started it
+    # would read at least this test process's own peak.
+    tool = _load("code_lines")
+    (tmp_path / "a_large.py").write_text("".join(f"x{i} = {i} + y\n" for i in range(5000)))
+    (tmp_path / "b_small.py").write_text(CODE_SAMPLE)
+    assert tool.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[:3] for row in rows] == [
+        ["a_large.py", "5000", "25000"],
+        ["b_small.py", "5", "15"],
+        ["total", "5005", "25015"],
+    ]
+    large, small, top = (float(row[3]) for row in rows)
+    assert large > small + 1 and top == large
+    assert small < resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def test_benchmark_names_exist():
