@@ -410,6 +410,11 @@ def _evaluate(terms: tuple, n: int, m: int) -> int:
     return value
 
 
+# The cyclic order of the Jacobi and cocycle identities: the positions
+# (p, q, r) of the terms [x_p, x_q] paired with x_r
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
 def _jacobi_residuals(rules: list) -> dict:
     """{(a, b, c): {(output family, e0, e1, e2): k}} for each family triple
     a <= b <= c on which the Jacobi identity fails, from a table shaped like
@@ -423,7 +428,7 @@ def _jacobi_residuals(rules: list) -> dict:
     failing = {}
     for families in combinations_with_replacement(range(len(rules)), 3):
         residual: dict = {}
-        for p, q, r in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for p, q, r in _CYCLIC:
             first = rules[families[p]][families[q]]
             second = first and rules[first[0]][families[r]]
             if not second:

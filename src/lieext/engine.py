@@ -91,20 +91,19 @@ columns, and family triples whose pairs bracket to nothing give no row and
 are left out.
 
 h2 builds one plan per call, at its largest window N + 2 * (steps - 1)
-(_Plan): one pair basis, one list of the family triples with their index
-totals, and one bracket pass for the coboundaries.  Which family pairs,
-triples and single families exist at a degree is one rule, _totals: those
-whose index total, the degree less their weight offsets, is an integer,
-found by integer division over the offsets' common denominator.
+(_Plan): one pair basis and one bracket pass for the coboundaries.  Which
+family pairs, triples and single families exist at a degree is one rule,
+_totals: those whose index total, the degree less their weight offsets, is
+an integer, found by integer division over the offsets' common denominator.
 Each window n is a view on the plan.  Its columns are the plan's columns
 whose pair has both indices in [-n, n]; both numberings sort the same pair
 keys, so the map from window n's own columns into the plan's is
 increasing, every row keeps its leading column, and pivots, ranks and
-reduced null vectors correspond one to one.  It builds its own identity of
-each of the plan's family triples at radius n, over the plan's pair basis,
-by the one constructor every identity has, and keeps those whose family
-pairs bracket to something; their tables mark "the output leaves the
-window" wherever the output index leaves [-n, n].  Its coboundary
+reduced null vectors correspond one to one.  It builds its identities at
+radius n over the plan's pair basis with _identities, the one list that
+assemble_constraints and verify_cocycle build too, and keeps those whose
+family pairs bracket to something; their tables mark "the output leaves
+the window" wherever the output index leaves [-n, n].  Its coboundary
 generators and core columns are filtered from the plan's.  The plan holds
 the certified echelon and the window it was solved on: h2 solves its first
 window as above and grows each later window from that echelon, which passes
@@ -124,11 +123,11 @@ fixed t, so the term [F_i, G_j] psi(., H_k) has output index t - k and its
 column and skew sign depend on k alone, as the other two terms' depend on i
 and on j alone.  Each family triple's identity is therefore compiled, once
 per window, into its coefficient terms and three per-index tables whose
-entries are a (column, sign), "the output is the paired element" (no
-contribution), or "the output leaves the window" (the triple is dropped if
-the coefficient there is nonzero).  Assembly, the
-subset solve, the check and verify_cocycle's walks all read these tables,
-which are built at their first use.  The check and verify_cocycle replace
+entries are a (column, sign), None where the output is the paired element
+(no contribution), or "the output leaves the window" (the triple is
+dropped if the coefficient there is nonzero).  Assembly, the subset solve,
+the check and verify_cocycle's walks all read these tables, which are built
+at their first use.  The check and verify_cocycle replace
 each table's columns by vector entries and walk the triples in one loop
 (_Identity.walk).  verify_cocycle uses psi's values.
 The check packs the entries of all d null vectors at a column into one
@@ -204,6 +203,7 @@ from .algebra import (
     BasisElement,
     BoundAlgebra,
     ParamMap,
+    _CYCLIC,
     _compile,
     _evaluate,
     _jacobi_residuals,
@@ -358,10 +358,8 @@ def _pair_basis(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: Pair
     return pairs
 
 
-# An entry of an identity's index table: the term's bracket output is the
-# element it is paired with (psi(e, e) = 0, no contribution), or the output
-# leaves the window (a nonzero coefficient there drops the triple).
-_EQUAL = "equal"
+# An entry of an identity's index table where the term's bracket output
+# leaves the window: a nonzero coefficient there drops the triple
 _OUT = "out"
 
 
@@ -374,21 +372,25 @@ class _Identity:
     For the triples (F_i, G_j, H_k) with i + j + k = total, the term
     [F_i, G_j] psi(., H_k) has output index total - k, so its column and
     skew sign depend on k alone; [G_j, H_k] psi(., F_i) depends on i alone
-    and [H_k, F_i] psi(., G_j) on j alone.  Each term whose family pair
-    brackets to something is held in rules as (coefficient terms, output
-    family, paired family, w, u, v), and in terms as (coefficient terms,
-    table, w, u, v): table[idx[w] + n] is (column, sign), _EQUAL or _OUT
-    for the index at position w of idx = (i, j, k), and the bracket
-    coefficient is evaluated at idx[u], idx[v].  The entry is _OUT exactly
-    when idx[w] is not in inside, the indices whose output index
-    total - idx[w] lies in [-n, n]: the one edge rule, which terms and
-    admissible() both read, the second with rules alone, so that an
-    identity verify_cocycle does not walk builds no tables.  bound is at
-    least the sum of |coefficient| over the terms at any triple of window
-    indices; only _packed reads it.  The tables and bound are built at
-    their first use.  Every identity is built by __init__ at its radius n:
-    _Plan.cocycles builds one per window solved, over the plan's pair
-    basis, and verify_cocycle one over the window's pairs keyed by
+    and [H_k, F_i] psi(., G_j) on j alone.  The terms come in the cyclic
+    order _jacobi_residuals expands too, algebra._CYCLIC: the term of
+    positions (p, q, r) is [x_p, x_q] psi(., x_r).  Each term whose family
+    pair brackets to something is held in rules as (coefficient terms,
+    output family, paired family, w, u, v) = (..., r, p, q), and in terms
+    as (coefficient terms, table, w, u, v): table[idx[w] + n] is
+    (column, sign), None where the output is the paired element
+    (psi(e, e) = 0 adds nothing) or _OUT, for the index at position w of
+    idx = (i, j, k), and the bracket coefficient is evaluated at idx[u],
+    idx[v].  The entry is _OUT exactly when idx[w] is not in inside, the
+    indices whose output index total - idx[w] lies in [-n, n]: the one edge
+    rule, which terms and admissible() both read, the second with rules
+    alone, so that an identity verify_cocycle does not walk builds no
+    tables.  bound is at least the sum of |coefficient| over the terms at
+    any triple of window indices; only _packed reads it.  The tables and
+    bound are built at their first use.  Every identity is built by
+    _identities at its radius n: _Plan.cocycles builds them per window
+    solved, over the plan's pair basis, assemble_constraints over the
+    window's, and verify_cocycle over the window's pairs keyed by
     themselves.
     """
 
@@ -398,12 +400,10 @@ class _Identity:
         self.inside = range(total - n, total + n + 1)
         # the pinned indices: -1, and 0 too when no family has weight 0
         self.pins = (-1,) if any(not alg.offsets[p] for p in families) else (-1, 0)
-        a, b, c = families
-        cyclic = (((a, b, c), (2, 0, 1)), ((b, c, a), (0, 1, 2)), ((c, a, b), (1, 2, 0)))
         self.rules = [
-            (rule[1], rule[0], r, *positions)
-            for (p, q, r), positions in cyclic
-            if (rule := alg._rules[p][q]) is not None
+            (rule[1], rule[0], families[r], r, p, q)
+            for p, q, r in _CYCLIC
+            if (rule := alg._rules[families[p]][families[q]]) is not None
         ]
 
     @cached_property
@@ -413,14 +413,15 @@ class _Identity:
 
     @cached_property
     def terms(self) -> list:
-        n, total, inside, column, terms = self.n, self.total, self.inside, self.column, []
+        n, total, column, terms = self.n, self.total, self.column, []
+        low, high = self.inside[0], self.inside[-1]
         for coefficient, out, r, w, u, v in self.rules:
             table = []
             for index in range(-n, n + 1):
                 output, paired = (out, total - index), (r, index)
                 if output == paired:
-                    table.append(_EQUAL)
-                elif index not in inside:
+                    table.append(None)
+                elif not low <= index <= high:
                     table.append(_OUT)
                 elif output < paired:
                     table.append((column[(output, paired)], 1))
@@ -582,7 +583,7 @@ class _Identity:
         row: dict = {}
         for coefficient, table, w, u, v in self.terms:
             entry = table[idx[w] + n]
-            if entry is _EQUAL:
+            if entry is None:
                 continue
             value = _evaluate(coefficient, idx[u], idx[v])
             if not value:
@@ -599,17 +600,14 @@ class _Identity:
 
     def valued(self, entries: Mapping) -> tuple:
         """(terms, reached): self.terms with each (column, sign) entry
-        replaced by sign * entries[column], by None where that is 0 or the
-        entry is _EQUAL, and _OUT kept; reached says whether any entry is
-        nonzero."""
+        replaced by sign * entries[column], or by None where that is 0, and
+        None and _OUT kept; reached says whether any entry is nonzero."""
         terms, reached = [], False
         for coefficient, table, w, u, v in self.terms:
             values = []
             for entry in table:
-                if entry is _EQUAL:
-                    values.append(None)
-                elif entry is _OUT:
-                    values.append(_OUT)
+                if entry is None or entry is _OUT:
+                    values.append(entry)
                 else:
                     col, sign = entry
                     value = entries.get(col)
@@ -630,8 +628,7 @@ class _Identity:
         one, or None.  A coefficient is
         evaluated only where an entry is nonzero or _OUT, and an _OUT entry
         with a nonzero coefficient makes the triple inadmissible: exactly as
-        row() decides it, since _EQUAL entries and zero entries add nothing
-        to the dot."""
+        row() decides it, since None entries add nothing to the dot."""
         n, total = self.n, self.total
         checked = 0
         if meeting is None:
@@ -688,15 +685,13 @@ def assemble_constraints(
 
 class _Plan:
     """The windows [-n, n] of one degree up to `window`, built once at it:
-    its pair basis, its family triples as the (families, total) of
-    _totals, and each pair's bracket.  Window n's columns are the plan's
-    columns whose pair has both indices in [-n, n]; both numberings sort the
-    pair keys, so the map from window n's own columns to these is
+    its pair basis and each pair's bracket.  Window n's columns are the
+    plan's columns whose pair has both indices in [-n, n]; both numberings
+    sort the pair keys, so the map from window n's own columns to these is
     increasing, and every row, pivot and null vector of window n is the same
-    one here.  Window n builds its own identity of each of those family
-    triples with _Identity(alg, n, pairs._index, families, total), over the
-    plan's pair basis (cocycles); its coboundary generators and core columns
-    are filtered from the plan's.
+    one here.  Window n builds its identities with _identities(alg, n,
+    degree, pairs._index), over the plan's pair basis (cocycles); its
+    coboundary generators and core columns are filtered from the plan's.
 
     The plan also owns the certified solve of its windows (cocycles, and
     its check): the echelon of the rows it has eliminated, and the window
@@ -707,12 +702,6 @@ class _Plan:
         self.alg, self.window, self.degree = alg, window, degree
         self.pairs = _pair_basis(alg, window, degree, pairs)
         self.ech, self.solved = _Echelon(), None
-
-    @cached_property
-    def triples(self) -> list:
-        """The (families, total) of _totals for family triples: what each
-        window solved builds its identities from."""
-        return list(_totals(self.alg, self.degree, 3))
 
     @cached_property
     def failing(self) -> dict:
@@ -729,11 +718,11 @@ class _Plan:
         """The certified solve of the module docstring on window n: the
         primitive {column: int} null vectors of every admissible row, over
         the plan's columns, with the rows it eliminates added to the plan's
-        echelon.  It builds the identity of each of the plan's triples at
-        radius n and solves over those whose family pairs bracket to
-        something: the others give no row.  It eliminates the pinned rows,
-        then hands the identities, with the strip or None, to check, which
-        walks and refines.  n must exceed the window solved before, if any,
+        echelon.  It builds the identities of _identities at radius n and
+        solves over those whose family pairs bracket to something: the
+        others give no row.  It eliminates the pinned rows, then hands the
+        identities, with the strip or None, to check, which walks and
+        refines.  n must exceed the window solved before, if any,
         and then only the triples that meet the strip of indices between
         the two windows (see _Identity.touching) have their rows added or
         checked: every other admissible row is one of the smaller window's,
@@ -741,8 +730,7 @@ class _Plan:
         previous = self.solved
         if previous is not None and n <= previous:
             raise ValueError(f"window {n} does not grow the solved window {previous}")
-        identities = [_Identity(self.alg, n, self.pairs._index, families, total) for families, total in self.triples]
-        identities = [identity for identity in identities if identity.rules]
+        identities = [identity for identity in _identities(self.alg, n, self.degree, self.pairs._index) if identity.rules]
         strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
         for identity in identities:
             pinned = identity.pinned()
@@ -1022,7 +1010,7 @@ class KnownCocycle:
     def applicability(self, spec: AlgebraSpec, params: ParamMap) -> str | None:
         """None when this cocycle makes sense on the algebra, else the
         violated condition, e.g. "requires 3*mu integer"."""
-        return self._check(BoundAlgebra(spec, params))[0]
+        return self._check(_bind(spec, params))[0]
 
     def _check(self, alg: BoundAlgebra) -> tuple:
         """(reason, degree, lines): applicability's answer at the binding,

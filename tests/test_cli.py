@@ -662,6 +662,13 @@ def test_jacobi_identity_is_expanded_once_per_h2_call(monkeypatch, capsys, tmp_p
     assert len(seen) == 2
 
 
+def test_negative_jacobi_window_is_a_usage_error():
+    proc = run_cli("jacobi", "--algebra", "svir", "--lambda=0", "--mu=1", "--window=-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: window bound must be nonnegative\n"
+
+
 def test_window_too_small_is_a_usage_error():
     proc = run_cli("h2", "--algebra", "svir", "--lambda", "0", "--mu", "1",
                    "--window", "3", "--margin", "3")

@@ -4,6 +4,7 @@ nontriviality, symbolic closure proofs, applicability, and serialization."""
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from lieext.engine import (
     is_coboundary,
     verify_cocycle,
 )
+from lieext.dsl import parse
 from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
 
@@ -25,6 +27,7 @@ from golden import VERIFY_POINTS
 from isomorphism import substitute, weight
 from test_dsl import parse_polynomial
 
+ROOT = Path(__file__).resolve().parent.parent
 SVIR = load_algebra("svir")
 WITT = load_algebra("witt")
 
@@ -301,6 +304,27 @@ def test_applicability_reasons():
         == "requires 2*mu integer"
     )
     assert rec.applicability(SVIR, {"lambda": Fraction(-3), "mu": Fraction(3, 2)}) is None
+
+
+def test_denominator_that_vanishes_identically_is_not_applicable():
+    # (mu - 1)*m + mu - 1 is 0 at mu = 1 for every m, and m + 1 at mu = 2
+    # has the integer root -1; h2 leaves an inapplicable class out
+    source = (ROOT / "src" / "lieext" / "presets" / "svir.lie").read_text()
+    head, _, _ = source.rpartition("}")
+    spec = parse(head + "    cocycle flat { [Y n, Y m] = 1 / ((mu - 1)*m + mu - 1) on n + m = -2*mu; }\n}\n").spec
+    flat = KnownCocycle("flat", spec.cocycles["flat"])
+    assert (
+        flat.applicability(spec, {"lambda": Fraction(-3), "mu": Fraction(1)})
+        == "denominator m*mu - m + mu - 1 vanishes identically"
+    )
+    assert (
+        flat.applicability(spec, {"lambda": Fraction(-3), "mu": Fraction(2)})
+        == "denominator m*mu - m + mu - 1 vanishes at an integer index"
+    )
+    report = h2(spec, {"lambda": -3, "mu": 1}, Window(8, 3), stabilization_steps=1)
+    assert [m.name for m in report.matched_known] == [
+        name for name in SVIR.cocycles if REGISTRY[name].applicability(SVIR, {"lambda": -3, "mu": 1}) is None
+    ]
 
 
 def test_instantiate_refuses_inapplicable_parameters():

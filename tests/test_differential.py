@@ -908,7 +908,7 @@ def _assert_strip_meets_new_rows(plan, n, previous):
         identity.families: identity
         for identity in engine._identities(plan.alg, previous, plan.degree, smaller._index)
     }
-    for families, total in plan.triples:
+    for families, total in engine._totals(plan.alg, plan.degree, 3):
         identity = engine._Identity(plan.alg, n, plan.pairs._index, families, total)
         met = {(i, j, identity.total - i - j) for i, j in identity.meeting(identity.touching(strip))}
         for idx in identity.indices():

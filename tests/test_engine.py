@@ -622,8 +622,11 @@ algebra ab(p) {
 }
 """).spec
     known = engine.KnownCocycle("aa", spec.cocycles["aa"])
-    with pytest.raises(ValueError, match="^algebra is not graded by its weights"):
-        known.instantiate(spec, {"p": 1}, Window(6))
+    # applicability binds as instantiate does, so both refuse p = 1
+    for refused in (lambda: known.instantiate(spec, {"p": 1}, Window(6)), lambda: known.applicability(spec, {"p": 1})):
+        with pytest.raises(ValueError, match="^algebra is not graded by its weights"):
+            refused()
+    assert known.applicability(spec, {"p": 0}) is None
     assert known.instantiate(spec, {"p": 0}, Window(6)).values
 
 
@@ -647,7 +650,7 @@ def test_identity_within_below_its_total_leaves_every_index_out():
     # does over its own
     alg = engine._bind(WITT, {})
     plan = engine._Plan(alg, Window(16), Fraction(26))
-    [(families, total)] = plan.triples
+    [(families, total)] = engine._totals(alg, Fraction(26), 3)
     triple = engine._Identity(alg, 16, plan.pairs._index, families, total)
     within = engine._Identity(alg, 12, plan.pairs._index, families, total)
     pairs = engine._enumerate_pairs(alg, Window(12), Fraction(26))

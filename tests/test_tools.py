@@ -236,8 +236,8 @@ def test_verify_golden_points_are_the_benchmark_points():
 def test_family_tuples_at_a_degree_come_from_one_generator():
     # which family pairs, triples or single families exist at a degree is
     # one rule, engine._totals: no other function of engine.py enumerates
-    # family tuples itself, and the plan keeps family triples, not
-    # identities built at its own window
+    # family tuples itself, and the plan keeps no identities built at its
+    # own window: each window builds them with _identities
     tree = ast.parse((ROOT / "src" / "lieext" / "engine.py").read_text())
     calls = {
         node
@@ -248,6 +248,48 @@ def test_family_tuples_at_a_degree_come_from_one_generator():
     assert calls and calls == calls & set(ast.walk(totals))
     [plan] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Plan"]
     assert "identities" not in {node.name for node in plan.body if isinstance(node, ast.FunctionDef)}
+
+
+def _functions(tree) -> dict:
+    """{name: node} of the functions and methods of a module, methods as
+    Class.name."""
+    found = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found.update((f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef))
+    return found
+
+
+def _calls(node, name: str) -> set:
+    return {call for call in ast.walk(node) if isinstance(call, ast.Call) and ast.unparse(call.func) == name}
+
+
+def test_the_cocycle_identity_is_built_one_way():
+    # engine.py builds every _Identity in _identities, which the plan, the
+    # assembly and verify_cocycle share, and binds every BoundAlgebra in
+    # _bind; the cyclic order of the identity's terms is one tuple,
+    # algebra._CYCLIC, read by the Jacobi expansion and the identity alike
+    trees = {path.name: ast.parse(path.read_text()) for path in (ROOT / "src" / "lieext").glob("*.py")}
+    engine, algebra = _functions(trees["engine.py"]), _functions(trees["algebra.py"])
+    assert _calls(trees["engine.py"], "_Identity") == _calls(engine["_identities"], "_Identity") != set()
+    assert _calls(trees["engine.py"], "BoundAlgebra") == _calls(engine["_bind"], "BoundAlgebra") != set()
+    assert "_Plan.triples" not in engine
+    rotations = {"(0, 1, 2)", "(1, 2, 0)", "(2, 0, 1)"}
+    literals = [
+        (name, ast.unparse(node))
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple) and ast.unparse(node) in rotations
+    ]
+    [cyclic] = [
+        node
+        for node in trees["algebra.py"].body
+        if isinstance(node, ast.Assign) and [ast.unparse(target) for target in node.targets] == ["_CYCLIC"]
+    ]
+    assert sorted(literals) == [("algebra.py", text) for text in sorted(rotations)]
+    assert {ast.unparse(item) for item in cyclic.value.elts} == rotations
+    for function in (algebra["_jacobi_residuals"], engine["_Identity.__init__"]):
+        assert "_CYCLIC" in {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}, function.name
 
 
 def test_the_window_edge_is_one_rule():
