@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, count, islice
@@ -51,29 +50,67 @@ class ParameterError(ValueError):
     """Bad parameter binding (missing, unknown, or malformed value)."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    family: str
-    index: int
+class _Record:
+    """A record whose fields are the arguments of its class's __init__, in
+    order (_fields), compared and shown as a dataclass would: equal to a
+    record of its own class with equal fields, shown as Name(field=value,
+    ...), and unhashable."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        if "__init__" in cls.__dict__:
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """An immutable _Record, hashed by its fields.  Its __init__ writes the
+    fields to __dict__, past __setattr__, and so does unpickling."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class BasisElement(_Value):
+    def __init__(self, family: str, index: int):
+        self.__dict__.update(family=family, index=index)
 
     def __str__(self) -> str:
         return f"{self.family}({self.index})"
 
 
-@dataclass(frozen=True)
-class BracketRule:
+class BracketRule(_Value):
     """One rule [left_var_left, right_var_right] = coeff * out_family(sum).
 
     out_family None means the bracket of this family pair vanishes; the
     coefficient is then the zero polynomial.
     """
 
-    left: str
-    right: str
-    var_left: str
-    var_right: str
-    coeff: IndexPolynomial
-    out_family: str | None
+    def __init__(
+        self, left: str, right: str, var_left: str, var_right: str, coeff: IndexPolynomial, out_family: str | None
+    ):
+        self.__dict__.update(
+            left=left, right=right, var_left=var_left, var_right=var_right, coeff=coeff, out_family=out_family
+        )
 
     def is_zero(self) -> bool:
         return self.out_family is None
@@ -85,29 +122,31 @@ class BracketRule:
         return _split(self.coeff, self.var_left, self.var_right)
 
 
-@dataclass(frozen=True)
-class CocycleLine:
+class CocycleLine(_Value):
     """One line of a declared cocycle class: psi(family_a var_a, family_b
     var_b) = coeff / denom on var_a + var_b = offset, 0 on the sector's other
     pairs.  coeff and denom are polynomials in var_b and the parameters,
     offset one in the parameters; denom is at most linear in var_b."""
 
-    family_a: str
-    family_b: str
-    coeff: IndexPolynomial
-    offset: IndexPolynomial = IndexPolynomial()
-    denom: IndexPolynomial = IndexPolynomial.constant(1)
-    var_a: str = "n"
-    var_b: str = "m"
-
-    def __post_init__(self):
-        if self.denom.is_zero():
+    def __init__(
+        self,
+        family_a: str,
+        family_b: str,
+        coeff: IndexPolynomial,
+        offset: IndexPolynomial = IndexPolynomial(),
+        denom: IndexPolynomial = IndexPolynomial.constant(1),
+        var_a: str = "n",
+        var_b: str = "m",
+    ):
+        if denom.is_zero():
             raise ValueError("line denominator is identically zero")
-        if self.denom != 1 and self.denom.is_constant():  # one form for c / k, as parsed
-            object.__setattr__(self, "coeff", self.coeff / self.denom)
-            object.__setattr__(self, "denom", IndexPolynomial.constant(1))
-        if any(var == self.var_b and e > 1 for mono, _ in self.denom.term_items() for var, e in mono):
-            raise ValueError(f"line denominator {self.denom.to_text()} has degree 2 or more in {self.var_b}")
+        if denom != 1 and denom.is_constant():  # one form for c / k, as parsed
+            coeff, denom = coeff / denom, IndexPolynomial.constant(1)
+        if any(var == var_b and e > 1 for mono, _ in denom.term_items() for var, e in mono):
+            raise ValueError(f"line denominator {denom.to_text()} has degree 2 or more in {var_b}")
+        self.__dict__.update(
+            family_a=family_a, family_b=family_b, coeff=coeff, offset=offset, denom=denom, var_a=var_a, var_b=var_b
+        )
 
     @cached_property
     def parameters(self) -> frozenset:
@@ -241,6 +280,9 @@ class AlgebraSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraSpec is immutable")
+
+    def __reduce__(self):
+        return AlgebraSpec, (self.name, *self._table(), self.cocycles)
 
     @staticmethod
     def _normalize_rule(rule: BracketRule, parameters: tuple) -> BracketRule:
@@ -448,11 +490,11 @@ def _jacobi_residuals(rules: list) -> dict:
     return failing
 
 
-@dataclass
-class WindowJacobiReport:
-    passed: bool
-    triples_checked: int
-    witness: tuple | None  # (x, y, z, {element: residual coefficient})
+class WindowJacobiReport(_Record):
+    def __init__(self, passed: bool, triples_checked: int, witness: tuple | None):
+        self.passed = passed
+        self.triples_checked = triples_checked
+        self.witness = witness  # (x, y, z, {element: residual coefficient})
 
 
 def check_jacobi_window(spec: AlgebraSpec, params: ParamMap, n: int) -> WindowJacobiReport:
@@ -479,10 +521,10 @@ def check_jacobi_window(spec: AlgebraSpec, params: ParamMap, n: int) -> WindowJa
     return WindowJacobiReport(True, math.comb(len(keys), 3), None)
 
 
-@dataclass
-class SymbolicJacobiReport:
-    passed: bool
-    residuals: list  # [(family triple, out_family, polynomial)] for failures
+class SymbolicJacobiReport(_Record):
+    def __init__(self, passed: bool, residuals: list):
+        self.passed = passed
+        self.residuals = residuals  # [(family triple, out_family, polynomial)] for failures
 
 
 def check_jacobi_symbolic(spec: AlgebraSpec) -> SymbolicJacobiReport:

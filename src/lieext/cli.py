@@ -218,6 +218,9 @@ def _h2_json(report, predicted, agree) -> dict:
         out["grading_inner"] = False
     if report.jacobi:
         out["jacobi_holds"] = False
+    if set(params) - {"lambda", "mu"}:
+        # every parameter, as the text report's parameters row lists them
+        out["parameters"] = {name: format_rational(value) for name, value in params.items()}
     return out
 
 
@@ -269,14 +272,28 @@ def _print_md(header, rows):
         print("| " + " | ".join(map(str, cells)) + " |")
 
 
-def _scan_point(payload) -> dict:
-    """One scan row: h2's JSON record (_h2_json) at the point, with the
-    matched names joined by ";" and the stderr warning, or None."""
-    ref, lam, mu, window, degree, steps = payload
-    report, predicted, agree, warning = _h2_run(
-        load_algebra(ref), {"lambda": lam, "mu": mu}, window, degree, steps)
+def _scan_point(settings, point) -> dict:
+    """One scan row: h2's JSON record (_h2_json) at the point (lambda, mu),
+    with the matched names joined by ";" and the stderr warning, or None.
+    settings are what every point shares: (spec, window, degree, steps)."""
+    (spec, window, degree, steps), (lam, mu) = settings, point
+    report, predicted, agree, warning = _h2_run(spec, {"lambda": lam, "mu": mu}, window, degree, steps)
     matched = ";".join(m.name for m in report.matched_known if m.matched)
     return {**_h2_json(report, predicted, agree), "matched": matched, "warning": warning}
+
+
+_worker_settings = None
+
+
+def _scan_worker(*settings):
+    """A scan worker's initializer: it is handed the settings, the parsed
+    spec among them, once, not with each point."""
+    global _worker_settings
+    _worker_settings = settings
+
+
+def _scan_worker_point(point) -> dict:
+    return _scan_point(_worker_settings, point)
 
 
 def _scan_workers(jobs: int, points: int, cpus: int | None) -> int:
@@ -301,20 +318,20 @@ def cmd_scan(args) -> int:
     window = Window(args.window, args.margin)
     if args.steps < 1:
         raise ValueError("need at least one stabilization step")
-    payloads = [(args.algebra, lam, mu, window, degree, args.steps) for lam, mu in grid]
+    settings = (spec, window, degree, args.steps)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count()
-    workers = _scan_workers(args.jobs, len(payloads), cpus)
+    workers = _scan_workers(args.jobs, len(grid), cpus)
     if workers > 1:
         # imported here: it pulls in multiprocessing, which no other run needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_point, payloads))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_scan_worker, initargs=settings) as pool:
+            rows = list(pool.map(_scan_worker_point, grid))
     else:
-        rows = [_scan_point(p) for p in payloads]
+        rows = [_scan_point(settings, point) for point in grid]
 
     columns = ["lambda", "mu", "window", "core_h2_dim", "predicted_dim", "agree", "matched"]
     if args.format == "csv":

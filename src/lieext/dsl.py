@@ -44,9 +44,16 @@ and parse(render(spec)) reproduces spec exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .algebra import IDENT_RE, AlgebraSpec, BracketRule, CocycleLine, same_family_rule_is_antisymmetric
+from .algebra import (
+    IDENT_RE,
+    AlgebraSpec,
+    BracketRule,
+    CocycleLine,
+    _Record,
+    _Value,
+    same_family_rule_is_antisymmetric,
+)
 from .poly import IndexPolynomial
 from .rational import _BLANKS
 
@@ -62,33 +69,28 @@ _MAX_EXPR_DEPTH = 64
 _MAX_ERRORS = 100
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    line: int
-    col: int
-    severity: str  # "error" | "warning"
-    code: str
-    message: str
+class Diagnostic(_Value):
+    def __init__(self, line: int, col: int, severity: str, code: str, message: str):
+        # severity is "error" or "warning"
+        self.__dict__.update(line=line, col=col, severity=severity, code=code, message=message)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.severity}[{self.code}]: {self.message}"
 
 
-@dataclass
-class ParseResult:
-    spec: AlgebraSpec | None
-    diagnostics: list
+class ParseResult(_Record):
+    def __init__(self, spec: AlgebraSpec | None, diagnostics: list):
+        self.spec = spec
+        self.diagnostics = diagnostics
 
     def errors(self) -> list:
         return [d for d in self.diagnostics if d.severity == "error"]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "int" | punctuation literal | "eof"
-    text: str
-    line: int
-    col: int
+class _Token(_Value):
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        # kind is "ident", "int", a punctuation literal or "eof"
+        self.__dict__.update(kind=kind, text=text, line=line, col=col)
 
 
 class _Abort(Exception):
@@ -112,14 +114,22 @@ def _tokenize(source: str, diagnostics: list) -> list:
     return tokens
 
 
-@dataclass
-class _RawBracket:
-    left_tok: _Token
-    right_tok: _Token
-    var_left: str
-    var_right: str
-    coeff: IndexPolynomial
-    out_tok: _Token | None
+class _RawBracket(_Record):
+    def __init__(
+        self,
+        left_tok: _Token,
+        right_tok: _Token,
+        var_left: str,
+        var_right: str,
+        coeff: IndexPolynomial,
+        out_tok: _Token | None,
+    ):
+        self.left_tok = left_tok
+        self.right_tok = right_tok
+        self.var_left = var_left
+        self.var_right = var_right
+        self.coeff = coeff
+        self.out_tok = out_tok
 
 
 class _Parser:

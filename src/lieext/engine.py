@@ -192,7 +192,6 @@ in lieext.presets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, repeat
@@ -207,6 +206,8 @@ from .algebra import (
     _compile,
     _evaluate,
     _jacobi_residuals,
+    _Record,
+    _Value,
 )
 from .poly import IndexPolynomial
 from .rational import _BLANKS, as_rational, format_rational, parse_integer, parse_rational
@@ -220,20 +221,17 @@ from .sparse import (
 )
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Value):
     """Symmetric index window [-n, n] with a core of radius n - margin."""
 
-    n: int
-    margin: int = 3
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.margin, int)):
-            raise ValueError(f"window n and margin must be integers, got {self.n!r} and {self.margin!r}")
-        if self.margin < 1:
+    def __init__(self, n: int, margin: int = 3):
+        if not (isinstance(n, int) and isinstance(margin, int)):
+            raise ValueError(f"window n and margin must be integers, got {n!r} and {margin!r}")
+        if margin < 1:
             raise ValueError("window margin must be at least 1")
-        if self.n - self.margin < 3:
+        if n - margin < 3:
             raise ValueError("window too small: need n - margin >= 3")
+        self.__dict__.update(n=n, margin=margin)
 
     def indices(self) -> range:
         return range(-self.n, self.n + 1)
@@ -986,8 +984,7 @@ def _parse_pair_key(key: str) -> tuple:
 # declared cocycle classes
 
 
-@dataclass(frozen=True)
-class KnownCocycle:
+class KnownCocycle(_Value):
     """A closed-form cocycle class given by one or more CocycleLines, as a
     .lie file's cocycle block declares it.
 
@@ -999,13 +996,10 @@ class KnownCocycle:
     must agree on its degree.
     """
 
-    name: str
-    lines: tuple
-
-    def __post_init__(self):
-        if not self.lines:
+    def __init__(self, name: str, lines: tuple):
+        if not lines:
             raise ValueError("a known cocycle needs at least one line")
-        object.__setattr__(self, "lines", tuple(self.lines))
+        self.__dict__.update(name=name, lines=tuple(lines))
 
     def applicability(self, spec: AlgebraSpec, params: ParamMap) -> str | None:
         """None when this cocycle makes sense on the algebra, else the
@@ -1091,12 +1085,16 @@ class KnownCocycle:
 # verification
 
 
-@dataclass
-class VerifyReport:
-    passed: bool
-    triples_checked: int
-    witness: tuple | None  # (x, y, z, residual)
-    assignment: CocycleAssignment
+class VerifyReport(_Record):
+    """verify_cocycle's answer: whether every admissible triple passed, how
+    many were checked, the first that failed as (x, y, z, residual) or
+    None, and the CocycleAssignment checked."""
+
+    def __init__(self, passed, triples_checked, witness, assignment):
+        self.passed = passed
+        self.triples_checked = triples_checked
+        self.witness = witness
+        self.assignment = assignment
 
 
 def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
@@ -1245,27 +1243,39 @@ def nonzero_degree_triviality(spec, params, window, degree) -> bool:
 # H^2 reports
 
 
-@dataclass
-class MatchResult:
-    name: str
-    matched: bool
+class MatchResult(_Record):
+    def __init__(self, name: str, matched: bool):
+        self.name = name
+        self.matched = matched
 
 
-@dataclass
-class H2Report:
-    algebra: str
-    params: dict
-    window: Window
-    degree: Fraction
-    cocycle_dim: int
-    coboundary_dim: int
-    h2_dim: int
-    core_h2_dim: int
-    stabilized: bool
-    core_history: list = field(default_factory=list)  # [(n, core dim)]
-    matched_known: list = field(default_factory=list)  # [MatchResult]
-    grading: str | None = None  # why the grading is not inner (_grading_failure); None when it is
-    jacobi: str | None = None  # where the Jacobi identity fails (_jacobi_failure); None when it holds
+class H2Report(_Record):
+    """h2's answer at one point: the algebra's name, the bound params, the
+    first window, the degree and the dimensions at that window
+    (cocycle_dim, coboundary_dim, h2_dim, core_h2_dim); whether the core
+    dimension stabilized, and core_history, [(n, core dim)] for each
+    window; matched_known, [MatchResult]; grading, why the grading is not
+    inner (_grading_failure), and jacobi, where the Jacobi identity fails
+    (_jacobi_failure), each None when it does not apply.  The two lists
+    are fresh for each report unless given."""
+
+    def __init__(
+        self, algebra, params, window, degree, cocycle_dim, coboundary_dim, h2_dim, core_h2_dim, stabilized,
+        core_history=None, matched_known=None, grading=None, jacobi=None,
+    ):
+        self.algebra = algebra
+        self.params = params
+        self.window = window
+        self.degree = degree
+        self.cocycle_dim = cocycle_dim
+        self.coboundary_dim = coboundary_dim
+        self.h2_dim = h2_dim
+        self.core_h2_dim = core_h2_dim
+        self.stabilized = stabilized
+        self.core_history = [] if core_history is None else core_history
+        self.matched_known = [] if matched_known is None else matched_known
+        self.grading = grading
+        self.jacobi = jacobi
 
 
 def match_known(

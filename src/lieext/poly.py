@@ -48,6 +48,9 @@ class IndexPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("IndexPolynomial is immutable")
 
+    def __reduce__(self):
+        return IndexPolynomial, (self._terms,)
+
     @classmethod
     def constant(cls, value: Scalar) -> "IndexPolynomial":
         value = _as_fraction(value)

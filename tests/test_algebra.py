@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,6 +15,8 @@ from lieext.algebra import (
     check_jacobi_window,
     validate_parameters,
 )
+from lieext import dsl, engine
+from lieext.algebra import SymbolicJacobiReport, WindowJacobiReport
 from lieext.dsl import parse
 from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
@@ -247,3 +251,87 @@ def test_element_key_orders_by_family_then_index():
 def test_basis_element_str():
     assert str(L(3)) == "L(3)"
     assert str(M(-2)) == "M(-2)"
+
+
+def _records():
+    """(class, field names, values, values with one field changed, frozen)
+    for every record class of lieext, with the fields in their order."""
+    m = IndexPolynomial.variable("m")
+    tok = dsl._Token("ident", "L", 2, 11)
+    line = CocycleLine("L", "L", m * m * m, IndexPolynomial(), m + 1, "n", "m")
+    diagnostic = dsl.Diagnostic(3, 4, "warning", "zero-bracket", "filled in")
+    psi = engine.CocycleAssignment(WITT, engine.Window(6), {(L(-2), L(2)): 1})
+    h2_values = ("witt", {}, engine.Window(6), Fraction(0), 1, 0, 1, 1, True, [(6, 1)],
+                 [engine.MatchResult("virasoro", True)], None, None)
+    return [
+        (BasisElement, "family index", ("L", -2), ("L", 2), True),
+        (BracketRule, "left right var_left var_right coeff out_family",
+         ("L", "L", "n", "m", m, "L"), ("L", "L", "n", "m", m, None), True),
+        (CocycleLine, "family_a family_b coeff offset denom var_a var_b",
+         tuple(getattr(line, name) for name in "family_a family_b coeff offset denom var_a var_b".split()),
+         ("L", "L", m, IndexPolynomial(), m + 1, "n", "m"), True),
+        (WindowJacobiReport, "passed triples_checked witness", (True, 10, None), (True, 11, None), False),
+        (SymbolicJacobiReport, "passed residuals", (True, []), (False, []), False),
+        (dsl.Diagnostic, "line col severity code message", (3, 4, "warning", "zero-bracket", "filled in"),
+         (3, 5, "warning", "zero-bracket", "filled in"), True),
+        (dsl.ParseResult, "spec diagnostics", (WITT, [diagnostic]), (WITT, []), False),
+        (dsl._Token, "kind text line col", ("ident", "L", 2, 11), ("ident", "L", 2, 12), True),
+        (dsl._RawBracket, "left_tok right_tok var_left var_right coeff out_tok",
+         (tok, tok, "n", "m", m, tok), (tok, tok, "n", "m", m, None), False),
+        (engine.Window, "n margin", (6, 3), (6, 2), True),
+        (engine.KnownCocycle, "name lines", ("cubic", (line,)), ("cubic2", (line,)), True),
+        (engine.VerifyReport, "passed triples_checked witness assignment", (True, 5, None, psi),
+         (True, 6, None, psi), False),
+        (engine.MatchResult, "name matched", ("virasoro", True), ("virasoro", False), False),
+        (engine.H2Report, "algebra params window degree cocycle_dim coboundary_dim h2_dim core_h2_dim "
+         "stabilized core_history matched_known grading jacobi", h2_values, h2_values[:-1] + ("L, L, L -> L",), False),
+    ]
+
+
+@pytest.mark.parametrize("cls, names, values, other, frozen", [pytest.param(*r, id=r[0].__name__) for r in _records()])
+def test_records_behave_as_their_dataclasses_did(cls, names, values, other, frozen):
+    # each record class compares, hashes, shows and refuses assignment as
+    # the dataclass with its fields did, without importing dataclasses
+    names = names.split()
+    twin = dataclasses.make_dataclass(cls.__name__, names, frozen=frozen, eq=True)
+    record = cls(*values)
+    assert record == cls(**dict(zip(names, values)))
+    assert [getattr(record, name) for name in names] == list(values)
+    assert repr(record) == repr(twin(*values))
+    assert record != cls(*other) and not record == cls(*other)
+    assert record != twin(*values)
+    if frozen:
+        assert hash(record) == hash(cls(*values)) == hash(twin(*values))
+        with pytest.raises(AttributeError):
+            setattr(record, names[0], values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, names[0])
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+        setattr(record, names[0], other[0])
+        assert getattr(record, names[0]) == other[0]
+
+
+def test_h2_report_lists_are_fresh_for_each_report():
+    first, second = (engine.H2Report("witt", {}, engine.Window(6), 0, 1, 0, 1, 1, True) for _ in range(2))
+    first.core_history.append((6, 1))
+    first.matched_known.append(engine.MatchResult("virasoro", True))
+    assert second.core_history == [] and second.matched_known == []
+    assert (first.grading, first.jacobi) == (None, None)
+
+
+def test_values_and_specs_survive_pickle():
+    # a scan's process pool sends windows, and its workers the parsed spec;
+    # the cached index terms of rules and lines come back equal too
+    rule = SVIR.rules[("L", "Y")]
+    line = SVIR.cocycles["yy-reciprocal"][0]
+    assert rule._index_terms and line._index_terms
+    known = engine.KnownCocycle("yy-reciprocal", SVIR.cocycles["yy-reciprocal"])
+    for value in (engine.Window(12, 3), L(-2), rule, line, known, rule.coeff, SVIR, WITT):
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and type(again) is type(value)
+    again = pickle.loads(pickle.dumps(rule))
+    assert again._index_terms == rule._index_terms
+    with pytest.raises(AttributeError):
+        again.left = "M"

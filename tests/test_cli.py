@@ -8,11 +8,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from lieext import cli
 from lieext.cli import _scan_workers
+from lieext.engine import Window
+from lieext.presets import load_algebra
 
 from golden import WAB_SOURCE
 
@@ -274,6 +277,65 @@ def test_user_algebra_named_svir_gets_no_svir_rules(tmp_path):
         assert "matched: (none)" in proc.stdout.splitlines()
 
 
+# The FOO_SOURCE algebra has one parameter, neither lambda nor mu.
+FOO_SOURCE = """
+algebra foo(a) {
+    family L weight 0;
+    family W weight a;
+    bracket [L n, L m] = (m - n) L(n + m);
+    bracket [L n, W m] = (m + a*n) W(n + m);
+    bracket [W n, W m] = 0;
+}
+"""
+
+
+def test_h2_json_names_every_parameter(tmp_path):
+    # the text report's parameters row and the JSON record name the same
+    # parameters; svir's record has no "parameters" key (its key list is
+    # pinned above), and an algebra without lambda or mu writes them null
+    path = tmp_path / "foo.lie"
+    path.write_text(FOO_SOURCE)
+    argv = ["h2", "--algebra", str(path), "--param", "a=1", "--window", "8", "--steps", "1"]
+    text = run_cli(*argv)
+    assert text.returncode == 0, text.stderr
+    assert "parameters: a=1" in text.stdout.splitlines()
+    proc = run_cli(*argv, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["lambda"], data["mu"], data["parameters"]) == (None, None, {"a": "1"})
+    assert list(data)[-1] == "parameters"
+
+
+def test_file_scan_parses_its_file_once(tmp_path, monkeypatch, capsys):
+    # every point of a scan of a .lie file reads the one parsed spec
+    from lieext import dsl
+    from lieext.presets import preset_source
+
+    path = tmp_path / "svcopy.lie"
+    path.write_text(preset_source("svir").replace("algebra svir(", "algebra svcopy("))
+    calls = []
+    parse = dsl.parse
+    monkeypatch.setattr(dsl, "parse", lambda source: calls.append(source) or parse(source))
+    grid = ["--lambda-values=-3,1", "--mu-values=1,1/2,1/3,2/3", "--window", "8", "--steps", "1", "--jobs", "1"]
+    assert cli.main(["scan", "--algebra", str(path), *grid]) == 1
+    # the svir preset, which the closed-form table compares with, may be
+    # parsed too, the first time this process needs it
+    assert calls.count(path.read_text()) == 1
+    rows = capsys.readouterr().out
+    assert len(rows.splitlines()) == 9
+    assert cli.main(["scan", "--algebra", "svir", *grid]) == 1
+    assert capsys.readouterr().out == rows
+
+
+def test_scan_worker_reads_the_settings_of_its_initializer(monkeypatch):
+    # a pool worker is handed the parsed spec once, by the pool's
+    # initializer, and then each point alone
+    monkeypatch.setattr(cli, "_worker_settings", None)
+    settings = (load_algebra("svir"), Window(8), 0, 1)
+    cli._scan_worker(*settings)
+    assert cli._scan_worker_point((-3, 1)) == cli._scan_point(settings, (-3, 1))
+
+
 def test_renamed_svir_copy_gets_the_svir_rules(tmp_path):
     from lieext.presets import preset_source
 
@@ -509,6 +571,23 @@ def test_cli_import_leaves_the_process_pool_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cold_start_leaves_dataclasses_and_inspect_out():
+    # importing the CLI and running h2 in a fresh interpreter, with the
+    # checkout's src/ on the path, loads neither module
+    code = (
+        "import contextlib, io, sys\n"
+        "import lieext.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = lieext.cli.main(['h2', '--algebra', 'svir', '--lambda=-3', '--mu=1', '--window', '8'])\n"
+        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "1 []"]
 
 
 @pytest.mark.parametrize("argv", [

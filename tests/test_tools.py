@@ -69,6 +69,18 @@ def test_code_lines_measures_each_module_s_compile_peak(tmp_path, capsys):
     assert small < resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def test_code_lines_lists_the_standard_library_of_the_cold_start(tmp_path, capsys):
+    # for a package with a cli.py, a last line lists the standard-library
+    # modules that importing it loads beyond a bare interpreter: colorsys
+    # here, which no bare interpreter holds, and not the package itself
+    tool = _load("code_lines")
+    package = tmp_path / "sample_pkg"
+    package.mkdir()
+    (package / "cli.py").write_text("import colorsys\n")
+    assert tool.main([str(package)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["stdlib", "1", "colorsys"]
+
+
 def test_benchmark_names_exist():
     # perfbench/ changes only with the benchmark, so a name deleted from
     # lieext while it still reads it would stop the benchmark's runs

@@ -16,17 +16,23 @@ with 1600 more at 17.2 MB.  Comments and docstrings cost almost nothing
 there.  So the last column measures it: the peak RSS, in MB, of a fresh
 interpreter that compiles the module and nothing else.
 
+A cold start pays for the standard library too.  When DIR holds a
+cli.py, a last line lists the standard-library modules that importing it
+(`import lieext.cli` for src/lieext) loads in a fresh interpreter, beyond
+those a bare interpreter holds, with their count.
+
     python tools/code_lines.py [DIR]
 
 prints one line per module of DIR (default: src/lieext of this checkout),
-its code lines, its code tokens and its compile peak, and last the totals
-and the largest peak.
+its code lines, its code tokens and its compile peak, then the totals and
+the largest peak, and last the standard-library modules of the cold start.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import subprocess
 import sys
 import tokenize
@@ -80,6 +86,23 @@ def compile_peak_mb(path: Path) -> float:
     return int(run.stdout) / 1024
 
 
+def cold_start_modules(root: Path) -> list:
+    """The standard-library modules that a fresh interpreter holds after
+    importing the cli module of the package at root and does not hold
+    bare, sorted."""
+    env = dict(os.environ, PYTHONPATH=str(root.parent))
+
+    def loaded(code: str) -> set:
+        run = subprocess.run(
+            [sys.executable, "-c", code + "import sys; print(*sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return set(run.stdout.split())
+
+    extra = loaded(f"import {root.name}.cli; ") - loaded("")
+    return sorted(name for name in extra if name.partition(".")[0] in sys.stdlib_module_names)
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     root = Path(args[0]) if args else Path(__file__).resolve().parent.parent / "src" / "lieext"
@@ -92,6 +115,9 @@ def main(argv=None) -> int:
         top = max(top, peak)
         print(f"{path.name:<16}{lines:>6}{tokens:>8}{peak:>8.2f}")
     print(f"{'total':<16}{total_lines:>6}{total_tokens:>8}{top:>8.2f}")
+    if (root / "cli.py").is_file():
+        names = cold_start_modules(root)
+        print(f"{'stdlib':<16}{len(names):>6}  {' '.join(names)}")
     return 0
 
 
