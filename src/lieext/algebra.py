@@ -37,7 +37,7 @@ from itertools import chain, combinations, combinations_with_replacement, count,
 from typing import Mapping, Sequence
 
 from .poly import IndexPolynomial
-from .rational import as_rational
+from .rational import _Frozen, as_rational
 
 # A name, ASCII only; the .lie scanner reads names by this pattern too.
 IDENT_RE = re.compile("[A-Za-z][A-Za-z0-9_]*")
@@ -76,15 +76,8 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-class _Value(_Record):
-    """An immutable _Record, hashed by its fields.  Its __init__ writes the
-    fields to __dict__, past __setattr__, and so does unpickling."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+class _Value(_Record, _Frozen):
+    """An immutable _Record, hashed by its fields."""
 
     def __hash__(self):
         return hash(self._values())
@@ -186,7 +179,7 @@ def _fresh_names(size: int, taken) -> list:
     return list(islice((name for name in names if name not in taken), size))
 
 
-class AlgebraSpec:
+class AlgebraSpec(_Frozen):
     """Validated, immutable description of one algebra.
 
     Rules are normalized on construction: every canonical family pair gets an
@@ -196,8 +189,6 @@ class AlgebraSpec:
     with the same name, bracket table (_table) and declared cocycle classes
     in order; cocycles maps each class name to its tuple of CocycleLines.
     """
-
-    __slots__ = ("name", "parameters", "families", "weight_offsets", "rules", "cocycles", "_positions")
 
     def __init__(
         self,
@@ -262,27 +253,16 @@ class AlgebraSpec:
                         f"same-family bracket [{rule.left}, {rule.right}] must have an "
                         "index-antisymmetric coefficient"
                     )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "families", families)
-        object.__setattr__(self, "weight_offsets", offsets)
-        object.__setattr__(self, "rules", ordered)
-        classes = {name: tuple(lines) for name, lines in (cocycles or {}).items()}
-        for name, lines in classes.items():
-            if not CLASS_NAME_RE.fullmatch(name) or not lines:
-                raise ValueError(f"bad cocycle class name {name!r} or no lines")
+        classes = {label: tuple(lines) for label, lines in (cocycles or {}).items()}
+        for label, lines in classes.items():
+            if not CLASS_NAME_RE.fullmatch(label) or not lines:
+                raise ValueError(f"bad cocycle class name {label!r} or no lines")
             for line in lines:
                 unknown = {line.family_a, line.family_b} - positions.keys(), line.parameters - {*parameters}
                 if any(unknown) or {line.var_a, line.var_b} & {*parameters}:
-                    raise ValueError(f"cocycle {name!r} uses an undeclared family or parameter")
-        object.__setattr__(self, "cocycles", classes)
-        object.__setattr__(self, "_positions", positions)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraSpec is immutable")
-
-    def __reduce__(self):
-        return AlgebraSpec, (self.name, *self._table(), self.cocycles)
+                    raise ValueError(f"cocycle {label!r} uses an undeclared family or parameter")
+        self.__dict__.update(name=name, parameters=parameters, families=families, weight_offsets=offsets)
+        self.__dict__.update(rules=ordered, cocycles=classes, _positions=positions)
 
     @staticmethod
     def _normalize_rule(rule: BracketRule, parameters: tuple) -> BracketRule:

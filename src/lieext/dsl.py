@@ -114,24 +114,6 @@ def _tokenize(source: str, diagnostics: list) -> list:
     return tokens
 
 
-class _RawBracket(_Record):
-    def __init__(
-        self,
-        left_tok: _Token,
-        right_tok: _Token,
-        var_left: str,
-        var_right: str,
-        coeff: IndexPolynomial,
-        out_tok: _Token | None,
-    ):
-        self.left_tok = left_tok
-        self.right_tok = right_tok
-        self.var_left = var_left
-        self.var_right = var_right
-        self.coeff = coeff
-        self.out_tok = out_tok
-
-
 class _Parser:
     def __init__(self, source: str):
         self.diagnostics: list = []
@@ -334,7 +316,8 @@ class _Parser:
         if index_poly != IndexPolynomial.variable(var_left) + IndexPolynomial.variable(var_right):
             self.error(code, f"{what} must be {var_left} + {var_right}", tok)
 
-    def parse_bracket(self, params) -> _RawBracket:
+    def parse_bracket(self, params) -> tuple:
+        """(the rule, the tokens of its left, right and output families)"""
         self.expect_keyword("bracket")
         left_tok, right_tok, var_left, var_right = self.parse_head(params)
         coeff = self.parse_expr(frozenset({var_left, var_right, *params}))
@@ -351,7 +334,8 @@ class _Parser:
                 self.peek(),
             )
         self.expect(";", "';'")
-        return _RawBracket(left_tok, right_tok, var_left, var_right, coeff, out_tok)
+        named = [tok for tok in (left_tok, right_tok, out_tok) if tok]
+        return BracketRule(left_tok.text, right_tok.text, var_left, var_right, coeff, out_tok and out_tok.text), named
 
     def parse_cocycle(self, params, classes: dict, refs: list):
         """A cocycle block into classes; a broken line is skipped to its
@@ -396,8 +380,7 @@ class _Parser:
     def assemble(self, name_tok, params, families, offsets, brackets, classes, refs) -> AlgebraSpec | None:
         positions = {fam: i for i, fam in enumerate(families)}
         rules: dict = {}
-        for raw in brackets:
-            named = [raw.left_tok, raw.right_tok] + ([raw.out_tok] if raw.out_tok else [])
+        for rule, named in brackets:
             bad = False
             for tok in named:
                 if tok.text not in positions:
@@ -405,27 +388,25 @@ class _Parser:
                     bad = True
             if bad:
                 continue
-            left, right = raw.left_tok.text, raw.right_tok.text
+            left, right = rule.left, rule.right
             if positions[left] > positions[right]:
                 self.error(
                     "reversed-family-pair",
                     f"bracket [{left}, {right}] must be declared with {right!r} first "
                     "(family declaration order)",
-                    raw.left_tok,
+                    named[0],
                 )
                 continue
             key = (left, right)
             if key in rules:
-                self.error("duplicate-bracket", f"duplicate bracket rule for [{left}, {right}]", raw.left_tok)
+                self.error("duplicate-bracket", f"duplicate bracket rule for [{left}, {right}]", named[0])
                 continue
-            out_family = raw.out_tok.text if raw.out_tok and not raw.coeff.is_zero() else None
-            rule = BracketRule(left, right, raw.var_left, raw.var_right, raw.coeff, out_family)
             if left == right and not rule.is_zero() and not same_family_rule_is_antisymmetric(rule):
                 self.error(
                     "non-antisymmetric",
                     f"same-family bracket [{left}, {left}] needs a coefficient "
                     "antisymmetric in its index variables",
-                    raw.left_tok,
+                    named[0],
                 )
                 continue
             rules[key] = rule

@@ -210,7 +210,7 @@ from .algebra import (
     _Value,
 )
 from .poly import IndexPolynomial
-from .rational import _BLANKS, as_rational, format_rational, parse_integer, parse_rational
+from .rational import _BLANKS, _Frozen, as_rational, format_rational, parse_integer, parse_rational
 from .sparse import (
     SparseMatrix,
     VectorBasis,
@@ -855,7 +855,7 @@ def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = Non
 # cocycle values as data
 
 
-class CocycleAssignment:
+class CocycleAssignment(_Frozen):
     """A finitely supported skew form on window pairs.
 
     Values are stored on canonically ordered pairs only; value(x, y)
@@ -872,7 +872,6 @@ class CocycleAssignment:
 
     def __init__(self, spec: AlgebraSpec, window: Window, values: Mapping, _ratios=None):
         ratios = _ratios or {}
-        # past __setattr__, which refuses every assignment
         self.__dict__.update(spec=spec, window=window, _ratios=ratios)
         key = spec.element_key
         for (x, y), value in values.items():
@@ -890,9 +889,6 @@ class CocycleAssignment:
                 raise ValueError(f"pair ({x}, {y}) assigned twice")
             if value:
                 ratios[pair] = value.numerator, value.denominator
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CocycleAssignment is immutable")
 
     @cached_property
     def values(self) -> dict:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+from .rational import _Frozen
+
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
 Scalar = Union[Fraction, int]
 
@@ -31,10 +33,8 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-class IndexPolynomial:
+class IndexPolynomial(_Frozen):
     """Immutable polynomial over Fraction in named variables."""
-
-    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         cleaned = {}
@@ -43,13 +43,7 @@ class IndexPolynomial:
                 coeff = _as_fraction(coeff)
                 if coeff:
                     cleaned[tuple(mono)] = coeff
-        object.__setattr__(self, "_terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexPolynomial is immutable")
-
-    def __reduce__(self):
-        return IndexPolynomial, (self._terms,)
+        self.__dict__.update(_terms=cleaned)
 
     @classmethod
     def constant(cls, value: Scalar) -> "IndexPolynomial":

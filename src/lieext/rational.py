@@ -5,6 +5,10 @@ values in lowest terms with a positive denominator.  This module pins the
 text form used at every boundary (CLI flags, JSON payloads, CSV cells):
 "p/q" or "p" with an optional leading minus, nothing else.  In particular
 decimal and exponent notation are rejected so that no float ever sneaks in.
+
+It also holds _Frozen, the base of every immutable class of the package.
+This module imports no other module of the package, so poly.py and
+sparse.py import _Frozen from here without a cycle.
 """
 
 from __future__ import annotations
@@ -19,6 +23,18 @@ _BLANKS = " \t\r"
 # ASCII digits only: int() alone also reads "1_0" and non-ASCII digits.
 _INTEGER_RE = re.compile("[+-]?[0-9]+")
 _RATIONAL_RE = re.compile(f"{_INTEGER_RE.pattern}(/[0-9]+)?")
+
+
+class _Frozen:
+    """An object whose attributes are fixed once built: its __init__ writes
+    them to __dict__, past __setattr__, and so does unpickling.  Assigning
+    or deleting one raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def rational(numerator: int, denominator: int = 1) -> Fraction:

@@ -34,11 +34,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .rational import _Frozen
 
-class SparseMatrix:
+
+class SparseMatrix(_Frozen):
     """Immutable COO-style sparse matrix over Fraction."""
-
-    __slots__ = ("n_rows", "n_cols", "entries")
 
     def __init__(self, n_rows: int, n_cols: int, entries: Iterable[tuple]):
         if n_rows < 0 or n_cols < 0:
@@ -57,12 +57,7 @@ class SparseMatrix:
                 raise ValueError(f"explicit zero entry at ({row}, {col})")
             cleaned.append((row, col, value))
         cleaned.sort(key=lambda e: (e[0], e[1]))
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "entries", tuple(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseMatrix is immutable")
+        self.__dict__.update(n_rows=n_rows, n_cols=n_cols, entries=tuple(cleaned))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Mapping[int, Fraction]], n_cols: int) -> "SparseMatrix":
@@ -83,14 +78,12 @@ class SparseMatrix:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={len(self.entries)})"
 
 
-class VectorBasis:
+class VectorBasis(_Frozen):
     """A linearly independent list of dense rational vectors of one length.
 
     Independence is validated on construction, so a VectorBasis can always be
     trusted to have dimension == len(vectors set it spans).
     """
-
-    __slots__ = ("dimension", "vectors")
 
     def __init__(self, dimension: int, vectors: Sequence[Sequence[Fraction]]):
         if dimension < 0:
@@ -101,13 +94,9 @@ class VectorBasis:
             if len(vec) != dimension:
                 raise ValueError("vector length does not match basis dimension")
             frozen.append(vec)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "vectors", tuple(frozen))
+        self.__dict__.update(dimension=dimension, vectors=tuple(frozen))
         if len(self.vectors) != _Echelon(_int_row_from_dense(v) for v in self.vectors).rank:
             raise ValueError("basis vectors are linearly dependent")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorBasis is immutable")
 
     def __len__(self) -> int:
         return len(self.vectors)

@@ -21,6 +21,7 @@ from lieext.dsl import parse
 from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
 
+from golden import CORRUPT_SOURCE
 from isomorphism import weight
 
 SVIR = load_algebra("svir")
@@ -189,21 +190,6 @@ def test_jacobi_window_witt():
     assert report.passed
 
 
-CORRUPT_SOURCE = """
-algebra bad(lambda, mu) {
-  family L weight 0;
-  family Y weight mu;
-  family M weight 2*mu;
-  bracket [L n, L m] = (m - n) L(n + m);
-  bracket [L n, Y m] = (m + n) Y(n + m);   # wrong coefficient on purpose
-  bracket [Y n, Y m] = (m - n) M(n + m);
-  bracket [L n, M m] = (m - lambda*n + 2*mu) M(n + m);
-  bracket [Y n, M m] = 0;
-  bracket [M n, M m] = 0;
-}
-"""
-
-
 def test_jacobi_window_corrupted_spec_fails_with_witness():
     result = parse(CORRUPT_SOURCE)
     assert result.spec is not None, result.diagnostics
@@ -257,7 +243,6 @@ def _records():
     """(class, field names, values, values with one field changed, frozen)
     for every record class of lieext, with the fields in their order."""
     m = IndexPolynomial.variable("m")
-    tok = dsl._Token("ident", "L", 2, 11)
     line = CocycleLine("L", "L", m * m * m, IndexPolynomial(), m + 1, "n", "m")
     diagnostic = dsl.Diagnostic(3, 4, "warning", "zero-bracket", "filled in")
     psi = engine.CocycleAssignment(WITT, engine.Window(6), {(L(-2), L(2)): 1})
@@ -276,8 +261,6 @@ def _records():
          (3, 5, "warning", "zero-bracket", "filled in"), True),
         (dsl.ParseResult, "spec diagnostics", (WITT, [diagnostic]), (WITT, []), False),
         (dsl._Token, "kind text line col", ("ident", "L", 2, 11), ("ident", "L", 2, 12), True),
-        (dsl._RawBracket, "left_tok right_tok var_left var_right coeff out_tok",
-         (tok, tok, "n", "m", m, tok), (tok, tok, "n", "m", m, None), False),
         (engine.Window, "n margin", (6, 3), (6, 2), True),
         (engine.KnownCocycle, "name lines", ("cubic", (line,)), ("cubic2", (line,)), True),
         (engine.VerifyReport, "passed triples_checked witness assignment", (True, 5, None, psi),

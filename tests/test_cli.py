@@ -17,23 +17,9 @@ from lieext.cli import _scan_workers
 from lieext.engine import Window
 from lieext.presets import load_algebra
 
-from golden import WAB_SOURCE
+from golden import CORRUPT_SOURCE, WAB_SOURCE
 
 CLI = [sys.executable, "-m", "lieext"]
-
-CORRUPT_SOURCE = """
-algebra bad(lambda, mu) {
-  family L weight 0;
-  family Y weight mu;
-  family M weight 2*mu;
-  bracket [L n, L m] = (m - n) L(n + m);
-  bracket [L n, Y m] = (m + n) Y(n + m);   # wrong coefficient on purpose
-  bracket [Y n, Y m] = (m - n) M(n + m);
-  bracket [L n, M m] = (m - lambda*n + 2*mu) M(n + m);
-  bracket [Y n, M m] = 0;
-  bracket [M n, M m] = 0;
-}
-"""
 
 # Named svir, with other L-Y and L-M brackets than the bundled preset.
 IMPOSTOR_SVIR_SOURCE = """

@@ -73,11 +73,11 @@ from lieext.presets import load_algebra
 from lieext.rational import format_rational
 from lieext.sparse import nullspace
 
-from golden import VERIFY_POINTS, WAB_SOURCE
+from golden import CORRUPT_SOURCE, VERIFY_POINTS, WAB_SOURCE
 from isomorphism import substitute, weight
 from oracle_dense import dense_in_span, dense_nullspace, dense_rank
 from test_acceptance import GRID_LAMBDAS, GRID_MUS
-from test_cli import CORRUPT_SOURCE, HV_SOURCE, W22_SOURCE
+from test_cli import HV_SOURCE, W22_SOURCE
 from test_dsl import C, V, _random_spec_source
 from test_engine import _assignment, _column_of, _pair_list
 

@@ -30,11 +30,12 @@ from lieext.engine import (
 from lieext.dsl import parse
 from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
-from lieext.sparse import VectorBasis
+from lieext.sparse import SparseMatrix, VectorBasis
 
 from golden import WAB_SOURCE
 from isomorphism import weight
 from oracle_dense import dense_in_span, dense_matvec
+from test_cli import SVIR_Y_FIRST_SOURCE
 
 SVIR = load_algebra("svir")
 WITT = load_algebra("witt")
@@ -678,21 +679,6 @@ def test_is_coboundary_refuses_support_outside_the_window():
         is_coboundary(WITT, {}, Window(12), psi)
 
 
-SVIR_Y_FIRST_SOURCE = """
-algebra svir(lambda, mu) {
-    family Y weight mu;
-    family L weight 0;
-    family M weight 2*mu;
-    bracket [Y n, Y m] = (m - n) M(n + m);
-    bracket [Y m, L n] = -(m - (lambda + 1)/2*n + mu) Y(n + m);
-    bracket [Y n, M m] = 0;
-    bracket [L n, L m] = (m - n) L(n + m);
-    bracket [L n, M m] = (m - lambda*n + 2*mu) M(n + m);
-    bracket [M n, M m] = 0;
-}
-"""
-
-
 def test_assignment_is_read_by_family_name():
     # verify_cocycle and is_coboundary read an assignment of another algebra
     # by family name, as they read one of the algebra itself: witt's L-L
@@ -758,9 +744,29 @@ def test_cocycle_assignment_is_immutable():
         "values={(BasisElement(family='L', index=-2), BasisElement(family='L', index=2)): Fraction(1, 1)})"
     )
     for name in ("spec", "window", "values", "_ratios"):
-        with pytest.raises(AttributeError, match="^CocycleAssignment is immutable$"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(psi, name, None)
     assert psi.values == {(L(-2), L(2)): Fraction(1)}
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: load_algebra("witt"), "name"),
+    (lambda: IndexPolynomial.variable("n"), "_terms"),
+    (lambda: CocycleAssignment(WITT, Window(6), {(L(2), L(-2)): -1}), "spec"),
+    (lambda: SparseMatrix(1, 2, [(0, 1, 3)]), "entries"),
+    (lambda: VectorBasis(2, [(1, 0)]), "vectors"),
+], ids=["AlgebraSpec", "IndexPolynomial", "CocycleAssignment", "SparseMatrix", "VectorBasis"])
+def test_immutable_objects_refuse_deletion(build, name):
+    # del is refused as assignment is: a deleted field of a cached spec
+    # would break every later load_algebra("witt") of the process
+    usual = h2(WITT, {}, Window(8))
+    value = build()
+    kept = getattr(value, name)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(value, name)
+    assert getattr(value, name) is kept
+    report = h2(load_algebra("witt"), {}, Window(8))
+    assert report == usual and report.core_h2_dim == 1
 
 
 @pytest.mark.parametrize(

@@ -323,6 +323,32 @@ def test_the_window_edge_is_one_rule():
                 )
 
 
+def test_immutable_objects_share_one_freeze():
+    # rational._Frozen is the one class of src/lieext that defines
+    # __setattr__ or __delattr__; nothing writes past them with
+    # object.__setattr__ and no class pickles by its own __reduce__.  The
+    # fields of its subclasses live in __dict__, so none declares
+    # __slots__; BoundAlgebra is mutable and keeps its slots
+    from lieext.rational import _Frozen
+
+    trees = [ast.parse(path.read_text()) for path in (ROOT / "src" / "lieext").glob("*.py")]
+    members = {
+        (node.name, item.name if isinstance(item, ast.FunctionDef) else ast.unparse(item.targets[0]))
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.Assign))
+    }
+    guards = {(name, member) for name, member in members if member in ("__setattr__", "__delattr__", "__reduce__")}
+    assert guards == {("_Frozen", "__setattr__"), ("_Frozen", "__delattr__")}
+    assert not any(_calls(tree, "object.__setattr__") for tree in trees)
+    assert {name for name, member in members if member == "__slots__"} == {"BoundAlgebra"}
+    assert not issubclass(lieext.algebra.BoundAlgebra, _Frozen)
+    for name in ("AlgebraSpec", "IndexPolynomial", "CocycleAssignment", "SparseMatrix", "VectorBasis"):
+        assert issubclass(getattr(lieext, name), _Frozen), name
+
+
 # A private name as the docs write it: `_name`, or `_Class.member`; not the
 # tail of a longer word (psi_x, L_-1) and no dunder of Python's own
 PRIVATE_MENTION = re.compile(r"(?<!\w)(_(?!_)\w*[A-Za-z]\w*)(?:\.([A-Za-z_]\w*))?")
