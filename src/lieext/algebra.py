@@ -34,6 +34,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, count, islice
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .poly import IndexPolynomial
@@ -42,6 +43,8 @@ from .rational import _Frozen, as_rational
 # A name, ASCII only; the .lie scanner reads names by this pattern too.
 IDENT_RE = re.compile("[A-Za-z][A-Za-z0-9_]*")
 CLASS_NAME_RE = re.compile(f"{IDENT_RE.pattern}(-{IDENT_RE.pattern})*")
+# The words of the .lie grammar, which are no names
+KEYWORDS = frozenset({"algebra", "family", "weight", "bracket", "cocycle", "on"})
 
 ParamMap = Mapping[str, Fraction]
 
@@ -165,11 +168,62 @@ def _split(poly: IndexPolynomial, n: str | None, m: str | None) -> dict:
     return split
 
 
-def same_family_rule_is_antisymmetric(rule: BracketRule) -> bool:
-    """Whether coeff(n, m) == -coeff(m, n) identically: the coefficient of
-    each index term n**a * m**b is minus that of n**b * m**a."""
+def _name_problems(names) -> list:
+    """(code, message, where) for each of names that is no name: a reserved
+    word (KEYWORDS) or no identifier (IDENT_RE); where is its position in
+    names."""
+    return [
+        ("reserved-word", f"{name!r} is a reserved word", where)
+        if name in KEYWORDS
+        else ("bad-identifier", f"bad identifier {name!r}", where)
+        for where, name in enumerate(names)
+        if name in KEYWORDS or not IDENT_RE.fullmatch(name)
+    ]
+
+
+def _head_problems(var_left: str, var_right: str, parameters) -> list:
+    """(code, message, where) for each problem of the index variables of a
+    bracket rule or a class line, where 0 or 1 for the left or right one: a
+    repeated variable, then each variable that is a parameter."""
+    problems = [("duplicate-index-variable", f"index variable {var_right!r} is repeated", 1)] * (var_left == var_right)
+    for where, var in enumerate((var_left, var_right)):
+        if var in parameters:
+            problems.append(("index-shadows-parameter", f"index variable {var!r} collides with a parameter", where))
+    return problems
+
+
+def _rule_problems(rule: BracketRule, positions: Mapping) -> list:
+    """(code, message, where) for each problem of a bracket rule against
+    the declared families, positions by name, where 0, 1 or 2 for its left,
+    right or output family: each undeclared family; else a pair stored the
+    other way round, a nonzero coefficient with no output family, or a
+    same-family coefficient that is not antisymmetric, coeff(n, m) ==
+    -coeff(m, n) with the coefficient of each index term n**a * m**b minus
+    that of n**b * m**a."""
+    left, right, out = rule.left, rule.right, rule.out_family
+    undeclared = [
+        ("undeclared-family", f"undeclared family {fam!r}", where)
+        for where, fam in enumerate((left, right, out))
+        if fam is not None and fam not in positions
+    ]
+    if undeclared:
+        return undeclared
+    if positions[left] > positions[right]:
+        message = f"bracket [{left}, {right}] must be declared with {right!r} first (family declaration order)"
+        return [("reversed-family-pair", message, 0)]
+    if out is None and not rule.coeff.is_zero():
+        return [("missing-output-family", "a nonzero bracket needs an output family", 0)]
     split = rule._index_terms
-    return all(split.get((b, a)) == -coeff for (a, b), coeff in split.items())
+    if left == right and any(split.get((b, a)) != -coeff for (a, b), coeff in split.items()):
+        message = f"same-family bracket [{left}, {left}] needs a coefficient antisymmetric in its index variables"
+        return [("non-antisymmetric", message, 0)]
+    return []
+
+
+def _raise_first(problems: list):
+    """Raise the message of the first of problems as a ValueError."""
+    if problems:
+        raise ValueError(problems[0][1])
 
 
 def _fresh_names(size: int, taken) -> list:
@@ -182,12 +236,21 @@ def _fresh_names(size: int, taken) -> list:
 class AlgebraSpec(_Frozen):
     """Validated, immutable description of one algebra.
 
+    A spec built in code meets the checks the .lie parser makes, with the
+    parser's messages: every name is an identifier and no reserved word
+    (_name_problems), and the index variables of each rule and class line
+    (_head_problems) and each rule against the families (_rule_problems)
+    pass the one check written for both; the first problem raises
+    ValueError.
+
     Rules are normalized on construction: every canonical family pair gets an
     entry (missing ones become zero rules), and a rule whose coefficient is
     the zero polynomial is stored as a zero rule with canonical index
     variable names.  Structural equality of two specs therefore coincides
     with the same name, bracket table (_table) and declared cocycle classes
     in order; cocycles maps each class name to its tuple of CocycleLines.
+    rules, cocycles and weight_offsets are read-only views of dicts the
+    spec keeps, so that a spec pickles.
     """
 
     def __init__(
@@ -201,11 +264,8 @@ class AlgebraSpec(_Frozen):
     ):
         if not IDENT_RE.fullmatch(name):
             raise ValueError(f"bad algebra name {name!r}")
-        parameters = tuple(parameters)
-        families = tuple(families)
-        for ident in parameters + families:
-            if not IDENT_RE.fullmatch(ident):
-                raise ValueError(f"bad identifier {ident!r}")
+        parameters, families = tuple(parameters), tuple(families)
+        _raise_first(_name_problems((name, *parameters, *families)))
         if len(set(parameters)) != len(parameters):
             raise ValueError("duplicate parameter name")
         if len(set(families)) != len(families):
@@ -230,56 +290,32 @@ class AlgebraSpec(_Frozen):
         for key, rule in rules.items():
             if key != (rule.left, rule.right):
                 raise ValueError(f"rule key {key} does not match rule families")
-            for fam in key:
-                if fam not in positions:
-                    raise ValueError(f"bracket rule uses undeclared family {fam!r}")
-            if positions[rule.left] > positions[rule.right]:
-                raise ValueError(
-                    f"rule [{rule.left}, {rule.right}] is stored on the reversed family pair"
-                )
-            if rule.out_family is not None and rule.out_family not in positions:
-                raise ValueError(f"bracket output family {rule.out_family!r} is undeclared")
-            normalized[key] = self._normalize_rule(rule, parameters)
+            head = rule.var_left, rule.var_right
+            _raise_first(_name_problems(head) + _head_problems(*head, parameters) + _rule_problems(rule, positions))
+            extra = rule.coeff.variables() - {*head, *parameters}
+            if extra:
+                raise ValueError(f"rule [{rule.left}, {rule.right}] uses unknown variable {sorted(extra)[0]!r}")
+            normalized[key] = _zero_rule(*key, parameters) if rule.coeff.is_zero() else rule
         ordered = {
-            (fam_a, fam_b): normalized.get((fam_a, fam_b))
-            or _zero_rule(fam_a, fam_b, parameters)
-            for i, fam_a in enumerate(families)
-            for fam_b in families[i:]
+            (a, b): normalized.get((a, b)) or _zero_rule(a, b, parameters)
+            for i, a in enumerate(families) for b in families[i:]
         }
-        for rule in ordered.values():
-            if rule.left == rule.right and not rule.is_zero():
-                if not same_family_rule_is_antisymmetric(rule):
-                    raise ValueError(
-                        f"same-family bracket [{rule.left}, {rule.right}] must have an "
-                        "index-antisymmetric coefficient"
-                    )
         classes = {label: tuple(lines) for label, lines in (cocycles or {}).items()}
         for label, lines in classes.items():
             if not CLASS_NAME_RE.fullmatch(label) or not lines:
                 raise ValueError(f"bad cocycle class name {label!r} or no lines")
+            _raise_first(_name_problems(label.split("-")[:1]))
             for line in lines:
-                unknown = {line.family_a, line.family_b} - positions.keys(), line.parameters - {*parameters}
-                if any(unknown) or {line.var_a, line.var_b} & {*parameters}:
+                head = line.var_a, line.var_b
+                _raise_first(_name_problems(head) + _head_problems(*head, parameters))
+                if {line.family_a, line.family_b} - positions.keys() or line.parameters - {*parameters}:
                     raise ValueError(f"cocycle {label!r} uses an undeclared family or parameter")
-        self.__dict__.update(name=name, parameters=parameters, families=families, weight_offsets=offsets)
-        self.__dict__.update(rules=ordered, cocycles=classes, _positions=positions)
+        self.__dict__.update(name=name, parameters=parameters, families=families, _weight_offsets=offsets)
+        self.__dict__.update(_rules=ordered, _cocycles=classes, _positions=positions)
 
-    @staticmethod
-    def _normalize_rule(rule: BracketRule, parameters: tuple) -> BracketRule:
-        if rule.coeff.is_zero() or rule.out_family is None:
-            return _zero_rule(rule.left, rule.right, parameters)
-        if rule.var_left == rule.var_right:
-            raise ValueError(f"rule [{rule.left}, {rule.right}] repeats an index variable")
-        for var in (rule.var_left, rule.var_right):
-            if var in parameters:
-                raise ValueError(f"index variable {var!r} collides with a parameter")
-        allowed = {rule.var_left, rule.var_right} | set(parameters)
-        extra = rule.coeff.variables() - allowed
-        if extra:
-            raise ValueError(
-                f"rule [{rule.left}, {rule.right}] uses unknown variable {sorted(extra)[0]!r}"
-            )
-        return rule
+    rules = property(lambda self: MappingProxyType(self._rules))
+    cocycles = property(lambda self: MappingProxyType(self._cocycles))
+    weight_offsets = property(lambda self: MappingProxyType(self._weight_offsets))
 
     # basic queries
 

@@ -35,6 +35,15 @@ are in the second index variable and the parameters, t in the parameters.
 The denominator, of degree at most 1 in m, is the one division by a
 non-constant allowed, as the last operation of the coefficient.
 
+The rules a spec must obey are written once, in algebra.py, for the parser
+and for a spec built in code (AlgebraSpec): the name rule (IDENT_RE, and
+KEYWORDS, the reserved words), the check of a head's index variables and
+the check of a bracket rule against the declared families.  Each check
+returns its problems as (code, message, where); the parser reports each at
+the token where names, and AlgebraSpec raises the first.  Only what needs
+the text stays here: positions, syntax, unknown variables in an expression,
+a duplicate declaration.
+
 parse() never raises: it returns a ParseResult whose spec is None when any
 error-severity diagnostic was produced.  Family pairs without a rule are
 filled in as zero brackets with a warning.  render() emits canonical text
@@ -50,14 +59,15 @@ from .algebra import (
     AlgebraSpec,
     BracketRule,
     CocycleLine,
+    _head_problems,
+    _name_problems,
     _Record,
+    _rule_problems,
     _Value,
-    same_family_rule_is_antisymmetric,
 )
 from .poly import IndexPolynomial
 from .rational import _BLANKS
 
-KEYWORDS = frozenset({"algebra", "family", "weight", "bracket", "cocycle", "on"})
 # One token per match, after any blanks: a character that starts no other
 # token and is no blank is "bad".  No \d or \w, which admit non-ASCII
 # digits and letters.
@@ -135,6 +145,13 @@ class _Parser:
             raise _Abort()
         self.diagnostics.append(Diagnostic(tok.line, tok.col, "error", code, message))
 
+    def report(self, problems: list, tokens) -> bool:
+        """Report each (code, message, where) of a check of algebra.py at
+        tokens[where]; whether there was any."""
+        for code, message, where in problems:
+            self.error(code, message, tokens[where])
+        return bool(problems)
+
     def warning(self, code: str, message: str, tok: _Token):
         self.diagnostics.append(Diagnostic(tok.line, tok.col, "warning", code, message))
 
@@ -151,8 +168,7 @@ class _Parser:
 
     def ident(self, what: str) -> _Token:
         tok = self.expect("ident", what)
-        if tok.text in KEYWORDS:
-            self.error("reserved-word", f"{tok.text!r} is a reserved word", tok)
+        self.report(_name_problems([tok.text]), [tok])
         return tok
 
     def sync_to_semicolon(self):
@@ -209,8 +225,7 @@ class _Parser:
             return IndexPolynomial.constant(int(tok.text))
         if tok.kind == "ident":
             self.advance()
-            if tok.text in KEYWORDS:
-                self.error("reserved-word", f"{tok.text!r} is a reserved word", tok)
+            if self.report(_name_problems([tok.text]), [tok]):
                 return IndexPolynomial()
             if tok.text not in allowed:
                 self.error("unknown-variable", f"unknown variable {tok.text!r}", tok)
@@ -303,11 +318,7 @@ class _Parser:
         var_right_tok = self.ident("an index variable")
         self.expect("]", "']'")
         self.expect("=", "'='")
-        if var_left_tok.text == var_right_tok.text:
-            self.error("duplicate-index-variable", f"index variable {var_right_tok.text!r} is repeated", var_right_tok)
-        for vtok in (var_left_tok, var_right_tok):
-            if vtok.text in params:
-                self.error("index-shadows-parameter", f"index variable {vtok.text!r} collides with a parameter", vtok)
+        self.report(_head_problems(var_left_tok.text, var_right_tok.text, params), (var_left_tok, var_right_tok))
         return left_tok, right_tok, var_left_tok.text, var_right_tok.text
 
     def index_sum(self, var_left: str, var_right: str, code: str, what: str, tok: _Token):
@@ -317,7 +328,8 @@ class _Parser:
             self.error(code, f"{what} must be {var_left} + {var_right}", tok)
 
     def parse_bracket(self, params) -> tuple:
-        """(the rule, the tokens of its left, right and output families)"""
+        """(the rule, the tokens of its left, right and output families,
+        None for no output family)"""
         self.expect_keyword("bracket")
         left_tok, right_tok, var_left, var_right = self.parse_head(params)
         coeff = self.parse_expr(frozenset({var_left, var_right, *params}))
@@ -327,15 +339,9 @@ class _Parser:
             paren = self.expect("(", "'('")
             self.index_sum(var_left, var_right, "non-additive-output-index", "output index", paren)
             self.expect(")", "')'")
-        elif not coeff.is_zero():
-            self.error(
-                "missing-output-family",
-                "a nonzero bracket needs an output family",
-                self.peek(),
-            )
         self.expect(";", "';'")
-        named = [tok for tok in (left_tok, right_tok, out_tok) if tok]
-        return BracketRule(left_tok.text, right_tok.text, var_left, var_right, coeff, out_tok and out_tok.text), named
+        rule = BracketRule(left_tok.text, right_tok.text, var_left, var_right, coeff, out_tok and out_tok.text)
+        return rule, (left_tok, right_tok, out_tok)
 
     def parse_cocycle(self, params, classes: dict, refs: list):
         """A cocycle block into classes; a broken line is skipped to its
@@ -381,35 +387,12 @@ class _Parser:
         positions = {fam: i for i, fam in enumerate(families)}
         rules: dict = {}
         for rule, named in brackets:
-            bad = False
-            for tok in named:
-                if tok.text not in positions:
-                    self.error("undeclared-family", f"undeclared family {tok.text!r}", tok)
-                    bad = True
-            if bad:
+            if self.report(_rule_problems(rule, positions), named):
                 continue
-            left, right = rule.left, rule.right
-            if positions[left] > positions[right]:
-                self.error(
-                    "reversed-family-pair",
-                    f"bracket [{left}, {right}] must be declared with {right!r} first "
-                    "(family declaration order)",
-                    named[0],
-                )
-                continue
-            key = (left, right)
+            key = rule.left, rule.right
             if key in rules:
-                self.error("duplicate-bracket", f"duplicate bracket rule for [{left}, {right}]", named[0])
-                continue
-            if left == right and not rule.is_zero() and not same_family_rule_is_antisymmetric(rule):
-                self.error(
-                    "non-antisymmetric",
-                    f"same-family bracket [{left}, {left}] needs a coefficient "
-                    "antisymmetric in its index variables",
-                    named[0],
-                )
-                continue
-            rules[key] = rule
+                self.error("duplicate-bracket", f"duplicate bracket rule for [{rule.left}, {rule.right}]", named[0])
+            rules.setdefault(key, rule)
         for tok in refs:
             if tok.text not in positions:
                 self.error("undeclared-family", f"undeclared family {tok.text!r}", tok)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieext.algebra import AlgebraSpec, BracketRule, CocycleLine
 from lieext.dsl import _Abort, _Parser, parse, render
 from lieext.poly import IndexPolynomial
 from lieext.presets import preset_source
@@ -503,3 +504,70 @@ def test_non_ascii_letter_or_digit_in_a_name_is_a_bad_character(src, line, col):
     assert (errors[0].line, errors[0].col, errors[0].code) == (line, col, "bad-character")
     assert src.split("\n")[line - 1][col - 1] in errors[0].message
     assert "invalid-spec" not in {d.code for d in errors}
+
+
+def _lie(items="", name="a", parameter="p") -> str:
+    """The text of the spec SHARED_ARGS, with items added and its name or
+    parameter changed."""
+    return f"algebra {name}({parameter}) {{\n  family A weight 0;\n  family B weight {parameter};\n  {items}\n}}"
+
+
+SHARED_ARGS = {
+    "name": "a",
+    "parameters": ("p",),
+    "families": ("A", "B"),
+    "weight_offsets": {"A": C(0), "B": V("p")},
+    "rules": {},
+}
+ZERO = IndexPolynomial()
+
+
+@pytest.mark.parametrize(
+    "code, text, changes",
+    [
+        ("undeclared-family", {"items": "bracket [A n, D m] = m A(n + m);"},
+         {"rules": {("A", "D"): BracketRule("A", "D", "n", "m", V("m"), "A")}}),
+        ("undeclared-family", {"items": "bracket [A n, B m] = m D(n + m);"},
+         {"rules": {("A", "B"): BracketRule("A", "B", "n", "m", V("m"), "D")}}),
+        ("reversed-family-pair", {"items": "bracket [B n, A m] = m B(n + m);"},
+         {"rules": {("B", "A"): BracketRule("B", "A", "n", "m", V("m"), "B")}}),
+        ("missing-output-family", {"items": "bracket [A n, A m] = (m - n);"},
+         {"rules": {("A", "A"): BracketRule("A", "A", "n", "m", V("m") - V("n"), None)}}),
+        ("non-antisymmetric", {"items": "bracket [A n, A m] = m A(n + m);"},
+         {"rules": {("A", "A"): BracketRule("A", "A", "n", "m", V("m"), "A")}}),
+        ("duplicate-index-variable", {"items": "bracket [A n, B n] = 0;"},
+         {"rules": {("A", "B"): BracketRule("A", "B", "n", "n", ZERO, None)}}),
+        ("duplicate-index-variable", {"items": "cocycle c { [A m, A m] = 1 on m + m = 0; }"},
+         {"cocycles": {"c": [CocycleLine("A", "A", C(1), var_a="m")]}}),
+        ("index-shadows-parameter", {"items": "bracket [A p, B m] = 0;"},
+         {"rules": {("A", "B"): BracketRule("A", "B", "p", "m", ZERO, None)}}),
+        ("index-shadows-parameter", {"items": "cocycle c { [A n, B p] = 1 on n + p = 0; }"},
+         {"cocycles": {"c": [CocycleLine("A", "B", C(1), var_b="p")]}}),
+        ("reserved-word", {"name": "on"}, {"name": "on"}),
+        ("reserved-word", {"parameter": "weight"},
+         {"parameters": ("weight",), "weight_offsets": {"A": C(0), "B": V("weight")}}),
+        ("reserved-word", {"items": "family on weight 0;"},
+         {"families": ("A", "B", "on"), "weight_offsets": {"A": C(0), "B": V("p"), "on": C(0)}}),
+        ("reserved-word", {"items": "bracket [A on, B m] = 0;"},
+         {"rules": {("A", "B"): BracketRule("A", "B", "on", "m", ZERO, None)}}),
+        ("reserved-word", {"items": "cocycle on { [A n, A m] = 1 on n + m = 0; }"},
+         {"cocycles": {"on": [CocycleLine("A", "A", C(1))]}}),
+    ],
+)
+def test_parse_and_spec_refuse_alike(code, text, changes):
+    # algebra.py holds one check per rule of a spec; the parser reports its
+    # problems at their tokens, and AlgebraSpec raises the first, with the
+    # same message.  The text and the changed arguments are the same pieces
+    assert parse(_lie()).spec == AlgebraSpec(**SHARED_ARGS)
+    first = parse(_lie(**text)).diagnostics[0]
+    assert (first.severity, first.code) == ("error", code)
+    with pytest.raises(ValueError) as info:
+        AlgebraSpec(**{**SHARED_ARGS, **changes})
+    assert str(info.value) == first.message
+
+
+def test_missing_output_family_is_reported_once_at_the_bracket():
+    src = "algebra a() {\n  family L weight 0;\n  bracket [L n, L m] = (m - n);\n}"
+    assert [str(d) for d in parse(src).errors()] == [
+        "3:12: error[missing-output-family]: a nonzero bracket needs an output family"
+    ]

@@ -83,16 +83,45 @@ def test_code_lines_lists_the_standard_library_of_the_cold_start(tmp_path, capsy
 
 def test_benchmark_names_exist():
     # perfbench/ changes only with the benchmark, so a name deleted from
-    # lieext while it still reads it would stop the benchmark's runs
+    # lieext while it still reads it would stop the benchmark's runs: each
+    # name it imports from lieext, and each attribute it reads off lieext or
+    # off such a name (spans.py patches AlgebraSpec.bracket)
     for name in ("run.py", "spans.py"):
         tree = ast.parse((ROOT / "perfbench" / name).read_text())
+        imported = {"lieext": lieext}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lieext":
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(module, alias.name), f"{name}: {node.module}.{alias.name}"
-            elif isinstance(node, ast.Attribute) and re.fullmatch(r"lieext(\.\w+)+", ast.unparse(node)):
-                functools.reduce(getattr, ast.unparse(node).split(".")[1:], lieext)
+                    imported[alias.asname or alias.name] = getattr(module, alias.name)
+        for node in ast.walk(tree):
+            path = ast.unparse(node).split(".") if isinstance(node, ast.Attribute) else ()
+            if path and path[0] in imported and all(re.fullmatch(r"\w+", part) for part in path):
+                functools.reduce(getattr, path[1:], imported[path[0]])
+
+
+def test_spec_checks_are_written_in_algebra_py_only():
+    # the checks that a .lie file and a spec built in code share are written
+    # once: their diagnostic codes are string constants of algebra.py alone,
+    # KEYWORDS is assigned there alone, and the parser's own copy of the
+    # antisymmetry test is gone
+    shared = {
+        "reversed-family-pair",
+        "non-antisymmetric",
+        "missing-output-family",
+        "duplicate-index-variable",
+        "index-shadows-parameter",
+        "reserved-word",
+    }
+    for path in (ROOT / "src" / "lieext").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        if path.name == "algebra.py":
+            assert shared <= constants and "KEYWORDS" in _own_names(tree)
+        else:
+            assert not shared & constants and "KEYWORDS" not in _own_names(tree), path
+        assert "same_family_rule_is_antisymmetric" not in _own_names(tree) | _read_names(tree)["name"], path
 
 
 # The public names of src/lieext that no program reads.  Each is a library
