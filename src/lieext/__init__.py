@@ -7,100 +7,70 @@ and whose brackets have polynomial structure constants, entirely in exact
 rational arithmetic.  The bundled svir preset is a two-parameter family of
 deformed Schroedinger-Virasoro algebras whose degree-zero H^2 dimensions
 follow a closed-form case table that the engine reproduces numerically.
+
+Each public name is imported from its home module the first time it is
+read, so `import lieext` compiles only rational.py, and a process that
+only loads and parses algebras never compiles the engine or sparse.
 """
 
-from fractions import Fraction
-
-from .algebra import (
-    AlgebraSpec,
-    BasisElement,
-    BracketRule,
-    CocycleLine,
-    ParameterError,
-    check_jacobi_symbolic,
-    check_jacobi_window,
-    validate_parameters,
-)
-from .dsl import Diagnostic, ParseResult, parse, render
-from .engine import (
-    CocycleAssignment,
-    H2Report,
-    KnownCocycle,
-    MatchResult,
-    PairBasis,
-    VerifyReport,
-    Window,
-    assemble_constraints,
-    coboundary_space,
-    cocycle_space,
-    enumerate_pairs,
-    h2,
-    is_coboundary,
-    match_known,
-    nonzero_degree_triviality,
-    verify_cocycle,
-)
-from .poly import IndexPolynomial
-from .presets import load_algebra, theorem_predicted_dim
-from .rational import format_rational, parse_rational, rational
-from .sparse import (
-    SparseMatrix,
-    VectorBasis,
-    nullspace,
-    project_dimension,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
+_HOMES = {
+    ".algebra": (
+        "AlgebraSpec",
+        "BasisElement",
+        "BracketRule",
+        "CocycleLine",
+        "ParameterError",
+        "check_jacobi_symbolic",
+        "check_jacobi_window",
+        "validate_parameters",
+    ),
+    ".dsl": ("Diagnostic", "ParseResult", "parse", "render"),
+    ".engine": (
+        "CocycleAssignment",
+        "H2Report",
+        "KnownCocycle",
+        "MatchResult",
+        "PairBasis",
+        "VerifyReport",
+        "Window",
+        "assemble_constraints",
+        "coboundary_space",
+        "cocycle_space",
+        "enumerate_pairs",
+        "h2",
+        "is_coboundary",
+        "match_known",
+        "nonzero_degree_triviality",
+        "verify_cocycle",
+    ),
+    ".poly": ("IndexPolynomial",),
+    # presets builds REGISTRY at first use (it parses the svir preset)
+    ".presets": ("REGISTRY", "load_algebra", "theorem_predicted_dim"),
+    ".rational": ("format_rational", "parse_rational", "rational"),
+    ".sparse": ("SparseMatrix", "VectorBasis", "nullspace", "project_dimension"),
+    "fractions": ("Fraction",),
+}
+
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = list(_HOME)
+
 
 def __getattr__(name):
-    # presets builds REGISTRY at first use (it parses the svir preset)
-    if name == "REGISTRY":
-        from . import presets
-
-        return presets.REGISTRY
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_HOME[name], __name__), name)
+    return value
 
 
-__all__ = [
-    "AlgebraSpec",
-    "BasisElement",
-    "BracketRule",
-    "CocycleAssignment",
-    "Diagnostic",
-    "Fraction",
-    "H2Report",
-    "IndexPolynomial",
-    "CocycleLine",
-    "KnownCocycle",
-    "MatchResult",
-    "PairBasis",
-    "ParameterError",
-    "ParseResult",
-    "REGISTRY",
-    "SparseMatrix",
-    "VectorBasis",
-    "VerifyReport",
-    "Window",
-    "assemble_constraints",
-    "check_jacobi_symbolic",
-    "check_jacobi_window",
-    "coboundary_space",
-    "cocycle_space",
-    "enumerate_pairs",
-    "format_rational",
-    "h2",
-    "is_coboundary",
-    "load_algebra",
-    "match_known",
-    "nonzero_degree_triviality",
-    "nullspace",
-    "parse",
-    "parse_rational",
-    "project_dimension",
-    "rational",
-    "render",
-    "theorem_predicted_dim",
-    "validate_parameters",
-    "verify_cocycle",
-]
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+# importing lieext.rational binds that module here under its own name, in
+# place of the function rational; binding the function first keeps it
+rational = __getattr__("rational")

@@ -386,7 +386,9 @@ class _Parser:
     def assemble(self, name_tok, params, families, offsets, brackets, classes, refs) -> AlgebraSpec | None:
         positions = {fam: i for i, fam in enumerate(families)}
         rules: dict = {}
+        given = set()  # each pair a rule names, refused or not, in both orders
         for rule, named in brackets:
+            given |= {(rule.left, rule.right), (rule.right, rule.left)}
             if self.report(_rule_problems(rule, positions), named):
                 continue
             key = rule.left, rule.right
@@ -398,7 +400,7 @@ class _Parser:
                 self.error("undeclared-family", f"undeclared family {tok.text!r}", tok)
         for i, fam_a in enumerate(families):
             for fam_b in families[i:]:
-                if (fam_a, fam_b) not in rules:
+                if (fam_a, fam_b) not in given:
                     self.warning(
                         "missing-bracket-default",
                         f"no bracket rule for [{fam_a}, {fam_b}]; defaulting to zero",

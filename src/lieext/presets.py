@@ -2,9 +2,10 @@
 is specific to svir.
 
 An algebra reference is resolved in this order: a bundled preset name
-("svir", "witt", or the alias "virasoro-sector"), then "<name>.lie" in each
-directory on the LIEEXT_PRESET_PATH environment variable (colon separated),
-then the reference taken as a literal file path.
+("svir", "witt", or the alias "virasoro-sector", read from the presets
+directory next to this file), then "<name>.lie" in each directory on the
+LIEEXT_PRESET_PATH environment variable (colon separated), then the
+reference taken as a literal file path.
 
 svir is the one algebra with a closed-form table of its degree-zero H^2
 (theorem_predicted_dim).  predicted_dim says when the table applies to an
@@ -12,18 +13,18 @@ h2 run: at degree 0, on any algebra with svir's bracket table, whatever its
 name, the letters of its index variables and the order of its
 declarations.  REGISTRY maps each class svir declares to a KnownCocycle; it
 is built the first time it is read, so a process that never reads it never
-parses svir.  The engine itself loads no preset.
+parses svir, and only then imports the engine: loading and parsing an
+algebra compiles neither the engine nor sparse.  The engine itself loads
+no preset.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from importlib import resources
 
 from . import dsl
 from .algebra import AlgebraSpec
-from .engine import KnownCocycle
 from .rational import as_rational
 
 PRESET_FILES = {
@@ -44,7 +45,8 @@ def preset_source(name: str) -> str:
         raise ValueError(
             f"unknown preset {name!r} (available: {', '.join(sorted(PRESET_FILES))})"
         ) from None
-    return resources.files(__package__).joinpath("presets", filename).read_text()
+    with open(os.path.join(os.path.dirname(__file__), "presets", filename)) as handle:
+        return handle.read()
 
 
 def _parse_or_fail(source: str, origin: str) -> AlgebraSpec:
@@ -78,6 +80,8 @@ def load_algebra(ref: str) -> AlgebraSpec:
 
 def __getattr__(name):
     if name == "REGISTRY":
+        from .engine import KnownCocycle
+
         registry = {known: KnownCocycle(known, lines) for known, lines in load_algebra("svir").cocycles.items()}
         globals()[name] = registry
         return registry

@@ -571,3 +571,25 @@ def test_missing_output_family_is_reported_once_at_the_bracket():
     assert [str(d) for d in parse(src).errors()] == [
         "3:12: error[missing-output-family]: a nonzero bracket needs an output family"
     ]
+
+
+# a rule each refusal code refuses, on a pair that has no other rule
+REFUSED_RULES = {
+    "missing-output-family": "bracket [L n, L m] = (m - n); bracket [L n, M m] = 0;",
+    "undeclared-family": "bracket [L n, L m] = (m - n) Q(n + m); bracket [L n, M m] = 0;",
+    "non-antisymmetric": "bracket [L n, L m] = (m + n) L(n + m); bracket [L n, M m] = 0;",
+    "reversed-family-pair": "bracket [L n, L m] = (m - n) L(n + m); bracket [M n, L m] = m M(n + m);",
+}
+
+
+@pytest.mark.parametrize("code", REFUSED_RULES)
+def test_a_refused_rule_is_no_missing_rule(code):
+    # the pair of a refused rule gets its error and no missing-bracket-default
+    # warning, which would name the wrong cause; [M, M], which no rule
+    # names, still warns
+    src = f"algebra a() {{ family L weight 0; family M weight 0; {REFUSED_RULES[code]} }}"
+    first, *rest = parse(src).diagnostics
+    assert (first.severity, first.code) == ("error", code)
+    assert [(d.severity, d.code, d.message) for d in rest] == [
+        ("warning", "missing-bracket-default", "no bracket rule for [M, M]; defaulting to zero")
+    ]

@@ -81,6 +81,20 @@ def test_code_lines_lists_the_standard_library_of_the_cold_start(tmp_path, capsy
     assert capsys.readouterr().out.splitlines()[-1].split() == ["stdlib", "1", "colorsys"]
 
 
+def test_code_lines_lists_the_package_modules_of_a_bare_import(tmp_path, capsys):
+    # for a package with an __init__.py, a last line lists the package's own
+    # modules that a bare import compiles, with their summed code tokens:
+    # __init__.py (4 tokens) and the module it imports (15), not the other
+    tool = _load("code_lines")
+    package = tmp_path / "sample_pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from . import used\n")
+    (package / "used.py").write_text(CODE_SAMPLE)
+    (package / "unused.py").write_text(CODE_SAMPLE)
+    assert tool.main([str(package)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["import", "2", "19", "__init__.py", "used.py"]
+
+
 def test_benchmark_names_exist():
     # perfbench/ changes only with the benchmark, so a name deleted from
     # lieext while it still reads it would stop the benchmark's runs: each

@@ -17,15 +17,19 @@ there.  So the last column measures it: the peak RSS, in MB, of a fresh
 interpreter that compiles the module and nothing else.
 
 A cold start pays for the standard library too.  When DIR holds a
-cli.py, a last line lists the standard-library modules that importing it
+cli.py, a line lists the standard-library modules that importing it
 (`import lieext.cli` for src/lieext) loads in a fresh interpreter, beyond
-those a bare interpreter holds, with their count.
+those a bare interpreter holds, with their count.  When DIR holds an
+__init__.py, a last line lists the package's own modules that a bare
+`import lieext` compiles in a fresh interpreter, with their count and
+their summed code tokens: the package resolves its names at first read,
+so that is less than the whole package.
 
     python tools/code_lines.py [DIR]
 
 prints one line per module of DIR (default: src/lieext of this checkout),
 its code lines, its code tokens and its compile peak, then the totals and
-the largest peak, and last the standard-library modules of the cold start.
+the largest peak, and last the modules of the cold start.
 """
 
 from __future__ import annotations
@@ -86,10 +90,10 @@ def compile_peak_mb(path: Path) -> float:
     return int(run.stdout) / 1024
 
 
-def cold_start_modules(root: Path) -> list:
-    """The standard-library modules that a fresh interpreter holds after
-    importing the cli module of the package at root and does not hold
-    bare, sorted."""
+def cold_start_modules(root: Path, statement: str) -> list:
+    """The modules that a fresh interpreter, with the package at root on
+    its path, holds after running statement and does not hold bare,
+    sorted."""
     env = dict(os.environ, PYTHONPATH=str(root.parent))
 
     def loaded(code: str) -> set:
@@ -99,25 +103,37 @@ def cold_start_modules(root: Path) -> list:
         )
         return set(run.stdout.split())
 
-    extra = loaded(f"import {root.name}.cli; ") - loaded("")
-    return sorted(name for name in extra if name.partition(".")[0] in sys.stdlib_module_names)
+    return sorted(loaded(statement + "; ") - loaded(""))
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     root = Path(args[0]) if args else Path(__file__).resolve().parent.parent / "src" / "lieext"
     total_lines = total_tokens = top = 0
+    tokens_of = {}
     for path in sorted(root.glob("*.py")):
         lines, tokens = code_counts(path.read_text())
         peak = compile_peak_mb(path)
         total_lines += lines
         total_tokens += tokens
         top = max(top, peak)
+        tokens_of[path.name] = tokens
         print(f"{path.name:<16}{lines:>6}{tokens:>8}{peak:>8.2f}")
     print(f"{'total':<16}{total_lines:>6}{total_tokens:>8}{top:>8.2f}")
     if (root / "cli.py").is_file():
-        names = cold_start_modules(root)
+        names = [
+            name for name in cold_start_modules(root, f"import {root.name}.cli")
+            if name.partition(".")[0] in sys.stdlib_module_names
+        ]
         print(f"{'stdlib':<16}{len(names):>6}  {' '.join(names)}")
+    if (root / "__init__.py").is_file():
+        files = [
+            f"{name.partition('.')[2] or '__init__'}.py"
+            for name in cold_start_modules(root, f"import {root.name}")
+            if name.partition(".")[0] == root.name
+        ]
+        tokens = sum(tokens_of[name] for name in files)
+        print(f"{'import':<16}{len(files):>6}{tokens:>8}  {' '.join(files)}")
     return 0
 
 
