@@ -10,7 +10,8 @@ follow a closed-form case table that the engine reproduces numerically.
 
 Each public name is imported from its home module the first time it is
 read, so `import lieext` compiles only rational.py, and a process that
-only loads and parses algebras never compiles the engine or sparse.
+only loads and parses algebras never compiles the engine, the solve or
+sparse.
 """
 
 from importlib import import_module
@@ -34,13 +35,7 @@ _HOMES = {
         "H2Report",
         "KnownCocycle",
         "MatchResult",
-        "PairBasis",
         "VerifyReport",
-        "Window",
-        "assemble_constraints",
-        "coboundary_space",
-        "cocycle_space",
-        "enumerate_pairs",
         "h2",
         "is_coboundary",
         "match_known",
@@ -51,6 +46,7 @@ _HOMES = {
     # presets builds REGISTRY at first use (it parses the svir preset)
     ".presets": ("REGISTRY", "load_algebra", "theorem_predicted_dim"),
     ".rational": ("format_rational", "parse_rational", "rational"),
+    ".solve": ("PairBasis", "Window", "assemble_constraints", "coboundary_space", "cocycle_space", "enumerate_pairs"),
     ".sparse": ("SparseMatrix", "VectorBasis", "nullspace", "project_dimension"),
     "fractions": ("Fraction",),
 }

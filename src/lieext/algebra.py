@@ -23,7 +23,7 @@ family triple, with symbolic indices, from a bracket table of compiled
 coefficient terms.  The same expansion serves bound parameters (integer
 coefficients, BoundAlgebra) and free ones (coefficients polynomial in the
 parameters), so the symbolic check, the windowed check that reads each
-triple of basis elements with indices in a box off it, and the engine's
+triple of basis elements with indices in a box off it, and the solve's
 boundary gate and h2's warning all read one residual.
 """
 
@@ -401,7 +401,7 @@ class BoundAlgebra:
     cocycle row, is therefore accumulated in ints and divided by the
     denominator once.  _rules[p][q]
     is (output family position, terms), or None when the pair brackets to
-    zero; the engine compiles its cocycle identities from it.
+    zero; the solve compiles its cocycle identities from it.
     """
 
     __slots__ = ("spec", "params", "families", "offsets", "denominator", "_rules")

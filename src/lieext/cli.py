@@ -27,16 +27,10 @@ import os
 import sys
 
 from .algebra import ParameterError, check_jacobi_symbolic, check_jacobi_window, validate_parameters
-from .engine import (
-    CocycleAssignment,
-    KnownCocycle,
-    Window,
-    h2,
-    is_coboundary,
-    verify_cocycle,
-)
+from .engine import CocycleAssignment, KnownCocycle, h2, is_coboundary, verify_cocycle
 from .presets import load_algebra, predicted_dim
 from .rational import _BLANKS, format_rational, parse_integer, parse_rational
+from .solve import Window
 
 
 def _add_algebra_options(parser: argparse.ArgumentParser):

@@ -14,8 +14,8 @@ name, the letters of its index variables and the order of its
 declarations.  REGISTRY maps each class svir declares to a KnownCocycle; it
 is built the first time it is read, so a process that never reads it never
 parses svir, and only then imports the engine: loading and parsing an
-algebra compiles neither the engine nor sparse.  The engine itself loads
-no preset.
+algebra compiles none of the engine, the solve and sparse.  Neither the
+engine nor the solve loads a preset.
 """
 
 from __future__ import annotations

@@ -19,12 +19,12 @@ rows.  Such a chain can be as long as the rank, hundreds of rows at a
 and never recurses.
 
 Null vectors come from one integer back-substitution (_null_vectors), shared
-by nullspace and the engine's certified subset solve, as primitive
-{column: int} rows.  The engine keeps them, and every other vector after
-the solve, in that form and builds each echelon it needs from them once;
-Fractions appear only at the public boundary of this module: SparseMatrix,
-VectorBasis, nullspace and project_dimension.  All results are
-exact: no floats appear anywhere in this module.
+by nullspace and the certified subset solve (lieext.solve), as primitive
+{column: int} rows.  The solve and the engine keep them, and every other
+vector after the solve, in that form and build each echelon they need from
+them once; Fractions appear only at the public boundary of this module:
+SparseMatrix, VectorBasis, nullspace and project_dimension.  All results
+are exact: no floats appear anywhere in this module.
 """
 
 from __future__ import annotations

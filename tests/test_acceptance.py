@@ -30,16 +30,10 @@ from lieext.algebra import (
 )
 from lieext.dsl import parse, render
 from lieext import REGISTRY, theorem_predicted_dim
-from lieext.engine import (
-    Window,
-    enumerate_pairs,
-    h2,
-    is_coboundary,
-    nonzero_degree_triviality,
-    verify_cocycle,
-)
+from lieext.engine import h2, is_coboundary, nonzero_degree_triviality, verify_cocycle
 from lieext.presets import load_algebra, preset_source
 from lieext.rational import format_rational
+from lieext.solve import Window, enumerate_pairs
 from lieext.sparse import _scale_row, nullspace
 
 SVIR = load_algebra("svir")

@@ -15,7 +15,7 @@ from lieext.algebra import (
     check_jacobi_window,
     validate_parameters,
 )
-from lieext import dsl, engine
+from lieext import dsl, engine, solve
 from lieext.algebra import SymbolicJacobiReport, WindowJacobiReport
 from lieext.dsl import parse
 from lieext.poly import IndexPolynomial
@@ -227,7 +227,7 @@ def test_spec_tables_are_read_only():
             table.clear()
         with pytest.raises(TypeError):
             table[next(iter(table))] = None
-    report = engine.h2(witt, {}, engine.Window(8))
+    report = engine.h2(witt, {}, solve.Window(8))
     assert report.core_h2_dim == 1
     assert [m.name for m in report.matched_known if m.matched] == ["virasoro"]
     assert witt == WITT
@@ -301,8 +301,8 @@ def _records():
     m = IndexPolynomial.variable("m")
     line = CocycleLine("L", "L", m * m * m, IndexPolynomial(), m + 1, "n", "m")
     diagnostic = dsl.Diagnostic(3, 4, "warning", "zero-bracket", "filled in")
-    psi = engine.CocycleAssignment(WITT, engine.Window(6), {(L(-2), L(2)): 1})
-    h2_values = ("witt", {}, engine.Window(6), Fraction(0), 1, 0, 1, 1, True, [(6, 1)],
+    psi = engine.CocycleAssignment(WITT, solve.Window(6), {(L(-2), L(2)): 1})
+    h2_values = ("witt", {}, solve.Window(6), Fraction(0), 1, 0, 1, 1, True, [(6, 1)],
                  [engine.MatchResult("virasoro", True)], None, None)
     return [
         (BasisElement, "family index", ("L", -2), ("L", 2), True),
@@ -317,7 +317,7 @@ def _records():
          (3, 5, "warning", "zero-bracket", "filled in"), True),
         (dsl.ParseResult, "spec diagnostics", (WITT, [diagnostic]), (WITT, []), False),
         (dsl._Token, "kind text line col", ("ident", "L", 2, 11), ("ident", "L", 2, 12), True),
-        (engine.Window, "n margin", (6, 3), (6, 2), True),
+        (solve.Window, "n margin", (6, 3), (6, 2), True),
         (engine.KnownCocycle, "name lines", ("cubic", (line,)), ("cubic2", (line,)), True),
         (engine.VerifyReport, "passed triples_checked witness assignment", (True, 5, None, psi),
          (True, 6, None, psi), False),
@@ -353,7 +353,7 @@ def test_records_behave_as_their_dataclasses_did(cls, names, values, other, froz
 
 
 def test_h2_report_lists_are_fresh_for_each_report():
-    first, second = (engine.H2Report("witt", {}, engine.Window(6), 0, 1, 0, 1, 1, True) for _ in range(2))
+    first, second = (engine.H2Report("witt", {}, solve.Window(6), 0, 1, 0, 1, 1, True) for _ in range(2))
     first.core_history.append((6, 1))
     first.matched_known.append(engine.MatchResult("virasoro", True))
     assert second.core_history == [] and second.matched_known == []
@@ -367,7 +367,7 @@ def test_values_and_specs_survive_pickle():
     line = SVIR.cocycles["yy-reciprocal"][0]
     assert rule._index_terms and line._index_terms
     known = engine.KnownCocycle("yy-reciprocal", SVIR.cocycles["yy-reciprocal"])
-    for value in (engine.Window(12, 3), L(-2), rule, line, known, rule.coeff, SVIR, WITT):
+    for value in (solve.Window(12, 3), L(-2), rule, line, known, rule.coeff, SVIR, WITT):
         again = pickle.loads(pickle.dumps(value))
         assert again == value and type(again) is type(value)
     again = pickle.loads(pickle.dumps(rule))

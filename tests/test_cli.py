@@ -14,8 +14,8 @@ import pytest
 
 from lieext import cli
 from lieext.cli import _scan_workers
-from lieext.engine import Window
 from lieext.presets import load_algebra
+from lieext.solve import Window
 
 from golden import CORRUPT_SOURCE, WAB_SOURCE
 
@@ -579,14 +579,17 @@ def test_cold_start_leaves_dataclasses_and_inspect_out():
 def test_cold_start_loads_a_module_at_the_first_read_of_its_names():
     # in a fresh interpreter without site (whose start-up imports
     # importlib.resources on some installs), loading a preset compiles
-    # neither the engine nor sparse and reads the preset without
-    # importlib.resources; reading h2 loads the engine, each exported name
-    # is its home module's object, and dir() lists every exported name
+    # neither the engine, the solve nor sparse and reads the preset without
+    # importlib.resources; reading cocycle_space loads the solve alone and
+    # reading h2 the engine, each exported name is its home module's
+    # object, and dir() lists every exported name
     code = (
         "import importlib, sys\n"
         "import lieext\n"
         "lieext.load_algebra('svir')\n"
-        "print(sorted({'lieext.engine', 'lieext.sparse', 'importlib.resources'} & set(sys.modules)))\n"
+        "print(sorted({'lieext.engine', 'lieext.solve', 'lieext.sparse', 'importlib.resources'} & set(sys.modules)))\n"
+        "lieext.cocycle_space\n"
+        "print(sorted({'lieext.engine', 'lieext.solve'} & set(sys.modules)))\n"
         "lieext.h2\n"
         "print('lieext.engine' in sys.modules)\n"
         "print([name for name in lieext.__all__\n"
@@ -596,7 +599,7 @@ def test_cold_start_loads_a_module_at_the_first_read_of_its_names():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True", "[]", "True"]
+    assert proc.stdout.splitlines() == ["[]", "['lieext.solve']", "True", "[]", "True"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -732,7 +735,7 @@ def test_bracket_failing_jacobi_warns_and_keeps_stdout(tmp_path):
 
 
 def test_jacobi_identity_is_expanded_once_per_h2_call(monkeypatch, capsys, tmp_path):
-    from lieext import engine
+    from lieext import solve
 
     bad = tmp_path / "bad.lie"
     bad.write_text(CORRUPT_SOURCE)
@@ -742,8 +745,8 @@ def test_jacobi_identity_is_expanded_once_per_h2_call(monkeypatch, capsys, tmp_p
         seen.append(rules)
         return expand(rules)
 
-    expand = engine._jacobi_residuals
-    monkeypatch.setattr(engine, "_jacobi_residuals", spy)
+    expand = solve._jacobi_residuals
+    monkeypatch.setattr(solve, "_jacobi_residuals", spy)
     argv = ["scan", "--algebra", str(bad), "--lambda-values=-3,1", "--mu-values=1", "--window", "8", "--jobs", "1"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().err.count(JACOBI_WARNING) == 2

@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 import lieext.engine as engine
+import lieext.solve as solve
 from lieext.algebra import BasisElement, CocycleLine, validate_parameters
 from lieext import REGISTRY
 from lieext.engine import (
     CocycleAssignment,
     KnownCocycle,
-    Window,
     h2,
     is_coboundary,
     verify_cocycle,
@@ -22,6 +22,7 @@ from lieext.engine import (
 from lieext.dsl import parse
 from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
+from lieext.solve import Window
 
 from golden import VERIFY_POINTS
 from isomorphism import substitute, weight
@@ -472,7 +473,7 @@ def test_declared_class_and_its_file_verify_alike():
     window = Window(30)
     for (lam, mu), names in VERIFY_POINTS.items():
         params = validate_parameters(SVIR, {"lambda": lam, "mu": mu})
-        alg = engine._bind(SVIR, params)
+        alg = solve._bind(SVIR, params)
         for name in names:
             known = REGISTRY[name]
             report = verify_cocycle(SVIR, params, window, known)
@@ -535,7 +536,7 @@ def test_grouping_by_degree_matches_a_per_pair_reference():
     window = Window(8)
     families = range(len(SVIR.families))
     for mu in (1, "1/2", "1/3"):
-        alg = engine._bind(SVIR, validate_parameters(SVIR, {"lambda": -1, "mu": mu}))
+        alg = solve._bind(SVIR, validate_parameters(SVIR, {"lambda": -1, "mu": mu}))
         for _ in range(20):
             values = {}
             for _ in range(rng.randint(2, 40)):
@@ -551,7 +552,7 @@ def test_grouping_by_degree_matches_a_per_pair_reference():
         assert len(grouped) > 1 and len({(x[0], y[0]) for x, y in ratios}) > 1
     window = Window(12)
     for (lam, mu), names in VERIFY_POINTS.items():
-        alg = engine._bind(SVIR, validate_parameters(SVIR, {"lambda": lam, "mu": mu}))
+        alg = solve._bind(SVIR, validate_parameters(SVIR, {"lambda": lam, "mu": mu}))
         for name in names:
             _, degree, lines = REGISTRY[name]._check(alg)
             assert list(engine._by_degree(alg.offsets, REGISTRY[name]._ratios(window, lines))) == [degree]

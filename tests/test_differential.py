@@ -44,7 +44,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-import lieext.engine as engine
+import lieext.solve as solve
 from lieext.algebra import (
     BasisElement,
     BoundAlgebra,
@@ -56,22 +56,11 @@ from lieext.algebra import (
 )
 from lieext.dsl import parse
 from lieext import REGISTRY
-from lieext.engine import (
-    CocycleAssignment,
-    KnownCocycle,
-    Window,
-    assemble_constraints,
-    coboundary_space,
-    cocycle_space,
-    enumerate_pairs,
-    h2,
-    is_coboundary,
-    match_known,
-    verify_cocycle,
-)
+from lieext.engine import CocycleAssignment, KnownCocycle, h2, is_coboundary, match_known, verify_cocycle
 from lieext.presets import load_algebra
 from lieext.rational import format_rational
-from lieext.sparse import nullspace
+from lieext.solve import Window, assemble_constraints, coboundary_space, cocycle_space, enumerate_pairs
+from lieext.sparse import _Echelon, _null_vectors, nullspace
 
 from golden import CORRUPT_SOURCE, VERIFY_POINTS, WAB_SOURCE
 from isomorphism import substitute, weight
@@ -425,9 +414,9 @@ def test_pinned_rule_edges_equal_full_elimination(tmp_path, source, values, degr
     spec = _spec(tmp_path, source)
     params = validate_parameters(spec, values)
     window = Window(n)
-    alg = engine._bind(spec, params)
+    alg = solve._bind(spec, params)
     pairs = enumerate_pairs(spec, params, window, degree)
-    identities = engine._identities(alg, n, Fraction(degree), pairs._index)
+    identities = solve._identities(alg, n, Fraction(degree), pairs._index)
     assert {identity.pins for identity in identities if identity.terms} == pins
     for identity in identities:
         assert sorted(identity.pinned()) == [
@@ -580,8 +569,8 @@ def test_compiled_identity_matches_reference(name, values, n):
         }
         for _ in range(4)
     ]
-    alg = engine._bind(spec, params)
-    compiled = engine._identities(alg, n, Fraction(0), pairs._index)
+    alg = solve._bind(spec, params)
+    compiled = solve._identities(alg, n, Fraction(0), pairs._index)
     _assert_admissible_is_walked(compiled)
     for vectors in (small, large):
         flagged, top = [], 0
@@ -599,7 +588,7 @@ def test_compiled_identity_matches_reference(name, values, n):
                 flagged.append(((x, y, z), _scaled(row)))
         # the reference rows are over Fraction; a packed dot product is an
         # integer over the bracket denominator
-        packed, width = engine._packed(vectors, compiled)
+        packed, width = solve._packed(vectors, compiled)
         assert top * alg.denominator < 2 ** (width - 1)
         walked = []
         for identity in compiled:
@@ -643,9 +632,9 @@ def test_admissible_is_walked_where_totals_exceed_the_window(name, values, degre
     that pair's output lies, as the pair brackets to 0, so the count must
     test each term's output on its own."""
     spec = load_algebra(name)
-    alg = engine._bind(spec, validate_parameters(spec, values))
-    pairs = engine._enumerate_pairs(alg, Window(12), Fraction(degree))
-    identities = engine._identities(alg, 12, Fraction(degree), pairs._index)
+    alg = solve._bind(spec, validate_parameters(spec, values))
+    pairs = solve._enumerate_pairs(alg, Window(12), Fraction(degree))
+    identities = solve._identities(alg, 12, Fraction(degree), pairs._index)
     _assert_admissible_is_walked(identities)
     if name == "witt":
         # an output 13 - k leaves the window when k < 1, so the admissible
@@ -664,9 +653,9 @@ def test_drawn_lie_algebras_reach_the_boundary():
     counts at degree 0, at N = 8."""
     reached = 0
     for source in DRAWN:
-        alg = engine._bind(parse(source).spec, {})
-        pairs = engine._enumerate_pairs(alg, Window(8), Fraction(0))
-        identities = engine._identities(alg, 8, Fraction(0), pairs._index)
+        alg = solve._bind(parse(source).spec, {})
+        pairs = solve._enumerate_pairs(alg, Window(8), Fraction(0))
+        identities = solve._identities(alg, 8, Fraction(0), pairs._index)
         _assert_admissible_is_walked(identities)
         failing = _jacobi_residuals(alg._rules)
         bracketing = [identity for identity in identities if identity.rules and identity.families != (0, 0, 0)]
@@ -693,10 +682,10 @@ def test_identity_bound_covers_every_window_triple(source, values):
     triple of window indices with the identity's total, canonical or not,
     at N = 6."""
     spec = load_algebra("svir") if source is None else parse(source).spec
-    alg = engine._bind(spec, validate_parameters(spec, values))
+    alg = solve._bind(spec, validate_parameters(spec, values))
     n = 6
-    pairs = engine._enumerate_pairs(alg, Window(n), Fraction(0))
-    for identity in engine._identities(alg, n, Fraction(0), pairs._index):
+    pairs = solve._enumerate_pairs(alg, Window(n), Fraction(0))
+    for identity in solve._identities(alg, n, Fraction(0), pairs._index):
         assert "bound" not in vars(identity)
         largest = 0
         for i in range(-n, n + 1):
@@ -727,13 +716,13 @@ def test_admissible_counts_the_window_triples_in_closed_form():
     yields, at every index total with triples and one beyond on each side,
     for each pattern of repeated families: (F, G, H), (F, F, G), (F, G, G)
     and (F, F, F)."""
-    alg = engine._bind(parse(ABELIAN_SOURCE).spec, {})
+    alg = solve._bind(parse(ABELIAN_SOURCE).spec, {})
     for n in range(1, 11):
         for total in range(-3 * n - 1, 3 * n + 2):
             for families in ((0, 1, 2), (0, 0, 1), (0, 1, 1), (0, 0, 0)):
                 # neither admissible() nor indices() builds a table, so the
                 # identity needs no pair basis
-                identity = engine._Identity(alg, n, None, families, total)
+                identity = solve._Identity(alg, n, None, families, total)
                 assert not identity.rules
                 assert identity.admissible() == len(list(identity.indices())), (n, total, families)
 
@@ -746,11 +735,11 @@ def _reference_is_coboundary(spec, params, window, psi) -> bool:
     if not degrees:
         return True
     [degree] = degrees
-    plan = engine._Plan(engine._bind(spec, params), window, Fraction(degree))
+    plan = solve._Plan(solve._bind(spec, params), window, Fraction(degree))
     key, scale = spec.element_key, math.lcm(*(value.denominator for value in psi.values.values()))
     vector = {plan.pairs._index[(key(x), key(y))]: int(value * scale) for (x, y), value in psi.values.items()}
     core = set(plan.pairs.core_columns())
-    return engine._core_echelon(plan.coboundaries(window.n), core).contains(engine._restrict(vector, core))
+    return solve._core_echelon(plan.coboundaries(window.n), core).contains(solve._restrict(vector, core))
 
 
 @pytest.mark.parametrize("n", [8, 30])
@@ -767,7 +756,7 @@ def test_core_pair_is_coboundary_matches_the_plan(n):
         params = validate_parameters(svir, {"lambda": lam, "mu": mu})
         bounds = []
         for degree in (0, n - 1):
-            plan = engine._Plan(engine._bind(svir, params), window, Fraction(degree))
+            plan = solve._Plan(solve._bind(svir, params), window, Fraction(degree))
             elements, denominator = _pair_list(plan.pairs), plan.alg.denominator
             bounds += [
                 CocycleAssignment(svir, window, {elements[c]: Fraction(v, denominator) for c, v in vec.items()})
@@ -804,14 +793,14 @@ def test_every_nonzero_coboundary_generator_is_kept(tmp_path):
     plans = dropped = 0
     for source, values in KEPT_POINTS:
         spec = _spec(tmp_path, source)
-        alg = engine._bind(spec, validate_parameters(spec, values))
+        alg = solve._bind(spec, validate_parameters(spec, values))
         for degree in (-1, 0, Fraction(1, 2), 1):
-            plan = engine._Plan(alg, Window(12), Fraction(degree))
+            plan = solve._Plan(alg, Window(12), Fraction(degree))
             for n in (8, 10, 12):
                 within = set(plan.pairs._columns(n))
-                ech, reference = engine._Echelon(), []
+                ech, reference = _Echelon(), []
                 for (_, index), generator in plan.images.items():
-                    generator = engine._restrict(generator, within)
+                    generator = solve._restrict(generator, within)
                     if abs(index) <= n and ech.add(generator):
                         reference.append(generator)
                 kept = plan.coboundaries(n)
@@ -902,14 +891,14 @@ def _assert_strip_meets_new_rows(plan, n, previous):
     the strip) must be a row of window `previous`, compiled from nothing
     there, with the same entries once its columns are mapped by pair key."""
     strip = [i for i in range(-n, n + 1) if abs(i) > previous]
-    smaller = engine._enumerate_pairs(plan.alg, Window(previous), plan.degree)
+    smaller = solve._enumerate_pairs(plan.alg, Window(previous), plan.degree)
     column = {col: plan.pairs._index[key] for key, col in smaller._index.items()}
     smaller_identities = {
         identity.families: identity
-        for identity in engine._identities(plan.alg, previous, plan.degree, smaller._index)
+        for identity in solve._identities(plan.alg, previous, plan.degree, smaller._index)
     }
-    for families, total in engine._totals(plan.alg, plan.degree, 3):
-        identity = engine._Identity(plan.alg, n, plan.pairs._index, families, total)
+    for families, total in solve._totals(plan.alg, plan.degree, 3):
+        identity = solve._Identity(plan.alg, n, plan.pairs._index, families, total)
         met = {(i, j, identity.total - i - j) for i, j in identity.meeting(identity.touching(strip))}
         for idx in identity.indices():
             row = identity.row(idx)
@@ -926,8 +915,8 @@ def _rank_deficit(alg, degree, pairs):
     rows the solve eliminates up front: those of the triples with an index
     in the identity's pins.  Both by separate full eliminations over all of
     indices(), not over pinned()."""
-    full, pinned = engine._Echelon(), engine._Echelon()
-    for identity in engine._identities(alg, pairs.window.n, degree, pairs._index):
+    full, pinned = _Echelon(), _Echelon()
+    for identity in solve._identities(alg, pairs.window.n, degree, pairs._index):
         for idx in identity.indices():
             row = identity.row(idx)
             if row:
@@ -942,7 +931,7 @@ def _seeded_windows(monkeypatch, spec, params, window, steps=3):
     solve of that window alone, and each grown window's unvisited rows
     against the window before it; returns [(n, grown from the window
     before, rows the check added)] per window."""
-    solve, check = engine._Plan.cocycles, engine._Plan.check
+    cocycles, check = solve._Plan.cocycles, solve._Plan.check
     added, windows = [], []
 
     def counting(plan, *args):
@@ -956,20 +945,20 @@ def _seeded_windows(monkeypatch, spec, params, window, steps=3):
         if previous is not None:
             _assert_strip_meets_new_rows(plan, n, previous)
         start = len(added)
-        vectors = solve(plan, n)
+        vectors = cocycles(plan, n)
         windows.append((n, previous is not None, sum(added[start:])))
         # the window's null vectors, relabelled by pair key to its own
         # columns, are a fresh solve's vector for vector
-        fresh = engine._Plan(plan.alg, Window(n), plan.degree)
+        fresh = solve._Plan(plan.alg, Window(n), plan.degree)
         label = {plan.pairs._index[key]: col for key, col in fresh.pairs._index.items()}
         relabelled = [{label[col]: value for col, value in vec.items()} for vec in vectors]
-        assert relabelled == solve(fresh, n), n
+        assert relabelled == cocycles(fresh, n), n
         return vectors
 
     # undone on return, so that the next call wraps the engine's own again
     with monkeypatch.context() as patch:
-        patch.setattr(engine._Plan, "check", counting)
-        patch.setattr(engine._Plan, "cocycles", checked)
+        patch.setattr(solve._Plan, "check", counting)
+        patch.setattr(solve._Plan, "cocycles", checked)
         h2(spec, params, window, stabilization_steps=steps)
     expected = [(window.n + 2 * step, step > 0) for step in range(steps)]
     assert [(n, seeded) for n, seeded, _ in windows] == expected
@@ -979,8 +968,8 @@ def _seeded_windows(monkeypatch, spec, params, window, steps=3):
 def _assert_check_adds_the_deficit(spec, params, window, windows):
     """The first window's check adds exactly the rank deficit of the pinned
     rows, and a seeded window's adds nothing."""
-    alg = engine._bind(spec, params)
-    pairs = engine._enumerate_pairs(alg, window, Fraction(0))
+    alg = solve._bind(spec, params)
+    pairs = solve._enumerate_pairs(alg, window, Fraction(0))
     assert windows[0][2] == _rank_deficit(alg, Fraction(0), pairs)
     assert [added for _, _, added in windows[1:]] == [0] * (len(windows) - 1)
 
@@ -1020,7 +1009,7 @@ def test_seeded_check_adds_rows_under_a_narrow_subset(monkeypatch, name, values)
     # with only the triples of an index 0 eliminated, the rows miss some of
     # the strip's rows on every grown window, so the seeded check must find
     # and add them
-    monkeypatch.setattr(engine._Identity, "pinned", _pin_index_zero)
+    monkeypatch.setattr(solve._Identity, "pinned", _pin_index_zero)
     windows = _seeded_windows(monkeypatch, load_algebra(name), values, Window(8))
     assert all(added for _, seeded, added in windows if seeded)
 
@@ -1059,11 +1048,11 @@ def test_h2_equals_fresh_windows(tmp_path, source, values, degree, n, margin, st
     params = validate_parameters(spec, values)
     window = Window(n, margin)
     report = h2(spec, params, window, degree, stabilization_steps=steps)
-    alg = engine._bind(spec, params)
+    alg = solve._bind(spec, params)
     history = []
     for step in range(steps):
         grown = window.grown(2 * step)
-        vectors, bounds, _, _, dim = engine._Plan(alg, grown, Fraction(degree)).core_dims(grown)
+        vectors, bounds, _, _, dim = solve._Plan(alg, grown, Fraction(degree)).core_dims(grown)
         history.append((grown.n, dim))
         if not step:
             assert (report.cocycle_dim, report.coboundary_dim) == (len(vectors), len(bounds))
@@ -1086,7 +1075,7 @@ def test_h2_builds_one_plan(monkeypatch, name, values, steps):
     triples and builds no identity itself; each window it solves builds its
     own identity of each family triple, once."""
     spec = load_algebra(name)
-    alg = engine._bind(spec, values)
+    alg = solve._bind(spec, values)
     # the family triples whose index total is an integer at degree 0
     triples = [
         families
@@ -1094,7 +1083,7 @@ def test_h2_builds_one_plan(monkeypatch, name, values, steps):
         if sum(alg.offsets[p] for p in families).denominator == 1
     ]
     calls = Counter()
-    enumerate_pairs_, init = engine._enumerate_pairs, engine._Identity.__init__
+    enumerate_pairs_, init = solve._enumerate_pairs, solve._Identity.__init__
 
     def counting_pairs(*args):
         calls["pairs"] += 1
@@ -1104,8 +1093,8 @@ def test_h2_builds_one_plan(monkeypatch, name, values, steps):
         calls[args[3]] += 1
         init(self, *args)
 
-    monkeypatch.setattr(engine, "_enumerate_pairs", counting_pairs)
-    monkeypatch.setattr(engine._Identity, "__init__", counting_init)
+    monkeypatch.setattr(solve, "_enumerate_pairs", counting_pairs)
+    monkeypatch.setattr(solve._Identity, "__init__", counting_init)
     h2(spec, values, Window(8), stabilization_steps=steps)
     assert calls.pop("pairs") == 1
     assert calls == {families: steps for families in triples}
@@ -1114,8 +1103,8 @@ def test_h2_builds_one_plan(monkeypatch, name, values, steps):
 def test_plan_refuses_a_window_that_does_not_grow():
     """A plan's echelon holds the rows of the window it solved last, so the
     next window it solves must be larger."""
-    alg = engine._bind(load_algebra("svir"), {"lambda": -3, "mu": 1})
-    plan = engine._Plan(alg, Window(12), Fraction(0))
+    alg = solve._bind(load_algebra("svir"), {"lambda": -3, "mu": 1})
+    plan = solve._Plan(alg, Window(12), Fraction(0))
     plan.core_dims(Window(8))
     for n in (8, 6):
         with pytest.raises(ValueError, match=f"window {n} does not grow the solved window 8"):
@@ -1167,7 +1156,7 @@ def _plan_identities(plan):
     them."""
     return [
         identity
-        for identity in engine._identities(plan.alg, plan.window.n, plan.degree, plan.pairs._index)
+        for identity in solve._identities(plan.alg, plan.window.n, plan.degree, plan.pairs._index)
         if identity.rules
     ]
 
@@ -1246,10 +1235,10 @@ def test_boundary_holds_every_uncertified_triple(tmp_path, source, values, degre
     and the triples with an index -1, whose rows the certificate uses.  So
     the rows of the walked triples alone have the rank of all the rows."""
     spec = _spec(tmp_path, source)
-    alg = engine._bind(spec, validate_parameters(spec, values))
-    plan = engine._Plan(alg, Window(n), Fraction(degree))
+    alg = solve._bind(spec, validate_parameters(spec, values))
+    plan = solve._Plan(alg, Window(n), Fraction(degree))
     assert plan.failing == {}
-    walked, full = engine._Echelon(), engine._Echelon()
+    walked, full = _Echelon(), _Echelon()
     listed_count = total = uncertified = 0
     identities = _plan_identities(plan)
     for identity in identities:
@@ -1295,14 +1284,14 @@ def test_boundary_needs_the_jacobi_identity(tmp_path, source, values, broken):
     as does one whose triples with L_-1 have an output index total + 1
     outside the window."""
     spec = _spec(tmp_path, source)
-    alg = engine._bind(spec, validate_parameters(spec, values))
+    alg = solve._bind(spec, validate_parameters(spec, values))
     triples = set(combinations_with_replacement(range(len(alg.offsets)), 3))
     lawful = {
         families
         for families in triples
         if not any(_reference_jacobi(alg, *zip(families, idx)) for idx in product(range(-4, 5), repeat=3))
     }
-    plan = engine._Plan(alg, Window(8), Fraction(0))
+    plan = solve._Plan(alg, Window(8), Fraction(0))
     assert triples - set(plan.failing) == lawful == triples - broken
     for identity in _plan_identities(plan):
         needs = {identity.families, *(tuple(sorted((0, f, g))) for f, g in combinations(identity.families, 2))}
@@ -1413,19 +1402,19 @@ def test_boundary_walk_finds_every_failing_vector(values):
     boundary walk.  Tried on the null vectors of the pinned rows alone and
     on seeded integer combinations of them, which are not all cocycles; the
     final null vectors fail no triple of a full walk."""
-    alg = engine._bind(load_algebra("svir"), values)
-    plan = engine._Plan(alg, Window(12), Fraction(0))
+    alg = solve._bind(load_algebra("svir"), values)
+    plan = solve._Plan(alg, Window(12), Fraction(0))
     identities = _plan_identities(plan)
     boundaries = [identity.boundary(alg, plan.failing) for identity in identities]
     assert None not in boundaries
-    ech = engine._Echelon()
+    ech = _Echelon()
     for identity in identities:
         for idx in identity.pinned():
             row = identity.row(idx)
             if row:
                 ech.add(row)
     columns = plan.pairs._columns(12)
-    vectors = engine._null_vectors(ech.pivots, columns)
+    vectors = _null_vectors(ech.pivots, columns)
     rng = random.Random(12)
     combined = [
         {col: value for col in columns if (value := sum(c * vec.get(col, 0) for c, vec in zip(cs, vectors)))}

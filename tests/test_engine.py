@@ -12,15 +12,11 @@ import pytest
 
 import lieext
 import lieext.engine as engine
+import lieext.solve as solve
 from lieext import REGISTRY, theorem_predicted_dim
 from lieext.algebra import BasisElement, CocycleLine, ParameterError, validate_parameters
 from lieext.engine import (
     CocycleAssignment,
-    Window,
-    assemble_constraints,
-    coboundary_space,
-    cocycle_space,
-    enumerate_pairs,
     h2,
     is_coboundary,
     match_known,
@@ -30,6 +26,7 @@ from lieext.engine import (
 from lieext.dsl import parse
 from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
+from lieext.solve import Window, assemble_constraints, coboundary_space, cocycle_space, enumerate_pairs
 from lieext.sparse import SparseMatrix, VectorBasis
 
 from golden import WAB_SOURCE
@@ -90,9 +87,9 @@ def _pairs_within(pairs, bound):
 def _identity_row(spec, params, window, x, y, z, pairs):
     """The cocycle constraint of the triple as {column: Fraction}, or None
     when a bracket leaves the window: the engine's row over its denominator."""
-    alg = engine._bind(spec, params)
+    alg = solve._bind(spec, params)
     families, idx = zip(*(spec.element_key(e) for e in (x, y, z)))
-    row = engine._Identity(alg, window.n, pairs._index, families, sum(idx)).row(idx)
+    row = solve._Identity(alg, window.n, pairs._index, families, sum(idx)).row(idx)
     return None if row is None else {col: Fraction(v, alg.denominator) for col, v in row.items()}
 
 
@@ -166,7 +163,7 @@ def test_totals_equal_the_fraction_rule():
                 total = degree - sum(offsets[p] for p in families)
                 if total.denominator == 1:
                     expected.append((families, int(total)))
-            got = list(engine._totals(alg, degree, size))
+            got = list(solve._totals(alg, degree, size))
             assert got == expected, (offsets, degree, size)
             assert all(type(total) is int for _, total in got)
             nonempty += bool(got)
@@ -264,13 +261,13 @@ def test_subset_too_small_generates_rows_and_keeps_results(
     # eliminating only the triples with an index 0, or nothing, leaves rows
     # out of the span at these points, so the check must find them violated
     # and add them to the echelon
-    check = engine._Plan.check
+    check = solve._Plan.check
 
     def pin_index_zero(identity):
         return [(i, j, identity.total - i - j) for i, j in identity.meeting((0,))]
 
     for pinned in (pin_index_zero, lambda identity: []):
-        monkeypatch.setattr(engine._Identity, "pinned", pinned)
+        monkeypatch.setattr(solve._Identity, "pinned", pinned)
         violated = []
 
         def spy(plan, *args):
@@ -279,7 +276,7 @@ def test_subset_too_small_generates_rows_and_keeps_results(
             violated.append(plan.ech.rank - rank)
             return vectors
 
-        monkeypatch.setattr(engine._Plan, "check", spy)
+        monkeypatch.setattr(solve._Plan, "check", spy)
         report = h2(spec, params, Window(6))
         assert any(violated)
         assert report.core_history == history
@@ -290,7 +287,7 @@ def test_subset_too_small_generates_rows_and_keeps_results(
 def test_first_window_check_walks_o_n_triples(monkeypatch):
     # the first window's check walks each family triple's boundary, O(n)
     # triples, where a walk of every triple (7820 at n = 40) grows as n**2
-    walk = engine._Identity.walk
+    walk = solve._Identity.walk
     walked = {}
 
     def counting(identity, terms, meeting=None):
@@ -298,7 +295,7 @@ def test_first_window_check_walks_o_n_triples(monkeypatch):
         walked[identity.n] = walked.get(identity.n, 0) + checked
         return checked, failed
 
-    monkeypatch.setattr(engine._Identity, "walk", counting)
+    monkeypatch.setattr(solve._Identity, "walk", counting)
     first = {}
     for n in (20, 40):
         walked.clear()
@@ -582,7 +579,7 @@ def test_verify_of_a_declared_class_binds_once(monkeypatch):
     # of the parameters, and no pair basis, since verify_cocycle keys its
     # columns by the pairs themselves
     calls, enumerated = [], []
-    validate, enumerate_pairs = lieext.algebra.validate_parameters, engine._enumerate_pairs
+    validate, enumerate_pairs = lieext.algebra.validate_parameters, solve._enumerate_pairs
 
     def counting(spec, values):
         calls.append(spec)
@@ -593,7 +590,7 @@ def test_verify_of_a_declared_class_binds_once(monkeypatch):
         return enumerate_pairs(*args)
 
     monkeypatch.setattr(lieext.algebra, "validate_parameters", counting)
-    monkeypatch.setattr(engine, "_enumerate_pairs", enumerating)
+    monkeypatch.setattr(solve, "_enumerate_pairs", enumerating)
     report = verify_cocycle(SVIR, {"lambda": -1, "mu": 1}, Window(12), REGISTRY["c1"])
     assert report.passed and report.assignment.values
     assert len(calls) == 1 and not enumerated
@@ -649,16 +646,16 @@ def test_identity_within_below_its_total_leaves_every_index_out():
     # none with every output inside, as 26 > 2 * 12.  The plan's window 12
     # builds its identity over the plan's pair basis, as a fresh window 12
     # does over its own
-    alg = engine._bind(WITT, {})
-    plan = engine._Plan(alg, Window(16), Fraction(26))
-    [(families, total)] = engine._totals(alg, Fraction(26), 3)
-    triple = engine._Identity(alg, 16, plan.pairs._index, families, total)
-    within = engine._Identity(alg, 12, plan.pairs._index, families, total)
-    pairs = engine._enumerate_pairs(alg, Window(12), Fraction(26))
-    [fresh] = engine._identities(alg, 12, Fraction(26), pairs._index)
+    alg = solve._bind(WITT, {})
+    plan = solve._Plan(alg, Window(16), Fraction(26))
+    [(families, total)] = solve._totals(alg, Fraction(26), 3)
+    triple = solve._Identity(alg, 16, plan.pairs._index, families, total)
+    within = solve._Identity(alg, 12, plan.pairs._index, families, total)
+    pairs = solve._enumerate_pairs(alg, Window(12), Fraction(26))
+    [fresh] = solve._identities(alg, 12, Fraction(26), pairs._index)
     assert within.rules == fresh.rules == triple.rules
     assert [term[1] for term in within.terms] == [term[1] for term in fresh.terms]
-    assert all(entry is engine._OUT for term in within.terms for entry in term[1])
+    assert all(entry is solve._OUT for term in within.terms for entry in term[1])
     assert within.bound == fresh.bound < triple.bound
     # [L_i, L_j] = (j - i) L_(i + j) is nonzero on every triple i < j < k
     assert list(within.indices()) and within.admissible() == 0
@@ -852,12 +849,12 @@ def _covered_from(alg, degree, margin) -> dict:
     pair at that N and none at N - 1."""
 
     def sectors(n):
-        pairs = engine._enumerate_pairs(alg, Window(n, margin), degree)
+        pairs = solve._enumerate_pairs(alg, Window(n, margin), degree)
         keys = list(pairs._index)
         return {(keys[col][0][0], keys[col][1][0]) for col in pairs.core_columns()}
 
     least = {}
-    for (a, i), (b, j) in engine._enumerate_pairs(alg, Window(48, margin), degree)._index:
+    for (a, i), (b, j) in solve._enumerate_pairs(alg, Window(48, margin), degree)._index:
         n = max(abs(i), abs(j), 3) + margin
         least[(a, b)] = min(least.get((a, b), n), n)
     for sector, n in least.items():
@@ -879,7 +876,7 @@ def test_h2_coverage_check_names_the_least_window_of_the_pair_basis():
     refusal = re.compile(r"window too small: the (\w+)-(\w+) sector .* it needs N >= (\d+)")
     refused = 0
     for spec, params in cases:
-        alg = engine._bind(spec, params)
+        alg = solve._bind(spec, params)
         position = {family: pos for pos, family in enumerate(spec.families)}
         for degree in [*map(Fraction, range(-3, 4)), Fraction(1, 2)]:
             least, n = _covered_from(alg, degree, 3), 6

@@ -26,8 +26,9 @@ from fractions import Fraction
 import pytest
 
 from lieext.dsl import parse
-from lieext.engine import Window, h2
+from lieext.engine import h2
 from lieext.presets import load_algebra
+from lieext.solve import Window
 
 from golden import WAB_SOURCE
 from isomorphism import V, negated, rescaled, shifted, substituted

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-import lieext.engine as engine
+import lieext.solve as solve
 from lieext.presets import load_algebra
 from lieext.sparse import (
     SparseMatrix,
@@ -186,11 +186,11 @@ def _pinned_rows(name, values, n):
     """The rows the engine's certified solve eliminates up front at one
     point, as it passes them to the echelon, in that order."""
     spec = load_algebra(name)
-    alg = engine._bind(spec, values)
-    window = engine.Window(n)
-    pairs = engine._enumerate_pairs(alg, window, Fraction(0))
+    alg = solve._bind(spec, values)
+    window = solve.Window(n)
+    pairs = solve._enumerate_pairs(alg, window, Fraction(0))
     rows = []
-    for identity in engine._identities(alg, n, Fraction(0), pairs._index):
+    for identity in solve._identities(alg, n, Fraction(0), pairs._index):
         for idx in identity.pinned():
             row = identity.row(idx)
             if row:
@@ -202,7 +202,7 @@ def _long_rows(name, values, n):
     """The null vectors and the kept coboundary generators of the engine's
     plan at one point, each list followed by itself again, so that the
     second copies reduce to zero with fill-in."""
-    plan = engine._Plan(engine._bind(load_algebra(name), values), engine.Window(n), Fraction(0))
+    plan = solve._Plan(solve._bind(load_algebra(name), values), solve.Window(n), Fraction(0))
     return [rows + rows for rows in (plan.cocycles(n), plan.coboundaries(n))]
 
 

@@ -229,12 +229,15 @@ def _package_imports(tree) -> set:
 
 
 def test_svir_specifics_live_in_presets():
-    # the engine is the generic solver: it loads no preset and holds no
-    # module __getattr__; svir's closed-form table is defined once, in
-    # presets.py, and only presets.py loads an algebra by a literal name
+    # the engine and the solve are the generic solver: they load no preset
+    # and hold no module __getattr__; svir's closed-form table is defined
+    # once, in presets.py, and only presets.py loads an algebra by a
+    # literal name
     trees = {path.name: ast.parse(path.read_text()) for path in (ROOT / "src" / "lieext").glob("*.py")}
-    assert _package_imports(trees["engine.py"]) == {"algebra", "poly", "rational", "sparse"}
-    assert "__getattr__" not in {node.name for node in trees["engine.py"].body if isinstance(node, ast.FunctionDef)}
+    assert _package_imports(trees["engine.py"]) == {"algebra", "poly", "rational", "solve", "sparse"}
+    assert _package_imports(trees["solve.py"]) == {"algebra", "rational", "sparse"}
+    for name in ("engine.py", "solve.py"):
+        assert "__getattr__" not in {node.name for node in trees[name].body if isinstance(node, ast.FunctionDef)}
     tables, literal_loads = [], set()
     for name, tree in trees.items():
         for node in ast.walk(tree):
@@ -248,6 +251,45 @@ def test_svir_specifics_live_in_presets():
                 literal_loads.add(name)
     assert tables == ["presets.py"]
     assert literal_loads == {"presets.py"}
+
+
+def test_the_solve_imports_nothing_from_the_engine():
+    # the seam between the certified solve and the reports: solve.py takes
+    # nothing from engine.py, and engine.py takes what it uses from
+    # solve.py by name.  No module of src/lieext imports with `import *`
+    # or copies another module's globals: globals() is only stored into,
+    # one name at a time (a lazy name's first read), or listed by __dir__
+    trees = {path.name: ast.parse(path.read_text()) for path in (ROOT / "src" / "lieext").glob("*.py")}
+    assert "engine" not in _package_imports(trees["solve.py"])
+    stars, copies = [], []
+    for name, tree in trees.items():
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        dir_nodes = {node for item in tree.body if getattr(item, "name", None) == "__dir__" for node in ast.walk(item)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(alias.name == "*" for alias in node.names):
+                stars.append((name, node.lineno))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in {"globals", "vars"} and node not in dir_nodes:
+                parent = parents[node]
+                if not (isinstance(parent, ast.Subscript) and isinstance(parent.ctx, ast.Store)):
+                    copies.append((name, node.lineno))
+    assert stars == [] and copies == []
+
+
+def test_each_public_name_is_defined_in_its_home():
+    # lieext._HOMES names, for each public class and function, the module
+    # that defines it (its __module__), so a name that moves between
+    # modules moves in the table too; values such as REGISTRY have no
+    # __module__ and are skipped
+    from importlib.util import resolve_name
+    from types import FunctionType
+
+    homes = {
+        name: (getattr(lieext, name).__module__, resolve_name(lieext._HOME[name], "lieext"))
+        for name in lieext.__all__
+        if isinstance(getattr(lieext, name), (type, FunctionType))
+    }
+    assert {"Window", "cocycle_space", "h2", "Fraction"} <= set(homes)
+    assert {name: pair for name, pair in homes.items() if pair[0] != pair[1]} == {}
 
 
 def test_every_class_is_built_by_its_own_init():
@@ -290,13 +332,14 @@ def test_verify_golden_points_are_the_benchmark_points():
 
 def test_family_tuples_at_a_degree_come_from_one_generator():
     # which family pairs, triples or single families exist at a degree is
-    # one rule, engine._totals: no other function of engine.py enumerates
-    # family tuples itself, and the plan keeps no identities built at its
-    # own window: each window builds them with _identities
-    tree = ast.parse((ROOT / "src" / "lieext" / "engine.py").read_text())
+    # one rule, solve._totals: no other function of solve.py or engine.py
+    # enumerates family tuples itself, and the plan keeps no identities
+    # built at its own window: each window builds them with _identities
+    tree = ast.parse((ROOT / "src" / "lieext" / "solve.py").read_text())
     calls = {
         node
-        for node in ast.walk(tree)
+        for module in (tree, ast.parse((ROOT / "src" / "lieext" / "engine.py").read_text()))
+        for node in ast.walk(module)
         if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "combinations_with_replacement"
     }
     [totals] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_totals"]
@@ -320,15 +363,17 @@ def _calls(node, name: str) -> set:
 
 
 def test_the_cocycle_identity_is_built_one_way():
-    # engine.py builds every _Identity in _identities, which the plan, the
-    # assembly and verify_cocycle share, and binds every BoundAlgebra in
-    # _bind; the cyclic order of the identity's terms is one tuple,
-    # algebra._CYCLIC, read by the Jacobi expansion and the identity alike
+    # solve.py and engine.py build every _Identity in _identities, which
+    # the plan, the assembly and verify_cocycle share, and bind every
+    # BoundAlgebra in _bind; the cyclic order of the identity's terms is one
+    # tuple, algebra._CYCLIC, read by the Jacobi expansion and the identity
+    # alike
     trees = {path.name: ast.parse(path.read_text()) for path in (ROOT / "src" / "lieext").glob("*.py")}
-    engine, algebra = _functions(trees["engine.py"]), _functions(trees["algebra.py"])
-    assert _calls(trees["engine.py"], "_Identity") == _calls(engine["_identities"], "_Identity") != set()
-    assert _calls(trees["engine.py"], "BoundAlgebra") == _calls(engine["_bind"], "BoundAlgebra") != set()
-    assert "_Plan.triples" not in engine
+    solve, algebra = _functions(trees["solve.py"]), _functions(trees["algebra.py"])
+    for name, home in (("_Identity", "_identities"), ("BoundAlgebra", "_bind")):
+        calls = _calls(trees["solve.py"], name) | _calls(trees["engine.py"], name)
+        assert calls == _calls(solve[home], name) != set(), name
+    assert "_Plan.triples" not in solve
     rotations = {"(0, 1, 2)", "(1, 2, 0)", "(2, 0, 1)"}
     literals = [
         (name, ast.unparse(node))
@@ -343,7 +388,7 @@ def test_the_cocycle_identity_is_built_one_way():
     ]
     assert sorted(literals) == [("algebra.py", text) for text in sorted(rotations)]
     assert {ast.unparse(item) for item in cyclic.value.elts} == rotations
-    for function in (algebra["_jacobi_residuals"], engine["_Identity.__init__"]):
+    for function in (algebra["_jacobi_residuals"], solve["_Identity.__init__"]):
         assert "_CYCLIC" in {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}, function.name
 
 
@@ -351,7 +396,7 @@ def test_the_window_edge_is_one_rule():
     # whether a term's output leaves the window is one attribute,
     # _Identity.inside: the tables (terms) and the closed-form count
     # (admissible) both read it, and neither compares abs(...) with n
-    tree = ast.parse((ROOT / "src" / "lieext" / "engine.py").read_text())
+    tree = ast.parse((ROOT / "src" / "lieext" / "solve.py").read_text())
     [identity] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Identity"]
     methods = {node.name: node for node in identity.body if isinstance(node, ast.FunctionDef)}
     for name in ("terms", "admissible"):

@@ -10,11 +10,12 @@ The token count is what compiling a module costs: with no bytecode cache
 (PYTHONDONTWRITEBYTECODE), each run compiles the package again, and the
 compile of the largest module sets the process's peak memory.  That peak
 follows the tokens in steps, not smoothly: with CPython 3.11.7 on Linux,
-engine.py at about 7030 code tokens compiles at a 16.2 MB peak, padded
-with 100 more code tokens at 16.7 MB, with 400 more still at 16.7 MB, and
-with 1600 more at 17.2 MB.  Comments and docstrings cost almost nothing
-there.  So the last column measures it: the peak RSS, in MB, of a fresh
-interpreter that compiles the module and nothing else.
+solve.py, the largest module at about 3940 code tokens, compiles at a
+15.1 MB peak, padded with 200 more code tokens still at 15.1 MB, with 400
+more at 15.25 MB, and with 1600 more at 15.7 MB (medians of 5 runs).
+Comments and docstrings cost almost nothing there.  So the last column
+measures it: the peak RSS, in MB, of a fresh interpreter that compiles the
+module and nothing else.
 
 A cold start pays for the standard library too.  When DIR holds a
 cli.py, a line lists the standard-library modules that importing it

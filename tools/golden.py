@@ -40,7 +40,7 @@ GOLDEN = ROOT / "tests" / "golden"
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from lieext import cli, engine  # noqa: E402
+from lieext import cli, engine, solve  # noqa: E402
 from lieext.dsl import parse  # noqa: E402
 from lieext.presets import load_algebra  # noqa: E402
 
@@ -227,17 +227,17 @@ def null_vectors() -> str:
     _Plan.cocycles returns them, each vector's entries in column order.
     h2 accepts every run's window."""
     lines = []
-    solve = engine._Plan.cocycles
+    cocycles = solve._Plan.cocycles
     for label, spec, params, n, degree in null_vector_runs():
         def recorded(plan, window):
-            vectors = solve(plan, window)
+            vectors = cocycles(plan, window)
             text = repr([sorted(vector.items()) for vector in vectors])
             lines.append(f"{label} degree {degree} N {n} window {window}: {len(vectors)} "
                          f"{hashlib.sha256(text.encode()).hexdigest()}")
             return vectors
 
-        with mock.patch.object(engine._Plan, "cocycles", recorded):
-            engine.h2(spec, params, engine.Window(n), degree)
+        with mock.patch.object(solve._Plan, "cocycles", recorded):
+            engine.h2(spec, params, solve.Window(n), degree)
     return "".join(line + "\n" for line in lines)
 
 
