@@ -181,6 +181,33 @@ def _name_problems(names) -> list:
     ]
 
 
+def _declaration_problems(parameters: Sequence[str], families: Sequence[str]) -> list:
+    """(code, message, where) for each repeat of a parameter or of a
+    family, and each other family named as a parameter; where is its
+    position in parameters followed by families."""
+    problems = []
+    for where, name in enumerate(parameters):
+        if name in parameters[:where]:
+            problems.append(("duplicate-parameter", f"duplicate parameter {name!r}", where))
+    for where, name in enumerate(families):
+        if name in families[:where]:
+            problems.append(("duplicate-family", f"duplicate family {name!r}", len(parameters) + where))
+        elif name in parameters:
+            problems.append(("name-collision", f"family {name!r} collides with a parameter", len(parameters) + where))
+    return problems
+
+
+def _undeclared_problems(names, positions: Mapping) -> list:
+    """(code, message, where) for each of names, family names or None for
+    no family, that is not a declared family (positions by name); where is
+    its position in names."""
+    return [
+        ("undeclared-family", f"undeclared family {fam!r}", where)
+        for where, fam in enumerate(names)
+        if fam is not None and fam not in positions
+    ]
+
+
 def _head_problems(var_left: str, var_right: str, parameters) -> list:
     """(code, message, where) for each problem of the index variables of a
     bracket rule or a class line, where 0 or 1 for the left or right one: a
@@ -201,11 +228,7 @@ def _rule_problems(rule: BracketRule, positions: Mapping) -> list:
     -coeff(m, n) with the coefficient of each index term n**a * m**b minus
     that of n**b * m**a."""
     left, right, out = rule.left, rule.right, rule.out_family
-    undeclared = [
-        ("undeclared-family", f"undeclared family {fam!r}", where)
-        for where, fam in enumerate((left, right, out))
-        if fam is not None and fam not in positions
-    ]
+    undeclared = _undeclared_problems((left, right, out), positions)
     if undeclared:
         return undeclared
     if positions[left] > positions[right]:
@@ -238,10 +261,12 @@ class AlgebraSpec(_Frozen):
 
     A spec built in code meets the checks the .lie parser makes, with the
     parser's messages: every name is an identifier and no reserved word
-    (_name_problems), and the index variables of each rule and class line
-    (_head_problems) and each rule against the families (_rule_problems)
-    pass the one check written for both; the first problem raises
-    ValueError.
+    (_name_problems), no parameter or family is declared twice and no
+    family is named as a parameter (_declaration_problems), and the index
+    variables of each rule and class line (_head_problems), each rule
+    against the families (_rule_problems) and the families of each class
+    line (_undeclared_problems) pass the one check written for both; the
+    first problem raises ValueError.
 
     Rules are normalized on construction: every canonical family pair gets an
     entry (missing ones become zero rules), and a rule whose coefficient is
@@ -262,16 +287,8 @@ class AlgebraSpec(_Frozen):
         rules: Mapping[tuple, BracketRule],
         cocycles: Mapping[str, Sequence[CocycleLine]] | None = None,
     ):
-        if not IDENT_RE.fullmatch(name):
-            raise ValueError(f"bad algebra name {name!r}")
         parameters, families = tuple(parameters), tuple(families)
-        _raise_first(_name_problems((name, *parameters, *families)))
-        if len(set(parameters)) != len(parameters):
-            raise ValueError("duplicate parameter name")
-        if len(set(families)) != len(families):
-            raise ValueError("duplicate family name")
-        if set(parameters) & set(families):
-            raise ValueError("parameter name collides with a family name")
+        _raise_first(_name_problems((name, *parameters, *families)) + _declaration_problems(parameters, families))
         positions = {fam: i for i, fam in enumerate(families)}
 
         offsets = {}
@@ -307,9 +324,10 @@ class AlgebraSpec(_Frozen):
             _raise_first(_name_problems(label.split("-")[:1]))
             for line in lines:
                 head = line.var_a, line.var_b
-                _raise_first(_name_problems(head) + _head_problems(*head, parameters))
-                if {line.family_a, line.family_b} - positions.keys() or line.parameters - {*parameters}:
-                    raise ValueError(f"cocycle {label!r} uses an undeclared family or parameter")
+                problems = _name_problems(head) + _head_problems(*head, parameters)
+                _raise_first(problems + _undeclared_problems((line.family_a, line.family_b), positions))
+                if line.parameters - {*parameters}:
+                    raise ValueError(f"cocycle {label!r} uses an undeclared parameter")
         self.__dict__.update(name=name, parameters=parameters, families=families, _weight_offsets=offsets)
         self.__dict__.update(_rules=ordered, _cocycles=classes, _positions=positions)
 

@@ -37,17 +37,22 @@ non-constant allowed, as the last operation of the coefficient.
 
 The rules a spec must obey are written once, in algebra.py, for the parser
 and for a spec built in code (AlgebraSpec): the name rule (IDENT_RE, and
-KEYWORDS, the reserved words), the check of a head's index variables and
-the check of a bracket rule against the declared families.  Each check
-returns its problems as (code, message, where); the parser reports each at
-the token where names, and AlgebraSpec raises the first.  Only what needs
-the text stays here: positions, syntax, unknown variables in an expression,
-a duplicate declaration.
+KEYWORDS, the reserved words), the check of the declared parameters and
+families, the check of a head's index variables, the check of a bracket
+rule against the declared families and that of a class line's families.
+Each check returns its problems as (code, message, where); the parser
+reports each at the token where names, and AlgebraSpec raises the first.
+Only what needs the text stays here: positions, syntax, unknown variables
+in an expression, a repeated bracket rule or class.
 
 parse() never raises: it returns a ParseResult whose spec is None when any
-error-severity diagnostic was produced.  Family pairs without a rule are
-filled in as zero brackets with a warning.  render() emits canonical text
-and parse(render(spec)) reproduces spec exactly.
+error-severity diagnostic was produced.  Unless an error stops the reading
+of the text, every declaration, rule and class line that parsed is checked,
+whatever else failed, so one parse reports the file's problems; a rule
+whose own text has an error is checked with a zero coefficient, so that
+only its families are.  Family pairs without a rule are filled in as zero
+brackets with a warning.  render() emits canonical text and
+parse(render(spec)) reproduces spec exactly.
 """
 
 from __future__ import annotations
@@ -59,10 +64,12 @@ from .algebra import (
     AlgebraSpec,
     BracketRule,
     CocycleLine,
+    _declaration_problems,
     _head_problems,
     _name_problems,
     _Record,
     _rule_problems,
+    _undeclared_problems,
     _Value,
 )
 from .poly import IndexPolynomial
@@ -247,33 +254,28 @@ class _Parser:
     # items
 
     def parse_algebra(self) -> AlgebraSpec | None:
-        name_tok = None
-        params: list = []
-        families: list = []
+        param_toks: list = []
+        family_toks: list = []
         offsets: dict = {}
         brackets: list = []
-        classes: dict = {}  # name -> [CocycleLine]
-        refs: list = []  # the family tokens of the cocycle lines
+        classes: dict = {}  # name -> [(CocycleLine or None, family tokens)]
         try:
             self.expect_keyword("algebra")
             name_tok = self.ident("an algebra name")
             self.expect("(", "'('")
             if self.peek().kind != ")":
                 while True:
-                    ptok = self.ident("a parameter name")
-                    if ptok.text in params:
-                        self.error("duplicate-parameter", f"duplicate parameter {ptok.text!r}", ptok)
-                    else:
-                        params.append(ptok.text)
+                    param_toks.append(self.ident("a parameter name"))
                     if self.peek().kind != ",":
                         break
                     self.advance()
+            params = [tok.text for tok in param_toks]
             self.expect(")", "')'")
             self.expect("{", "'{'")
             items = {
-                "family": lambda: self.parse_family(params, families, offsets),
+                "family": lambda: self.parse_family(params, family_toks, offsets),
                 "bracket": lambda: brackets.append(self.parse_bracket(params)),
-                "cocycle": lambda: self.parse_cocycle(params, classes, refs),
+                "cocycle": lambda: self.parse_cocycle(params, classes),
             }
             while self.peek().kind not in ("}", "eof"):
                 tok = self.peek()
@@ -287,25 +289,16 @@ class _Parser:
             self.expect("}", "'}'")
             if self.peek().kind != "eof":
                 self.error("syntax", f"unexpected trailing input {self.peek().text!r}")
-        except _Abort:
+        except _Abort:  # the rest of the text is unread: its declarations are unknown
             return None
+        return self.assemble(name_tok, param_toks, family_toks, offsets, brackets, classes)
 
-        if any(d.severity == "error" for d in self.diagnostics):
-            return None
-        return self.assemble(name_tok, params, families, offsets, brackets, classes, refs)
-
-    def parse_family(self, params, families, offsets):
+    def parse_family(self, params, family_toks, offsets):
         self.expect_keyword("family")
         name_tok = self.ident("a family name")
-        name = name_tok.text
-        if name in families:
-            self.error("duplicate-family", f"duplicate family {name!r}", name_tok)
-        elif name in params:
-            self.error("name-collision", f"family {name!r} collides with a parameter", name_tok)
-        else:
-            families.append(name)
+        family_toks.append(name_tok)
         self.expect_keyword("weight")
-        offsets[name] = self.parse_expr(frozenset(params))
+        offsets[name_tok.text] = self.parse_expr(frozenset(params))
         self.expect(";", "';'")
 
     def parse_head(self, params) -> tuple:
@@ -329,7 +322,10 @@ class _Parser:
 
     def parse_bracket(self, params) -> tuple:
         """(the rule, the tokens of its left, right and output families,
-        None for no output family)"""
+        None for no output family).  When the rule's text has an error, its
+        coefficient is read as zero: its families are still checked, and a
+        coefficient that the error changed is not."""
+        errors = len(self.diagnostics)
         self.expect_keyword("bracket")
         left_tok, right_tok, var_left, var_right = self.parse_head(params)
         coeff = self.parse_expr(frozenset({var_left, var_right, *params}))
@@ -340,10 +336,11 @@ class _Parser:
             self.index_sum(var_left, var_right, "non-additive-output-index", "output index", paren)
             self.expect(")", "')'")
         self.expect(";", "';'")
+        coeff = coeff if len(self.diagnostics) == errors else IndexPolynomial()
         rule = BracketRule(left_tok.text, right_tok.text, var_left, var_right, coeff, out_tok and out_tok.text)
         return rule, (left_tok, right_tok, out_tok)
 
-    def parse_cocycle(self, params, classes: dict, refs: list):
+    def parse_cocycle(self, params, classes: dict):
         """A cocycle block into classes; a broken line is skipped to its
         ";" and the block goes on."""
         self.expect_keyword("cocycle")
@@ -356,7 +353,7 @@ class _Parser:
         lines = []
         while self.peek().kind not in ("}", "eof"):
             try:
-                lines.append(self.parse_cocycle_line(params, refs))
+                lines.append(self.parse_cocycle_line(params))
             except _Abort:
                 self.sync_to_semicolon()
         self.expect("}", "'}'")
@@ -366,9 +363,10 @@ class _Parser:
             self.error("empty-cocycle", f"cocycle class {name!r} has no lines", name_tok)
         classes[name] = lines
 
-    def parse_cocycle_line(self, params, refs: list) -> CocycleLine | None:
+    def parse_cocycle_line(self, params) -> tuple:
+        """(the line, None when its denominator is refused, and the tokens
+        of its families)"""
         left_tok, right_tok, var_a, var_b = self.parse_head(params)
-        refs += (left_tok, right_tok)
         quotient: list = []
         coeff = self.parse_expr(frozenset({var_b, *params}), quotient=quotient)
         on_tok = self.expect_keyword("on")
@@ -378,12 +376,18 @@ class _Parser:
         self.expect(";", "';'")
         denom = quotient[0] if quotient else IndexPolynomial.constant(1)
         try:
-            return CocycleLine(left_tok.text, right_tok.text, coeff, offset, denom, var_a, var_b)
+            return CocycleLine(left_tok.text, right_tok.text, coeff, offset, denom, var_a, var_b), (left_tok, right_tok)
         except ValueError as exc:  # a denominator of degree 2 or more
             self.error("bad-denominator", str(exc), on_tok)
-            return None
+            return None, (left_tok, right_tok)
 
-    def assemble(self, name_tok, params, families, offsets, brackets, classes, refs) -> AlgebraSpec | None:
+    def assemble(self, name_tok, param_toks, family_toks, offsets, brackets, classes) -> AlgebraSpec | None:
+        """Check the declarations, and each rule and class line that parsed
+        against them, whatever else failed; the spec when no error was
+        reported."""
+        params, names = [tok.text for tok in param_toks], [tok.text for tok in family_toks]
+        self.report(_declaration_problems(params, names), param_toks + family_toks)
+        families = list(dict.fromkeys(names))
         positions = {fam: i for i, fam in enumerate(families)}
         rules: dict = {}
         given = set()  # each pair a rule names, refused or not, in both orders
@@ -395,9 +399,8 @@ class _Parser:
             if key in rules:
                 self.error("duplicate-bracket", f"duplicate bracket rule for [{rule.left}, {rule.right}]", named[0])
             rules.setdefault(key, rule)
-        for tok in refs:
-            if tok.text not in positions:
-                self.error("undeclared-family", f"undeclared family {tok.text!r}", tok)
+        for named in [named for lines in classes.values() for _, named in lines]:
+            self.report(_undeclared_problems([tok.text for tok in named], positions), named)
         for i, fam_a in enumerate(families):
             for fam_b in families[i:]:
                 if (fam_a, fam_b) not in given:
@@ -408,8 +411,9 @@ class _Parser:
                     )
         if any(d.severity == "error" for d in self.diagnostics):
             return None
+        lines = {name: [line for line, _ in entries] for name, entries in classes.items()}
         try:
-            return AlgebraSpec(name_tok.text, params, families, offsets, rules, classes)
+            return AlgebraSpec(name_tok.text, params, families, offsets, rules, lines)
         except ValueError as exc:  # pre-checked above; keep the no-raise contract
             self.error("invalid-spec", str(exc), name_tok)
             return None

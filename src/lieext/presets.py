@@ -50,10 +50,12 @@ def preset_source(name: str) -> str:
 
 
 def _parse_or_fail(source: str, origin: str) -> AlgebraSpec:
+    """The spec source describes; otherwise ValueError with the first error
+    on the line naming origin and each further error on a line of its own."""
     result = dsl.parse(source)
     if result.spec is None:
-        first = result.errors()[0]
-        raise ValueError(f"cannot parse algebra from {origin}: {first}")
+        first, *rest = result.errors()
+        raise ValueError("\n".join([f"cannot parse algebra from {origin}: {first}", *map(str, rest)]))
     return result.spec
 
 

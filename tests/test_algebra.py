@@ -141,11 +141,11 @@ SPEC_ARGS = {
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"name": "1a"}, "bad algebra name '1a'"),
+        ({"name": "1a"}, "bad identifier '1a'"),
         ({"families": ("A", "B-")}, "bad identifier 'B-'"),
-        ({"parameters": ("p", "p")}, "duplicate parameter name"),
-        ({"families": ("A", "B", "A")}, "duplicate family name"),
-        ({"parameters": ("p", "B")}, "parameter name collides with a family name"),
+        ({"parameters": ("p", "p")}, "duplicate parameter 'p'"),
+        ({"families": ("A", "B", "A")}, "duplicate family 'A'"),
+        ({"parameters": ("p", "B")}, "family 'B' collides with a parameter"),
         ({"weight_offsets": {"A": C(0)}}, "missing weight for family 'B'"),
         ({"weight_offsets": {"A": C(0), "B": V("z")}}, "weight of 'B' uses unknown variable 'z'"),
         ({"weight_offsets": {"A": C(0), "B": V("p"), "D": C(0)}},
@@ -163,7 +163,7 @@ SPEC_ARGS = {
         ({"cocycles": {"c-": [CocycleLine("A", "A", V("m"))]}},
          "bad cocycle class name 'c-' or no lines"),
         ({"cocycles": {"c": [CocycleLine("A", "D", V("m"))]}},
-         "cocycle 'c' uses an undeclared family or parameter"),
+         "undeclared family 'D'"),
         ({"rules": {("A", "B"): _rule("A", "B", V("n"), "B", var_right="n")}},
          "index variable 'n' is repeated"),
         ({"rules": {("A", "B"): _rule("A", "B", V("m"), "B", var_left="p")}},

@@ -165,7 +165,10 @@ algebra pool(n, m, i, j, k, p, q, r, s, t) {
     ],
 )
 def test_missing_keyword_is_named(src, message):
-    assert [d.message for d in parse(src).diagnostics] == [message]
+    # a family is declared once its name is read, so its pair with no rule
+    # still warns
+    defaults = ["no bracket rule for [L, L]; defaulting to zero"] * ("family L" in src)
+    assert [d.message for d in parse(src).diagnostics] == [message, *defaults]
 
 
 def test_diagnostics_carry_positions():
@@ -506,10 +509,10 @@ def test_non_ascii_letter_or_digit_in_a_name_is_a_bad_character(src, line, col):
     assert "invalid-spec" not in {d.code for d in errors}
 
 
-def _lie(items="", name="a", parameter="p") -> str:
-    """The text of the spec SHARED_ARGS, with items added and its name or
-    parameter changed."""
-    return f"algebra {name}({parameter}) {{\n  family A weight 0;\n  family B weight {parameter};\n  {items}\n}}"
+def _lie(items="", name="a", parameter="p", more="") -> str:
+    """The text of the spec SHARED_ARGS, with items added, its name or
+    parameter changed, or more parameters declared after it."""
+    return f"algebra {name}({parameter}{more}) {{\n  family A weight 0;\n  family B weight {parameter};\n  {items}\n}}"
 
 
 SHARED_ARGS = {
@@ -552,6 +555,12 @@ ZERO = IndexPolynomial()
          {"rules": {("A", "B"): BracketRule("A", "B", "on", "m", ZERO, None)}}),
         ("reserved-word", {"items": "cocycle on { [A n, A m] = 1 on n + m = 0; }"},
          {"cocycles": {"on": [CocycleLine("A", "A", C(1))]}}),
+        ("duplicate-parameter", {"more": ", p"}, {"parameters": ("p", "p")}),
+        ("duplicate-family", {"items": "family A weight 0;"}, {"families": ("A", "B", "A")}),
+        ("name-collision", {"items": "family p weight 0;"},
+         {"families": ("A", "B", "p"), "weight_offsets": {"A": C(0), "B": V("p"), "p": C(0)}}),
+        ("undeclared-family", {"items": "cocycle c { [A n, D m] = 1 on n + m = 0; }"},
+         {"cocycles": {"c": [CocycleLine("A", "D", C(1))]}}),
     ],
 )
 def test_parse_and_spec_refuse_alike(code, text, changes):
@@ -592,4 +601,45 @@ def test_a_refused_rule_is_no_missing_rule(code):
     assert (first.severity, first.code) == ("error", code)
     assert [(d.severity, d.code, d.message) for d in rest] == [
         ("warning", "missing-bracket-default", "no bracket rule for [M, M]; defaulting to zero")
+    ]
+
+
+def test_one_parse_reports_every_error():
+    # an error elsewhere in the text does not stop the checks of the rules
+    # that parsed against the declarations
+    src = "\n".join([
+        "algebra a() {",
+        "family L weight 0;",
+        "bracket [L n, L m] = (m - n);",
+        "bracket [L n, D m] = m L(n + m);",
+        "family K weight 1 $;",
+        "}",
+    ])
+    assert [f"{d.line}:{d.col} {d.code}" for d in parse(src).errors()] == [
+        "5:19 bad-character",
+        "3:10 missing-output-family",
+        "4:15 undeclared-family",
+    ]
+
+
+def test_a_rule_with_an_error_has_its_families_checked_and_not_its_coefficient():
+    # the unknown x reads as zero, so (m - x) would look non-antisymmetric
+    src = (
+        "algebra a() {\n  family L weight 0;\n  bracket [L n, L m] = (m - x) L(n + m);\n"
+        "  bracket [L n, D m] = x L(n + m);\n}"
+    )
+    assert [str(d) for d in parse(src).errors()] == [
+        "3:29: error[unknown-variable]: unknown variable 'x'",
+        "4:24: error[unknown-variable]: unknown variable 'x'",
+        "4:17: error[undeclared-family]: undeclared family 'D'",
+    ]
+
+
+def test_a_family_declared_twice_warns_once_per_pair():
+    src = "algebra a() {\n  family L weight 0;\n  family L weight 1;\n  family M weight 0;\n}"
+    assert [str(d) for d in parse(src).diagnostics] == [
+        "3:10: error[duplicate-family]: duplicate family 'L'",
+        "1:9: warning[missing-bracket-default]: no bracket rule for [L, L]; defaulting to zero",
+        "1:9: warning[missing-bracket-default]: no bracket rule for [L, M]; defaulting to zero",
+        "1:9: warning[missing-bracket-default]: no bracket rule for [M, M]; defaulting to zero",
     ]

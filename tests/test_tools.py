@@ -121,6 +121,10 @@ def test_spec_checks_are_written_in_algebra_py_only():
     # KEYWORDS is assigned there alone, and the parser's own copy of the
     # antisymmetry test is gone
     shared = {
+        "duplicate-parameter",
+        "duplicate-family",
+        "name-collision",
+        "undeclared-family",
         "reversed-family-pair",
         "non-antisymmetric",
         "missing-output-family",

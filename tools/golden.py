@@ -91,6 +91,10 @@ SOURCES = {
     "name-collision.lie": "algebra a(p) {\n    family p weight 0;\n}\n",
     "unclosed-comment.lie": "algebra a() {\n    family L weight 0;  # no closing brace",
     "deep.lie": "algebra deep() {\n  family L weight " + "-" * 5000 + "1;\n}\n",
+    "multi-error.lie": (
+        "algebra a() {\nfamily L weight 0;\nbracket [L n, L m] = (m - n);\n"
+        "bracket [L n, D m] = m L(n + m);\nfamily K weight 1 $;\n}\n"
+    ),
     "empty.lie": "",
     # JSON cocycle assignments
     "fails.json": '{"values": {"L:-3,L:3": "1"}}',
@@ -181,7 +185,8 @@ CASES = {
         ["jacobi", "--algebra", name, "--symbolic"]
         for name in ("bad-character.lie", "underscore.lie", "syntax.lie", "undeclared.lie",
                      "reserved.lie", "duplicate-parameter.lie", "duplicate-family.lie",
-                     "name-collision.lie", "unclosed-comment.lie", "deep.lie", "empty.lie")
+                     "name-collision.lie", "unclosed-comment.lie", "deep.lie", "empty.lie",
+                     "multi-error.lie")
     ],
 }
 
