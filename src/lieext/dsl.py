@@ -136,6 +136,8 @@ class _Parser:
         self.diagnostics: list = []
         self.tokens = _tokenize(source, self.diagnostics)
         self.pos = 0
+        # the tokens refused as names, whose one error is that one
+        self.misnamed: set = set()
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -154,9 +156,11 @@ class _Parser:
 
     def report(self, problems: list, tokens) -> bool:
         """Report each (code, message, where) of a check of algebra.py at
-        tokens[where]; whether there was any."""
+        tokens[where], unless that token was refused as a name; whether
+        there was any."""
         for code, message, where in problems:
-            self.error(code, message, tokens[where])
+            if tokens[where] not in self.misnamed:
+                self.error(code, message, tokens[where])
         return bool(problems)
 
     def warning(self, code: str, message: str, tok: _Token):
@@ -175,7 +179,8 @@ class _Parser:
 
     def ident(self, what: str) -> _Token:
         tok = self.expect("ident", what)
-        self.report(_name_problems([tok.text]), [tok])
+        if self.report(_name_problems([tok.text]), [tok]):
+            self.misnamed.add(tok)
         return tok
 
     def sync_to_semicolon(self):

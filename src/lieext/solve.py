@@ -19,30 +19,37 @@ projected onto core pairs (all indices within N - margin), and h2 repeats
 the computation on grown windows.
 
 The cocycles are found by a certified subset solve.  Only the pinned rows
-are eliminated, in integers: those of the triples with an index -1, or,
-when none of the triple's families has weight 0 at the bound parameters, an
-index -1 or 0.  The rule reads weights, never names.  Fixing an index
-leaves one free, so there are O(n) pinned triples per family triple
-(_Identity.pinned; _Plan.cocycles runs the solve).  With a weight-zero
-family L they hold the recursion in L_-1 of the classical computation of
-Virasoro cocycles, with almost one independent row per column: at svir
-(-3, 1), n = 40, the 346 rows with an L_-1 reach rank 346 of 349, and all
-1022 pinned rows reach 349.  A triple with no weight-zero family has no such
-recursion, and there the rows with an index 0 are needed too: without them,
-at n = 40, the check has to add 39 of the rank 302 of an algebra with
+are eliminated, in integers (_Identity.pins; _Plan.cocycles runs the
+solve).  When a family L of weight 0 maps each family of the triple into
+itself, they are the rows of the triples whose index -1 falls on a family
+of weight 0: the recursion in L_-1 of the classical computation of
+Virasoro cocycles (Kac and Raina 1987, lecture 1), and none when the
+triple has no family of weight 0.  Otherwise they are those of the triples
+with an index -1, or, when none of the triple's families has weight 0 at
+the bound parameters, an index -1 or 0.  The rule reads weights, never
+names.  Fixing an index leaves one free, so there are O(n) pinned triples
+per family triple.  The L_-1 recursion has almost one independent row per
+column: at svir (-3, 1), n = 40, its 346 rows reach rank 346 of 349, where
+the rows with an index -1 anywhere were 1022, 673 of them reducing to zero.
+A triple with neither L nor a family of weight 0 has no such recursion,
+and there the rows with an index 0 are needed too: without them, at
+n = 40, the check has to add 39 of the rank 302 of an algebra with
 families of weights 1, 2 and 3.
 
 The admissible rows are then checked against the primitive integer null
 vectors of the echelon by exact integer dot products, and the check refines
-as it goes (_Plan.check).  A row that fails is added to the echelon, the
-null vectors are recomputed, and the walk takes that family triple again
-from the start.  That is exact: the nullspace only shrinks, so the triples
-passed before still pass and the added row now does too.  Each added row
-raises the rank by one, so the check adds exactly the pinned rows' rank
-deficit, in whatever order it walks the triples.  Each added row costs a
-back-substitution, so the solve is only as cheap as that deficit is small:
-at most 4 at n = 40 and degrees 0, 1 and 2 on svir, witt and five algebras
-of the tests.
+as it goes (_Plan.check).  A row that fails is added to the echelon, and
+the null vectors are refined in place, with no back-substitution
+(sparse._refined): with D_s the row's dot product with vector s, the first
+vector t with D_t != 0 is dropped, its free column becoming the new pivot,
+and each other v_s with D_s != 0 becomes the primitive form of
+D_t * v_s - D_s * v_t, which is the reduced basis a back-substitution
+gives.  The walk goes on after the failing triple.  That is exact: the
+nullspace only shrinks, so the triples passed before still pass and the
+added row now does too.  Each added row raises the rank by one, so the
+check adds exactly the pinned rows' rank deficit, in whatever order it
+walks the triples: at most 8 in a window at n = 12 on the svir grid, and 3
+at n = 40 at (-3, 1) and (1, 1/2).
 
 A first window's check walks only each family triple's boundary, O(n)
 triples (_Identity.boundary), and the identity d^2 = 0 of the
@@ -87,7 +94,9 @@ columns, and family triples whose pairs bracket to nothing give no row and
 are left out.
 
 h2 builds one plan per call, at its largest window N + 2 * (steps - 1)
-(_Plan): one pair basis and one bracket pass for the coboundaries.  Which
+(_Plan): one pair basis, one bracket pass for the coboundaries, and one
+compiled identity of each family triple whose pairs bracket to something
+(_Plan.identities), its tables built once, at that radius.  Which
 family pairs, triples and single families exist at a degree is one rule,
 _totals: those whose index total, the degree less their weight offsets, is
 an integer, found by integer division over the offsets' common denominator.
@@ -95,12 +104,12 @@ Each window n is a view on the plan.  Its columns are the plan's columns
 whose pair has both indices in [-n, n]; both numberings sort the same pair
 keys, so the map from window n's own columns into the plan's is
 increasing, every row keeps its leading column, and pivots, ranks and
-reduced null vectors correspond one to one.  It builds its identities at
-radius n over the plan's pair basis with _identities, the one list that
-assemble_constraints and verify_cocycle build too, and keeps those whose
-family pairs bracket to something; their tables mark "the output leaves
-the window" wherever the output index leaves [-n, n].  Its coboundary
-generators and core columns are filtered from the plan's.  The plan holds
+reduced null vectors correspond one to one.  It reads the plan's identities
+through its own edge (_Identity.within): an entry counts as "the output
+leaves the window" wherever its index is not in range(total - n,
+total + n + 1), whatever the plan's table holds there, and nothing is
+copied or sliced per window.  Its coboundary generators and core columns
+are filtered from the plan's.  The plan holds
 the certified echelon and the window it was solved on: h2 solves its first
 window as above and grows each later window from that echelon, which passes
 from window to window unchanged.  A triple of the grown window is new when
@@ -118,19 +127,19 @@ of the triples (F_i, G_j, H_k) of one family triple at one degree sum to a
 fixed t, so the term [F_i, G_j] psi(., H_k) has output index t - k and its
 column and skew sign depend on k alone, as the other two terms' depend on i
 and on j alone.  Each family triple's identity is therefore compiled, once
-per window, into its coefficient terms and three per-index tables whose
-entries are a (column, sign), None where the output is the paired element
-(no contribution), or "the output leaves the window" (the triple is
-dropped if the coefficient there is nonzero).  Assembly, the subset solve,
-the check and verify_cocycle's walks all read these tables, which are built
-at their first use.  The check and verify_cocycle replace
+per plan or per call, into its coefficient terms and three per-index tables
+whose entries are a (column, sign), None where the output is the paired
+element (no contribution), or "the output leaves the window" (the triple
+is dropped if the coefficient there is nonzero).  Assembly, the subset
+solve, the check and verify_cocycle's walks all read these tables, which
+are built at their first use.  The check and verify_cocycle replace
 each table's columns by vector entries and walk the triples in one loop
 (_Identity.walk).  verify_cocycle uses psi's values.
 The check packs the entries of all d null vectors at a column into one
 integer, in slots of w bits, and sums one packed dot product per triple.
 w is set by a bound on the bracket coefficients over the window, so that
 no slot's dot product can reach the next slot: the packed sum is zero
-exactly when all d dot products are (_packed has the proof).  A term
+exactly when all d dot products are (sparse._packed has the proof).  A term
 whose entry is zero is skipped without evaluating its coefficient, while a
 term whose output leaves the window is always evaluated, so admissibility
 is still decided exactly.
@@ -167,7 +176,7 @@ from typing import Mapping
 
 from .algebra import AlgebraSpec, BoundAlgebra, _CYCLIC, _evaluate, _jacobi_residuals, _Value
 from .rational import as_rational, format_rational
-from .sparse import SparseMatrix, VectorBasis, _Echelon, _fraction_basis, _null_vectors
+from .sparse import SparseMatrix, VectorBasis, _Echelon, _fraction_basis, _null_vectors, _packed, _refined
 
 
 class Window(_Value):
@@ -311,10 +320,11 @@ _OUT = "out"
 
 
 class _Identity:
-    """The cocycle identity of one family triple at one index total on the
-    window [-n, n], compiled against one column map {pair: column} that
-    holds every canonical pair of the degree with both indices in [-n, n]:
-    a pair basis's _index, or the pairs keyed by themselves.
+    """The cocycle identity of one family triple at one index total,
+    compiled at a radius R, radius, against one column map {pair: column}
+    that holds every canonical pair of the degree with both indices in
+    [-R, R]: a pair basis's _index, or the pairs keyed by themselves.  It
+    is read on a window [-n, n], n <= R, set by within(n): n = R at first.
 
     For the triples (F_i, G_j, H_k) with i + j + k = total, the term
     [F_i, G_j] psi(., H_k) has output index total - k, so its column and
@@ -324,47 +334,74 @@ class _Identity:
     positions (p, q, r) is [x_p, x_q] psi(., x_r).  Each term whose family
     pair brackets to something is held in rules as (coefficient terms,
     output family, paired family, w, u, v) = (..., r, p, q), and in terms
-    as (coefficient terms, table, w, u, v): table[idx[w] + n] is
+    as (coefficient terms, table, w, u, v): table[idx[w] + R] is
     (column, sign), None where the output is the paired element
-    (psi(e, e) = 0 adds nothing) or _OUT, for the index at position w of
+    (psi(e, e) = 0 adds nothing) or _OUT where the output index
+    total - idx[w] leaves [-R, R], for the index at position w of
     idx = (i, j, k), and the bracket coefficient is evaluated at idx[u],
-    idx[v].  The entry is _OUT exactly when idx[w] is not in inside, the
-    indices whose output index total - idx[w] lies in [-n, n]: the one edge
-    rule, which terms and admissible() both read, the second with rules
-    alone, so that an identity verify_cocycle does not walk builds no
-    tables.  bound is at least the sum of |coefficient| over the terms at
-    any triple of window indices; only _packed reads it.  The tables and
-    bound are built at their first use.  Every identity is built by
-    _identities at its radius n: _Plan.cocycles builds them per window
-    solved, over the plan's pair basis, assemble_constraints over the
-    window's, and verify_cocycle over the window's pairs keyed by
-    themselves.
+    idx[v].  The window's edge is one rule, inside, the indices whose
+    output index total - idx[w] lies in [-n, n]: an index not in it has its
+    output outside the window, whatever the table holds there.  row() and
+    valued() read it with the tables, and admissible() with rules alone, so
+    that an identity verify_cocycle does not walk builds no tables.  bound is at least the sum of |coefficient|
+    over the terms at any triple of indices in [-R, R]; only _packed reads
+    it.  The tables and bound are built once, at their first use.  Every
+    identity is built by _identities: _Plan.identities builds them once, at
+    the plan's window over its pair basis, assemble_constraints at the
+    window's radius over its pairs, and verify_cocycle over the window's
+    pairs keyed by themselves.
     """
 
     def __init__(self, alg: BoundAlgebra, n: int, column: Mapping, families, total: int):
-        self.families, self.total, self.n, self.column = families, total, n, column
-        # the indices whose term output total - index stays in [-n, n]
-        self.inside = range(total - n, total + n + 1)
-        # the pinned indices: -1, and 0 too when no family has weight 0
-        self.pins = (-1,) if any(not alg.offsets[p] for p in families) else (-1, 0)
+        self.alg, self.families, self.total, self.radius, self.column = alg, families, total, n, column
+        self.within(n)
         self.rules = [
             (rule[1], rule[0], families[r], r, p, q)
             for p, q, r in _CYCLIC
             if (rule := alg._rules[families[p]][families[q]]) is not None
         ]
 
+    def within(self, n: int) -> None:
+        """Walk, count and read rows on the window [-n, n], n at most the
+        radius the tables are built at; they are kept as they are."""
+        self.n = n
+        # the indices whose term output total - index stays in [-n, n]
+        self.inside = range(self.total - n, self.total + n + 1)
+
+    @cached_property
+    def acting(self) -> list:
+        """The families L of weight 0 with [L_m, X_n] a multiple of
+        X_(m + n) for each family X here."""
+        rules = self.alg._rules
+        return [
+            p
+            for p, offset in enumerate(self.alg.offsets)
+            if not offset and all((rule := rules[p][f]) is not None and rule[0] == f for f in self.families)
+        ]
+
+    @cached_property
+    def pins(self) -> tuple:
+        """(values, positions) of the triples the solve eliminates up front,
+        as meeting() takes them: with a family in acting, the index -1 at
+        the positions of the families of weight 0, none when there are none;
+        otherwise an index -1, or -1 or 0 when no family has weight 0, at
+        any position."""
+        zero = tuple(w for w in range(3) if not self.alg.offsets[self.families[w]])
+        return ((-1,), zero) if self.acting else ((-1,) if zero else (-1, 0), range(3))
+
     @cached_property
     def bound(self) -> int:
-        # |k * i**e * j**f| <= |k| * n**(e + f) for indices i, j in [-n, n]
-        return sum(abs(k) * self.n ** (e + f) for coefficient, *_ in self.rules for k, e, f in coefficient)
+        # |k * i**e * j**f| <= |k| * radius**(e + f) for |i|, |j| <= radius
+        return sum(abs(k) * self.radius ** (e + f) for coefficient, *_ in self.rules for k, e, f in coefficient)
 
     @cached_property
     def terms(self) -> list:
-        n, total, column, terms = self.n, self.total, self.column, []
-        low, high = self.inside[0], self.inside[-1]
+        radius, total, column, terms = self.radius, self.total, self.column, []
+        # the indices whose output total - index lies in [-radius, radius]
+        low, high = total - radius, total + radius
         for coefficient, out, r, w, u, v in self.rules:
             table = []
-            for index in range(-n, n + 1):
+            for index in range(-radius, radius + 1):
                 output, paired = (out, total - index), (r, index)
                 if output == paired:
                     table.append(None)
@@ -433,11 +470,12 @@ class _Identity:
                     break
         return count
 
-    def meeting(self, values) -> set:
-        """The set of (i, j) of the window triples (i, j, total - i - j)
-        with an index in `values`.  With one index fixed at v, the other two
-        sum to total - v, and each position of v leaves one range of the
-        free index, so there are O(n) of them per value."""
+    def meeting(self, values, positions=range(3)) -> set:
+        """The set of (i, j) of the window triples idx = (i, j, total - i - j)
+        with idx[w] in `values` for a w in `positions`.  With one index
+        fixed at v, the other two sum to total - v, and each position of v
+        leaves one range of the free index, so there are O(n) of them per
+        value."""
         n, total = self.n, self.total
         a, b, c = self.families
         found = set()
@@ -448,24 +486,27 @@ class _Identity:
             # the free index x and rest - x both in [-n, n]
             low, high = max(-n, rest - n), min(n, rest + n)
             # i = v
-            found.update(zip(repeat(v), self._js(v)))
+            if 0 in positions:
+                found.update(zip(repeat(v), self._js(v)))
             # j = v, k = rest - i: i < j within one family, j < k within one
-            top = min(high, v - 1 if a == b else n, rest - v - 1 if b == c else n)
-            found.update(zip(range(low, top + 1), repeat(v)))
+            if 1 in positions:
+                top = min(high, v - 1 if a == b else n, rest - v - 1 if b == c else n)
+                found.update(zip(range(low, top + 1), repeat(v)))
             # k = v, j = rest - i: the same two orders
-            top = min(high, (rest - 1) // 2 if a == b else n)
-            bottom = max(low, rest - v + 1 if b == c else -n)
-            found.update(zip(range(bottom, top + 1), range(rest - bottom, rest - top - 1, -1)))
+            if 2 in positions:
+                top = min(high, (rest - 1) // 2 if a == b else n)
+                bottom = max(low, rest - v + 1 if b == c else -n)
+                found.update(zip(range(bottom, top + 1), range(rest - bottom, rest - top - 1, -1)))
         return found
 
     def boundary(self, alg: BoundAlgebra, failing: Mapping) -> set | None:
         """The (i, j) of the triples a first window's check walks, as a
         meeting() set: a superset of those that d^2 = 0 does not certify
         from the others (module docstring), and the triples with an index
-        -1.  None, for all of them, unless some family L of weight 0 has
-        [L_-1, X] in X for each family X here, and the Jacobi identity holds
-        on these families and on L with each two of them: none of those
-        family triples is in failing, the plan's failing set.
+        -1.  None, for all of them, unless for some family L of acting the
+        Jacobi identity holds on these families and on L with each two of
+        them: none of those family triples is in failing, the plan's failing
+        set.
 
         The certificate of a triple tau takes the quadruple (L_-1, tau + e_p)
         at a position p whose family is not repeated, or p = 0 for F, F, F.
@@ -478,17 +519,14 @@ class _Identity:
         with a larger index at p.  For F, F, F the neighbour (i + 1, i, k)
         is tau itself, so the line j = i + 1 is listed too."""
         families, n, total = self.families, self.n, self.total
-        for acting, offset in enumerate(alg.offsets):
-            rules = [alg._rules[acting][f] for f in families]
-            if (
-                not offset
-                and all(rule is not None and rule[0] == f for rule, f in zip(rules, families))
-                and families not in failing
-                and all(tuple(sorted((acting, f, g))) not in failing for f, g in combinations(families, 2))
+        for acting in self.acting:
+            if families not in failing and all(
+                tuple(sorted((acting, f, g))) not in failing for f, g in combinations(families, 2)
             ):
                 break
         else:
             return None
+        rules = [alg._rules[acting][f] for f in families]
         # the triples with L_-1 have an output index total + 1
         if abs(total + 1) > n:
             return None
@@ -509,12 +547,13 @@ class _Identity:
                 yield i, j, total - i - j
 
     def pinned(self) -> list:
-        """The triples of indices() with an index in pins, in no particular
-        order: the rows the certified solve eliminates (see _Plan.cocycles).
+        """The triples of indices() with an index in pins at one of its
+        positions, in no particular order: the rows the certified solve
+        eliminates (see _Plan.cocycles).
         The row space they span, and so the null vectors, do not depend on
         the order."""
         total = self.total
-        return [(i, j, total - i - j) for i, j in self.meeting(self.pins)]
+        return [(i, j, total - i - j) for i, j in self.meeting(*self.pins)]
 
     def touching(self, strip) -> set:
         """The indices whose triples meet the strip: those with an index in
@@ -526,16 +565,16 @@ class _Identity:
         alg.denominator}, or None when a nonzero bracket output leaves the
         window (the constraint would involve unknowns outside the
         truncation and is dropped)."""
-        n = self.n
+        radius, low, high = self.radius, self.inside.start, self.inside.stop
         row: dict = {}
         for coefficient, table, w, u, v in self.terms:
-            entry = table[idx[w] + n]
+            entry = table[idx[w] + radius]
             if entry is None:
                 continue
             value = _evaluate(coefficient, idx[u], idx[v])
             if not value:
                 continue
-            if entry is _OUT:
+            if entry is _OUT or not low <= idx[w] < high:
                 return None
             col, sign = entry
             value = row.get(col, 0) + sign * value
@@ -549,10 +588,14 @@ class _Identity:
         """(terms, reached): self.terms with each (column, sign) entry
         replaced by sign * entries[column], or by None where that is 0, and
         None and _OUT kept; reached says whether any entry is nonzero."""
+        n, radius = self.n, self.radius
+        # the window's indices in inside, where the table is read; at the
+        # others the output leaves the window
+        low, high = max(-n, self.inside.start), min(n, self.inside.stop - 1)
         terms, reached = [], False
         for coefficient, table, w, u, v in self.terms:
-            values = []
-            for entry in table:
+            values = [_OUT] * (low + n)
+            for entry in table[low + radius : high + radius + 1]:
                 if entry is None or entry is _OUT:
                     values.append(entry)
                 else:
@@ -563,19 +606,22 @@ class _Identity:
                         reached = True
                     else:
                         values.append(None)
+            values += [_OUT] * (n - high)
             terms.append((coefficient, values, w, u, v))
         return terms, reached
 
-    def walk(self, terms: list, meeting=None) -> tuple:
+    def walk(self, terms: list, meeting=None, refine=None) -> tuple:
         """(checked, failed): the dot products of the window's triples, in
-        (i, j) order, or of those of `meeting` (a meeting() set, in its
-        iteration order) when it is given, with the entries `terms` was
-        valued by, up to the first that is nonzero.  checked counts the
-        admissible triples walked, and failed is (idx, dot) of that first
-        one, or None.  A coefficient is
-        evaluated only where an entry is nonzero or _OUT, and an _OUT entry
-        with a nonzero coefficient makes the triple inadmissible: exactly as
-        row() decides it, since None entries add nothing to the dot."""
+        (i, j) order, or of the (i, j) of `meeting`, in its order, when it is
+        given, with the entries `terms` was valued by, up to the first that
+        is nonzero.  checked counts the admissible triples walked, and failed
+        is (idx, dot) of that first one, or None.  With refine, each such
+        idx is handed to refine(idx) instead, and the walk goes on with the
+        terms it returns, or stops there when it returns None.  A
+        coefficient is evaluated only where an entry is nonzero or _OUT, and
+        an _OUT entry with a nonzero coefficient makes the triple
+        inadmissible: exactly as row() decides it, since None entries add
+        nothing to the dot."""
         n, total = self.n, self.total
         checked = 0
         if meeting is None:
@@ -601,7 +647,7 @@ class _Identity:
                     dot += value * at
                 else:
                     checked += 1
-                    if dot:
+                    if dot and (refine is None or (terms := refine(idx)) is None):
                         return checked, (idx, dot)
         return checked, None
 
@@ -636,9 +682,10 @@ class _Plan:
     plan's columns whose pair has both indices in [-n, n]; both numberings
     sort the pair keys, so the map from window n's own columns to these is
     increasing, and every row, pivot and null vector of window n is the same
-    one here.  Window n builds its identities with _identities(alg, n,
-    degree, pairs._index), over the plan's pair basis (cocycles); its
-    coboundary generators and core columns are filtered from the plan's.
+    one here.  The plan compiles the identity of each family triple once,
+    at its window (identities), and window n reads it through its own edge
+    (_Identity.within); its coboundary generators and core columns are
+    filtered from the plan's.
 
     The plan also owns the certified solve of its windows (cocycles, and
     its check): the echelon of the rows it has eliminated, and the window
@@ -657,6 +704,18 @@ class _Plan:
         return _jacobi_residuals(self.alg._rules)
 
     @cached_property
+    def identities(self) -> list:
+        """The identities of _identities at the plan's window, over its
+        pair basis, whose family pairs bracket to something: the others
+        give no row.  Each window solved reads their tables through its own
+        edge (_Identity.within)."""
+        return [
+            identity
+            for identity in _identities(self.alg, self.window.n, self.degree, self.pairs._index)
+            if identity.rules
+        ]
+
+    @cached_property
     def images(self) -> dict:
         """_images of the plan's pairs, on its columns."""
         return _images(self.alg, self.degree, self.window.n, self.pairs._index)
@@ -665,21 +724,20 @@ class _Plan:
         """The certified solve of the module docstring on window n: the
         primitive {column: int} null vectors of every admissible row, over
         the plan's columns, with the rows it eliminates added to the plan's
-        echelon.  It builds the identities of _identities at radius n and
-        solves over those whose family pairs bracket to something: the
-        others give no row.  It eliminates the pinned rows, then hands the
-        identities, with the strip or None, to check, which walks and
-        refines.  n must exceed the window solved before, if any,
-        and then only the triples that meet the strip of indices between
-        the two windows (see _Identity.touching) have their rows added or
-        checked: every other admissible row is one of the smaller window's,
-        in the span of the echelon."""
+        echelon.  It reads the plan's identities on window n, eliminates
+        their pinned rows, then hands them, with the strip or None, to
+        check, which walks and refines.  n must exceed the window solved
+        before, if any, and then only the triples that meet the strip of
+        indices between the two windows (see _Identity.touching) have their
+        rows added or checked: every other admissible row is one of the
+        smaller window's, in the span of the echelon."""
         previous = self.solved
         if previous is not None and n <= previous:
             raise ValueError(f"window {n} does not grow the solved window {previous}")
-        identities = [identity for identity in _identities(self.alg, n, self.degree, self.pairs._index) if identity.rules]
+        identities = self.identities
         strip = None if previous is None else [i for i in range(-n, n + 1) if abs(i) > previous]
         for identity in identities:
+            identity.within(n)
             pinned = identity.pinned()
             if strip is not None:
                 touching = identity.touching(strip)
@@ -695,31 +753,40 @@ class _Plan:
     def check(self, identities: list, n: int, strip) -> list:
         """Check the admissible rows of window n's identities against the
         null vectors of the plan's echelon over the window's columns, by
-        exact integer dot products against all of them at once (_packed),
-        refine as it goes, and return the final null vectors.  When a row
-        fails, it is added to the echelon, the null vectors are recomputed
-        and its family triple is walked again from the start.  That is
-        exact: the nullspace only shrinks, so the triples passed before
-        still pass and the added row now does too, and each added row
-        raises the rank by one.  So the order of the walk decides which
+        exact integer dot products against all of them at once
+        (sparse._packed, its slots sized by the largest _Identity.bound),
+        refine as it goes, and return the final null vectors.  They are
+        back-substituted once (_null_vectors).  When a row fails, refine
+        adds it to the echelon and refines the null vectors in place
+        (sparse._refined), and the walk goes on after the failing triple.
+        That is exact: the nullspace only shrinks, so the triples passed
+        before still pass and the added row now does too, and each added
+        row raises the rank by one.  So the order of the walk decides which
         failing rows are added, but neither how many nor the final null
         vectors.  A first window (strip None) walks each identity's
         boundary, whose rows certify every other row by d^2 = 0 (module
-        docstring); a grown window walks the triples that meet the strip.
-        An identity with no table column where a null vector is nonzero is
-        skipped: its dot products are 0."""
-        columns = self.pairs._columns(n)
-        vectors = _null_vectors(self.ech.pivots, columns)
-        packed = _packed(vectors, identities)[0]
+        docstring), or every triple when it has none; a grown window walks
+        the triples that meet the strip.  An identity with no table column
+        where a null vector is nonzero is skipped, and so is the rest of
+        its walk once a refinement leaves none: its dot products are 0."""
+        vectors = _null_vectors(self.ech.pivots, self.pairs._columns(n))
+        bound = max((identity.bound for identity in identities), default=1)
+        packed = _packed(vectors, bound)[0]
+
+        def refine(idx):
+            nonlocal vectors, packed
+            row = identity.row(idx)
+            self.ech.add(row)
+            vectors = _refined(vectors, row)
+            packed = _packed(vectors, bound)[0]
+            terms, reached = identity.valued(packed)
+            return terms if reached else None
+
         for identity in identities:
             terms, reached = identity.valued(packed)
             if reached:
                 meeting = identity.meeting(identity.touching(strip)) if strip else identity.boundary(self.alg, self.failing)
-            while reached and (failed := identity.walk(terms, meeting)[1]) is not None:
-                self.ech.add(identity.row(failed[0]))
-                vectors = _null_vectors(self.ech.pivots, columns)
-                packed = _packed(vectors, identities)[0]
-                terms, reached = identity.valued(packed)
+                identity.walk(terms, meeting, refine)
         return vectors
 
     def coboundaries(self, n: int) -> list:
@@ -764,30 +831,6 @@ def cocycle_space(spec, params, window, degree, pairs: PairBasis | None = None) 
     """nullspace(assemble_constraints(...)), by the certified subset solve."""
     plan = _Plan(_bind(spec, params), window, _degree(degree), pairs)
     return _fraction_basis(len(plan.pairs), plan.cocycles(window.n))
-
-
-def _packed(vectors: list, identities: list) -> tuple:
-    """(packed, w): each column's entries e_s of the d {column: int} vectors
-    packed into one integer P = sum_s e_s * 2**(w*s), in slots of w bits,
-    for checking the identities' triples against all d vectors at once.
-
-    The sum of coefficient * sign * P over one triple's terms is
-    sum_s D_s * 2**(w*s), with D_s the triple's dot product with vector s.
-    With M the largest |e_s| and B the largest _Identity.bound,
-    |D_s| <= B * M < 2**(w - 2) for w = bit_length(B * M) + 2.  If some D_s
-    is nonzero, take the smallest such s: every later slot is a multiple of
-    2**(w*(s+1)), so the sum is congruent to D_s * 2**(w*s) modulo
-    2**(w*(s+1)), and it is zero there only if 2**w divides D_s, which
-    |D_s| < 2**w forbids.  So the packed sum is zero exactly when every dot
-    product is, and likewise P is zero exactly when every e_s is (B >= 1)."""
-    top = max((abs(value) for vec in vectors for value in vec.values()), default=0)
-    width = (max((identity.bound for identity in identities), default=1) * top).bit_length() + 2
-    packed: dict = {}
-    for slot, vec in enumerate(vectors):
-        shift = width * slot
-        for col, value in vec.items():
-            packed[col] = packed.get(col, 0) + (value << shift)
-    return packed, width
 
 
 def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:

@@ -20,9 +20,12 @@ and never recurses.
 
 Null vectors come from one integer back-substitution (_null_vectors), shared
 by nullspace and the certified subset solve (lieext.solve), as primitive
-{column: int} rows.  The solve and the engine keep them, and every other
-vector after the solve, in that form and build each echelon they need from
-them once; Fractions appear only at the public boundary of this module:
+{column: int} rows; the solve packs them into one integer per column for
+its check (_packed) and refines them in place for each row the check adds
+(_refined), to the same rows a back-substitution would give.  The
+solve and the engine keep them, and every other vector after the solve, in
+that form and build each echelon they need from them once; Fractions
+appear only at the public boundary of this module:
 SparseMatrix, VectorBasis, nullspace and project_dimension.  All results
 are exact: no floats appear anywhere in this module.
 """
@@ -266,6 +269,58 @@ def _null_vectors(pivots: dict, columns: Iterable[int]) -> list:
             vec[col] = -acc // g
         vectors.append(_normalize_int_row(vec))
     return vectors
+
+
+def _refined(vectors: list, row: dict) -> list:
+    """_null_vectors of an echelon with `row` added, from `vectors`, those
+    of the echelon without it, when the row is not in the echelon's span:
+    no back-substitution.
+
+    Let D_s be the row's dot product with vector s.  The row reduced by the
+    echelon is nonzero only at free columns, where it is D_s over vector
+    s's entry at its free column f_s, so its leading column, the new pivot,
+    is the free column of t, the first vector with D_t != 0.  Vector t is
+    dropped, and each later vector s with D_s != 0 becomes the primitive
+    form of D_t * v_s - D_s * v_t: its dot product with the row is 0, and
+    among the free columns left it is nonzero at f_s alone, since v_t is 0
+    there, so it is the reduced basis's vector of f_s, primitive with a
+    positive first entry as _null_vectors leaves it.  Every other vector
+    holds already."""
+    dots = [sum(value * vec.get(col, 0) for col, value in row.items()) for vec in vectors]
+    t = next(s for s, dot in enumerate(dots) if dot)
+    lead, first = dots[t], vectors[t]
+    refined = vectors[:t]
+    for vec, dot in zip(vectors[t + 1 :], dots[t + 1 :]):
+        if dot:
+            combined = {col: lead * vec.get(col, 0) - dot * first.get(col, 0) for col in vec.keys() | first.keys()}
+            vec = _normalize_int_row({col: value for col, value in combined.items() if value})
+        refined.append(vec)
+    return refined
+
+
+def _packed(vectors: list, bound: int) -> tuple:
+    """(packed, w): each column's entries e_s of the d {column: int} vectors
+    packed into one integer P = sum_s e_s * 2**(w*s), in slots of w bits,
+    for checking rows against all d vectors at once (lieext.solve's check).
+
+    The sum of coefficient * sign * P over one row's terms is
+    sum_s D_s * 2**(w*s), with D_s the row's dot product with vector s.
+    With M the largest |e_s| and B = bound, at least the sum of the
+    |coefficient| of any row's terms, |D_s| <= B * M < 2**(w - 2) for
+    w = bit_length(B * M) + 2.  If some D_s is nonzero, take the smallest
+    such s: every later slot is a multiple of 2**(w*(s+1)), so the sum is
+    congruent to D_s * 2**(w*s) modulo 2**(w*(s+1)), and it is zero there
+    only if 2**w divides D_s, which |D_s| < 2**w forbids.  So the packed
+    sum is zero exactly when every dot product is, and likewise P is zero
+    exactly when every e_s is (B >= 1)."""
+    top = max((abs(value) for vec in vectors for value in vec.values()), default=0)
+    width = (bound * top).bit_length() + 2
+    packed: dict = {}
+    for slot, vec in enumerate(vectors):
+        shift = width * slot
+        for col, value in vec.items():
+            packed[col] = packed.get(col, 0) + (value << shift)
+    return packed, width
 
 
 def _fraction_basis(

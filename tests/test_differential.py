@@ -60,7 +60,7 @@ from lieext.engine import CocycleAssignment, KnownCocycle, h2, is_coboundary, ma
 from lieext.presets import load_algebra
 from lieext.rational import format_rational
 from lieext.solve import Window, assemble_constraints, coboundary_space, cocycle_space, enumerate_pairs
-from lieext.sparse import _Echelon, _null_vectors, nullspace
+from lieext.sparse import _Echelon, _null_vectors, _packed, nullspace
 
 from golden import CORRUPT_SOURCE, VERIFY_POINTS, WAB_SOURCE
 from isomorphism import substitute, weight
@@ -369,9 +369,9 @@ algebra graded3() {
 }
 """
 
-# The same with a family of weight 0 that brackets with nothing: the
-# triples that have it pin only the index -1, which leaves rows for the
-# check to add.
+# The same with a family of weight 0 that brackets with nothing: no
+# family acts on the triples that have it, and they pin the index -1 at
+# every position, which leaves rows for the check to add.
 TRIVIAL_WEIGHT_ZERO_SOURCE = NO_WEIGHT_ZERO_SOURCE.replace(
     "algebra graded3() {", "algebra graded3z() {\n    family Z weight 0;"
 )
@@ -386,17 +386,27 @@ def _spec(tmp_path, source):
     return load_algebra(str(path))
 
 
+# (values, positions) of a family triple's pins: without a family of
+# weight 0 that acts on it, an index -1, or -1 or 0 when none of its
+# families has weight 0, at any position; with one, the index -1 on its
+# families of weight 0 alone
+EVERY = range(3)
+
+
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize(
     "source, values, degree, pins",
     [
-        (NO_WEIGHT_ZERO_SOURCE, {}, 2, {(-1, 0)}),
-        (NO_WEIGHT_ZERO_SOURCE, {}, 5, {(-1, 0)}),
-        (TRIVIAL_WEIGHT_ZERO_SOURCE, {}, 2, {(-1,), (-1, 0)}),
-        (WAB_SOURCE, {"lambda": 1, "mu": 0}, 0, {(-1,)}),
-        (WAB_SOURCE, {"lambda": 1, "mu": 0}, -1, {(-1,)}),
-        ("svir", {"lambda": -3, "mu": 1}, 1, {(-1,), (-1, 0)}),
-        ("svir", {"lambda": 1, "mu": "1/2"}, "1/2", {(-1,), (-1, 0)}),
+        (NO_WEIGHT_ZERO_SOURCE, {}, 2, {((-1, 0), EVERY)}),
+        (NO_WEIGHT_ZERO_SOURCE, {}, 5, {((-1, 0), EVERY)}),
+        (TRIVIAL_WEIGHT_ZERO_SOURCE, {}, 2, {((-1,), EVERY), ((-1, 0), EVERY)}),
+        (WAB_SOURCE, {"lambda": 1, "mu": 0}, 0, {((-1,), (0, 1, 2))}),
+        (WAB_SOURCE, {"lambda": 1, "mu": 0}, -1, {((-1,), (0, 1, 2))}),
+        # L acts on L, Y and M: L, L, L pins -1 anywhere, L, L, Y and
+        # L, L, M on the Ls, L, Y, Y to L, M, M on the L, and Y, Y, Y and
+        # Y, Y, M nothing
+        ("svir", {"lambda": -3, "mu": 1}, 1, {((-1,), w) for w in ((0, 1, 2), (0, 1), (0,), ())}),
+        ("svir", {"lambda": 1, "mu": "1/2"}, "1/2", {((-1,), w) for w in ((0, 1), (0,), ())}),
     ],
     ids=[
         "no-weight-zero-2",
@@ -419,8 +429,9 @@ def test_pinned_rule_edges_equal_full_elimination(tmp_path, source, values, degr
     identities = solve._identities(alg, n, Fraction(degree), pairs._index)
     assert {identity.pins for identity in identities if identity.terms} == pins
     for identity in identities:
+        values, positions = identity.pins
         assert sorted(identity.pinned()) == [
-            idx for idx in identity.indices() if any(v in idx for v in identity.pins)
+            idx for idx in identity.indices() if any(idx[w] in values for w in positions)
         ]
     full = nullspace(assemble_constraints(spec, params, window, degree, pairs))
     assert cocycle_space(spec, params, window, degree, pairs).vectors == full.vectors
@@ -588,7 +599,7 @@ def test_compiled_identity_matches_reference(name, values, n):
                 flagged.append(((x, y, z), _scaled(row)))
         # the reference rows are over Fraction; a packed dot product is an
         # integer over the bracket denominator
-        packed, width = solve._packed(vectors, compiled)
+        packed, width = _packed(vectors, max(identity.bound for identity in compiled))
         assert top * alg.denominator < 2 ** (width - 1)
         walked = []
         for identity in compiled:
@@ -913,15 +924,16 @@ def _assert_strip_meets_new_rows(plan, n, previous):
 def _rank_deficit(alg, degree, pairs):
     """The rank of every admissible row of the window minus the rank of the
     rows the solve eliminates up front: those of the triples with an index
-    in the identity's pins.  Both by separate full eliminations over all of
-    indices(), not over pinned()."""
+    in the identity's pins at one of its positions.  Both by separate full
+    eliminations over all of indices(), not over pinned()."""
     full, pinned = _Echelon(), _Echelon()
     for identity in solve._identities(alg, pairs.window.n, degree, pairs._index):
+        values, positions = identity.pins
         for idx in identity.indices():
             row = identity.row(idx)
             if row:
                 full.add(row)
-                if any(v in idx for v in identity.pins):
+                if any(idx[w] in values for w in positions):
                     pinned.add(row)
     return full.rank - pinned.rank
 
@@ -1071,9 +1083,9 @@ def test_h2_equals_fresh_windows(tmp_path, source, values, degree, n, margin, st
     ids=["svir(-3,1/2)", "svir(1,1)-1-step", "witt-4-steps"],
 )
 def test_h2_builds_one_plan(monkeypatch, name, values, steps):
-    """One h2 call enumerates its pairs once.  Its plan keeps the family
-    triples and builds no identity itself; each window it solves builds its
-    own identity of each family triple, once."""
+    """One h2 call enumerates its pairs once, and its plan builds the
+    identity of each family triple once, at its largest window: each window
+    it solves reads the same one."""
     spec = load_algebra(name)
     alg = solve._bind(spec, values)
     # the family triples whose index total is an integer at degree 0
@@ -1097,7 +1109,7 @@ def test_h2_builds_one_plan(monkeypatch, name, values, steps):
     monkeypatch.setattr(solve._Identity, "__init__", counting_init)
     h2(spec, values, Window(8), stabilization_steps=steps)
     assert calls.pop("pairs") == 1
-    assert calls == {families: steps for families in triples}
+    assert calls == {families: 1 for families in triples}
 
 
 def test_plan_refuses_a_window_that_does_not_grow():

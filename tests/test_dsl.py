@@ -635,6 +635,22 @@ def test_a_rule_with_an_error_has_its_families_checked_and_not_its_coefficient()
     ]
 
 
+@pytest.mark.parametrize(
+    "item",
+    [
+        "bracket [L n, on m] = 0;",
+        "bracket [L n, L m] = (m - n) on(n + m);",
+        "cocycle c { [on n, L m] = 1 on n + m = 0; }",
+    ],
+)
+def test_a_reserved_word_for_a_family_is_one_error(item):
+    # the reserved word is reported where it is read, and no later check
+    # reads it as a family name
+    src = "algebra a() {\n  family L weight 0;\n  " + item + "\n}"
+    col = 3 + item.index("on")
+    assert [str(d) for d in parse(src).errors()] == [f"3:{col}: error[reserved-word]: 'on' is a reserved word"]
+
+
 def test_a_family_declared_twice_warns_once_per_pair():
     src = "algebra a() {\n  family L weight 0;\n  family L weight 1;\n  family M weight 0;\n}"
     assert [str(d) for d in parse(src).diagnostics] == [

@@ -290,8 +290,8 @@ def test_first_window_check_walks_o_n_triples(monkeypatch):
     walk = solve._Identity.walk
     walked = {}
 
-    def counting(identity, terms, meeting=None):
-        checked, failed = walk(identity, terms, meeting)
+    def counting(identity, *args):
+        checked, failed = walk(identity, *args)
         walked[identity.n] = walked.get(identity.n, 0) + checked
         return checked, failed
 
@@ -643,22 +643,26 @@ def test_h2_compiles_each_declared_class_once(monkeypatch):
 
 def test_identity_within_below_its_total_leaves_every_index_out():
     # witt at degree 26: window 16 has triples of index total 26, window 12
-    # none with every output inside, as 26 > 2 * 12.  The plan's window 12
-    # builds its identity over the plan's pair basis, as a fresh window 12
-    # does over its own
+    # none with every output inside, as 26 > 2 * 12.  The plan builds its
+    # identity once, at 16, and read at window 12 through that window's
+    # edge it gives what a fresh window 12 gives: every entry is out
     alg = solve._bind(WITT, {})
     plan = solve._Plan(alg, Window(16), Fraction(26))
-    [(families, total)] = solve._totals(alg, Fraction(26), 3)
-    triple = solve._Identity(alg, 16, plan.pairs._index, families, total)
-    within = solve._Identity(alg, 12, plan.pairs._index, families, total)
+    [triple] = plan.identities
     pairs = solve._enumerate_pairs(alg, Window(12), Fraction(26))
     [fresh] = solve._identities(alg, 12, Fraction(26), pairs._index)
-    assert within.rules == fresh.rules == triple.rules
-    assert [term[1] for term in within.terms] == [term[1] for term in fresh.terms]
-    assert all(entry is solve._OUT for term in within.terms for entry in term[1])
-    assert within.bound == fresh.bound < triple.bound
+    assert triple.rules == fresh.rules
+    assert all(entry is solve._OUT for term in fresh.terms for entry in term[1])
+    assert any(entry is not solve._OUT for term in triple.terms for entry in term[1])
+    tables = [term[1] for term in triple.terms]
+    triple.within(12)
+    assert [term[1] for term in triple.terms] == tables
+    assert all(entry is solve._OUT for term in triple.valued({})[0] for entry in term[1])
+    assert fresh.bound < triple.bound
     # [L_i, L_j] = (j - i) L_(i + j) is nonzero on every triple i < j < k
-    assert list(within.indices()) and within.admissible() == 0
+    assert list(triple.indices()) == list(fresh.indices()) != []
+    assert triple.admissible() == fresh.admissible() == 0
+    assert all(triple.row(idx) is None for idx in triple.indices())
 
 
 def test_windows_leave_out_the_generators_outside_them():

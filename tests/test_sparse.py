@@ -11,6 +11,7 @@ from lieext.sparse import (
     VectorBasis,
     _Echelon,
     _null_vectors,
+    _refined,
     _scale_row,
     nullspace,
     project_dimension,
@@ -211,7 +212,7 @@ def test_echelon_pivots_equal_reference_elimination():
     # row, once cleared, is the primitive row of the reduced row echelon form
     rng = random.Random(1361)
     cases = [_random_int_rows(rng) for _ in range(300)]
-    cases.append(_pinned_rows("svir", {"lambda": -3, "mu": 1}, 12))
+    cases.append(_pinned_rows("svir", {"lambda": -3, "mu": 1}, 14))
     assert len(cases[-1]) > 100
     long = _long_rows("svir", {"lambda": -3, "mu": 1}, 40)
     long += _long_rows("svir", {"lambda": 1, "mu": Fraction(1, 2)}, 40)
@@ -226,6 +227,27 @@ def test_echelon_pivots_equal_reference_elimination():
             assert ech.contains(row)
         assert rows == snapshot
         assert {col: ech._cleared(col) for col in ech.pivots} == reduced_pivots(snapshot)
+
+
+def test_refined_null_vectors_equal_a_back_substitution():
+    # each row that adds a pivot turns the null vectors of the echelon
+    # before it into those of the echelon after it, vector for vector, as
+    # _null_vectors computes them from the pivots; a row the echelon holds
+    # leaves them as they are
+    rng = random.Random(1361)
+    cases = [_random_int_rows(rng) for _ in range(300)]
+    cases.append(_pinned_rows("svir", {"lambda": -3, "mu": 1}, 14))
+    refined = 0
+    for rows in cases:
+        columns = range(max((col for row in rows for col in row), default=0) + 1)
+        ech = _Echelon()
+        vectors = _null_vectors(ech.pivots, columns)
+        for row in rows:
+            if ech.add(row):
+                vectors = _refined(vectors, row)
+                refined += 1
+            assert vectors == _null_vectors(ech.pivots, columns)
+    assert refined > 800
 
 
 def test_echelon_clears_a_long_pivot_chain_without_recursion():

@@ -337,8 +337,9 @@ def test_verify_golden_points_are_the_benchmark_points():
 def test_family_tuples_at_a_degree_come_from_one_generator():
     # which family pairs, triples or single families exist at a degree is
     # one rule, solve._totals: no other function of solve.py or engine.py
-    # enumerates family tuples itself, and the plan keeps no identities
-    # built at its own window: each window builds them with _identities
+    # enumerates family tuples itself, and the plan builds its identities
+    # once, at its own window, in one cached property that calls
+    # _identities: no other method of the plan builds one
     tree = ast.parse((ROOT / "src" / "lieext" / "solve.py").read_text())
     calls = {
         node
@@ -349,7 +350,25 @@ def test_family_tuples_at_a_degree_come_from_one_generator():
     [totals] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_totals"]
     assert calls and calls == calls & set(ast.walk(totals))
     [plan] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Plan"]
-    assert "identities" not in {node.name for node in plan.body if isinstance(node, ast.FunctionDef)}
+    methods = {node.name: node for node in plan.body if isinstance(node, ast.FunctionDef)}
+    assert [ast.unparse(node) for node in methods["identities"].decorator_list] == ["cached_property"]
+    building = {name for name, node in methods.items() if _calls(node, "_identities") or _calls(node, "_Identity")}
+    assert building == {"identities"}
+
+
+def test_the_check_back_substitutes_once_per_window():
+    # _Plan.check computes the null vectors of its window once, with
+    # _null_vectors, and refines them in place (sparse._refined) for each
+    # row it adds, in the function it hands the walk: neither that
+    # function nor a loop of the check calls _null_vectors
+    tree = ast.parse((ROOT / "src" / "lieext" / "solve.py").read_text())
+    check = _functions(tree)["_Plan.check"]
+    assert len(_calls(check, "_null_vectors")) == 1
+    [refine] = [node for node in ast.walk(check) if isinstance(node, ast.FunctionDef) and node is not check]
+    assert len(_calls(refine, "_refined")) == 1 == len(_calls(check, "_refined"))
+    assert "refine" in {ast.unparse(arg) for call in ast.walk(check) if isinstance(call, ast.Call) for arg in call.args}
+    loops = [node for node in ast.walk(check) if isinstance(node, (ast.For, ast.While))]
+    assert not any(_calls(node, "_null_vectors") for node in [refine, *loops])
 
 
 def _functions(tree) -> dict:
@@ -398,15 +417,26 @@ def test_the_cocycle_identity_is_built_one_way():
 
 def test_the_window_edge_is_one_rule():
     # whether a term's output leaves the window is one attribute,
-    # _Identity.inside: the tables (terms) and the closed-form count
-    # (admissible) both read it, and neither compares abs(...) with n
+    # _Identity.inside, set for each window the identity is read on
+    # (within): the walk's values (valued), the rows (row) and the
+    # closed-form count (admissible) read it, the tables (terms), built
+    # once, mark only the edge of the radius they are built at, and none
+    # compares abs(...) with n
     tree = ast.parse((ROOT / "src" / "lieext" / "solve.py").read_text())
     [identity] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Identity"]
     methods = {node.name: node for node in identity.body if isinstance(node, ast.FunctionDef)}
-    for name in ("terms", "admissible"):
-        nodes = list(ast.walk(methods[name]))
-        assert "self.inside" in {ast.unparse(node) for node in nodes if isinstance(node, ast.Attribute)}, name
-        for node in nodes:
+    assert "self.inside" not in {ast.unparse(node) for node in ast.walk(methods["terms"])}
+    writes = {
+        name
+        for name, method in methods.items()
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr == "inside"
+    }
+    assert writes == {"within"}
+    for name in ("valued", "row", "admissible"):
+        assert "self.inside" in {ast.unparse(node) for node in ast.walk(methods[name])}, name
+    for name in ("terms", "valued", "row", "admissible"):
+        for node in ast.walk(methods[name]):
             if isinstance(node, ast.Compare):
                 operands = {ast.unparse(operand) for operand in (node.left, *node.comparators)}
                 assert not ({"n", "self.n"} & operands and any(text.startswith("abs(") for text in operands)), (

@@ -198,13 +198,15 @@ def null_vector_runs() -> list:
     """The (label, spec, params, window N, degree) of each recorded h2 run:
     svir at the 80 grid points at N = 12 and at both wide points at N = 40
     and N = 80, five more algebras at degrees -1, 0, 1/2 and 1 at N = 12,
-    and two runs whose index totals lie far from 0, so that most entries of
+    two runs whose index totals lie far from 0, so that most entries of
     their identity tables leave the window: wab_a at lambda = 20 (W of
-    weight 20) at N = 24, and witt at degree 13 at N = 12.  The sources are
-    the ones the tests keep."""
+    weight 20) at N = 24, and witt at degree 13 at N = 12, graded3 with an
+    abelian family of weight 0 at degrees 0 and 2 at N = 12 and N = 40, and
+    wab(1,0), hv and w22 at degree 0 at N = 40.  The sources are the ones
+    the tests keep."""
     from test_acceptance import GRID_LAMBDAS, GRID_MUS
     from test_cli import HV_SOURCE, W22_SOURCE, WAB_A_SOURCE
-    from test_differential import NO_WEIGHT_ZERO_SOURCE
+    from test_differential import NO_WEIGHT_ZERO_SOURCE, TRIVIAL_WEIGHT_ZERO_SOURCE
 
     svir = load_algebra("svir")
     runs = [(f"svir({lam},{mu})", svir, {"lambda": lam, "mu": mu}, 12, 0)
@@ -223,6 +225,12 @@ def null_vector_runs() -> list:
     wab_a = parse(WAB_A_SOURCE).spec
     runs += [(f"wab_a(20,{mu})", wab_a, {"lambda": 20, "mu": mu}, 24, "0") for mu in (0, "1/2")]
     runs.append(("witt", load_algebra("witt"), {}, 12, "13"))
+    # graded3 with an abelian family Z of weight 0, whose triples pin the
+    # index -1 alone, and three algebras whose weight-0 families act on
+    # every family, at N = 40
+    graded3z = parse(TRIVIAL_WEIGHT_ZERO_SOURCE).spec
+    runs += [("graded3z", graded3z, {}, n, degree) for n in (12, 40) for degree in ("0", "2")]
+    runs += [(label, spec, params, 40, "0") for label, spec, params in others if label in ("wab(1,0)", "hv", "w22")]
     return runs
 
 
