@@ -347,9 +347,9 @@ class _Identity:
     over the terms at any triple of indices in [-R, R]; only _packed reads
     it.  The tables and bound are built once, at their first use.  Every
     identity is built by _identities: _Plan.identities builds them once, at
-    the plan's window over its pair basis, assemble_constraints at the
-    window's radius over its pairs, and verify_cocycle over the window's
-    pairs keyed by themselves.
+    the plan's window over its pair basis, for the solve and for
+    assemble_constraints, and verify_cocycle over the window's pairs keyed
+    by themselves.
     """
 
     def __init__(self, alg: BoundAlgebra, n: int, column: Mapping, families, total: int):
@@ -499,7 +499,7 @@ class _Identity:
                 found.update(zip(range(bottom, top + 1), range(rest - bottom, rest - top - 1, -1)))
         return found
 
-    def boundary(self, alg: BoundAlgebra, failing: Mapping) -> set | None:
+    def boundary(self, failing: Mapping) -> set | None:
         """The (i, j) of the triples a first window's check walks, as a
         meeting() set: a superset of those that d^2 = 0 does not certify
         from the others (module docstring), and the triples with an index
@@ -526,7 +526,7 @@ class _Identity:
                 break
         else:
             return None
-        rules = [alg._rules[acting][f] for f in families]
+        rules = [self.alg._rules[acting][f] for f in families]
         # the triples with L_-1 have an output index total + 1
         if abs(total + 1) > n:
             return None
@@ -662,18 +662,17 @@ def _identities(alg: BoundAlgebra, n: int, degree: Fraction, column: Mapping) ->
 def assemble_constraints(
     spec: AlgebraSpec, params: Mapping, window: Window, degree, pairs: PairBasis | None = None
 ) -> SparseMatrix:
-    """Constraint matrix with one row per admissible nonvacuous triple."""
-    alg = _bind(spec, params)
-    degree = _degree(degree)
-    pairs = _pair_basis(alg, window, degree, pairs)
-    denominator = alg.denominator
+    """Constraint matrix with one row per admissible nonvacuous triple, from
+    the identities of a plan at the window."""
+    plan = _Plan(_bind(spec, params), window, _degree(degree), pairs)
+    denominator = plan.alg.denominator
     rows = []
-    for identity in _identities(alg, window.n, degree, pairs._index):
+    for identity in plan.identities:
         for idx in identity.indices():
             row = identity.row(idx)
             if row:
                 rows.append({col: Fraction(value, denominator) for col, value in row.items()})
-    return SparseMatrix.from_rows(rows, len(pairs))
+    return SparseMatrix.from_rows(rows, len(plan.pairs))
 
 
 class _Plan:
@@ -785,7 +784,7 @@ class _Plan:
         for identity in identities:
             terms, reached = identity.valued(packed)
             if reached:
-                meeting = identity.meeting(identity.touching(strip)) if strip else identity.boundary(self.alg, self.failing)
+                meeting = identity.meeting(identity.touching(strip)) if strip else identity.boundary(self.failing)
                 identity.walk(terms, meeting, refine)
         return vectors
 

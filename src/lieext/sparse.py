@@ -3,20 +3,13 @@
 The cocycle engine produces constraint matrices with a few thousand rows of
 at most three nonzeros each over ~10^2 columns, so a plain incremental
 echelon is all that is needed.  Rows are scaled to integers (denominators
-cleared, gcd divided out) and reduced against pivot rows keyed by leading
-column; a row that does not reduce to zero becomes the pivot row of its
-leftmost column.  The pivot columns are thus the leading columns of the
-rows' span, and the fully reduced pivot rows are its reduced row echelon
-form, whatever the order of elimination.
-
-The echelon keeps its pivot rows reduced lazily (_Echelon._cleared).  A row
-is stored holding no pivot column but its own; when a later pivot lands on
-one of its columns, it is cleared again only when it is next used, the
-deeper rows it needs first.  So reducing a row takes one combination per
-pivot column it holds, not one per step along a chain of unreduced pivot
-rows.  Such a chain can be as long as the rank, hundreds of rows at a
---window of several hundred, so the clearing walks it on an explicit stack
-and never recurses.
+cleared, gcd divided out) and reduced by their leading column alone: while
+the row's leftmost column holds a pivot row, the two are combined to clear
+it.  A row that does not reduce to zero becomes the primitive pivot row of
+its leading column.  The pivot rows are thus in echelon form, not reduced
+form, and depend on the order of elimination; their pivot columns are the
+leading columns of the rows' span and do not, and neither do the reduced
+null vectors back-substituted from them.
 
 Null vectors come from one integer back-substitution (_null_vectors), shared
 by nullspace and the certified subset solve (lieext.solve), as primitive
@@ -138,8 +131,8 @@ def _normalize_int_row(row: dict) -> dict:
 
 class _Echelon:
     """Incremental echelon form keyed by leading column, over {column: int}
-    rows; a row need not be primitive.  The pivot rows are kept reduced
-    lazily (module docstring)."""
+    rows; a row need not be primitive.  Each pivot row holds no column left
+    of its own, and is stored primitive (module docstring)."""
 
     def __init__(self, int_rows: Iterable[dict] = ()):
         self.pivots: dict = {}
@@ -162,52 +155,15 @@ class _Echelon:
         return len(self.pivots)
 
     def _reduced(self, int_row: dict) -> dict:
-        """A copy of the row with every pivot column cleared out of it, by
-        one combination with each cleared pivot row it holds; the argument
-        is not modified.  A cleared pivot row holds no other pivot column,
-        so no combination brings back a column cleared before it."""
+        """A copy of the row combined with the pivot row at its leading
+        column while there is one; the argument is not modified.  Each
+        combination clears the leading column and leaves only columns right
+        of it, so the result is empty or leads at a column with no pivot."""
         pivots = self.pivots
         row = dict(int_row)
-        for col in int_row:
-            if col in pivots:
-                _combine(row, self._cleared(col), col)
+        while row and (col := min(row)) in pivots:
+            _combine(row, pivots[col], col)
         return row
-
-    def _cleared(self, col: int) -> dict:
-        """Pivot row `col` with every other pivot column cleared out of it,
-        stored back as a primitive row.  A pivot row holds only columns
-        right of its own, so the rows it needs cleared first are deeper
-        ones: they are cleared in post-order, deepest column first, on an
-        explicit stack, so a chain of any length needs no recursion.  The
-        top's pending columns lie right of it and are pushed in ascending
-        order, so the stack rises strictly from bottom to top and no column
-        is on it twice.  A column leaves it when it is done, and pending
-        excludes done columns, so the top is never a column already done."""
-        pivots = self.pivots
-        row = pivots[col]
-        for c in row:
-            if c != col and c in pivots:
-                break
-        else:
-            return row
-        done: set = set()
-        stack = [col]
-        while stack:
-            top = stack[-1]
-            row = pivots[top]
-            held = [c for c in row if c != top and c in pivots]
-            pending = [c for c in held if c not in done]
-            if pending:
-                pending.sort()
-                stack += pending
-                continue
-            stack.pop()
-            done.add(top)
-            if held:
-                for c in held:
-                    _combine(row, pivots[c], c)
-                pivots[top] = _normalize_int_row(row)
-        return pivots[col]
 
 
 def _combine(row: dict, pivot: dict, col: int) -> None:

@@ -170,6 +170,8 @@ SPEC_ARGS = {
          "index variable 'p' collides with a parameter"),
         ({"rules": {("A", "B"): _rule("A", "B", V("z"), "B")}},
          "rule [A, B] uses unknown variable 'z'"),
+        ({"cocycles": {"c": [CocycleLine("A", "B", V("z") * V("m"))]}},
+         "cocycle 'c' uses an undeclared parameter"),
     ],
 )
 def test_spec_construction_validates(changes, message):

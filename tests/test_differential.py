@@ -673,7 +673,7 @@ def test_drawn_lie_algebras_reach_the_boundary():
         reached += bool(
             any(rule is not None for rules in alg._rules for rule in rules)
             and not failing
-            and any(identity.boundary(alg, failing) is not None for identity in bracketing)
+            and any(identity.boundary(failing) is not None for identity in bracketing)
         )
     assert reached >= 15
 
@@ -1254,7 +1254,7 @@ def test_boundary_holds_every_uncertified_triple(tmp_path, source, values, degre
     listed_count = total = uncertified = 0
     identities = _plan_identities(plan)
     for identity in identities:
-        listed = identity.boundary(alg, plan.failing)
+        listed = identity.boundary(plan.failing)
         # walk() takes each listed (i, j) as a window triple, unchecked
         assert listed <= {idx[:2] for idx in identity.indices()}
         reference = _reference_uncertified(alg, identities, identity)
@@ -1308,7 +1308,7 @@ def test_boundary_needs_the_jacobi_identity(tmp_path, source, values, broken):
     for identity in _plan_identities(plan):
         needs = {identity.families, *(tuple(sorted((0, f, g))) for f, g in combinations(identity.families, 2))}
         walks_all = bool(needs & broken) or abs(identity.total + 1) > 8
-        assert (identity.boundary(alg, plan.failing) is None) == walks_all, identity.families
+        assert (identity.boundary(plan.failing) is None) == walks_all, identity.families
 
 
 def _reference_jacobi(alg, x, y, z) -> dict:
@@ -1417,7 +1417,7 @@ def test_boundary_walk_finds_every_failing_vector(values):
     alg = solve._bind(load_algebra("svir"), values)
     plan = solve._Plan(alg, Window(12), Fraction(0))
     identities = _plan_identities(plan)
-    boundaries = [identity.boundary(alg, plan.failing) for identity in identities]
+    boundaries = [identity.boundary(plan.failing) for identity in identities]
     assert None not in boundaries
     ech = _Echelon()
     for identity in identities:

@@ -47,6 +47,9 @@ def test_eval_unbound_variable_is_error():
         p.evaluate({"m": 1.5, "mu": 1})
     with pytest.raises(TypeError, match="exact scalar, got str"):
         p.evaluate({"m": 1, "mu": "1/2"})
+    # and a variable needs a name to be bound by
+    with pytest.raises(ValueError, match="empty variable name"):
+        V("")
 
 
 def test_eval_equals_a_fraction_sum_of_its_terms():

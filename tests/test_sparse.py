@@ -133,6 +133,8 @@ def test_sparse_matrix_validation():
         SparseMatrix(2, 2, [(2, 0, 1)])  # out of bounds
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, [(0, 0, 0)])  # explicit zero
+    with pytest.raises(ValueError, match="negative dimension"):
+        SparseMatrix(-1, 2, [])
     with pytest.raises(AttributeError):
         SparseMatrix(1, 1, []).n_rows = 5
 
@@ -142,6 +144,8 @@ def test_vector_basis_rejects_dependent():
         VectorBasis(2, [(1, 2), (2, 4)])
     with pytest.raises(ValueError):
         VectorBasis(3, [(1, 2)])  # wrong length
+    with pytest.raises(ValueError, match="negative dimension"):
+        VectorBasis(-1, [])
 
 
 def test_echelon_of_a_dependent_spanning_set():
@@ -208,8 +212,8 @@ def _long_rows(name, values, n):
 
 
 def test_echelon_pivots_equal_reference_elimination():
-    # the pivot columns are the leading-column elimination's, and each pivot
-    # row, once cleared, is the primitive row of the reduced row echelon form
+    # the pivot columns are the leading-column elimination's, and the pivot
+    # rows back-substitute to the null vectors of the reduced row echelon form
     rng = random.Random(1361)
     cases = [_random_int_rows(rng) for _ in range(300)]
     cases.append(_pinned_rows("svir", {"lambda": -3, "mu": 1}, 14))
@@ -226,7 +230,8 @@ def test_echelon_pivots_equal_reference_elimination():
         for row in rows:
             assert ech.contains(row)
         assert rows == snapshot
-        assert {col: ech._cleared(col) for col in ech.pivots} == reduced_pivots(snapshot)
+        columns = range(max((col for row in rows for col in row), default=0) + 1)
+        assert _null_vectors(ech.pivots, columns) == _null_vectors(reduced_pivots(snapshot), columns)
 
 
 def test_refined_null_vectors_equal_a_back_substitution():
@@ -250,16 +255,17 @@ def test_refined_null_vectors_equal_a_back_substitution():
     assert refined > 800
 
 
-def test_echelon_clears_a_long_pivot_chain_without_recursion():
-    # row k says x_k = 2 x_(k+1); each row added leaves the pivot row before
-    # it holding its pivot column, so clearing row 0 needs the whole chain
+def test_echelon_reduces_along_a_long_pivot_chain_without_recursion():
+    # row k says x_k = 2 x_(k+1); each pivot row holds the pivot column of
+    # the next, so reducing a row at column 0 walks the whole chain, and
+    # contains leaves the stored rows as they are
     n = 5000
     assert n > sys.getrecursionlimit()
     ech = _Echelon({k: 1, k + 1: -2} for k in range(n))
     assert all(k + 1 in ech.pivots[k] for k in range(n - 1))
     assert ech.contains({0: 3, n: -3 * 2**n})
     assert not ech.contains({0: 1, n: 1 - 2**n})
-    assert ech.pivots[0] == {0: 1, n: -(2**n)}
+    assert ech.pivots[0] == {0: 1, 1: -2}
     assert _null_vectors(ech.pivots, range(n + 1)) == [{k: 2 ** (n - k) for k in range(n + 1)}]
 
 

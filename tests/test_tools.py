@@ -7,6 +7,7 @@ import importlib.util
 import io
 import re
 import resource
+import subprocess
 import tokenize
 from pathlib import Path
 
@@ -49,7 +50,7 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
     assert top == peak and float(peak) > 1
 
 
-def test_code_lines_measures_each_module_s_compile_peak(tmp_path, capsys):
+def test_code_lines_measures_each_module_s_compile_peak(tmp_path, capsys, monkeypatch):
     # the last column is the peak RSS of a fresh interpreter compiling the
     # module: 5000 assignments (25000 code tokens) peak above the sample.
     # A measure that carried over the peak of the process that started it
@@ -67,6 +68,19 @@ def test_code_lines_measures_each_module_s_compile_peak(tmp_path, capsys):
     large, small, top = (float(row[3]) for row in rows)
     assert large > small + 1 and top == large
     assert small < resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    # it is the median of the peaks of RUNS interpreters: here in KiB, from
+    # a stubbed runner
+    peaks = iter([15400, 15000, 99999, 16000, 15200, 1])
+    commands = []
+
+    def run(command, **options):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 0, stdout=f"{next(peaks)}\n")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    assert tool.RUNS == 5
+    assert tool.compile_peak_mb(tmp_path / "b_small.py") == 15400 / 1024
+    assert len(commands) == 5 and all(command[-1] == str(tmp_path / "b_small.py") for command in commands)
 
 
 def test_code_lines_lists_the_standard_library_of_the_cold_start(tmp_path, capsys):

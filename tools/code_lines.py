@@ -16,7 +16,8 @@ solve.py, the largest module at about 4090 code tokens, compiles at a
 to 0.15 MB, as much as the step).
 Comments and docstrings cost almost nothing there.  So the last column
 measures it: the peak RSS, in MB, of a fresh interpreter that compiles the
-module and nothing else.
+module and nothing else, as the median of RUNS such interpreters run one
+after another, since a single run is as noisy as the step.
 
 A cold start pays for the standard library too.  When DIR holds a
 cli.py, a line lists the standard-library modules that importing it
@@ -39,6 +40,7 @@ from __future__ import annotations
 import ast
 import io
 import os
+import statistics
 import subprocess
 import sys
 import tokenize
@@ -78,18 +80,20 @@ COMPILE = (
 )
 
 
+RUNS = 5
+
+
 def compile_peak_mb(path: Path) -> float:
-    """The peak RSS, in MB, of a fresh interpreter that compiles the module
-    at path.  Linux carries ru_maxrss over fork and exec, so a child of
-    this process, which has read every module, would report this
-    process's peak.  The interpreter is forked by sh instead, whose peak
-    is a fraction of an interpreter's; the `; exit` keeps sh from
-    replacing itself by it."""
+    """The median over RUNS fresh interpreters, started one after another,
+    of the peak RSS, in MB, of one that compiles the module at path.  Linux
+    carries ru_maxrss over fork and exec, so a child of this process, which
+    has read every module, would report this process's peak.  Each
+    interpreter is forked by sh instead, whose peak is a fraction of an
+    interpreter's; the `; exit` keeps sh from replacing itself by it."""
     script = '"$0" -c "$1" "$2"; exit $?'
-    run = subprocess.run(
-        ["sh", "-c", script, sys.executable, COMPILE, str(path)], capture_output=True, text=True, check=True
-    )
-    return int(run.stdout) / 1024
+    command = ["sh", "-c", script, sys.executable, COMPILE, str(path)]
+    peaks = [int(subprocess.run(command, capture_output=True, text=True, check=True).stdout) for _ in range(RUNS)]
+    return statistics.median(peaks) / 1024
 
 
 def cold_start_modules(root: Path, statement: str) -> list:
