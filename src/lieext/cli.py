@@ -276,28 +276,81 @@ def _scan_point(settings, point) -> dict:
     return {**_h2_json(report, predicted, agree), "matched": matched, "warning": warning}
 
 
-_worker_settings = None
-
-
-def _scan_worker(*settings):
-    """A scan worker's initializer: it is handed the settings, the parsed
-    spec among them, once, not with each point."""
-    global _worker_settings
-    _worker_settings = settings
-
-
-def _scan_worker_point(point) -> dict:
-    return _scan_point(_worker_settings, point)
-
-
 def _scan_workers(jobs: int, points: int, cpus: int | None) -> int:
-    """Worker processes for a scan: the requested count (0 or less means
-    the usable CPUs), capped by the grid size and the usable CPUs."""
-    cpus = cpus or 1
+    """Processes for a scan, its own among them: the requested count (0 or
+    less means the usable CPUs), capped by the grid size and the usable
+    CPUs, and at 1 where os has no fork."""
+    cpus = (cpus or 1) if hasattr(os, "fork") else 1
     return max(1, min(jobs if jobs > 0 else cpus, points, cpus))
 
 
+def _claim(settings, grid, tickets: int, step: int) -> dict:
+    """{index: row} of the points this process claims from the ticket pipe
+    until it is empty; a failing point ends the claims, with its exception
+    as its row."""
+    rows = {}
+    while ticket := os.read(tickets, 1):
+        for index in range(ticket[0] * step, min(ticket[0] * step + step, len(grid))):
+            try:
+                rows[index] = _scan_point(settings, grid[index])
+            except Exception as exc:
+                return {**rows, index: exc}
+    return rows
+
+
+def _scan_rows(settings, grid, workers: int) -> list:
+    """The rows of the grid's points, in grid order.  This process and
+    workers - 1 forked children, which inherit the parsed spec, claim the
+    points from one pipe of one-byte tickets, all written before the first
+    fork: ticket t is the points [t*c, (t+1)*c) with c = ceil(points / 256),
+    so the at most 256 tickets fit one write of less than PIPE_BUF.  Each
+    child sends its rows back pickled through a pipe of its own.  The first
+    failing point in grid order raises, as it does when one process runs
+    the points one after another."""
+    import pickle  # here: no other run needs it
+
+    step = -(-len(grid) // 256)
+    tickets, end = os.pipe()
+    os.write(end, bytes(range(-(-len(grid) // step))))
+    os.close(end)
+    pipes = {}  # each child's pid: the read end of its rows' pipe
+    try:
+        for _ in range(workers - 1):
+            read, write = os.pipe()
+            if not (pid := os.fork()):
+                try:
+                    os.close(read)  # so that the parent's close ends a blocked write
+                    with open(write, "wb") as out:
+                        out.write(pickle.dumps(_claim(settings, grid, tickets, step)))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            pipes[pid] = open(read, "rb")
+        rows = _claim(settings, grid, tickets, step)
+        for pipe in pipes.values():
+            try:
+                rows.update(pickle.load(pipe))
+            except EOFError:
+                raise ChildProcessError("a scan worker ended without its rows") from None
+    finally:
+        os.close(tickets)
+        # every pipe before any wait: a child may be blocked writing to one,
+        # and later children hold the read ends of earlier ones
+        for pipe in pipes.values():
+            pipe.close()
+        for pid in pipes:
+            os.waitpid(pid, 0)
+    rows = [rows[index] for index in sorted(rows)]
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return rows
+
+
 def cmd_scan(args) -> int:
+    """One row per point of the (lambda, mu) grid, in grid order.  The
+    points are computed by _scan_workers processes, this one among them,
+    which claim them from one pipe of tickets (_scan_rows)."""
     spec = load_algebra(args.algebra)
     if set(spec.parameters) != {"lambda", "mu"}:
         raise ParameterError(
@@ -306,26 +359,15 @@ def cmd_scan(args) -> int:
     lams = [parse_rational(part) for part in args.lambda_values.split(",")]
     mus = [parse_rational(part) for part in args.mu_values.split(",")]
     grid = sorted({(lam, mu) for lam in lams for mu in mus})
-    # fail fast on bad options before spawning workers, so that no worker
+    # fail fast on bad options before forking workers, so that no worker
     # meets them; every exact lambda and mu binds
     degree = parse_rational(args.degree)
     window = Window(args.window, args.margin)
     if args.steps < 1:
         raise ValueError("need at least one stabilization step")
     settings = (spec, window, degree, args.steps)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count()
-    workers = _scan_workers(args.jobs, len(grid), cpus)
-    if workers > 1:
-        # imported here: it pulls in multiprocessing, which no other run needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers, initializer=_scan_worker, initargs=settings) as pool:
-            rows = list(pool.map(_scan_worker_point, grid))
-    else:
-        rows = [_scan_point(settings, point) for point in grid]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    rows = _scan_rows(settings, grid, _scan_workers(args.jobs, len(grid), cpus))
 
     columns = ["lambda", "mu", "window", "core_h2_dim", "predicted_dim", "agree", "matched"]
     if args.format == "csv":

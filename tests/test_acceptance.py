@@ -16,6 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
+import golden
 from conftest import ACCEPTANCE_LINES
 from isomorphism import weight
 from oracle_dense import dense_in_span, dense_matvec, dense_nullspace, dense_rank
@@ -133,18 +134,23 @@ DOCUMENTED_SURPLUS = {
 def test_grid_disagreements_are_exactly_the_documented_ones():
     # criterion 1 is red by design; this pins the shape of that red so a new
     # regression on the grid fails here instead of hiding behind it
+    grid = [
+        "--lambda-values=" + ",".join(format_rational(Fraction(v)) for v in GRID_LAMBDAS),
+        "--mu-values=" + ",".join(format_rational(Fraction(v)) for v in GRID_MUS),
+    ]
+    # bytes, so that the csv rows keep their "\r\n"
     proc = subprocess.run(
-        [
-            sys.executable, "-m", "lieext", "scan",
-            "--lambda-values=" + ",".join(format_rational(Fraction(v)) for v in GRID_LAMBDAS),
-            "--mu-values=" + ",".join(format_rational(Fraction(v)) for v in GRID_MUS),
-            "--jobs", "2", "--format", "csv",
-        ],
-        capture_output=True, text=True, timeout=600,
+        [sys.executable, "-m", "lieext", "scan", *grid, "--jobs", "2", "--format", "csv"],
+        capture_output=True, timeout=600,
     )
-    assert proc.returncode == 1, proc.stderr
-    assert "did not stabilize" not in proc.stderr
-    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    stdout, stderr = proc.stdout.decode(), proc.stderr.decode()
+    assert proc.returncode == 1, stderr
+    assert "did not stabilize" not in stderr
+    # a parallel scan prints what the golden record of one process holds
+    assert grid == golden.GRID
+    serial = golden.record(["scan", *grid, "--jobs", "1"], proc.returncode, stdout, stderr)
+    assert (golden.GOLDEN / "scan-grid-csv.txt").read_text().startswith(serial)
+    rows = list(csv.DictReader(io.StringIO(stdout)))
     assert len(rows) == len(GRID_LAMBDAS) * len(GRID_MUS)
     disagreeing = {(row["lambda"], row["mu"]) for row in rows if row["agree"] == "false"}
     assert disagreeing == DOCUMENTED_SURPLUS

@@ -363,7 +363,7 @@ def test_h2_report_lists_are_fresh_for_each_report():
 
 
 def test_values_and_specs_survive_pickle():
-    # a scan's process pool sends windows, and its workers the parsed spec;
+    # specs, windows and declared classes may be sent between processes;
     # the cached index terms of rules and lines come back equal too
     rule = SVIR.rules[("L", "Y")]
     line = SVIR.cocycles["yy-reciprocal"][0]

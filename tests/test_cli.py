@@ -1,21 +1,22 @@
 """End-to-end command line tests driving the installed entry point through
 subprocesses: output formats, exit codes, and file/preset resolution."""
 
-import concurrent.futures
+import contextlib
 import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from lieext import cli
 from lieext.cli import _scan_workers
-from lieext.presets import load_algebra
-from lieext.solve import Window
 
 from golden import CORRUPT_SOURCE, WAB_SOURCE
 
@@ -292,34 +293,72 @@ def test_h2_json_names_every_parameter(tmp_path):
     assert list(data)[-1] == "parameters"
 
 
-def test_file_scan_parses_its_file_once(tmp_path, monkeypatch, capsys):
-    # every point of a scan of a .lie file reads the one parsed spec
+def _forks(monkeypatch) -> list:
+    """The pids of the children that os.fork starts from now on, in order,
+    as the parent sees them."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+@contextlib.contextmanager
+def _deadline(seconds, pids):
+    """Fail a run that has not ended within seconds, and kill the children
+    pids lists, so that none of them outlives the test."""
+    def expire(signum, frame):
+        for pid in pids:
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+        pytest.fail(f"no end within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs-1", "jobs-2"])
+def test_file_scan_parses_its_file_once(tmp_path, monkeypatch, capsys, jobs):
+    # every point of a scan of a .lie file reads the one parsed spec: the
+    # forked workers of a parallel scan inherit it, and parse nothing
     from lieext import dsl
     from lieext.presets import preset_source
 
     path = tmp_path / "svcopy.lie"
     path.write_text(preset_source("svir").replace("algebra svir(", "algebra svcopy("))
-    calls = []
+    log = tmp_path / "parses"
+    log.touch()
     parse = dsl.parse
-    monkeypatch.setattr(dsl, "parse", lambda source: calls.append(source) or parse(source))
-    grid = ["--lambda-values=-3,1", "--mu-values=1,1/2,1/3,2/3", "--window", "8", "--steps", "1", "--jobs", "1"]
+
+    def spy(source):
+        if source == path.read_text():
+            with log.open("a") as out:  # a file, so that a worker's parse shows too
+                out.write(f"{os.getpid()}\n")
+        return parse(source)
+
+    monkeypatch.setattr(dsl, "parse", spy)
+    forks = _forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    grid = ["--lambda-values=-3,1", "--mu-values=1,1/2,1/3,2/3", "--window", "8", "--steps", "1", "--jobs", jobs]
     assert cli.main(["scan", "--algebra", str(path), *grid]) == 1
     # the svir preset, which the closed-form table compares with, may be
     # parsed too, the first time this process needs it
-    assert calls.count(path.read_text()) == 1
+    assert log.read_text().splitlines() == [str(os.getpid())]
     rows = capsys.readouterr().out
     assert len(rows.splitlines()) == 9
+    assert len(forks) == int(jobs) - 1
     assert cli.main(["scan", "--algebra", "svir", *grid]) == 1
     assert capsys.readouterr().out == rows
-
-
-def test_scan_worker_reads_the_settings_of_its_initializer(monkeypatch):
-    # a pool worker is handed the parsed spec once, by the pool's
-    # initializer, and then each point alone
-    monkeypatch.setattr(cli, "_worker_settings", None)
-    settings = (load_algebra("svir"), Window(8), 0, 1)
-    cli._scan_worker(*settings)
-    assert cli._scan_worker_point((-3, 1)) == cli._scan_point(settings, (-3, 1))
 
 
 def test_renamed_svir_copy_gets_the_svir_rules(tmp_path):
@@ -410,25 +449,83 @@ def test_scan_workers_clamped_without_starting_processes():
     assert _scan_workers(8, 1, 8) == 1
 
 
-@pytest.mark.parametrize("affinity", [{0}, None], ids=["affinity", "no-affinity"])
-def test_scan_caps_workers_at_usable_cpus(monkeypatch, capsys, affinity):
-    # a one-point scan runs in this process: one worker, no pool
+@pytest.mark.parametrize(
+    "affinity, fork, mus",
+    [({0}, True, "1"), (None, True, "1"), ({0, 1}, False, "1,1/3")],
+    ids=["affinity", "no-affinity", "no-fork"],
+)
+def test_scan_caps_workers_at_usable_cpus(monkeypatch, capsys, affinity, fork, mus):
+    # a one-point scan runs in this process: one worker, no fork; where os
+    # has no fork, so does a scan of two points on two usable CPUs
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     calls = []
 
     def spy(jobs, points, cpus):
-        calls.append((jobs, points, cpus))
-        return _scan_workers(jobs, points, cpus)
+        calls.append((jobs, points, cpus, _scan_workers(jobs, points, cpus)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(cli, "_scan_workers", spy)
-    code = cli.main(["scan", "--lambda-values", "0", "--mu-values", "1",
+    code = cli.main(["scan", "--lambda-values", "0", "--mu-values", mus,
                      "--window", "6", "--steps", "1"])
     assert code == 0, capsys.readouterr().err
-    assert calls == [(0, 1, 1 if affinity else 3)]
+    assert calls == [(0, len(mus.split(",")), len(affinity) if affinity else 3, 1)]
+
+
+@pytest.mark.parametrize("failing", [(0,), (3,), (1, 2), (2, 3)], ids=lambda f: "-".join(map(str, f)))
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs-1", "jobs-2"])
+def test_scan_stops_at_the_first_failing_point(monkeypatch, capsys, failing, jobs):
+    # whichever process claims a failing point, the scan exits 2 with the
+    # error of the first failing point in grid order, and no child is left
+    grid = sorted((Fraction(lam), Fraction(mu)) for lam in (0, 1) for mu in (1, "1/2"))
+    point = cli._scan_point
+
+    def fail_at(settings, at):
+        time.sleep(0.01)  # so that both processes claim points
+        if grid.index(at) in failing:
+            raise ValueError(f"no row at point {grid.index(at)}")
+        return point(settings, at)
+
+    monkeypatch.setattr(cli, "_scan_point", fail_at)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = _forks(monkeypatch)
+    with _deadline(60, forks):
+        code = cli.main(["scan", "--lambda-values=0,1", "--mu-values=1,1/2", "--window", "6",
+                         "--steps", "1", "--jobs", jobs])
+    assert len(forks) == int(jobs) - 1
+    assert (code, *capsys.readouterr()) == (2, "", f"error: no row at point {failing[0]}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_worker_lost_is_an_error_and_no_child_is_left(monkeypatch, capsys):
+    # of three processes, the first child kills itself, and the second has
+    # more to send than a pipe holds: the parent gives up on the first, and
+    # its close of the second's pipe ends the second's blocked write
+    parent, claim = os.getpid(), cli._claim
+    forks = _forks(monkeypatch)
+
+    def claim_or_die(*args):
+        if os.getpid() == parent:
+            return claim(*args)
+        if not forks:  # the first child
+            os.kill(os.getpid(), signal.SIGKILL)
+        return {0: "x" * (1 << 20)}
+
+    monkeypatch.setattr(cli, "_claim", claim_or_die)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    with _deadline(60, forks):
+        code = cli.main(["scan", "--lambda-values=0,1", "--mu-values=1,1/2", "--window", "6",
+                         "--steps", "1", "--jobs", "3"])
+    assert len(forks) == 2
+    assert (code, *capsys.readouterr()) == (2, "", "error: a scan worker ended without its rows\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
@@ -441,13 +538,11 @@ def test_scan_caps_workers_at_usable_cpus(monkeypatch, capsys, affinity):
     ids=["window", "steps", "degree"],
 )
 def test_scan_bad_option_exits_before_any_pool(monkeypatch, capsys, option, message):
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            pytest.fail("scan built a process pool for a bad option")
+    def no_fork():
+        pytest.fail("scan forked a worker for a bad option")
 
-    # cmd_scan imports the pool class from here when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-    # two usable CPUs and two grid points: a good scan would build a pool
+    monkeypatch.setattr(os, "fork", no_fork)
+    # two usable CPUs and two grid points: a good scan would fork a worker
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code = cli.main(["scan", "--lambda-values=1", "--mu-values=1,2", "--jobs", "2", *option])
     assert code == 2
@@ -550,13 +645,21 @@ def test_values_take_the_lie_scanners_blanks_only(tmp_path, capsys, blank, accep
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    # only a parallel scan needs concurrent.futures (and multiprocessing)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, lieext.cli; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True,
+    # a parallel scan forks its worker, and loads neither concurrent.futures
+    # nor multiprocessing
+    code = (
+        "import os, sys\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(None) or fork()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from lieext import cli\n"
+        "code = cli.main(['scan', '--lambda-values=0', '--mu-values=1,1/3', '--window', '6',"
+        " '--steps', '1', '--jobs', '2'])\n"
+        "print(code, len(forks), sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
     )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 1 []"
 
 
 def test_cold_start_leaves_dataclasses_and_inspect_out():
@@ -697,9 +800,11 @@ def test_grading_verdict_is_decided_once_per_h2_call(monkeypatch, capsys, tmp_pa
 JACOBI_WARNING = "warning: the Jacobi identity fails (L, Y, Y -> M): the bracket is not a Lie algebra"
 
 
-def test_bracket_failing_jacobi_warns_and_keeps_stdout(tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs-1", "jobs-2"])
+def test_bracket_failing_jacobi_warns_and_keeps_stdout(tmp_path, jobs):
     """h2 and scan answer on a bracket that fails the Jacobi identity as
-    they did before the check, and say on stderr where it fails."""
+    they did before the check, and say on stderr where it fails; a parallel
+    scan prints what one process prints."""
     bad = tmp_path / "bad.lie"
     bad.write_text(CORRUPT_SOURCE)
     proc = run_cli("h2", "--algebra", str(bad), "--lambda=-3", "--mu=1", "--window", "8")
@@ -715,8 +820,11 @@ def test_bracket_failing_jacobi_warns_and_keeps_stdout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["jacobi_holds"] is False and out["grading_inner"] is False
-    proc = run_cli("scan", "--algebra", str(bad), "--lambda-values=-3,1", "--mu-values=1",
-                   "--window", "8", "--jobs", "1")
+    scan = ["scan", "--algebra", str(bad), "--lambda-values=-3,1", "--mu-values=1", "--window", "8"]
+    proc = run_cli(*scan, "--jobs", jobs)
+    if jobs != "1":
+        serial = run_cli(*scan, "--jobs", "1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (serial.returncode, serial.stdout, serial.stderr)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "lambda,mu,window,core_h2_dim,predicted_dim,agree,matched",
