@@ -11,7 +11,8 @@ follow a closed-form case table that the engine reproduces numerically.
 Each public name is imported from its home module the first time it is
 read, so `import lieext` compiles only rational.py, and a process that
 only loads and parses algebras never compiles the engine, the solve or
-sparse.
+sparse.  The Fraction matrices and bases live in spaces, which no command
+of the CLI loads.
 """
 
 from importlib import import_module
@@ -38,7 +39,6 @@ _HOMES = {
         "VerifyReport",
         "h2",
         "is_coboundary",
-        "match_known",
         "nonzero_degree_triviality",
         "verify_cocycle",
     ),
@@ -46,8 +46,10 @@ _HOMES = {
     # presets builds REGISTRY at first use (it parses the svir preset)
     ".presets": ("REGISTRY", "load_algebra", "theorem_predicted_dim"),
     ".rational": ("format_rational", "parse_rational", "rational"),
-    ".solve": ("PairBasis", "Window", "assemble_constraints", "coboundary_space", "cocycle_space", "enumerate_pairs"),
-    ".sparse": ("SparseMatrix", "VectorBasis", "nullspace", "project_dimension"),
+    ".solve": ("PairBasis", "Window"),
+    # every Fraction-valued call and type: no CLI command loads it
+    ".spaces": ("SparseMatrix", "VectorBasis", "assemble_constraints", "coboundary_space", "cocycle_space",
+                "enumerate_pairs", "match_known", "nullspace", "project_dimension"),
     "fractions": ("Fraction",),
 }
 

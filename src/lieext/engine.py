@@ -47,9 +47,8 @@ A cocycle class is held, as the solve holds every vector, as a {column:
 int} row: its values over their common denominator.  Each window's
 core-coboundary echelon is built once and serves core_h2 and the
 coboundary test of every cocycle class; one echelon of the null vectors
-serves their cocycle test.  Fractions appear only at the public boundary:
-match_known takes the VectorBasis that cocycle_space and coboundary_space
-return.
+serves their cocycle test.  Nothing here hands out a Fraction matrix or
+basis: lieext.spaces does, and its match_known reads _match.
 
 Nothing here knows an algebra by its name or loads a preset: every rule
 reads the spec it is given.  svir's closed-form table, which the CLI
@@ -71,17 +70,15 @@ from .solve import (
     PairBasis,
     Window,
     _bind,
-    _core_echelon,
     _degree,
     _identities,
     _images,
-    _pair_basis,
     _pair_keys,
     _Plan,
     _restrict,
     _totals,
 )
-from .sparse import VectorBasis, _Echelon, _int_row_from_dense
+from .sparse import _Echelon
 
 
 # cocycle values as data
@@ -497,31 +494,10 @@ class H2Report(_Record):
         self.jacobi = jacobi
 
 
-def match_known(
-    spec, params, window, degree, pairs, cocycles: VectorBasis, bounds: VectorBasis
-) -> list:
-    """Which of the algebra's declared cocycle classes lie in the computed
-    cocycle space and are not coboundaries (core-projected).  Inapplicable
-    classes are omitted."""
-    alg = _bind(spec, params)
-    degree = _degree(degree)
-    _pair_basis(alg, window, degree, pairs)
-    if cocycles.dimension != len(pairs) or bounds.dimension != len(pairs):
-        raise ValueError("basis dimension does not match the pair basis")
-    core = set(pairs.core_columns())
-    return _match(
-        alg,
-        window,
-        degree,
-        pairs,
-        _Echelon(_int_row_from_dense(vec) for vec in cocycles),
-        _core_echelon((_int_row_from_dense(vec) for vec in bounds), core),
-        core,
-    )
-
-
 def _match(alg: BoundAlgebra, window, degree, pairs: PairBasis, cocycles: _Echelon, core_bounds: _Echelon, core) -> list:
-    """match_known over the columns of `pairs` against the echelon of the
+    """Which of the algebra's declared cocycle classes lie in the cocycle
+    space and are not coboundaries (core-projected), inapplicable ones
+    omitted: over the columns of `pairs`, against the echelon of the
     cocycles and the core echelon of the coboundaries.  Each class's values
     on the window become one integer vector over their common denominator."""
     spec = alg.spec

@@ -147,20 +147,19 @@ is still decided exactly.
 Degrees, coefficients, and dimensions are exact rationals end to end.  Each
 public call binds its parameters once (a BoundAlgebra), and every bracket
 expansion here goes through that binding's integer kernel: a row is summed
-in integers over the algebra's one common bracket denominator, and each
-nonzero entry becomes a Fraction once, at the end of the row.
+in integers over the algebra's one common bracket denominator, and stays
+{column: numerator over that denominator}.
 
 After the solve every vector stays a {column: int} row: the primitive null
 vectors and the kept coboundary generators as numerators over the
 algebra's denominator (each nonzero one: a pair brackets to one element, so
 the generators of distinct elements have disjoint supports and are
 independent).  Sorted integer columns (a PairBasis) exist only where an
-echelon is reduced at scale, in a plan, and at the public Fraction
-boundary.  A core dimension is the rank of such rows restricted to the
+echelon is reduced at scale, in a plan, and at the Fraction boundary,
+lieext.spaces.  A core dimension is the rank of such rows restricted to the
 core columns, which keep their indices (echelon order is column order, so
 nothing is renumbered); _Plan.core_dims builds each window's core echelons
-once.  Fractions appear only at the public boundary: cocycle_space and
-coboundary_space return a VectorBasis.
+once.
 
 Nothing here knows an algebra by its name or loads a preset: every rule
 reads the spec it is given.
@@ -175,8 +174,8 @@ from itertools import combinations, combinations_with_replacement, repeat
 from typing import Mapping
 
 from .algebra import AlgebraSpec, BoundAlgebra, _CYCLIC, _evaluate, _jacobi_residuals, _Value
-from .rational import as_rational, format_rational
-from .sparse import SparseMatrix, VectorBasis, _Echelon, _fraction_basis, _null_vectors, _packed, _refined
+from .rational import as_rational
+from .sparse import _Echelon, _null_vectors, _packed, _refined
 
 
 class Window(_Value):
@@ -232,10 +231,11 @@ class PairBasis:
 
     Column order is lexicographic in the element keys (family position,
     index) of both elements, which fixes the coordinatization used by every
-    matrix in this module.  _index maps each stored pair (x, y), x < y, to
+    echelon of a plan and every matrix of lieext.spaces.  _index maps each stored pair (x, y), x < y, to
     its column, and psi(y, x) = -psi(x, y) gives the other orientation.  A
     basis is fixed by the algebra's weight offsets, the window and the
-    degree, and the public calls that take one refuse a basis of any other.
+    degree; lieext.spaces refuses a caller's basis of any other, and a plan
+    enumerates its own.
     """
 
     def __init__(self, alg: BoundAlgebra, window: Window, degree: Fraction, keys: list):
@@ -256,12 +256,6 @@ class PairBasis:
 
     def core_columns(self) -> list:
         return self._columns(self.window.core_bound())
-
-
-def enumerate_pairs(spec: AlgebraSpec, params: Mapping, window: Window, degree) -> PairBasis:
-    """All pairs {x, y} of window elements with weight(x) + weight(y) ==
-    degree, canonically ordered and sorted."""
-    return _enumerate_pairs(_bind(spec, params), window, _degree(degree))
 
 
 def _totals(alg: BoundAlgebra, degree: Fraction, size: int):
@@ -299,21 +293,6 @@ def _enumerate_pairs(alg: BoundAlgebra, window: Window, degree: Fraction) -> Pai
     return PairBasis(alg, window, degree, sorted(_pair_keys(alg, degree, window.n)))
 
 
-def _pair_basis(alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None) -> PairBasis:
-    """The pair basis of a public call: enumerated when it is None, else
-    pairs, when it is the basis of these weight offsets, window and degree.
-    Any other basis has other columns."""
-    if pairs is None:
-        return _enumerate_pairs(alg, window, degree)
-    if pairs._offsets != alg.offsets:
-        raise ValueError("pair basis is of an algebra with other weights")
-    if pairs.window != window:
-        raise ValueError(f"pair basis is of {pairs.window}, not {window}")
-    if pairs._degree != degree:
-        raise ValueError(f"pair basis is of degree {format_rational(pairs._degree)}, not {format_rational(degree)}")
-    return pairs
-
-
 # An entry of an identity's index table where the term's bracket output
 # leaves the window: a nonzero coefficient there drops the triple
 _OUT = "out"
@@ -348,8 +327,8 @@ class _Identity:
     it.  The tables and bound are built once, at their first use.  Every
     identity is built by _identities: _Plan.identities builds them once, at
     the plan's window over its pair basis, for the solve and for
-    assemble_constraints, and verify_cocycle over the window's pairs keyed
-    by themselves.
+    lieext.spaces' assemble_constraints, and verify_cocycle over the
+    window's pairs keyed by themselves.
     """
 
     def __init__(self, alg: BoundAlgebra, n: int, column: Mapping, families, total: int):
@@ -396,6 +375,11 @@ class _Identity:
 
     @cached_property
     def terms(self) -> list:
+        """The tables of the class docstring, at the radius R.  _OUT is
+        written only at an index outside [total - R, total + R], which holds
+        every window's inside, [total - n, total + n] with n <= R.  So
+        row() and valued(), which take a (column, sign) only at an index in
+        inside, never meet _OUT there, and test for inside alone."""
         radius, total, column, terms = self.radius, self.total, self.column, []
         # the indices whose output total - index lies in [-radius, radius]
         low, high = total - radius, total + radius
@@ -574,7 +558,7 @@ class _Identity:
             value = _evaluate(coefficient, idx[u], idx[v])
             if not value:
                 continue
-            if entry is _OUT or not low <= idx[w] < high:
+            if not low <= idx[w] < high:
                 return None
             col, sign = entry
             value = row.get(col, 0) + sign * value
@@ -586,8 +570,9 @@ class _Identity:
 
     def valued(self, entries: Mapping) -> tuple:
         """(terms, reached): self.terms with each (column, sign) entry
-        replaced by sign * entries[column], or by None where that is 0, and
-        None and _OUT kept; reached says whether any entry is nonzero."""
+        replaced by sign * entries[column], or by None where that is 0, None
+        kept, and _OUT at every window index not in inside; reached says
+        whether any entry is nonzero."""
         n, radius = self.n, self.radius
         # the window's indices in inside, where the table is read; at the
         # others the output leaves the window
@@ -596,8 +581,8 @@ class _Identity:
         for coefficient, table, w, u, v in self.terms:
             values = [_OUT] * (low + n)
             for entry in table[low + radius : high + radius + 1]:
-                if entry is None or entry is _OUT:
-                    values.append(entry)
+                if entry is None:
+                    values.append(None)
                 else:
                     col, sign = entry
                     value = entries.get(col)
@@ -659,25 +644,9 @@ def _identities(alg: BoundAlgebra, n: int, degree: Fraction, column: Mapping) ->
     return [_Identity(alg, n, column, families, total) for families, total in _totals(alg, degree, 3)]
 
 
-def assemble_constraints(
-    spec: AlgebraSpec, params: Mapping, window: Window, degree, pairs: PairBasis | None = None
-) -> SparseMatrix:
-    """Constraint matrix with one row per admissible nonvacuous triple, from
-    the identities of a plan at the window."""
-    plan = _Plan(_bind(spec, params), window, _degree(degree), pairs)
-    denominator = plan.alg.denominator
-    rows = []
-    for identity in plan.identities:
-        for idx in identity.indices():
-            row = identity.row(idx)
-            if row:
-                rows.append({col: Fraction(value, denominator) for col, value in row.items()})
-    return SparseMatrix.from_rows(rows, len(plan.pairs))
-
-
 class _Plan:
     """The windows [-n, n] of one degree up to `window`, built once at it:
-    its pair basis and each pair's bracket.  Window n's columns are the
+    its own pair basis and each pair's bracket.  Window n's columns are the
     plan's columns whose pair has both indices in [-n, n]; both numberings
     sort the pair keys, so the map from window n's own columns to these is
     increasing, and every row, pivot and null vector of window n is the same
@@ -691,9 +660,9 @@ class _Plan:
     that echelon was solved on.  Each window it solves must grow the one
     before."""
 
-    def __init__(self, alg: BoundAlgebra, window: Window, degree: Fraction, pairs: PairBasis | None = None):
+    def __init__(self, alg: BoundAlgebra, window: Window, degree: Fraction):
         self.alg, self.window, self.degree = alg, window, degree
-        self.pairs = _pair_basis(alg, window, degree, pairs)
+        self.pairs = _enumerate_pairs(alg, window, degree)
         self.ech, self.solved = _Echelon(), None
 
     @cached_property
@@ -789,7 +758,7 @@ class _Plan:
         return vectors
 
     def coboundaries(self, n: int) -> list:
-        """The kept generators of coboundary_space on window n, as {column:
+        """The coboundary generators kept on window n, as {column:
         numerator over alg.denominator}, in the order of their z: each one
         that is nonzero on the window's columns.  Those are independent, as
         the generators of distinct z have disjoint supports (_images)."""
@@ -824,23 +793,6 @@ def _images(alg: BoundAlgebra, degree: Fraction, n: int, column: Mapping) -> dic
         if term and term[1] in slots:
             slots[term[1]][col] = term[0]
     return slots
-
-
-def cocycle_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
-    """nullspace(assemble_constraints(...)), by the certified subset solve."""
-    plan = _Plan(_bind(spec, params), window, _degree(degree), pairs)
-    return _fraction_basis(len(plan.pairs), plan.cocycles(window.n))
-
-
-def coboundary_space(spec, params, window, degree, pairs: PairBasis | None = None) -> VectorBasis:
-    """Span of the functional generators: for each window element z of
-    weight == degree, the form (x, y) -> f([x, y]) with f dual to z.  At a
-    fixed degree each family contributes at most one such z.  Each nonzero
-    generator is kept: each pair brackets to one element, so the generators
-    of distinct z have disjoint supports and are independent."""
-    alg = _bind(spec, params)
-    plan = _Plan(alg, window, _degree(degree), pairs)
-    return _fraction_basis(len(plan.pairs), plan.coboundaries(window.n), alg.denominator)
 
 
 def _restrict(vector: dict, columns: set) -> dict:

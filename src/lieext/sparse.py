@@ -1,123 +1,31 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra in integers.
 
 The cocycle engine produces constraint matrices with a few thousand rows of
 at most three nonzeros each over ~10^2 columns, so a plain incremental
-echelon is all that is needed.  Rows are scaled to integers (denominators
-cleared, gcd divided out) and reduced by their leading column alone: while
-the row's leftmost column holds a pivot row, the two are combined to clear
-it.  A row that does not reduce to zero becomes the primitive pivot row of
-its leading column.  The pivot rows are thus in echelon form, not reduced
-form, and depend on the order of elimination; their pivot columns are the
-leading columns of the rows' span and do not, and neither do the reduced
-null vectors back-substituted from them.
+echelon is all that is needed.  Rows are {column: int} dicts, reduced by
+their leading column alone: while the row's leftmost column holds a pivot
+row, the two are combined to clear it.  A row that does not reduce to zero
+becomes the primitive pivot row of its leading column (gcd divided out,
+leading entry positive).  The pivot rows are thus in echelon form, not
+reduced form, and depend on the order of elimination; their pivot columns
+are the leading columns of the rows' span and do not, and neither do the
+reduced null vectors back-substituted from them.
 
 Null vectors come from one integer back-substitution (_null_vectors), shared
-by nullspace and the certified subset solve (lieext.solve), as primitive
-{column: int} rows; the solve packs them into one integer per column for
-its check (_packed) and refines them in place for each row the check adds
-(_refined), to the same rows a back-substitution would give.  The
-solve and the engine keep them, and every other vector after the solve, in
-that form and build each echelon they need from them once; Fractions
-appear only at the public boundary of this module:
-SparseMatrix, VectorBasis, nullspace and project_dimension.  All results
-are exact: no floats appear anywhere in this module.
+by the certified subset solve (lieext.solve) and lieext.spaces' nullspace,
+as primitive {column: int} rows; the solve packs them into one integer per
+column for its check (_packed) and refines them in place for each row the
+check adds (_refined), to the same rows a back-substitution would give.
+The solve and the engine keep them, and every other vector after the solve,
+in that form and build each echelon they need from them once.  All results
+are exact: no floats, and no Fractions, appear anywhere in this module.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-from .rational import _Frozen
-
-
-class SparseMatrix(_Frozen):
-    """Immutable COO-style sparse matrix over Fraction."""
-
-    def __init__(self, n_rows: int, n_cols: int, entries: Iterable[tuple]):
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("negative dimension")
-        seen = set()
-        cleaned = []
-        for row, col, value in entries:
-            if not (0 <= row < n_rows and 0 <= col < n_cols):
-                raise ValueError(f"entry ({row}, {col}) out of bounds")
-            if (row, col) in seen:
-                raise ValueError(f"duplicate entry at ({row}, {col})")
-            seen.add((row, col))
-            if type(value) is not Fraction:
-                value = Fraction(value)
-            if value == 0:
-                raise ValueError(f"explicit zero entry at ({row}, {col})")
-            cleaned.append((row, col, value))
-        cleaned.sort(key=lambda e: (e[0], e[1]))
-        self.__dict__.update(n_rows=n_rows, n_cols=n_cols, entries=tuple(cleaned))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Mapping[int, Fraction]], n_cols: int) -> "SparseMatrix":
-        entries = []
-        for i, row in enumerate(rows):
-            for col, value in row.items():
-                if value:
-                    entries.append((i, col, value))
-        return cls(len(rows), n_cols, entries)
-
-    def rows(self) -> list:
-        out = [dict() for _ in range(self.n_rows)]
-        for row, col, value in self.entries:
-            out[row][col] = value
-        return out
-
-    def __repr__(self):
-        return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={len(self.entries)})"
-
-
-class VectorBasis(_Frozen):
-    """A linearly independent list of dense rational vectors of one length.
-
-    Independence is validated on construction, so a VectorBasis can always be
-    trusted to have dimension == len(vectors set it spans).
-    """
-
-    def __init__(self, dimension: int, vectors: Sequence[Sequence[Fraction]]):
-        if dimension < 0:
-            raise ValueError("negative dimension")
-        frozen = []
-        for vec in vectors:
-            vec = tuple(v if type(v) is Fraction else Fraction(v) for v in vec)
-            if len(vec) != dimension:
-                raise ValueError("vector length does not match basis dimension")
-            frozen.append(vec)
-        self.__dict__.update(dimension=dimension, vectors=tuple(frozen))
-        if len(self.vectors) != _Echelon(_int_row_from_dense(v) for v in self.vectors).rank:
-            raise ValueError("basis vectors are linearly dependent")
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __repr__(self):
-        return f"VectorBasis(dim={self.dimension}, count={len(self.vectors)})"
-
-
-# integer echelon core
-
-
-def _int_row_from_dense(vector: Sequence[Fraction]) -> dict:
-    return _scale_row({i: v for i, v in enumerate(vector) if v})
-
-
-def _scale_row(row: Mapping[int, Fraction]) -> dict:
-    """Clear denominators and divide by the content; leading entry positive.
-    Entries are Fractions or ints."""
-    lcm = math.lcm(*(value.denominator for value in row.values()))
-    return _normalize_int_row(
-        {col: v.numerator * (lcm // v.denominator) for col, v in row.items() if v}
-    )
+from typing import Iterable
 
 
 def _normalize_int_row(row: dict) -> dict:
@@ -182,13 +90,6 @@ def _combine(row: dict, pivot: dict, col: int) -> None:
             row[c] = new
         else:
             del row[c]
-
-
-def nullspace(matrix: SparseMatrix) -> VectorBasis:
-    """Right nullspace, one vector per free column in ascending column order,
-    each normalized so its first nonzero coordinate is 1."""
-    ech = _Echelon(_scale_row(row) for row in matrix.rows())
-    return _fraction_basis(matrix.n_cols, _null_vectors(ech.pivots, range(matrix.n_cols)))
 
 
 def _null_vectors(pivots: dict, columns: Iterable[int]) -> list:
@@ -277,28 +178,3 @@ def _packed(vectors: list, bound: int) -> tuple:
         for col, value in vec.items():
             packed[col] = packed.get(col, 0) + (value << shift)
     return packed, width
-
-
-def _fraction_basis(
-    n_cols: int, vectors: Sequence[dict], denominator: int | None = None
-) -> VectorBasis:
-    """The VectorBasis of {column: int} vectors, each divided by
-    `denominator`, or by its first nonzero entry when that is None."""
-    dense = []
-    for vec in vectors:
-        scale = vec[min(vec)] if denominator is None else denominator
-        row = [Fraction(0)] * n_cols
-        for c, v in vec.items():
-            row[c] = Fraction(v, scale)
-        dense.append(row)
-    return VectorBasis(n_cols, dense)
-
-
-def project_dimension(basis: VectorBasis, coords: Iterable[int]) -> int:
-    """Dimension of the basis span after projecting onto the listed
-    coordinates."""
-    cols = sorted(set(coords))
-    for col in cols:
-        if not (0 <= col < basis.dimension):
-            raise ValueError(f"coordinate {col} out of range")
-    return _Echelon(_scale_row({c: vec[c] for c in cols if vec[c]}) for vec in basis).rank

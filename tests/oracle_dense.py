@@ -1,7 +1,7 @@
 """Dense textbook Gaussian elimination over Fraction.
 
 Independent reference for the sparse solver: no code shared with
-lieext.sparse beyond the Fraction type.  Everything here is O(n^3)
+lieext.sparse or lieext.spaces beyond the Fraction type.  Everything here is O(n^3)
 row reduction on dense lists of lists, kept deliberately boring.
 
 Two helpers take sparse {column: int} rows, so the solver's echelon can be

@@ -34,8 +34,8 @@ from lieext import REGISTRY, theorem_predicted_dim
 from lieext.engine import h2, is_coboundary, nonzero_degree_triviality, verify_cocycle
 from lieext.presets import load_algebra, preset_source
 from lieext.rational import format_rational
-from lieext.solve import Window, enumerate_pairs
-from lieext.sparse import _scale_row, nullspace
+from lieext.solve import Window
+from lieext.spaces import _scale_row, enumerate_pairs, nullspace
 
 SVIR = load_algebra("svir")
 WITT = load_algebra("witt")

@@ -216,6 +216,38 @@ def test_disagreeing_unstabilized_point_exit_codes(monkeypatch, capsys):
     assert "warning: lambda=0 mu=1 did not stabilize" in captured.err
 
 
+def test_agreeing_unstabilized_point_exit_codes(monkeypatch, capsys):
+    # every point agrees with the prediction and one does not stabilize:
+    # scan exits 3 and warns for that point alone
+    h2_run = cli._h2_run
+
+    def unstabilized(*args):
+        report, predicted, agree, warning = h2_run(*args)
+        report.stabilized = report.params["mu"] != Fraction(1, 3)
+        return report, predicted, agree, warning
+
+    monkeypatch.setattr(cli, "_h2_run", unstabilized)
+    argv = ["scan", "--lambda-values=0", "--mu-values=1,1/3", "--window", "6", "--steps", "1", "--jobs", "1"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["0,1/3,6,1,1,true,virasoro", "0,1,6,1,1,true,virasoro"]
+    assert captured.err == "warning: lambda=0 mu=1/3 did not stabilize\n"
+
+
+def test_verify_of_an_assignment_of_two_degrees_passes_with_no_verdict(tmp_path, capsys):
+    # witt's virasoro values at degree 0 plus the coboundary of L(1)'s dual,
+    # psi(L(i), L(1 - i)) = 1 - 2i, at degree 1: each degree passes, and
+    # whether the sum is a coboundary is not asked of mixed degrees
+    values = {f"L:{-m},L:{m}": f"{m - m**3}/12" for m in range(1, 9)}
+    values.update({f"L:{i},L:{1 - i}": str(1 - 2 * i) for i in range(-7, 1)})
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(values))
+    assert cli.main(["verify", "--algebra", "witt", "--cocycle", str(path), "--window", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("verify: PASS (") and lines[0].endswith(" admissible triples, window [-8, 8])")
+    assert lines[1:] == ["nontrivial: n/a (assignment mixes degrees)"]
+
+
 def test_preset_path_environment_resolution(tmp_path):
     (tmp_path / "abel.lie").write_text(ABELIAN_SOURCE)
     env = dict(os.environ)
@@ -682,27 +714,59 @@ def test_cold_start_leaves_dataclasses_and_inspect_out():
 def test_cold_start_loads_a_module_at_the_first_read_of_its_names():
     # in a fresh interpreter without site (whose start-up imports
     # importlib.resources on some installs), dir() lists every exported name
-    # before any is read; loading a preset compiles neither the engine, the
-    # solve nor sparse and reads the preset without importlib.resources;
-    # reading cocycle_space loads the solve alone and reading h2 the
-    # engine, and each exported name is its home module's object
+    # before any is read; loading a preset compiles none of the engine, the
+    # solve, sparse and spaces and reads the preset without
+    # importlib.resources; reading Window loads the solve alone, reading h2
+    # the engine and not spaces, and reading cocycle_space spaces; each
+    # exported name is its home module's object
     code = (
         "import importlib, sys\n"
         "import lieext\n"
         "print(set(lieext.__all__) <= set(dir(lieext)))\n"
         "lieext.load_algebra('svir')\n"
-        "print(sorted({'lieext.engine', 'lieext.solve', 'lieext.sparse', 'importlib.resources'} & set(sys.modules)))\n"
-        "lieext.cocycle_space\n"
-        "print(sorted({'lieext.engine', 'lieext.solve'} & set(sys.modules)))\n"
+        "modules = {'lieext.engine', 'lieext.solve', 'lieext.sparse', 'lieext.spaces', 'importlib.resources'}\n"
+        "print(sorted(modules & set(sys.modules)))\n"
+        "lieext.Window\n"
+        "print(sorted({'lieext.engine', 'lieext.solve', 'lieext.spaces'} & set(sys.modules)))\n"
         "lieext.h2\n"
-        "print('lieext.engine' in sys.modules)\n"
+        "print(sorted({'lieext.engine', 'lieext.spaces'} & set(sys.modules)))\n"
+        "lieext.cocycle_space\n"
+        "print('lieext.spaces' in sys.modules)\n"
         "print([name for name in lieext.__all__\n"
         "       if getattr(lieext, name) is not getattr(importlib.import_module(lieext._HOME[name], 'lieext'), name)])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["True", "[]", "['lieext.solve']", "True", "[]"]
+    assert proc.stdout.splitlines() == ["True", "[]", "['lieext.solve']", "['lieext.engine']", "True", "[]"]
+
+
+def test_cli_commands_leave_the_fraction_api_out(tmp_path):
+    # h2, scan, verify (of a declared class and of a file) and jacobi never
+    # load lieext.spaces, the module of the Fraction matrices and bases
+    path = tmp_path / "virasoro.json"
+    path.write_text(json.dumps({f"L:{-m},L:{m}": f"{m - m**3}/12" for m in range(1, 9)}))
+    runs = [
+        ["h2", "--algebra", "svir", "--lambda=-3", "--mu=1", "--window", "8"],
+        ["scan", "--lambda-values=0", "--mu-values=1,1/3", "--window", "6", "--steps", "1", "--jobs", "1"],
+        ["verify", "--algebra", "witt", "--cocycle", "virasoro", "--window", "8"],
+        ["verify", "--algebra", "witt", "--cocycle", str(path), "--window", "8"],
+        ["jacobi", "--algebra", "svir", "--symbolic"],
+        ["jacobi", "--algebra", "witt", "--window", "5"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from lieext import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code, 'lieext.spaces' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "h2 1 False", "scan 0 False", "verify 0 False", "verify 0 False", "jacobi 0 False", "jacobi 0 False"
+    ]
 
 
 @pytest.mark.parametrize("argv", [

@@ -56,11 +56,12 @@ from lieext.algebra import (
 )
 from lieext.dsl import parse
 from lieext import REGISTRY
-from lieext.engine import CocycleAssignment, KnownCocycle, h2, is_coboundary, match_known, verify_cocycle
+from lieext.engine import CocycleAssignment, KnownCocycle, h2, is_coboundary, verify_cocycle
 from lieext.presets import load_algebra
 from lieext.rational import format_rational
-from lieext.solve import Window, assemble_constraints, coboundary_space, cocycle_space, enumerate_pairs
-from lieext.sparse import _Echelon, _null_vectors, _packed, nullspace
+from lieext.solve import Window
+from lieext.spaces import assemble_constraints, coboundary_space, cocycle_space, enumerate_pairs, match_known, nullspace
+from lieext.sparse import _Echelon, _null_vectors, _packed
 
 from golden import CORRUPT_SOURCE, VERIFY_POINTS, WAB_SOURCE
 from isomorphism import substitute, weight
@@ -924,18 +925,24 @@ def _assert_strip_meets_new_rows(plan, n, previous):
 def _rank_deficit(alg, degree, pairs):
     """The rank of every admissible row of the window minus the rank of the
     rows the solve eliminates up front: those of the triples with an index
-    in the identity's pins at one of its positions.  Both by separate full
-    eliminations over all of indices(), not over pinned()."""
-    full, pinned = _Echelon(), _Echelon()
+    in the identity's pins at one of its positions.  Both are read over all
+    of indices(), not over pinned(), and the difference exactly, as the rank
+    of R V, with R the admissible rows and V the null vectors of the pinned
+    rows P, from a full elimination of P alone.  P's rows are among R's, so
+    x -> x V maps R's row space onto R V's with kernel P's row space: rank R
+    - rank P = rank R V."""
+    admissible, pinned = [], _Echelon()
     for identity in solve._identities(alg, pairs.window.n, degree, pairs._index):
         values, positions = identity.pins
         for idx in identity.indices():
             row = identity.row(idx)
             if row:
-                full.add(row)
+                admissible.append(row)
                 if any(idx[w] in values for w in positions):
                     pinned.add(row)
-    return full.rank - pinned.rank
+    null = _null_vectors(pinned.pivots, range(len(pairs)))
+    dots = ({s: sum(v * vec.get(c, 0) for c, v in row.items()) for s, vec in enumerate(null)} for row in admissible)
+    return _Echelon({s: dot for s, dot in row.items() if dot} for row in dots).rank
 
 
 def _seeded_windows(monkeypatch, spec, params, window, steps=3):

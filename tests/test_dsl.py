@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lieext.algebra import AlgebraSpec, BracketRule, CocycleLine
-from lieext.dsl import _Abort, _Parser, parse, render
+from lieext.dsl import Diagnostic, _Abort, _Parser, parse, render
 from lieext.poly import IndexPolynomial
 from lieext.presets import preset_source
 
@@ -297,6 +297,24 @@ def test_error_cap_on_pathological_input():
     result = parse(";" * 100000)
     assert result.spec is None
     assert len(result.diagnostics) <= 101  # capped, not one per semicolon
+
+
+def test_errors_past_the_cap_stop_the_parse():
+    # 150 repeated declarations: the parse stops at the error past the
+    # cap, with the first 100 reported and no spec
+    source = "algebra a() {\n    family L weight 0;\n" + "    family L weight 1;\n" * 150 + "}\n"
+    result = parse(source)
+    assert result.spec is None
+    assert [(d.line, d.severity, d.code) for d in result.diagnostics] == [
+        (line, "error", "duplicate-family") for line in range(3, 103)
+    ]
+
+
+@pytest.mark.parametrize("source", [None, b"algebra a() {}", 42], ids=["none", "bytes", "int"])
+def test_parse_of_a_non_string_is_bad_input(source):
+    result = parse(source)
+    assert result.spec is None
+    assert result.diagnostics == [Diagnostic(1, 1, "error", "bad-input", "source must be a string")]
 
 
 def test_deep_nesting_rejected():

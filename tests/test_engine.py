@@ -19,15 +19,22 @@ from lieext.engine import (
     CocycleAssignment,
     h2,
     is_coboundary,
-    match_known,
     nonzero_degree_triviality,
     verify_cocycle,
 )
 from lieext.dsl import parse
 from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
-from lieext.solve import Window, assemble_constraints, coboundary_space, cocycle_space, enumerate_pairs
-from lieext.sparse import SparseMatrix, VectorBasis
+from lieext.solve import Window
+from lieext.spaces import (
+    SparseMatrix,
+    VectorBasis,
+    assemble_constraints,
+    coboundary_space,
+    cocycle_space,
+    enumerate_pairs,
+    match_known,
+)
 
 from golden import WAB_SOURCE
 from isomorphism import weight

@@ -6,16 +6,8 @@ import pytest
 
 import lieext.solve as solve
 from lieext.presets import load_algebra
-from lieext.sparse import (
-    SparseMatrix,
-    VectorBasis,
-    _Echelon,
-    _null_vectors,
-    _refined,
-    _scale_row,
-    nullspace,
-    project_dimension,
-)
+from lieext.spaces import SparseMatrix, VectorBasis, _scale_row, nullspace, project_dimension
+from lieext.sparse import _Echelon, _null_vectors, _refined
 
 from oracle_dense import (
     dense_in_span,

@@ -293,6 +293,40 @@ def test_the_solve_imports_nothing_from_the_engine():
     assert stars == [] and copies == []
 
 
+# The public calls and types that take or give Fractions: lieext.spaces
+FRACTION_API = {
+    "SparseMatrix",
+    "VectorBasis",
+    "assemble_constraints",
+    "coboundary_space",
+    "cocycle_space",
+    "enumerate_pairs",
+    "match_known",
+    "nullspace",
+    "project_dimension",
+}
+
+
+def test_the_fraction_api_lives_in_spaces_alone():
+    # spaces.py defines the Fraction API and lieext._HOMES names it there;
+    # sparse.py, solve.py and engine.py import nothing from it and define
+    # none of its names, and a plan enumerates its own pair basis:
+    # _Plan.__init__ takes (alg, window, degree)
+    modules = ("sparse", "solve", "engine", "spaces")
+    trees = {name: ast.parse((ROOT / "src" / "lieext" / f"{name}.py").read_text()) for name in modules}
+    defined = {node.name for node in trees["spaces"].body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert FRACTION_API <= defined
+    assert set(lieext._HOMES[".spaces"]) == FRACTION_API
+    for name in ("sparse", "solve", "engine"):
+        assert "spaces" not in _package_imports(trees[name]), name
+        assert not FRACTION_API & _own_names(trees[name]), name
+    [plan] = [node for node in trees["solve"].body if isinstance(node, ast.ClassDef) and node.name == "_Plan"]
+    [init] = [node for node in plan.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    args = init.args
+    assert [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs] == ["self", "alg", "window", "degree"]
+    assert args.vararg is None and args.kwarg is None
+
+
 def test_each_public_name_is_defined_in_its_home():
     # lieext._HOMES names, for each public class and function, the module
     # that defines it (its __module__), so a name that moves between
