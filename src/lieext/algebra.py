@@ -11,6 +11,13 @@ declaration order; the reversed bracket is obtained by a sign flip, and a
 same-family rule must have a coefficient antisymmetric under swapping its
 two index variables, so the bracket table is skew by construction.
 
+The declaration rules, which the .lie parser and AlgebraSpec share, are
+written here once, each as a check returning (code, message, where) per
+problem: names, parameter and family declarations, index variables, each
+bracket rule against the families, and each declared class's line
+families and degree, w_a + w_b + t, one polynomial in the parameters for
+all of a class's lines.
+
 Each bracket coefficient, and each coefficient and denominator of a
 declared class's line, is split into index terms n**a * m**b once, when its
 rule or line is made (_split): the coefficient of each term is a polynomial
@@ -243,6 +250,17 @@ def _rule_problems(rule: BracketRule, positions: Mapping) -> list:
     return []
 
 
+def _degree_problems(label: str, lines, offsets: Mapping, parameters) -> list:
+    """(code, message, 0) when the lines of class label disagree on the
+    degree offsets[family_a] + offsets[family_b] + offset as polynomials in
+    the parameters, with offsets the weight offsets by family; a line with
+    a family offsets lacks is left out."""
+    known = [line for line in lines if {line.family_a, line.family_b} <= offsets.keys()]
+    degrees = dict.fromkeys(offsets[line.family_a] + offsets[line.family_b] + line.offset for line in known)
+    text = ", ".join(degree.to_text(parameters) for degree in degrees)
+    return [("mixed-degrees", f"cocycle {label!r} mixes degrees {text}", 0)] * (len(degrees) > 1)
+
+
 def _raise_first(problems: list):
     """Raise the message of the first of problems as a ValueError."""
     if problems:
@@ -264,9 +282,11 @@ class AlgebraSpec(_Frozen):
     (_name_problems), no parameter or family is declared twice and no
     family is named as a parameter (_declaration_problems), and the index
     variables of each rule and class line (_head_problems), each rule
-    against the families (_rule_problems) and the families of each class
-    line (_undeclared_problems) pass the one check written for both; the
-    first problem raises ValueError.
+    against the families (_rule_problems), the families of each class line
+    (_undeclared_problems) and the degree of each class's lines
+    (_degree_problems) pass the one check written for both; the first
+    problem raises ValueError.  So a declared class is of one degree at
+    every parameter value.
 
     Rules are normalized on construction: every canonical family pair gets an
     entry (missing ones become zero rules), and a rule whose coefficient is
@@ -328,6 +348,7 @@ class AlgebraSpec(_Frozen):
                 _raise_first(problems + _undeclared_problems((line.family_a, line.family_b), positions))
                 if line.parameters - {*parameters}:
                     raise ValueError(f"cocycle {label!r} uses an undeclared parameter")
+            _raise_first(_degree_problems(label, lines, offsets, parameters))
         self.__dict__.update(name=name, parameters=parameters, families=families, _weight_offsets=offsets)
         self.__dict__.update(_rules=ordered, _cocycles=classes, _positions=positions)
 

@@ -39,9 +39,11 @@ The rules a spec must obey are written once, in algebra.py, for the parser
 and for a spec built in code (AlgebraSpec): the name rule (IDENT_RE, and
 KEYWORDS, the reserved words), the check of the declared parameters and
 families, the check of a head's index variables, the check of a bracket
-rule against the declared families and that of a class line's families.
-Each check returns its problems as (code, message, where); the parser
-reports each at the token where names, and AlgebraSpec raises the first.
+rule against the declared families, that of a class line's families, and
+that of a class's degree (its lines' w_a + w_b + t must be one polynomial
+in the parameters, reported at the class name).  Each check returns its
+problems as (code, message, where); the parser reports each at the token
+where names, and AlgebraSpec raises the first.
 Only what needs the text stays here: positions, syntax, unknown variables
 in an expression, a repeated bracket rule or class.
 
@@ -50,9 +52,10 @@ error-severity diagnostic was produced.  Unless an error stops the reading
 of the text, every declaration, rule and class line that parsed is checked,
 whatever else failed, so one parse reports the file's problems; a rule
 whose own text has an error is checked with a zero coefficient, so that
-only its families are.  Family pairs without a rule are filled in as zero
-brackets with a warning.  render() emits canonical text and
-parse(render(spec)) reproduces spec exactly.
+only its families are, and a class line or family weight whose own text
+has an error is left out of the class degree check.  Family pairs without
+a rule are filled in as zero brackets with a warning.  render() emits
+canonical text and parse(render(spec)) reproduces spec exactly.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .algebra import (
     BracketRule,
     CocycleLine,
     _declaration_problems,
+    _degree_problems,
     _head_problems,
     _name_problems,
     _Record,
@@ -263,7 +267,7 @@ class _Parser:
         family_toks: list = []
         offsets: dict = {}
         brackets: list = []
-        classes: dict = {}  # name -> [(CocycleLine or None, family tokens)]
+        classes: dict = {}  # name -> (name token, [(CocycleLine or None, family tokens)])
         try:
             self.expect_keyword("algebra")
             name_tok = self.ident("an algebra name")
@@ -303,8 +307,11 @@ class _Parser:
         name_tok = self.ident("a family name")
         family_toks.append(name_tok)
         self.expect_keyword("weight")
-        offsets[name_tok.text] = self.parse_expr(frozenset(params))
+        errors = len(self.diagnostics)
+        weight = self.parse_expr(frozenset(params))
         self.expect(";", "';'")
+        if len(self.diagnostics) == errors:  # a weight with an error gives no degree
+            offsets[name_tok.text] = weight
 
     def parse_head(self, params) -> tuple:
         """(left token, right token, left variable, right variable) of a head and its "=" """
@@ -366,11 +373,12 @@ class _Parser:
             self.error("duplicate-cocycle", f"duplicate cocycle class {name!r}", name_tok)
         elif not lines:
             self.error("empty-cocycle", f"cocycle class {name!r} has no lines", name_tok)
-        classes[name] = lines
+        classes[name] = name_tok, lines
 
     def parse_cocycle_line(self, params) -> tuple:
-        """(the line, None when its denominator is refused, and the tokens
-        of its families)"""
+        """(the line, None when its text has an error, and the tokens of
+        its families)"""
+        errors = len(self.diagnostics)
         left_tok, right_tok, var_a, var_b = self.parse_head(params)
         quotient: list = []
         coeff = self.parse_expr(frozenset({var_b, *params}), quotient=quotient)
@@ -381,10 +389,11 @@ class _Parser:
         self.expect(";", "';'")
         denom = quotient[0] if quotient else IndexPolynomial.constant(1)
         try:
-            return CocycleLine(left_tok.text, right_tok.text, coeff, offset, denom, var_a, var_b), (left_tok, right_tok)
+            line = CocycleLine(left_tok.text, right_tok.text, coeff, offset, denom, var_a, var_b)
         except ValueError as exc:  # a denominator of degree 2 or more
             self.error("bad-denominator", str(exc), on_tok)
-            return None, (left_tok, right_tok)
+            line = None
+        return (line if len(self.diagnostics) == errors else None), (left_tok, right_tok)
 
     def assemble(self, name_tok, param_toks, family_toks, offsets, brackets, classes) -> AlgebraSpec | None:
         """Check the declarations, and each rule and class line that parsed
@@ -404,8 +413,10 @@ class _Parser:
             if key in rules:
                 self.error("duplicate-bracket", f"duplicate bracket rule for [{rule.left}, {rule.right}]", named[0])
             rules.setdefault(key, rule)
-        for named in [named for lines in classes.values() for _, named in lines]:
-            self.report(_undeclared_problems([tok.text for tok in named], positions), named)
+        for name, (class_tok, entries) in classes.items():
+            for _, named in entries:
+                self.report(_undeclared_problems([tok.text for tok in named], positions), named)
+            self.report(_degree_problems(name, [line for line, _ in entries if line], offsets, params), [class_tok])
         for i, fam_a in enumerate(families):
             for fam_b in families[i:]:
                 if (fam_a, fam_b) not in given:
@@ -416,7 +427,7 @@ class _Parser:
                     )
         if any(d.severity == "error" for d in self.diagnostics):
             return None
-        lines = {name: [line for line, _ in entries] for name, entries in classes.items()}
+        lines = {name: [line for line, _ in entries] for name, (_, entries) in classes.items()}
         try:
             return AlgebraSpec(name_tok.text, params, families, offsets, rules, lines)
         except ValueError as exc:  # pre-checked above; keep the no-raise contract

@@ -27,16 +27,18 @@ and which is matched against that algebra only, goes through the same
 kernel.  Its applicability is decided once per class and call, by the step
 that compiles each line at the bound parameters: coefficient, denominator
 and support offset become integer terms over one shared scale, so each
-value is one quotient of two integers.  The same step gives the class's
-degree, from the binding's weight offsets and each line's integer offset,
-and refuses lines that disagree on it.  Matching and verify_cocycle put
-those quotients straight on the pair columns, over their common
-denominator.  verify_cocycle converts a class once: its assignment holds
-the integer quotients, and is_coboundary reads them from it; their
-Fractions (CocycleAssignment.values) are built only when a caller reads
-them.  Both calls take psi from there one way.  They group its quotients
-by degree (_by_degree), one sum per family pair and index total, whatever
-made the assignment, and key its columns by the pairs themselves
+value is one quotient of two integers, and each line's integer offset
+and the binding's weight offsets give the line's degree.  Nothing here
+refuses a class for its degrees: a declared class is of one degree
+(algebra._degree_problems), and any other is read one degree at a time,
+as any assignment is.  Matching and verify_cocycle put those quotients
+straight on the pair columns, over their common denominator.
+verify_cocycle converts a class once: its assignment holds the integer
+quotients, and is_coboundary reads them from it; their Fractions
+(CocycleAssignment.values) are built only when a caller reads them.  Both
+calls take psi from there one way.  They group its quotients by degree
+(_by_degree), one sum per family pair and index total, whatever made the
+assignment, and key its columns by the pairs themselves
 ({pair: pair} over _pair_keys), as neither reduces an echelon at scale:
 verify_cocycle compiles its identities against the window's pairs, and
 is_coboundary builds no plan.  The core projection of the coboundary space
@@ -217,8 +219,10 @@ class KnownCocycle(_Value):
     couple several pair sectors (svir's lm-yy-cubic couples L-M to Y-Y)
     carry one line per sector.  Applicability requires every line's offset
     to be an integer, so the support hits integer indices, and every
-    denominator to have no integer root.  The lines of an applicable class
-    must agree on its degree.
+    denominator to have no integer root.  A declared class is of one
+    degree (algebra._degree_problems); a class taken to another algebra,
+    or built in code, need not be, and is read one degree at a time, as
+    any assignment is.
     """
 
     def __init__(self, name: str, lines: tuple):
@@ -232,29 +236,28 @@ class KnownCocycle(_Value):
         return self._check(_bind(spec, params))[0]
 
     def _check(self, alg: BoundAlgebra) -> tuple:
-        """(reason, degree, lines): applicability's answer at the binding,
-        and when that is None the class's degree and each line as (family
-        position a, family position b, support offset t, coefficient terms,
-        denominator terms), both integer terms (k, 0, b) in m over one
-        scale.  A line's degree is alg.offsets[a] + alg.offsets[b] + t, and
-        lines that disagree on it raise.  The offset is evaluated first, to
-        fail fast."""
+        """(reason, lines): applicability's answer at the binding, and when
+        that is None each line as (family position a, family position b,
+        support offset t, coefficient terms, denominator terms), both
+        integer terms (k, 0, b) in m over one scale.  A line's degree is
+        alg.offsets[a] + alg.offsets[b] + t.  The offset is evaluated
+        first, to fail fast."""
         spec = alg.spec
-        compiled, degrees = [], set()
+        compiled = []
         for line in self.lines:
             for fam in (line.family_a, line.family_b):
                 if fam not in spec.families:
-                    return f"algebra has no family {fam}", None, None
+                    return f"algebra has no family {fam}", None
             extra = sorted(line.parameters - set(spec.parameters))
             if extra:
-                return f"algebra has no parameter {extra[0]}", None, None
+                return f"algebra has no parameter {extra[0]}", None
             total = line.offset.evaluate(alg.params)
             if total.denominator != 1:
                 # t is an integer exactly when -t is: name the one that
                 # leads with a positive term
                 lead = line.offset.sorted_terms(spec.parameters)[0][1]
                 text = (line.offset if lead > 0 else -line.offset).to_text(spec.parameters)
-                return f"requires {text} integer", None, None
+                return f"requires {text} integer", None
             _, (coeff, denom) = _compile(line._index_terms, alg.params)
             # a*m + b (CocycleLine keeps it at most linear) vanishes at an
             # integer m exactly when a divides b
@@ -262,24 +265,19 @@ class KnownCocycle(_Value):
             if not denom or (slope and _evaluate(denom, 0, 0) % slope == 0):
                 where = "at an integer index" if denom else "identically"
                 text = line.denom.to_text((line.var_b,) + spec.parameters)
-                return f"denominator {text} vanishes {where}", None, None
+                return f"denominator {text} vanishes {where}", None
             a, b = map(spec.family_position, (line.family_a, line.family_b))
-            degrees.add(alg.offsets[a] + alg.offsets[b] + total)
             compiled.append((a, b, int(total), coeff, denom))
-        if len(degrees) > 1:
-            text = ", ".join(map(format_rational, sorted(degrees)))
-            raise ValueError(f"cocycle {self.name!r} mixes degrees {text}")
-        return None, degrees.pop(), compiled
+        return None, compiled
 
     def instantiate(self, spec: AlgebraSpec, params: Mapping, window: Window) -> CocycleAssignment:
         return self._instantiate(_bind(spec, params), window)
 
     def _instantiate(self, alg: BoundAlgebra, window: Window) -> CocycleAssignment:
         """The class at the binding on the window: the CocycleAssignment of
-        its canonical values as _ratios gives them, which _check has found
-        to be of one degree.  An inapplicable class is refused with the
-        violated condition."""
-        reason, _, lines = self._check(alg)
+        its canonical values as _ratios gives them.  An inapplicable class
+        is refused with the violated condition."""
+        reason, lines = self._check(alg)
         if reason is not None:
             raise ValueError(f"cocycle {self.name!r} not applicable: {reason}")
         return CocycleAssignment(alg.spec, window, {}, self._ratios(window, lines))
@@ -365,27 +363,27 @@ def verify_cocycle(spec, params, window, cocycle) -> VerifyReport:
 def is_coboundary(spec, params, window, psi: CocycleAssignment) -> bool:
     """Whether psi, restricted to core pairs, lies in the core projection of
     the coboundary space.  Empty assignments are coboundaries, and so is one
-    with no core support; mixed-degree input is an error (split it by degree
-    first), and so is support outside the window.
+    with no core support; support outside the window is an error.
 
-    The core projection of the coboundary space is spanned by the generator
-    of each window element z of weight == degree (coboundary_space), each
-    restricted to the core pairs.  So only the core pairs and their brackets
-    are built, with the pair keys themselves as the echelon's columns, as
-    verify_cocycle keys its identities' columns.  psi is grouped by degree
-    as verify_cocycle groups it (CocycleAssignment._grouped)."""
+    The coboundaries split by degree, as the cocycle identities do: psi is
+    grouped by degree as verify_cocycle groups it
+    (CocycleAssignment._grouped), and it is a coboundary exactly when each
+    degree's part is.  The core projection of the coboundary space of one
+    degree is spanned by the generator of each window element z of weight
+    == degree (coboundary_space), each restricted to the core pairs.  So
+    only the core pairs and their brackets are built, with the pair keys
+    themselves as the echelon's columns, as verify_cocycle keys its
+    identities' columns."""
     alg = _bind(spec, params)
     groups = psi._grouped(alg)
-    if len(groups) > 1:
-        raise ValueError("assignment mixes degrees")
-    if not groups:
-        return True
-    [(degree, ratios)] = groups.items()
-    for x, y in ratios:
+    for x, y in (pair for ratios in groups.values() for pair in ratios):
         if max(abs(x[1]), abs(y[1])) > window.n:
             raise ValueError(f"assignment has support on {alg.element(x)}, {alg.element(y)} outside the pair basis")
-    core = {pair: pair for pair in _pair_keys(alg, degree, window.core_bound())}
-    return _Echelon(_images(alg, degree, window.n, core).values()).contains(_on_columns(ratios, core)[0])
+    for degree, ratios in groups.items():
+        core = {pair: pair for pair in _pair_keys(alg, degree, window.core_bound())}
+        if not _Echelon(_images(alg, degree, window.n, core).values()).contains(_on_columns(ratios, core)[0]):
+            return False
+    return True
 
 
 def _grading_failure(alg: BoundAlgebra) -> str | None:
@@ -498,18 +496,19 @@ def _match(alg: BoundAlgebra, window, degree, pairs: PairBasis, cocycles: _Echel
     """Which of the algebra's declared cocycle classes lie in the cocycle
     space and are not coboundaries (core-projected), inapplicable ones
     omitted: over the columns of `pairs`, against the echelon of the
-    cocycles and the core echelon of the coboundaries.  Each class's values
-    on the window become one integer vector over their common denominator."""
+    cocycles and the core echelon of the coboundaries.  Only a class whose
+    every line is of the given degree can match.  Each class's values on
+    the window become one integer vector over their common denominator."""
     spec = alg.spec
     results = []
     for name, lines in spec.cocycles.items():
         known = KnownCocycle(name, lines)
-        reason, known_degree, lines = known._check(alg)
+        reason, lines = known._check(alg)
         if reason is not None:
             continue
         ratios = known._ratios(window, lines)
         matched = False
-        if ratios and known_degree == degree:
+        if ratios and {alg.offsets[a] + alg.offsets[b] + t for a, b, t, _, _ in lines} == {degree}:
             vector = _on_columns(ratios, pairs._index)[0]
             matched = cocycles.contains(vector) and not core_bounds.contains(_restrict(vector, core))
         results.append(MatchResult(known.name, matched))

@@ -234,18 +234,24 @@ def test_agreeing_unstabilized_point_exit_codes(monkeypatch, capsys):
     assert captured.err == "warning: lambda=0 mu=1/3 did not stabilize\n"
 
 
-def test_verify_of_an_assignment_of_two_degrees_passes_with_no_verdict(tmp_path, capsys):
-    # witt's virasoro values at degree 0 plus the coboundary of L(1)'s dual,
-    # psi(L(i), L(1 - i)) = 1 - 2i, at degree 1: each degree passes, and
-    # whether the sum is a coboundary is not asked of mixed degrees
-    values = {f"L:{-m},L:{m}": f"{m - m**3}/12" for m in range(1, 9)}
-    values.update({f"L:{i},L:{1 - i}": str(1 - 2 * i) for i in range(-7, 1)})
+def test_verify_of_an_assignment_of_two_degrees_passes_with_a_verdict(tmp_path, capsys):
+    # witt's virasoro values, or the coboundary of L(0)'s dual, psi(L(-m),
+    # L(m)) = 2m, at degree 0, plus the coboundary of L(1)'s dual,
+    # psi(L(i), L(1 - i)) = 1 - 2i, at degree 1: each degree passes, and the
+    # sum is a coboundary exactly when each degree's part is; the degree-1
+    # part comes first, so that a verdict of the first degree alone differs
+    coboundary = {f"L:{i},L:{1 - i}": str(1 - 2 * i) for i in range(-7, 1)}
+    degree_zero = {
+        "yes": {f"L:{-m},L:{m}": f"{m - m**3}/12" for m in range(1, 9)},
+        "no": {f"L:{-m},L:{m}": str(2 * m) for m in range(1, 9)},
+    }
     path = tmp_path / "mixed.json"
-    path.write_text(json.dumps(values))
-    assert cli.main(["verify", "--algebra", "witt", "--cocycle", str(path), "--window", "8"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("verify: PASS (") and lines[0].endswith(" admissible triples, window [-8, 8])")
-    assert lines[1:] == ["nontrivial: n/a (assignment mixes degrees)"]
+    for nontrivial, values in degree_zero.items():
+        path.write_text(json.dumps({**coboundary, **values}))
+        assert cli.main(["verify", "--algebra", "witt", "--cocycle", str(path), "--window", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("verify: PASS (") and lines[0].endswith(" admissible triples, window [-8, 8])")
+        assert lines[1:] == [f"nontrivial: {nontrivial}"]
 
 
 def test_preset_path_environment_resolution(tmp_path):
@@ -255,6 +261,23 @@ def test_preset_path_environment_resolution(tmp_path):
     proc = run_cli("jacobi", "--algebra", "abel", "--window", "4", env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("jacobi window: PASS (84 triples")
+
+
+def test_unknown_preset_name_lists_the_presets():
+    from lieext.presets import preset_source
+
+    with pytest.raises(ValueError, match=r"^unknown preset 'nosuch' \(available: svir, virasoro-sector, witt\)$"):
+        preset_source("nosuch")
+
+
+def test_cli_module_runs_as_a_script():
+    # `python -m lieext.cli` is `python -m lieext`: the same output and exit
+    # code, for a pass and for a usage error
+    for argv in (("jacobi", "--algebra", "witt", "--window", "2"), ("h2", "--algebra", "nosuch")):
+        proc = subprocess.run([sys.executable, "-m", "lieext.cli", *argv], capture_output=True, text=True, timeout=300)
+        expected = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (expected.returncode, expected.stdout, expected.stderr)
+    assert proc.returncode == 2 and expected.stderr.startswith("error: ")
 
 
 def test_mu_zero_is_reported():
@@ -1009,11 +1032,16 @@ algebra mix() {
     }
 }
 """)
-    for command in (("h2",), ("verify", "--cocycle", "bad-mix")):
+    # the class is refused where it is declared: every command gives the
+    # parse error, at the class's name
+    for command in (("jacobi", "--symbolic"), ("jacobi",), ("h2",), ("verify", "--cocycle", "bad-mix")):
         proc = run_cli(*command, "--algebra", str(path))
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == "error: cocycle 'bad-mix' mixes degrees 0, 1\n"
+        assert proc.stderr == (
+            f"error: cannot parse algebra from {path}: 8:13: error[mixed-degrees]: "
+            "cocycle 'bad-mix' mixes degrees 0, 1\n"
+        )
 
 
 def test_scan_csv_agreeing_grid():

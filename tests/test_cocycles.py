@@ -10,7 +10,7 @@ import pytest
 
 import lieext.engine as engine
 import lieext.solve as solve
-from lieext.algebra import BasisElement, CocycleLine, validate_parameters
+from lieext.algebra import AlgebraSpec, BasisElement, CocycleLine, validate_parameters
 from lieext import REGISTRY
 from lieext.engine import (
     CocycleAssignment,
@@ -19,12 +19,12 @@ from lieext.engine import (
     is_coboundary,
     verify_cocycle,
 )
-from lieext.dsl import parse
+from lieext.dsl import Diagnostic, parse
 from lieext.poly import IndexPolynomial
 from lieext.presets import load_algebra
 from lieext.solve import Window
 
-from golden import VERIFY_POINTS
+from golden import SOURCES, VERIFY_POINTS
 from isomorphism import substitute, weight
 from test_dsl import parse_polynomial
 
@@ -344,23 +344,64 @@ def test_registry_degrees_are_zero():
         assert psi.values and _degrees(psi, params) == {0}, name
 
 
+def _declaring(spec, classes):
+    """spec's bracket table, declaring classes."""
+    return AlgebraSpec(spec.name, spec.parameters, spec.families, spec.weight_offsets, spec.rules, classes)
+
+
 def test_degree_mixing_rejected():
-    mixed = KnownCocycle(
-        "bad-mix",
-        (
-            CocycleLine("L", "L", _poly("m")),
-            CocycleLine("L", "Y", _poly("1")),
-        ),
+    # a class's degree is settled where it is declared: mix.lie is refused
+    # at the class's name, and its class built in code with the same
+    # message; so is a class whose degrees differ only through a parameter
+    message = "cocycle 'bad-mix' mixes degrees 0, 1"
+    assert parse(SOURCES["mix.lie"]).errors() == [Diagnostic(7, 13, "error", "mixed-degrees", message)]
+    mix = parse(SOURCES["mix.lie"].split("    cocycle")[0] + "}\n").spec
+    assert mix.families == ("L", "W") and not mix.cocycles
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _declaring(mix, {"bad-mix": (CocycleLine("L", "L", _poly("m")), CocycleLine("L", "W", _poly("1")))})
+    lines = (CocycleLine("L", "L", _poly("m"), _poly("1")), CocycleLine("L", "Y", _poly("1")))
+    with pytest.raises(ValueError, match="^cocycle 'bad-mix' mixes degrees 1, mu$"):
+        _declaring(SVIR, {"bad-mix": lines})
+
+
+def test_a_class_of_two_degrees_is_read_one_degree_at_a_time():
+    """A class built in code may mix degrees; the engine refuses nothing
+    for it.  It applies, and verify_cocycle and is_coboundary give, degree
+    by degree, the verdicts of each line on its own: verify walks the
+    degrees in order up to the first failure, and psi is a coboundary
+    exactly when each degree's part is."""
+    window = Window(8)
+    classes = (
+        # virasoro at degree 0, and psi(L_n, Y_m) = 1 on n + m = 0 at degree mu
+        (CocycleLine("L", "L", _poly("(m - m*m*m)/12")), CocycleLine("L", "Y", _poly("1"))),
+        # the coboundary of L(0)'s dual at degree 0, with the same L-Y line
+        (CocycleLine("L", "L", _poly("m")), CocycleLine("L", "Y", _poly("1"))),
     )
-    params = {"lambda": 0, "mu": 1}
-    refusals = (
-        lambda: mixed.instantiate(SVIR, params, Window(8, 3)),
-        lambda: verify_cocycle(SVIR, params, Window(8, 3), mixed),
-        lambda: mixed.applicability(SVIR, params),
-    )
-    for refused in refusals:
-        with pytest.raises(ValueError, match="^cocycle 'bad-mix' mixes degrees 0, 1$"):
-            refused()
+    verdicts = set()
+    for lam, mu in ((-3, 1), (-1, 1), (0, -2)):
+        params = validate_parameters(SVIR, {"lambda": lam, "mu": mu})
+        for lines in classes:
+            mixed = KnownCocycle("mixed", lines)
+            assert mixed.applicability(SVIR, params) is None
+            parts = sorted(
+                (KnownCocycle("one", (line,)).instantiate(SVIR, params, window) for line in lines),
+                key=lambda psi: sorted(_degrees(psi, params)),
+            )
+            [first], [second] = (_degrees(psi, params) for psi in parts)
+            assert first < second
+            expected, checked = (True, None), 0
+            for psi in parts:
+                report = verify_cocycle(SVIR, params, window, psi)
+                checked += report.triples_checked
+                if not report.passed:
+                    expected = (False, report.witness)
+                    break
+            report = verify_cocycle(SVIR, params, window, mixed)
+            assert (report.passed, report.witness) == expected and report.triples_checked == checked, (lam, mu)
+            trivial = all(is_coboundary(SVIR, params, window, psi) for psi in parts)
+            assert is_coboundary(SVIR, params, window, report.assignment) == trivial, (lam, mu)
+            verdicts.add((report.passed, trivial))
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_skew_inconsistent_table_rejected():
@@ -488,7 +529,7 @@ def test_declared_class_and_its_file_verify_alike():
             trivial = is_coboundary(SVIR, params, window, report.assignment)
             assert is_coboundary(SVIR, params, window, read) == trivial, label
             assert report.assignment == known.instantiate(SVIR, params, window) == read, label
-            _, _, lines = known._check(alg)
+            _, lines = known._check(alg)
             fractions = {
                 (alg.element(x), alg.element(y)): Fraction(num, den)
                 for (x, y), (num, den) in known._ratios(window, lines).items()
@@ -531,7 +572,7 @@ def test_grouping_by_degree_matches_a_per_pair_reference():
     seeded assignments over several sectors and degrees it must group as a
     sum per pair does: the same degrees, and the same pairs in the same
     order within each.  Each class that applies at a verify point gets one
-    group, of _check's degree."""
+    group, of the one degree of _check's lines."""
     rng = random.Random(33)
     window = Window(8)
     families = range(len(SVIR.families))
@@ -554,5 +595,6 @@ def test_grouping_by_degree_matches_a_per_pair_reference():
     for (lam, mu), names in VERIFY_POINTS.items():
         alg = solve._bind(SVIR, validate_parameters(SVIR, {"lambda": lam, "mu": mu}))
         for name in names:
-            _, degree, lines = REGISTRY[name]._check(alg)
+            _, lines = REGISTRY[name]._check(alg)
+            [degree] = {alg.offsets[a] + alg.offsets[b] + t for a, b, t, _, _ in lines}
             assert list(engine._by_degree(alg.offsets, REGISTRY[name]._ratios(window, lines))) == [degree]

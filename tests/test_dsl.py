@@ -214,12 +214,21 @@ def _random_poly_text(rng, variables):
     return poly, poly.to_text(tuple(variables))
 
 
-def _random_spec_source(rng):
+def _random_spec_source(rng, skew=0):
+    """A random .lie source.  Every line of a class is of its first line's
+    degree d = w_a + w_b + t: a later line's offset is drawn and then
+    replaced by d - w_a - w_b, plus skew, so the draws do not depend on the
+    rule, and skew 1 gives each class of two lines two degrees."""
     params = rng.sample(["alpha", "beta", "gam"], rng.randint(0, 2))
     families = rng.sample(["A", "B", "Cc", "Dd"], rng.randint(1, 3))
     lines = [f"algebra rnd{rng.randint(0, 99)}({', '.join(params)}) {{"]
+    weights = {}
     for fam in families:
-        _, wtext = _random_poly_text(rng, params) if params and rng.random() < 0.7 else (None, str(rng.randint(-3, 3)))
+        if params and rng.random() < 0.7:
+            weights[fam], wtext = _random_poly_text(rng, params)
+        else:
+            weight = rng.randint(-3, 3)
+            weights[fam], wtext = C(weight), str(weight)
         lines.append(f"  family {fam} weight {wtext};")
     for i, fa in enumerate(families):
         for fb in families[i:]:
@@ -239,6 +248,7 @@ def _random_spec_source(rng):
                 lines.append(f"  bracket [{fa} n, {fb} m] = ({text}) {out}(n + m);")
     for k in range(rng.choice((0, 0, 1, 2))):
         lines.append(f"  cocycle k{k}-v{rng.randint(0, 9)} {{")
+        degree = None
         for _ in range(rng.randint(1, 2)):
             fa, fb = rng.choice(families), rng.choice(families)
             _, ctext = _random_poly_text(rng, ["m"] + params)
@@ -247,8 +257,16 @@ def _random_spec_source(rng):
                 constant, _ = _random_poly_text(rng, params)
                 slope = rng.choice((-2, -1, 1, 3))
                 rhs += f" / ({(constant + slope * V('m')).to_text(('m',) + tuple(params))})"
-            _, offset = _random_poly_text(rng, params) if params else (None, str(rng.randint(-3, 3)))
-            lines.append(f"    [{fa} n, {fb} m] = {rhs} on n + m = {offset};")
+            if params:
+                offset, text = _random_poly_text(rng, params)
+            else:
+                t = rng.randint(-3, 3)
+                offset, text = C(t), str(t)
+            if degree is None:
+                degree = weights[fa] + weights[fb] + offset
+            else:
+                text = (degree - weights[fa] - weights[fb] + skew).to_text(tuple(params))
+            lines.append(f"    [{fa} n, {fb} m] = {rhs} on n + m = {text};")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines)
@@ -265,6 +283,27 @@ def test_round_trip_random_specs():
         assert again.spec is not None, (render(result.spec), again.diagnostics)
         assert again.spec == result.spec
         done += 1
+
+
+def test_random_classes_of_two_degrees_are_refused_at_their_names():
+    # the same draws with each later class line shifted by 1: every class
+    # of two lines now mixes degrees, and the parser refuses it at its name
+    # and nothing else, so the generator's rule hides no check
+    rng = random.Random(808)
+    refused = 0
+    for _ in range(20):
+        state = rng.getstate()
+        spec = parse(_random_spec_source(rng)).spec
+        rng.setstate(state)
+        source = _random_spec_source(rng, skew=1)
+        expected = [name for name, lines in spec.cocycles.items() if len(lines) > 1]
+        errors = parse(source).errors()
+        assert [d.code for d in errors] == ["mixed-degrees"] * len(expected), source
+        for name, d in zip(expected, errors):
+            assert d.message.startswith(f"cocycle {name!r} mixes degrees "), d
+            assert source.splitlines()[d.line - 1][d.col - 1 :].startswith(f"{name} {{"), d
+        refused += len(expected)
+    assert refused >= 3
 
 
 FUZZ_ALPHABET = (
@@ -579,6 +618,8 @@ ZERO = IndexPolynomial()
          {"families": ("A", "B", "p"), "weight_offsets": {"A": C(0), "B": V("p"), "p": C(0)}}),
         ("undeclared-family", {"items": "cocycle c { [A n, D m] = 1 on n + m = 0; }"},
          {"cocycles": {"c": [CocycleLine("A", "D", C(1))]}}),
+        ("mixed-degrees", {"items": "cocycle c { [A n, B m] = 1 on n + m = 0; [A n, A m] = 1 on n + m = 1; }"},
+         {"cocycles": {"c": [CocycleLine("A", "B", C(1)), CocycleLine("A", "A", C(1), C(1))]}}),
     ],
 )
 def test_parse_and_spec_refuse_alike(code, text, changes):
@@ -591,6 +632,17 @@ def test_parse_and_spec_refuse_alike(code, text, changes):
     with pytest.raises(ValueError) as info:
         AlgebraSpec(**{**SHARED_ARGS, **changes})
     assert str(info.value) == first.message
+
+
+@pytest.mark.parametrize("items", [
+    "family C weight q; cocycle c { [A n, C m] = 1 on n + m = 0; [A n, A m] = 1 on n + m = 1; }",
+    "cocycle c { [A n, A m] = 1 on n + m = q; [A n, A m] = 1 on n + m = 1; }",
+], ids=["weight", "offset"])
+def test_a_degree_that_an_error_changed_is_not_compared(items):
+    # the unknown variable reads as 0, which would give the class's two
+    # lines the degrees 0 and 1: the error is reported once, at its token,
+    # and the line or family it is in is left out of the degree check
+    assert [d.code for d in parse(_lie(items)).errors()] == ["unknown-variable"]
 
 
 def test_missing_output_family_is_reported_once_at_the_bracket():

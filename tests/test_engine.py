@@ -560,10 +560,20 @@ def test_cocycle_assignment_refusals_and_canonical_form():
         return {weight(SVIR, x, params) + weight(SVIR, y, params) for x, y in psi.values}
 
     assert degrees(psi) == {0}
-    mixed = CocycleAssignment(SVIR, window, {(L(-2), Y(1)): 1, (L(-1), L(2)): 1})
-    assert degrees(mixed) == {0, 1}
-    with pytest.raises(ValueError, match="assignment mixes degrees"):
-        is_coboundary(SVIR, params, window, mixed)
+    # an assignment of two degrees is a coboundary exactly when each
+    # degree's part is
+    def dual_coboundary(k):
+        # psi(x, y) = the coefficient of L(k) in [x, y], (k - 2i) on (L(i), L(k - i))
+        return {(L(i), L(k - i)): k - 2 * i for i in range(-6, 7) if i < k - i <= 6}
+
+    parts = {(L(-2), Y(1)): 1}, dual_coboundary(0), dual_coboundary(1)
+    for first, expected in ((0, [False, True]), (1, [True, True])):
+        # the degree-1 part first, so that a verdict of the first degree alone differs
+        mixed = CocycleAssignment(SVIR, window, {**parts[2], **parts[first]})
+        assert degrees(mixed) == {0, 1}
+        verdicts = [is_coboundary(SVIR, params, window, CocycleAssignment(SVIR, window, parts[i])) for i in (first, 2)]
+        assert verdicts == expected
+        assert is_coboundary(SVIR, params, window, mixed) == all(verdicts)
     assert is_coboundary(SVIR, params, window, CocycleAssignment(SVIR, window, {}))
 
 

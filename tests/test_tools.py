@@ -145,6 +145,7 @@ def test_spec_checks_are_written_in_algebra_py_only():
         "duplicate-index-variable",
         "index-shadows-parameter",
         "reserved-word",
+        "mixed-degrees",
     }
     for path in (ROOT / "src" / "lieext").glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -153,6 +154,10 @@ def test_spec_checks_are_written_in_algebra_py_only():
             assert shared <= constants and "KEYWORDS" in _own_names(tree)
         else:
             assert not shared & constants and "KEYWORDS" not in _own_names(tree), path
+        if path.name in ("engine.py", "cli.py"):
+            # a class's degree is settled where it is declared: neither the
+            # engine nor the CLI refuses one for mixing degrees
+            assert not any(isinstance(c, str) and "mixes degrees" in c for c in constants), path
         assert "same_family_rule_is_antisymmetric" not in _own_names(tree) | _read_names(tree)["name"], path
 
 

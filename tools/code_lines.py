@@ -10,10 +10,11 @@ The token count is what compiling a module costs: with no bytecode cache
 (PYTHONDONTWRITEBYTECODE), each run compiles the package again, and the
 compile of the largest module sets the process's peak memory.  That peak
 follows the tokens in steps, not smoothly: with CPython 3.11.7 on Linux,
-solve.py, the largest module at about 4090 code tokens, compiles at a
-15.1 MB peak, padded with 60 more code tokens still at 15.1 MB, and with
-90 to 300 more at 15.2-15.25 MB (medians of 7 runs; one run spreads by up
-to 0.15 MB, as much as the step).
+solve.py, the largest module at about 3680 code tokens, compiles at a
+14.96-15.0 MB peak, padded with 60 more code tokens still at 14.96-14.98
+MB, with 90 to 300 more at 15.08-15.13 MB, and with 450 more at 15.2 MB
+(medians of 7 runs, three rounds; one run spreads by up to 0.15 MB, as
+much as the step).
 Comments and docstrings cost almost nothing there.  So the last column
 measures it: the peak RSS, in MB, of a fresh interpreter that compiles the
 module and nothing else, as the median of RUNS such interpreters run one
